@@ -27,6 +27,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -638,7 +639,9 @@ func (p *Pool) Unpin(id page.ID) error {
 // write-back flash cache).
 //
 // fn is invoked without holding any pool lock, for the same reason as the
-// eviction callback in Get.
+// eviction callback in Get.  Pages are flushed in page-id order, so that
+// two runs of one workload stage them into the flash cache in the same
+// order and stay identical from there on.
 func (p *Pool) FlushDirty(fn func(v Victim) error, syncedToDisk bool) error {
 	var victims []Victim
 	for _, s := range p.shards {
@@ -651,6 +654,7 @@ func (p *Pool) FlushDirty(fn func(v Victim) error, syncedToDisk bool) error {
 		}
 		s.mu.Unlock()
 	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
 
 	for _, v := range victims {
 		if err := fn(v); err != nil {

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/reprolab/face/internal/buffer"
 	"github.com/reprolab/face/internal/device"
+	"github.com/reprolab/face/internal/face"
 	"github.com/reprolab/face/internal/page"
 )
 
@@ -549,6 +551,63 @@ func TestAllocExhaustsDevice(t *testing.T) {
 		}
 		if db.NumPages() > 10 {
 			t.Fatal("allocation never hit the device capacity")
+		}
+	}
+}
+
+// TestIdenticalRunsIdenticalCountersAcrossCheckpoint: a checkpoint stages
+// the dirty pages into the flash cache in page order, not in the order a map
+// happens to yield them, so two runs of one workload agree on every device,
+// buffer and cache counter afterwards.
+func TestIdenticalRunsIdenticalCountersAcrossCheckpoint(t *testing.T) {
+	// What is counted or modelled; not what the wall clock times.
+	type counters struct {
+		Elapsed          time.Duration
+		PageAccesses     int64
+		Pool             buffer.Stats
+		Cache            face.Stats
+		Data, Log, Flash device.Stats
+	}
+	run := func() counters {
+		r := newRig(t, PolicyFaCEGSC)
+		r.cfg.FlashFrames = 64
+		db := r.open(t, false)
+		defer db.Close()
+		tx, _ := db.Begin()
+		var ids []page.ID
+		for i := 0; i < 150; i++ {
+			id, err := tx.Alloc(page.TypeHeap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		touch := func(n int) {
+			for i := 0; i < n; i++ {
+				writeValue(t, tx, ids[(i*37)%len(ids)], uint64(i))
+			}
+		}
+		touch(400)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			tx, _ = db.Begin()
+			touch(300)
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := db.Snapshot()
+		return counters{s.Elapsed, s.PageAccesses, s.Pool, s.Cache, s.Data, s.Log, s.Flash}
+	}
+	first := run()
+	for i := 0; i < 4; i++ {
+		if again := run(); first != again {
+			t.Fatalf("run %d differs from the first:\n%+v\n%+v", i+2, first, again)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/reprolab/face/internal/lock"
@@ -39,7 +40,7 @@ type Tx struct {
 	// request and the transaction rolls back.
 	ctx context.Context
 
-	// undo keeps the before images of this transaction's changes so Abort
+	// undo keeps the edits of this transaction's update records so Abort
 	// can roll them back without reading the log backwards.
 	undo []undoRecord
 
@@ -51,8 +52,7 @@ type Tx struct {
 
 type undoRecord struct {
 	pageID page.ID
-	offset uint16
-	before []byte
+	edits  []wal.Edit
 }
 
 // Begin starts a new unscheduled read-write transaction.  Most callers
@@ -194,8 +194,8 @@ func (tx *Tx) Read(id page.ID, fn func(buf page.Buf) error) error {
 	return fn(buf)
 }
 
-// Modify pins the page, lets fn change it in place, logs the change as a
-// byte-range update record (before and after images), stamps the page LSN
+// Modify pins the page, lets fn change it in place, logs what changed as
+// one update record (a list of edits, see diffEdits), stamps the page LSN
 // and marks the page dirty.  If fn returns an error or changes nothing, no
 // log record is written.
 func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
@@ -217,6 +217,8 @@ func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 	}
 	defer tx.db.pool.Unpin(id)
 
+	// The before image stays on this goroutine's stack: diffEdits copies
+	// the bytes it keeps.
 	before := buf.Clone()
 	if err := fn(buf); err != nil {
 		// Restore the pristine image so a failed modification leaves no
@@ -224,18 +226,11 @@ func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 		copy(buf, before)
 		return err
 	}
-	lo, hi := diffRange(before, buf)
-	if lo >= hi {
+	edits := diffEdits(before, buf)
+	if len(edits) == 0 {
 		return nil
 	}
-	rec := &wal.Record{
-		Type:   wal.TypeUpdate,
-		TxID:   tx.id,
-		PageID: id,
-		Offset: uint16(lo),
-		Before: append([]byte(nil), before[lo:hi]...),
-		After:  append([]byte(nil), buf[lo:hi]...),
-	}
+	rec := &wal.Record{Type: wal.TypeUpdate, TxID: tx.id, PageID: id, Edits: edits}
 	lsn, err := tx.logAppend(rec)
 	if err != nil {
 		copy(buf, before)
@@ -245,12 +240,13 @@ func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 	if err := tx.db.pool.MarkDirty(id); err != nil {
 		return err
 	}
-	tx.undo = append(tx.undo, undoRecord{pageID: id, offset: uint16(lo), before: rec.Before})
+	tx.undo = append(tx.undo, undoRecord{pageID: id, edits: edits})
 	return nil
 }
 
-// Alloc allocates and formats a new page of the given type.  The formatted
-// image is logged as a full-page record so recovery can recreate it.
+// Alloc allocates and formats a new page of the given type.  The
+// formatting is logged as a format record (page id and type) so recovery
+// can repeat it.
 func (tx *Tx) Alloc(t page.Type) (page.ID, error) {
 	if tx.done {
 		return page.InvalidID, ErrTxDone
@@ -289,7 +285,7 @@ func (tx *Tx) Alloc(t page.Type) (page.ID, error) {
 	}
 	defer db.pool.Unpin(id)
 
-	rec := &wal.Record{Type: wal.TypeFullPage, TxID: tx.id, PageID: id, After: buf.Clone()}
+	rec := &wal.Record{Type: wal.TypeFormat, TxID: tx.id, PageID: id, PageType: t}
 	lsn, err := tx.logAppend(rec)
 	if err != nil {
 		return page.InvalidID, err
@@ -367,11 +363,11 @@ func (tx *Tx) commit() error {
 	return nil
 }
 
-// Abort rolls the transaction back by restoring the before images of its
-// changes in reverse order.  The compensating changes are logged as system
-// records (TxID 0) so redo replays them and the transaction needs no undo
-// after a crash.  Transactions managed by View/Update reject a manual
-// Abort with ErrTxManaged.
+// Abort rolls the transaction back by undoing its update records in reverse
+// order.  Each undo is logged as a compensation record — the inverse edits,
+// redo-only — so redo replays it, and restart after a crash in mid-abort
+// undoes only the updates no compensation record covers.  Transactions
+// managed by View/Update reject a manual Abort with ErrTxManaged.
 func (tx *Tx) Abort() error {
 	if tx.managed {
 		return ErrTxManaged
@@ -398,20 +394,15 @@ func (tx *Tx) abort() error {
 		if err != nil {
 			return err
 		}
-		after := append([]byte(nil), buf[int(u.offset):int(u.offset)+len(u.before)]...)
-		copy(buf[u.offset:], u.before)
-		rec := &wal.Record{
-			Type:   wal.TypeUpdate,
-			TxID:   0,
-			PageID: u.pageID,
-			Offset: u.offset,
-			Before: after,
-			After:  append([]byte(nil), u.before...),
-		}
+		wal.Invert(u.edits)
+		rec := &wal.Record{Type: wal.TypeCompensation, TxID: tx.id, PageID: u.pageID, Edits: u.edits}
 		lsn, err := db.log.Append(rec)
 		if err != nil {
 			db.pool.Unpin(u.pageID)
 			return err
+		}
+		for j := range u.edits {
+			u.edits[j].Apply(buf)
 		}
 		buf.SetLSN(lsn)
 		if err := db.pool.MarkDirty(u.pageID); err != nil {
@@ -430,19 +421,159 @@ func (tx *Tx) abort() error {
 	return nil
 }
 
-// diffRange returns the smallest [lo, hi) byte range in which a and b
-// differ, ignoring the page LSN field (it is updated by Modify itself).
-func diffRange(a, b page.Buf) (int, int) {
-	lo := 0
-	for lo < page.Size && a[lo] == b[lo] {
-		lo++
+// Differ tuning.  A shift is looked for in regions whose changed bytes lie
+// at most maxShift apart (moving an array of records by one record changes
+// at least one byte per record) and that are long enough to pay for the
+// attempt; plain writes are split wherever the unchanged gap costs more as
+// two images than another edit header does.
+const (
+	maxShift       = 64
+	minShiftRegion = 32
+	maxWriteGap    = wal.EditHeaderSize / 2
+)
+
+// span is one edit before its images are copied: the region [lo, hi) and
+// the shift distance (0 for a write).
+type span struct {
+	lo, hi int
+	shift  int
+}
+
+// diffEdits returns the edits that turn before into after: disjoint, in
+// ascending order, with their own copies of the image bytes, so that neither
+// image is referenced afterwards (Modify's before image never leaves its
+// stack).  Every byte is compared, the page LSN field included — callers
+// stamp the LSN after the diff, so it only shows up here if fn itself wrote
+// to it.
+//
+// The page is walked from its end towards its start, because that is the
+// end a moved array is recognised from (see tailShift); the spans are turned
+// round when done.
+func diffEdits(before, after page.Buf) []wal.Edit {
+	var stack [16]span
+	spans := stack[:0]
+	for hi := page.Size; hi > 0; {
+		if before[hi-1] == after[hi-1] {
+			hi--
+			continue
+		}
+		lo := regionStart(before, after, hi, maxShift)
+		spans = appendRegion(spans, before, after, lo, hi)
+		hi = lo
 	}
-	if lo == page.Size {
-		return 0, 0
+	if len(spans) == 0 {
+		return nil
 	}
-	hi := page.Size
-	for hi > lo && a[hi-1] == b[hi-1] {
-		hi--
+	slices.Reverse(spans)
+
+	total := 0
+	for _, s := range spans {
+		total += 2 * s.imageLen()
 	}
-	return lo, hi
+	images := make([]byte, 0, total)
+	edits := make([]wal.Edit, len(spans))
+	for i, s := range spans {
+		n := s.imageLen()
+		// A write keeps the whole region; a shift towards higher offsets
+		// loses the region's last n bytes and gains n at its start, one
+		// towards lower offsets the reverse.
+		out, in := s.lo, s.lo
+		switch {
+		case s.shift > 0:
+			out = s.hi - n
+		case s.shift < 0:
+			in = s.hi - n
+		}
+		images = append(images, before[out:out+n]...)
+		images = append(images, after[in:in+n]...)
+		img := images[len(images)-2*n:]
+		edits[i] = wal.Edit{
+			Off: uint16(s.lo), Len: uint16(s.hi - s.lo), Shift: int8(s.shift),
+			Before: img[:n:n], After: img[n:],
+		}
+	}
+	return edits
+}
+
+func (s span) imageLen() int {
+	if s.shift == 0 {
+		return s.hi - s.lo
+	}
+	return max(s.shift, -s.shift)
+}
+
+// regionStart returns the start of the changed region that ends at hi
+// (byte hi-1 differs): the first changed byte not preceded, within gap
+// unchanged bytes, by another changed one.
+func regionStart(before, after page.Buf, hi, gap int) int {
+	lo := hi - 1
+	for i := lo - 1; i >= 0 && lo-i <= gap+1; i-- {
+		if before[i] != after[i] {
+			lo = i
+		}
+	}
+	return lo
+}
+
+// appendRegion appends, last first, the spans of the changed region
+// [lo, hi), whose first and last bytes differ: shifts for as long as the
+// tail of what is left is one, then plain writes.
+func appendRegion(spans []span, before, after page.Buf, lo, hi int) []span {
+	for hi-lo >= minShiftRegion {
+		s, ok := tailShift(before, after, lo, hi)
+		if !ok {
+			break
+		}
+		spans = append(spans, s)
+		for hi = s.lo; hi > lo && before[hi-1] == after[hi-1]; hi-- {
+		}
+	}
+	for hi > lo {
+		start := regionStart(before, after, hi, maxWriteGap)
+		spans = append(spans, span{lo: start, hi: hi})
+		for hi = start; hi > lo && before[hi-1] == after[hi-1]; hi-- {
+		}
+	}
+	return spans
+}
+
+// tailShift looks for the [s, hi) within [lo, hi) most of whose content
+// moved by k bytes, 1 <= k <= maxShift, in either direction — towards
+// higher offsets when after[s+k:hi] == before[s:hi-k] — and reports it if
+// logging the shift is cheaper than logging the bytes it changed.
+func tailShift(before, after page.Buf, lo, hi int) (span, bool) {
+	best, moved := span{hi: hi}, 0
+	for k := 1; k <= maxShift && k < hi-lo; k++ {
+		// i runs over the unshifted position of each moved byte.
+		i := hi - k
+		for i > lo && after[i-1+k] == before[i-1] {
+			i--
+		}
+		if hi-k-i > moved {
+			moved, best.lo, best.shift = hi-k-i, i, k
+		}
+		i = hi - k
+		for i > lo && after[i-1] == before[i-1+k] {
+			i--
+		}
+		if hi-k-i > moved {
+			moved, best.lo, best.shift = hi-k-i, i, -k
+		}
+	}
+	if moved == 0 {
+		return span{}, false
+	}
+	// The shift costs a header and two images of |k| bytes.  As writes the
+	// same bytes cost two images of every changed byte, possibly appended
+	// to the write in front of them at no further header.
+	changed := 0
+	for i := best.lo; i < hi; i++ {
+		if before[i] != after[i] {
+			changed++
+		}
+	}
+	if wal.EditHeaderSize+2*best.imageLen() >= 2*changed {
+		return span{}, false
+	}
+	return best, true
 }

@@ -108,8 +108,8 @@ var (
 
 // NewAsync wraps an mvFIFO cache manager in the asynchronous group-write
 // and destage pipeline.  Only mvFIFO cores are supported: the multi-version
-// queue is what makes deferred group writes safe (the newest version wins
-// by LSN regardless of arrival order).
+// queue is what makes deferred group writes safe (of the versions of a page
+// the last one staged wins; see StageIn for what callers owe in return).
 func NewAsync(ext Extension, cfg AsyncConfig) (*Async, error) {
 	core, ok := ext.(*MVFIFO)
 	if !ok {
@@ -216,6 +216,14 @@ func (a *Async) Len() int { return a.core.Len() }
 
 // StageIn stages an evicted page into the ring and returns without waiting
 // for flash I/O; it blocks only when the ring is full (backpressure).
+//
+// Of the versions of one page the last to arrive wins, whatever their
+// LSNs: seq is minted before the stripe lock is taken, and neither the
+// staging map nor the ring compares LSNs.  Callers must therefore stage the
+// versions of a page one at a time and in order.  The engine does: a page
+// leaves the buffer pool under its busy latch, so a second eviction of the
+// same page cannot start before the first StageIn has returned.  Stage-ins
+// of different pages may run concurrently.
 func (a *Async) StageIn(id page.ID, data page.Buf, dirty, fdirty bool) error {
 	if a.closed.Load() {
 		return ErrClosed

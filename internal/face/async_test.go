@@ -230,6 +230,9 @@ func TestAsyncConcurrentStress(t *testing.T) {
 		pages   = 40
 		rounds  = 150
 	)
+	// Each stager owns the pages congruent to its number, as the buffer
+	// pool's busy latch gives every page one evictor at a time (StageIn's
+	// contract), so the versions of a page are staged in LSN order.
 	var latest [pages + 1]atomic.Int64 // page id -> newest staged LSN
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*2+1)
@@ -241,17 +244,10 @@ func TestAsyncConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for r := 0; r < rounds; r++ {
-				id := page.ID(rng.Intn(pages) + 1)
+				id := page.ID(rng.Intn(pages/workers)*workers + w + 1)
 				lsn := lsnSource.Add(1)
 				p := makePage(id, page.LSN(lsn), byte(id))
-				// Track the newest LSN before staging so the checker never
-				// expects more than what was offered.
-				for {
-					cur := latest[id].Load()
-					if cur >= lsn || latest[id].CompareAndSwap(cur, lsn) {
-						break
-					}
-				}
+				latest[id].Store(lsn)
 				if err := a.StageIn(id, p, true, true); err != nil {
 					errs <- err
 					return
@@ -300,8 +296,8 @@ func TestAsyncConcurrentStress(t *testing.T) {
 	if err := a.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Every page's newest version must now be readable from the cache or
-	// from disk, at its newest LSN.
+	// Every page's last staged version must now be readable from the cache
+	// or from disk.
 	buf := page.NewBuf()
 	for id := page.ID(1); id <= pages; id++ {
 		want := page.LSN(latest[id].Load())
@@ -319,8 +315,8 @@ func TestAsyncConcurrentStress(t *testing.T) {
 		if d, ok := disk.pages[id]; ok && d.LSN() > got {
 			got = d.LSN()
 		}
-		if got < want {
-			t.Fatalf("page %d: newest surviving LSN %d < staged %d", id, got, want)
+		if got != want {
+			t.Fatalf("page %d: newest surviving LSN %d, last staged %d", id, got, want)
 		}
 	}
 }

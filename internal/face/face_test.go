@@ -3,14 +3,18 @@ package face
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/page"
 )
 
-// fakeDisk records dirty pages written back by the cache managers.
+// fakeDisk records dirty pages written back by the cache managers.  write
+// may be called from several destager workers at once; tests read the
+// fields directly only once the cache has been flushed or shut down.
 type fakeDisk struct {
+	mu     sync.Mutex
 	pages  map[page.ID]page.Buf
 	writes int
 	err    error
@@ -19,6 +23,8 @@ type fakeDisk struct {
 func newFakeDisk() *fakeDisk { return &fakeDisk{pages: make(map[page.ID]page.Buf)} }
 
 func (d *fakeDisk) write(id page.ID, data page.Buf) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.err != nil {
 		return d.err
 	}
@@ -375,6 +381,65 @@ func TestMVFIFOCheckpointAndRecover(t *testing.T) {
 	}
 	if buf.Payload()[0] != 17 || buf.LSN() != page.LSN(117) {
 		t.Fatal("recovered page content mismatch")
+	}
+}
+
+// TestMVFIFODefaultSegmentSizeSmallCacheRecovers: a cache with fewer frames
+// than the default metadata segment has entries must still flush its
+// metadata at least once per lap of the queue.  It used not to: after a
+// checkpoint and more than a lap of stage-ins, recovery trusted the
+// checkpoint's entries for frames that had since been overwritten and
+// served one page's image for another.
+func TestMVFIFODefaultSegmentSizeSmallCacheRecovers(t *testing.T) {
+	const frames = 32
+	disk := newFakeDisk()
+	cfg := MVFIFOConfig{
+		Dev:       flashDev(FlashDeviceBlocks(frames, 0) + FlashDeviceSlack),
+		Frames:    frames,
+		DiskWrite: disk.write,
+	}
+	m, err := NewMVFIFO(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := map[page.ID]page.LSN{}
+	for i := 0; i < frames*7/2; i++ {
+		id := page.ID(i%50 + 1)
+		lsn := page.LSN(i + 1)
+		if err := m.StageIn(id, makePage(id, lsn, byte(id)), true, true); err != nil {
+			t.Fatal(err)
+		}
+		newest[id] = lsn
+		if i == frames/2 {
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	m2, err := NewMVFIFO(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	buf := page.NewBuf()
+	for id, lsn := range newest {
+		found, _, err := m2.Lookup(id, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found {
+			// Staged out before the crash: the disk holds the newest version.
+			if d := disk.pages[id]; d == nil || d.LSN() != lsn {
+				t.Fatalf("page %d: not in the recovered cache and not on disk at LSN %d", id, lsn)
+			}
+			continue
+		}
+		if buf.ID() != id || buf.LSN() != lsn {
+			t.Fatalf("Lookup(%d) after recovery returned page %d at LSN %d, want LSN %d", id, buf.ID(), buf.LSN(), lsn)
+		}
 	}
 }
 

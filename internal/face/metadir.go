@@ -23,16 +23,32 @@ const superMagic = 0xFACE5B10
 //	blocks [1+metaBlocks, ...):   data frames
 type layout struct {
 	frames       int64
+	segEntries   int
 	metaBlocks   int64
 	segSlots     int
 	blocksPerSeg int64
 }
 
+// computeLayout partitions the device for a cache of frames data frames.
+// It is also where the metadata segment size is settled, for the cache
+// manager and for everyone sizing a device alike: 0 means
+// DefaultSegmentEntries, and a segment never holds more entries than the
+// cache has frames.  A larger one would be flushed less than once per lap of
+// the queue, and recovery, which rescans at most one lap of frames past the
+// last flush, would restore entries whose frames have since been
+// overwritten by other pages.
 func computeLayout(frames, segEntries int) layout {
+	if segEntries <= 0 {
+		segEntries = DefaultSegmentEntries
+	}
+	if segEntries > frames && frames > 0 {
+		segEntries = frames
+	}
 	blocksPerSeg := int64((segEntries*metaEntrySize + device.BlockSize - 1) / device.BlockSize)
 	segSlots := (frames+segEntries-1)/segEntries + 2
 	return layout{
 		frames:       int64(frames),
+		segEntries:   segEntries,
 		metaBlocks:   int64(segSlots) * blocksPerSeg,
 		segSlots:     segSlots,
 		blocksPerSeg: blocksPerSeg,
@@ -58,9 +74,8 @@ type metaEntry struct {
 // collected in memory per segment and written to flash sequentially, in
 // the same chronological order as the data pages they describe.
 type metaDirectory struct {
-	dev        device.Dev
-	layout     layout
-	segEntries int
+	dev    device.Dev
+	layout layout
 
 	// cur holds the entries of segments that are not yet complete, keyed
 	// by absolute queue position.
@@ -77,12 +92,11 @@ type metaDirectory struct {
 	syncedFront uint64
 }
 
-func newMetaDirectory(dev device.Dev, lay layout, segEntries int) *metaDirectory {
+func newMetaDirectory(dev device.Dev, lay layout) *metaDirectory {
 	return &metaDirectory{
-		dev:        dev,
-		layout:     lay,
-		segEntries: segEntries,
-		cur:        make(map[uint64]metaEntry, segEntries),
+		dev:    dev,
+		layout: lay,
+		cur:    make(map[uint64]metaEntry, lay.segEntries),
 	}
 }
 
@@ -91,7 +105,7 @@ func newMetaDirectory(dev device.Dev, lay layout, segEntries int) *metaDirectory
 // returns the number of segment flushes performed.
 func (d *metaDirectory) appendEntry(e metaEntry, pos, front uint64) (int, error) {
 	d.cur[pos] = e
-	if (pos+1)%uint64(d.segEntries) == 0 {
+	if (pos+1)%uint64(d.layout.segEntries) == 0 {
 		return d.flush(pos+1, front)
 	}
 	return 0, nil
@@ -119,7 +133,7 @@ func (d *metaDirectory) flush(seq, front uint64) (int, error) {
 		return 0, d.writeSuperblock(front, d.persisted)
 	}
 	flushes := 0
-	segEntries := uint64(d.segEntries)
+	segEntries := uint64(d.layout.segEntries)
 	firstSeg := d.persisted / segEntries
 	lastSeg := (seq - 1) / segEntries
 	for seg := firstSeg; seg <= lastSeg; seg++ {
@@ -176,7 +190,7 @@ func (d *metaDirectory) writeSuperblock(front, persisted uint64) error {
 	blk := make([]byte, device.BlockSize)
 	binary.LittleEndian.PutUint32(blk[0:], superMagic)
 	binary.LittleEndian.PutUint64(blk[4:], uint64(d.layout.frames))
-	binary.LittleEndian.PutUint32(blk[12:], uint32(d.segEntries))
+	binary.LittleEndian.PutUint32(blk[12:], uint32(d.layout.segEntries))
 	binary.LittleEndian.PutUint64(blk[16:], front)
 	binary.LittleEndian.PutUint64(blk[24:], persisted)
 	if err := d.dev.WriteAt(0, blk); err != nil {
@@ -203,14 +217,14 @@ func (d *metaDirectory) load() (front, persisted uint64, entries map[uint64]meta
 		// Recovery proceeds with an empty directory and relies on the
 		// enqueue-stamp scan to rediscover recently written frames.
 		d.persisted = 0
-		d.cur = make(map[uint64]metaEntry, d.segEntries)
+		d.cur = make(map[uint64]metaEntry, d.layout.segEntries)
 		return 0, 0, map[uint64]metaEntry{}, nil
 	}
 	frames := int64(binary.LittleEndian.Uint64(blk[4:]))
 	segEntries := int(binary.LittleEndian.Uint32(blk[12:]))
-	if frames != d.layout.frames || segEntries != d.segEntries {
+	if frames != d.layout.frames || segEntries != d.layout.segEntries {
 		return 0, 0, nil, fmt.Errorf("face: superblock geometry mismatch: device has %d frames / %d entries per segment, cache configured with %d / %d",
-			frames, segEntries, d.layout.frames, d.segEntries)
+			frames, segEntries, d.layout.frames, d.layout.segEntries)
 	}
 	front = binary.LittleEndian.Uint64(blk[16:])
 	persisted = binary.LittleEndian.Uint64(blk[24:])
@@ -218,7 +232,7 @@ func (d *metaDirectory) load() (front, persisted uint64, entries map[uint64]meta
 	// The recovered front was durable, so the disk writes below it were
 	// synced by whoever persisted it.
 	d.syncedFront = front
-	d.cur = make(map[uint64]metaEntry, d.segEntries)
+	d.cur = make(map[uint64]metaEntry, d.layout.segEntries)
 
 	entries = make(map[uint64]metaEntry)
 	if persisted == 0 || persisted <= front {
@@ -233,7 +247,7 @@ func (d *metaDirectory) load() (front, persisted uint64, entries map[uint64]meta
 	}); err != nil {
 		return 0, 0, nil, fmt.Errorf("face: reading metadata region: %w", err)
 	}
-	segEntries64 := uint64(d.segEntries)
+	segEntries64 := uint64(d.layout.segEntries)
 	for pos := front; pos < persisted; pos++ {
 		seg := pos / segEntries64
 		slot := int(seg % uint64(d.layout.segSlots))

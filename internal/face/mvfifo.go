@@ -34,7 +34,8 @@ type MVFIFOConfig struct {
 	// re-enqueued instead of being staged out.
 	SecondChance bool
 	// SegmentEntries is the number of metadata entries per persistent
-	// segment (Section 4.1).
+	// segment (Section 4.1): 0 selects DefaultSegmentEntries, and values
+	// above Frames are clamped to it (see computeLayout).
 	SegmentEntries int
 	// Stripes is the number of independently locked directory stripes the
 	// lookup structures (page directory, in-transit map) are split over,
@@ -60,9 +61,6 @@ type MVFIFOConfig struct {
 func (c *MVFIFOConfig) applyDefaults() {
 	if c.GroupSize <= 0 {
 		c.GroupSize = 1
-	}
-	if c.SegmentEntries <= 0 {
-		c.SegmentEntries = DefaultSegmentEntries
 	}
 	if c.Stripes <= 0 {
 		c.Stripes = 1
@@ -242,6 +240,7 @@ func NewMVFIFO(cfg MVFIFOConfig) (*MVFIFO, error) {
 		return nil, fmt.Errorf("%w: %d frames, group size %d", ErrTooSmall, cfg.Frames, cfg.GroupSize)
 	}
 	lay := computeLayout(cfg.Frames, cfg.SegmentEntries)
+	cfg.SegmentEntries = lay.segEntries
 	if lay.totalBlocks() > cfg.Dev.NumBlocks() {
 		return nil, fmt.Errorf("face: device has %d blocks, need %d (frames=%d, metadata=%d)",
 			cfg.Dev.NumBlocks(), lay.totalBlocks(), cfg.Frames, lay.metaBlocks)
@@ -257,20 +256,17 @@ func NewMVFIFO(cfg MVFIFOConfig) (*MVFIFO, error) {
 	// flush or checkpoint) so that constructing a manager over a device
 	// that already holds a FaCE cache — the crash-recovery path — does not
 	// clobber the recoverable state.
-	m.metadir = newMetaDirectory(cfg.Dev, lay, cfg.SegmentEntries)
+	m.metadir = newMetaDirectory(cfg.Dev, lay)
 	m.metadir.preSync = cfg.DiskSync
 	return m, nil
 }
 
 // FlashDeviceBlocks returns the minimum flash-device capacity in blocks
 // for a cache of frames data frames with the given metadata segment size
-// (0 = DefaultSegmentEntries): superblock + metadata region + frames.
-// The engine and the benchmark harness use it (plus FlashDeviceSlack) to
-// size flash devices.
+// (0 = DefaultSegmentEntries, clamped to frames): superblock + metadata
+// region + frames.  The engine and the benchmark harness use it (plus
+// FlashDeviceSlack) to size flash devices.
 func FlashDeviceBlocks(frames, segEntries int) int64 {
-	if segEntries <= 0 {
-		segEntries = DefaultSegmentEntries
-	}
 	return computeLayout(frames, segEntries).totalBlocks()
 }
 

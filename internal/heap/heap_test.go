@@ -209,3 +209,38 @@ func TestAttach(t *testing.T) {
 		t.Fatal("Pages leaked internal slice")
 	}
 }
+
+// TestInsertLogVolume: inserting an n-byte row logs its bytes (and the free
+// space they replace), a slot and a few header bytes — not the page.
+func TestInsertLogVolume(t *testing.T) {
+	db := testDB(t)
+	tx, _ := db.Begin()
+	tbl, err := Create(tx, "orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{24, 100, 650} {
+		for i := 0; i < 3; i++ {
+			row := make([]byte, n)
+			for j := range row {
+				row[j] = byte(j*13 + i + 1)
+			}
+			tx, _ := db.Begin()
+			pages := tbl.NumPages()
+			mark := db.Log().Next()
+			if _, err := tbl.Insert(tx, row); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			logged := int(db.Log().Next() - mark)
+			if tbl.NumPages() == pages && logged > 2*n+150 {
+				t.Errorf("inserting a %d-byte row logged %d bytes, want at most %d", n, logged, 2*n+150)
+			}
+		}
+	}
+}

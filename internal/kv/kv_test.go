@@ -345,3 +345,50 @@ func TestKVRefusesForeignDatabase(t *testing.T) {
 		t.Fatalf("Open on a non-KV database = %v, want ErrNotKV", err)
 	}
 }
+
+// TestLogVolumePerSet guards what a SET costs in log bytes, commit record
+// included: a fresh key pays for its record, its slot, the page header and
+// one b-tree entry, not for the pages they live on; an overwrite in place
+// pays for the value's old and new bytes.
+func TestLogVolumePerSet(t *testing.T) {
+	db := openMem(t, false)
+	defer db.Close()
+	s := mustStore(t, db)
+	ns, err := s.Create(context.Background(), "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(seed byte) []byte {
+		v := make([]byte, 128)
+		for i := range v {
+			v[i] = seed + byte(i)*7
+		}
+		return v
+	}
+	// Fill a few leaves and data pages first, so that the measured inserts
+	// land in the middle of arrays, and skip the insert that splits or
+	// allocates (it logs more, and rightly).
+	for k := uint64(0); k < 600; k++ {
+		set(t, db, ns, 2*k, val(byte(k)))
+	}
+	worstInsert, worstOverwrite := int64(0), int64(0)
+	for k := uint64(100); k < 140; k++ {
+		pages := db.NumPages()
+		mark := db.Log().Next()
+		set(t, db, ns, 2*k+1, val(byte(k)))
+		if n := int64(db.Log().Next() - mark); db.NumPages() == pages && n > worstInsert {
+			worstInsert = n
+		}
+		mark = db.Log().Next()
+		set(t, db, ns, 2*k, val(byte(k+1)))
+		if n := int64(db.Log().Next() - mark); n > worstOverwrite {
+			worstOverwrite = n
+		}
+	}
+	if worstInsert == 0 || worstInsert > 700 {
+		t.Errorf("a fresh-key insert of a 128-byte value logged %d bytes, want at most 700", worstInsert)
+	}
+	if limit := int64(2*128 + 150); worstOverwrite == 0 || worstOverwrite > limit {
+		t.Errorf("an in-place overwrite of a 128-byte value logged %d bytes, want at most %d", worstOverwrite, limit)
+	}
+}

@@ -7,8 +7,8 @@
 //
 //  1. redo every page-level change whose effects are missing from the
 //     persistent database (flash cache ∪ disk), and
-//  2. undo the changes of loser transactions (those without a commit or
-//     abort record).
+//  2. undo, and log the undoing of, the changes of loser transactions
+//     (those without a commit or abort record).
 //
 // The package is deliberately independent of the engine: pages are accessed
 // through the Pager interface, which the engine backs with its buffer pool
@@ -20,6 +20,7 @@ package recovery
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/reprolab/face/internal/page"
 	"github.com/reprolab/face/internal/wal"
@@ -60,37 +61,40 @@ type Report struct {
 }
 
 // Run performs redo and undo.  It returns a report of the work done.
+//
+// Undo is logged the way a live abort logs it: every update record of a
+// loser that is rolled back gets a compensation record, and the loser an
+// abort record, so a crash during or after restart never undoes the same
+// update twice — which edits that move bytes, unlike plain overwrites,
+// would not survive.
 func Run(log *wal.Manager, pager Pager) (Report, error) {
 	var rep Report
 	rep.StartLSN = log.LastCheckpoint()
 
-	type txState struct {
-		updates []*wal.Record
-		ended   bool
-	}
-	txs := make(map[wal.TxID]*txState)
-	state := func(id wal.TxID) *txState {
-		s, ok := txs[id]
-		if !ok {
-			s = &txState{}
-			txs[id] = s
-		}
-		return s
-	}
+	// open maps every transaction that has logged an update but no commit
+	// or abort record to its update records that no compensation record
+	// covers yet, oldest first.
+	open := make(map[wal.TxID][]*wal.Record)
 
 	err := log.Iterate(rep.StartLSN, func(r *wal.Record) error {
 		rep.RecordsScanned++
 		switch r.Type {
-		case wal.TypeUpdate, wal.TypeFullPage:
+		case wal.TypeUpdate, wal.TypeCompensation, wal.TypeFormat:
 			if r.PageID > rep.MaxPageID {
 				rep.MaxPageID = r.PageID
 			}
-			if r.TxID != 0 {
-				state(r.TxID).updates = append(state(r.TxID).updates, r)
+			if r.TxID != 0 && r.Type == wal.TypeUpdate {
+				open[r.TxID] = append(open[r.TxID], r)
+			} else if stack := open[r.TxID]; r.Type == wal.TypeCompensation && len(stack) > 0 {
+				// Compensation records are written newest update first.
+				open[r.TxID] = stack[:len(stack)-1]
 			}
 			return redo(pager, r, &rep)
 		case wal.TypeCommit, wal.TypeAbort:
-			state(r.TxID).ended = true
+			if _, ok := open[r.TxID]; ok {
+				rep.WinnerTxns++
+				delete(open, r.TxID)
+			}
 		case wal.TypeCheckpointBegin, wal.TypeCheckpointEnd:
 			// Checkpoint records carry no page changes.
 		}
@@ -100,36 +104,32 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 		return rep, fmt.Errorf("recovery: redo pass: %w", err)
 	}
 
-	// Undo losers in reverse order of their updates.
-	for _, s := range txs {
-		if s.ended {
-			if len(s.updates) > 0 {
-				rep.WinnerTxns++
-			}
-			continue
-		}
-		if len(s.updates) == 0 {
-			continue
-		}
+	// Undo the losers, newest transaction first so that repeated runs log
+	// the same bytes.  Format records are not undone: a freshly allocated
+	// page left behind by a loser is unreachable and harmless.
+	losers := make([]wal.TxID, 0, len(open))
+	for id := range open {
+		losers = append(losers, id)
+	}
+	sort.Slice(losers, func(i, j int) bool { return losers[i] > losers[j] })
+	for _, id := range losers {
 		rep.LoserTxns++
-		for i := len(s.updates) - 1; i >= 0; i-- {
-			r := s.updates[i]
-			if r.Type != wal.TypeUpdate || len(r.Before) == 0 {
-				// Full-page records (page formatting) are not undone: a
-				// freshly allocated page left behind by a loser is
-				// unreachable and harmless.
-				continue
-			}
-			if err := undo(pager, r, &rep); err != nil {
+		stack := open[id]
+		for i := len(stack) - 1; i >= 0; i-- {
+			if err := undo(log, pager, stack[i], &rep); err != nil {
 				return rep, fmt.Errorf("recovery: undo pass: %w", err)
 			}
+		}
+		if _, err := log.Append(&wal.Record{Type: wal.TypeAbort, TxID: id}); err != nil {
+			return rep, fmt.Errorf("recovery: undo pass: %w", err)
 		}
 	}
 	return rep, nil
 }
 
 // redo reapplies a logged change when the persistent page is older than the
-// record.
+// record.  The page is then exactly as it was when the record was written,
+// which is what an edit that moves bytes needs.
 func redo(pager Pager, r *wal.Record, rep *Report) error {
 	buf, err := pager.Get(r.PageID)
 	if err != nil {
@@ -140,14 +140,11 @@ func redo(pager Pager, r *wal.Record, rep *Report) error {
 		rep.RedoSkipped++
 		return nil
 	}
-	switch r.Type {
-	case wal.TypeFullPage:
-		copy(buf, r.After)
-	case wal.TypeUpdate:
-		if int(r.Offset)+len(r.After) > page.Size {
-			return fmt.Errorf("update record for page %d overflows the page", r.PageID)
-		}
-		copy(buf[r.Offset:], r.After)
+	if r.Type == wal.TypeFormat {
+		buf.Init(r.PageID, r.PageType)
+	}
+	for i := range r.Edits {
+		r.Edits[i].Apply(buf)
 	}
 	buf.SetLSN(r.LSN)
 	if err := pager.MarkDirty(r.PageID); err != nil {
@@ -157,18 +154,25 @@ func redo(pager Pager, r *wal.Record, rep *Report) error {
 	return nil
 }
 
-// undo restores the before image of a loser transaction's change.
-func undo(pager Pager, r *wal.Record, rep *Report) error {
+// undo rolls back one update record of a loser transaction and logs the
+// compensation record.  Strict two-phase locking guarantees nothing else
+// touched the page after the loser did, so the inverse edits find the page
+// as the record left it.
+func undo(log *wal.Manager, pager Pager, r *wal.Record, rep *Report) error {
 	buf, err := pager.Get(r.PageID)
 	if err != nil {
 		return fmt.Errorf("reading page %d: %w", r.PageID, err)
 	}
 	defer pager.Unpin(r.PageID)
-	if int(r.Offset)+len(r.Before) > page.Size {
-		return fmt.Errorf("undo record for page %d overflows the page", r.PageID)
+	wal.Invert(r.Edits)
+	lsn, err := log.Append(&wal.Record{Type: wal.TypeCompensation, TxID: r.TxID, PageID: r.PageID, Edits: r.Edits})
+	if err != nil {
+		return err
 	}
-	copy(buf[r.Offset:], r.Before)
-	buf.SetLSN(r.LSN)
+	for i := range r.Edits {
+		r.Edits[i].Apply(buf)
+	}
+	buf.SetLSN(lsn)
 	if err := pager.MarkDirty(r.PageID); err != nil {
 		return err
 	}

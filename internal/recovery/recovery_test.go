@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
@@ -116,7 +117,7 @@ func TestRedoIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestFullPageRedoAndCheckpointStart(t *testing.T) {
+func TestFormatRedoAndCheckpointStart(t *testing.T) {
 	log := newLog(t)
 	pager := newFakePager()
 
@@ -128,10 +129,8 @@ func TestFullPageRedoAndCheckpointStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	img := page.NewBuf()
-	img.Init(7, page.TypeHeap)
-	img.Payload()[0] = 0xEE
-	log.Append(&wal.Record{Type: wal.TypeFullPage, TxID: 2, PageID: 7, After: img})
+	log.Append(&wal.Record{Type: wal.TypeFormat, TxID: 2, PageID: 7, PageType: page.TypeHeap})
+	log.Append(&wal.Record{Type: wal.TypeUpdate, TxID: 2, PageID: 7, Offset: page.HeaderSize, Before: []byte{0}, After: []byte{0xEE}})
 	log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 2})
 	log.ForceAll()
 
@@ -146,7 +145,123 @@ func TestFullPageRedoAndCheckpointStart(t *testing.T) {
 		t.Fatal("pre-checkpoint record replayed")
 	}
 	p7, _ := pager.Get(7)
-	if p7.Payload()[0] != 0xEE || p7.Type() != page.TypeHeap {
-		t.Fatal("full-page image not restored")
+	if p7.Payload()[0] != 0xEE || p7.Type() != page.TypeHeap || p7.ID() != 7 || p7.FreeSpace() == 0 {
+		t.Fatal("page not formatted and updated")
+	}
+}
+
+// shiftRecord logs, as transaction tx, the insertion of ins at offset off of
+// the n-byte array that starts there on page id, and applies it to buf.
+func shiftRecord(t *testing.T, log *wal.Manager, buf page.Buf, tx wal.TxID, id page.ID, off, n int, ins []byte) *wal.Record {
+	t.Helper()
+	k := len(ins)
+	r := &wal.Record{Type: wal.TypeUpdate, TxID: tx, PageID: id, Edits: []wal.Edit{{
+		Off: uint16(off), Len: uint16(n + k), Shift: int8(k),
+		Before: append([]byte(nil), buf[off+n:off+n+k]...), After: ins,
+	}}}
+	if _, err := log.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	r.Edits[0].Apply(buf)
+	return r
+}
+
+// TestShiftEditsRedoneAndUndone: edits that move bytes are redone for a
+// winner and undone for a loser, against pages that never saw them and
+// pages that did.
+func TestShiftEditsRedoneAndUndone(t *testing.T) {
+	log := newLog(t)
+	log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 0}) // keep records off LSN 0
+
+	array := func(id page.ID) page.Buf {
+		buf := page.NewBuf()
+		buf.SetID(id)
+		for i := 0; i < 200; i++ {
+			buf[100+i] = byte(i)
+		}
+		return buf
+	}
+	// What the pages looked like on disk at the crash: page 5 without the
+	// winner's insert, page 6 with the loser's.
+	old5, live6 := array(5), array(6)
+	want5 := old5.Clone()
+	shiftRecord(t, log, want5, 1, 5, 120, 180, []byte("WINNER"))
+	log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 1})
+	want6 := live6.Clone()
+	r := shiftRecord(t, log, live6, 2, 6, 100, 200, []byte("LOSER!"))
+	live6.SetLSN(r.LSN)
+	log.ForceAll()
+
+	pager := newFakePager()
+	pager.pages[5], pager.pages[6] = old5, live6
+	rep, err := Run(log, pager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RedoApplied != 1 || rep.RedoSkipped != 1 || rep.UndoApplied != 1 {
+		t.Fatalf("report %+v", rep)
+	}
+	want5.SetLSN(old5.LSN())
+	if !bytes.Equal(old5, want5) {
+		t.Fatal("winner's shift not redone")
+	}
+	want6.SetLSN(live6.LSN())
+	if !bytes.Equal(live6, want6) {
+		t.Fatal("loser's shift not undone")
+	}
+
+	// Restart again before any checkpoint, from the same disk images plus
+	// whatever was flushed: the compensation and abort records the first
+	// run logged make the loser a finished transaction, so nothing is
+	// undone twice.
+	if err := log.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Run(log, pager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LoserTxns != 0 || rep.UndoApplied != 0 || rep.RedoApplied != 0 {
+		t.Fatalf("second restart: %+v", rep)
+	}
+	if !bytes.Equal(live6, want6) {
+		t.Fatal("second restart changed the undone page")
+	}
+}
+
+// TestCompensatedUpdatesAreNotUndoneAgain: a crash in the middle of an
+// abort leaves compensation records without an abort record.  Restart must
+// undo only the updates they do not cover.
+func TestCompensatedUpdatesAreNotUndoneAgain(t *testing.T) {
+	log := newLog(t)
+	log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 0})
+
+	buf := page.NewBuf()
+	buf.SetID(4)
+	copy(buf[100:], "abcdefghijklmnop")
+	start := buf.Clone()
+	disk := buf.Clone() // nothing of the transaction reached the disk
+
+	shiftRecord(t, log, buf, 9, 4, 100, 16, []byte("11"))
+	second := shiftRecord(t, log, buf, 9, 4, 104, 14, []byte("22"))
+	// The abort got as far as compensating the second update.
+	wal.Invert(second.Edits)
+	if _, err := log.Append(&wal.Record{Type: wal.TypeCompensation, TxID: 9, PageID: 4, Edits: second.Edits}); err != nil {
+		t.Fatal(err)
+	}
+	log.ForceAll()
+
+	pager := newFakePager()
+	pager.pages[4] = disk
+	rep, err := Run(log, pager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RedoApplied != 3 || rep.UndoApplied != 1 || rep.LoserTxns != 1 {
+		t.Fatalf("report %+v", rep)
+	}
+	start.SetLSN(disk.LSN())
+	if !bytes.Equal(disk, start) {
+		t.Fatalf("page after restart %q, want %q", disk[100:120], start[100:120])
 	}
 }

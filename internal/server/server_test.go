@@ -353,6 +353,10 @@ func TestAdmissionRejectsUnderOverload(t *testing.T) {
 	// Park a direct engine transaction: it holds the engine's only
 	// writer slot until released.
 	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	// A failing test must not leave the transaction parked: the server's
+	// cleanup closes the database, which waits for it.
+	t.Cleanup(releaseOnce)
 	parked := make(chan struct{})
 	updDone := make(chan error, 1)
 	go func() {
@@ -365,9 +369,18 @@ func TestAdmissionRejectsUnderOverload(t *testing.T) {
 	<-parked
 
 	// The first network write takes the admission token and blocks on the
-	// engine's writer semaphore.
+	// engine's writer semaphore.  Wait until it holds the token: a second
+	// write sent earlier could take it instead and block until its client
+	// times out.
+	admitted := ts.srv.Stats().Admission.Admitted
 	setDone := make(chan error, 1)
 	go func() { setDone <- c.Set("flood", 1, []byte("first")) }()
+	for wait := time.Now().Add(5 * time.Second); ts.srv.Stats().Admission.Admitted == admitted; {
+		if time.Now().After(wait) {
+			t.Fatal("the first write never took the admission token")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 
 	// Once the token is taken, further writes are shed immediately.
 	deadline := time.Now().Add(5 * time.Second)
@@ -389,7 +402,7 @@ func TestAdmissionRejectsUnderOverload(t *testing.T) {
 
 	// Release the parked writer: the blocked Set completes and the server
 	// serves normally again.
-	close(release)
+	releaseOnce()
 	if err := <-updDone; err != nil {
 		t.Fatalf("parked Update: %v", err)
 	}

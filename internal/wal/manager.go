@@ -17,8 +17,19 @@ import (
 // log device for the control block (last checkpoint LSN, durable log end).
 const controlBlocks = 1
 
-// controlMagic identifies an initialised control block.
-const controlMagic = 0xFACE10C0
+// controlMagic identifies an initialised control block of the current
+// record format (edit-list update records).  oldControlMagic is what the
+// single-range format wrote; such a log cannot be read by this code.
+const (
+	controlMagic    = 0xFACE10C1
+	oldControlMagic = 0xFACE10C0
+)
+
+// ErrOldFormat is returned by Open for a log written in an earlier record
+// format.  Restart the version that wrote it, close the database cleanly
+// (so nothing in the log is needed any more) and start over with a fresh
+// log device.
+var ErrOldFormat = errors.New("wal: log was written in an older record format")
 
 // Default commit-pipeline geometry: the in-memory log buffer is a ring of
 // DefaultSegments segments of DefaultSegmentBytes each that committers
@@ -81,6 +92,9 @@ type Manager struct {
 	// log data (the slot blocks at the device end are excluded).
 	protect    bool
 	dataBlocks int64
+	// tornMeta is the slot's metadata block (allocated when protect is
+	// set), owned by the flushing goroutine (see writeTornSlot).
+	tornMeta []byte
 
 	// Hot read-only state is atomic so stats sampling (engine.Snapshot)
 	// never contends with the commit path.
@@ -152,12 +166,16 @@ func OpenConfig(dev device.Dev, cfg Config) (*Manager, error) {
 	if _, ok := dev.(device.Syncer); ok && dev.NumBlocks() >= controlBlocks+tornSlotBlocks+1 {
 		m.protect = true
 		m.dataBlocks -= tornSlotBlocks
+		m.tornMeta = make([]byte, device.BlockSize)
 	}
 	ctrl := make([]byte, device.BlockSize)
 	if err := dev.ReadAt(0, ctrl); err != nil {
 		return nil, fmt.Errorf("wal: reading control block: %w", err)
 	}
-	if binary.LittleEndian.Uint32(ctrl[0:]) == controlMagic {
+	switch binary.LittleEndian.Uint32(ctrl[0:]) {
+	case oldControlMagic:
+		return nil, fmt.Errorf("%w (control magic %#x, this version reads %#x)", ErrOldFormat, uint32(oldControlMagic), uint32(controlMagic))
+	case controlMagic:
 		m.lastCheckpoint.Store(binary.LittleEndian.Uint64(ctrl[4:]))
 		m.base = page.LSN(binary.LittleEndian.Uint64(ctrl[20:]))
 		// Repair a torn tail block from the double-write slot before
@@ -386,6 +404,9 @@ func (m *Manager) syncDevice() error {
 // pipeline front end Append acquires no mutex: it reserves log space with
 // one CAS and copies the record bytes concurrently with other appenders.
 func (m *Manager) Append(r *Record) (page.LSN, error) {
+	if err := r.check(); err != nil {
+		return 0, err
+	}
 	if m.pipe != nil {
 		return m.pipe.append(r)
 	}

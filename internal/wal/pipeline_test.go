@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -55,10 +56,7 @@ func TestWalParallelAppendStormMatchesSerial(t *testing.T) {
 
 	var recs []*Record
 	if err := m.Iterate(0, func(r *Record) error {
-		cp := *r
-		cp.Before = append([]byte(nil), r.Before...)
-		cp.After = append([]byte(nil), r.After...)
-		recs = append(recs, &cp)
+		recs = append(recs, r)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -81,7 +79,7 @@ func TestWalParallelAppendStormMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range recs {
-		lsn, err := serial.Append(&Record{Type: r.Type, TxID: r.TxID, PageID: r.PageID, Offset: r.Offset, Before: r.Before, After: r.After})
+		lsn, err := serial.Append(&Record{Type: r.Type, TxID: r.TxID, PageID: r.PageID, Edits: r.Edits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +94,7 @@ func TestWalParallelAppendStormMatchesSerial(t *testing.T) {
 	err = serial.Iterate(0, func(r *Record) error {
 		want := recs[i]
 		if r.LSN != want.LSN || r.Type != want.Type || r.TxID != want.TxID ||
-			r.PageID != want.PageID || r.Offset != want.Offset ||
-			!bytes.Equal(r.Before, want.Before) || !bytes.Equal(r.After, want.After) {
+			r.PageID != want.PageID || !reflect.DeepEqual(r.Edits, want.Edits) {
 			t.Fatalf("record %d differs between serial and concurrent logs", i)
 		}
 		i++
@@ -134,7 +131,7 @@ func TestReserveRingWrapStallsAndRecovers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, err := m.Append(&Record{Type: TypeUpdate, TxID: TxID(w*perWriter + i + 1), After: payload}); err != nil {
+				if _, err := m.Append(&Record{Type: TypeUpdate, TxID: TxID(w*perWriter + i + 1), Before: payload, After: payload}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -26,12 +26,17 @@ type RecordType uint8
 
 // Log record types.
 const (
-	// TypeUpdate records a byte-range change to a page: offset, before
-	// image and after image.  It supports both redo and undo.
+	// TypeUpdate records what one Modify changed on one page as a list of
+	// edits, each with the bytes needed to redo and to undo it.
 	TypeUpdate RecordType = iota + 1
-	// TypeFullPage records a complete page image (used for page
-	// formatting and B-tree structure changes).  Redo-only.
-	TypeFullPage
+	// TypeCompensation records the rollback of one update record of the
+	// same transaction: the inverse edits, with redo images only.  It is
+	// never undone, and it tells restart that the transaction's newest
+	// update not yet compensated needs no undo.
+	TypeCompensation
+	// TypeFormat records that a freshly allocated page was initialised as
+	// an empty page of PageType.  Redo-only.
+	TypeFormat
 	// TypeCommit marks a transaction as committed.
 	TypeCommit
 	// TypeAbort marks a transaction as rolled back.
@@ -48,8 +53,10 @@ func (t RecordType) String() string {
 	switch t {
 	case TypeUpdate:
 		return "update"
-	case TypeFullPage:
-		return "full-page"
+	case TypeCompensation:
+		return "compensation"
+	case TypeFormat:
+		return "format"
 	case TypeCommit:
 		return "commit"
 	case TypeAbort:
@@ -63,6 +70,61 @@ func (t RecordType) String() string {
 	}
 }
 
+// Edit is one change to a page.  With Shift zero it is a write: the Len
+// bytes at Off changed from Before to After.  Otherwise it is a shift: the
+// Len bytes at Off moved by Shift bytes within their own region — towards
+// higher offsets when Shift is positive — which is what inserting into or
+// deleting from a sorted array does.  A shift by k pushes |k| bytes off one
+// end of the region (Before) and leaves room for |k| new ones at the other
+// (After), so it costs 2|k| image bytes however long the region is.
+//
+// The edits of one record cover disjoint regions in ascending order.
+type Edit struct {
+	Off   uint16
+	Len   uint16
+	Shift int8
+	// Before is empty in compensation records, which are never undone.
+	Before []byte
+	After  []byte
+}
+
+// imageLen is the length of each of the edit's images.
+func (e *Edit) imageLen() int {
+	if e.Shift == 0 {
+		return int(e.Len)
+	}
+	return max(int(e.Shift), -int(e.Shift))
+}
+
+// Apply redoes the edit on buf, which must be in the state the edit was
+// recorded against.  The record codec guarantees the region lies inside the
+// page and the images have the right length.
+func (e *Edit) Apply(buf page.Buf) {
+	region := buf[e.Off : int(e.Off)+int(e.Len)]
+	k := e.imageLen()
+	switch {
+	case e.Shift == 0:
+		copy(region, e.After)
+	case e.Shift > 0:
+		copy(region[k:], region[:len(region)-k])
+		copy(region, e.After)
+	default:
+		copy(region, region[k:])
+		copy(region[len(region)-k:], e.After)
+	}
+}
+
+// Invert turns every edit into the one that undoes it, in place: images
+// swap and shifts reverse.  The regions are disjoint, so the order of the
+// list needs no change.
+func Invert(edits []Edit) {
+	for i := range edits {
+		e := &edits[i]
+		e.Shift = -e.Shift
+		e.Before, e.After = e.After, e.Before
+	}
+}
+
 // Record is a single log record.  Not every field is meaningful for every
 // type; see the type constants.
 type Record struct {
@@ -72,14 +134,18 @@ type Record struct {
 	Type RecordType
 	// TxID is the owning transaction (0 for system records).
 	TxID TxID
-	// PageID is the affected page for update and full-page records.
+	// PageID is the affected page for update, compensation and format
+	// records.
 	PageID page.ID
-	// Offset is the byte offset of the change within the page.
+	// Edits is the edit list of update and compensation records.
+	Edits []Edit
+	// PageType is the type a format record initialises the page as.
+	PageType page.Type
+	// Offset, Before and After describe an update record of a single
+	// write when Edits is nil, which is how tests and micro-benchmarks
+	// build one by hand; decoding always fills Edits instead.  After also
+	// holds the encoded begin LSN of a checkpoint-end record.
 	Offset uint16
-	// Before and After are the byte-range images for update records.
-	// For full-page records, After holds the page image and Before is
-	// empty.  For checkpoint-end records, After holds the encoded LSN of
-	// the checkpoint-begin record.
 	Before []byte
 	After  []byte
 }
@@ -88,52 +154,163 @@ type Record struct {
 var (
 	ErrCorrupt   = errors.New("wal: corrupt log record")
 	ErrTruncated = errors.New("wal: truncated log")
+	// ErrInvalid is returned by Append for a record that could not be
+	// decoded again (edits out of the page, out of order, or with images
+	// of the wrong length).
+	ErrInvalid = errors.New("wal: invalid log record")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// record wire format:
+// Record wire format (little endian):
 //
 //	u32 length of everything after this field
-//	u32 crc of everything after the crc field
+//	u32 CRC-32C of everything after this field
 //	u8  type
 //	u64 txid
 //	u64 pageid
-//	u16 offset
-//	u32 before length
-//	u32 after length
-//	... before bytes
-//	... after bytes
-const recordHeaderSize = 4 + 4 + 1 + 8 + 8 + 2 + 4 + 4
+//
+// followed, by type, with
+//
+//	update, compensation:  u16 edit count, then per edit
+//	                         u16 offset, u16 length, i8 shift,
+//	                         before image (update records only), after image
+//	                       where an image is `length` bytes for a write
+//	                       (shift 0) and |shift| bytes for a shift
+//	format:                u16 page type
+//	checkpoint-end:        u64 LSN of the checkpoint-begin record
+//	commit, abort, checkpoint-begin: nothing
+const (
+	// recordHeaderSize is also the size of the smallest record (a commit);
+	// the pipeline sizes its publication ring by it.
+	recordHeaderSize = 4 + 4 + 1 + 8 + 8
+	// EditHeaderSize is the log cost of one more edit in a record, before
+	// its images; the engine's differ uses it to decide when two nearby
+	// changes are cheaper logged as one.
+	EditHeaderSize = 2 + 2 + 1
+)
+
+// single returns the edit list of an update record built with Offset,
+// Before and After, and whether r is one.  It returns an array so that the
+// images stay where the caller put them — on its stack, in the benchmarks.
+func (r *Record) single() ([1]Edit, bool) {
+	if r.Edits != nil || r.Type != TypeUpdate {
+		return [1]Edit{}, false
+	}
+	return [1]Edit{{Off: r.Offset, Len: uint16(len(r.After)), Before: r.Before, After: r.After}}, true
+}
+
+// check reports whether decodeRecord would accept the record once encoded.
+func (r *Record) check() error {
+	if r.Type != TypeUpdate && r.Type != TypeCompensation {
+		return nil
+	}
+	edits := r.Edits
+	if one, ok := r.single(); ok {
+		edits = one[:]
+	}
+	if len(edits) == 0 || len(edits) > 0xFFFF {
+		return fmt.Errorf("%w: %d edits", ErrInvalid, len(edits))
+	}
+	end := 0
+	for i := range edits {
+		e := &edits[i]
+		if err := e.checkGeometry(end); err != nil {
+			return fmt.Errorf("%w: edit %d: %v", ErrInvalid, i, err)
+		}
+		n := e.imageLen()
+		if len(e.After) != n || (r.Type == TypeUpdate && len(e.Before) != n) {
+			return fmt.Errorf("%w: edit %d: images of %d and %d bytes, want %d", ErrInvalid, i, len(e.Before), len(e.After), n)
+		}
+		end = int(e.Off) + int(e.Len)
+	}
+	return nil
+}
+
+// checkGeometry validates the edit's region: non-empty, inside the page,
+// at or after minOff (the end of the previous edit), and no shorter than
+// the shift distance.
+func (e *Edit) checkGeometry(minOff int) error {
+	switch {
+	case e.Len == 0:
+		return errors.New("empty region")
+	case int(e.Off) < minOff:
+		return fmt.Errorf("region at %d overlaps or precedes the previous one (ends at %d)", e.Off, minOff)
+	case int(e.Off)+int(e.Len) > page.Size:
+		return fmt.Errorf("region [%d,%d) leaves the page", e.Off, int(e.Off)+int(e.Len))
+	case e.Shift == -128 || e.imageLen() > int(e.Len):
+		return fmt.Errorf("shift by %d in a region of %d bytes", e.Shift, e.Len)
+	}
+	return nil
+}
 
 // encodedSize returns the full on-log size of the record in bytes.
 func (r *Record) encodedSize() int {
-	return recordHeaderSize + len(r.Before) + len(r.After)
+	n := recordHeaderSize
+	switch r.Type {
+	case TypeUpdate, TypeCompensation:
+		edits := r.Edits
+		if one, ok := r.single(); ok {
+			edits = one[:]
+		}
+		n += 2
+		for _, e := range edits {
+			n += EditHeaderSize + len(e.After)
+			if r.Type == TypeUpdate {
+				n += len(e.Before)
+			}
+		}
+	case TypeFormat:
+		n += 2
+	case TypeCheckpointEnd:
+		n += len(r.After)
+	}
+	return n
 }
 
-// encode appends the wire form of r to dst and returns the result.
+// encode appends the wire form of r to dst and returns the result.  The
+// record must have passed check.
 func (r *Record) encode(dst []byte) []byte {
-	body := make([]byte, recordHeaderSize-8+len(r.Before)+len(r.After))
-	body[0] = byte(r.Type)
-	binary.LittleEndian.PutUint64(body[1:], uint64(r.TxID))
-	binary.LittleEndian.PutUint64(body[9:], uint64(r.PageID))
-	binary.LittleEndian.PutUint16(body[17:], r.Offset)
-	binary.LittleEndian.PutUint32(body[19:], uint32(len(r.Before)))
-	binary.LittleEndian.PutUint32(body[23:], uint32(len(r.After)))
-	copy(body[27:], r.Before)
-	copy(body[27+len(r.Before):], r.After)
-
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)+4))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, crcTable))
+	start := len(dst)
+	var hdr [recordHeaderSize]byte
+	hdr[8] = byte(r.Type)
+	binary.LittleEndian.PutUint64(hdr[9:], uint64(r.TxID))
+	binary.LittleEndian.PutUint64(hdr[17:], uint64(r.PageID))
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, body...)
+	switch r.Type {
+	case TypeUpdate, TypeCompensation:
+		edits := r.Edits
+		if one, ok := r.single(); ok {
+			edits = one[:]
+		}
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(edits)))
+		for i := range edits {
+			e := &edits[i]
+			dst = binary.LittleEndian.AppendUint16(dst, e.Off)
+			dst = binary.LittleEndian.AppendUint16(dst, e.Len)
+			dst = append(dst, byte(e.Shift))
+			if r.Type == TypeUpdate {
+				dst = append(dst, e.Before...)
+			}
+			dst = append(dst, e.After...)
+		}
+	case TypeFormat:
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.PageType))
+	case TypeCheckpointEnd:
+		dst = append(dst, r.After...)
+	}
+	rec := dst[start:]
+	binary.LittleEndian.PutUint32(rec[0:], uint32(len(rec)-4))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[8:], crcTable))
 	return dst
 }
 
 // decodeRecord parses one record from buf.  It returns the record and the
 // number of bytes consumed.  A zero length field signals the end of the
-// log (zero-filled tail); ErrTruncated is returned in that case.
+// log (zero-filled tail); ErrTruncated is returned in that case.  Anything
+// that is not exactly one well-formed record — a bad checksum, an unknown
+// type, edits that overlap, leave the page or disagree with the record
+// length — is ErrCorrupt.
 func decodeRecord(buf []byte) (*Record, int, error) {
 	if len(buf) < 8 {
 		return nil, 0, ErrTruncated
@@ -142,36 +319,94 @@ func decodeRecord(buf []byte) (*Record, int, error) {
 	if length == 0 {
 		return nil, 0, ErrTruncated
 	}
-	total := 4 + int(length)
-	if total > len(buf) {
+	if uint64(length) > uint64(len(buf)-4) {
 		return nil, 0, ErrTruncated
 	}
-	crc := binary.LittleEndian.Uint32(buf[4:])
-	body := buf[8:total]
-	if crc32.Checksum(body, crcTable) != crc {
+	total := 4 + int(length)
+	if total < recordHeaderSize {
+		return nil, 0, fmt.Errorf("%w: short record", ErrCorrupt)
+	}
+	if crc32.Checksum(buf[8:total], crcTable) != binary.LittleEndian.Uint32(buf[4:]) {
 		return nil, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
-	if len(body) < recordHeaderSize-8 {
-		return nil, 0, fmt.Errorf("%w: short body", ErrCorrupt)
-	}
 	r := &Record{
-		Type:   RecordType(body[0]),
-		TxID:   TxID(binary.LittleEndian.Uint64(body[1:])),
-		PageID: page.ID(binary.LittleEndian.Uint64(body[9:])),
-		Offset: binary.LittleEndian.Uint16(body[17:]),
+		Type:   RecordType(buf[8]),
+		TxID:   TxID(binary.LittleEndian.Uint64(buf[9:])),
+		PageID: page.ID(binary.LittleEndian.Uint64(buf[17:])),
 	}
-	beforeLen := int(binary.LittleEndian.Uint32(body[19:]))
-	afterLen := int(binary.LittleEndian.Uint32(body[23:]))
-	if recordHeaderSize-8+beforeLen+afterLen != len(body) {
-		return nil, 0, fmt.Errorf("%w: length mismatch", ErrCorrupt)
-	}
-	if beforeLen > 0 {
-		r.Before = append([]byte(nil), body[27:27+beforeLen]...)
-	}
-	if afterLen > 0 {
-		r.After = append([]byte(nil), body[27+beforeLen:27+beforeLen+afterLen]...)
+	payload := buf[recordHeaderSize:total]
+	switch r.Type {
+	case TypeUpdate, TypeCompensation:
+		if err := r.decodeEdits(payload); err != nil {
+			return nil, 0, err
+		}
+	case TypeFormat:
+		if len(payload) != 2 {
+			return nil, 0, fmt.Errorf("%w: format record payload of %d bytes", ErrCorrupt, len(payload))
+		}
+		r.PageType = page.Type(binary.LittleEndian.Uint16(payload))
+	case TypeCheckpointEnd:
+		if len(payload) != 8 {
+			return nil, 0, fmt.Errorf("%w: checkpoint-end payload of %d bytes", ErrCorrupt, len(payload))
+		}
+		r.After = append([]byte(nil), payload...)
+	case TypeCommit, TypeAbort, TypeCheckpointBegin:
+		if len(payload) != 0 {
+			return nil, 0, fmt.Errorf("%w: %s record with a payload", ErrCorrupt, r.Type)
+		}
+	default:
+		return nil, 0, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, buf[8])
 	}
 	return r, total, nil
+}
+
+// decodeEdits parses the edit list of an update or compensation record.
+// The images are copied out of payload into one allocation.
+func (r *Record) decodeEdits(payload []byte) error {
+	if len(payload) < 2 {
+		return fmt.Errorf("%w: no edit count", ErrCorrupt)
+	}
+	count := int(binary.LittleEndian.Uint16(payload))
+	rest := payload[2:]
+	if count == 0 || count*(EditHeaderSize+1) > len(rest) {
+		return fmt.Errorf("%w: %d edits in %d bytes", ErrCorrupt, count, len(rest))
+	}
+	images := make([]byte, 0, len(rest)-count*EditHeaderSize)
+	r.Edits = make([]Edit, count)
+	end := 0
+	for i := range r.Edits {
+		e := &r.Edits[i]
+		if len(rest) < EditHeaderSize {
+			return fmt.Errorf("%w: edit %d cut short", ErrCorrupt, i)
+		}
+		e.Off = binary.LittleEndian.Uint16(rest[0:])
+		e.Len = binary.LittleEndian.Uint16(rest[2:])
+		e.Shift = int8(rest[4])
+		rest = rest[EditHeaderSize:]
+		if err := e.checkGeometry(end); err != nil {
+			return fmt.Errorf("%w: edit %d: %v", ErrCorrupt, i, err)
+		}
+		end = int(e.Off) + int(e.Len)
+		n := e.imageLen()
+		need := n
+		if r.Type == TypeUpdate {
+			need = 2 * n
+		}
+		if len(rest) < need {
+			return fmt.Errorf("%w: edit %d images cut short", ErrCorrupt, i)
+		}
+		images = append(images, rest[:need]...)
+		img := images[len(images)-need:]
+		if r.Type == TypeUpdate {
+			e.Before, img = img[:n:n], img[n:]
+		}
+		e.After = img[:n:n]
+		rest = rest[need:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d bytes after the last edit", ErrCorrupt, len(rest))
+	}
+	return nil
 }
 
 // EncodeLSN encodes an LSN as the payload of a checkpoint-end record.

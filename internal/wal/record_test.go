@@ -1,0 +1,180 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"testing"
+
+	"github.com/reprolab/face/internal/device"
+	"github.com/reprolab/face/internal/page"
+)
+
+// frame wraps a record body (type byte onwards) in a valid length and CRC,
+// so that what reaches the payload parser is exactly body.
+func frame(body []byte) []byte {
+	out := make([]byte, 8, 8+len(body))
+	out = append(out, body...)
+	binary.LittleEndian.PutUint32(out[0:], uint32(4+len(body)))
+	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(body, crcTable))
+	return out
+}
+
+// body builds a record body by hand: type, txid 1, page 2, then payload.
+func body(t RecordType, payload ...byte) []byte {
+	b := make([]byte, 17, 17+len(payload))
+	b[0] = byte(t)
+	b[1], b[9] = 1, 2
+	return append(b, payload...)
+}
+
+// edit encodes one edit header followed by image bytes.
+func edit(off, length uint16, shift int8, images ...byte) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, off)
+	b = binary.LittleEndian.AppendUint16(b, length)
+	b = append(b, byte(shift))
+	return append(b, images...)
+}
+
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// corruptBodies are well-framed records (length and CRC intact) whose
+// payload is not a valid edit list, format or checkpoint payload.
+var corruptBodies = map[string][]byte{
+	"unknown type":             body(RecordType(99)),
+	"commit with payload":      body(TypeCommit, 1),
+	"format short":             body(TypeFormat, 1),
+	"format long":              body(TypeFormat, 1, 0, 0),
+	"checkpoint-end short":     body(TypeCheckpointEnd, 1, 2, 3),
+	"update without count":     body(TypeUpdate, 1),
+	"update zero edits":        body(TypeUpdate, 0, 0),
+	"count beyond payload":     body(TypeUpdate, cat([]byte{9, 0}, edit(10, 1, 0, 7, 8))...),
+	"edit header cut":          body(TypeUpdate, cat([]byte{2, 0}, edit(10, 1, 0, 7, 8), []byte{20, 0, 1})...),
+	"images cut":               body(TypeUpdate, cat([]byte{1, 0}, edit(10, 4, 0, 1, 2, 3, 4, 5))...),
+	"trailing bytes":           body(TypeUpdate, cat([]byte{1, 0}, edit(10, 1, 0, 7, 8), []byte{0})...),
+	"empty region":             body(TypeUpdate, cat([]byte{1, 0}, edit(10, 0, 0))...),
+	"region leaves page":       body(TypeUpdate, cat([]byte{1, 0}, edit(page.Size-1, 2, 0, 1, 2, 3, 4))...),
+	"offset beyond page":       body(TypeUpdate, cat([]byte{1, 0}, edit(60000, 1, 0, 1, 2))...),
+	"overlapping edits":        body(TypeUpdate, cat([]byte{2, 0}, edit(10, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8), edit(13, 1, 0, 1, 2))...),
+	"descending edits":         body(TypeUpdate, cat([]byte{2, 0}, edit(10, 1, 0, 1, 2), edit(4, 1, 0, 1, 2))...),
+	"shift longer than region": body(TypeUpdate, cat([]byte{1, 0}, edit(10, 2, 3, 1, 2, 3, 4, 5, 6))...),
+	"shift of -128":            body(TypeUpdate, cat([]byte{1, 0}, edit(10, 300, -128), make([]byte, 256))...),
+	"compensation with before": body(TypeCompensation, cat([]byte{1, 0}, edit(10, 2, 0, 1, 2, 3, 4))...),
+}
+
+func TestDecodeRejectsMalformedPayloads(t *testing.T) {
+	for name, b := range corruptBodies {
+		if _, _, err := decodeRecord(frame(b)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+	// The same edits, well formed, decode.
+	good := body(TypeUpdate, cat([]byte{2, 0}, edit(10, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8), edit(14, 9, -2, 1, 2, 3, 4))...)
+	r, n, err := decodeRecord(frame(good))
+	if err != nil || n != 8+len(good) || len(r.Edits) != 2 || r.Edits[1].Shift != -2 {
+		t.Fatalf("well-formed record: %+v, %d, %v", r, n, err)
+	}
+	// A length field pointing past the buffer is a truncated log, whatever
+	// the rest says.
+	cut := frame(good)
+	if _, _, err := decodeRecord(cut[:len(cut)-1]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("cut record: %v, want ErrTruncated", err)
+	}
+	huge := frame(good)
+	binary.LittleEndian.PutUint32(huge, 0xFFFFFFFF)
+	if _, _, err := decodeRecord(huge); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("huge length: %v, want ErrTruncated", err)
+	}
+	tiny := frame(good)
+	binary.LittleEndian.PutUint32(tiny, 5)
+	if _, _, err := decodeRecord(tiny); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("length below a header: %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzDecodeRecord feeds the payload parser arbitrary bodies behind a valid
+// frame, and the frame parser arbitrary bytes.  Decoding must never panic
+// or read past its input; what it accepts must pass the Append check,
+// apply inside a page, and encode back to the same bytes.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, b := range corruptBodies {
+		f.Add(b, true)
+	}
+	valid := &Record{Type: TypeUpdate, TxID: 3, PageID: 4, Edits: []Edit{
+		{Off: 22, Len: 6, Before: []byte("abcdef"), After: []byte("ghijkl")},
+		{Off: 42, Len: 500, Shift: 18, Before: make([]byte, 18), After: bytes.Repeat([]byte{9}, 18)},
+	}}
+	enc := valid.encode(nil)
+	f.Add(enc[8:], true)
+	f.Add(enc, false)
+	f.Add(enc[:len(enc)-3], false)
+	f.Add((&Record{Type: TypeCommit, TxID: 5}).encode(nil), false)
+	f.Add(make([]byte, 64), false)
+
+	f.Fuzz(func(t *testing.T, data []byte, framed bool) {
+		in := data
+		if framed {
+			in = frame(data)
+		}
+		// Decode from a buffer with no spare capacity, so that an over-read
+		// is an out-of-range panic rather than a silent success.
+		in = append(make([]byte, 0, len(in)), in...)
+		r, n, err := decodeRecord(in)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+				t.Fatalf("unexpected error %v", err)
+			}
+			return
+		}
+		if err := r.check(); err != nil {
+			t.Fatalf("decoded record fails the append check: %v", err)
+		}
+		if !bytes.Equal(r.encode(nil), in[:n]) {
+			t.Fatal("decoded record does not encode back to its bytes")
+		}
+		buf := page.NewBuf()
+		for i := range r.Edits {
+			r.Edits[i].Apply(buf)
+		}
+	})
+}
+
+// TestOldFormatLogRefused: Open on a device whose control block carries the
+// previous format's magic fails with ErrOldFormat and leaves it alone.
+func TestOldFormatLogRefused(t *testing.T) {
+	dev := newLogDevice()
+	ctrl := make([]byte, device.BlockSize)
+	binary.LittleEndian.PutUint32(ctrl, oldControlMagic)
+	if err := dev.WriteAt(0, ctrl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dev); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("Open = %v, want ErrOldFormat", err)
+	}
+	got := make([]byte, device.BlockSize)
+	if err := dev.ReadAt(0, got); err != nil || !bytes.Equal(got, ctrl) {
+		t.Fatalf("control block rewritten (%v)", err)
+	}
+}
+
+var benchSink *Record
+
+// BenchmarkRecordEncodeDecode encodes and decodes the update record of a
+// b-tree leaf insert: a two-byte write and an eighteen-byte shift.
+func BenchmarkRecordEncodeDecode(b *testing.B) {
+	r := &Record{Type: TypeUpdate, TxID: 7, PageID: 1234, Edits: []Edit{
+		{Off: 32, Len: 1, Before: []byte{41}, After: []byte{42}},
+		{Off: 402, Len: 2000, Shift: 18, Before: make([]byte, 18), After: bytes.Repeat([]byte{5}, 18)},
+	}}
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for b.Loop() {
+		buf = r.encode(buf[:0])
+		got, _, err := decodeRecord(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = got
+	}
+}

@@ -99,11 +99,14 @@ type pipeline struct {
 	doneCh chan struct{}
 
 	// Syncer-owned (single goroutine, no locking): the next reservation
-	// index to consume, the published high-water mark, and the bytes of
-	// the last flushed block preceding flushedOff.
+	// index to consume, the published high-water mark, the bytes of the
+	// last flushed block preceding flushedOff, and the block images of the
+	// flush in progress (flushPages slices flushBuf into device blocks).
 	consumedIdx uint64
 	hwmOff      uint64
 	partial     []byte
+	flushBuf    []byte
+	flushPages  [][]byte
 }
 
 // encPool recycles record-encoding scratch buffers.
@@ -122,9 +125,9 @@ func newPipeline(m *Manager, segments, segmentBytes int) (*pipeline, error) {
 	if ringBytes < 4096 {
 		ringBytes = 4096
 	}
-	// One slot per 32 ring bytes strictly exceeds the in-flight bound
-	// (minimum record size is recordHeaderSize+4 bytes).
-	nSlots := nextPow2(ringBytes / 32)
+	// One slot per 16 ring bytes strictly exceeds the in-flight bound
+	// (no record is smaller than recordHeaderSize = 25 bytes).
+	nSlots := nextPow2(ringBytes / 16)
 	if nSlots < 64 {
 		nSlots = 64
 	}

@@ -210,37 +210,35 @@ func (p *pipeline) runRound(ws []waiter) {
 // forward.  Syncer-only.
 func (p *pipeline) flushTo(flushed, hwm uint64) error {
 	m := p.m
-	data := make([]byte, 0, len(p.partial)+int(hwm-flushed))
-	data = append(data, p.partial...)
-	lo := flushed & p.ringMask
-	hi := hwm & p.ringMask
-	if n := hwm - flushed; lo+n <= p.ringBytes {
-		data = append(data, p.ring[lo:lo+n]...)
-	} else {
-		data = append(data, p.ring[lo:]...)
-		data = append(data, p.ring[:hi]...)
+	// The block images live in a buffer the syncer owns and reuses: every
+	// device copies what it is handed before WriteRun returns.
+	n := hwm - flushed
+	nBlocks := (len(p.partial) + int(n) + device.BlockSize - 1) / device.BlockSize
+	need := nBlocks * device.BlockSize
+	if cap(p.flushBuf) < need {
+		p.flushBuf = make([]byte, need)
 	}
+	data := p.flushBuf[:need]
+	at := copy(data, p.partial)
+	lo := flushed & p.ringMask
+	if lo+n <= p.ringBytes {
+		at += copy(data[at:], p.ring[lo:lo+n])
+	} else {
+		at += copy(data[at:], p.ring[lo:])
+		at += copy(data[at:], p.ring[:hwm&p.ringMask])
+	}
+	clear(data[at:])
 
 	startBlk := int64(flushed/device.BlockSize) + controlBlocks
-	nBlocks := (len(data) + device.BlockSize - 1) / device.BlockSize
-	pages := make([][]byte, nBlocks)
+	p.flushPages = p.flushPages[:0]
 	for i := 0; i < nBlocks; i++ {
-		blk := make([]byte, device.BlockSize)
-		end := (i + 1) * device.BlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		copy(blk, data[i*device.BlockSize:end])
-		pages[i] = blk
+		p.flushPages = append(p.flushPages, data[i*device.BlockSize:(i+1)*device.BlockSize])
 	}
-	if err := m.writeBlocks(startBlk, pages, len(p.partial) > 0); err != nil {
+	if err := m.writeBlocks(startBlk, p.flushPages, len(p.partial) > 0); err != nil {
 		return err
 	}
-	if rem := int(hwm % device.BlockSize); rem == 0 {
-		p.partial = nil
-	} else {
-		p.partial = append(p.partial[:0], pages[nBlocks-1][:rem]...)
-	}
+	rem := int(hwm % device.BlockSize)
+	p.partial = append(p.partial[:0], data[need-device.BlockSize:][:rem]...)
 	// Publishing the new flushed offset releases the ring space to
 	// appenders (their admission load pairs with this store).
 	p.flushedOff.Store(hwm)

@@ -50,7 +50,10 @@ func (m *Manager) slotDataBlk() int64 { return m.dataBlocks + 1 }
 // and syncs it, so the subsequent in-place rewrite can tear without losing
 // acknowledged bytes.
 func (m *Manager) writeTornSlot(targetBlk int64, image []byte) error {
-	meta := make([]byte, device.BlockSize)
+	// Only the flushing goroutine gets here (the syncer, or the compat
+	// front end under its mutex), the device copies what it is handed, and
+	// bytes past tornMetaLen stay zero, so one metadata block is reused.
+	meta := m.tornMeta
 	binary.LittleEndian.PutUint32(meta[0:], tornMagic)
 	binary.LittleEndian.PutUint64(meta[4:], uint64(targetBlk))
 	binary.LittleEndian.PutUint32(meta[12:], crc32.Checksum(image, crcTable))

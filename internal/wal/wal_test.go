@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ func newLogDevice() *device.Device {
 }
 
 func TestRecordTypeString(t *testing.T) {
-	types := []RecordType{TypeUpdate, TypeFullPage, TypeCommit, TypeAbort, TypeCheckpointBegin, TypeCheckpointEnd, RecordType(200)}
+	types := []RecordType{TypeUpdate, TypeCompensation, TypeFormat, TypeCommit, TypeAbort, TypeCheckpointBegin, TypeCheckpointEnd, RecordType(200)}
 	seen := map[string]bool{}
 	for _, ty := range types {
 		s := ty.String()
@@ -31,11 +32,16 @@ func TestRecordEncodeDecode(t *testing.T) {
 		Type:   TypeUpdate,
 		TxID:   17,
 		PageID: 99,
-		Offset: 1234,
-		Before: []byte("old value"),
-		After:  []byte("new value!"),
+		Edits: []Edit{
+			{Off: 22, Len: 6, Before: []byte("old hd"), After: []byte("new hd")},
+			{Off: 42, Len: 900, Shift: 18, Before: bytes.Repeat([]byte{1}, 18), After: bytes.Repeat([]byte{2}, 18)},
+			{Off: 1000, Len: 40, Shift: -3, Before: []byte("out"), After: []byte("in!")},
+		},
 	}
 	enc := r.encode(nil)
+	if len(enc) != r.encodedSize() {
+		t.Fatalf("encoded %d bytes, encodedSize says %d", len(enc), r.encodedSize())
+	}
 	got, n, err := decodeRecord(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -43,11 +49,81 @@ func TestRecordEncodeDecode(t *testing.T) {
 	if n != len(enc) {
 		t.Fatalf("consumed %d of %d bytes", n, len(enc))
 	}
-	if got.Type != r.Type || got.TxID != r.TxID || got.PageID != r.PageID || got.Offset != r.Offset {
+	if got.Type != r.Type || got.TxID != r.TxID || got.PageID != r.PageID {
 		t.Fatalf("decoded header mismatch: %+v", got)
 	}
-	if !bytes.Equal(got.Before, r.Before) || !bytes.Equal(got.After, r.After) {
-		t.Fatal("decoded images mismatch")
+	if !reflect.DeepEqual(got.Edits, r.Edits) {
+		t.Fatalf("decoded edits %+v, want %+v", got.Edits, r.Edits)
+	}
+
+	// A compensation record carries the same edits without before images.
+	r.Type = TypeCompensation
+	enc = r.encode(nil)
+	if len(enc) != r.encodedSize() {
+		t.Fatalf("compensation: encoded %d bytes, encodedSize says %d", len(enc), r.encodedSize())
+	}
+	got, _, err = decodeRecord(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range got.Edits {
+		if e.Before != nil || !bytes.Equal(e.After, r.Edits[i].After) || e.Off != r.Edits[i].Off || e.Shift != r.Edits[i].Shift {
+			t.Fatalf("compensation edit %d decoded as %+v", i, e)
+		}
+	}
+
+	// A format record carries the page type.
+	f := &Record{Type: TypeFormat, TxID: 3, PageID: 8, PageType: page.TypeBTreeLeaf}
+	got, _, err = decodeRecord(f.encode(nil))
+	if err != nil || got.PageType != page.TypeBTreeLeaf || got.PageID != 8 {
+		t.Fatalf("format record decoded as %+v, %v", got, err)
+	}
+}
+
+// TestSingleWriteShorthand: a hand-built update record with Offset, Before
+// and After and no Edits is logged as one write edit.
+func TestSingleWriteShorthand(t *testing.T) {
+	r := &Record{Type: TypeUpdate, TxID: 1, PageID: 7, Offset: 64, Before: []byte("aaaa"), After: []byte("bbbb")}
+	if err := r.check(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := decodeRecord(r.encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edit{{Off: 64, Len: 4, Before: []byte("aaaa"), After: []byte("bbbb")}}
+	if !reflect.DeepEqual(got.Edits, want) {
+		t.Fatalf("decoded %+v, want %+v", got.Edits, want)
+	}
+}
+
+// TestAppendRejectsInvalidRecords: a record decodeRecord would refuse must
+// never reach the log.
+func TestAppendRejectsInvalidRecords(t *testing.T) {
+	m, err := Open(newLogDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	img := func(n int) []byte { return make([]byte, n) }
+	bad := map[string]*Record{
+		"no edits":          {Type: TypeUpdate},
+		"image too short":   {Type: TypeUpdate, Edits: []Edit{{Off: 0, Len: 4, Before: img(4), After: img(3)}}},
+		"unequal shorthand": {Type: TypeUpdate, Before: img(3), After: img(4)},
+		"leaves the page":   {Type: TypeUpdate, Edits: []Edit{{Off: page.Size - 2, Len: 4, Before: img(4), After: img(4)}}},
+		"overlap":           {Type: TypeUpdate, Edits: []Edit{{Off: 10, Len: 4, Before: img(4), After: img(4)}, {Off: 12, Len: 1, Before: img(1), After: img(1)}}},
+		"descending":        {Type: TypeUpdate, Edits: []Edit{{Off: 10, Len: 1, Before: img(1), After: img(1)}, {Off: 2, Len: 1, Before: img(1), After: img(1)}}},
+		"shift past region": {Type: TypeUpdate, Edits: []Edit{{Off: 10, Len: 4, Shift: 5, Before: img(5), After: img(5)}}},
+		"shift -128":        {Type: TypeUpdate, Edits: []Edit{{Off: 10, Len: 200, Shift: -128, Before: img(128), After: img(128)}}},
+		"shift image":       {Type: TypeCompensation, Edits: []Edit{{Off: 10, Len: 40, Shift: 5, After: img(40)}}},
+	}
+	for name, r := range bad {
+		if _, err := m.Append(r); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: Append = %v, want ErrInvalid", name, err)
+		}
+	}
+	if m.Next() != 0 {
+		t.Fatalf("rejected records moved the log tail to %d", m.Next())
 	}
 }
 
@@ -72,20 +148,21 @@ func TestRecordDecodeCorruption(t *testing.T) {
 
 func TestRecordEncodeDecodeProperty(t *testing.T) {
 	f := func(txid uint64, pid uint64, off uint16, before, after []byte) bool {
-		if len(before) > 2000 {
-			before = before[:2000]
-		}
-		if len(after) > 2000 {
-			after = after[:2000]
+		n := min(len(before), len(after), 2000)
+		off %= page.Size - 2000
+		before, after = before[:n], after[:n]
+		if n == 0 {
+			return true
 		}
 		r := &Record{Type: TypeUpdate, TxID: TxID(txid), PageID: page.ID(pid), Offset: off, Before: before, After: after}
 		enc := r.encode(nil)
 		got, n, err := decodeRecord(enc)
-		if err != nil || n != len(enc) {
+		if err != nil || n != len(enc) || len(got.Edits) != 1 {
 			return false
 		}
-		return got.TxID == r.TxID && got.PageID == r.PageID && got.Offset == r.Offset &&
-			bytes.Equal(got.Before, before) && bytes.Equal(got.After, after)
+		e := got.Edits[0]
+		return got.TxID == r.TxID && got.PageID == r.PageID && e.Off == off &&
+			bytes.Equal(e.Before, before) && bytes.Equal(e.After, after)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -330,8 +407,12 @@ func TestLogDeviceFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := make([]byte, 3*device.BlockSize)
-	m.Append(&Record{Type: TypeFullPage, TxID: 1, PageID: 1, After: big})
+	big := make([]byte, device.BlockSize)
+	for i := 0; i < 2; i++ {
+		if _, err := m.Append(&Record{Type: TypeUpdate, TxID: 1, PageID: 1, Before: big, After: big}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := m.ForceAll(); err == nil {
 		t.Fatal("expected log-full error")
 	}
