@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -182,15 +183,9 @@ func doPreload(c *client.Client, ns string, n uint64, size int) error {
 	}
 	for k := uint64(0); k < n; k++ {
 		// Preload is correctness setup, so BUSY is retried here.
-		for {
-			err := c.Set(ns, k, val)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, client.ErrBusy) {
-				return fmt.Errorf("key %d: %w", k, err)
-			}
-			time.Sleep(time.Millisecond)
+		err := client.RetryBusy(context.Background(), func() error { return c.Set(ns, k, val) })
+		if err != nil {
+			return fmt.Errorf("key %d: %w", k, err)
 		}
 	}
 	return nil

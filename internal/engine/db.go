@@ -47,7 +47,11 @@ type DB struct {
 	// transactions at a time under the page-lock scheduler.
 	writerSem chan struct{}
 
-	// mu guards the counters and lifecycle flags below.
+	// mu guards page allocation, the checkpoint bookkeeping and the
+	// lifecycle transitions below.  The per-transaction state (nextTx,
+	// the commit and abort counters, the closed/crashed flags a beginning
+	// transaction checks) is atomic instead, so no transaction crosses it
+	// except to allocate a page.
 	mu sync.Mutex
 
 	cfg   Config
@@ -71,14 +75,15 @@ type DB struct {
 	files io.Closer
 
 	nextPage page.ID
-	nextTx   wal.TxID
+	// nextTx is the last transaction ID handed out.
+	nextTx atomic.Uint64
 	// maxLSNSeen is the page-LSN high-water mark recorded in the
 	// superblock at the last checkpoint; it lets a fresh log continue the
 	// LSN sequence of a database image created under an earlier log.
 	maxLSNSeen page.LSN
 
-	committed int64
-	aborted   int64
+	committed atomic.Int64
+	aborted   atomic.Int64
 
 	lastCheckpoint time.Duration
 	checkpoints    int64
@@ -94,8 +99,10 @@ type DB struct {
 	// miss path, which must not gain a process-wide mutex.
 	ioErr atomic.Pointer[error]
 
-	crashed bool
-	closed  bool
+	// closed and crashed are written under txMu and mu (no transaction is
+	// in flight when they change) and read without either by beginTx.
+	crashed atomic.Bool
+	closed  atomic.Bool
 }
 
 // setIOErr records the first unreportable I/O failure; later transactions
@@ -166,7 +173,6 @@ func Open(cfg Config) (*DB, error) {
 		files:    files,
 		clock:    simclock.New(),
 		nextPage: 1,
-		nextTx:   1,
 	}
 
 	if cfg.PageLocks {
@@ -387,12 +393,12 @@ func (db *DB) Close() error {
 	defer db.txMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return nil
 	}
-	db.obs.event("close: begin committed=%d aborted=%d", db.committed, db.aborted)
-	if db.crashed {
-		db.closed = true
+	db.obs.event("close: begin committed=%d aborted=%d", db.committed.Load(), db.aborted.Load())
+	if db.crashed.Load() {
+		db.closed.Store(true)
 		return db.closeFilesLocked()
 	}
 	//lint:allow facevet/nolockio shutdown fence: txMu excludes every transaction, holding both locks across the final flush is the point
@@ -409,7 +415,7 @@ func (db *DB) Close() error {
 		db.pool.Close()
 		db.log.Close()
 		db.closeFilesLocked()
-		db.closed = true
+		db.closed.Store(true)
 		return err
 	}
 	// Closing the pool wakes any goroutine still parked on the all-pinned
@@ -419,7 +425,7 @@ func (db *DB) Close() error {
 	// The final checkpoint forced the log tail, so stopping the WAL's
 	// syncer strands nothing.
 	db.log.Close()
-	db.closed = true
+	db.closed.Store(true)
 	return db.closeFilesLocked()
 }
 
@@ -477,7 +483,7 @@ func (db *DB) Crash() {
 	defer db.txMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.obs.event("crash: simulated failure committed=%d aborted=%d", db.committed, db.aborted)
+	db.obs.event("crash: simulated failure committed=%d aborted=%d", db.committed.Load(), db.aborted.Load())
 	db.pool.DropAll()
 	db.pool.Close()
 	db.log.Crash()
@@ -491,8 +497,8 @@ func (db *DB) Crash() {
 	// sync: whatever the OS already holds survives, exactly like a process
 	// kill.  Reopening the same directory runs recovery.
 	db.closeFilesLocked()
-	db.crashed = true
-	db.closed = true
+	db.crashed.Store(true)
+	db.closed.Store(true)
 }
 
 // recover runs restart recovery: the flash cache metadata directory is
@@ -582,7 +588,7 @@ func (db *DB) Checkpoint() error {
 	defer db.txMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	//lint:allow facevet/nolockio checkpoint fence: txMu excludes every transaction so the flush sees a quiescent engine by design
@@ -658,7 +664,7 @@ func (db *DB) Tick() error {
 	defer db.txMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	now := db.Elapsed()
@@ -760,8 +766,8 @@ func (db *DB) Snapshot() Snapshot {
 	}
 	s := Snapshot{
 		Elapsed:      db.elapsedFor(ps.Hits + ps.Misses),
-		Committed:    db.committed,
-		Aborted:      db.aborted,
+		Committed:    db.committed.Load(),
+		Aborted:      db.aborted.Load(),
 		PageAccesses: ps.Hits + ps.Misses,
 		Checkpoints:  db.checkpoints,
 		Pool:         ps,
@@ -791,11 +797,7 @@ func (db *DB) Snapshot() Snapshot {
 }
 
 // Committed returns the number of committed transactions.
-func (db *DB) Committed() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.committed
-}
+func (db *DB) Committed() int64 { return db.committed.Load() }
 
 // Cache exposes the flash cache manager (nil without one).
 func (db *DB) Cache() face.Extension { return db.cache }

@@ -215,11 +215,7 @@ func (db *DB) registerMetrics() {
 		reg.CounterFunc("face_trace_pinned_total", func() int64 { return t.Stats().Pinned })
 		reg.CounterFunc("face_trace_sampled_total", func() int64 { return t.Stats().Sampled })
 	}
-	reg.CounterFunc("face_aborted_total", func() int64 {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.aborted
-	})
+	reg.CounterFunc("face_aborted_total", db.aborted.Load)
 	reg.CounterFunc("face_checkpoints_total", db.Checkpoints)
 
 	// Buffer pool.

@@ -74,23 +74,20 @@ func (db *DB) Begin() (*Tx, error) {
 // locks); scheduled transactions inherit the lock manager when the
 // database runs under Config.PageLocks.
 func (db *DB) beginTx(ctx context.Context, readonly bool) (*Tx, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.crashed {
+	if db.crashed.Load() {
 		return nil, ErrCrashed
 	}
-	if db.closed {
+	if db.closed.Load() {
 		return nil, ErrClosed
 	}
 	if err := db.loadIOErr(); err != nil {
 		return nil, err
 	}
-	tx := &Tx{db: db, id: db.nextTx, readonly: readonly}
+	tx := &Tx{db: db, id: wal.TxID(db.nextTx.Add(1)), readonly: readonly}
 	if ctx != nil {
 		tx.ctx = ctx
 		tx.locks = db.locks
 	}
-	db.nextTx++
 	return tx, nil
 }
 
@@ -356,9 +353,7 @@ func (tx *Tx) commit() error {
 	if err := db.loadIOErr(); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	db.committed++
-	db.mu.Unlock()
+	db.committed.Add(1)
 	db.obs.recordCommit(tx.id, tx.tr)
 	return nil
 }
@@ -383,9 +378,7 @@ func (tx *Tx) abort() error {
 	defer tx.releaseLocks()
 	db := tx.db
 	if tx.readonly {
-		db.mu.Lock()
-		db.aborted++
-		db.mu.Unlock()
+		db.aborted.Add(1)
 		return nil
 	}
 	for i := len(tx.undo) - 1; i >= 0; i-- {
@@ -415,9 +408,7 @@ func (tx *Tx) abort() error {
 	if _, err := db.log.Append(rec); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	db.aborted++
-	db.mu.Unlock()
+	db.aborted.Add(1)
 	return nil
 }
 

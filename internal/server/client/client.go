@@ -9,15 +9,28 @@
 // on the server, so a Txn runs on a dedicated connection of its own.
 //
 // BUSY responses surface as ErrBusy: the server shed the request under
-// overload or the transaction lost a deadlock.  Both are retryable after
-// a backoff; the load generator counts them instead of retrying so
-// overload stays visible.
+// overload or the transaction lost a deadlock.  Both are retryable, and
+// the contract is that a retry waits first: the server refuses at once —
+// a shed write never queues behind the connection's other requests — so a
+// caller that retries without a pause, or with a fixed one shared by all
+// its peers, turns the refusal into a busy loop and collides with the same
+// peers again.  RetryBusy is that wait (jittered, exponential, bounded by
+// a context); use it rather than a hand-rolled loop.  The load generator's
+// measured phase counts BUSY instead of retrying, so overload stays
+// visible.
+//
+// Deadlock victims are not only other clients' doing: the server runs one
+// connection's pipelined writes concurrently (only requests naming the same
+// key keep their order), so two fresh-key inserts sent back to back on one
+// connection can deadlock with each other exactly as two connections' do.
 package client
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -37,6 +50,33 @@ var (
 	// ErrConnClosed is a request that died with its connection.
 	ErrConnClosed = errors.New("client: connection closed")
 )
+
+// Bounds of RetryBusy's wait: it doubles from the first to the last, each
+// wait drawn from the upper half of its step.
+const (
+	busyBackoffMin = 100 * time.Microsecond
+	busyBackoffMax = 102400 * time.Microsecond
+)
+
+// RetryBusy runs op until it returns anything but ErrBusy, waiting between
+// attempts with jittered exponential backoff so that requests refused
+// together do not come back together.  When ctx ends first it returns an
+// error matching both ctx.Err() and ErrBusy.
+func RetryBusy(ctx context.Context, op func() error) error {
+	for step := busyBackoffMin; ; step = min(2*step, busyBackoffMax) {
+		err := op()
+		if !errors.Is(err, ErrBusy) {
+			return err
+		}
+		wait := time.NewTimer(step/2 + rand.N(step/2))
+		select {
+		case <-wait.C:
+		case <-ctx.Done():
+			wait.Stop()
+			return fmt.Errorf("client: gave up retrying: %w: %w", ctx.Err(), err)
+		}
+	}
+}
 
 // Options tunes a Client.
 type Options struct {

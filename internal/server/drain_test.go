@@ -25,12 +25,7 @@ func startDrainServer(t *testing.T, cfg Config, writers int) (*Server, *engine.D
 		db.Close()
 		t.Fatalf("server.New: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(ln)
-	return srv, db, dir, ln.Addr().String()
+	return srv, db, dir, listenAndServe(t, srv)
 }
 
 // TestDrainInFlightCommits: a batch open when Shutdown begins still
@@ -91,32 +86,7 @@ func TestDrainInFlightCommits(t *testing.T) {
 	}
 
 	// Reopen from the same directory: restart is recovery.
-	db2 := openDir(t, dir, 4)
-	defer db2.Close()
-	srv2, err := New(db2, Config{})
-	if err != nil {
-		t.Fatalf("New after reopen: %v", err)
-	}
-	ns, err := srv2.Store().Namespace("drain")
-	if err != nil {
-		t.Fatalf("namespace lost across restart: %v", err)
-	}
-	err = db2.View(context.Background(), func(tx *engine.Tx) error {
-		for k := uint64(0); k < 10; k++ {
-			val, found, err := ns.Get(tx, k)
-			if err != nil || !found {
-				t.Fatalf("key %d lost across restart: found=%v err=%v", k, found, err)
-			}
-			if string(val) != "survives" {
-				t.Fatalf("key %d = %q after restart", k, val)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = srv // keep the drained server alive until here
+	checkSurvives(t, dir, 10)
 }
 
 // TestDrainRefusesNewRequests: a connection that was idle through the
@@ -236,9 +206,9 @@ func TestDrainDoubleShutdown(t *testing.T) {
 	}
 }
 
-// TestDrainRejectsFreshConnections: a connection accepted just before
-// listeners close still gets CLOSED responses, not service.
-func TestDrainRejectsFreshConnState(t *testing.T) {
+// TestDrainRejectsFreshConnections: a drained server accepts no
+// connection, and its counters stay readable.
+func TestDrainRejectsFreshConnections(t *testing.T) {
 	srv, db, _, addr := startDrainServer(t, Config{}, 2)
 	defer db.Close()
 
@@ -257,5 +227,85 @@ func TestDrainRejectsFreshConnState(t *testing.T) {
 	if st.Requests != 0 {
 		t.Fatalf("idle server counted %d requests", st.Requests)
 	}
-	_ = wire.StatusClosed
+}
+
+// TestDrainHandedOffWrites: pipelined SETs still running on their own
+// goroutines when Shutdown begins are all acknowledged OK — the drain
+// waits for each response to reach the socket, not only for the commit —
+// and survive close-and-reopen.
+func TestDrainHandedOffWrites(t *testing.T) {
+	srv, db, dir, addr := startDrainServer(t, Config{Writers: 1, Queue: 16}, 1)
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Create("drain"); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	const n = 8
+	release := parkWriters(t, db, 1)
+	rc := dialRaw(t, addr)
+	for k := 0; k < n; k++ {
+		rc.send(&wire.Request{Op: wire.OpSet, Seq: uint32(k + 1), NS: "drain", Key: uint64(k), Value: []byte("survives")})
+	}
+	rc.flush()
+	waitInFlight(t, srv, n)
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownDone <- srv.Shutdown(ctx)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !srv.draining.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Shutdown never began")
+		}
+	}
+	release()
+
+	for k := 0; k < n; k++ {
+		resp := rc.recv()
+		if resp.Seq != uint32(k+1) || resp.Status != wire.StatusOK {
+			t.Fatalf("response %d during drain: seq %d, %s: %s", k, resp.Seq, wire.StatusName(resp.Status), wire.DecodeMessage(resp.Body))
+		}
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("db.Close: %v", err)
+	}
+
+	checkSurvives(t, dir, n)
+}
+
+// checkSurvives reopens the database in dir and checks that keys 0..n-1 of
+// namespace "drain" hold "survives".
+func checkSurvives(t *testing.T, dir string, n uint64) {
+	t.Helper()
+	db := openDir(t, dir, 4)
+	defer db.Close()
+	srv, err := New(db, Config{})
+	if err != nil {
+		t.Fatalf("New after reopen: %v", err)
+	}
+	ns, err := srv.Store().Namespace("drain")
+	if err != nil {
+		t.Fatalf("namespace lost across restart: %v", err)
+	}
+	err = db.View(context.Background(), func(tx *engine.Tx) error {
+		for k := uint64(0); k < n; k++ {
+			val, found, err := ns.Get(tx, k)
+			if err != nil || !found || string(val) != "survives" {
+				t.Errorf("key %d after restart = %q, found=%v err=%v", k, val, found, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -2,23 +2,42 @@
 // engine's KV namespaces (internal/kv) over the length-prefixed binary
 // protocol of internal/server/wire.
 //
-// Each connection gets a reader/writer goroutine pair.  The reader
-// decodes and executes requests in arrival order; the writer streams the
-// responses back, flushing opportunistically — so a client may pipeline
-// any number of requests without waiting, and responses come back in
-// request order.
+// Each connection gets a reader/writer goroutine pair and an ordered
+// queue of response slots between them.  The reader decodes requests and
+// gives each a slot in arrival order; the writer sends each slot's
+// response once it is complete, flushing whenever it would otherwise wait
+// — so a client may pipeline any number of requests without waiting, and
+// responses come back in request order.
+//
+// Effects are ordered per key, not per connection.  A SET or DEL outside
+// a batch waits for a commit force, so the reader hands it to a goroutine
+// of its own and goes on to the next frame: one connection's pipelined
+// writes run concurrently and share forces the way different connections'
+// do (at most as many as the response queue is deep).  A GET outside a
+// batch runs on the reader itself — it costs microseconds, less than
+// handing it over would.  Requests of one connection that name the same
+// (namespace, key), at least one of them a write, take effect in arrival
+// order: a later one is queued behind the earlier (a pipelined SET k;
+// GET k reads its own write, SET k=a; SET k=b leaves b); requests on
+// different keys are not ordered against each other.  Everything else —
+// PING, CREATE, SCAN, BEGIN/COMMIT/ABORT and every request while a batch
+// is open — is a barrier: it waits for the connection's writes in flight
+// and runs on the reader, seeing all of them.
 //
 // Write requests pass through an admission controller that generalizes
 // the engine's WithMaxWriters semaphore to the network edge: a bounded
 // number of writer tokens plus a bounded wait queue, with everything
 // beyond both shed immediately as a retryable BUSY (see admission.go).
 // Deadlock victims surface as BUSY too: in both cases the right client
-// move is to back off and retry.
+// move is to back off and retry (client.RetryBusy).  Since a connection's
+// writes run concurrently, its own pipelined inserts of fresh keys can
+// deadlock with each other exactly as two connections' do.
 //
 // Every request runs under a context bounded by the client-supplied
 // deadline and the server's RequestTimeout, propagated into View/Update,
 // so an expired or cancelled request aborts promptly even while queued
-// on page locks.
+// on page locks.  The clock starts at arrival: time spent queued behind a
+// same-key predecessor counts against the deadline.
 //
 // BEGIN opens a per-connection batch: SET and DEL are buffered (last
 // write per key wins), GET and SCAN merge the buffered overlay over a
@@ -29,11 +48,12 @@
 // stays buffered so the client can retry COMMIT; ABORT drops it.
 //
 // Shutdown drains gracefully: listeners close, requests already
-// executing finish (new ones are refused with CLOSED), stragglers past
-// the drain deadline are cancelled through their request contexts, and
-// only then do connections close.  The engine is left to the caller to
-// Close; reopening the same directory afterwards is the ordinary
-// recovery path.
+// executing finish and their responses reach the socket (a request holds
+// the drain gate from arrival until its response is flushed; new ones are
+// refused with CLOSED), stragglers past the drain deadline are cancelled
+// through their request contexts, and only then do connections close.
+// The engine is left to the caller to Close; reopening the same directory
+// afterwards is the ordinary recovery path.
 package server
 
 import (
@@ -194,7 +214,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 }
 
 // InFlight returns the number of requests (plus open batches) currently
-// holding the drain gate.
+// holding the drain gate: arrived, and not yet answered on the socket.
 func (s *Server) InFlight() int { return s.gate.count() }
 
 // Store exposes the server's KV store (for preloading and tests).
@@ -243,10 +263,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Shutdown drains the server: stop accepting, let executing requests
-// finish until the context ends, cancel whatever is left, close the
-// connections and return once every connection goroutine exited.  The
-// engine itself is not closed; the caller owns it.
+// Shutdown drains the server: stop accepting, let the requests that have
+// arrived finish and their responses reach the sockets until the context
+// ends, cancel whatever is left, close the connections and return once
+// every connection goroutine exited.  The engine itself is not closed; the
+// caller owns it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -308,17 +329,26 @@ func (s *Server) Stats() Stats {
 
 // --- connection handling -------------------------------------------------
 
-// connWriter is the response side of one connection; dead marks a failed
-// socket so the writer goroutine keeps draining instead of blocking the
-// reader.
-type connWriter struct {
-	w    *bufio.Writer
-	dead bool
+// respQueueDepth is the per-connection response queue: requests whose
+// responses are not yet written.  It is also the bound on a connection's
+// handed-off requests — each owns a slot of this queue from arrival.
+const respQueueDepth = 64
+
+// slot is one request's place in its connection's response queue.  The
+// reader enqueues slots in arrival order; the writer sends each one's
+// response once it is complete, so responses leave in request order
+// whatever order the requests finish in.
+type slot struct {
+	resp wire.Response
+	// done is closed when a handed-off request has filled resp; nil for
+	// a request the reader completed before enqueueing the slot.
+	done chan struct{}
+	// gated marks a request that entered the drain gate: the writer
+	// leaves the gate for it once the response is flushed to the socket
+	// (or the socket is known dead), so Shutdown never closes a
+	// connection under an acknowledgement.
+	gated bool
 }
-
-func newConnWriter(c net.Conn) *connWriter { return &connWriter{w: bufio.NewWriter(c)} }
-
-func newConnReader(c net.Conn) *bufio.Reader { return bufio.NewReader(c) }
 
 // batchVal is the buffered effect of one batch write on one key.
 type batchVal struct {
@@ -326,15 +356,62 @@ type batchVal struct {
 	val []byte
 }
 
-// connState is the per-connection request state (touched only by the
-// connection's reader goroutine).
+// keyRef names what a single-key request touches.
+type keyRef struct {
+	ns  string
+	key uint64
+}
+
+// connState is the per-connection state.  The batch fields are touched
+// only by the reader goroutine (every request while a batch is open runs
+// there); tail is shared with the connection's handed-off requests.
 type connState struct {
 	inBatch  bool
 	batch    map[string]map[uint64]batchVal
 	batchOps int
-	// tr is the span trace of the request currently executing (nil
-	// without Config.Tracer); dispatch's admission waits record into it.
-	tr *trace.Trace
+
+	// handoffs counts the handed-off requests still running; a barrier
+	// request and the connection's teardown wait on it.
+	handoffs sync.WaitGroup
+	// tail maps a key to the slot of its latest handed-off request still
+	// running: the request a later one on that key must wait for.
+	mu   sync.Mutex
+	tail map[keyRef]*slot
+}
+
+// claim decides where a single-key request runs.  A write, or a read of a
+// key with a handed-off request still running, is handed off: it becomes
+// the key's tail and prev (nil if none) is what it must wait for.  Only
+// the reader goroutine calls claim.
+func (cs *connState) claim(k keyRef, sl *slot, write bool) (prev *slot, handoff bool) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	prev = cs.tail[k]
+	if !write && prev == nil {
+		return nil, false
+	}
+	if cs.tail == nil {
+		cs.tail = make(map[keyRef]*slot)
+	}
+	cs.tail[k] = sl
+	return prev, true
+}
+
+// release retires a finished handed-off request as its key's tail, unless
+// a later request already took its place.
+func (cs *connState) release(k keyRef, sl *slot) {
+	cs.mu.Lock()
+	if cs.tail[k] == sl {
+		delete(cs.tail, k)
+	}
+	cs.mu.Unlock()
+}
+
+// idle reports whether no handed-off request is running.
+func (cs *connState) idle() bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return len(cs.tail) == 0
 }
 
 func (s *Server) handleConn(c net.Conn) {
@@ -346,104 +423,193 @@ func (s *Server) handleConn(c net.Conn) {
 		c.Close()
 	}()
 
-	respCh := make(chan *wire.Response, 64)
+	respCh := make(chan *slot, respQueueDepth)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		bw := newConnWriter(c)
-		for resp := range respCh {
-			if bw.dead {
-				continue // drain so the reader never blocks
-			}
-			if err := wire.WriteResponse(bw.w, resp); err != nil {
-				bw.dead = true
-				c.Close()
-				continue
-			}
-			// Flush when the pipeline is momentarily empty: responses to a
-			// burst of pipelined requests share buffer flushes.
-			if len(respCh) == 0 {
-				if err := bw.w.Flush(); err != nil {
-					bw.dead = true
-					c.Close()
-				}
-			}
-		}
-		if !bw.dead {
-			bw.w.Flush()
-		}
+		s.writeResponses(c, respCh)
 	}()
-	defer func() { close(respCh); <-writerDone }()
 
 	cs := &connState{}
-	// An open batch holds the drain gate (see execute); if the connection
-	// dies mid-batch the hold must be released here.
+	// Teardown, in order: the handed-off requests finish (their slots are
+	// already queued), the queue closes and the writer flushes what the
+	// socket still takes, and only then does an abandoned batch release
+	// its hold on the drain gate (see serve).
 	defer func() {
+		cs.handoffs.Wait()
+		close(respCh)
+		<-writerDone
 		if cs.inBatch {
-			s.gate.leave()
+			s.gate.leave(1)
 		}
 	}()
-	br := newConnReader(c)
+	br := bufio.NewReader(c)
 	for {
 		req, err := wire.ReadRequest(br)
 		if err != nil {
 			return // client went away, or Shutdown closed the socket
 		}
-		respCh <- s.execute(cs, req)
+		respCh <- s.serve(cs, req)
 	}
 }
 
-// execute runs one request and builds its response.
-func (s *Server) execute(cs *connState, req *wire.Request) *wire.Response {
+// writeResponses is a connection's writer goroutine: it sends the queued
+// slots' responses in order, waiting for a slot that is not yet complete,
+// and flushes whenever it would otherwise wait — the queue is empty or the
+// next slot is still running — so a burst of pipelined responses shares
+// buffer flushes.  A failed socket keeps it draining so neither the reader
+// nor a handed-off request ever blocks on it.
+func (s *Server) writeResponses(c net.Conn, respCh <-chan *slot) {
+	bw := bufio.NewWriter(c)
+	dead := false
+	unflushed := 0 // gated responses written since the last flush
+	flush := func() {
+		if !dead && bw.Flush() != nil {
+			dead = true
+			c.Close()
+		}
+		s.gate.leave(unflushed)
+		unflushed = 0
+	}
+	for sl := range respCh {
+		if sl.done != nil {
+			select {
+			case <-sl.done:
+			default:
+				flush()
+				<-sl.done
+			}
+		}
+		if !dead && wire.WriteResponse(bw, &sl.resp) != nil {
+			dead = true
+			c.Close()
+		}
+		if sl.gated {
+			unflushed++
+		}
+		if len(respCh) == 0 {
+			flush()
+		}
+	}
+	flush()
+}
+
+// singleKey reports whether the request is a GET, SET or DEL — the
+// requests that, outside a batch, are ordered per key rather than per
+// connection.
+func singleKey(op byte) bool {
+	return op == wire.OpGet || op == wire.OpSet || op == wire.OpDel
+}
+
+// serve takes one request from arrival to a queued slot.  Everything that
+// belongs to the arrival happens here on the reader goroutine — the trace
+// and the latency clock start, the drain gate is entered, the deadline
+// context is armed — so time a request then spends waiting for its turn
+// counts against it.  Where it runs is decided by what it may overlap
+// with:
+//
+//   - a SET or DEL outside a batch is handed off to a goroutine of its
+//     own, so the reader goes on to the next frame while this one waits
+//     for its commit force, and one connection's pipelined writes share
+//     forces the way different connections' do;
+//   - a GET outside a batch runs right here, unless a handed-off request
+//     on its key is still running, in which case it is handed off behind
+//     it (a pipelined SET k; GET k reads its own write);
+//   - anything else — and every request while a batch is open — is a
+//     barrier: it waits for the connection's handed-off requests, then
+//     runs here.
+//
+// The returned slot is complete (done == nil) or will be completed by the
+// goroutine serve started.
+func (s *Server) serve(cs *connState, req *wire.Request) *slot {
 	s.requests.Add(1)
+	sl := &slot{resp: wire.Response{Seq: req.Seq}}
 	// Start the request's trace before anything that can wait, adopting
 	// the client's wire trace ID when the request carried one (minting a
 	// server-side ID otherwise, so old clients still show up in the
 	// journal).  tr stays nil without a tracer; every use below is
 	// nil-safe.
-	cs.tr = nil
+	var tr *trace.Trace
 	if t := s.cfg.Tracer; t != nil {
-		cs.tr = t.Start(trace.ID(req.TraceID), strings.ToLower(wire.OpName(req.Op)))
+		tr = t.Start(trace.ID(req.TraceID), strings.ToLower(wire.OpName(req.Op)))
 	}
-	tr := cs.tr
+	var hist *obs.Histogram
+	var t0 time.Time
 	if int(req.Op) < len(s.ops) && s.ops[req.Op] != nil {
-		t0 := time.Now()
-		// The trace ID rides the op's latency histogram as the exemplar
-		// of whatever bucket this request lands in (a zero ID records a
-		// plain observation).
-		defer func() { s.ops[req.Op].ObserveExemplar(time.Since(t0), uint64(tr.ID())) }()
+		hist, t0 = s.ops[req.Op], time.Now()
 	}
-	resp := &wire.Response{Seq: req.Seq}
 	// A connection with an open batch is in-flight work: its requests may
 	// still enter during a drain so the batch can reach its COMMIT.
 	if !s.gate.enter(cs.inBatch) {
-		resp.Status = wire.StatusClosed
-		resp.Body = wire.MessageBody("server is draining")
-		s.statuses[resp.Status].Add(1)
-		s.finishTrace(tr, nil)
-		return resp
+		s.complete(sl, hist, t0, tr, nil, errDraining)
+		return sl
 	}
-	defer s.gate.leave()
+	sl.gated = true
 
 	ctx, cancel := s.requestCtx(req)
-	defer cancel()
 	// The engine attaches its commit-path phase spans (lock waits, WAL
 	// appends, the durable force) to the request trace it finds here.
 	ctx = engine.WithTrace(ctx, tr)
 
+	if !cs.inBatch && singleKey(req.Op) {
+		k := keyRef{ns: req.NS, key: req.Key}
+		if prev, handoff := cs.claim(k, sl, req.Op != wire.OpGet); handoff {
+			sl.done = make(chan struct{})
+			cs.handoffs.Add(1)
+			go func() {
+				defer cs.handoffs.Done()
+				defer close(sl.done)
+				defer cs.release(k, sl)
+				defer cancel()
+				if prev != nil {
+					orderWait(tr, "key", func() { <-prev.done })
+				}
+				body, err := s.keyOp(ctx, tr, req)
+				s.complete(sl, hist, t0, tr, body, err)
+			}()
+			return sl
+		}
+	} else if !cs.idle() {
+		orderWait(tr, "barrier", cs.handoffs.Wait)
+	}
+	defer cancel()
+
 	wasBatch := cs.inBatch
-	body, err := s.dispatch(ctx, cs, req)
+	body, err := s.dispatch(ctx, cs, tr, req)
 	// Keep the gate's batch hold in sync: BEGIN takes an extra reference,
 	// COMMIT/ABORT (or a commit error that drops the batch) releases it.
 	if cs.inBatch && !wasBatch {
 		s.gate.hold()
 	} else if wasBatch && !cs.inBatch {
-		s.gate.leave()
+		s.gate.leave(1)
 	}
+	s.complete(sl, hist, t0, tr, body, err)
+	return sl
+}
+
+// orderWait runs wait — for a same-key predecessor or for a barrier's
+// handed-off requests — and records it as a server_order_wait span.
+func orderWait(tr *trace.Trace, what string, wait func()) {
+	if tr == nil {
+		wait()
+		return
+	}
+	t0 := time.Now()
+	wait()
+	tr.Span("server_order_wait", t0, time.Since(t0), 0, what)
+}
+
+// complete fills the slot's response from the request's outcome, seals
+// its trace and records its status and latency.  The trace ID rides the
+// op's latency histogram as the exemplar of whatever bucket the request
+// lands in (a zero ID records a plain observation).
+func (s *Server) complete(sl *slot, hist *obs.Histogram, t0 time.Time, tr *trace.Trace, body []byte, err error) {
 	s.finishTrace(tr, err)
-	resp.Status, resp.Body = s.finish(err, body)
-	s.statuses[resp.Status].Add(1)
-	return resp
+	sl.resp.Status, sl.resp.Body = s.finish(err, body)
+	s.statuses[sl.resp.Status].Add(1)
+	if hist != nil {
+		hist.ObserveExemplar(time.Since(t0), uint64(tr.ID()))
+	}
 }
 
 // finishTrace seals a request's trace, first pinning the anomalies the
@@ -501,6 +667,9 @@ func (s *Server) requestCtx(req *wire.Request) (context.Context, context.CancelF
 // errNotFound marks a missing key on the Get/Del path.
 var errNotFound = errors.New("server: key not found")
 
+// errDraining refuses a request that arrived after Shutdown began.
+var errDraining = errors.New("server is draining")
+
 // finish maps an error to the wire status and body.
 func (s *Server) finish(err error, body []byte) (byte, []byte) {
 	switch {
@@ -512,30 +681,31 @@ func (s *Server) finish(err error, body []byte) (byte, []byte) {
 		return wire.StatusBusy, wire.MessageBody(err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return wire.StatusTimeout, wire.MessageBody(err.Error())
-	case errors.Is(err, engine.ErrClosed), errors.Is(err, engine.ErrCrashed):
+	case errors.Is(err, engine.ErrClosed), errors.Is(err, engine.ErrCrashed), errors.Is(err, errDraining):
 		return wire.StatusClosed, wire.MessageBody(err.Error())
 	default:
 		return wire.StatusErr, wire.MessageBody(err.Error())
 	}
 }
 
-func (s *Server) dispatch(ctx context.Context, cs *connState, req *wire.Request) ([]byte, error) {
+// dispatch runs a request on the reader goroutine: a barrier request, any
+// request of an open batch, or a GET nothing is queued ahead of.
+func (s *Server) dispatch(ctx context.Context, cs *connState, tr *trace.Trace, req *wire.Request) ([]byte, error) {
 	switch req.Op {
 	case wire.OpPing:
 		return nil, nil
 	case wire.OpCreate:
-		if err := s.acquire(ctx, cs.tr); err != nil {
+		if err := s.acquire(ctx, tr); err != nil {
 			return nil, err
 		}
 		defer s.adm.Release()
 		_, err := s.kv.Create(ctx, req.NS)
 		return nil, err
-	case wire.OpGet:
-		return s.doGet(ctx, cs, req)
-	case wire.OpSet:
-		return nil, s.doSet(ctx, cs, req)
-	case wire.OpDel:
-		return nil, s.doDel(ctx, cs, req)
+	case wire.OpGet, wire.OpSet, wire.OpDel:
+		if cs.inBatch {
+			return s.batchOp(ctx, cs, req)
+		}
+		return s.keyOp(ctx, tr, req)
 	case wire.OpScan:
 		return s.doScan(ctx, cs, req)
 	case wire.OpBegin:
@@ -547,7 +717,7 @@ func (s *Server) dispatch(ctx context.Context, cs *connState, req *wire.Request)
 		cs.batchOps = 0
 		return nil, nil
 	case wire.OpCommit:
-		return nil, s.doCommit(ctx, cs)
+		return nil, s.doCommit(ctx, cs, tr)
 	case wire.OpAbort:
 		if !cs.inBatch {
 			return nil, errors.New("server: ABORT without a batch")
@@ -576,15 +746,55 @@ func (cs *connState) bufferWrite(ns string, key uint64, v batchVal) {
 	cs.batchOps++
 }
 
-func (s *Server) doGet(ctx context.Context, cs *connState, req *wire.Request) ([]byte, error) {
-	if cs.inBatch {
+// batchOp is a GET, SET or DEL inside an open batch: a write is buffered,
+// a read is answered from the buffer when the batch wrote the key and from
+// the committed state otherwise.
+func (s *Server) batchOp(ctx context.Context, cs *connState, req *wire.Request) ([]byte, error) {
+	if req.Op == wire.OpGet {
 		if v, ok := cs.batch[req.NS][req.Key]; ok {
 			if v.del {
 				return nil, errNotFound
 			}
 			return wire.ValueBody(v.val), nil
 		}
+		return s.doGet(ctx, req)
 	}
+	v := batchVal{del: true}
+	if req.Op == wire.OpSet {
+		if err := checkValue(req.Value); err != nil {
+			return nil, err
+		}
+		v = batchVal{val: append([]byte(nil), req.Value...)}
+	}
+	if _, err := s.kv.Namespace(req.NS); err != nil {
+		return nil, err
+	}
+	cs.bufferWrite(req.NS, req.Key, v)
+	return nil, nil
+}
+
+// keyOp is a GET, SET or DEL outside a batch.  It touches no connection
+// state, so it runs on the reader goroutine or on a handed-off request's
+// own alike.
+func (s *Server) keyOp(ctx context.Context, tr *trace.Trace, req *wire.Request) ([]byte, error) {
+	switch req.Op {
+	case wire.OpGet:
+		return s.doGet(ctx, req)
+	case wire.OpSet:
+		return nil, s.doSet(ctx, tr, req)
+	default:
+		return nil, s.doDel(ctx, tr, req)
+	}
+}
+
+func checkValue(val []byte) error {
+	if len(val) > kv.MaxValueSize {
+		return fmt.Errorf("%w: %d bytes (max %d)", kv.ErrTooLarge, len(val), kv.MaxValueSize)
+	}
+	return nil
+}
+
+func (s *Server) doGet(ctx context.Context, req *wire.Request) ([]byte, error) {
 	ns, err := s.kv.Namespace(req.NS)
 	if err != nil {
 		return nil, err
@@ -604,22 +814,15 @@ func (s *Server) doGet(ctx context.Context, cs *connState, req *wire.Request) ([
 	return body, err
 }
 
-func (s *Server) doSet(ctx context.Context, cs *connState, req *wire.Request) error {
-	if len(req.Value) > kv.MaxValueSize {
-		return fmt.Errorf("%w: %d bytes (max %d)", kv.ErrTooLarge, len(req.Value), kv.MaxValueSize)
-	}
-	if cs.inBatch {
-		if _, err := s.kv.Namespace(req.NS); err != nil {
-			return err
-		}
-		cs.bufferWrite(req.NS, req.Key, batchVal{val: append([]byte(nil), req.Value...)})
-		return nil
+func (s *Server) doSet(ctx context.Context, tr *trace.Trace, req *wire.Request) error {
+	if err := checkValue(req.Value); err != nil {
+		return err
 	}
 	ns, err := s.kv.Namespace(req.NS)
 	if err != nil {
 		return err
 	}
-	if err := s.acquire(ctx, cs.tr); err != nil {
+	if err := s.acquire(ctx, tr); err != nil {
 		return err
 	}
 	defer s.adm.Release()
@@ -633,19 +836,12 @@ func (s *Server) doSet(ctx context.Context, cs *connState, req *wire.Request) er
 	return nil
 }
 
-func (s *Server) doDel(ctx context.Context, cs *connState, req *wire.Request) error {
-	if cs.inBatch {
-		if _, err := s.kv.Namespace(req.NS); err != nil {
-			return err
-		}
-		cs.bufferWrite(req.NS, req.Key, batchVal{del: true})
-		return nil
-	}
+func (s *Server) doDel(ctx context.Context, tr *trace.Trace, req *wire.Request) error {
 	ns, err := s.kv.Namespace(req.NS)
 	if err != nil {
 		return err
 	}
-	if err := s.acquire(ctx, cs.tr); err != nil {
+	if err := s.acquire(ctx, tr); err != nil {
 		return err
 	}
 	defer s.adm.Release()
@@ -730,7 +926,7 @@ func mergeOverlay(pairs []wire.KV, overlay map[uint64]batchVal, lo, hi uint64) [
 	return out
 }
 
-func (s *Server) doCommit(ctx context.Context, cs *connState) error {
+func (s *Server) doCommit(ctx context.Context, cs *connState, tr *trace.Trace) error {
 	if !cs.inBatch {
 		return errors.New("server: COMMIT without a batch")
 	}
@@ -754,7 +950,7 @@ func (s *Server) doCommit(ctx context.Context, cs *connState) error {
 		}
 		spaces[i] = ns
 	}
-	if err := s.acquire(ctx, cs.tr); err != nil {
+	if err := s.acquire(ctx, tr); err != nil {
 		return err
 	}
 	defer s.adm.Release()
@@ -798,8 +994,8 @@ func (s *Server) doCommit(ctx context.Context, cs *connState) error {
 
 // --- drain gate ----------------------------------------------------------
 
-// gate counts in-flight work — executing requests plus open batches —
-// and refuses new entries once closed; it replaces a sync.WaitGroup
+// gate counts in-flight work — requests from arrival until their response
+// is flushed, plus open batches — and refuses new entries once closed; it replaces a sync.WaitGroup
 // because Add-after-Wait races are exactly the drain scenario.
 type gate struct {
 	mu     sync.Mutex
@@ -837,11 +1033,14 @@ func (g *gate) hold() {
 	g.mu.Unlock()
 }
 
-// leave retires one request.
-func (g *gate) leave() {
+// leave drops n references.
+func (g *gate) leave(n int) {
+	if n == 0 {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.n--
+	g.n -= n
 	if g.closed && g.n == 0 && g.idle != nil {
 		close(g.idle)
 		g.idle = nil

@@ -29,18 +29,19 @@ type testServer struct {
 func startServer(t *testing.T, cfg Config, writers int) *testServer {
 	t.Helper()
 	dir := t.TempDir()
-	db := openDir(t, dir, writers)
+	return serveDB(t, openDir(t, dir, writers), dir, cfg)
+}
+
+// serveDB serves db until the test ends, then drains the server and
+// closes the database.
+func serveDB(t testing.TB, db *engine.DB, dir string, cfg Config) *testServer {
+	t.Helper()
 	srv, err := New(db, cfg)
 	if err != nil {
 		db.Close()
 		t.Fatalf("server.New: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(ln)
-	ts := &testServer{srv: srv, db: db, dir: dir, addr: ln.Addr().String()}
+	ts := &testServer{srv: srv, db: db, dir: dir, addr: listenAndServe(t, srv)}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -50,14 +51,46 @@ func startServer(t *testing.T, cfg Config, writers int) *testServer {
 	return ts
 }
 
-func openDir(t *testing.T, dir string, writers int) *engine.DB {
+// acceptSignal closes accepting at the first Accept call.
+type acceptSignal struct {
+	net.Listener
+	once      sync.Once
+	accepting chan struct{}
+}
+
+func (l *acceptSignal) Accept() (net.Conn, error) {
+	l.once.Do(func() { close(l.accepting) })
+	return l.Listener.Accept()
+}
+
+// listenAndServe starts srv on a loopback listener and returns its
+// address once the server is serving: Serve registers the listener before
+// its first Accept, so a Shutdown after this returns finds it.
+func listenAndServe(t testing.TB, srv *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	sig := &acceptSignal{Listener: ln, accepting: make(chan struct{})}
+	go srv.Serve(sig)
+	<-sig.accepting
+	return ln.Addr().String()
+}
+
+func openDir(t testing.TB, dir string, writers int) *engine.DB {
+	t.Helper()
+	return openDirFsync(t, dir, writers, false)
+}
+
+func openDirFsync(t testing.TB, dir string, writers int, fsync bool) *engine.DB {
 	t.Helper()
 	cfg := engine.Config{
 		Dir:         dir,
 		BufferPages: 512,
 		Policy:      engine.PolicyNone,
 		PageLocks:   true,
-		NoFsync:     true,
+		NoFsync:     !fsync,
 	}
 	if writers > 0 {
 		cfg.MaxWriters = writers
@@ -132,7 +165,8 @@ func TestServerRoundTrip(t *testing.T) {
 }
 
 // TestServerPipelining drives the raw protocol: many requests written
-// before any response is read, responses returned in request order.
+// before any response is read, responses returned in request order —
+// whatever mix of inline reads and handed-off writes they are.
 func TestServerPipelining(t *testing.T) {
 	ts := startServer(t, Config{}, 4)
 	c := dial(t, ts, 1)
@@ -149,6 +183,12 @@ func TestServerPipelining(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		req := &wire.Request{Op: wire.OpSet, Seq: uint32(i + 1), NS: "p", Key: uint64(i), Value: []byte{byte(i)}}
+		switch i % 4 {
+		case 1:
+			req = &wire.Request{Op: wire.OpGet, Seq: uint32(i + 1), NS: "p", Key: uint64(i / 2)}
+		case 3:
+			req = &wire.Request{Op: wire.OpDel, Seq: uint32(i + 1), NS: "p", Key: uint64(i - 3)}
+		}
 		if err := wire.WriteRequest(bw, req); err != nil {
 			t.Fatalf("WriteRequest(%d): %v", i, err)
 		}
@@ -165,7 +205,7 @@ func TestServerPipelining(t *testing.T) {
 		if resp.Seq != uint32(i+1) {
 			t.Fatalf("response %d carries seq %d: pipelined responses must stay in request order", i, resp.Seq)
 		}
-		if resp.Status != wire.StatusOK && resp.Status != wire.StatusBusy {
+		if resp.Status != wire.StatusOK && resp.Status != wire.StatusBusy && resp.Status != wire.StatusNotFound {
 			t.Fatalf("response %d: %s: %s", i, wire.StatusName(resp.Status), wire.DecodeMessage(resp.Body))
 		}
 	}
@@ -182,6 +222,8 @@ func TestServer64Connections(t *testing.T) {
 
 	const workers = 64
 	const opsPer = 30
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
 	var wg sync.WaitGroup
 	var busy, ok atomic.Int64
 	errCh := make(chan error, workers)
@@ -191,18 +233,21 @@ func TestServer64Connections(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsPer; i++ {
 				key := uint64(w*opsPer + i)
-				err := c.Set("c64", key, []byte(fmt.Sprintf("w%d-%d", w, i)))
-				switch {
-				case err == nil:
-					ok.Add(1)
-				case errors.Is(err, client.ErrBusy):
-					busy.Add(1)
-					i-- // retry after backoff: BUSY is the retryable contract
-					time.Sleep(time.Millisecond)
-				default:
+				val := []byte(fmt.Sprintf("w%d-%d", w, i))
+				// BUSY is the retryable contract, and retrying it means
+				// backing off first.
+				err := client.RetryBusy(ctx, func() error {
+					err := c.Set("c64", key, val)
+					if errors.Is(err, client.ErrBusy) {
+						busy.Add(1)
+					}
+					return err
+				})
+				if err != nil {
 					errCh <- fmt.Errorf("worker %d: %w", w, err)
 					return
 				}
+				ok.Add(1)
 			}
 		}(w)
 	}
@@ -352,21 +397,7 @@ func TestAdmissionRejectsUnderOverload(t *testing.T) {
 
 	// Park a direct engine transaction: it holds the engine's only
 	// writer slot until released.
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	// A failing test must not leave the transaction parked: the server's
-	// cleanup closes the database, which waits for it.
-	t.Cleanup(releaseOnce)
-	parked := make(chan struct{})
-	updDone := make(chan error, 1)
-	go func() {
-		updDone <- ts.db.Update(context.Background(), func(tx *engine.Tx) error {
-			close(parked)
-			<-release
-			return nil
-		})
-	}()
-	<-parked
+	release := parkWriters(t, ts.db, 1)
 
 	// The first network write takes the admission token and blocks on the
 	// engine's writer semaphore.  Wait until it holds the token: a second
@@ -402,10 +433,7 @@ func TestAdmissionRejectsUnderOverload(t *testing.T) {
 
 	// Release the parked writer: the blocked Set completes and the server
 	// serves normally again.
-	releaseOnce()
-	if err := <-updDone; err != nil {
-		t.Fatalf("parked Update: %v", err)
-	}
+	release()
 	if err := <-setDone; err != nil {
 		t.Fatalf("blocked Set: %v", err)
 	}

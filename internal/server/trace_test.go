@@ -40,24 +40,7 @@ func startTracedServer(t *testing.T, slow time.Duration) (*testServer, *obs.Regi
 	if err != nil {
 		t.Fatalf("engine.Open: %v", err)
 	}
-	srv, err := New(db, Config{Writers: 4, Obs: reg, Tracer: db.Tracer()})
-	if err != nil {
-		db.Close()
-		t.Fatalf("server.New: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(ln)
-	ts := &testServer{srv: srv, db: db, dir: dir, addr: ln.Addr().String()}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		ts.srv.Shutdown(ctx)
-		ts.db.Close()
-	})
-	return ts, reg
+	return serveDB(t, db, dir, Config{Writers: 4, Obs: reg, Tracer: db.Tracer()}), reg
 }
 
 // TestTraceServerPinsSlowRequest drives a traced client through the full

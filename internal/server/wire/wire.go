@@ -41,10 +41,19 @@
 //
 // An OK Get carries [value length u32][value]; an OK Scan carries
 // [count u32] then count * ([key u64][value length u32][value]); any
-// non-OK status carries [message length u32][message].  Responses to one
-// connection are delivered in request order, so a client may pipeline:
-// the sequence number is a convenience for demultiplexing concurrent
-// callers, not a reordering mechanism.
+// non-OK status carries [message length u32][message].
+//
+// Ordering.  Responses to one connection are delivered in request order,
+// so a client may pipeline: the sequence number is a convenience for
+// demultiplexing concurrent callers, not a reordering mechanism.  The
+// order of effects is per key: pipelined requests of one connection that
+// name the same (namespace, key), at least one of them a Set or Del, take
+// effect in the order sent — a Get sent after a Set of its key reads that
+// Set — while single-key requests on different keys may execute
+// concurrently and commit in any order.  Every other request (Ping,
+// Create, Scan, Begin, Commit, Abort, and any request inside a batch)
+// takes effect after all requests sent before it on the connection and
+// before all sent after it.
 package wire
 
 import (
