@@ -40,7 +40,10 @@ func (b *lockedBacking) evict(v Victim) error {
 // concurrent misses, evictions and re-fetches of the same pages overlap.
 // Run under -race it verifies the frame latching: no goroutine may observe
 // a half-loaded frame (the fill pattern would be torn) and pin accounting
-// must stay balanced.
+// must stay balanced.  Sixteen goroutines each hold one pin on eight
+// frames, so an allocation waits for a pin to be released, as it does in
+// the engine under page locks; failing fast on over-subscription is
+// TestPinWaitBlocksInsteadOfFailing's subject, not this test's.
 func TestConcurrentGetUnpin(t *testing.T) {
 	const (
 		pages      = 64
@@ -56,6 +59,7 @@ func TestConcurrentGetUnpin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetPinWait(true)
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -176,7 +176,9 @@ type Config struct {
 	// GroupCommitWindow is the leader's collection window for batching
 	// commit-time log forces under PageLocks: zero selects
 	// DefaultGroupCommitWindow, a negative value disables batching.  It
-	// is ignored without PageLocks, where commits cannot overlap.
+	// is ignored without PageLocks, where commits cannot overlap, and on
+	// a log device with a durability barrier (files), where the barrier
+	// in flight paces the batches and nothing is timed.
 	GroupCommitWindow time.Duration
 	// WalSegments selects the WAL front end: zero runs the lock-free
 	// commit pipeline with the default log-buffer geometry, 1 selects the

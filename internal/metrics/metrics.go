@@ -342,8 +342,8 @@ type WalStats struct {
 	SyncTime time.Duration
 	// DurableWaits counts committers parked on the durable-LSN waitlist.
 	DurableWaits int64
-	// TornSlotWrites counts partial tail blocks staged through the
-	// double-write slot before being rewritten in place.
+	// TornSlotWrites counts log tail entries written: images of the
+	// partial tail block on devices with a barrier (at most one per force).
 	TornSlotWrites int64
 }
 

@@ -62,6 +62,12 @@ const (
 // attempts with jittered exponential backoff so that requests refused
 // together do not come back together.  When ctx ends first it returns an
 // error matching both ctx.Err() and ErrBusy.
+//
+// The steps below a millisecond are what is asked for, not what is slept:
+// the host's timer rounds a short wait up (measured on the benchmark host:
+// 200 µs asked, 1.12 ms slept at the median of 2 000, 1.04 ms at the least), so
+// the first four steps all wait about a millisecond and what spreads them
+// is the timer, not the draw.
 func RetryBusy(ctx context.Context, op func() error) error {
 	for step := busyBackoffMin; ; step = min(2*step, busyBackoffMax) {
 		err := op()

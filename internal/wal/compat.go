@@ -12,8 +12,9 @@ import (
 // This is the pre-pipeline log path, kept as the ablation baseline and as
 // the simplest-possible reference implementation: one mutex serializes
 // Append and Force, and the leader/follower group-commit protocol batches
-// concurrent forces.  It shares the on-device format, the torn-tail
-// double-write slot, and the stats counters with the pipeline front end.
+// concurrent forces.  It shares the on-device format, the log tail entries,
+// the collection-window rule and the stats counters with the pipeline front
+// end.
 
 // forceBatch is one group-commit round: the leader's collection state and
 // the channel its followers wait on.
@@ -63,7 +64,6 @@ func (m *Manager) forceLocked(lsn page.LSN) error {
 		return nil
 	}
 	m.gcRequests.Add(1)
-	gcWindow := time.Duration(m.gcWindowNS.Load())
 	for {
 		if lsn <= m.Durable() {
 			// Another caller's write covered this request.
@@ -82,12 +82,12 @@ func (m *Manager) forceLocked(lsn page.LSN) error {
 			}
 			continue
 		}
-		if gcWindow > 0 && m.effectiveCommitters() > 1 && m.shouldCollectSolo(m.gcSolo) {
-			// Become the leader: collect followers for up to gcWindow,
+		if window := m.collectionWindow(); window > 0 {
+			// Become the leader: collect followers for up to the window,
 			// or until every registered committer has joined.
 			b := &forceBatch{requests: 1, full: make(chan struct{}), done: make(chan struct{})}
 			m.batch = b
-			timer := time.NewTimer(gcWindow)
+			timer := time.NewTimer(window)
 			m.mu.Unlock()
 			select {
 			case <-b.full:
@@ -98,11 +98,7 @@ func (m *Manager) forceLocked(lsn page.LSN) error {
 			//lint:allow facevet/nolockio compat-mode group commit: the elected leader writes the batched tail under the append mutex by documented design
 			err := m.writeTailLocked()
 			m.batch = nil
-			if b.requests > 1 {
-				m.gcSolo = 0
-			} else {
-				m.gcSolo++
-			}
+			m.noteBatch(b.requests)
 			b.err = err
 			close(b.done)
 			if err != nil {
@@ -112,39 +108,12 @@ func (m *Manager) forceLocked(lsn page.LSN) error {
 			// includes lsn (it was <= next on entry).
 			return nil
 		}
-		// No batching possible (no window, no concurrent committers, or
-		// a solo streak proved the hint stale): write immediately.  Only
-		// forces that could actually have collected — at least one
-		// committer registered — advance the solo streak; lifecycle
-		// forces (checkpoint, close) run with transactions fenced out
-		// and say nothing about the hint's staleness.
-		if gcWindow > 0 && m.dynCommitters() >= 1 && m.effectiveCommitters() > 1 {
-			m.gcSolo++
-		}
+		// No batching possible (a device with a barrier, no window, no
+		// concurrent committers, or a solo streak proved the hint
+		// stale): write immediately.
+		m.noteBatch(1)
 		return m.writeTailLocked()
 	}
-}
-
-// shouldCollectSolo decides whether a would-be leader (or the syncer)
-// pays the collection window given the current solo streak: never when no
-// committer is even registered (the force comes from a lifecycle path —
-// checkpoint, close — that runs with transactions fenced out, so nobody
-// can join); always while companions have been showing up; and
-// periodically as a probe once a solo streak suggests the committer hint
-// is stale.  Genuine concurrency (dynamic tally above one) always
-// collects.
-func (m *Manager) shouldCollectSolo(solo int) bool {
-	dyn := m.dynCommitters()
-	if dyn == 0 {
-		return false
-	}
-	if dyn > 1 {
-		return true
-	}
-	if solo < soloStreakLimit {
-		return true
-	}
-	return solo%soloProbeEvery == soloProbeEvery-1
 }
 
 // writeTailLocked writes the whole pending tail to the device, advancing
@@ -170,7 +139,7 @@ func (m *Manager) writeTailLocked() error {
 		copy(blkData, data[i*device.BlockSize:end])
 		pages[i] = blkData
 	}
-	if err := m.writeBlocks(startBlk, pages, len(m.partial) > 0); err != nil {
+	if err := m.writeBlocks(startBlk, pages, len(data)%device.BlockSize); err != nil {
 		return err
 	}
 	// The durability barrier comes before durable advances: on file-backed

@@ -18,18 +18,19 @@ import (
 const controlBlocks = 1
 
 // controlMagic identifies an initialised control block of the current
-// record format (edit-list update records).  oldControlMagic is what the
-// single-range format wrote; such a log cannot be read by this code.
+// format (edit-list update records, two log tail entries).  Magics from
+// oldestControlMagic up to it were written by earlier formats — single-range
+// update records, then a two-block double-write slot — which this code
+// cannot read.
 const (
-	controlMagic    = 0xFACE10C1
-	oldControlMagic = 0xFACE10C0
+	controlMagic       = 0xFACE10C2
+	oldestControlMagic = 0xFACE10C0
 )
 
-// ErrOldFormat is returned by Open for a log written in an earlier record
-// format.  Restart the version that wrote it, close the database cleanly
-// (so nothing in the log is needed any more) and start over with a fresh
-// log device.
-var ErrOldFormat = errors.New("wal: log was written in an older record format")
+// ErrOldFormat is returned by Open for a log written in an earlier format.
+// Restart the version that wrote it, close the database cleanly (so nothing
+// in the log is needed any more) and start over with a fresh log device.
+var ErrOldFormat = errors.New("wal: log was written in an older format")
 
 // Default commit-pipeline geometry: the in-memory log buffer is a ring of
 // DefaultSegments segments of DefaultSegmentBytes each that committers
@@ -68,9 +69,11 @@ type Config struct {
 // Force parks the caller on a durable-LSN waitlist serviced by a dedicated
 // syncer goroutine that coalesces concurrent requests into one device
 // write + fsync round (syncer.go).  On devices with a real durability
-// barrier the partial tail block is staged through a double-write slot at
-// the end of the device before being rewritten in place, so a torn 4 KiB
-// write cannot clip previously durable records (tornslot.go).
+// barrier a round is one write and one barrier: the partial tail block
+// goes to whichever of two entries at the end of the device does not hold
+// the newest durable image, so a torn 4 KiB write cannot clip acknowledged
+// records (tornslot.go), and nothing times a batch: the forces that arrive
+// while one round's barrier is in flight are the next round's batch (collect).
 //
 // Config{Segments: 1} selects the historical mutex path instead
 // (compat.go); the on-device format is identical in both modes.
@@ -86,15 +89,20 @@ type Manager struct {
 	base page.LSN
 
 	// protect is set when the device has a durability barrier
-	// (device.Syncer) and room for the torn-tail double-write slot; the
-	// partial tail block is then staged through the slot before every
-	// in-place rewrite.  dataBlocks is the device capacity available to
-	// log data (the slot blocks at the device end are excluded).
+	// (device.Syncer) and room for the log tail entries: the partial tail
+	// block then goes to an entry, not in place, and no force waits in a
+	// timed window.  dataBlocks is the device capacity available to log
+	// data (the entry blocks at the device end are excluded).
 	protect    bool
 	dataBlocks int64
-	// tornMeta is the slot's metadata block (allocated when protect is
-	// set), owned by the flushing goroutine (see writeTornSlot).
-	tornMeta []byte
+	// Log tail entry state (tornslot.go), owned by the flushing goroutine:
+	// the entry under construction, the last sequence number used, the
+	// index of the entry holding the newest image a successful barrier
+	// covered, and whether the other entry has been written since.
+	tailBuf     []byte
+	tailSeq     uint64
+	tailDurable int
+	tailPending bool
 
 	// Hot read-only state is atomic so stats sampling (engine.Snapshot)
 	// never contends with the commit path.
@@ -122,9 +130,12 @@ type Manager struct {
 	// hint matters on machines where concurrent commits never overlap by
 	// chance (few cores): it tells the first force of a batch to open a
 	// collection window so the other committers get scheduled into it.
+	// gcSolo counts consecutive forces that found no companion while a
+	// committer hint was active; see collectionWindow.
 	gcWindowNS     atomic.Int64
 	committers     atomic.Int64
 	committersHint atomic.Int64
+	gcSolo         atomic.Int32
 
 	closed atomic.Bool
 
@@ -140,9 +151,6 @@ type Manager struct {
 	// appended to it).  The pipeline moves it into its own state at Open.
 	partial []byte
 	batch   *forceBatch
-	// gcSolo counts consecutive forces that found no companion while a
-	// committer hint was active; see shouldCollect.
-	gcSolo int
 }
 
 // Adaptive solo-leader thresholds: after soloStreakLimit companion-less
@@ -166,24 +174,23 @@ func OpenConfig(dev device.Dev, cfg Config) (*Manager, error) {
 	if _, ok := dev.(device.Syncer); ok && dev.NumBlocks() >= controlBlocks+tornSlotBlocks+1 {
 		m.protect = true
 		m.dataBlocks -= tornSlotBlocks
-		m.tornMeta = make([]byte, device.BlockSize)
+		m.tailBuf = make([]byte, tailEntryBlocks*device.BlockSize)
 	}
 	ctrl := make([]byte, device.BlockSize)
 	if err := dev.ReadAt(0, ctrl); err != nil {
 		return nil, fmt.Errorf("wal: reading control block: %w", err)
 	}
-	switch binary.LittleEndian.Uint32(ctrl[0:]) {
-	case oldControlMagic:
-		return nil, fmt.Errorf("%w (control magic %#x, this version reads %#x)", ErrOldFormat, uint32(oldControlMagic), uint32(controlMagic))
-	case controlMagic:
+	switch magic := binary.LittleEndian.Uint32(ctrl[0:]); {
+	case magic >= oldestControlMagic && magic < controlMagic:
+		return nil, fmt.Errorf("%w (control magic %#x, this version reads %#x)", ErrOldFormat, magic, uint32(controlMagic))
+	case magic == controlMagic:
 		m.lastCheckpoint.Store(binary.LittleEndian.Uint64(ctrl[4:]))
 		m.base = page.LSN(binary.LittleEndian.Uint64(ctrl[20:]))
-		// Repair a torn tail block from the double-write slot before
-		// trusting anything the end-of-log scan reads.
-		if m.protect {
-			if err := m.repairTornTail(); err != nil {
-				return nil, err
-			}
+		// Copy the log tail entries into place before trusting anything
+		// the end-of-log scan reads.
+		newest, err := m.repairTail()
+		if err != nil {
+			return nil, err
 		}
 		// The control block is only rewritten at checkpoints (real systems
 		// do not touch their control file on every commit), so the durable
@@ -202,18 +209,20 @@ func OpenConfig(dev device.Dev, cfg Config) (*Manager, error) {
 		if err := m.loadPartial(); err != nil {
 			return nil, err
 		}
-		return m, m.start(cfg)
-	}
-	// Fresh log.
-	if err := m.writeControl(); err != nil {
-		return nil, err
-	}
-	// A slot left behind by an earlier log incarnation on the same device
-	// must not repair a block of the new log.
-	if m.protect {
-		if err := m.invalidateTornSlot(); err != nil {
+		if err := m.stageRecoveredTail(newest); err != nil {
 			return nil, err
 		}
+		return m, m.start(cfg)
+	}
+	// Fresh log.  An entry of an earlier log on the same device must not
+	// repair a block of this one: the entries go before the log exists.
+	if m.protect {
+		if err := m.invalidateTailEntries(); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.writeControl(); err != nil {
+		return nil, err
 	}
 	return m, m.start(cfg)
 }
@@ -371,31 +380,42 @@ func (m *Manager) writeControl() error {
 	return device.Sync(m.dev)
 }
 
-// writeBlocks writes a run of log blocks, staging the first block through
-// the torn-tail double-write slot when it extends a previously durable
-// partial block on a device without atomic block writes.  Both front ends
+// writeBlocks writes a run of log blocks of which the last holds tailUsed
+// bytes (0 = it is full); on a device without atomic block writes a partial
+// last block goes to a log tail entry, not in place.  Both front ends
 // funnel their device writes through here.
-func (m *Manager) writeBlocks(startBlk int64, pages [][]byte, firstPartial bool) error {
+func (m *Manager) writeBlocks(startBlk int64, pages [][]byte, tailUsed int) error {
 	if startBlk+int64(len(pages)) > m.dataBlocks {
 		return fmt.Errorf("wal: log device full (%d blocks)", m.dataBlocks)
 	}
-	if m.protect && firstPartial && len(pages) > 0 {
-		if err := m.writeTornSlot(startBlk, pages[0]); err != nil {
-			return err
+	var tail []byte
+	if m.protect && tailUsed > 0 {
+		tail = pages[len(pages)-1][:tailUsed]
+		pages = pages[:len(pages)-1]
+	}
+	if len(pages) > 0 {
+		if err := m.dev.WriteRun(startBlk, pages); err != nil {
+			return fmt.Errorf("wal: flushing log: %w", err)
 		}
 	}
-	if err := m.dev.WriteRun(startBlk, pages); err != nil {
-		return fmt.Errorf("wal: flushing log: %w", err)
+	if tail != nil {
+		return m.writeTailEntry(startBlk+int64(len(pages)), tail)
 	}
 	return nil
 }
 
-// syncDevice issues the durability barrier and accounts for it.
+// syncDevice issues the durability barrier and accounts for it.  Flusher
+// only: success makes the entry written since the last barrier the newest
+// durable image of the log tail.
 func (m *Manager) syncDevice() error {
 	start := time.Now()
 	err := device.Sync(m.dev)
 	m.syncCount.Add(1)
 	m.syncNS.Add(int64(time.Since(start)))
+	if err == nil && m.tailPending {
+		m.tailDurable ^= 1
+		m.tailPending = false
+	}
 	return err
 }
 
@@ -458,30 +478,31 @@ func (m *Manager) Forces() int64 { return m.forcesA.Load() }
 func (m *Manager) Pipelined() bool { return m.pipe != nil }
 
 // SetGroupCommitWindow sets the collection window for coalescing commit
-// forces.  Zero (the default) disables batching: every Force that finds
-// the log short of its LSN triggers an immediate flush round.  The engine
-// enables a small window under the multi-writer scheduler, where
-// concurrent committers can actually fill a batch.
+// forces on devices without a durability barrier (see collectionWindow).
+// Zero (the default) disables it: every Force that finds the log short of
+// its LSN triggers an immediate flush round.  The engine enables a small
+// window under the multi-writer scheduler, where committers can overlap.
 func (m *Manager) SetGroupCommitWindow(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	m.gcWindowNS.Store(int64(d))
+	m.gcWindowNS.Store(int64(max(d, 0)))
 }
 
 // AddCommitter adjusts the number of registered committers (transactions
-// currently able to request a commit force).  A collecting flush round
-// completes early once every registered committer has joined, so
-// single-writer phases pay no window latency.
+// currently able to request a commit force).  A round collects until every
+// registered committer has joined, so single-writer phases pay no window;
+// only a force that sits in a timed window is woken to re-read the count.
 func (m *Manager) AddCommitter(delta int) {
 	m.committers.Add(int64(delta))
-	if m.pipe != nil {
-		m.pipe.kick()
-		return
+	switch {
+	case m.protect:
+	case m.pipe != nil:
+		if m.pipe.collecting.Load() {
+			m.pipe.kick()
+		}
+	default:
+		m.mu.Lock()
+		m.checkBatchFullLocked()
+		m.mu.Unlock()
 	}
-	m.mu.Lock()
-	m.checkBatchFullLocked()
-	m.mu.Unlock()
 }
 
 // SetCommitters sets a static expected-committer count that overrides the
@@ -496,16 +517,37 @@ func (m *Manager) SetCommitters(n int) {
 		n = 0
 	}
 	m.committersHint.Store(int64(n))
-	if m.pipe != nil {
-		// A fresh expectation invalidates any stale-solo verdict.
-		m.pipe.resetSolo()
-		m.pipe.kick()
-		return
+	m.gcSolo.Store(0) // a fresh expectation invalidates any stale-solo verdict
+	m.AddCommitter(0) // lets a collecting force re-read the count
+}
+
+// collectionWindow is the one rule both front ends ask before a force waits
+// on a timer for companions; zero means do not.  On a device with a barrier
+// it is always zero: a timer this short only adds the timer's slack (200 µs
+// asked is 1.1 ms slept) to every commit.  A simulated device finishes a
+// force in no wall-clock time, so there the window is the only stand-in for
+// barrier latency: paid when more than one committer is expected and one is
+// registered (none: a lifecycle force nobody can join); with exactly one
+// registered, only until a solo streak suggests the hint is stale, and then
+// periodically as a probe.
+func (m *Manager) collectionWindow() time.Duration {
+	dyn, solo := m.dynCommitters(), int(m.gcSolo.Load())
+	if m.protect || m.effectiveCommitters() <= 1 || dyn == 0 ||
+		(dyn == 1 && solo >= soloStreakLimit && solo%soloProbeEvery != soloProbeEvery-1) {
+		return 0
 	}
-	m.mu.Lock()
-	m.gcSolo = 0
-	m.checkBatchFullLocked()
-	m.mu.Unlock()
+	return time.Duration(m.gcWindowNS.Load())
+}
+
+// noteBatch keeps the solo streak: a round that served several forces
+// resets it, a lone one that could have collected — a window is set, a
+// committer is registered, more are expected — extends it.
+func (m *Manager) noteBatch(forces int) {
+	if forces > 1 {
+		m.gcSolo.Store(0)
+	} else if m.gcWindowNS.Load() > 0 && m.dynCommitters() >= 1 && m.effectiveCommitters() > 1 {
+		m.gcSolo.Add(1)
+	}
 }
 
 // CommittersHint returns the static expected-committer count (zero when
@@ -513,13 +555,7 @@ func (m *Manager) SetCommitters(n int) {
 func (m *Manager) CommittersHint() int { return int(m.committersHint.Load()) }
 
 // dynCommitters returns the dynamic committer tally, floored at zero.
-func (m *Manager) dynCommitters() int {
-	n := m.committers.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n)
-}
+func (m *Manager) dynCommitters() int { return int(max(m.committers.Load(), 0)) }
 
 // effectiveCommitters returns the committer count batching decisions use:
 // the static hint when set, the dynamic tally otherwise.
@@ -596,7 +632,9 @@ func (m *Manager) Crash() {
 
 // Iterate replays durable log records with LSN >= from, in order.  The
 // callback receives each decoded record; iteration stops at the durable end
-// of the log or when the callback returns an error.
+// of the log or when the callback returns an error.  It reads log blocks
+// only: on a device with a barrier, what was forced since Open into the
+// partial tail block is in a log tail entry until the next Open.
 func (m *Manager) Iterate(from page.LSN, fn func(*Record) error) error {
 	durable := m.Durable()
 	if from < m.base {

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -192,70 +191,10 @@ func TestWalCompatModeSingleSegment(t *testing.T) {
 	}
 }
 
-// TestWalTornTailRepairedBySlot simulates a torn in-place rewrite of the
-// partial tail block: on a device with a durability barrier the
-// double-write slot must restore the staged image at Open, so every
-// acknowledged record survives.
-func TestWalTornTailRepairedBySlot(t *testing.T) {
-	inner := device.New("log", device.ProfileCheetah15K, 1<<12)
-	rec := &syncRecorder{Dev: inner}
-	m, err := Open(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First force: the tail block is fresh (no staging needed).  Second
-	// force rewrites the now-partial tail block in place and must stage it
-	// through the slot first.
-	if _, err := m.Append(&Record{Type: TypeCommit, TxID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Append(&Record{Type: TypeCommit, TxID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
-	if s := m.Stats(); s.TornSlotWrites == 0 {
-		t.Fatal("rewriting a partial tail block did not stage through the torn-tail slot")
-	}
-	durable := m.Durable()
-	if m.off(durable)%device.BlockSize == 0 {
-		t.Fatal("test setup: tail block is not partial")
-	}
-	m.Crash()
-
-	// Tear the in-place rewrite: garbage the whole tail block, as a
-	// host crash mid-write would.
-	tailBlk := int64(m.off(durable)/device.BlockSize) + controlBlocks
-	if err := inner.WriteAt(tailBlk, bytes.Repeat([]byte{0xFF}, device.BlockSize)); err != nil {
-		t.Fatal(err)
-	}
-
-	m2, err := Open(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Durable() != durable {
-		t.Fatalf("recovered durable %d, want %d: torn tail not repaired", m2.Durable(), durable)
-	}
-	var commits []TxID
-	if err := m2.Iterate(0, func(r *Record) error {
-		commits = append(commits, r.TxID)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(commits) != 2 || commits[0] != 1 || commits[1] != 2 {
-		t.Fatalf("recovered commits %v, want [1 2]", commits)
-	}
-}
-
-// TestWalTornTailUnprotectedLoses is the control for the repair test: on a
-// simulated device (no durability barrier, atomic block writes assumed)
-// the slot is inactive and no staging I/O is paid.
+// TestWalTornTailUnprotectedLoses is the control for the torn-write sweep
+// (tear_test.go): on a simulated device (no durability barrier, atomic block
+// writes assumed) the partial tail is rewritten in place and no log tail
+// entry is ever written.
 func TestWalTornTailUnprotectedLoses(t *testing.T) {
 	m, err := Open(newLogDevice())
 	if err != nil {
@@ -274,19 +213,23 @@ func TestWalTornTailUnprotectedLoses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := m.Stats(); s.TornSlotWrites != 0 {
-		t.Fatalf("simulated device paid %d torn-slot staging writes", s.TornSlotWrites)
+		t.Fatalf("simulated device paid %d log tail entry writes", s.TornSlotWrites)
 	}
 }
 
 // TestWalSyncerFsyncFailureUnparksWaiters: an injected fsync failure must
 // leave durable unmoved and unpark every parked Force caller with the
-// error; once the barrier works again the same records become durable.
+// error; once the barrier works again the same records become durable — by
+// a barrier alone, nothing is written twice — and the entry that barrier
+// covered is the one the next round leaves alone: garbling the entry that
+// round writes loses none of them.
 func TestWalSyncerFsyncFailureUnparksWaiters(t *testing.T) {
-	rec := &syncRecorder{Dev: device.New("log", device.ProfileCheetah15K, 1<<12)}
-	m, err := Open(rec)
+	dev := newTearDev(nil)
+	m, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	const committers = 4
 	lsns := make([]page.LSN, committers)
 	for i := range lsns {
@@ -298,9 +241,7 @@ func TestWalSyncerFsyncFailureUnparksWaiters(t *testing.T) {
 	}
 
 	wantErr := errors.New("injected fsync failure")
-	rec.mu.Lock()
-	rec.syncErr = wantErr
-	rec.mu.Unlock()
+	dev.failSyncs(wantErr)
 
 	durableBefore := m.Durable()
 	errs := make(chan error, committers)
@@ -331,13 +272,29 @@ func TestWalSyncerFsyncFailureUnparksWaiters(t *testing.T) {
 		t.Fatalf("DurableWaits = %d, want >= %d", s.DurableWaits, committers)
 	}
 
-	rec.mu.Lock()
-	rec.syncErr = nil
-	rec.mu.Unlock()
+	dev.failSyncs(nil)
+	writes := m.Stats().TornSlotWrites
 	if err := m.ForceAll(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Durable() != m.Next() {
 		t.Fatal("records did not become durable after the barrier recovered")
+	}
+	if w := m.Stats().TornSlotWrites; w != writes {
+		t.Fatalf("the retried barrier came with %d more entry writes", w-writes)
+	}
+
+	retried := dev.events()
+	commitOne(t, m, committers+1)
+	if blk := dev.journal[retried].blk; blk < m.dataBlocks {
+		t.Fatalf("the round after the retry wrote block %d, want a log tail entry", blk)
+	}
+	run, recs, err := reopen(Config{}, crashImage(nil, dev.journal, retried, 0, tear{damaged: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.m.Close()
+	if len(recs) != committers {
+		t.Fatalf("%d records recovered after a tear of the round that followed the retry, want %d", len(recs), committers)
 	}
 }

@@ -140,21 +140,28 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// TestOldFormatLogRefused: Open on a device whose control block carries the
-// previous format's magic fails with ErrOldFormat and leaves it alone.
+// TestOldFormatLogRefused: Open on a device whose control block carries an
+// earlier format's magic — single-range update records, or the two-block
+// double-write slot the log tail entries replaced — fails with ErrOldFormat
+// and leaves the device alone, on devices with and without a barrier.
 func TestOldFormatLogRefused(t *testing.T) {
-	dev := newLogDevice()
-	ctrl := make([]byte, device.BlockSize)
-	binary.LittleEndian.PutUint32(ctrl, oldControlMagic)
-	if err := dev.WriteAt(0, ctrl); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dev); !errors.Is(err, ErrOldFormat) {
-		t.Fatalf("Open = %v, want ErrOldFormat", err)
-	}
-	got := make([]byte, device.BlockSize)
-	if err := dev.ReadAt(0, got); err != nil || !bytes.Equal(got, ctrl) {
-		t.Fatalf("control block rewritten (%v)", err)
+	for _, magic := range []uint32{oldestControlMagic, controlMagic - 1} {
+		ctrl := make([]byte, device.BlockSize)
+		binary.LittleEndian.PutUint32(ctrl, magic)
+		plain := newLogDevice()
+		if err := plain.WriteAt(0, ctrl); err != nil {
+			t.Fatal(err)
+		}
+		plain.ResetStats()
+		barrier := newTearDev(map[int64][]byte{0: ctrl})
+		for _, dev := range []device.Dev{plain, barrier} {
+			if _, err := Open(dev); !errors.Is(err, ErrOldFormat) {
+				t.Fatalf("magic %#x: Open = %v, want ErrOldFormat", magic, err)
+			}
+		}
+		if w := plain.Stats().Writes() + int64(barrier.events()); w != 0 {
+			t.Fatalf("magic %#x: Open wrote %d blocks to logs it refused", magic, w)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/reprolab/face/internal/page"
 )
@@ -79,12 +78,15 @@ type pipeline struct {
 	// Appends stalled on a ring that can no longer drain fail with it.
 	flushErr atomic.Pointer[errBox]
 
-	// flushWanted asks the syncer for a write-only round (ring full).
+	// flushWanted asks the syncer for a write-only round (ring full); the
+	// reservers that asked sleep on space until flushedOff moves, the flush
+	// error latches or the manager stops (space.L guards only the wait).
 	flushWanted atomic.Bool
+	space       *sync.Cond
 
-	// gcSolo is the solo-force streak for the stale-hint heuristic
-	// (atomic: SetCommitters resets it from client goroutines).
-	gcSolo atomic.Int32
+	// collecting is set while the syncer sits in its collection window,
+	// the only time a change of the committer count must wake it.
+	collecting atomic.Bool
 
 	stopped atomic.Bool
 
@@ -141,6 +143,7 @@ func newPipeline(m *Manager, segments, segmentBytes int) (*pipeline, error) {
 		ringMask:  ringBytes - 1,
 		slots:     make([]atomic.Uint64, nSlots),
 		slotMask:  nSlots - 1,
+		space:     sync.NewCond(new(sync.Mutex)),
 		kickCh:    make(chan struct{}, 1),
 		quitCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
@@ -201,8 +204,15 @@ func (p *pipeline) append(r *Record) (page.LSN, error) {
 				stalled = true
 				m.reserveStalls.Add(1)
 			}
+			// Sleep until a round has freed ring space (or none ever
+			// will); re-reading under the lock loses no wake-up.
+			flushed := p.flushedOff.Load()
 			p.kickFlush()
-			time.Sleep(20 * time.Microsecond)
+			p.space.L.Lock()
+			if p.flushedOff.Load() == flushed && p.flushErr.Load() == nil && !p.stopped.Load() {
+				p.space.Wait()
+			}
+			p.space.L.Unlock()
 			continue
 		}
 		// Bump index (bits 40+) and offset (low bits) together; offsets
@@ -269,4 +279,9 @@ func (p *pipeline) kickFlush() {
 	p.kick()
 }
 
-func (p *pipeline) resetSolo() { p.gcSolo.Store(0) }
+// wakeReservers wakes the appenders stalled on a full ring.
+func (p *pipeline) wakeReservers() {
+	p.space.L.Lock()
+	p.space.Broadcast()
+	p.space.L.Unlock()
+}

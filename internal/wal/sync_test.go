@@ -2,151 +2,112 @@ package wal
 
 // Sync-ordering tests: on a device with a durability barrier (file-backed
 // devices), Force must not return before the barrier, and a failed barrier
-// must not let durable advance.  The tests drive the manager over a
-// recording wrapper so they run against the simulated device yet assert
-// the exact write/sync interleaving a file-backed device would see.
+// must not let durable advance.  The tests drive the manager over tearDev
+// (tear_test.go), which journals every write and barrier, so they run
+// against the simulated device yet assert the exact write/sync interleaving
+// a file-backed device would see.
 
 import (
 	"errors"
-	"sync"
 	"testing"
-
-	"github.com/reprolab/face/internal/device"
 )
 
-// syncRecorder wraps a device, records the order of write and sync events,
-// and implements device.Syncer with optional fault injection.
-type syncRecorder struct {
-	device.Dev
-
-	mu      sync.Mutex
-	events  []string
-	syncErr error
-}
-
-func (r *syncRecorder) record(ev string) {
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.mu.Unlock()
-}
-
-func (r *syncRecorder) WriteAt(blk int64, p []byte) error {
-	if err := r.Dev.WriteAt(blk, p); err != nil {
-		return err
-	}
-	r.record("write")
-	return nil
-}
-
-func (r *syncRecorder) WriteRun(blk int64, pages [][]byte) error {
-	if err := r.Dev.WriteRun(blk, pages); err != nil {
-		return err
-	}
-	r.record("write")
-	return nil
-}
-
-func (r *syncRecorder) Sync() error {
-	r.mu.Lock()
-	err := r.syncErr
-	r.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	r.record("sync")
-	return nil
-}
-
-func (r *syncRecorder) reset() {
-	r.mu.Lock()
-	r.events = nil
-	r.mu.Unlock()
-}
-
-func (r *syncRecorder) snapshot() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.events...)
-}
-
 func TestForceSyncsAfterWrite(t *testing.T) {
-	rec := &syncRecorder{Dev: device.New("log", device.ProfileCheetah15K, 1<<12)}
-	m, err := Open(rec)
+	dev := newTearDev(nil)
+	m, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.reset()
+	defer m.Close()
+	opened := dev.events()
 
 	lsn, err := m.Append(&Record{Type: TypeCommit, TxID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.snapshot(); len(got) != 0 {
-		t.Fatalf("Append touched the device: %v", got)
+	if got := dev.events(); got != opened {
+		t.Fatalf("Append touched the device: %d events", got-opened)
 	}
 	if err := m.Force(lsn + 1); err != nil {
 		t.Fatal(err)
 	}
-	events := rec.snapshot()
-	if len(events) == 0 {
-		t.Fatal("Force performed no device I/O")
-	}
+	events := dev.journal[opened:]
 	// Every write must be followed by a sync before Force returns: the
-	// last event is the barrier, and no write may trail it.
-	if events[len(events)-1] != "sync" {
-		t.Fatalf("Force returned with trailing events %v; the last must be sync", events)
+	// first event is a write, the last the barrier, and it is the only one.
+	if len(events) < 2 || events[0].blk < 0 || events[len(events)-1].blk >= 0 {
+		t.Fatalf("Force left events %+v; want writes, then the barrier", events)
 	}
-	sawWrite := false
-	for _, ev := range events {
-		if ev == "write" {
-			sawWrite = true
+	for _, ev := range events[:len(events)-1] {
+		if ev.blk < 0 {
+			t.Fatalf("Force issued more than one barrier: %+v", events)
 		}
 	}
-	if !sawWrite {
-		t.Fatalf("no write recorded before the sync: %v", events)
-	}
 	// Already durable: no further I/O.
-	rec.reset()
+	forced := dev.events()
 	if err := m.Force(lsn); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.snapshot(); len(got) != 0 {
-		t.Fatalf("redundant Force touched the device: %v", got)
+	if got := dev.events(); got != forced {
+		t.Fatalf("redundant Force touched the device: %d events", got-forced)
 	}
 }
 
+// TestForceFailedSyncDoesNotAdvanceDurable, on both front ends: a failed
+// barrier moves neither durable nor "newest durable image" — the round
+// after it writes the same log tail entry again, never the one holding the
+// last acknowledged image, so garbling what that round writes loses
+// nothing that was acknowledged.
 func TestForceFailedSyncDoesNotAdvanceDurable(t *testing.T) {
-	rec := &syncRecorder{Dev: device.New("log", device.ProfileCheetah15K, 1<<12)}
-	m, err := Open(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, cfg := range []Config{{}, {Segments: 1}} {
+		dev := newTearDev(nil)
+		m, err := OpenConfig(dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entryOf := func(event int) int64 {
+			blk := dev.journal[event].blk
+			if blk < m.dataBlocks {
+				t.Fatalf("segments %d: event %d wrote block %d, want a log tail entry", cfg.Segments, event, blk)
+			}
+			return blk
+		}
+		acked := dev.events()
+		commitOne(t, m, 1)
 
-	wantErr := errors.New("injected fsync failure")
-	rec.mu.Lock()
-	rec.syncErr = wantErr
-	rec.mu.Unlock()
+		wantErr := errors.New("injected fsync failure")
+		dev.failSyncs(wantErr)
+		durableBefore := m.Durable()
+		failed := dev.events()
+		lsn, err := m.Append(&Record{Type: TypeCommit, TxID: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Force(lsn + 1); !errors.Is(err, wantErr) {
+			t.Fatalf("Force with failing sync: %v, want injected error", err)
+		}
+		if got := m.Durable(); got != durableBefore {
+			t.Fatalf("durable advanced to %d despite failed sync (was %d)", got, durableBefore)
+		}
 
-	durableBefore := m.Durable()
-	lsn, err := m.Append(&Record{Type: TypeCommit, TxID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Force(lsn + 1); !errors.Is(err, wantErr) {
-		t.Fatalf("Force with failing sync: %v, want injected error", err)
-	}
-	if got := m.Durable(); got != durableBefore {
-		t.Fatalf("durable advanced to %d despite failed sync (was %d)", got, durableBefore)
-	}
-
-	// Once the barrier works again the same records become durable.
-	rec.mu.Lock()
-	rec.syncErr = nil
-	rec.mu.Unlock()
-	if err := m.Force(lsn + 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Durable(); got <= durableBefore {
-		t.Fatalf("durable did not advance after successful retry: %d", got)
+		// Once the barrier works again the same records become durable.
+		dev.failSyncs(nil)
+		retried := dev.events()
+		commitOne(t, m, 3)
+		if got := m.Durable(); got != m.Next() {
+			t.Fatalf("durable %d after the successful retry, log ends at %d", got, m.Next())
+		}
+		m.Close()
+		if entryOf(failed) == entryOf(acked) || entryOf(retried) != entryOf(failed) {
+			t.Fatalf("segments %d: entries written at blocks %d (acknowledged), %d (barrier failed), %d (retry): the retry must rewrite the failed round's entry",
+				cfg.Segments, entryOf(acked), entryOf(failed), entryOf(retried))
+		}
+		run, recs, err := reopen(cfg, crashImage(nil, dev.journal, retried, 0, tear{damaged: true}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.m.Close()
+		if len(recs) != 1 || recs[0].tx != 1 {
+			t.Fatalf("segments %d: a tear of the retried entry write left %+v, want the acknowledged commit of tx 1", cfg.Segments, recs)
+		}
 	}
 }

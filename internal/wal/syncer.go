@@ -10,11 +10,11 @@ import (
 
 // The syncer (pipeline stage 2): a dedicated goroutine that owns all log
 // device I/O.  Force callers park on a durable-LSN waitlist; the syncer
-// coalesces the parked requests — applying the group-commit collection
-// window and the stale-hint solo heuristic exactly as the compat front end
-// does — then performs one block write covering the high-water mark and
-// one durability barrier, and wakes every waiter at or below the new
-// durable LSN.  fsync therefore never runs under any append-path lock.
+// takes whatever parked while the previous round's barrier was in flight,
+// lets running committers reach it and waits on a timer only where the
+// compat front end would too (collect), then performs one write covering the
+// high-water mark and one durability barrier, and wakes every waiter at or
+// below the new durable LSN.  fsync never runs under an append-path lock.
 
 // force implements Force/ForceAll for the pipeline front end.
 func (p *pipeline) force(lsn page.LSN) error {
@@ -50,6 +50,7 @@ func (p *pipeline) takeWaiters() []waiter {
 // stop shuts the syncer down and fails anything still parked.
 func (p *pipeline) stop() {
 	p.stopped.Store(true)
+	p.wakeReservers()
 	close(p.quitCh)
 	<-p.doneCh
 	// A force that raced stop() may have enqueued after the syncer's
@@ -81,26 +82,39 @@ func (p *pipeline) syncerLoop() {
 			if len(ws) > 0 {
 				ws = p.collect(ws)
 			}
-			p.runRound(ws)
+			p.runRound(ws, wanted)
 		}
 	}
 }
 
-// collect applies the group-commit collection window: with a window set
-// and more than one expected committer, the round waits — up to the
-// window — for the remaining committers to park, so one barrier covers
-// them all.  The solo-streak heuristic from the compat front end decides
-// when a stale hint should stop the waiting.
+// collect gathers what one round covers beyond the forces already taken.
+// On a device with a barrier nothing is timed (collectionWindow is zero): the
+// barrier in flight is the window, and before the syncer takes its processor
+// into the next write and fsync it yields it while a registered committer
+// has not parked and each yield brings one in — the committers the last
+// round woke run instead of sitting in the run queue of a processor blocked
+// in a system call, and a commit about to park joins this round, not the
+// next; an idle processor returns from the yield at once.  Elsewhere the
+// round waits, up to the window, for the remaining expected committers to
+// park; AddCommitter wakes it only while it waits.
 func (p *pipeline) collect(ws []waiter) []waiter {
 	m := p.m
-	window := time.Duration(m.gcWindowNS.Load())
-	eff := m.effectiveCommitters()
-	if window <= 0 || eff <= 1 || !m.shouldCollectSolo(int(p.gcSolo.Load())) {
+	window := m.collectionWindow()
+	if window <= 0 {
+		for more := ws; m.protect && len(more) > 0 && len(ws) < m.dynCommitters(); ws = append(ws, more...) {
+			runtime.Gosched()
+			more = p.takeWaiters()
+		}
 		return ws
 	}
+	p.collecting.Store(true)
+	defer p.collecting.Store(false)
 	timer := time.NewTimer(window)
 	defer timer.Stop()
-	for len(ws) < eff {
+	for eff := m.effectiveCommitters(); len(ws) < eff; eff = m.effectiveCommitters() {
+		if eff <= 1 {
+			return ws
+		}
 		select {
 		case <-timer.C:
 			return ws
@@ -108,10 +122,6 @@ func (p *pipeline) collect(ws []waiter) []waiter {
 			return ws
 		case <-p.kickCh:
 			ws = append(ws, p.takeWaiters()...)
-			// AddCommitter/SetCommitters kick too: re-read the target.
-			if eff = m.effectiveCommitters(); eff <= 1 {
-				return ws
-			}
 		}
 	}
 	return ws
@@ -121,8 +131,8 @@ func (p *pipeline) collect(ws []waiter) []waiter {
 // to land, write the ring delta to the device, issue the barrier, wake the
 // waiters.  Write errors latch flushErr (the ring can no longer drain);
 // barrier errors are returned to this round's waiters and leave durable
-// unmoved, so a later round can retry.
-func (p *pipeline) runRound(ws []waiter) {
+// unmoved, so a later round can retry.  drain: a stalled reserver asked.
+func (p *pipeline) runRound(ws []waiter, drain bool) {
 	m := p.m
 
 	// Requests already covered by a previous round ride for free.
@@ -159,12 +169,21 @@ func (p *pipeline) runRound(ws []waiter) {
 		}
 	}
 
-	// Stage 2b: write the ring delta [flushed, hwm).
+	// A stalled reserver sleeps until a flush frees ring space: when every
+	// unflushed byte lies behind a copy still in flight, wait for the copy.
+	for flushed := p.flushedOff.Load(); drain && p.hwmOff == flushed && p.pos.Load()&posOffMask > flushed; {
+		runtime.Gosched()
+		p.advanceHWM()
+	}
+
+	// Stage 2b: write the ring delta [flushed, hwm) — for somebody: a round
+	// whose waiters an earlier round already covered writes nothing.
 	didIO := false
 	hwm := p.hwmOff
-	if flushed := p.flushedOff.Load(); hwm > flushed {
+	if flushed := p.flushedOff.Load(); hwm > flushed && (drain || len(remaining) > 0) {
 		if err := p.flushTo(flushed, hwm); err != nil {
 			p.flushErr.CompareAndSwap(nil, &errBox{err: err})
+			p.wakeReservers()
 			p.failWaiters(remaining, err)
 			return
 		}
@@ -193,21 +212,13 @@ func (p *pipeline) runRound(ws []waiter) {
 		w.ch <- nil
 	}
 
-	// Solo-streak accounting, mirroring the compat front end: a round
-	// that batched resets the streak; a lone committer that could have
-	// batched extends it.
-	window := time.Duration(m.gcWindowNS.Load())
-	if len(remaining) > 1 {
-		p.gcSolo.Store(0)
-	} else if window > 0 && m.dynCommitters() >= 1 && m.effectiveCommitters() > 1 {
-		p.gcSolo.Add(1)
-	}
+	m.noteBatch(len(remaining))
 }
 
-// flushTo writes ring bytes [flushed, hwm) to the device as whole blocks,
-// rewriting the partial tail block (staged through the torn-tail slot on
-// devices with a durability barrier) and carrying the new partial tail
-// forward.  Syncer-only.
+// flushTo writes ring bytes [flushed, hwm) to the device as whole blocks
+// that begin with the previous flush's partial tail block (a block still
+// partial goes to a log tail entry on devices with a barrier, see
+// writeBlocks), and carries the new partial tail forward.  Syncer-only.
 func (p *pipeline) flushTo(flushed, hwm uint64) error {
 	m := p.m
 	// The block images live in a buffer the syncer owns and reuses: every
@@ -234,13 +245,14 @@ func (p *pipeline) flushTo(flushed, hwm uint64) error {
 	for i := 0; i < nBlocks; i++ {
 		p.flushPages = append(p.flushPages, data[i*device.BlockSize:(i+1)*device.BlockSize])
 	}
-	if err := m.writeBlocks(startBlk, p.flushPages, len(p.partial) > 0); err != nil {
+	rem := int(hwm % device.BlockSize)
+	if err := m.writeBlocks(startBlk, p.flushPages, rem); err != nil {
 		return err
 	}
-	rem := int(hwm % device.BlockSize)
 	p.partial = append(p.partial[:0], data[need-device.BlockSize:][:rem]...)
 	// Publishing the new flushed offset releases the ring space to
 	// appenders (their admission load pairs with this store).
 	p.flushedOff.Store(hwm)
+	p.wakeReservers()
 	return nil
 }

@@ -9,111 +9,173 @@ import (
 	"github.com/reprolab/face/internal/device"
 )
 
-// Torn-tail protection (pipeline stage 3).
+// Torn-tail protection: the partial log tail ping-pongs between two entries.
 //
-// The log rewrites its partial tail block in place as records are appended
-// to it.  On a device without atomic 4 KiB writes, a host crash during
-// that rewrite can tear the block and clip records that were already
-// acknowledged as durable.  The fix is a full-page-write-style double-write
-// slot in the two blocks at the end of the log device: before the in-place
-// rewrite, the new block image is written to the slot and synced; Open
-// consults the slot before scanning for the log end and restores the image
-// if the in-place copy was torn.  Either the slot write or the in-place
-// write is intact at any crash point, and both contain every acknowledged
-// byte, so the durable prefix always survives.
+// A device with a durability barrier (device.Syncer) does not write 4 KiB
+// atomically: a crash can leave the block being written half new, or
+// unreadable.  So there a log block is written in place exactly once, when
+// it is full, and the image of the partial tail block goes to one of two
+// checksummed entries in the four blocks at the device end — always the one
+// that does NOT hold the newest image a successful barrier has covered
+// (tailDurable).  A flush round is the in-place run of full blocks (if
+// any), one entry write and one barrier, and whatever a crash tears — a
+// full block nobody was told is durable, or the entry being written — the
+// acknowledged bytes of the tail block are intact in the other entry.  A
+// failed barrier, or a ring-drain round that issues none, leaves
+// tailDurable alone: the next round overwrites the same entry again.
 //
-// The slot lives at the device end — not in the control region — so the
-// LSN-to-block mapping of existing logs is unchanged.  It is only active
-// (`Manager.protect`) on devices with a real durability barrier
-// (device.Syncer); simulated devices model atomic block writes and skip
-// the extra staging I/O.
+// Open copies the entries into place before anything reads the log
+// (repairTail), so the end-of-log scan, Iterate and recovery read log
+// blocks only; until then the partial tail's bytes are in an entry, not in
+// the block.  The entries sit at the device end, so LSNs map to blocks as
+// on a device without them.  Simulated devices have no barrier, model atomic
+// block writes and rewrite the partial tail in place (protect is false).
 
-// tornSlotBlocks is the slot size: one metadata block, one data block.
-const tornSlotBlocks = 2
+const (
+	// tailEntryBlocks is the size of one entry: header and bytes fit one
+	// block while the tail is short, two otherwise.
+	tailEntryBlocks = 2
+	tornSlotBlocks  = 2 * tailEntryBlocks
 
-// tornMagic identifies a valid slot metadata block.
-const tornMagic = 0xFACE7012
+	tailMagic = 0xFACE7013
 
-// Slot metadata layout (little-endian):
-//
-//	[0:4)   tornMagic
-//	[4:12)  target block number
-//	[12:16) CRC32-C of the staged block image
-//	[16:20) CRC32-C of bytes [0:16) — a torn slot write invalidates itself
-const tornMetaLen = 20
+	// Entry layout (little-endian), followed by the used bytes:
+	//
+	//	[0:4)   tailMagic
+	//	[4:12)  sequence number; every entry write takes the next one
+	//	[12:20) target block number
+	//	[20:24) used: how many leading bytes of the target block follow
+	//	[24:28) CRC32-C of bytes [0:24) and of the used bytes
+	tailHeaderLen = 28
+)
 
-// slotMetaBlk/slotDataBlk locate the slot; valid only when m.protect.
-func (m *Manager) slotMetaBlk() int64 { return m.dataBlocks }
-func (m *Manager) slotDataBlk() int64 { return m.dataBlocks + 1 }
+// tailEntry is one decoded entry.
+type tailEntry struct {
+	idx    int
+	seq    uint64
+	target int64
+	image  []byte
+}
 
-// writeTornSlot stages the new image of targetBlk in the double-write slot
-// and syncs it, so the subsequent in-place rewrite can tear without losing
-// acknowledged bytes.
-func (m *Manager) writeTornSlot(targetBlk int64, image []byte) error {
-	// Only the flushing goroutine gets here (the syncer, or the compat
-	// front end under its mutex), the device copies what it is handed, and
-	// bytes past tornMetaLen stay zero, so one metadata block is reused.
-	meta := m.tornMeta
-	binary.LittleEndian.PutUint32(meta[0:], tornMagic)
-	binary.LittleEndian.PutUint64(meta[4:], uint64(targetBlk))
-	binary.LittleEndian.PutUint32(meta[12:], crc32.Checksum(image, crcTable))
-	binary.LittleEndian.PutUint32(meta[16:], crc32.Checksum(meta[0:16], crcTable))
-	if err := m.dev.WriteRun(m.slotMetaBlk(), [][]byte{meta, image}); err != nil {
-		return fmt.Errorf("wal: writing torn-tail slot: %w", err)
+func (m *Manager) tailEntryBlk(idx int) int64 { return m.dataBlocks + int64(idx*tailEntryBlocks) }
+
+func tailCRC(b []byte) uint32 {
+	return crc32.Update(crc32.Checksum(b[:24], crcTable), crcTable, b[tailHeaderLen:])
+}
+
+// writeTailEntry writes the image of the partial block targetBlk to the
+// entry that does not hold the newest barrier-covered image.  Only the
+// flusher gets here (the syncer, the compat front end under its mutex, or
+// Open), and the device copies what it is handed, so one buffer is reused.
+func (m *Manager) writeTailEntry(targetBlk int64, image []byte) error {
+	buf := m.tailBuf
+	m.tailSeq++
+	binary.LittleEndian.PutUint32(buf[0:], tailMagic)
+	binary.LittleEndian.PutUint64(buf[4:], m.tailSeq)
+	binary.LittleEndian.PutUint64(buf[12:], uint64(targetBlk))
+	binary.LittleEndian.PutUint32(buf[20:], uint32(len(image)))
+	end := tailHeaderLen + copy(buf[tailHeaderLen:], image)
+	binary.LittleEndian.PutUint32(buf[24:], tailCRC(buf[:end]))
+	pages := [][]byte{buf[:device.BlockSize], buf[device.BlockSize:]}[:(end+device.BlockSize-1)/device.BlockSize]
+	clear(buf[end : len(pages)*device.BlockSize])
+	if err := m.dev.WriteRun(m.tailEntryBlk(m.tailDurable^1), pages); err != nil {
+		return fmt.Errorf("wal: writing log tail entry: %w", err)
 	}
-	if err := m.syncDevice(); err != nil {
-		return fmt.Errorf("wal: syncing torn-tail slot: %w", err)
-	}
+	m.tailPending = true
 	m.tornSlotWrites.Add(1)
 	return nil
 }
 
-// invalidateTornSlot clears the slot so a stale image from a previous log
-// incarnation on the same device can never repair a block of this log.
-func (m *Manager) invalidateTornSlot() error {
-	if err := m.dev.WriteAt(m.slotMetaBlk(), make([]byte, device.BlockSize)); err != nil {
-		return fmt.Errorf("wal: clearing torn-tail slot: %w", err)
+// readTailEntry decodes entry idx; ok is false for an entry that was never
+// written, was torn, or names a block outside the log.
+func (m *Manager) readTailEntry(idx int) (e tailEntry, ok bool, err error) {
+	buf := make([]byte, tailEntryBlocks*device.BlockSize)
+	if err := m.dev.ReadAt(m.tailEntryBlk(idx), buf); err != nil {
+		return e, false, fmt.Errorf("wal: reading log tail entry: %w", err)
+	}
+	e = tailEntry{idx: idx, seq: binary.LittleEndian.Uint64(buf[4:]), target: int64(binary.LittleEndian.Uint64(buf[12:]))}
+	end := tailHeaderLen + int(binary.LittleEndian.Uint32(buf[20:]))
+	if binary.LittleEndian.Uint32(buf[0:]) != tailMagic || end <= tailHeaderLen || end >= tailHeaderLen+device.BlockSize ||
+		e.target < controlBlocks || e.target >= m.dataBlocks {
+		return e, false, nil
+	}
+	if end > device.BlockSize {
+		if err := m.dev.ReadAt(m.tailEntryBlk(idx)+1, buf[device.BlockSize:]); err != nil {
+			return e, false, fmt.Errorf("wal: reading log tail entry: %w", err)
+		}
+	}
+	e.image = buf[tailHeaderLen:end]
+	return e, tailCRC(buf[:end]) == binary.LittleEndian.Uint32(buf[24:]), nil
+}
+
+// invalidateTailEntries clears both entries so an image left by a previous
+// log incarnation on the same device can never repair a block of this log.
+func (m *Manager) invalidateTailEntries() error {
+	zero := make([]byte, device.BlockSize)
+	for idx := 0; idx < 2; idx++ {
+		if err := m.dev.WriteAt(m.tailEntryBlk(idx), zero); err != nil {
+			return fmt.Errorf("wal: clearing log tail entry: %w", err)
+		}
 	}
 	return device.Sync(m.dev)
 }
 
-// repairTornTail restores the staged tail-block image if the slot holds a
-// valid one that differs from the device's current content.  Called at
-// Open before the end-of-log scan.  Idempotent: the slot always holds the
-// image written by the most recent staged flush of its target block, which
-// is at least as new as the last acknowledged durable state of that block,
-// so rewriting it is always safe.
-func (m *Manager) repairTornTail() error {
-	meta := make([]byte, device.BlockSize)
-	if err := m.dev.ReadAt(m.slotMetaBlk(), meta); err != nil {
-		return fmt.Errorf("wal: reading torn-tail slot: %w", err)
+// repairTail copies the valid entries into place — the older first, a
+// target block that already begins with the entry's bytes left alone (all
+// images of one block are prefixes of one another) — syncs, and makes the
+// newest entry, which it returns (target 0: none), the one the next round
+// must not overwrite.  Called at Open before the end-of-log scan.
+func (m *Manager) repairTail() (newest tailEntry, err error) {
+	var valid []tailEntry
+	for idx := 0; m.protect && idx < 2; idx++ {
+		e, ok, err := m.readTailEntry(idx)
+		if err != nil {
+			return newest, err
+		}
+		if ok && e.seq > newest.seq {
+			newest = e
+			valid = append(valid, e)
+		} else if ok {
+			valid = []tailEntry{e, newest}
+		}
 	}
-	if binary.LittleEndian.Uint32(meta[0:]) != tornMagic {
+	repaired := false
+	cur := make([]byte, device.BlockSize)
+	for _, e := range valid {
+		if e.target == newest.target && e.seq != newest.seq {
+			continue // the newer image of the same block begins with this one
+		}
+		if err := m.dev.ReadAt(e.target, cur); err != nil {
+			return newest, fmt.Errorf("wal: reading log tail block: %w", err)
+		}
+		if bytes.HasPrefix(cur, e.image) {
+			continue
+		}
+		clear(cur[copy(cur, e.image):])
+		if err := m.dev.WriteAt(e.target, cur); err != nil {
+			return newest, fmt.Errorf("wal: repairing log tail block: %w", err)
+		}
+		repaired = true
+	}
+	m.tailSeq, m.tailDurable = newest.seq, newest.idx
+	if repaired {
+		return newest, device.Sync(m.dev)
+	}
+	return newest, nil
+}
+
+// stageRecoveredTail runs at Open after the scan.  A partial tail that is
+// not exactly the newest entry's image — unsynced in-place writes survived
+// the crash, or that entry lies beyond a torn block — is held by the log
+// block alone, which the round that fills it would rewrite in place: stage
+// it first.
+func (m *Manager) stageRecoveredTail(newest tailEntry) error {
+	tailBlk := int64(m.off(m.Durable())/device.BlockSize) + controlBlocks
+	if !m.protect || len(m.partial) == 0 || (newest.target == tailBlk && len(newest.image) == len(m.partial)) {
 		return nil
 	}
-	if crc32.Checksum(meta[0:16], crcTable) != binary.LittleEndian.Uint32(meta[16:]) {
-		return nil // the slot write itself was torn: the in-place copy is intact
+	if err := m.writeTailEntry(tailBlk, m.partial); err != nil {
+		return err
 	}
-	targetBlk := int64(binary.LittleEndian.Uint64(meta[4:]))
-	if targetBlk < controlBlocks || targetBlk >= m.dataBlocks {
-		return nil
-	}
-	image := make([]byte, device.BlockSize)
-	if err := m.dev.ReadAt(m.slotDataBlk(), image); err != nil {
-		return fmt.Errorf("wal: reading torn-tail slot image: %w", err)
-	}
-	if crc32.Checksum(image, crcTable) != binary.LittleEndian.Uint32(meta[12:]) {
-		return nil
-	}
-	current := make([]byte, device.BlockSize)
-	if err := m.dev.ReadAt(targetBlk, current); err != nil {
-		return fmt.Errorf("wal: reading torn tail block: %w", err)
-	}
-	if bytes.Equal(current, image) {
-		return nil
-	}
-	if err := m.dev.WriteAt(targetBlk, image); err != nil {
-		return fmt.Errorf("wal: repairing torn tail block: %w", err)
-	}
-	return device.Sync(m.dev)
+	return m.syncDevice()
 }

@@ -37,10 +37,12 @@ func WithDevices(data, log Dev) Option {
 // fsync: commit-time log forces, the flash cache's
 // destage-before-front-advance invariant and checkpoints all call Sync()
 // on the underlying files, so acknowledged commits survive a crash of the
-// host, not just of the process.  The log's partial tail block is staged
-// through a double-write slot before each in-place rewrite, so a torn
-// 4 KiB tail write on hardware without power-loss protection is repaired
-// at the next open — see the README's Logging section.  Reopening a
+// host, not just of the process.  A commit force is one block write and
+// one fsync: full log blocks are written in place once, and the partial
+// tail block alternates between two checksummed entries at the end of
+// wal.log, so a torn 4 KiB write on hardware without power-loss protection
+// can only hit bytes nobody was told are durable and is repaired at the
+// next open — see the README's Logging section.  Reopening a
 // directory whose data file already exists automatically runs restart
 // recovery — kill-and-reopen is the normal restart path and needs no
 // WithRecovery.
