@@ -168,18 +168,6 @@ func BenchmarkAblationLockManager(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationShards keeps the striped-pool vs single-mutex hot-path
-// comparison in the benchmark smoke run so the sharded structures cannot
-// rot.
-func BenchmarkAblationShards(b *testing.B) {
-	g := benchGolden(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := g.AblationShards([]int{1, 4}, []int{4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- micro-benchmarks of the cache managers -------------------------------
 
 func stagePages(b *testing.B, ext facecache.Extension, n int) {

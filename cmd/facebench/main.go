@@ -3,7 +3,10 @@
 //
 // Usage:
 //
-//	facebench [flags] <experiment>
+//	facebench [flags] <experiment>...
+//
+// Several experiments may be named; they run in argument order against one
+// golden database image, and an unknown name fails before any work starts.
 //
 // Experiments:
 //
@@ -16,18 +19,10 @@
 //	table6    restart time after a crash vs checkpoint interval
 //	fig6      post-restart throughput timeline
 //	lockmgr   single-writer vs page-level 2PL scheduler at 1/2/4/8 terminals
-//	shards    striped vs single-mutex buffer pool and cache directory at
-//	          1/2/4/8 terminals (wall-clock hit-path scaling)
-//	wal       mutex-compat WAL front end vs the lock-free reservation
-//	          pipeline at 1/2/4/8 terminals (force coalescing)
-//	obs       observability layer cost: commit-path phase tracing and
-//	          histograms on vs off (wall-clock overhead, phase p99s)
-//	trace     request-scoped span tracer cost: tracing on vs off vs
-//	          observability off (wall-clock overhead, journal activity)
 //	ablations design-choice ablations (sync policy, async I/O, group size,
 //	          segment size, lock manager)
 //	policies  list the registered cache policies
-//	all       every experiment above, in order
+//	all       every experiment above except policies, in order
 //
 // With -terminals N the throughput experiments run under the page-lock
 // (2PL) transaction scheduler with N concurrent terminal goroutines,
@@ -43,11 +38,10 @@
 // changing the backend, and -nofsync disables the durability barrier for
 // faster sweeps:
 //
-//	facebench -quick -dir $(mktemp -d) table3
-//	facebench -quick -dir $(mktemp -d) shards
+//	facebench -quick -dir $(mktemp -d) table3 table6
 //
 // With -json the results are emitted as one machine-readable JSON document
-// (schema bench.ReportSchema, currently "facebench/v8") instead of text
+// (schema bench.ReportSchema, currently "facebench/v9") instead of text
 // tables, so a perf trajectory can be tracked across commits, e.g.:
 //
 //	facebench -quick -json ablations > BENCH_ablations.json
@@ -58,12 +52,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/reprolab/face"
 	"github.com/reprolab/face/internal/bench"
 )
+
+// allExperiments is what "all" runs, in order.
+var allExperiments = []string{"table1", "table3", "table4", "fig4", "table5", "fig5", "table6", "fig6", "lockmgr", "ablations"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -87,17 +85,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nofsync    = fs.Bool("nofsync", false, "disable the fsync durability barrier of the file backend (-dir)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: facebench [flags] <table1|table3|table4|fig4|table5|fig5|table6|fig6|lockmgr|shards|wal|obs|trace|ablations|policies|all>\n")
+		fmt.Fprintf(stderr, "usage: facebench [flags] <table1|table3|table4|fig4|table5|fig5|table6|fig6|lockmgr|ablations|policies|all>...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 1 {
+	if fs.NArg() < 1 {
 		fs.Usage()
 		return 2
 	}
-	what := strings.ToLower(fs.Arg(0))
+	// Experiments run in argument order against one golden image; every
+	// name is checked before any work starts.
+	var experiments []string
+	for _, arg := range fs.Args() {
+		what := strings.ToLower(arg)
+		switch {
+		case what == "all":
+			experiments = append(experiments, allExperiments...)
+		case what == "policies" || what == "table3+4" || slices.Contains(allExperiments, what):
+			experiments = append(experiments, what)
+		default:
+			fmt.Fprintf(stderr, "facebench: unknown experiment %q\n", arg)
+			return 1
+		}
+	}
 
 	opts := bench.DefaultOptions()
 	if *quick {
@@ -135,48 +147,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Table 1 and the policy listing need no database; with -json they
-	// still use the same facebench/v1 envelope as every other experiment.
-	if what == "table1" || what == "policies" {
-		if *jsonOut {
-			rep := bench.NewStaticReport(opts)
-			if what == "table1" {
-				rep.Add("table1", bench.Table1DeviceCharacteristics())
-			} else {
-				rep.Add("policies", face.Policies())
-			}
-			if err := rep.Write(stdout); err != nil {
-				fmt.Fprintf(stderr, "facebench: %v\n", err)
-				return 1
-			}
-			return 0
-		}
-		if what == "table1" {
-			fmt.Fprintln(stdout, bench.FormatTable1(bench.Table1DeviceCharacteristics()))
-		} else {
-			printPolicies(stdout)
-		}
-		return 0
-	}
-
+	// still use the same envelope as every other experiment.
 	start := time.Now()
-	golden, err := bench.BuildGolden(opts)
-	if err != nil {
-		fmt.Fprintf(stderr, "facebench: %v\n", err)
-		return 1
-	}
-	if *verbose {
-		fmt.Fprintf(stderr, "golden database built in %v\n", time.Since(start).Round(time.Millisecond))
+	var golden *bench.Golden
+	if slices.ContainsFunc(experiments, func(e string) bool { return e != "table1" && e != "policies" }) {
+		var err error
+		if golden, err = bench.BuildGolden(opts); err != nil {
+			fmt.Fprintf(stderr, "facebench: %v\n", err)
+			return 1
+		}
+		if *verbose {
+			fmt.Fprintf(stderr, "golden database built in %v\n", time.Since(start).Round(time.Millisecond))
+		}
 	}
 
 	var report *bench.Report
-	if *jsonOut {
+	if *jsonOut && golden != nil {
 		report = bench.NewReport(golden)
+	} else if *jsonOut {
+		report = bench.NewStaticReport(opts)
 	}
 
-	experiments := []string{what}
-	if what == "all" {
-		experiments = []string{"table1", "table3", "table4", "fig4", "table5", "fig5", "table6", "fig6", "lockmgr", "shards", "wal", "obs", "trace", "ablations"}
-	}
 	for _, exp := range experiments {
 		if err := runExperiment(golden, exp, stdout, report); err != nil {
 			fmt.Fprintf(stderr, "facebench %s: %v\n", exp, err)
@@ -209,6 +200,11 @@ func runExperiment(g *bench.Golden, what string, out io.Writer, report *bench.Re
 	case "table1":
 		rows := bench.Table1DeviceCharacteristics()
 		record("table1", rows, func() string { return bench.FormatTable1(rows) })
+	case "policies":
+		names := face.Policies()
+		record("policies", names, func() string {
+			return "Registered cache policies:\n  " + strings.Join(names, "\n  ")
+		})
 	case "table3", "table4", "table3+4":
 		sweep, err := g.CacheSweep(nil, nil)
 		if err != nil {
@@ -262,61 +258,6 @@ func runExperiment(g *bench.Golden, what string, out io.Writer, report *bench.Re
 			return err
 		}
 		record("ablation_lock_manager", rows, func() string { return bench.FormatLockAblation(rows) })
-	case "shards":
-		// -shards N compares {1, N} stripes and -terminals M sweeps
-		// {1, M} terminals; without them the ablation uses its defaults
-		// (1 vs GOMAXPROCS-derived stripes at 1/2/4/8 terminals).
-		var shardCounts, terminalCounts []int
-		if s := g.Options().Shards; s > 1 {
-			shardCounts = []int{1, s}
-		}
-		if n := g.Options().Terminals; n > 1 {
-			terminalCounts = []int{1, n}
-		}
-		rows, err := g.AblationShards(shardCounts, terminalCounts)
-		if err != nil {
-			return err
-		}
-		record("ablation_shards", rows, func() string { return bench.FormatShardAblation(rows) })
-	case "wal":
-		// -terminals M sweeps {1, M} terminals; without it the ablation
-		// uses its default 1/2/4/8 sweep.  Both WAL front ends run at
-		// every count.
-		var terminalCounts []int
-		if n := g.Options().Terminals; n > 1 {
-			terminalCounts = []int{1, n}
-		}
-		rows, err := g.AblationWalPipeline(terminalCounts)
-		if err != nil {
-			return err
-		}
-		record("ablation_wal_pipeline", rows, func() string { return bench.FormatWalAblation(rows) })
-	case "obs":
-		// -terminals M compares {1, M} terminals; without it the ablation
-		// uses its default {1, 4}.  Each count runs with observability on
-		// and off.
-		var terminalCounts []int
-		if n := g.Options().Terminals; n > 1 {
-			terminalCounts = []int{1, n}
-		}
-		rows, err := g.AblationObservability(terminalCounts)
-		if err != nil {
-			return err
-		}
-		record("ablation_observability", rows, func() string { return bench.FormatObsAblation(rows) })
-	case "trace":
-		// -terminals M compares {1, M} terminals; without it the ablation
-		// uses its default {1, 4}.  Each count runs with the span tracer
-		// on, the tracer off, and the whole observability layer off.
-		var terminalCounts []int
-		if n := g.Options().Terminals; n > 1 {
-			terminalCounts = []int{1, n}
-		}
-		rows, err := g.AblationTracing(terminalCounts)
-		if err != nil {
-			return err
-		}
-		record("ablation_tracing", rows, func() string { return bench.FormatTraceAblation(rows) })
 	case "ablations":
 		sync, err := g.AblationSyncPolicy(0)
 		if err != nil {
@@ -348,13 +289,4 @@ func runExperiment(g *bench.Golden, what string, out io.Writer, report *bench.Re
 		return fmt.Errorf("unknown experiment %q", what)
 	}
 	return nil
-}
-
-// printPolicies lists the cache policies registered with the policy
-// registry, which is also the set of names RunSpec.Policy accepts.
-func printPolicies(out io.Writer) {
-	fmt.Fprintln(out, "Registered cache policies:")
-	for _, name := range face.Policies() {
-		fmt.Fprintf(out, "  %s\n", name)
-	}
 }

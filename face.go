@@ -143,8 +143,7 @@ type (
 	// WithBufferShards; DB.Snapshot carries one per shard.
 	ShardStats = metrics.ShardStats
 	// CacheStripeStats is the per-stripe breakdown of flash cache lookup
-	// activity under WithCacheStripes; DB.Snapshot carries one per stripe
-	// and metrics.StripeImbalance summarises the spread.
+	// activity under WithCacheStripes; DB.Snapshot carries one per stripe.
 	CacheStripeStats = metrics.CacheStripeStats
 	// GroupCommitStats is a snapshot of the write-ahead log's commit
 	// batching (requests, device writes, piggybacked forces); it is part
@@ -152,7 +151,7 @@ type (
 	GroupCommitStats = metrics.GroupCommitStats
 	// WalStats is a snapshot of the write-ahead log's commit pipeline
 	// (reservations, stalls, syncer coalescing, torn-slot writes); it is
-	// part of DB.Snapshot and selected by WithWalSegments.
+	// part of DB.Snapshot.
 	WalStats = metrics.WalStats
 
 	// MetricsRegistry is the named registry of histograms, counters and

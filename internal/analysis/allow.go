@@ -8,9 +8,8 @@ import (
 
 // Suppression directives.
 //
-// A finding that is intentional — compat-mode WAL writes under the
-// append mutex, lifecycle fences that hold the scheduler lock across a
-// final flush — is silenced in place with
+// A finding that is intentional — lifecycle fences that hold the scheduler
+// lock across a final flush — is silenced in place with
 //
 //	//lint:allow facevet/<analyzer> <justification>
 //

@@ -22,8 +22,8 @@
 // RLock is deliberately ignored (shared holders tolerate concurrent I/O
 // by design — the scheduler's txMu.RLock spans whole transactions), as
 // are goroutine bodies and deferred calls.  Cold paths that hold a lock
-// across I/O on purpose (startup, shutdown, checkpoint fences, the
-// compat-mode WAL) carry //lint:allow justifications.
+// across I/O on purpose (startup, shutdown, checkpoint fences) carry
+// //lint:allow justifications.
 package nolockio
 
 import (

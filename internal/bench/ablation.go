@@ -113,207 +113,6 @@ func (g *Golden) AblationLockManager(terminalCounts []int) ([]Result, error) {
 	return out, nil
 }
 
-// AblationWalPipeline compares the WAL's mutex-compat front end (one lock
-// serializes every append, the leader/follower protocol batches forces)
-// against the lock-free reservation pipeline (atomic log-space
-// reservation, parallel record copy, dedicated syncer coalescing forces)
-// at increasing terminal counts.
-//
-// Like AblationLockManager the configuration is deliberately log-bound:
-// the DRAM buffer holds the whole database and no flash cache is
-// attached, so the commit path is what the rows measure.  All rows run
-// under 2PL with group commit; they differ only in the log front end.
-// The headline columns are Forces — which must grow sublinearly in
-// terminals as the syncer coalesces parked commits — and the wall-clock
-// throughput, where removing the append mutex and moving fsync off the
-// commit path shows up.
-func (g *Golden) AblationWalPipeline(terminalCounts []int) ([]Result, error) {
-	if len(terminalCounts) == 0 {
-		terminalCounts = []int{1, 2, 4, 8}
-	}
-	bufPages := int(g.dbPages) + 64
-	// Deep warm-up, as in AblationLockManager: the window must start hot
-	// so commit-path costs dominate.
-	warmup := g.opts.WarmupTx + 3*g.opts.MeasureTx
-	modes := []struct {
-		segments int
-		name     string
-	}{
-		{1, "mutex"},
-		{0, "reserved"},
-	}
-	var specs []RunSpec
-	for _, mode := range modes {
-		for _, n := range terminalCounts {
-			specs = append(specs, RunSpec{
-				Policy:      engine.PolicyNone,
-				BufferPages: bufPages,
-				PageLocks:   true,
-				Terminals:   n,
-				WalSegments: mode.segments,
-				WarmupTx:    warmup,
-				Label:       fmt.Sprintf("wal=%s x%d", mode.name, n),
-			})
-		}
-	}
-	var out []Result
-	for _, spec := range specs {
-		res, err := g.Run(spec)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// AblationObservability prices the observability layer: identical
-// log-bound configurations run with the commit-path phase tracing and
-// registry enabled (the default) and with DisableObs, which compiles the
-// layer down to nil checks.
-//
-// Like AblationLockManager the configuration is log-bound (whole
-// database in DRAM, no flash cache) so the per-transaction commit path —
-// exactly where the tracing sits — dominates; any overhead the histogram
-// records and time.Now calls add appears in the wall-clock columns.  The
-// simulated-time figures (TpmC) charge modeled device and CPU time only,
-// so they are observability-independent by construction; the wall-clock
-// throughput (TpmCWall) is the column the rows are compared on, and the
-// acceptance bar is observability costing no more than ~2%.
-func (g *Golden) AblationObservability(terminalCounts []int) ([]Result, error) {
-	if len(terminalCounts) == 0 {
-		terminalCounts = []int{1, 4}
-	}
-	bufPages := int(g.dbPages) + 64
-	// Deep warm-up, as in AblationLockManager: the window must start hot
-	// so commit-path costs dominate.
-	warmup := g.opts.WarmupTx + 3*g.opts.MeasureTx
-	modes := []struct {
-		disable bool
-		name    string
-	}{
-		{false, "obs on"},
-		{true, "obs off"},
-	}
-	var out []Result
-	for _, mode := range modes {
-		for _, n := range terminalCounts {
-			res, err := g.Run(RunSpec{
-				Policy:      engine.PolicyNone,
-				BufferPages: bufPages,
-				PageLocks:   true,
-				Terminals:   n,
-				DisableObs:  mode.disable,
-				WarmupTx:    warmup,
-				Label:       fmt.Sprintf("%s x%d", mode.name, n),
-			})
-			if err != nil {
-				return out, err
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
-}
-
-// AblationTracing prices the request-scoped span tracer on top of the
-// observability layer: identical log-bound configurations run with the
-// full layer (span tracer + phase histograms, the default), with the
-// tracer compiled down to nil checks (DisableTracing), and with the
-// whole observability layer off — three rows that separate what tracing
-// adds over histograms from what observability costs at all.
-//
-// The configuration and warm-up mirror AblationObservability: log-bound
-// (whole database in DRAM, no flash cache) so the per-transaction
-// commit path — where every span is recorded — dominates, and the
-// wall-clock throughput (TpmCWall) is the column the rows are compared
-// on.  The acceptance bar is the tracer costing no more than ~2% over
-// the trace-off row, and exactly nothing when observability is off.
-func (g *Golden) AblationTracing(terminalCounts []int) ([]Result, error) {
-	if len(terminalCounts) == 0 {
-		terminalCounts = []int{1, 4}
-	}
-	bufPages := int(g.dbPages) + 64
-	warmup := g.opts.WarmupTx + 3*g.opts.MeasureTx
-	modes := []struct {
-		disableObs   bool
-		disableTrace bool
-		name         string
-	}{
-		{false, false, "trace on"},
-		{false, true, "trace off"},
-		{true, false, "obs off"},
-	}
-	var out []Result
-	for _, mode := range modes {
-		for _, n := range terminalCounts {
-			res, err := g.Run(RunSpec{
-				Policy:         engine.PolicyNone,
-				BufferPages:    bufPages,
-				PageLocks:      true,
-				Terminals:      n,
-				DisableObs:     mode.disableObs,
-				DisableTracing: mode.disableTrace,
-				WarmupTx:       warmup,
-				Label:          fmt.Sprintf("%s x%d", mode.name, n),
-			})
-			if err != nil {
-				return out, err
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
-}
-
-// AblationShards measures the DRAM/flash hot-path sharding: the striped
-// buffer pool and cache directory against the historical single-mutex
-// structures, at increasing terminal counts.
-//
-// Like AblationLockManager the configuration keeps the whole database in
-// the DRAM buffer, so nearly every page access is a DRAM hit and the run
-// is dominated by the hot path the sharding stripes.  The simulated-time
-// figures (TpmC) are shard-independent by design — the model charges the
-// same CPU and device time whichever mutex a hit took — so the columns to
-// read are the wall-clock ones: HitsPerSecWall, the DRAM hits retired per
-// host second, stops scaling with terminals when every hit funnels through
-// one pool mutex and keeps scaling when the pool is striped.  shardCounts
-// selects the stripe counts to compare (default 1 vs GOMAXPROCS-derived);
-// terminalCounts the concurrency sweep (default 1/2/4/8).
-func (g *Golden) AblationShards(shardCounts, terminalCounts []int) ([]Result, error) {
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, engine.DefaultShards()}
-		if shardCounts[1] == 1 {
-			shardCounts[1] = 4
-		}
-	}
-	if len(terminalCounts) == 0 {
-		terminalCounts = []int{1, 2, 4, 8}
-	}
-	bufPages := int(g.dbPages) + 64
-	warmup := g.opts.WarmupTx + g.opts.MeasureTx
-	var out []Result
-	for _, shards := range shardCounts {
-		for _, n := range terminalCounts {
-			res, err := g.Run(RunSpec{
-				Policy:       engine.PolicyNone,
-				BufferPages:  bufPages,
-				BufferShards: shards,
-				CacheStripes: shards,
-				PageLocks:    true,
-				Terminals:    n,
-				WarmupTx:     warmup,
-				Label:        fmt.Sprintf("shards=%d x%d", shards, n),
-			})
-			if err != nil {
-				return out, err
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
-}
-
 // AblationGroupSize sweeps the replacement batch size of Group Second
 // Chance (the paper suggests the number of pages in a flash block,
 // typically 64 or 128).

@@ -365,54 +365,3 @@ func TestLockManagerAblation(t *testing.T) {
 		single.TpmC, single.GroupCommit.Forces, multi.TpmC,
 		multi.GroupCommit.Forces, multi.GroupCommit.FanIn(), multi.DeadlockRetries)
 }
-
-// TestShardAblation asserts the acceptance shape of the hot-path sharding
-// ablation: the striped pool must execute the identical deterministic
-// workload as the single-mutex pool (same committed transactions), its
-// simulated throughput must not regress at one terminal, and the per-shard
-// accounting must add up.
-func TestShardAblation(t *testing.T) {
-	g := quickGolden(t)
-	rows, err := g.AblationShards([]int{1, 4}, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 2 shard counts x 2 terminal counts", len(rows))
-	}
-	byKey := map[[2]int]Result{}
-	for _, r := range rows {
-		byKey[[2]int{r.BufferShards, r.Terminals}] = r
-		if r.WallClock <= 0 {
-			t.Errorf("%s: wall clock not measured", r.Label)
-		}
-		if r.HitsPerSecWall <= 0 {
-			t.Errorf("%s: no wall-clock hit throughput", r.Label)
-		}
-	}
-	s1, s4 := byKey[[2]int{1, 1}], byKey[[2]int{4, 1}]
-	if s1.BufferShards != 1 || s4.BufferShards != 4 {
-		t.Fatalf("shard counts not echoed: %+v / %+v", s1.BufferShards, s4.BufferShards)
-	}
-	// The schedule is deterministic and, with the database fully buffered,
-	// independent of the shard count: the committed workload must match.
-	if s1.NewOrders != s4.NewOrders || s1.TotalTx != s4.TotalTx {
-		t.Fatalf("workloads differ: shards=1 %d/%d shards=4 %d/%d new-orders/total",
-			s1.NewOrders, s1.TotalTx, s4.NewOrders, s4.TotalTx)
-	}
-	// At one terminal nothing contends, so striping must not change the
-	// modelled throughput (no regression at 1 terminal).
-	if diff := s4.TpmC/s1.TpmC - 1; diff < -0.01 || diff > 0.01 {
-		t.Errorf("simulated tpmC moved with shard count at 1 terminal: %.0f vs %.0f", s1.TpmC, s4.TpmC)
-	}
-	if s4.ShardImbalance < 1 {
-		t.Errorf("shard imbalance %.2f below 1 (must be max/mean)", s4.ShardImbalance)
-	}
-	if !strings.Contains(FormatShardAblation(rows), "hits/s (wall)") {
-		t.Error("FormatShardAblation missing wall-clock column")
-	}
-	for _, r := range rows {
-		t.Logf("%-14s tpmC=%8.0f  hits/s(wall)=%9.0f  wall=%v  imbalance=%.2f",
-			r.Label, r.TpmC, r.HitsPerSecWall, r.WallClock, r.ShardImbalance)
-	}
-}

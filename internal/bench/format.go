@@ -207,9 +207,17 @@ func FormatFigure5(f Figure5Result) string {
 // faster system loses more work per wall-clock interval, the table also
 // reports restart time normalised by the amount of lost work replayed
 // (milliseconds per thousand log records), which isolates the per-page
-// recovery cost that the paper's Table 6 demonstrates.
+// recovery cost that the paper's Table 6 demonstrates.  Under wall-clock mode
+// the host restart times are added.
 func FormatTable6(rows []Table6Row) string {
-	headers := []string{"Checkpoint interval", "FaCE+GSC restart", "  metadata restore", "HDD-only restart", "Speed-up", "FaCE ms/krec", "HDD ms/krec", "Normalized", "FaCE wall", "HDD wall"}
+	wall := false
+	for _, r := range rows {
+		wall = wall || r.FaCE.WallclockMode || r.HDDOnly.WallclockMode
+	}
+	headers := []string{"Checkpoint interval", "FaCE+GSC restart", "  metadata restore", "HDD-only restart", "Speed-up", "FaCE ms/krec", "HDD ms/krec", "Normalized"}
+	if wall {
+		headers = append(headers, "FaCE wall", "HDD wall")
+	}
 	perKRec := func(r RecoveryRun) float64 {
 		if r.RecordsReplayed == 0 {
 			return 0
@@ -226,7 +234,7 @@ func FormatTable6(rows []Table6Row) string {
 		if f, h := perKRec(r.FaCE), perKRec(r.HDDOnly); f > 0 && h > 0 {
 			norm = fmt.Sprintf("%.1fx", h/f)
 		}
-		out = append(out, []string{
+		row := []string{
 			r.Interval.String(),
 			fdur(r.FaCE.RestartTime),
 			fdur(r.FaCE.MetadataRestoreTime),
@@ -235,13 +243,17 @@ func FormatTable6(rows []Table6Row) string {
 			fmt.Sprintf("%.0f", perKRec(r.FaCE)),
 			fmt.Sprintf("%.0f", perKRec(r.HDDOnly)),
 			norm,
-			r.FaCE.RestartWall.Round(time.Millisecond).String(),
-			r.HDDOnly.RestartWall.Round(time.Millisecond).String(),
-		})
+		}
+		if wall {
+			row = append(row, fdur(r.FaCE.RestartWall), fdur(r.HDDOnly.RestartWall))
+		}
+		out = append(out, row)
 	}
-	return "Table 6: time taken to restart the system after a crash\n" +
-		formatTable(headers, out) +
-		"(wall columns are host restart time; on -dir runs the device files are really closed and reopened)\n"
+	s := "Table 6: time taken to restart the system after a crash\n" + formatTable(headers, out)
+	if wall {
+		s += "(wall columns are host restart time; on -dir runs the device files are really closed and reopened)\n"
+	}
+	return s
 }
 
 // FormatFigure6 renders the post-restart throughput timeline.
@@ -336,118 +348,6 @@ func FormatLockAblation(rows []Result) string {
 		out = append(out, row)
 	}
 	return "Ablation: single-writer vs page-level 2PL transaction scheduler\n" + formatTable(headers, out)
-}
-
-// FormatWalAblation renders the WAL front-end ablation: the mutex-compat
-// log against the lock-free reservation pipeline.  The columns to read
-// are "log writes" (Forces), which must grow sublinearly in terminals as
-// the syncer coalesces parked commits, and the coalesce factor (force
-// requests per device flush round); under wall-clock mode the tpmC (wall)
-// column shows what removing the append convoy buys end to end.
-func FormatWalAblation(rows []Result) string {
-	wall := wallclockMode(rows)
-	headers := []string{"Config", "terminals", "tpmC", "log writes",
-		"coalesce", "parks", "reserve stalls", "copy wait", "sync time"}
-	if wall {
-		headers = append(headers, "tpmC (wall)")
-	}
-	var out [][]string
-	for _, r := range rows {
-		row := []string{
-			r.Label, fmt.Sprintf("%d", r.Terminals), fnum(r.TpmC),
-			fmt.Sprintf("%d", r.Wal.Forces), fmt.Sprintf("%.2f", r.Wal.CoalesceFactor()),
-			fmt.Sprintf("%d", r.Wal.DurableWaits), fmt.Sprintf("%d", r.Wal.ReserveStalls),
-			fdur(r.Wal.CopyWaitTime), fdur(r.Wal.SyncTime),
-		}
-		if wall {
-			row = append(row, fnum(r.TpmCWall))
-		}
-		out = append(out, row)
-	}
-	return "Ablation: mutex-compat WAL vs lock-free reservation pipeline\n" + formatTable(headers, out)
-}
-
-// FormatShardAblation renders the hot-path sharding ablation.  The
-// simulated tpmC column is expected to be flat across shard counts (the
-// model charges the same work either way); the wall-clock hit throughput
-// is the column the sharding moves.
-func FormatShardAblation(rows []Result) string {
-	wall := wallclockMode(rows)
-	headers := []string{"Config", "shards", "terminals", "tpmC",
-		"DRAM hit %", "hits/s (wall)", "wall clock", "imbalance"}
-	if wall {
-		headers = append(headers, "tpmC (wall)")
-	}
-	var out [][]string
-	for _, r := range rows {
-		row := []string{
-			r.Label, fmt.Sprintf("%d", r.BufferShards), fmt.Sprintf("%d", r.Terminals),
-			fnum(r.TpmC), pct(r.DRAMHitRate), fnum(r.HitsPerSecWall),
-			fdur(r.WallClock), fmt.Sprintf("%.2f", r.ShardImbalance),
-		}
-		if wall {
-			row = append(row, fnum(r.TpmCWall))
-		}
-		out = append(out, row)
-	}
-	return "Ablation: striped buffer pool / cache directory (hot-path sharding)\n" + formatTable(headers, out)
-}
-
-// FormatObsAblation renders the observability-cost ablation: identical
-// configurations with the tracing layer on and off.  The simulated tpmC
-// is observability-independent by construction (the model charges device
-// and CPU time, not host-side bookkeeping), so the column the rows are
-// compared on is the wall-clock throughput; the phase columns show what
-// the enabled rows bought — the commit path split into its waits.
-func FormatObsAblation(rows []Result) string {
-	headers := []string{"Config", "terminals", "tpmC", "tpmC (wall)", "wall clock",
-		"tx p50", "tx p99", "lock p99", "wal p99", "durable p99"}
-	var out [][]string
-	for _, r := range rows {
-		lock, walp, durable := "-", "-", "-"
-		if !r.DisableObs {
-			lock = flat(r.Phases.LockWait.P99)
-			walp = flat(r.Phases.WalAppend.P99)
-			durable = flat(r.Phases.DurableWait.P99)
-		}
-		out = append(out, []string{
-			r.Label, fmt.Sprintf("%d", r.Terminals), fnum(r.TpmC), fnum(r.TpmCWall),
-			fdur(r.WallClock), flat(r.TxLatency.P50), flat(r.TxLatency.P99),
-			lock, walp, durable,
-		})
-	}
-	return "Ablation: observability layer cost (phase tracing + histograms on vs off)\n" +
-		formatTable(headers, out) +
-		"(simulated tpmC is observability-independent by design; compare the wall-clock columns)\n"
-}
-
-// FormatTraceAblation renders the span-tracer-cost ablation: identical
-// configurations with the tracer on, the tracer off (histograms still
-// on), and the whole observability layer off.  The simulated tpmC is
-// tracing-independent by construction, so the rows are compared on the
-// wall-clock throughput; the journal columns show what the enabled rows
-// bought — how many traces were started and how many anomalies the
-// tail-sampling retention pinned.
-func FormatTraceAblation(rows []Result) string {
-	headers := []string{"Config", "terminals", "tpmC", "tpmC (wall)", "wall clock",
-		"tx p50", "tx p99", "traces", "pinned", "sampled"}
-	var out [][]string
-	for _, r := range rows {
-		started, pinned, sampled := "-", "-", "-"
-		if !r.DisableObs && !r.DisableTracing {
-			started = fmt.Sprintf("%d", r.Traces.Started)
-			pinned = fmt.Sprintf("%d", r.Traces.Pinned)
-			sampled = fmt.Sprintf("%d", r.Traces.Sampled)
-		}
-		out = append(out, []string{
-			r.Label, fmt.Sprintf("%d", r.Terminals), fnum(r.TpmC), fnum(r.TpmCWall),
-			fdur(r.WallClock), flat(r.TxLatency.P50), flat(r.TxLatency.P99),
-			started, pinned, sampled,
-		})
-	}
-	return "Ablation: span tracer cost (request-scoped tracing on vs off vs observability off)\n" +
-		formatTable(headers, out) +
-		"(simulated tpmC is tracing-independent by design; compare the wall-clock columns)\n"
 }
 
 // FormatResults renders a flat list of results (used by the ablations).

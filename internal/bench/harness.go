@@ -12,7 +12,6 @@ import (
 	"github.com/reprolab/face/internal/face"
 	"github.com/reprolab/face/internal/metrics"
 	"github.com/reprolab/face/internal/obs"
-	"github.com/reprolab/face/internal/obs/trace"
 	"github.com/reprolab/face/internal/tpcc"
 )
 
@@ -137,20 +136,6 @@ type RunSpec struct {
 	// scheduled workload from one terminal, which is the fair baseline
 	// for multi-terminal comparisons.
 	Terminals int
-	// WalSegments selects the WAL front end (engine.Config.WalSegments):
-	// 0 = the lock-free reservation pipeline with default geometry, 1 =
-	// the mutex-compat baseline, >1 = the pipeline with that many log
-	// buffer segments.
-	WalSegments int
-	// DisableObs opens the engine with the observability layer compiled
-	// out (engine.Config.DisableObs): no phase histograms, no registry.
-	// The AblationObservability experiment uses it to price the layer.
-	DisableObs bool
-	// DisableTracing opens the engine with the request-scoped span
-	// tracer off (engine.Config.DisableTracing) while keeping the rest
-	// of the observability layer.  The AblationTracing experiment uses
-	// it to price the tracer separately from the histograms.
-	DisableTracing bool
 	// WarmupTx/MeasureTx override the option values when non-zero.
 	WarmupTx  int
 	MeasureTx int
@@ -219,27 +204,8 @@ type Result struct {
 	Locks           metrics.LockStats
 	GroupCommit     metrics.GroupCommitStats
 
-	// WalSegments echoes the WAL front-end configuration (0 = default
-	// pipeline, 1 = mutex-compat baseline) and Wal the commit pipeline's
-	// activity over the measurement window.
-	WalSegments int
-	Wal         metrics.WalStats
-
-	// BufferShards echoes the buffer pool shard / cache stripe count and
-	// ShardImbalance the busiest-to-mean access ratio across shards over
-	// the whole run (1.0 = perfectly even).  CacheStripeImbalance is the
-	// same ratio across the flash cache's directory stripes (0 without a
-	// flash cache or without lookups; a single-stripe cache reports 1.0).
-	BufferShards         int
-	ShardImbalance       float64
-	CacheStripeImbalance float64
-	// WallClock is the host wall-clock time of the measurement phase and
-	// HitsPerSecWall the DRAM buffer hits retired per wall-clock second —
-	// the quantity the sharding actually improves.  Simulated-time figures
-	// (TpmC and friends) model the paper's hardware and are unaffected by
-	// host-side lock contention, so shard scaling shows up here instead.
-	WallClock      time.Duration
-	HitsPerSecWall float64
+	// WallClock is the host wall-clock time of the measurement phase.
+	WallClock time.Duration
 	// TpmCWall is the NewOrder throughput per wall-clock minute.  On the
 	// file backend it is the headline figure: the devices have real
 	// latency and real fsync, so simulated time no longer models the run.
@@ -250,24 +216,12 @@ type Result struct {
 	// duration in the JSON schema.
 	WallclockMode bool
 
-	// DisableObs echoes RunSpec.DisableObs.  When observability ran,
-	// Phases carries the commit-path phase breakdown over the measurement
-	// window (admission wait, lock wait, buffer, WAL append, durable wait,
-	// closure), TxLatency the wall-clock latency summary over all
-	// committed transactions, and KindLatencies the same per TPC-C
-	// transaction kind.  All latencies are host wall-clock time, so on the
-	// simulated backend they price the host, not the modeled hardware.
-	DisableObs    bool
-	Phases        obs.TxPhaseSummaries
+	// TxLatency is the wall-clock latency summary over all committed
+	// transactions and KindLatencies the same per TPC-C transaction kind.
+	// Host wall-clock time: on the simulated backend they price the host,
+	// not the modeled hardware.
 	TxLatency     obs.Summary
 	KindLatencies map[string]obs.Summary
-
-	// DisableTracing echoes RunSpec.DisableTracing.  When the tracer
-	// ran, Traces counts its activity over the measurement window:
-	// traces started and completed, anomalies pinned in the span
-	// journal, and normal transactions tail-sampled into it.
-	DisableTracing bool
-	Traces         trace.Stats
 }
 
 // runEnv is a fully constructed experiment instance.
@@ -287,7 +241,6 @@ type runEnv struct {
 	fileCfg  filedev.SetConfig
 	frames   int
 	bufPages int
-	shards   int
 }
 
 // reopenFiles closes the file-backed device set and reopens it from the
@@ -477,9 +430,6 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 		AsyncIODepth:    spec.AsyncDepth,
 		IOWriters:       spec.IOWriters,
 		PageLocks:       spec.PageLocks,
-		WalSegments:     spec.WalSegments,
-		DisableObs:      spec.DisableObs,
-		DisableTracing:  spec.DisableTracing,
 		Recover:         recoverMode,
 	}
 	if spec.PageLocks && spec.Terminals > 1 {
@@ -498,10 +448,6 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 		// whose owner also cleans up).
 		env.cleanup()
 		return nil, fmt.Errorf("bench: opening %s: %w", spec.label(), err)
-	}
-	env.shards = shards
-	if env.shards > env.bufPages {
-		env.shards = env.bufPages
 	}
 	env.eng = eng
 	env.driver = tpcc.NewDriver(eng, g.catalog.Clone(), opts.Seed+spec.Seed+7)
@@ -545,10 +491,6 @@ func (g *Golden) Run(spec RunSpec) (Result, error) {
 	before := env.eng.Snapshot()
 	beforeCounts := env.driver.Counts()
 	beforeKinds := env.driver.KindLatencies()
-	var traceBefore trace.Stats
-	if tr := env.eng.Tracer(); tr != nil {
-		traceBefore = tr.Stats()
-	}
 	wallStart := time.Now()
 	if err := runPhase(measure); err != nil {
 		env.eng.Crash()
@@ -561,16 +503,7 @@ func (g *Golden) Run(spec RunSpec) (Result, error) {
 
 	res := g.summarize(env, spec, before, after, beforeCounts, afterCounts)
 	res.WallClock = wall
-	res.DisableObs = spec.DisableObs
-	res.DisableTracing = spec.DisableTracing
-	if tr := env.eng.Tracer(); tr != nil {
-		res.Traces = tr.Stats().Sub(traceBefore)
-	}
-	if !spec.DisableObs {
-		res.Phases = after.Phases.Sub(before.Phases).Summaries()
-	}
-	// The per-kind wall-clock latency histograms live in the driver and
-	// are recorded whether or not engine observability is on.
+	// The per-kind wall-clock latency histograms live in the driver.
 	var total obs.HistSnapshot
 	res.KindLatencies = make(map[string]obs.Summary, len(afterKinds))
 	for name, a := range afterKinds {
@@ -582,9 +515,6 @@ func (g *Golden) Run(spec RunSpec) (Result, error) {
 		total = total.Merge(w)
 	}
 	res.TxLatency = total.Summary()
-	if hits := after.Pool.Hits - before.Pool.Hits; hits > 0 && wall > 0 {
-		res.HitsPerSecWall = float64(hits) / wall.Seconds()
-	}
 	res.TpmCWall = metrics.PerMinute(res.NewOrders, wall)
 	// Close the instance so background pipeline goroutines (async I/O) are
 	// drained and stopped; the devices are discarded with the env.
@@ -643,11 +573,6 @@ func (g *Golden) summarize(env *runEnv, spec RunSpec, before, after engine.Snaps
 	res.DeadlockRetries = ac.DeadlockRetries - bc.DeadlockRetries
 	res.Locks = after.Locks.Sub(before.Locks)
 	res.GroupCommit = after.GroupCommit.Sub(before.GroupCommit)
-	res.WalSegments = spec.WalSegments
-	res.Wal = after.Wal.Sub(before.Wal)
-	res.BufferShards = env.shards
-	res.ShardImbalance = metrics.ShardImbalance(after.PoolShards)
-	res.CacheStripeImbalance = metrics.StripeImbalance(after.CacheStripes)
 	return res
 }
 
@@ -681,6 +606,10 @@ type RecoveryRun struct {
 	// (faced) would observe.  On the in-memory backend it is just the
 	// host-side cost of the recovery passes.
 	RestartWall time.Duration
+	// WallclockMode marks a run whose text report shows RestartWall (file
+	// backend, or Options.Wallclock), as on Result.
+	WallclockMode bool
+
 	FlashReads  int64
 	DiskReads   int64
 	RedoApplied int
@@ -767,6 +696,7 @@ func (g *Golden) RunRecovery(spec RunSpec, buckets int, bucketWidth time.Duratio
 		CheckpointInterval:  spec.CheckpointEvery,
 		RestartTime:         rep.TotalTime,
 		RestartWall:         restartWall,
+		WallclockMode:       g.opts.Wallclock || env.backend == BackendFile,
 		MetadataRestoreTime: rep.MetadataRestoreTime,
 		FlashReads:          rep.FlashReads,
 		DiskReads:           rep.DiskReads,

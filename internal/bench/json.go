@@ -8,35 +8,7 @@ import (
 
 // ReportSchema versions the facebench -json output format so downstream
 // tooling tracking a BENCH_*.json perf trajectory can detect changes.
-// v2 added the page-lock scheduler fields to Result (PageLocks, Terminals,
-// DeadlockRetries, Locks, GroupCommit), the lock-manager ablation
-// experiment, and the Terminals option.
-// v3 adds the hot-path sharding fields (BufferShards, ShardImbalance,
-// WallClock, HitsPerSecWall), the shards ablation experiment, and the
-// Shards option.
-// v4 adds the persistent file-backed device mode: the Dir/Wallclock/
-// NoFsync options, the Backend field on RunSpec and Result, the wall-clock
-// headline throughput (TpmCWall, Wallclock), and the striped cache
-// directory diagnostics (CacheStripeImbalance).
-// v5 adds served traffic: the ServeResult payload emitted by cmd/faceload
-// (offered vs achieved QPS, latency percentiles, admission rejects) and
-// the wall-clock restart fields on RecoveryRun (RestartWall, measured by
-// really closing and reopening file-backed devices).
-// v6 adds the WAL commit pipeline: the Wal stats block and WalSegments
-// field on Result, the WalSegments knob on RunSpec/Options, and the wal
-// ablation experiment (mutex-compat front end vs lock-free reservation).
-// v7 adds the observability layer: commit-path phase summaries (Phases),
-// wall-clock transaction latency percentiles overall (TxLatency) and per
-// TPC-C kind (KindLatencies) on Result, the DisableObs knob and the
-// ablation_observability experiment, and the server-side scrape fields
-// on ServeResult (server_get/set p50/p99, server_shed) filled by
-// faceload -metrics.
-// v8 adds the request-scoped tracing layer: the DisableTracing knob and
-// span-journal stats (Traces) on Result, the ablation_tracing
-// experiment, the faceload -trace flag (client-minted trace IDs on the
-// wire), and the pinned anomaly-trace count (server_pinned_traces)
-// scraped into ServeResult from face_trace_pinned_total.
-const ReportSchema = "facebench/v8"
+const ReportSchema = "facebench/v9"
 
 // Report is the machine-readable form of a facebench run: the options the
 // golden image was built with plus one entry per executed experiment.  The
@@ -60,7 +32,7 @@ func NewReport(g *Golden) *Report {
 
 // NewStaticReport creates an empty report for experiments that need no
 // database (table1, the policy listing), so every -json invocation emits
-// the same facebench/v1 envelope.
+// the same envelope.
 func NewStaticReport(opts Options) *Report {
 	return &Report{
 		Schema:      ReportSchema,

@@ -297,15 +297,6 @@ func (p *Pool) ShardStats() []Stats {
 	return out
 }
 
-// ResetStats clears the pool statistics.
-func (p *Pool) ResetStats() {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		s.stats = Stats{}
-		s.mu.Unlock()
-	}
-}
-
 // Contains reports whether the page is resident without affecting LRU
 // order or statistics.  It is busy-aware: while the page's fetch or
 // eviction I/O is in flight it waits for the latch, so it never reports a

@@ -87,6 +87,9 @@ func TestGetHitAndMiss(t *testing.T) {
 	if s.HitRate() != 0.5 {
 		t.Fatalf("HitRate = %v, want 0.5", s.HitRate())
 	}
+	if (Stats{}).HitRate() != 0 {
+		t.Fatal("empty stats hit rate should be 0")
+	}
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
@@ -355,20 +358,6 @@ func TestDropAll(t *testing.T) {
 	}
 	if len(p.ResidentIDs()) != 0 {
 		t.Fatal("ResidentIDs non-empty after DropAll")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	b := newTestBacking()
-	p := newPool(t, 2, b)
-	p.Get(1)
-	p.Unpin(1)
-	p.ResetStats()
-	if s := p.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("stats after reset = %+v", s)
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Fatal("empty stats hit rate should be 0")
 	}
 }
 

@@ -214,8 +214,8 @@ func TestShardedAllPinnedBorrowsFromSiblings(t *testing.T) {
 	}
 }
 
-// TestShardedStatsCoherent is the stats-tearing regression test: Stats and
-// ResetStats race a storm of Gets, and every snapshot must be internally
+// TestShardedStatsCoherent is the stats-tearing regression test: Stats
+// races a storm of Gets, and every snapshot must be internally
 // consistent — non-negative counters and a hit rate inside [0, 1].  Before
 // the per-shard coherent snapshots, an aggregate reading counters without
 // the shard locks could observe a Get half-applied (Misses ticked, Hits
@@ -266,7 +266,6 @@ func TestShardedStatsCoherent(t *testing.T) {
 				t.Fatalf("negative per-shard counters: %+v", ss)
 			}
 		}
-		p.ResetStats()
 	}
 	close(stop)
 	wg.Wait()

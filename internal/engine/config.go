@@ -173,19 +173,13 @@ type Config struct {
 	// contention and DRAM pin pressure proportionate to small buffer
 	// pools.
 	MaxWriters int
-	// GroupCommitWindow is the leader's collection window for batching
+	// GroupCommitWindow is the WAL syncer's collection window for batching
 	// commit-time log forces under PageLocks: zero selects
 	// DefaultGroupCommitWindow, a negative value disables batching.  It
 	// is ignored without PageLocks, where commits cannot overlap, and on
 	// a log device with a durability barrier (files), where the barrier
 	// in flight paces the batches and nothing is timed.
 	GroupCommitWindow time.Duration
-	// WalSegments selects the WAL front end: zero runs the lock-free
-	// commit pipeline with the default log-buffer geometry, 1 selects the
-	// historical mutex path (every append serializes on one lock; kept as
-	// the ablation baseline), and values above 1 run the pipeline with
-	// that many log buffer segments.
-	WalSegments int
 
 	// CheckpointEvery triggers a database checkpoint whenever this much
 	// simulated time has passed since the previous one.  Zero disables
@@ -199,7 +193,7 @@ type Config struct {
 	// DisableObs turns the observability layer off entirely: no
 	// histograms are allocated, commit-path tracing reduces to nil
 	// checks, and Metrics() returns nil.  Off by default because the
-	// measured overhead is small (see AblationObservability).
+	// measured overhead is small (obs.observe_ns in benchmark/).
 	DisableObs bool
 	// Obs, when non-nil, is the metrics registry the engine registers
 	// its histograms and counters into, letting an embedder (faced)
@@ -312,9 +306,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxWriters < 0 {
 		return fmt.Errorf("engine: MaxWriters must not be negative")
-	}
-	if c.WalSegments < 0 {
-		return fmt.Errorf("engine: WalSegments must not be negative")
 	}
 	if c.Policy.UsesFlash() {
 		if c.FlashDev == nil {

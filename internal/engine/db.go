@@ -186,7 +186,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 
 	var err error
-	db.log, err = wal.OpenConfig(cfg.LogDev, wal.Config{Segments: cfg.WalSegments})
+	db.log, err = wal.Open(cfg.LogDev)
 	if err != nil {
 		closeFiles()
 		return nil, err
@@ -198,8 +198,8 @@ func Open(cfg Config) (*DB, error) {
 		closeFiles()
 	}
 	if cfg.PageLocks {
-		// Concurrent committers batch their commit-time forces through
-		// the WAL's leader/follower protocol.
+		// Concurrent committers batch their commit-time forces on the
+		// WAL syncer's waitlist.
 		window := cfg.GroupCommitWindow
 		if window == 0 {
 			window = DefaultGroupCommitWindow
@@ -723,9 +723,9 @@ type Snapshot struct {
 	PoolShards []metrics.ShardStats
 	Cache      face.Stats
 	// CacheStripes is the per-stripe breakdown of the flash cache's lookup
-	// counters, mirroring PoolShards; metrics.StripeImbalance summarises
-	// it.  Nil without a stripe-reporting flash cache; a single-stripe
-	// cache yields one entry equal to the cache-wide lookup counters.
+	// counters, mirroring PoolShards.  Nil without a stripe-reporting flash
+	// cache; a single-stripe cache yields one entry equal to the cache-wide
+	// lookup counters.
 	CacheStripes []metrics.CacheStripeStats
 	Pipeline     metrics.PipelineStats
 	// Locks reports page lock manager activity (zero without PageLocks)

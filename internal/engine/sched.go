@@ -104,8 +104,8 @@ func (db *DB) Update(ctx context.Context, fn func(*Tx) error) error {
 			return ctx.Err()
 		}
 	}
-	// Register as a committer so the WAL's group-commit leader knows how
-	// many concurrent commit forces it may collect.
+	// Register as a committer so the WAL's syncer knows how many
+	// concurrent commit forces it may collect.
 	db.log.AddCommitter(1)
 	defer db.log.AddCommitter(-1)
 	return db.runManaged(ctx, false, tr, fn)

@@ -466,7 +466,10 @@ func TestPageLocksMaxWriters(t *testing.T) {
 
 // TestPageLocksGroupCommitBatching: concurrent writers on disjoint pages
 // commit in parallel; their log forces must batch (piggybacked > 0,
-// strictly fewer device writes than force requests).
+// strictly fewer device writes than commits).  A flush round covers the
+// high-water mark, so a commit whose record an earlier round's write already
+// covered finds the log durable and is not a force request: Requests is
+// bounded by the commit count from above, not from below.
 func TestPageLocksGroupCommitBatching(t *testing.T) {
 	// MaxWriters doubles as the expected fan-in hint, which lets the
 	// group-commit leader collect a batch even on GOMAXPROCS=1 where
@@ -494,15 +497,16 @@ func TestPageLocksGroupCommitBatching(t *testing.T) {
 		}(ids[w])
 	}
 	wg.Wait()
+	const commits = 4 * perWriter
 	gc := db.Snapshot().GroupCommit.Sub(before.GroupCommit)
-	if gc.Requests < 4*perWriter {
-		t.Fatalf("Requests = %d, want >= %d commit forces", gc.Requests, 4*perWriter)
+	if gc.Requests > commits {
+		t.Fatalf("Requests = %d, want at most one per commit (%d)", gc.Requests, commits)
 	}
 	if gc.Piggybacked == 0 {
-		t.Fatalf("no piggybacked forces across %d concurrent commits: %+v", 4*perWriter, gc)
+		t.Fatalf("no piggybacked forces across %d concurrent commits: %+v", commits, gc)
 	}
-	if gc.Forces >= gc.Requests {
-		t.Fatalf("group commit did not batch: %+v", gc)
+	if gc.Forces >= commits {
+		t.Fatalf("group commit did not batch %d commits: %+v", commits, gc)
 	}
 	t.Logf("group commit fan-in %.2f (%d requests, %d writes, %d piggybacked)",
 		gc.FanIn(), gc.Requests, gc.Forces, gc.Piggybacked)

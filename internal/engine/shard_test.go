@@ -116,6 +116,69 @@ func TestShardedEngineConcurrentWorkload(t *testing.T) {
 	}
 }
 
+// TestShardCountKeepsSimulatedTime: with the working set fully buffered the
+// shard count decides which mutex a hit takes, not what the model charges.
+// One terminal running a fixed schedule commits the same work in the same
+// simulated time (within 1 %) on 1 and on 4 shards.
+func TestShardCountKeepsSimulatedTime(t *testing.T) {
+	run := func(shards int) Snapshot {
+		db, err := Open(Config{
+			DataDev:      device.NewArray("data", device.ProfileCheetah15K, 4, 32768),
+			LogDev:       device.New("log", device.ProfileCheetah15K, 1<<16),
+			BufferPages:  512,
+			BufferShards: shards,
+			Policy:       PolicyNone,
+			PageLocks:    true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		ctx := context.Background()
+		var ids []page.ID
+		if err := db.Update(ctx, func(tx *Tx) error {
+			for i := 0; i < 64; i++ {
+				id, err := tx.Alloc(page.TypeHeap)
+				if err != nil {
+					return err
+				}
+				ids = append(ids, id)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			if err := db.Update(ctx, func(tx *Tx) error {
+				for _, id := range []page.ID{ids[i%64], ids[(i*7+3)%64]} {
+					if err := tx.Modify(id, func(buf page.Buf) error {
+						buf[page.HeaderSize]++
+						return nil
+					}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := db.Snapshot()
+		if len(snap.PoolShards) != shards {
+			t.Fatalf("PoolShards has %d entries, want %d", len(snap.PoolShards), shards)
+		}
+		return snap
+	}
+	s1, s4 := run(1), run(4)
+	if s1.Committed != s4.Committed || s1.PageAccesses != s4.PageAccesses {
+		t.Fatalf("workloads differ: shards=1 %d commits/%d accesses, shards=4 %d/%d",
+			s1.Committed, s1.PageAccesses, s4.Committed, s4.PageAccesses)
+	}
+	if diff := float64(s4.Elapsed)/float64(s1.Elapsed) - 1; diff < -0.01 || diff > 0.01 {
+		t.Errorf("simulated time moved with the shard count: %v vs %v", s1.Elapsed, s4.Elapsed)
+	}
+}
+
 // TestSnapshotStatsCoherent is the stats-tearing regression test at the
 // engine level: Snapshot must derive PageAccesses, Pool and PoolShards
 // from one coherent per-shard sampling while transactions keep mutating

@@ -375,20 +375,6 @@ func (a *Async) StripeStats() []metrics.CacheStripeStats {
 	return out
 }
 
-// ResetStats clears the core and pipeline statistics.
-func (a *Async) ResetStats() {
-	a.core.ResetStats()
-	a.pipe.ResetStats()
-	for _, st := range a.stripes {
-		st.mu.Lock()
-		st.ringHits = 0
-		st.mu.Unlock()
-	}
-	a.coalescedStageIns.Store(0)
-	a.coalescedDirtyStageIns.Store(0)
-	a.coalescedCleanStageIns.Store(0)
-}
-
 // PipelineStats returns the background pipeline counters.
 func (a *Async) PipelineStats() metrics.PipelineStats {
 	s := a.pipe.Stats()

@@ -75,9 +75,6 @@ type Extension interface {
 
 	// Stats returns a snapshot of cache statistics.
 	Stats() Stats
-
-	// ResetStats clears the statistics (used after warm-up).
-	ResetStats()
 }
 
 // StripeReporter is implemented by cache managers with striped lookup

@@ -724,19 +724,3 @@ func TestNewLCValidation(t *testing.T) {
 		t.Fatal("oversized frame count accepted")
 	}
 }
-
-func TestResetStats(t *testing.T) {
-	disk := newFakeDisk()
-	m := newFaCE(t, 8, disk)
-	m.StageIn(1, makePage(1, 1, 1), true, true)
-	m.ResetStats()
-	if m.Stats().StageIns != 0 {
-		t.Fatal("MVFIFO ResetStats failed")
-	}
-	c, _ := NewLC(LCConfig{Dev: flashDev(16), Frames: 4, DiskWrite: disk.write})
-	c.StageIn(1, makePage(1, 1, 1), true, true)
-	c.ResetStats()
-	if c.Stats().StageIns != 0 {
-		t.Fatal("LC ResetStats failed")
-	}
-}

@@ -142,13 +142,6 @@ func (c *LC) Stats() Stats {
 	return c.stats
 }
 
-// ResetStats clears the statistics.
-func (c *LC) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = Stats{}
-}
-
 // Contains reports whether the page is cached.
 func (c *LC) Contains(id page.ID) bool {
 	c.mu.Lock()

@@ -368,18 +368,6 @@ func (m *MVFIFO) StripeStats() []metrics.CacheStripeStats {
 	return out
 }
 
-// ResetStats clears the statistics.
-func (m *MVFIFO) ResetStats() {
-	m.mu.Lock()
-	m.stats = Stats{}
-	m.mu.Unlock()
-	for _, st := range m.stripes {
-		st.mu.Lock()
-		st.lookups, st.hits, st.flashReads = 0, 0, 0
-		st.mu.Unlock()
-	}
-}
-
 // noteDiskWrite records a completed asynchronous destage disk write.
 func (m *MVFIFO) noteDiskWrite() {
 	m.mu.Lock()

@@ -176,8 +176,8 @@ func TestStripedConcurrentLookups(t *testing.T) {
 	}
 }
 
-// TestStripedStatsCoherent: Stats and ResetStats race lookups and stage-ins
-// without tearing (negative counters, rates outside [0, 1]).
+// TestStripedStatsCoherent: Stats races lookups without tearing (negative
+// counters, rates outside [0, 1]).
 func TestStripedStatsCoherent(t *testing.T) {
 	var dmu sync.Mutex
 	disk := map[page.ID]page.LSN{}
@@ -216,9 +216,6 @@ func TestStripedStatsCoherent(t *testing.T) {
 		}
 		if hr := s.HitRate(); hr < 0 || hr > 1 {
 			t.Fatalf("hit rate %v outside [0, 1]", hr)
-		}
-		if i%10 == 0 {
-			m.ResetStats()
 		}
 	}
 	close(stop)

@@ -289,9 +289,3 @@ func (d *Destager) fillStats(s *metrics.PipelineStats) {
 	s.ReuseWaits = d.reuseWaits
 	s.DestageHits = d.hits
 }
-
-func (d *Destager) resetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.destages, d.destageWrites, d.maxDepth, d.reuseWaits, d.hits = 0, 0, 0, 0, 0
-}

@@ -396,10 +396,6 @@ func TestPipelineStatsCounters(t *testing.T) {
 	if fill := s.GroupFill(); fill <= 0 || fill > 4 {
 		t.Fatalf("group fill = %v", fill)
 	}
-	p.ResetStats()
-	if s := p.Stats(); s.Staged != 0 || s.Batches != 0 {
-		t.Fatalf("stats after reset = %+v", s)
-	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}

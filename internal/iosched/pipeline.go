@@ -53,12 +53,3 @@ func (p *Pipeline) Stats() metrics.PipelineStats {
 	}
 	return s
 }
-
-// ResetStats clears the pipeline counters (used after warm-up).
-func (p *Pipeline) ResetStats() {
-	p.Ring.resetStats()
-	p.Writer.resetStats()
-	if p.Dest != nil {
-		p.Dest.resetStats()
-	}
-}

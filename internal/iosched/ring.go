@@ -233,10 +233,3 @@ func (r *Ring) fillStats(s *metrics.PipelineStats) {
 	s.MaxDepth = r.maxDepth
 	s.Coalesced = r.coalesced
 }
-
-// resetStats clears the ring counters (used after warm-up).
-func (r *Ring) resetStats() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.staged, r.stalls, r.stallTime, r.maxDepth, r.coalesced = 0, 0, 0, 0, 0
-}

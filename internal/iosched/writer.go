@@ -139,9 +139,3 @@ func (w *GroupWriter) fillStats(s *metrics.PipelineStats) {
 	s.Batches = w.batches
 	s.BatchPages = w.batchPages
 }
-
-func (w *GroupWriter) resetStats() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.batches, w.batchPages = 0, 0
-}

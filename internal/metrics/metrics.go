@@ -181,38 +181,6 @@ type ShardStats struct {
 // Accesses returns the shard's buffer access count.
 func (s ShardStats) Accesses() int64 { return s.Hits + s.Misses }
 
-// ShardImbalance returns the ratio of the busiest shard's access count to
-// the mean across shards (1.0 = perfectly even, N = everything on one of N
-// shards).  It returns 0 when there are no shards or no accesses.
-func ShardImbalance(shards []ShardStats) float64 {
-	counts := make([]int64, len(shards))
-	for i, s := range shards {
-		counts[i] = s.Accesses()
-	}
-	return imbalanceRatio(counts)
-}
-
-// imbalanceRatio returns busiest/mean over the given per-slot counts, or 0
-// for no slots / all-zero counts.  It is the shared core of ShardImbalance
-// and StripeImbalance.
-func imbalanceRatio(counts []int64) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	var total, max int64
-	for _, c := range counts {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(counts))
-	return float64(max) / mean
-}
-
 // CacheStripeStats is the per-stripe breakdown of flash cache lookup
 // activity under the striped directory: one coherent counter snapshot per
 // stripe, in stripe order.  Comparing stripes diagnoses directory hot
@@ -225,17 +193,6 @@ type CacheStripeStats struct {
 	Lookups    int64
 	Hits       int64
 	FlashReads int64
-}
-
-// StripeImbalance returns the ratio of the busiest stripe's lookup count
-// to the mean across stripes (1.0 = perfectly even, N = every probe on one
-// of N stripes).  It returns 0 when there are no stripes or no lookups.
-func StripeImbalance(stripes []CacheStripeStats) float64 {
-	counts := make([]int64, len(stripes))
-	for i, s := range stripes {
-		counts[i] = s.Lookups
-	}
-	return imbalanceRatio(counts)
 }
 
 // LockStats captures the activity of the page-level lock manager
@@ -277,7 +234,7 @@ func (l LockStats) Sub(prior LockStats) LockStats {
 }
 
 // GroupCommitStats captures the batching behaviour of the write-ahead
-// log's leader/follower group-commit protocol: how many Force calls needed
+// log's commit forces: how many Force calls needed
 // log I/O, how many device writes actually happened, and how many callers
 // rode along on another caller's write.
 type GroupCommitStats struct {

@@ -263,7 +263,7 @@ func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error 
 		seeds[i] = dr.sched.Int63()
 	}
 
-	// Tell the WAL's group-commit leader how many committers to expect,
+	// Tell the WAL's syncer how many committers to expect,
 	// so the first commit force of a batch opens its collection window;
 	// restore whatever hint the engine was opened with afterwards.
 	prevHint := dr.eng.Log().CommittersHint()

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,19 +34,18 @@ var ErrOldFormat = errors.New("wal: log was written in an older format")
 // Default commit-pipeline geometry: the in-memory log buffer is a ring of
 // DefaultSegments segments of DefaultSegmentBytes each that committers
 // reserve space in with one CAS and fill without holding any lock.
+// minSegments is the smallest ring Config accepts.
 const (
 	DefaultSegments     = 8
 	DefaultSegmentBytes = 64 << 10
+	minSegments         = 2
 )
 
-// Config tunes the log manager.  The zero value selects the lock-free
-// commit pipeline with the default buffer geometry.
+// Config sets the geometry of the in-memory log buffer; the zero value
+// selects the defaults.  Tests shrink it to make the ring wrap and stall.
 type Config struct {
-	// Segments selects the log front end: 0 means DefaultSegments
-	// (the lock-free reservation pipeline), 1 selects the mutex-compat
-	// path (every Append serializes on one lock and Force writes inline —
-	// the pre-pipeline behaviour, kept as the ablation baseline), and
-	// values above 1 run the pipeline with that many buffer segments.
+	// Segments is the number of ring segments (0 = DefaultSegments, otherwise
+	// at least minSegments).
 	Segments int
 	// SegmentBytes is the size of one ring segment (0 = the default).
 	SegmentBytes int
@@ -60,7 +58,7 @@ type Config struct {
 // strictly sequential; the log device is typically a dedicated disk, as in
 // the paper's experimental setup.
 //
-// The default front end is a three-stage pipeline in the Aether /
+// The front end is a three-stage pipeline in the Aether /
 // scalable-ARIES-logging style: Append performs an atomic LSN/space
 // reservation on a ring of buffer segments (one CAS, no lock), copies the
 // record bytes into the reserved slot in parallel with other appenders, and
@@ -74,9 +72,6 @@ type Config struct {
 // the newest durable image, so a torn 4 KiB write cannot clip acknowledged
 // records (tornslot.go), and nothing times a batch: the forces that arrive
 // while one round's barrier is in flight are the next round's batch (collect).
-//
-// Config{Segments: 1} selects the historical mutex path instead
-// (compat.go); the on-device format is identical in both modes.
 type Manager struct {
 	dev device.Dev
 
@@ -107,7 +102,6 @@ type Manager struct {
 	// Hot read-only state is atomic so stats sampling (engine.Snapshot)
 	// never contends with the commit path.
 	durableA       atomic.Uint64 // LSN up to which the log is on the device
-	nextA          atomic.Uint64 // next LSN (maintained by the compat path; the pipeline derives it from its position word)
 	forcesA        atomic.Int64  // flush rounds that performed device I/O for a Force
 	lastCheckpoint atomic.Uint64
 
@@ -123,15 +117,15 @@ type Manager struct {
 	durableWaits   atomic.Int64
 	tornSlotWrites atomic.Int64
 
-	// Group-commit pacing hints, shared by both front ends.  gcWindowNS is
-	// the leader/syncer collection window; committers the dynamic count of
-	// registered committers (AddCommitter); committersHint a static
-	// expectation (SetCommitters) that takes precedence when set.  The
-	// hint matters on machines where concurrent commits never overlap by
-	// chance (few cores): it tells the first force of a batch to open a
-	// collection window so the other committers get scheduled into it.
-	// gcSolo counts consecutive forces that found no companion while a
-	// committer hint was active; see collectionWindow.
+	// Group-commit pacing hints.  gcWindowNS is the syncer's collection
+	// window; committers the dynamic count of registered committers
+	// (AddCommitter); committersHint a static expectation (SetCommitters)
+	// that takes precedence when set.  The hint matters on machines where
+	// concurrent commits never overlap by chance (few cores): it tells the
+	// first force of a batch to open a collection window so the other
+	// committers get scheduled into it.  gcSolo counts consecutive forces
+	// that found no companion while a committer hint was active; see
+	// collectionWindow.
 	gcWindowNS     atomic.Int64
 	committers     atomic.Int64
 	committersHint atomic.Int64
@@ -139,21 +133,12 @@ type Manager struct {
 
 	closed atomic.Bool
 
-	// pipe is the lock-free front end (nil under Config{Segments: 1}).
+	// pipe is the reservation ring and the syncer's state (reserve.go,
+	// syncer.go).
 	pipe *pipeline
-
-	// Mutex-compat state (compat.go); unused when pipe != nil.
-	mu sync.Mutex
-	// pending holds encoded records in [durable, next).
-	pending []byte
-	// partial holds the bytes of the last durable block that precede
-	// offset durable (so the block can be rewritten when more data is
-	// appended to it).  The pipeline moves it into its own state at Open.
-	partial []byte
-	batch   *forceBatch
 }
 
-// Adaptive solo-leader thresholds: after soloStreakLimit companion-less
+// Adaptive solo-round thresholds: after soloStreakLimit companion-less
 // batches the collection window is skipped; every soloProbeEvery solo
 // forces one window is paid as a probe so real concurrency is re-detected
 // within a bounded number of commits.
@@ -168,8 +153,18 @@ const (
 // durable end; otherwise a fresh log is initialised.
 func Open(dev device.Dev) (*Manager, error) { return OpenConfig(dev, Config{}) }
 
-// OpenConfig is Open with an explicit front-end configuration.
+// OpenConfig is Open with an explicit log buffer geometry.  A geometry it
+// rejects is reported before the device is read or written.
 func OpenConfig(dev device.Dev, cfg Config) (*Manager, error) {
+	if cfg.Segments == 0 {
+		cfg.Segments = DefaultSegments
+	}
+	if cfg.Segments < minSegments {
+		return nil, fmt.Errorf("wal: Segments must be at least %d (got %d)", minSegments, cfg.Segments)
+	}
+	if cfg.SegmentBytes <= 0 {
+		cfg.SegmentBytes = DefaultSegmentBytes
+	}
 	m := &Manager{dev: dev, dataBlocks: dev.NumBlocks()}
 	if _, ok := dev.(device.Syncer); ok && dev.NumBlocks() >= controlBlocks+tornSlotBlocks+1 {
 		m.protect = true
@@ -205,14 +200,14 @@ func OpenConfig(dev device.Dev, cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		m.durableA.Store(uint64(end))
-		m.nextA.Store(uint64(end))
-		if err := m.loadPartial(); err != nil {
+		partial, err := m.loadPartial()
+		if err != nil {
 			return nil, err
 		}
-		if err := m.stageRecoveredTail(newest); err != nil {
+		if err := m.stageRecoveredTail(newest, partial); err != nil {
 			return nil, err
 		}
-		return m, m.start(cfg)
+		return m.start(cfg, partial)
 	}
 	// Fresh log.  An entry of an earlier log on the same device must not
 	// repair a block of this one: the entries go before the log exists.
@@ -224,43 +219,27 @@ func OpenConfig(dev device.Dev, cfg Config) (*Manager, error) {
 	if err := m.writeControl(); err != nil {
 		return nil, err
 	}
-	return m, m.start(cfg)
+	return m.start(cfg, nil)
 }
 
-// start brings up the configured front end once the shared on-device state
-// has been recovered.
-func (m *Manager) start(cfg Config) error {
-	segs := cfg.Segments
-	if segs == 0 {
-		segs = DefaultSegments
-	}
-	if segs < 1 {
-		return fmt.Errorf("wal: Segments must be at least 1 (got %d)", cfg.Segments)
-	}
-	if segs == 1 {
-		return nil // mutex-compat front end
-	}
-	segBytes := cfg.SegmentBytes
-	if segBytes <= 0 {
-		segBytes = DefaultSegmentBytes
-	}
-	p, err := newPipeline(m, segs, segBytes)
+// start brings up the ring and the syncer once the on-device state has been
+// recovered; partial holds the bytes of the last durable block that precede
+// the durable end, which the first flush rewrites with what follows them.
+func (m *Manager) start(cfg Config, partial []byte) (*Manager, error) {
+	p, err := newPipeline(m, cfg.Segments, cfg.SegmentBytes, partial)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.pipe = p
 	go p.syncerLoop()
-	return nil
+	return m, nil
 }
 
-// Close stops the syncer goroutine of the pipeline front end.  It does not
-// force the log: callers that need the tail durable force it first (the
-// engine checkpoints on Close).  Idempotent.
+// Close stops the syncer goroutine.  It does not force the log: callers
+// that need the tail durable force it first (the engine checkpoints on
+// Close).  Idempotent.
 func (m *Manager) Close() error {
-	if m.closed.Swap(true) {
-		return nil
-	}
-	if m.pipe != nil {
+	if !m.closed.Swap(true) {
 		m.pipe.stop()
 	}
 	return nil
@@ -333,39 +312,33 @@ func (m *Manager) off(lsn page.LSN) uint64 { return uint64(lsn - m.base) }
 // still empty log.  It is used when the database pages already carry LSNs
 // from a previous log incarnation: starting above their high-water mark
 // keeps LSN comparisons (redo checks, flash-cache version checks)
-// meaningful.  It fails once anything has been appended.
+// meaningful.  It fails once anything has been appended, and must not run
+// beside an Append.
 func (m *Manager) SetStart(lsn page.LSN) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.Next() != m.base || m.Durable() != m.base || len(m.pending) > 0 ||
-		(m.pipe != nil && !m.pipe.empty()) {
+	if m.Next() != m.base || m.Durable() != m.base {
 		return fmt.Errorf("wal: SetStart on a non-empty log (next %d, base %d)", m.Next(), m.base)
 	}
 	if lsn < m.base {
 		return nil
 	}
 	m.base = lsn
-	m.nextA.Store(uint64(lsn))
 	m.durableA.Store(uint64(lsn))
-	//lint:allow facevet/nolockio cold initialization: SetStart requires an empty log, so no appender can contend for the mutex
 	return m.writeControl()
 }
 
-// loadPartial reads the partially filled last durable block so appends can
-// rewrite it.
-func (m *Manager) loadPartial() error {
+// loadPartial reads the bytes of the partially filled last durable block so
+// the first flush can rewrite it.
+func (m *Manager) loadPartial() ([]byte, error) {
 	rem := int(m.off(m.Durable()) % device.BlockSize)
-	m.partial = nil
 	if rem == 0 {
-		return nil
+		return nil, nil
 	}
 	blk := int64(m.off(m.Durable())/device.BlockSize) + controlBlocks
 	buf := make([]byte, device.BlockSize)
 	if err := m.dev.ReadAt(blk, buf); err != nil {
-		return fmt.Errorf("wal: reading partial tail block: %w", err)
+		return nil, fmt.Errorf("wal: reading partial tail block: %w", err)
 	}
-	m.partial = buf[:rem]
-	return nil
+	return buf[:rem], nil
 }
 
 func (m *Manager) writeControl() error {
@@ -382,8 +355,7 @@ func (m *Manager) writeControl() error {
 
 // writeBlocks writes a run of log blocks of which the last holds tailUsed
 // bytes (0 = it is full); on a device without atomic block writes a partial
-// last block goes to a log tail entry, not in place.  Both front ends
-// funnel their device writes through here.
+// last block goes to a log tail entry, not in place.
 func (m *Manager) writeBlocks(startBlk int64, pages [][]byte, tailUsed int) error {
 	if startBlk+int64(len(pages)) > m.dataBlocks {
 		return fmt.Errorf("wal: log device full (%d blocks)", m.dataBlocks)
@@ -420,52 +392,27 @@ func (m *Manager) syncDevice() error {
 }
 
 // Append adds a record to the log tail and returns its LSN.  The record is
-// not durable until Force is called with an LSN past it.  Under the
-// pipeline front end Append acquires no mutex: it reserves log space with
-// one CAS and copies the record bytes concurrently with other appenders.
+// not durable until Force is called with an LSN past it.  Append acquires
+// no mutex: it reserves log space with one CAS and copies the record bytes
+// concurrently with other appenders.
 func (m *Manager) Append(r *Record) (page.LSN, error) {
 	if err := r.check(); err != nil {
 		return 0, err
 	}
-	if m.pipe != nil {
-		return m.pipe.append(r)
-	}
-	return m.appendCompat(r)
+	return m.pipe.append(r)
 }
 
 // Force makes the log durable at least up to lsn.  It is a no-op when the
-// log is already durable past lsn.  Concurrent callers are coalesced: under
-// the pipeline front end they park on the syncer's durable-LSN waitlist and
-// one flush round covers the maximum requested LSN; under the compat front
-// end the historical leader/follower protocol batches them.
-func (m *Manager) Force(lsn page.LSN) error {
-	if m.pipe != nil {
-		return m.pipe.force(lsn)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	//lint:allow facevet/nolockio compat front end: the leader/follower protocol batches forces under the append mutex by documented design
-	return m.forceLocked(lsn)
-}
+// log is already durable past lsn.  Concurrent callers are coalesced: they
+// park on the syncer's durable-LSN waitlist and one flush round covers the
+// maximum requested LSN.
+func (m *Manager) Force(lsn page.LSN) error { return m.pipe.force(lsn) }
 
 // ForceAll makes the entire log tail durable.
-func (m *Manager) ForceAll() error {
-	if m.pipe != nil {
-		return m.pipe.force(m.Next())
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	//lint:allow facevet/nolockio compat front end: the leader/follower protocol batches forces under the append mutex by documented design
-	return m.forceLocked(m.Next())
-}
+func (m *Manager) ForceAll() error { return m.pipe.force(m.Next()) }
 
 // Next returns the LSN that will be assigned to the next appended record.
-func (m *Manager) Next() page.LSN {
-	if m.pipe != nil {
-		return m.pipe.next()
-	}
-	return page.LSN(m.nextA.Load())
-}
+func (m *Manager) Next() page.LSN { return m.pipe.next() }
 
 // Durable returns the LSN up to which the log is persistent.
 func (m *Manager) Durable() page.LSN { return page.LSN(m.durableA.Load()) }
@@ -473,9 +420,6 @@ func (m *Manager) Durable() page.LSN { return page.LSN(m.durableA.Load()) }
 // Forces returns the number of Force flush rounds that performed device
 // I/O.
 func (m *Manager) Forces() int64 { return m.forcesA.Load() }
-
-// Pipelined reports whether the lock-free front end is active.
-func (m *Manager) Pipelined() bool { return m.pipe != nil }
 
 // SetGroupCommitWindow sets the collection window for coalescing commit
 // forces on devices without a durability barrier (see collectionWindow).
@@ -492,16 +436,8 @@ func (m *Manager) SetGroupCommitWindow(d time.Duration) {
 // only a force that sits in a timed window is woken to re-read the count.
 func (m *Manager) AddCommitter(delta int) {
 	m.committers.Add(int64(delta))
-	switch {
-	case m.protect:
-	case m.pipe != nil:
-		if m.pipe.collecting.Load() {
-			m.pipe.kick()
-		}
-	default:
-		m.mu.Lock()
-		m.checkBatchFullLocked()
-		m.mu.Unlock()
+	if !m.protect && m.pipe.collecting.Load() {
+		m.pipe.kick()
 	}
 }
 
@@ -521,8 +457,8 @@ func (m *Manager) SetCommitters(n int) {
 	m.AddCommitter(0) // lets a collecting force re-read the count
 }
 
-// collectionWindow is the one rule both front ends ask before a force waits
-// on a timer for companions; zero means do not.  On a device with a barrier
+// collectionWindow is the rule the syncer asks before a round waits on a
+// timer for companions; zero means do not.  On a device with a barrier
 // it is always zero: a timer this short only adds the timer's slack (200 µs
 // asked is 1.1 ms slept) to every commit.  A simulated device finishes a
 // force in no wall-clock time, so there the window is the only stand-in for
@@ -621,14 +557,7 @@ func (m *Manager) LastCheckpoint() page.LSN {
 
 // Crash simulates a process failure: all non-durable log records are lost.
 // The manager must not be used afterwards; reopen the log with Open.
-func (m *Manager) Crash() {
-	m.Close()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pending = nil
-	m.partial = nil
-	m.nextA.Store(m.durableA.Load())
-}
+func (m *Manager) Crash() { m.Close() }
 
 // Iterate replays durable log records with LSN >= from, in order.  The
 // callback receives each decoded record; iteration stops at the durable end

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -117,9 +118,6 @@ func TestReserveRingWrapStallsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Pipelined() {
-		t.Fatal("expected the pipeline front end")
-	}
 	const writers = 4
 	const perWriter = 100
 	payload := make([]byte, 150)
@@ -153,16 +151,20 @@ func TestReserveRingWrapStallsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestWalCompatModeSingleSegment: Config{Segments: 1} selects the mutex
-// front end; its log must be readable by a default (pipeline) manager.
-func TestWalCompatModeSingleSegment(t *testing.T) {
+// TestWalRejectsSingleSegment: the ring needs two segments; a smaller
+// geometry is an error that leaves the device untouched, and a log written
+// through a shrunken ring reads back under the default one.
+func TestWalRejectsSingleSegment(t *testing.T) {
 	dev := newLogDevice()
-	m, err := OpenConfig(dev, Config{Segments: 1})
+	if _, err := OpenConfig(dev, Config{Segments: 1}); err == nil || !strings.Contains(err.Error(), "at least 2") {
+		t.Fatalf("Segments: 1 accepted, or the error does not name the minimum: %v", err)
+	}
+	if ops := dev.Stats().Ops(); ops != 0 {
+		t.Fatalf("rejected configuration touched the device (%d operations)", ops)
+	}
+	m, err := OpenConfig(dev, Config{Segments: 2, SegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Pipelined() {
-		t.Fatal("Segments: 1 must select the compat front end")
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -179,15 +181,12 @@ func TestWalCompatModeSingleSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m2.Pipelined() {
-		t.Fatal("default Open must select the pipeline front end")
-	}
 	count := 0
 	if err := m2.Iterate(0, func(r *Record) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != n {
-		t.Fatalf("pipeline manager replayed %d compat records, want %d", count, n)
+		t.Fatalf("default manager replayed %d records, want %d", count, n)
 	}
 }
 

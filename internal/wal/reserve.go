@@ -41,7 +41,7 @@ type waiter struct {
 // errBox wraps an error for atomic.Pointer publication.
 type errBox struct{ err error }
 
-// pipeline is the lock-free front end: reservation ring + publication
+// pipeline is the log's front end: reservation ring + publication
 // slots + the syncer goroutine's state.
 type pipeline struct {
 	m *Manager
@@ -122,7 +122,7 @@ func nextPow2(v uint64) uint64 {
 	return n
 }
 
-func newPipeline(m *Manager, segments, segmentBytes int) (*pipeline, error) {
+func newPipeline(m *Manager, segments, segmentBytes int, partial []byte) (*pipeline, error) {
 	ringBytes := nextPow2(uint64(segments) * uint64(segmentBytes))
 	if ringBytes < 4096 {
 		ringBytes = 4096
@@ -158,13 +158,9 @@ func newPipeline(m *Manager, segments, segmentBytes int) (*pipeline, error) {
 	p.pos.Store(off & posOffMask)
 	p.flushedOff.Store(off)
 	p.hwmOff = off
-	p.partial = m.partial
-	m.partial = nil
+	p.partial = partial
 	return p, nil
 }
-
-// empty reports whether anything has ever been reserved.
-func (p *pipeline) empty() bool { return p.pos.Load()&posOffMask == p.m.off(p.m.Durable()) }
 
 // next returns the next LSN to be assigned.
 func (p *pipeline) next() page.LSN {

@@ -52,62 +52,59 @@ func TestForceSyncsAfterWrite(t *testing.T) {
 	}
 }
 
-// TestForceFailedSyncDoesNotAdvanceDurable, on both front ends: a failed
-// barrier moves neither durable nor "newest durable image" — the round
-// after it writes the same log tail entry again, never the one holding the
-// last acknowledged image, so garbling what that round writes loses
-// nothing that was acknowledged.
+// TestForceFailedSyncDoesNotAdvanceDurable: a failed barrier moves neither
+// durable nor "newest durable image" — the round after it writes the same
+// log tail entry again, never the one holding the last acknowledged image,
+// so garbling what that round writes loses nothing that was acknowledged.
 func TestForceFailedSyncDoesNotAdvanceDurable(t *testing.T) {
-	for _, cfg := range []Config{{}, {Segments: 1}} {
-		dev := newTearDev(nil)
-		m, err := OpenConfig(dev, cfg)
-		if err != nil {
-			t.Fatal(err)
+	dev := newTearDev(nil)
+	m, err := Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entryOf := func(event int) int64 {
+		blk := dev.journal[event].blk
+		if blk < m.dataBlocks {
+			t.Fatalf("event %d wrote block %d, want a log tail entry", event, blk)
 		}
-		entryOf := func(event int) int64 {
-			blk := dev.journal[event].blk
-			if blk < m.dataBlocks {
-				t.Fatalf("segments %d: event %d wrote block %d, want a log tail entry", cfg.Segments, event, blk)
-			}
-			return blk
-		}
-		acked := dev.events()
-		commitOne(t, m, 1)
+		return blk
+	}
+	acked := dev.events()
+	commitOne(t, m, 1)
 
-		wantErr := errors.New("injected fsync failure")
-		dev.failSyncs(wantErr)
-		durableBefore := m.Durable()
-		failed := dev.events()
-		lsn, err := m.Append(&Record{Type: TypeCommit, TxID: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Force(lsn + 1); !errors.Is(err, wantErr) {
-			t.Fatalf("Force with failing sync: %v, want injected error", err)
-		}
-		if got := m.Durable(); got != durableBefore {
-			t.Fatalf("durable advanced to %d despite failed sync (was %d)", got, durableBefore)
-		}
+	wantErr := errors.New("injected fsync failure")
+	dev.failSyncs(wantErr)
+	durableBefore := m.Durable()
+	failed := dev.events()
+	lsn, err := m.Append(&Record{Type: TypeCommit, TxID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Force(lsn + 1); !errors.Is(err, wantErr) {
+		t.Fatalf("Force with failing sync: %v, want injected error", err)
+	}
+	if got := m.Durable(); got != durableBefore {
+		t.Fatalf("durable advanced to %d despite failed sync (was %d)", got, durableBefore)
+	}
 
-		// Once the barrier works again the same records become durable.
-		dev.failSyncs(nil)
-		retried := dev.events()
-		commitOne(t, m, 3)
-		if got := m.Durable(); got != m.Next() {
-			t.Fatalf("durable %d after the successful retry, log ends at %d", got, m.Next())
-		}
-		m.Close()
-		if entryOf(failed) == entryOf(acked) || entryOf(retried) != entryOf(failed) {
-			t.Fatalf("segments %d: entries written at blocks %d (acknowledged), %d (barrier failed), %d (retry): the retry must rewrite the failed round's entry",
-				cfg.Segments, entryOf(acked), entryOf(failed), entryOf(retried))
-		}
-		run, recs, err := reopen(cfg, crashImage(nil, dev.journal, retried, 0, tear{damaged: true}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		run.m.Close()
-		if len(recs) != 1 || recs[0].tx != 1 {
-			t.Fatalf("segments %d: a tear of the retried entry write left %+v, want the acknowledged commit of tx 1", cfg.Segments, recs)
-		}
+	// Once the barrier works again the same records become durable.
+	dev.failSyncs(nil)
+	retried := dev.events()
+	commitOne(t, m, 3)
+	if got := m.Durable(); got != m.Next() {
+		t.Fatalf("durable %d after the successful retry, log ends at %d", got, m.Next())
+	}
+	m.Close()
+	if entryOf(failed) == entryOf(acked) || entryOf(retried) != entryOf(failed) {
+		t.Fatalf("entries written at blocks %d (acknowledged), %d (barrier failed), %d (retry): the retry must rewrite the failed round's entry",
+			entryOf(acked), entryOf(failed), entryOf(retried))
+	}
+	run, recs, err := reopen(Config{}, crashImage(nil, dev.journal, retried, 0, tear{damaged: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.m.Close()
+	if len(recs) != 1 || recs[0].tx != 1 {
+		t.Fatalf("a tear of the retried entry write left %+v, want the acknowledged commit of tx 1", recs)
 	}
 }

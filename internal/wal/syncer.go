@@ -11,12 +11,12 @@ import (
 // The syncer (pipeline stage 2): a dedicated goroutine that owns all log
 // device I/O.  Force callers park on a durable-LSN waitlist; the syncer
 // takes whatever parked while the previous round's barrier was in flight,
-// lets running committers reach it and waits on a timer only where the
-// compat front end would too (collect), then performs one write covering the
+// lets running committers reach it and waits on a timer only on a device
+// without a barrier (collect), then performs one write covering the
 // high-water mark and one durability barrier, and wakes every waiter at or
-// below the new durable LSN.  fsync never runs under an append-path lock.
+// below the new durable LSN.  No lock is held across device I/O.
 
-// force implements Force/ForceAll for the pipeline front end.
+// force implements Force/ForceAll.
 func (p *pipeline) force(lsn page.LSN) error {
 	m := p.m
 	if n := p.next(); lsn > n {

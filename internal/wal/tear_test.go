@@ -397,13 +397,7 @@ func forEachCrash(base map[int64][]byte, journal []tearEvent, full bool, fn func
 }
 
 func TestWalTornTailSweep(t *testing.T) {
-	for _, cfg := range []Config{{Segments: 2, SegmentBytes: 8192}, {Segments: 1}} {
-		name := "pipeline"
-		if cfg.Segments == 1 {
-			name = "compat"
-		}
-		t.Run(name, func(t *testing.T) { tearSweep(t, cfg) })
-	}
+	t.Run("pipeline", func(t *testing.T) { tearSweep(t, Config{Segments: 2, SegmentBytes: 8192}) })
 }
 
 func tearSweep(t *testing.T, cfg Config) {
@@ -415,7 +409,7 @@ func tearSweep(t *testing.T, cfg Config) {
 	first := &tearRun{m: m, dev: dev}
 	tearScript(t, first)
 	m.Close()
-	if cfg.Segments != 1 && m.Stats().ReserveStalls == 0 {
+	if m.Stats().ReserveStalls == 0 {
 		t.Fatal("the script never stalled a reserver: no ring-drain round was swept")
 	}
 	if m.Stats().TornSlotWrites == 0 {

@@ -65,8 +65,8 @@ func tailCRC(b []byte) uint32 {
 
 // writeTailEntry writes the image of the partial block targetBlk to the
 // entry that does not hold the newest barrier-covered image.  Only the
-// flusher gets here (the syncer, the compat front end under its mutex, or
-// Open), and the device copies what it is handed, so one buffer is reused.
+// flusher gets here (the syncer, or Open before it starts), and the device
+// copies what it is handed, so one buffer is reused.
 func (m *Manager) writeTailEntry(targetBlk int64, image []byte) error {
 	buf := m.tailBuf
 	m.tailSeq++
@@ -169,12 +169,12 @@ func (m *Manager) repairTail() (newest tailEntry, err error) {
 // the crash, or that entry lies beyond a torn block — is held by the log
 // block alone, which the round that fills it would rewrite in place: stage
 // it first.
-func (m *Manager) stageRecoveredTail(newest tailEntry) error {
+func (m *Manager) stageRecoveredTail(newest tailEntry, partial []byte) error {
 	tailBlk := int64(m.off(m.Durable())/device.BlockSize) + controlBlocks
-	if !m.protect || len(m.partial) == 0 || (newest.target == tailBlk && len(newest.image) == len(m.partial)) {
+	if !m.protect || len(partial) == 0 || (newest.target == tailBlk && len(newest.image) == len(partial)) {
 		return nil
 	}
-	if err := m.writeTailEntry(tailBlk, m.partial); err != nil {
+	if err := m.writeTailEntry(tailBlk, partial); err != nil {
 		return err
 	}
 	return m.syncDevice()

@@ -269,7 +269,7 @@ func WithIOWriters(n int) Option {
 // A transaction that would close a cycle in the wait-for graph is rolled
 // back and returns ErrDeadlock; retrying it is safe and expected.
 // Commit-time log forces from concurrent writers are batched by the
-// write-ahead log's leader/follower group-commit protocol.
+// write-ahead log's syncer.
 //
 // Without this option (the default) Update transactions are serialized by
 // a reader-writer lock, which is cheaper for single-writer workloads and
@@ -293,24 +293,6 @@ func WithMaxWriters(n int) Option {
 			return fmt.Errorf("face: WithMaxWriters(%d): must be at least 1", n)
 		}
 		c.MaxWriters = n
-		return nil
-	}
-}
-
-// WithWalSegments selects the write-ahead log front end.  The default
-// (zero) is the lock-free commit pipeline: appenders reserve log space
-// with one atomic compare-and-swap on a ring of log buffer segments and
-// copy their records in parallel, while a dedicated syncer goroutine
-// coalesces commit forces and issues the fsync barrier off the append
-// path.  WithWalSegments(1) selects the historical mutex front end
-// (every append serializes on one lock), kept as a comparison baseline;
-// values above 1 run the pipeline with that many buffer segments.
-func WithWalSegments(n int) Option {
-	return func(c *engine.Config) error {
-		if n < 0 {
-			return fmt.Errorf("face: WithWalSegments(%d): must not be negative", n)
-		}
-		c.WalSegments = n
 		return nil
 	}
 }
@@ -341,7 +323,8 @@ func WithRecovery() Option {
 // by default): commit-path phase histograms, per-layer counters and the
 // registry served by DB.Metrics.  Disabling it reduces every recording
 // site to a nil check and makes DB.Metrics return nil; the measured cost
-// of leaving it on is small (see the facebench "obs" ablation).
+// of leaving it on is small (obs.observe_ns in the benchmark's per-layer
+// metrics).
 func WithObservability(enabled bool) Option {
 	return func(c *engine.Config) error {
 		c.DisableObs = !enabled
@@ -356,7 +339,8 @@ func WithObservability(enabled bool) Option {
 // otherwise — whose commit-path phases land in the tail-sampled journal
 // behind DB.Tracer, with slow transactions, deadlock victims and WAL sync
 // stalls pinned.  Disabling it makes DB.Tracer return nil and reduces the
-// recording sites to nil checks (see the facebench "trace" ablation).
+// recording sites to nil checks (trace_overhead_pct in the benchmark prices
+// leaving it on).
 func WithTracing(enabled bool) Option {
 	return func(c *engine.Config) error {
 		c.DisableTracing = !enabled
