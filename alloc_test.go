@@ -1,0 +1,156 @@
+package face
+
+// Allocation budgets for the page path: a page image is 4 KiB, so a layer
+// that stays under 4 096 bytes an operation allocated none.  The layers
+// recycle their images (internal/page.FreeList); these tests fail when a
+// page-sized allocation comes back.  They skip under the race build, whose
+// detector allocates on its own account; CI runs them in a step of their
+// own (go test -run AllocBudget).
+
+import (
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"github.com/reprolab/face/internal/device"
+	"github.com/reprolab/face/internal/engine"
+	facecache "github.com/reprolab/face/internal/face"
+	"github.com/reprolab/face/internal/page"
+)
+
+// heapPerRun calls f runs times and returns the heap bytes and the
+// allocations one call cost on average.  It is testing.AllocsPerRun (one
+// processor, a warm-up call, runtime.MemStats read at both ends) reporting
+// bytes as well.
+func heapPerRun(t *testing.T, runs int, f func()) (bytes, allocs float64) {
+	t.Helper()
+	if page.RecycleGuard {
+		t.Skip("allocation budgets are not measured under the race build")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestAllocBudgetPoolMiss: a buffer miss that evicts reuses the victim's
+// image for the incoming page.
+func TestAllocBudgetPoolMiss(t *testing.T) {
+	pool := missPool(t)
+	i := 0
+	bytes, allocs := heapPerRun(t, 4096, func() {
+		i++
+		getUnpin(t, pool, page.ID(1+i%1024))
+	})
+	t.Logf("pool miss+evict: %.0f B/op, %.2f allocs/op", bytes, allocs)
+	if bytes >= page.Size || allocs > 4.5 {
+		t.Fatalf("pool miss+evict costs %.0f B and %.2f allocations, budget is under %d B and at most 4", bytes, allocs, page.Size)
+	}
+}
+
+// TestAllocBudgetStageIn: stage-ins into a full FaCE+GSC queue — group
+// replacement, second chances, destages and pulled DRAM victims included —
+// amortised over four laps of the queue.
+func TestAllocBudgetStageIn(t *testing.T) {
+	const frames = 256
+	flash := device.New("flash", device.ProfileSamsung470, facecache.FlashDeviceBlocks(frames, 0)+facecache.FlashDeviceSlack)
+	// A DRAM buffer to pull from: it gives up to eight victims a time, whose
+	// images come from, and go home to, its own free list.
+	dram := page.NewFreeList(8)
+	victims := make([]facecache.PulledPage, 0, 8)
+	nextPull := page.ID(1 << 20)
+	cache, err := facecache.NewMVFIFO(facecache.MVFIFOConfig{
+		Dev: flash, Frames: frames, GroupSize: facecache.DefaultGroupSize, SecondChance: true,
+		DiskWrite: func(page.ID, page.Buf) error { return nil },
+		Pull: func(n int, take func([]facecache.PulledPage)) {
+			victims = victims[:0]
+			for ; len(victims) < min(n, cap(victims)); nextPull++ {
+				img := dram.Get()
+				img.Init(nextPull, page.TypeHeap)
+				victims = append(victims, facecache.PulledPage{ID: nextPull, Data: img, Home: dram, Dirty: true, FDirty: true})
+			}
+			take(victims)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, probe := page.NewBuf(), page.NewBuf()
+	i := 0
+	stage := func() {
+		i++
+		id := page.ID(1 + i%(4*frames))
+		img.Init(id, page.TypeHeap)
+		img.SetLSN(page.LSN(i))
+		if err := cache.StageIn(id, img, true, true); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 { // references, so that replacement finds survivors
+			if _, _, err := cache.Lookup(id, probe); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for cache.Len() < frames-1 {
+		stage()
+	}
+	bytes, allocs := heapPerRun(t, 4*frames, stage)
+	s := cache.Stats()
+	t.Logf("stage-in: %.0f B/op, %.2f allocs/op (%d pulled, %d second chances, %d destaged)", bytes, allocs, s.Pulled, s.SecondChances, s.DiskPageWrites)
+	if s.Pulled == 0 || s.SecondChances == 0 || s.DiskPageWrites == 0 {
+		t.Fatalf("the run missed part of group replacement: %+v", s)
+	}
+	if bytes >= page.Size || allocs > 1 {
+		t.Fatalf("stage-in costs %.0f B and %.2f allocations, budget is under %d B and at most 1", bytes, allocs, page.Size)
+	}
+}
+
+// TestAllocBudgetModify: a transaction changing eight bytes of a resident
+// page keeps its before image on the stack and allocates what it did
+// before the page path was looked at — a transaction, a record, its edits,
+// the log's buffers — and no more.
+func TestAllocBudgetModify(t *testing.T) {
+	db, err := engine.Open(engine.Config{
+		DataDev:     device.NewArray("data", device.ProfileCheetah15K, 4, 4096),
+		LogDev:      device.New("log", device.ProfileCheetah15K, 1<<16),
+		BufferPages: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Crash()
+	tx, _ := db.Begin()
+	id, err := tx.Alloc(page.TypeHeap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var v uint64
+	bytes, allocs := heapPerRun(t, 4096, func() {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v++
+		if err := tx.Modify(id, func(buf page.Buf) error {
+			binary.LittleEndian.PutUint64(buf.Payload()[64:], v)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Modify of 8 bytes: %.0f B/op, %.2f allocs/op", bytes, allocs)
+	if bytes >= page.Size || allocs > 8.5 {
+		t.Fatalf("Modify of 8 bytes costs %.0f B and %.2f allocations, budget is under %d B and at most 8", bytes, allocs, page.Size)
+	}
+}

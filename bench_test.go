@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/face/internal/bench"
+	"github.com/reprolab/face/internal/buffer"
 	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/engine"
 	facecache "github.com/reprolab/face/internal/face"
@@ -195,8 +196,46 @@ func BenchmarkMVFIFOStageIn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	stagePages(b, cache, b.N)
+}
+
+// BenchmarkPoolGetMiss measures a DRAM buffer miss that evicts: Get and
+// Unpin of pages cycling through a pool a quarter their number, with
+// callbacks that do nothing a device would.
+func BenchmarkPoolGetMiss(b *testing.B) {
+	pool := missPool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		getUnpin(b, pool, page.ID(1+i%1024))
+	}
+}
+
+// missPool returns a full 256-page pool whose every Get of pages 1..1024 in
+// turn misses and evicts.
+func missPool(tb testing.TB) *buffer.Pool {
+	tb.Helper()
+	pool, err := buffer.New(256,
+		func(id page.ID, buf page.Buf) (bool, error) { buf.Init(id, page.TypeHeap); return false, nil },
+		func(buffer.Victim) error { return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for id := page.ID(1); id <= 1024; id++ {
+		getUnpin(tb, pool, id)
+	}
+	return pool
+}
+
+func getUnpin(tb testing.TB, pool *buffer.Pool, id page.ID) {
+	if _, err := pool.Get(id); err != nil {
+		tb.Fatal(err)
+	}
+	if err := pool.Unpin(id); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // BenchmarkLCStageIn measures the LC baseline stage-in path (random flash
@@ -289,6 +328,7 @@ func BenchmarkEngineTransaction(b *testing.B) {
 	if err := tx.Commit(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx, err := db.Begin()

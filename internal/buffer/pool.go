@@ -45,8 +45,12 @@ var (
 // Victim describes a page leaving the DRAM buffer.
 type Victim struct {
 	ID page.ID
-	// Data is the page image.  The slice is only valid for the duration
-	// of the eviction callback; retainers must copy it.
+	// Data is the page image.  In an eviction or FlushDirty callback it is
+	// lent: valid until the callback returns, after which the pool reuses
+	// it for another page, so the callback must neither keep nor write it.
+	// From EvictBatch it is handed over: the frame is gone and the caller
+	// owns the image; giving it back through Images().Put when done keeps
+	// the pool from allocating a replacement.
 	Data page.Buf
 	// Dirty reports whether the page is newer than its disk copy.
 	Dirty bool
@@ -56,7 +60,9 @@ type Victim struct {
 
 // FetchFunc loads the page with the given id into buf on a DRAM miss.  It
 // reports whether the loaded copy is newer than the disk copy (true when it
-// was served from a write-back flash cache holding a dirty version).
+// was served from a write-back flash cache holding a dirty version).  buf
+// is a recycled image holding some earlier page: the callback must write
+// all of it.
 type FetchFunc func(id page.ID, buf page.Buf) (dirty bool, err error)
 
 // EvictFunc consumes a page evicted from the DRAM buffer.
@@ -100,6 +106,11 @@ type frame struct {
 	fdirty bool
 	pins   int
 	elem   *list.Element
+	// flushing marks a frame a running FlushDirty has yet to reach.  If the
+	// frame leaves the pool before its turn, its image stays behind for the
+	// flush, which still owes the page to its callback: EvictBatch hands
+	// over a copy and an eviction does not recycle the original.
+	flushing bool
 }
 
 // shard is one independently locked slice of the pool: its own LRU,
@@ -127,6 +138,12 @@ type Pool struct {
 	shards   []*shard
 	fetch    FetchFunc
 	evict    EvictFunc
+
+	// images holds the page images of frames that left the pool, for the
+	// frames that enter it: a miss that evicts reuses the victim's image.
+	// It never parks more than capacity images, since the pool never made
+	// more than that, and is a leaf lock like pinMu.
+	images *page.FreeList
 
 	// pinWait makes an all-pinned shard wait on unpinned (signalled by
 	// Unpin and frame removal) instead of failing with ErrAllPinned.
@@ -202,6 +219,7 @@ func NewSharded(capacity, shards int, fetch FetchFunc, evict EvictFunc) (*Pool, 
 		shards:   make([]*shard, shards),
 		fetch:    fetch,
 		evict:    evict,
+		images:   page.NewFreeList(capacity),
 	}
 	p.pinCond = sync.NewCond(&p.pinMu)
 	// Split the capacity as evenly as possible; the first capacity%shards
@@ -252,6 +270,11 @@ func (p *Pool) Close() {
 	}
 	p.pinReleased()
 }
+
+// Images returns the free list the pool's frames take their page images
+// from.  Whoever was handed images by EvictBatch puts them back here once
+// done with them (page.Buf states when that is).
+func (p *Pool) Images() *page.FreeList { return p.images }
 
 // Capacity returns the pool capacity in pages.
 func (p *Pool) Capacity() int { return p.capacity }
@@ -376,7 +399,9 @@ func (p *Pool) Get(id page.ID) (page.Buf, error) {
 	delete(s.busy, id)
 	close(ch)
 	if err != nil {
+		// The id was latched throughout, so nobody else ever saw the frame.
 		s.removeLocked(f)
+		p.images.Put(f.data)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("buffer: fetching page %d: %w", id, err)
 	}
@@ -427,6 +452,9 @@ func (p *Pool) Put(id page.ID, init func(buf page.Buf)) (page.Buf, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
+	// A brand-new page starts from zeroes, not from whatever page the
+	// recycled image held before.
+	clear(f.data)
 	if init != nil {
 		init(f.data)
 	}
@@ -494,7 +522,7 @@ func (s *shard) allocateFrame(id page.ID) (*frame, error) {
 		p.waitPinReleased(gen)
 		s.mu.Lock()
 	}
-	f := &frame{id: id, data: page.NewBuf(), pins: 1}
+	f := &frame{id: id, data: p.images.Get(), pins: 1}
 	f.elem = s.lru.PushFront(f)
 	s.frames[id] = f
 	if !reserved {
@@ -505,7 +533,10 @@ func (s *shard) allocateFrame(id page.ID) (*frame, error) {
 
 // evictFrameLocked removes the victim from the shard and runs the
 // eviction callback with the shard lock released and the page
-// busy-latched.  The caller holds s.mu on entry and on return.
+// busy-latched.  The victim was unpinned and is now unreachable, so its
+// image is the shard's alone: it is lent to the callback and goes to the
+// free list when the callback has returned, for the frame the caller is
+// about to allocate.  The caller holds s.mu on entry and on return.
 func (s *shard) evictFrameLocked(victim *frame) error {
 	s.stats.Evictions++
 	if victim.dirty {
@@ -513,6 +544,9 @@ func (s *shard) evictFrameLocked(victim *frame) error {
 	}
 	s.removeLocked(victim)
 	if s.pool.evict == nil {
+		if !victim.flushing {
+			s.pool.images.Put(victim.data)
+		}
 		return nil
 	}
 	ch := make(chan struct{})
@@ -523,6 +557,9 @@ func (s *shard) evictFrameLocked(victim *frame) error {
 	s.mu.Lock()
 	delete(s.busy, victim.id)
 	close(ch)
+	if !victim.flushing {
+		s.pool.images.Put(victim.data)
+	}
 	if err != nil {
 		return fmt.Errorf("buffer: evicting page %d: %w", victim.id, err)
 	}
@@ -633,27 +670,50 @@ func (p *Pool) Unpin(id page.ID) error {
 // eviction callback in Get.  Pages are flushed in page-id order, so that
 // two runs of one workload stage them into the flash cache in the same
 // order and stay identical from there on.
+//
+// Every resident page goes through one scratch image, copied from its frame
+// just before fn sees it and lent to fn like an eviction victim's, so a
+// checkpoint's transient is one image and not the dirty set.  A page that
+// left the pool after the dirty set was collected — fn may itself pull
+// victims from the LRU tail — is still passed to fn, as it always was:
+// its frame was marked and kept its image (see frame.flushing).
 func (p *Pool) FlushDirty(fn func(v Victim) error, syncedToDisk bool) error {
-	var victims []Victim
+	var pending []*frame
 	for _, s := range p.shards {
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if !f.dirty && !f.fdirty {
-				continue
+			if f.dirty || f.fdirty {
+				f.flushing = true
+				pending = append(pending, f)
 			}
-			victims = append(victims, Victim{ID: f.id, Data: f.data.Clone(), Dirty: f.dirty, FDirty: f.fdirty})
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
+	if len(pending) == 0 {
+		return nil
+	}
+	sort.Slice(pending, func(i, j int) bool { return pending[i].id < pending[j].id })
 
-	for _, v := range victims {
-		if err := fn(v); err != nil {
-			return fmt.Errorf("buffer: flushing page %d: %w", v.ID, err)
+	scratch := p.images.Get()
+	defer p.images.Put(scratch)
+	for i, f := range pending {
+		v, gone := p.flushTurn(f, scratch)
+		err := fn(v)
+		if gone {
+			p.images.Put(f.data)
 		}
-		s := p.shardFor(v.ID)
+		if err != nil {
+			// Nobody is coming for the rest: unmark them.
+			for _, f := range pending[i+1:] {
+				if _, gone := p.flushTurn(f, nil); gone {
+					p.images.Put(f.data)
+				}
+			}
+			return fmt.Errorf("buffer: flushing page %d: %w", f.id, err)
+		}
+		s := p.shardFor(f.id)
 		s.mu.Lock()
-		if f, ok := s.frames[v.ID]; ok {
+		if f, ok := s.frames[f.id]; ok {
 			f.fdirty = false
 			if syncedToDisk {
 				f.dirty = false
@@ -664,38 +724,75 @@ func (p *Pool) FlushDirty(fn func(v Victim) error, syncedToDisk bool) error {
 	return nil
 }
 
-// EvictBatch removes up to n unpinned pages from the LRU tails and returns
-// them WITHOUT invoking the eviction callback.  It implements the "pull
-// more pages from the LRU tail of the DRAM buffer" step of the paper's
+// flushTurn unmarks a frame FlushDirty collected and describes the page
+// for the callback: through scratch (when given) while the frame is
+// resident, through the frame's own image, now the flush's alone, when the
+// frame has left the pool.
+func (p *Pool) flushTurn(f *frame, scratch page.Buf) (v Victim, gone bool) {
+	s := p.shardFor(f.id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// An eviction of the page in flight has lent the image to its callback.
+	s.waitBusyLocked(f.id)
+	f.flushing = false
+	v = Victim{ID: f.id, Data: scratch, Dirty: f.dirty, FDirty: f.fdirty}
+	if s.frames[f.id] != f {
+		v.Data = f.data
+		return v, true
+	}
+	copy(scratch, f.data)
+	return v, false
+}
+
+// EvictBatch removes up to n unpinned pages from the LRU tails and passes
+// them to take WITHOUT invoking the eviction callback.  It implements the
+// "pull more pages from the LRU tail of the DRAM buffer" step of the paper's
 // Group Second Chance replacement (Section 3.3): the flash cache tops up a
 // partially empty write group with additional DRAM victims.  With several
 // shards the pull visits the shard tails round-robin, one victim per shard
 // per round, approximating the global LRU order.
-func (p *Pool) EvictBatch(n int) []Victim {
+//
+// The victims' images are handed over, not copied: their frames are gone,
+// so nothing else refers to them (see Victim.Data).  Their pages stay
+// busy-latched until take returns, exactly as a page going through the
+// eviction callback does: while a page changes hands it is in neither the
+// pool nor whatever take puts it into, and a concurrent Get must wait for
+// it to arrive rather than miss into an older copy below.  take is not
+// called when nothing could be pulled.
+func (p *Pool) EvictBatch(n int, take func([]Victim)) {
 	var out []Victim
 	if len(p.shards) == 1 {
-		return p.shards[0].evictTail(n)
-	}
-	for len(out) < n {
-		took := false
-		for _, s := range p.shards {
-			if len(out) >= n {
-				break
-			}
-			got := s.evictTail(1)
-			if len(got) > 0 {
-				out = append(out, got...)
-				took = true
+		out = p.shards[0].evictTail(n)
+	} else {
+		for took := true; took && len(out) < n; {
+			took = false
+			for _, s := range p.shards {
+				if len(out) >= n {
+					break
+				}
+				got := s.evictTail(1)
+				if len(got) > 0 {
+					out = append(out, got...)
+					took = true
+				}
 			}
 		}
-		if !took {
-			break
-		}
 	}
-	return out
+	if len(out) == 0 {
+		return
+	}
+	take(out)
+	for _, v := range out {
+		s := p.shardFor(v.ID)
+		s.mu.Lock()
+		close(s.busy[v.ID])
+		delete(s.busy, v.ID)
+		s.mu.Unlock()
+	}
 }
 
-// evictTail removes up to n unpinned pages from this shard's LRU tail.
+// evictTail removes up to n unpinned pages from this shard's LRU tail and
+// leaves each busy-latched for EvictBatch to release.
 func (s *shard) evictTail(n int) []Victim {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -709,8 +806,12 @@ func (s *shard) evictTail(n int) []Victim {
 			if f.dirty {
 				s.stats.DirtyEvictions++
 			}
-			data := f.data.Clone()
+			data := f.data
+			if f.flushing {
+				data = data.Clone()
+			}
 			out = append(out, Victim{ID: f.id, Data: data, Dirty: f.dirty, FDirty: f.fdirty})
+			s.busy[f.id] = make(chan struct{})
 			s.removeLocked(f)
 		}
 		e = prev
@@ -718,8 +819,9 @@ func (s *shard) evictTail(n int) []Victim {
 	return out
 }
 
-// DropAll discards every resident page without writing anything.  It
-// simulates the loss of volatile state at a crash.
+// DropAll discards every resident page, and the free images with them,
+// without writing anything.  It simulates the loss of volatile state at a
+// crash.
 func (p *Pool) DropAll() {
 	for _, s := range p.shards {
 		s.mu.Lock()
@@ -728,6 +830,7 @@ func (p *Pool) DropAll() {
 		s.lru.Init()
 		s.mu.Unlock()
 	}
+	p.images.Drop()
 	p.pinReleased()
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/reprolab/face/internal/page"
 )
@@ -300,6 +302,12 @@ func TestFlushDirty(t *testing.T) {
 	}
 }
 
+// pullAll pulls up to n victims and keeps them past the pull.
+func pullAll(p *Pool, n int) (out []Victim) {
+	p.EvictBatch(n, func(v []Victim) { out = v })
+	return out
+}
+
 func TestEvictBatch(t *testing.T) {
 	b := newTestBacking()
 	p := newPool(t, 5, b)
@@ -313,7 +321,7 @@ func TestEvictBatch(t *testing.T) {
 	}
 	// Keep page 1 pinned: it must not be pulled.
 	p.Get(1)
-	victims := p.EvictBatch(3)
+	victims := pullAll(p, 3)
 	if len(victims) != 3 {
 		t.Fatalf("EvictBatch returned %d victims, want 3", len(victims))
 	}
@@ -366,5 +374,224 @@ func TestCapacityAccessor(t *testing.T) {
 	p := newPool(t, 7, b)
 	if p.Capacity() != 7 {
 		t.Fatalf("Capacity = %d", p.Capacity())
+	}
+}
+
+// TestEvictionLendsAndReusesTheImage: the image of a frame evicted through
+// the callback is lent for the call and then carries the incoming page, so
+// a miss that evicts allocates no page; what the callback saw is gone
+// afterwards, which is why retainers must copy.
+func TestEvictionLendsAndReusesTheImage(t *testing.T) {
+	b := newTestBacking()
+	var lent page.Buf
+	p, err := New(2, b.fetch, func(v Victim) error {
+		lent = v.Data
+		if v.Data.ID() != v.ID {
+			t.Errorf("victim %d carries page %d", v.ID, v.Data.ID())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := page.ID(1); id <= 2; id++ {
+		p.Get(id)
+		p.Unpin(id)
+	}
+	got, err := p.Get(3) // evicts page 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lent == nil || &got[0] != &lent[0] {
+		t.Fatal("the incoming page did not take over the victim's image")
+	}
+	if got.ID() != 3 {
+		t.Fatalf("frame holds page %d, want 3", got.ID())
+	}
+	if p.Images().Len() != 0 {
+		t.Fatalf("%d images parked with every frame in use", p.Images().Len())
+	}
+}
+
+// TestEvictBatchHandsOverAndTakesBack: pulled victims own their images; the
+// puller returns them through Images and the next misses reuse them.
+func TestEvictBatchHandsOverAndTakesBack(t *testing.T) {
+	b := newTestBacking()
+	p := newPool(t, 4, b)
+	frames := map[page.ID]*byte{}
+	for id := page.ID(1); id <= 4; id++ {
+		buf, _ := p.Get(id)
+		frames[id] = &buf[0]
+		p.Unpin(id)
+	}
+	victims := pullAll(p, 2)
+	if len(victims) != 2 {
+		t.Fatalf("pulled %d victims, want 2", len(victims))
+	}
+	for _, v := range victims {
+		if &v.Data[0] != frames[v.ID] {
+			t.Fatalf("victim %d was copied, not handed over", v.ID)
+		}
+		p.Images().Put(v.Data)
+	}
+	if p.Images().Len() != 2 {
+		t.Fatalf("%d images parked, want 2", p.Images().Len())
+	}
+	for id := page.ID(5); id <= 6; id++ {
+		buf, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf.ID() != id || buf[page.HeaderSize] != 0 {
+			t.Fatalf("page %d came up as page %d", id, buf.ID())
+		}
+		p.Unpin(id)
+	}
+	if p.Images().Len() != 0 {
+		t.Fatalf("%d images parked after two misses, want 0", p.Images().Len())
+	}
+	// The crash path drops the parked images with the frames.
+	for _, v := range pullAll(p, 2) {
+		p.Images().Put(v.Data)
+	}
+	p.DropAll()
+	if p.Images().Len() != 0 {
+		t.Fatalf("DropAll left %d images parked", p.Images().Len())
+	}
+}
+
+// TestPutStartsFromZeroes: a brand-new page must not show what the recycled
+// image held before.
+func TestPutStartsFromZeroes(t *testing.T) {
+	b := newTestBacking()
+	p := newPool(t, 1, b)
+	buf, _ := p.Get(1)
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	p.Unpin(1)
+	fresh, err := p.Put(2, nil) // evicts page 1, reuses its image
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range fresh {
+		if c != 0 {
+			t.Fatalf("byte %d of a new page is %#x", i, c)
+		}
+	}
+}
+
+// TestFlushDirtyThroughOneImage: every resident page reaches the callback
+// through the same scratch image with its own content, and a page pulled
+// out of the pool while the flush is under way — the callback's own doing,
+// as when a stage-in makes room by pulling DRAM victims — is still flushed,
+// with the content it had, while the puller's copy stays the puller's.
+func TestFlushDirtyThroughOneImage(t *testing.T) {
+	b := newTestBacking()
+	p := newPool(t, 4, b)
+	for id := page.ID(1); id <= 4; id++ {
+		buf, _ := p.Get(id)
+		buf[page.HeaderSize] = byte(10 * id)
+		p.MarkDirty(id)
+		p.Unpin(id)
+	}
+	var (
+		images = map[*byte]bool{}
+		pulled []Victim
+		seen   []page.ID
+	)
+	err := p.FlushDirty(func(v Victim) error {
+		seen = append(seen, v.ID)
+		if v.Data.ID() != v.ID || v.Data[page.HeaderSize] != byte(10*v.ID) || !v.Dirty || !v.FDirty {
+			t.Errorf("flush of page %d saw page %d, content %d, dirty=%v fdirty=%v",
+				v.ID, v.Data.ID(), v.Data[page.HeaderSize], v.Dirty, v.FDirty)
+		}
+		if v.ID == 1 {
+			// Pages 1 (just flushed) and 2 (still to come) leave the pool.
+			pulled = pullAll(p, 2)
+		} else if v.ID != 2 {
+			images[&v.Data[0]] = true
+		}
+		return nil
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(seen) != "[1 2 3 4]" {
+		t.Fatalf("flushed %v, want every page once, in page-id order", seen)
+	}
+	if len(images) != 1 {
+		t.Fatalf("resident pages went through %d images, want one scratch image", len(images))
+	}
+	if len(pulled) != 2 || pulled[1].ID != 2 || pulled[1].Data[page.HeaderSize] != 20 {
+		t.Fatalf("pulled %+v", pulled)
+	}
+	// A failing callback leaves no frame marked: later pulls hand over the
+	// frames' own images again.
+	frames := map[page.ID]*byte{}
+	for id := page.ID(3); id <= 4; id++ {
+		buf, _ := p.Get(id)
+		frames[id] = &buf[0]
+		p.MarkDirty(id)
+		p.Unpin(id)
+	}
+	if err := p.FlushDirty(func(Victim) error { return errors.New("nope") }, false); err == nil {
+		t.Fatal("expected the flush error")
+	}
+	for _, v := range pullAll(p, 4) {
+		if &v.Data[0] != frames[v.ID] {
+			t.Fatalf("the frame of page %d stayed marked after a failed flush", v.ID)
+		}
+	}
+}
+
+// TestEvictBatchLatchesUntilTaken: while pulled pages change hands a Get for
+// one of them waits, and then sees what the taker made of the page, instead
+// of missing into the older copy in the backing store.
+func TestEvictBatchLatchesUntilTaken(t *testing.T) {
+	b := newTestBacking()
+	var mu sync.Mutex
+	newer := map[page.ID]byte{} // where take puts the pulled pages
+	p, err := New(2, func(id page.ID, buf page.Buf) (bool, error) {
+		mu.Lock()
+		v, ok := newer[id]
+		mu.Unlock()
+		if !ok {
+			return b.fetch(id, buf)
+		}
+		buf.Init(id, page.TypeHeap)
+		buf[page.HeaderSize] = v
+		return true, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, _ := p.Get(1)
+	buf[page.HeaderSize] = 42 // the backing store still says 0
+	p.MarkDirty(1)
+	p.Unpin(1)
+
+	got := make(chan byte)
+	p.EvictBatch(1, func(victims []Victim) {
+		go func() {
+			buf, err := p.Get(1)
+			if err != nil {
+				t.Error(err)
+				got <- 0
+				return
+			}
+			got <- buf[page.HeaderSize]
+		}()
+		select {
+		case v := <-got:
+			t.Errorf("Get returned %d while the page was changing hands", v)
+		case <-time.After(20 * time.Millisecond):
+		}
+		mu.Lock()
+		newer[1] = victims[0].Data[page.HeaderSize]
+		mu.Unlock()
+	})
+	if v := <-got; v != 42 {
+		t.Fatalf("Get after the pull saw %d, want the pulled page's 42", v)
 	}
 }

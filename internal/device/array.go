@@ -130,21 +130,13 @@ func (a *Array) WriteRun(blk int64, pages [][]byte) error {
 // readRunPortion reads a single block charged at the sequential rate.
 func (d *Device) readRunPortion(blk int64, p []byte) error {
 	d.mu.Lock()
-	if blk < 0 || blk >= int64(len(d.blocks)) {
+	if blk < 0 || blk >= d.numBlocks {
 		d.mu.Unlock()
-		return fmt.Errorf("%w: read block %d of %d (%s)", ErrOutOfRange, blk, len(d.blocks), d.name)
+		return fmt.Errorf("%w: read block %d of %d (%s)", ErrOutOfRange, blk, d.numBlocks, d.name)
 	}
 	d.lastRead = blk
 	d.charge(false, true, 1)
-	src := d.blocks[blk]
-	if src == nil {
-		for i := 0; i < BlockSize; i++ {
-			p[i] = 0
-		}
-		d.mu.Unlock()
-		return nil
-	}
-	copy(p[:BlockSize], src)
+	d.loadLocked(blk, p)
 	d.mu.Unlock()
 	return nil
 }
@@ -153,8 +145,8 @@ func (d *Device) readRunPortion(blk int64, p []byte) error {
 func (d *Device) writeRunPortion(blk int64, p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if blk < 0 || blk >= int64(len(d.blocks)) {
-		return fmt.Errorf("%w: write block %d of %d (%s)", ErrOutOfRange, blk, len(d.blocks), d.name)
+	if blk < 0 || blk >= d.numBlocks {
+		return fmt.Errorf("%w: write block %d of %d (%s)", ErrOutOfRange, blk, d.numBlocks, d.name)
 	}
 	d.lastWrite = blk
 	d.charge(true, true, 1)

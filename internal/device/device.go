@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,7 +27,8 @@ type Dev interface {
 	// WriteAt writes block blk from p (len(p) >= BlockSize).
 	WriteAt(blk int64, p []byte) error
 	// ReadRun reads n consecutive blocks starting at blk, invoking fn for
-	// each block with a buffer that is only valid during the call.
+	// each block with a buffer that is only valid during the call and that
+	// fn must not write to: it may be the device's own storage.
 	ReadRun(blk int64, n int, fn func(i int, p []byte) error) error
 	// WriteRun writes len(pages) consecutive blocks starting at blk.
 	WriteRun(blk int64, pages [][]byte) error
@@ -114,7 +116,7 @@ func (s Stats) String() string {
 }
 
 // Device is a single simulated block device.  Contents are held in memory
-// (blocks are allocated lazily) so the data written by the engine, the
+// (in extents allocated lazily) so the data written by the engine, the
 // flash cache and the write-ahead log are real and survive a simulated
 // crash of the volatile layers.
 //
@@ -127,25 +129,61 @@ type Device struct {
 	mu      sync.Mutex
 	name    string
 	profile Profile
-	blocks  [][]byte
-	stats   Stats
+	// numBlocks is the capacity.  extents holds the contents, extentBlocks
+	// blocks to a slab that is allocated by the first write into it: no
+	// pointer per block for the collector to trace, and no allocation per
+	// block written.  A missing extent reads as zeroes, like the blocks of
+	// an allocated one that were never written.
+	numBlocks int64
+	extents   [][]byte
+	stats     Stats
 
 	lastRead  int64
 	lastWrite int64
 }
 
+// extentBlocks is the number of blocks in one extent (1 MiB): small enough
+// that a device written here and there stays cheap, large enough that the
+// table over a million-block log disk is a few thousand entries.
+const extentBlocks = 256
+
+// zeroBlock is what a never-written block reads as.
+var zeroBlock [BlockSize]byte
+
 // New creates a device with the given profile and capacity in blocks.
 func New(name string, profile Profile, numBlocks int64) *Device {
-	if numBlocks < 0 {
-		numBlocks = 0
-	}
-	return &Device{
+	d := &Device{
 		name:      name,
 		profile:   profile,
-		blocks:    make([][]byte, numBlocks),
 		lastRead:  -2,
 		lastWrite: -2,
 	}
+	d.resizeLocked(numBlocks)
+	return d
+}
+
+// resizeLocked empties the device and sets its capacity.
+func (d *Device) resizeLocked(numBlocks int64) {
+	if numBlocks < 0 {
+		numBlocks = 0
+	}
+	d.numBlocks = numBlocks
+	d.extents = make([][]byte, (numBlocks+extentBlocks-1)/extentBlocks)
+}
+
+// blockLocked returns the stored content of block blk, or nil if nothing
+// was ever written to its extent.  The block must be in range.
+func (d *Device) blockLocked(blk int64) []byte {
+	return blockOf(d.extents[blk/extentBlocks], blk)
+}
+
+// blockOf returns block blk's part of its extent, or nil without one.
+func blockOf(ext []byte, blk int64) []byte {
+	if ext == nil {
+		return nil
+	}
+	off := (blk % extentBlocks) * BlockSize
+	return ext[off : off+BlockSize : off+BlockSize]
 }
 
 // Name returns the device name.
@@ -158,7 +196,7 @@ func (d *Device) Profile() Profile { return d.profile }
 func (d *Device) NumBlocks() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int64(len(d.blocks))
+	return d.numBlocks
 }
 
 // Parallelism of a single device is 1.
@@ -171,20 +209,13 @@ func (d *Device) ReadAt(blk int64, p []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if blk < 0 || blk >= int64(len(d.blocks)) {
-		return fmt.Errorf("%w: read block %d of %d (%s)", ErrOutOfRange, blk, len(d.blocks), d.name)
+	if blk < 0 || blk >= d.numBlocks {
+		return fmt.Errorf("%w: read block %d of %d (%s)", ErrOutOfRange, blk, d.numBlocks, d.name)
 	}
 	seq := blk == d.lastRead+1
 	d.lastRead = blk
 	d.charge(false, seq, 1)
-	src := d.blocks[blk]
-	if src == nil {
-		for i := 0; i < BlockSize; i++ {
-			p[i] = 0
-		}
-		return nil
-	}
-	copy(p[:BlockSize], src)
+	d.loadLocked(blk, p)
 	return nil
 }
 
@@ -195,8 +226,8 @@ func (d *Device) WriteAt(blk int64, p []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if blk < 0 || blk >= int64(len(d.blocks)) {
-		return fmt.Errorf("%w: write block %d of %d (%s)", ErrOutOfRange, blk, len(d.blocks), d.name)
+	if blk < 0 || blk >= d.numBlocks {
+		return fmt.Errorf("%w: write block %d of %d (%s)", ErrOutOfRange, blk, d.numBlocks, d.name)
 	}
 	seq := blk == d.lastWrite+1
 	d.lastWrite = blk
@@ -212,30 +243,29 @@ func (d *Device) ReadRun(blk int64, n int, fn func(i int, p []byte) error) error
 		return nil
 	}
 	d.mu.Lock()
-	if blk < 0 || blk+int64(n) > int64(len(d.blocks)) {
+	if blk < 0 || blk+int64(n) > d.numBlocks {
 		d.mu.Unlock()
-		return fmt.Errorf("%w: read run [%d,%d) of %d (%s)", ErrOutOfRange, blk, blk+int64(n), len(d.blocks), d.name)
+		return fmt.Errorf("%w: read run [%d,%d) of %d (%s)", ErrOutOfRange, blk, blk+int64(n), d.numBlocks, d.name)
 	}
 	d.lastRead = blk + int64(n) - 1
 	d.charge(false, true, n)
-	buf := make([]byte, BlockSize)
-	run := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		run[i] = d.blocks[blk+int64(i)]
-	}
 	d.mu.Unlock()
 
-	for i := 0; i < n; i++ {
-		src := run[i]
-		if src == nil {
-			for j := range buf {
-				buf[j] = 0
+	// fn sees the stored blocks themselves, an extent at a time, and runs
+	// without the lock.
+	for i := 0; i < n; {
+		first := blk + int64(i)
+		d.mu.Lock()
+		ext := d.extents[first/extentBlocks]
+		d.mu.Unlock()
+		for ; i < n && (blk+int64(i))/extentBlocks == first/extentBlocks; i++ {
+			p := blockOf(ext, blk+int64(i))
+			if p == nil {
+				p = zeroBlock[:]
 			}
-		} else {
-			copy(buf, src)
-		}
-		if err := fn(i, buf); err != nil {
-			return err
+			if err := fn(i, p); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -255,8 +285,8 @@ func (d *Device) WriteRun(blk int64, pages [][]byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if blk < 0 || blk+int64(n) > int64(len(d.blocks)) {
-		return fmt.Errorf("%w: write run [%d,%d) of %d (%s)", ErrOutOfRange, blk, blk+int64(n), len(d.blocks), d.name)
+	if blk < 0 || blk+int64(n) > d.numBlocks {
+		return fmt.Errorf("%w: write run [%d,%d) of %d (%s)", ErrOutOfRange, blk, blk+int64(n), d.numBlocks, d.name)
 	}
 	d.lastWrite = blk + int64(n) - 1
 	d.charge(true, true, n)
@@ -290,15 +320,16 @@ func (d *Device) BusyTime() time.Duration {
 // SnapshotContent returns a deep copy of the device's block contents.  It
 // is used by the benchmark harness to clone a freshly loaded database so
 // each experiment configuration starts from the same on-disk state.
+//
+// A block that holds only zeroes is left nil, as one never written is: the
+// two read the same.
 func (d *Device) SnapshotContent() [][]byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([][]byte, len(d.blocks))
-	for i, b := range d.blocks {
-		if b != nil {
-			cp := make([]byte, BlockSize)
-			copy(cp, b)
-			out[i] = cp
+	out := make([][]byte, d.numBlocks)
+	for i := range out {
+		if b := d.blockLocked(int64(i)); b != nil && !bytes.Equal(b, zeroBlock[:]) {
+			out[i] = bytes.Clone(b)
 		}
 	}
 	return out
@@ -310,12 +341,10 @@ func (d *Device) SnapshotContent() [][]byte {
 func (d *Device) RestoreContent(snapshot [][]byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.blocks = make([][]byte, len(snapshot))
+	d.resizeLocked(int64(len(snapshot)))
 	for i, b := range snapshot {
 		if b != nil {
-			cp := make([]byte, BlockSize)
-			copy(cp, b)
-			d.blocks[i] = cp
+			d.storeLocked(int64(i), b)
 		}
 	}
 	d.stats = Stats{}
@@ -349,13 +378,23 @@ func (d *Device) charge(write, seq bool, n int) {
 	}
 }
 
+// storeLocked copies p into block blk, allocating the block's extent (the
+// device's last one may be short) on the first write into it.
 func (d *Device) storeLocked(blk int64, p []byte) {
-	dst := d.blocks[blk]
-	if dst == nil {
-		dst = make([]byte, BlockSize)
-		d.blocks[blk] = dst
+	if d.extents[blk/extentBlocks] == nil {
+		first := blk / extentBlocks * extentBlocks
+		d.extents[blk/extentBlocks] = make([]byte, min(extentBlocks, d.numBlocks-first)*BlockSize)
 	}
-	copy(dst, p[:BlockSize])
+	copy(d.blockLocked(blk), p)
+}
+
+// loadLocked copies block blk into p.
+func (d *Device) loadLocked(blk int64, p []byte) {
+	src := d.blockLocked(blk)
+	if src == nil {
+		src = zeroBlock[:]
+	}
+	copy(p[:BlockSize], src)
 }
 
 // LoadLogical replaces the device contents with the given logical block

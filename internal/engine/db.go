@@ -321,36 +321,35 @@ func (db *DB) diskWritePage(id page.ID, data page.Buf) error {
 
 // pullVictims lets Group Second Chance top up a write group with victims
 // pulled from the DRAM buffer's LRU tail.  The write-ahead rule is honoured
-// before the pages are handed to the cache.
-func (db *DB) pullVictims(n int) []face.PulledPage {
-	victims := db.pool.EvictBatch(n)
-	if len(victims) == 0 {
-		return nil
-	}
-	var maxLSN page.LSN
-	for _, v := range victims {
-		if (v.Dirty || v.FDirty) && v.Data.LSN() > maxLSN {
-			maxLSN = v.Data.LSN()
+// before the pages are handed to the cache; the pool keeps them latched
+// until the cache has taken them.
+func (db *DB) pullVictims(n int, take func([]face.PulledPage)) {
+	db.pool.EvictBatch(n, func(victims []buffer.Victim) {
+		var maxLSN page.LSN
+		for _, v := range victims {
+			if (v.Dirty || v.FDirty) && v.Data.LSN() > maxLSN {
+				maxLSN = v.Data.LSN()
+			}
 		}
-	}
-	if maxLSN > 0 {
-		// The pull path has no error return, but a failed force cannot be
-		// swallowed either: the victims have already left the DRAM pool,
-		// so dropping them here would let a live reader miss into a stale
-		// disk copy with no surfaced error (reachable on file-backed
-		// devices, where fsync can fail).  Poison the instance — new
-		// transactions fail with the error and restart recovery replays
-		// the WAL — and hand nothing to the cache.
-		if err := db.log.Force(maxLSN + 1); err != nil {
-			db.setIOErr(fmt.Errorf("engine: log force on the cache pull path failed, instance poisoned (restart to recover): %w", err))
-			return nil
+		if maxLSN > 0 {
+			// The pull path has no error return, but a failed force cannot be
+			// swallowed either: the victims have already left the DRAM pool,
+			// so dropping them here would let a live reader miss into a stale
+			// disk copy with no surfaced error (reachable on file-backed
+			// devices, where fsync can fail).  Poison the instance — new
+			// transactions fail with the error and restart recovery replays
+			// the WAL — and hand nothing to the cache.
+			if err := db.log.Force(maxLSN + 1); err != nil {
+				db.setIOErr(fmt.Errorf("engine: log force on the cache pull path failed, instance poisoned (restart to recover): %w", err))
+				return
+			}
 		}
-	}
-	out := make([]face.PulledPage, 0, len(victims))
-	for _, v := range victims {
-		out = append(out, face.PulledPage{ID: v.ID, Data: v.Data, Dirty: v.Dirty, FDirty: v.FDirty})
-	}
-	return out
+		out := make([]face.PulledPage, 0, len(victims))
+		for _, v := range victims {
+			out = append(out, face.PulledPage{ID: v.ID, Data: v.Data, Home: db.pool.Images(), Dirty: v.Dirty, FDirty: v.FDirty})
+		}
+		take(out)
+	})
 }
 
 // --- superblock ----------------------------------------------------------

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
@@ -48,6 +52,26 @@ func mutate(rng *rand.Rand, buf page.Buf) {
 	}
 }
 
+// mutatedPair is the generator of the differ tests: a page of one of three
+// kinds (chosen by iter) and the same page after mutate.
+func mutatedPair(rng *rand.Rand, iter int) (before, after page.Buf) {
+	before = page.NewBuf()
+	switch iter % 3 {
+	case 0: // random bytes
+		rng.Read(before)
+	case 1: // mostly zeroes, like a young page
+		rng.Read(before[:rng.Intn(400)])
+	case 2: // an array of similar records, like a b-tree node
+		for i := 0; i+18 <= page.Size; i += 18 {
+			binary.LittleEndian.PutUint64(before[i:], uint64(1000+i/18))
+			binary.LittleEndian.PutUint64(before[i+8:], uint64(7+i/900))
+		}
+	}
+	after = before.Clone()
+	mutate(rng, after)
+	return before, after
+}
+
 // TestDiffEditsProperty: whatever was done to a page, the edits diffEdits
 // finds — after a trip through the log — turn the before image into the
 // after image and, inverted, the after image back into the before image.
@@ -62,20 +86,7 @@ func TestDiffEditsProperty(t *testing.T) {
 	type pair struct{ before, after page.Buf }
 	var logged []pair
 	for iter := 0; iter < 600; iter++ {
-		before := page.NewBuf()
-		switch iter % 3 {
-		case 0: // random bytes
-			rng.Read(before)
-		case 1: // mostly zeroes, like a young page
-			rng.Read(before[:rng.Intn(400)])
-		case 2: // an array of similar records, like a b-tree node
-			for i := 0; i+18 <= page.Size; i += 18 {
-				binary.LittleEndian.PutUint64(before[i:], uint64(1000+i/18))
-				binary.LittleEndian.PutUint64(before[i+8:], uint64(7+i/900))
-			}
-		}
-		after := before.Clone()
-		mutate(rng, after)
+		before, after := mutatedPair(rng, iter)
 
 		edits := diffEdits(before, after)
 		if bytes.Equal(before, after) {
@@ -418,3 +429,282 @@ func BenchmarkModify(b *testing.B) {
 		}
 	}
 }
+
+// --- the differ's oracle -------------------------------------------------
+
+// diffEditsRef is the differ as it was before it learned to compare eight
+// bytes at a time: one byte per step, everywhere.  It is the reference the
+// tests hold diffEdits to — the two must return identical edit lists, since
+// the lists are what the log holds — and is otherwise unused.
+func diffEditsRef(before, after page.Buf) []wal.Edit {
+	var stack [16]span
+	spans := stack[:0]
+	for hi := page.Size; hi > 0; {
+		if before[hi-1] == after[hi-1] {
+			hi--
+			continue
+		}
+		lo := regionStartRef(before, after, hi, maxShift)
+		spans = appendRegionRef(spans, before, after, lo, hi)
+		hi = lo
+	}
+	if len(spans) == 0 {
+		return nil
+	}
+	slices.Reverse(spans)
+
+	total := 0
+	for _, s := range spans {
+		total += 2 * s.imageLen()
+	}
+	images := make([]byte, 0, total)
+	edits := make([]wal.Edit, len(spans))
+	for i, s := range spans {
+		n := s.imageLen()
+		// A write keeps the whole region; a shift towards higher offsets
+		// loses the region's last n bytes and gains n at its start, one
+		// towards lower offsets the reverse.
+		out, in := s.lo, s.lo
+		switch {
+		case s.shift > 0:
+			out = s.hi - n
+		case s.shift < 0:
+			in = s.hi - n
+		}
+		images = append(images, before[out:out+n]...)
+		images = append(images, after[in:in+n]...)
+		img := images[len(images)-2*n:]
+		edits[i] = wal.Edit{
+			Off: uint16(s.lo), Len: uint16(s.hi - s.lo), Shift: int8(s.shift),
+			Before: img[:n:n], After: img[n:],
+		}
+	}
+	return edits
+}
+func regionStartRef(before, after page.Buf, hi, gap int) int {
+	lo := hi - 1
+	for i := lo - 1; i >= 0 && lo-i <= gap+1; i-- {
+		if before[i] != after[i] {
+			lo = i
+		}
+	}
+	return lo
+}
+func appendRegionRef(spans []span, before, after page.Buf, lo, hi int) []span {
+	for hi-lo >= minShiftRegion {
+		s, ok := tailShiftRef(before, after, lo, hi)
+		if !ok {
+			break
+		}
+		spans = append(spans, s)
+		for hi = s.lo; hi > lo && before[hi-1] == after[hi-1]; hi-- {
+		}
+	}
+	for hi > lo {
+		start := regionStartRef(before, after, hi, maxWriteGap)
+		spans = append(spans, span{lo: start, hi: hi})
+		for hi = start; hi > lo && before[hi-1] == after[hi-1]; hi-- {
+		}
+	}
+	return spans
+}
+func tailShiftRef(before, after page.Buf, lo, hi int) (span, bool) {
+	best, moved := span{hi: hi}, 0
+	for k := 1; k <= maxShift && k < hi-lo; k++ {
+		// i runs over the unshifted position of each moved byte.
+		i := hi - k
+		for i > lo && after[i-1+k] == before[i-1] {
+			i--
+		}
+		if hi-k-i > moved {
+			moved, best.lo, best.shift = hi-k-i, i, k
+		}
+		i = hi - k
+		for i > lo && after[i-1] == before[i-1+k] {
+			i--
+		}
+		if hi-k-i > moved {
+			moved, best.lo, best.shift = hi-k-i, i, -k
+		}
+	}
+	if moved == 0 {
+		return span{}, false
+	}
+	// The shift costs a header and two images of |k| bytes.  As writes the
+	// same bytes cost two images of every changed byte, possibly appended
+	// to the write in front of them at no further header.
+	changed := 0
+	for i := best.lo; i < hi; i++ {
+		if before[i] != after[i] {
+			changed++
+		}
+	}
+	if wal.EditHeaderSize+2*best.imageLen() >= 2*changed {
+		return span{}, false
+	}
+	return best, true
+}
+
+// checkAgainstRef holds diffEdits to the reference on one pair of images:
+// the same edit list, and one that turns before into after.
+func checkAgainstRef(t *testing.T, before, after page.Buf) {
+	t.Helper()
+	got, want := diffEdits(before, after), diffEditsRef(before, after)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("diffEdits differs from the reference:\n got %s\nwant %s", editShapes(got), editShapes(want))
+	}
+	if applied := applyAll(before, got); !bytes.Equal(applied, after) {
+		t.Fatalf("redo of %s does not give the after image", editShapes(got))
+	}
+}
+
+// editShapes prints the edits without their images.
+func editShapes(edits []wal.Edit) string {
+	var sb strings.Builder
+	for _, e := range edits {
+		fmt.Fprintf(&sb, "[%d+%d shift %d]", e.Off, e.Len, e.Shift)
+	}
+	return sb.String()
+}
+
+// TestDiffEditsMatchesReference: over the property test's generators and
+// over the places a word loop goes wrong — the page's first and last bytes,
+// a change across a word boundary, one inside the LSN field, two changes a
+// gap of exactly maxWriteGap and one more apart, and arrays moved by every
+// distance up to maxShift that end where the page does.
+func TestDiffEditsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 3000; iter++ {
+		before, after := mutatedPair(rng, iter)
+		checkAgainstRef(t, before, after)
+	}
+
+	random := func() page.Buf {
+		b := page.NewBuf()
+		rng.Read(b)
+		return b
+	}
+	flip := func(name string, offs ...int) {
+		t.Run(name, func(t *testing.T) {
+			for _, before := range []page.Buf{page.NewBuf(), random(), leafLike(150, 18)} {
+				after := before.Clone()
+				for _, off := range offs {
+					after[off] ^= 0x5A
+				}
+				checkAgainstRef(t, before, after)
+			}
+		})
+	}
+	flip("unchanged")
+	flip("first byte", 0)
+	flip("last byte", page.Size-1)
+	flip("first and last byte", 0, page.Size-1)
+	flip("across a word boundary", 1023, 1024)
+	flip("across the last word boundary", page.Size-9, page.Size-8)
+	flip("inside the LSN field", 8, 11, 15)
+	for _, at := range []int{0, 1, 7, 8, 9, 2048, 2051, page.Size - 16} {
+		// Two changed bytes with maxWriteGap-1, maxWriteGap and
+		// maxWriteGap+1 unchanged ones between them, and the same around
+		// maxShift, the gap that joins regions.
+		for _, gap := range []int{maxWriteGap - 1, maxWriteGap, maxWriteGap + 1, maxShift - 1, maxShift, maxShift + 1} {
+			if at+gap+1 < page.Size {
+				flip(fmt.Sprintf("gap of %d at %d", gap, at), at, at+gap+1)
+			}
+		}
+	}
+	for off := 0; off < 24; off++ {
+		flip(fmt.Sprintf("every byte of a word run at %d", off), off, off+1, off+2, off+3, off+4, off+5, off+6, off+7, off+8)
+	}
+
+	t.Run("array shifts ending at the page end", func(t *testing.T) {
+		for k := 1; k <= maxShift; k++ {
+			for _, start := range []int{page.HeaderSize, 1000, 1003, page.Size - 200} {
+				if start+2*k >= page.Size {
+					continue
+				}
+				before := random()
+				up := before.Clone()
+				copy(up[start+k:], before[start:page.Size-k])
+				rng.Read(up[start : start+k])
+				checkAgainstRef(t, before, up)
+				down := before.Clone()
+				copy(down[start:], before[start+k:])
+				rng.Read(down[page.Size-k:])
+				checkAgainstRef(t, before, down)
+			}
+		}
+	})
+}
+
+// fuzzPair builds two page images from fuzz input: seed repeated to fill
+// the before image, and script read as five-byte commands (kind, offset,
+// length, value) that overwrite, open a gap in, or close a gap in the after
+// image.
+func fuzzPair(seed, script []byte) (before, after page.Buf) {
+	before = page.NewBuf()
+	for i := 0; len(seed) > 0 && i < page.Size; i += len(seed) {
+		copy(before[i:], seed)
+	}
+	after = before.Clone()
+	for ; len(script) >= 5; script = script[5:] {
+		off := int(binary.LittleEndian.Uint16(script[1:])) % page.Size
+		n := 1 + int(script[3])
+		if script[0]&0x80 != 0 {
+			n *= 8
+		}
+		n = min(n, page.Size-off)
+		switch script[0] % 3 {
+		case 0:
+			for i := off; i < off+n; i++ {
+				after[i] = script[4] + byte(i)
+			}
+		case 1:
+			k := min(1+int(script[4])%(maxShift+8), n)
+			copy(after[off+k:off+n], after[off:off+n-k])
+		case 2:
+			k := min(1+int(script[4])%(maxShift+8), n)
+			copy(after[off:off+n-k], after[off+k:off+n])
+		}
+	}
+	return before, after
+}
+
+// FuzzDiffEdits: whatever the two images, diffEdits returns what the
+// reference returns, and the edits turn the one image into the other.  The
+// seed corpus is in testdata/fuzz/FuzzDiffEdits.
+func FuzzDiffEdits(f *testing.F) {
+	f.Add([]byte{}, []byte{0, 0, 0, 0, 1})
+	f.Add([]byte("0123456789abcdefg"), []byte{1, 0x00, 0x08, 200, 17, 0x80, 0xF0, 0x0F, 3, 9})
+	f.Fuzz(func(t *testing.T, seed, script []byte) {
+		before, after := fuzzPair(seed, script)
+		checkAgainstRef(t, before, after)
+	})
+}
+
+// BenchmarkDiffEdits prices the differ alone on the four shapes of change
+// it meets: a few bytes (a row update), an array moved by one record (an
+// index insert), a page rewritten, and nothing at all.
+func BenchmarkDiffEdits(b *testing.B) {
+	before := leafLike(150, 18)
+	sparse := before.Clone()
+	binary.LittleEndian.PutUint64(sparse.Payload()[900:], 77)
+	shift := before.Clone()
+	if err := arrayInsert(10+40*18, 10+150*18, make([]byte, 18))(shift); err != nil {
+		b.Fatal(err)
+	}
+	rewrite := page.NewBuf()
+	rand.New(rand.NewSource(3)).Read(rewrite)
+	for _, c := range []struct {
+		name  string
+		after page.Buf
+	}{{"sparse", sparse}, {"shift", shift}, {"rewrite", rewrite}, {"unchanged", before.Clone()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				editsSink = diffEdits(before, c.after)
+			}
+		})
+	}
+}
+
+var editsSink []wal.Edit

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -214,9 +216,11 @@ func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 	}
 	defer tx.db.pool.Unpin(id)
 
-	// The before image stays on this goroutine's stack: diffEdits copies
-	// the bytes it keeps.
-	before := buf.Clone()
+	// The before image lives on this goroutine's stack, not in the heap (a
+	// make of constant size that -gcflags=-m reports as not escaping):
+	// diffEdits copies the bytes it keeps and lets neither image escape.
+	before := make(page.Buf, page.Size)
+	copy(before, buf)
 	if err := fn(buf); err != nil {
 		// Restore the pristine image so a failed modification leaves no
 		// unlogged change behind.
@@ -443,14 +447,10 @@ type span struct {
 func diffEdits(before, after page.Buf) []wal.Edit {
 	var stack [16]span
 	spans := stack[:0]
-	for hi := page.Size; hi > 0; {
-		if before[hi-1] == after[hi-1] {
-			hi--
-			continue
-		}
+	for hi := lastDiff(before, after, 0, page.Size); hi > 0; {
 		lo := regionStart(before, after, hi, maxShift)
 		spans = appendRegion(spans, before, after, lo, hi)
-		hi = lo
+		hi = lastDiff(before, after, 0, lo)
 	}
 	if len(spans) == 0 {
 		return nil
@@ -498,12 +498,57 @@ func (s span) imageLen() int {
 // unchanged bytes, by another changed one.
 func regionStart(before, after page.Buf, hi, gap int) int {
 	lo := hi - 1
-	for i := lo - 1; i >= 0 && lo-i <= gap+1; i-- {
-		if before[i] != after[i] {
-			lo = i
+	for lo > 0 {
+		// Changed bytes mostly come in runs.
+		if before[lo-1] != after[lo-1] {
+			lo--
+			continue
 		}
+		floor := max(0, lo-gap-1)
+		d := lastDiff(before, after, floor, lo)
+		if d == floor {
+			break
+		}
+		lo = d - 1
 	}
 	return lo
+}
+
+// suffixLen returns the length of the longest common suffix of a and b,
+// which are of one length.  Most of a modified page is unchanged, so equal
+// stretches are skipped a block at a time with the runtime's vectorised
+// comparison, and only the block holding a difference is walked, eight
+// bytes at a time.
+func suffixLen(a, b []byte) int {
+	const big, small = 1024, 64
+	n := len(a)
+	b = b[:n]
+	if n == 0 || a[n-1] != b[n-1] {
+		return 0
+	}
+	i := n
+	for i >= big && string(a[i-big:i]) == string(b[i-big:i]) {
+		i -= big
+	}
+	for i >= small && string(a[i-small:i]) == string(b[i-small:i]) {
+		i -= small
+	}
+	for ; i >= 8; i -= 8 {
+		// Little endian: the last byte is the word's most significant.
+		if x := binary.LittleEndian.Uint64(a[i-8:]) ^ binary.LittleEndian.Uint64(b[i-8:]); x != 0 {
+			return n - i + bits.LeadingZeros64(x)/8
+		}
+	}
+	for i > 0 && a[i-1] == b[i-1] {
+		i--
+	}
+	return n - i
+}
+
+// lastDiff returns the largest i in (lo, hi] with before[i-1] != after[i-1],
+// or lo if the images agree on all of [lo, hi).
+func lastDiff(before, after page.Buf, lo, hi int) int {
+	return hi - suffixLen(before[lo:hi], after[lo:hi])
 }
 
 // appendRegion appends, last first, the spans of the changed region
@@ -516,14 +561,12 @@ func appendRegion(spans []span, before, after page.Buf, lo, hi int) []span {
 			break
 		}
 		spans = append(spans, s)
-		for hi = s.lo; hi > lo && before[hi-1] == after[hi-1]; hi-- {
-		}
+		hi = lastDiff(before, after, lo, s.lo)
 	}
 	for hi > lo {
 		start := regionStart(before, after, hi, maxWriteGap)
 		spans = append(spans, span{lo: start, hi: hi})
-		for hi = start; hi > lo && before[hi-1] == after[hi-1]; hi-- {
-		}
+		hi = lastDiff(before, after, lo, start)
 	}
 	return spans
 }
@@ -534,21 +577,22 @@ func appendRegion(spans []span, before, after page.Buf, lo, hi int) []span {
 // logging the shift is cheaper than logging the bytes it changed.
 func tailShift(before, after page.Buf, lo, hi int) (span, bool) {
 	best, moved := span{hi: hi}, 0
-	for k := 1; k <= maxShift && k < hi-lo; k++ {
-		// i runs over the unshifted position of each moved byte.
-		i := hi - k
-		for i > lo && after[i-1+k] == before[i-1] {
-			i--
+	// No more than hi-lo-k bytes can have moved by k, so the search ends
+	// when that cannot beat the best so far.
+	for k := 1; k <= maxShift && moved < hi-lo-k; k++ {
+		// n counts the bytes at the end of the region that moved by k, up
+		// and then down.  It beats the best so far only if the byte that
+		// many back from the end moved too, which is looked at first: once
+		// the real distance is found, the others are dismissed at a glance.
+		if after[hi-1-moved] == before[hi-k-1-moved] {
+			if n := suffixLen(after[lo+k:hi], before[lo:hi-k]); n > moved {
+				moved, best.lo, best.shift = n, hi-k-n, k
+			}
 		}
-		if hi-k-i > moved {
-			moved, best.lo, best.shift = hi-k-i, i, k
-		}
-		i = hi - k
-		for i > lo && after[i-1] == before[i-1+k] {
-			i--
-		}
-		if hi-k-i > moved {
-			moved, best.lo, best.shift = hi-k-i, i, -k
+		if moved < hi-lo-k && after[hi-k-1-moved] == before[hi-1-moved] {
+			if n := suffixLen(after[lo:hi-k], before[lo+k:hi]); n > moved {
+				moved, best.lo, best.shift = n, hi-k-n, -k
+			}
 		}
 	}
 	if moved == 0 {
@@ -557,13 +601,14 @@ func tailShift(before, after page.Buf, lo, hi int) (span, bool) {
 	// The shift costs a header and two images of |k| bytes.  As writes the
 	// same bytes cost two images of every changed byte, possibly appended
 	// to the write in front of them at no further header.
-	changed := 0
-	for i := best.lo; i < hi; i++ {
+	// Counting stops as soon as the writes are known to cost more.
+	cost, changed := wal.EditHeaderSize+2*best.imageLen(), 0
+	for i := best.lo; i < hi && cost >= 2*changed; i++ {
 		if before[i] != after[i] {
 			changed++
 		}
 	}
-	if wal.EditHeaderSize+2*best.imageLen() >= 2*changed {
+	if cost >= 2*changed {
 		return span{}, false
 	}
 	return best, true

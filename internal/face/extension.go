@@ -47,7 +47,11 @@ type Extension interface {
 
 	// StageIn offers a page evicted from the DRAM buffer to the cache.
 	// dirty means the page is newer than its disk copy; fdirty means it
-	// is newer than its flash copy (Algorithm 1 in the paper).
+	// is newer than its flash copy (Algorithm 1 in the paper).  data is
+	// lent: every manager copies what it keeps before it returns and
+	// never writes to the image, so the caller may reuse it — the buffer
+	// pool does, for the page it evicted to make room for — or offer the
+	// same image again.
 	StageIn(id page.ID, data page.Buf, dirty, fdirty bool) error
 
 	// Checkpoint participates in a database checkpoint.  For FaCE this
@@ -144,16 +148,27 @@ func (s Stats) WriteReduction() float64 {
 
 // DiskWriteFunc writes a dirty page back to the database on disk.  The
 // engine supplies it so cache managers do not depend on the disk store.
+// data is lent for the call: the cache reuses the image afterwards.
 type DiskWriteFunc func(id page.ID, data page.Buf) error
 
 // PulledPage is a DRAM buffer victim pulled by Group Second Chance to top
 // up a write group (Section 3.3).
 type PulledPage struct {
-	ID     page.ID
-	Data   page.Buf
+	ID page.ID
+	// Data is handed over: the page has left the DRAM buffer and the image
+	// is the cache's until the page's new flash frame is published.
+	Data page.Buf
+	// Home is the free list the cache gives Data back to then, so that the
+	// buffer the image came from does not have to allocate a replacement;
+	// with none set the image falls to the collector.
+	Home   *page.FreeList
 	Dirty  bool
 	FDirty bool
 }
 
-// PullFunc removes up to n victims from the DRAM buffer's LRU tail.
-type PullFunc func(n int) []PulledPage
+// PullFunc removes up to n victims from the DRAM buffer's LRU tail and
+// passes them to take (or does not call it, when there are none).  While
+// they change hands the pages are in neither the buffer nor the cache, so
+// the buffer keeps them latched — a miss on one waits — until take returns,
+// by when the cache has made them reachable to lookups.
+type PullFunc func(n int, take func([]PulledPage))

@@ -307,14 +307,14 @@ func TestGroupSecondChanceKeepsHotPages(t *testing.T) {
 func TestGSCPullsVictimsFromDRAM(t *testing.T) {
 	disk := newFakeDisk()
 	nextPull := page.ID(1000)
-	pull := func(n int) []PulledPage {
+	pull := func(n int, take func([]PulledPage)) {
 		var out []PulledPage
 		for i := 0; i < n; i++ {
 			id := nextPull
 			nextPull++
 			out = append(out, PulledPage{ID: id, Data: makePage(id, 1, 9), Dirty: true, FDirty: true})
 		}
-		return out
+		take(out)
 	}
 	m := newFaCE(t, 16, disk, func(c *MVFIFOConfig) {
 		c.GroupSize = 8
@@ -722,5 +722,86 @@ func TestNewLCValidation(t *testing.T) {
 	}
 	if _, err := NewLC(LCConfig{Dev: flashDev(2), Frames: 100, DiskWrite: disk.write}); err == nil {
 		t.Fatal("oversized frame count accepted")
+	}
+}
+
+// TestWriterPathReturnsWhatItBorrows: the images group replacement works
+// with all come back.  A staged page is lent and left as it was (same bytes,
+// no enqueue stamp); a pulled DRAM victim's image goes to the home it names
+// once its flash frame is published; the frame images read for second
+// chances and destages return to the writer path's own list, which never
+// grows past its bound; and the pages themselves are all where they should
+// be, read back with the right content.
+func TestWriterPathReturnsWhatItBorrows(t *testing.T) {
+	disk := newFakeDisk()
+	home := page.NewFreeList(64)
+	var pulled []page.ID
+	made := 0
+	nextPull := page.ID(1000)
+	m := newFaCE(t, 32, disk, func(c *MVFIFOConfig) {
+		c.GroupSize = 8
+		c.SecondChance = true
+		c.Pull = func(n int, take func([]PulledPage)) {
+			out := make([]PulledPage, 0, n)
+			for i := 0; i < n; i++ {
+				if home.Len() == 0 {
+					made++ // Get is about to allocate
+				}
+				img := home.Get()
+				copy(img, makePage(nextPull, 1, 9))
+				out = append(out, PulledPage{ID: nextPull, Data: img, Home: home, Dirty: true, FDirty: true})
+				pulled = append(pulled, nextPull)
+				nextPull++
+			}
+			take(out)
+		}
+	})
+	lent := page.NewBuf()
+	probe := page.NewBuf()
+	for id := page.ID(1); id <= 200; id++ {
+		copy(lent, makePage(id, page.LSN(id), byte(id)))
+		if err := m.StageIn(id, lent, true, true); err != nil {
+			t.Fatal(err)
+		}
+		if lent.ID() != id || lent.Payload()[0] != byte(id) || lent.CacheStamp() != 0 {
+			t.Fatalf("StageIn wrote to the lent image of page %d", id)
+		}
+		// Reference a few frames so that replacement has survivors.
+		if id%3 == 0 {
+			if _, _, err := m.Lookup(id, probe); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s := m.Stats()
+	if s.Pulled == 0 || s.SecondChances == 0 || s.DiskPageWrites == 0 {
+		t.Fatalf("the run exercised too little: %+v", s)
+	}
+	// Every image the pulls ever made is back home, and they were few: the
+	// same ones went round.
+	if got := home.Len(); got != made || made > m.cfg.GroupSize {
+		t.Fatalf("%d pulls made %d images, %d of them are home", s.Pulled, made, got)
+	}
+	if got := m.images.Len(); got == 0 || got > 2*m.cfg.GroupSize {
+		t.Fatalf("writer path parks %d images, want 1..%d", got, 2*m.cfg.GroupSize)
+	}
+	check := func(id page.ID, marker byte) {
+		found, _, err := m.Lookup(id, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := probe
+		if !found {
+			img = disk.pages[id]
+		}
+		if img == nil || img.ID() != id || img.Payload()[0] != marker {
+			t.Fatalf("page %d (cached=%v) reads back wrong", id, found)
+		}
+	}
+	for id := page.ID(1); id <= 200; id++ {
+		check(id, byte(id))
+	}
+	for _, id := range pulled {
+		check(id, 9)
 	}
 }

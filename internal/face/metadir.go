@@ -90,14 +90,27 @@ type metaDirectory struct {
 	// barrier; flushes that do not advance it skip the sync.
 	preSync     func() error
 	syncedFront uint64
+
+	// seg and super are the images a flush writes a segment and the
+	// superblock from, and segBlocks the segment's blocks as WriteRun wants
+	// them: writer-path scratch like the cache manager's staging run.
+	seg       []byte
+	segBlocks [][]byte
+	super     []byte
 }
 
 func newMetaDirectory(dev device.Dev, lay layout) *metaDirectory {
-	return &metaDirectory{
+	d := &metaDirectory{
 		dev:    dev,
 		layout: lay,
 		cur:    make(map[uint64]metaEntry, lay.segEntries),
+		seg:    make([]byte, lay.blocksPerSeg*device.BlockSize),
+		super:  make([]byte, device.BlockSize),
 	}
+	for i := int64(0); i < lay.blocksPerSeg; i++ {
+		d.segBlocks = append(d.segBlocks, d.seg[i*device.BlockSize:(i+1)*device.BlockSize])
+	}
+	return d
 }
 
 // appendEntry records the metadata of the page enqueued at position pos.
@@ -142,7 +155,8 @@ func (d *metaDirectory) flush(seq, front uint64) (int, error) {
 		if segEnd > seq {
 			segEnd = seq
 		}
-		img := make([]byte, d.layout.blocksPerSeg*device.BlockSize)
+		img := d.seg
+		clear(img)
 		for pos := segStart; pos < segEnd; pos++ {
 			e, ok := d.cur[pos]
 			if !ok {
@@ -156,11 +170,7 @@ func (d *metaDirectory) flush(seq, front uint64) (int, error) {
 			}
 		}
 		slot := int(seg % uint64(d.layout.segSlots))
-		blocks := make([][]byte, d.layout.blocksPerSeg)
-		for i := range blocks {
-			blocks[i] = img[i*device.BlockSize : (i+1)*device.BlockSize]
-		}
-		if err := d.dev.WriteRun(d.layout.segBlock(slot), blocks); err != nil {
+		if err := d.dev.WriteRun(d.layout.segBlock(slot), d.segBlocks); err != nil {
 			return flushes, fmt.Errorf("face: writing metadata segment %d: %w", seg, err)
 		}
 		flushes++
@@ -187,7 +197,7 @@ func (d *metaDirectory) flush(seq, front uint64) (int, error) {
 
 // writeSuperblock persists the queue pointers and cache geometry.
 func (d *metaDirectory) writeSuperblock(front, persisted uint64) error {
-	blk := make([]byte, device.BlockSize)
+	blk := d.super
 	binary.LittleEndian.PutUint32(blk[0:], superMagic)
 	binary.LittleEndian.PutUint64(blk[4:], uint64(d.layout.frames))
 	binary.LittleEndian.PutUint32(blk[12:], uint32(d.layout.segEntries))

@@ -211,6 +211,31 @@ type MVFIFO struct {
 	// metadir is writer-path state, protected by wrMu.
 	metadir *metaDirectory
 
+	// The writer path's own page images and scratch, all under wrMu.
+	//
+	// images holds the frame images group replacement reads the front of
+	// the queue into.  makeRoom takes them, and every one comes back: at
+	// once when its page was destaged inline or forced out, after enqueue has
+	// published the new frame when it survived.  A second round of making
+	// room can start while the first round's survivors are still out, so
+	// the list is bounded by two groups.
+	images *page.FreeList
+	// stage is the run a write group is stamped in and written from, and
+	// pages its blocks as WriteRun wants them; both grow to the largest
+	// group written.  items is the list StageBatch builds for enqueue, kept
+	// for its storage, and room the lists makeRoom builds, each one
+	// replacement group long.
+	stage []byte
+	pages [][]byte
+	items []stageItem
+	room  struct {
+		metas     []frameMeta
+		refs      []bool
+		want      []bool
+		frames    []page.Buf
+		survivors []stageItem
+	}
+
 	// Asynchronous destage hooks, nil in synchronous mode.  enableAsync
 	// installs them before the manager is shared, so they are read without
 	// synchronization afterwards.
@@ -251,7 +276,13 @@ func NewMVFIFO(cfg MVFIFOConfig) (*MVFIFO, error) {
 		meta:    make([]frameMeta, cfg.Frames),
 		refs:    make([]atomic.Bool, cfg.Frames),
 		stripes: newStripes(cfg.Stripes, cfg.Frames),
+		images:  page.NewFreeList(2 * cfg.GroupSize),
 	}
+	m.room.metas = make([]frameMeta, cfg.GroupSize)
+	m.room.refs = make([]bool, cfg.GroupSize)
+	m.room.want = make([]bool, cfg.GroupSize)
+	m.room.frames = make([]page.Buf, cfg.GroupSize)
+	m.room.survivors = make([]stageItem, 0, cfg.GroupSize)
 	// The persistent superblock is written lazily (on the first metadata
 	// flush or checkpoint) so that constructing a manager over a device
 	// that already holds a FaCE cache — the crash-recovery path — does not
@@ -407,11 +438,18 @@ func (m *MVFIFO) Lookup(id page.ID, buf page.Buf) (bool, bool, error) {
 	st.mu.Lock()
 	st.lookups++
 	for {
+		// A page in transit is newer than anything the directory has for it:
+		// a second-chance survivor has no entry left, but a DRAM victim
+		// pulled into the write group may still have an older version in the
+		// queue until the group is published.
+		if found, dirty := st.transitLookupLocked(id, buf); found {
+			st.mu.Unlock()
+			return true, dirty, nil
+		}
 		e, ok := st.dir[id]
 		if !ok {
-			found, dirty := st.transitLookupLocked(id, buf)
 			st.mu.Unlock()
-			return found, dirty, nil
+			return false, false, nil
 		}
 		slot := e.pos % capacity
 		st.mu.Unlock()
@@ -450,7 +488,8 @@ func (st *dirStripe) transitLookupLocked(id page.ID, buf page.Buf) (bool, bool) 
 }
 
 // StageItem is a page offered to the cache, as StageBatch consumes them.
-// Data must be a private copy the cache may retain.
+// Data is lent, like StageIn's: the cache reads it until StageBatch returns
+// and keeps nothing of it.
 type StageItem struct {
 	ID     page.ID
 	Data   page.Buf
@@ -462,6 +501,7 @@ type StageItem struct {
 // StageIn offers a page evicted from the DRAM buffer to the cache,
 // implementing Algorithm 1 of the paper: unconditional enqueue when fdirty,
 // conditional enqueue (skip when an identical copy is cached) otherwise.
+// The image is copied into the write group; see Extension.StageIn.
 func (m *MVFIFO) StageIn(id page.ID, data page.Buf, dirty, fdirty bool) error {
 	return m.StageBatch([]StageItem{{ID: id, Data: data, Dirty: dirty, FDirty: fdirty}})
 }
@@ -478,7 +518,7 @@ func (m *MVFIFO) StageBatch(in []StageItem) error {
 		return ErrClosed
 	}
 	m.mu.Lock()
-	items := make([]stageItem, 0, len(in))
+	items := m.items[:0]
 	for _, it := range in {
 		m.stats.StageIns++
 		if it.Dirty {
@@ -516,8 +556,13 @@ func (m *MVFIFO) StageBatch(in []StageItem) error {
 
 // stageItem is a page about to be enqueued.
 type stageItem struct {
-	id    page.ID
-	data  page.Buf
+	id   page.ID
+	data page.Buf
+	// home is where data goes once the page's new frame is published, for
+	// the items the writer path owns: its own free list for a second-chance
+	// survivor, the puller's for a DRAM victim.  The caller's items are
+	// lent and go nowhere.
+	home  *page.FreeList
 	dirty bool
 	lsn   page.LSN
 	ref   bool

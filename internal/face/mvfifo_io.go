@@ -16,11 +16,21 @@ import (
 
 // enqueue appends the items to the rear of the queue, making room first if
 // necessary.  Items are written to flash as one sequential run.  The
-// caller holds wrMu.
+// caller holds wrMu and passes the items in m.items' storage.
+//
+// The caller's items are lent; the ones makeRoom adds — second-chance
+// survivors and pulled DRAM victims — are the writer path's own, and their
+// images go home once the new frames are published.
 func (m *MVFIFO) enqueue(items []stageItem) error {
 	if len(items) == 0 {
 		return nil
 	}
+	lent := len(items)
+	// Keep the list's storage, grown or not, but none of the images.
+	defer func() {
+		clear(items)
+		m.items = items[:0]
+	}()
 	capacity := uint64(m.cfg.Frames)
 	// Make room.  Group replacement frees GroupSize frames at a time and
 	// may append survivors and pulled DRAM victims to the write group.
@@ -48,13 +58,20 @@ func (m *MVFIFO) enqueue(items []stageItem) error {
 	front := m.front
 	m.mu.Unlock()
 
-	images := make([]page.Buf, len(items))
-	for i, it := range items {
-		pos := start + uint64(i)
-		img := it.data.Clone()
-		img.SetCacheStamp(uint32(pos))
-		images[i] = img
+	// Stamp and write from the staging run, not from the items' images: a
+	// lent image is not ours to stamp, and a survivor's or a pulled victim's
+	// is being served to lookups from the transit map.
+	if need := len(items) * page.Size; cap(m.stage) < need {
+		m.stage = make([]byte, need)
 	}
+	images := m.pages[:0]
+	for i, it := range items {
+		img := page.Buf(m.stage[i*page.Size : (i+1)*page.Size])
+		copy(img, it.data)
+		img.SetCacheStamp(uint32(start + uint64(i)))
+		images = append(images, img)
+	}
+	m.pages = images[:0]
 	// Under asynchronous destaging a frame slot must not be rewritten
 	// until the dirty page that last occupied it has landed on disk.
 	if m.waitReuse != nil && start+uint64(len(items)) > capacity {
@@ -101,6 +118,11 @@ func (m *MVFIFO) enqueue(items []stageItem) error {
 		st.mu.Unlock()
 	}
 	m.mu.Unlock()
+	// The transit entries were the last references to the writer path's own
+	// images, and lookups copy out of them under the stripe lock.
+	for _, it := range items[lent:] {
+		it.home.Put(it.data)
+	}
 
 	// Persist the metadata entries.  The metadata directory is writer-path
 	// state (wrMu), so segment flushes happen without blocking lookups.
@@ -160,24 +182,22 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 	// lookups may still set reference bits, but a reference arriving after
 	// this point no longer saves the frame (the same race exists on a real
 	// system between the replacement decision and the I/O it issues).
-	metas := make([]frameMeta, group)
-	refs := make([]bool, group)
+	metas, refs, want, frames := m.room.metas[:group], m.room.refs[:group], m.room.want[:group], m.room.frames[:group]
+	clear(frames)
 	needData := false
 	for i := 0; i < group; i++ {
 		slot := (front + uint64(i)) % capacity
 		metas[i] = m.meta[slot]
 		refs[i] = m.refs[slot].Load()
-		if metas[i].valid && (metas[i].dirty || (m.cfg.SecondChance && refs[i])) {
-			needData = true
-		}
+		// The frames whose bytes are needed: the ones going to disk and the
+		// ones going round again.
+		want[i] = metas[i].valid && (metas[i].dirty || (m.cfg.SecondChance && refs[i]))
+		needData = needData || want[i]
 	}
 	m.mu.Unlock()
 
-	var frames []page.Buf
 	if needData {
-		var err error
-		frames, err = m.readFrames(front, group)
-		if err != nil {
+		if err := m.readFrames(front, want, frames); err != nil {
 			return nil, err
 		}
 		m.mu.Lock()
@@ -185,9 +205,12 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 		m.mu.Unlock()
 	}
 
-	// Issue the stage-outs.  readFrames returns private buffers, so the
-	// images can be handed to the (possibly asynchronous) destager as-is.
-	var survivors []stageItem
+	// Issue the stage-outs.  readFrames filled private images.  One handed
+	// to the asynchronous destager stays with it (and falls to the collector
+	// when its disk write has landed); one written inline is finished with
+	// when the write returns.
+	inline := m.destage == nil
+	survivors := m.room.survivors[:0] // survivors and pulled victims together never exceed the group
 	for i := 0; i < group; i++ {
 		pos := front + uint64(i)
 		fm := metas[i]
@@ -197,10 +220,13 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 		switch {
 		case m.cfg.SecondChance && refs[i]:
 			// Second chance: re-enqueue regardless of dirtiness.
-			survivors = append(survivors, stageItem{id: fm.id, data: frames[i], dirty: fm.dirty, lsn: fm.lsn, pos: pos})
+			survivors = append(survivors, stageItem{id: fm.id, data: frames[i], home: m.images, dirty: fm.dirty, lsn: fm.lsn, pos: pos})
 		case fm.dirty:
 			if err := m.destageOut(pos, fm.id, frames[i]); err != nil {
 				return nil, err
+			}
+			if inline {
+				m.images.Put(frames[i])
 			}
 		}
 	}
@@ -263,16 +289,18 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 		st.mu.Lock()
 		delete(st.transit, victim.id)
 		st.mu.Unlock()
+		if inline || !victim.dirty {
+			victim.home.Put(victim.data)
+		}
 	}
 	// Survivors will be re-enqueued by the caller, which publishes their
 	// new directory entries.
 
 	// Top up the write group with victims pulled from the DRAM buffer.
-	if m.cfg.SecondChance && m.cfg.Pull != nil {
-		want := group - reserve - len(survivors)
-		if want > 0 {
-			pulled := m.cfg.Pull(want)
+	if want := group - reserve - len(survivors); m.cfg.SecondChance && m.cfg.Pull != nil && want > 0 {
+		m.cfg.Pull(want, func(pulled []PulledPage) {
 			m.mu.Lock()
+			defer m.mu.Unlock()
 			for _, p := range pulled {
 				m.stats.Pulled++
 				m.stats.StageIns++
@@ -290,25 +318,26 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 					}
 					if cached {
 						st.mu.Unlock()
+						p.Home.Put(p.Data)
 						continue
 					}
 				}
-				it := stageItem{id: p.ID, data: p.Data, dirty: p.Dirty, lsn: p.Data.LSN()}
+				it := stageItem{id: p.ID, data: p.Data, home: p.Home, dirty: p.Dirty, lsn: p.Data.LSN()}
 				survivors = append(survivors, it)
-				// The pulled victim has already left the DRAM buffer; keep
-				// it reachable until its new frame is published.
+				// The pulled victim has already left the DRAM buffer, which
+				// holds misses on it off until this function returns; from
+				// then until its new frame is published it is reachable here.
 				st.transit[p.ID] = it
 				st.mu.Unlock()
 			}
-			m.mu.Unlock()
-		}
+		})
 	}
 	return survivors, nil
 }
 
 // destageOut moves a dirty page leaving the queue towards its disk home:
-// through the asynchronous destager when one is attached, inline through
-// the DiskWrite callback otherwise.
+// through the asynchronous destager when one is attached, which keeps the
+// image, inline through the DiskWrite callback otherwise, which is lent it.
 func (m *MVFIFO) destageOut(pos uint64, id page.ID, data page.Buf) error {
 	if m.destage != nil {
 		if err := m.destage(pos, id, data); err != nil {
@@ -327,7 +356,7 @@ func (m *MVFIFO) destageOut(pos uint64, id page.ID, data page.Buf) error {
 
 // writeFrames writes consecutive queue positions starting at start,
 // splitting the run where the circular queue wraps around.
-func (m *MVFIFO) writeFrames(start uint64, images []page.Buf) error {
+func (m *MVFIFO) writeFrames(start uint64, images [][]byte) error {
 	capacity := uint64(m.cfg.Frames)
 	i := 0
 	for i < len(images) {
@@ -336,16 +365,12 @@ func (m *MVFIFO) writeFrames(start uint64, images []page.Buf) error {
 		if run > len(images)-i {
 			run = len(images) - i
 		}
-		pages := make([][]byte, run)
-		for j := 0; j < run; j++ {
-			pages[j] = images[i+j]
-		}
 		if run == 1 {
-			if err := m.cfg.Dev.WriteAt(m.layout.frameBlock(slot), pages[0]); err != nil {
+			if err := m.cfg.Dev.WriteAt(m.layout.frameBlock(slot), images[i]); err != nil {
 				return fmt.Errorf("face: writing frame %d: %w", slot, err)
 			}
 		} else {
-			if err := m.cfg.Dev.WriteRun(m.layout.frameBlock(slot), pages); err != nil {
+			if err := m.cfg.Dev.WriteRun(m.layout.frameBlock(slot), images[i:i+run]); err != nil {
 				return fmt.Errorf("face: writing frames at %d: %w", slot, err)
 			}
 		}
@@ -354,11 +379,14 @@ func (m *MVFIFO) writeFrames(start uint64, images []page.Buf) error {
 	return nil
 }
 
-// readFrames reads n consecutive queue positions starting at start,
-// splitting the run at the wrap point.  The returned buffers are private.
-func (m *MVFIFO) readFrames(start uint64, n int) ([]page.Buf, error) {
+// readFrames reads the len(want) consecutive queue positions starting at
+// start, splitting the run at the wrap point, and leaves in out a private
+// image from the writer path's free list for every position want marks.
+// The device reads — and is charged for — the whole run either way; the
+// frames nobody wants are simply not copied out of it.
+func (m *MVFIFO) readFrames(start uint64, want []bool, out []page.Buf) error {
 	capacity := uint64(m.cfg.Frames)
-	out := make([]page.Buf, n)
+	n := len(want)
 	i := 0
 	for i < n {
 		slot := (start + uint64(i)) % capacity
@@ -368,25 +396,31 @@ func (m *MVFIFO) readFrames(start uint64, n int) ([]page.Buf, error) {
 		}
 		base := i
 		if run == 1 {
-			buf := page.NewBuf()
+			buf := m.images.Get()
 			if err := m.cfg.Dev.ReadAt(m.layout.frameBlock(slot), buf); err != nil {
-				return nil, fmt.Errorf("face: reading frame %d: %w", slot, err)
+				return fmt.Errorf("face: reading frame %d: %w", slot, err)
 			}
-			out[base] = buf
+			if want[base] {
+				out[base] = buf
+			} else {
+				m.images.Put(buf)
+			}
 		} else {
 			err := m.cfg.Dev.ReadRun(m.layout.frameBlock(slot), run, func(j int, p []byte) error {
-				buf := page.NewBuf()
-				copy(buf, p)
-				out[base+j] = buf
+				if want[base+j] {
+					buf := m.images.Get()
+					copy(buf, p)
+					out[base+j] = buf
+				}
 				return nil
 			})
 			if err != nil {
-				return nil, fmt.Errorf("face: reading frames at %d: %w", slot, err)
+				return fmt.Errorf("face: reading frames at %d: %w", slot, err)
 			}
 		}
 		i += run
 	}
-	return out, nil
+	return nil
 }
 
 // Checkpoint flushes the current metadata segment and queue pointers to

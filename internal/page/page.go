@@ -114,6 +114,26 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Buf is a raw page image.  All accessors operate in place on the caller's
 // buffer, which must be exactly Size bytes long.
+//
+// Who owns a page image.  Every image has exactly one owner at a time — a
+// buffer-pool frame, the flash cache's writer path, a caller's local — and
+// an image passed across a layer boundary is passed in one of three ways,
+// which the boundary's documentation names:
+//
+//   - lent: the callee may read it until it returns and must neither keep
+//     nor write it (buffer.Victim.Data in an eviction or flush callback,
+//     the data of Extension.StageIn, face.StageItem and DiskWriteFunc);
+//   - handed over: ownership moves to the receiver, who alone decides when
+//     the image is finished with (buffer.Victim.Data from EvictBatch,
+//     face.PulledPage.Data);
+//   - copied: the receiver gets the bytes, not the image (Lookup, fetch).
+//
+// An image goes back to a FreeList only from the goroutine that owns it
+// exclusively, and only after the last device write or copy out of it has
+// returned; from then on nobody may read or write it.  Images that cross to
+// another goroutine's pipeline (the asynchronous staging ring and destager),
+// the LC baseline's and recovery's scratch images are never recycled: they
+// fall to the collector.
 type Buf []byte
 
 // NewBuf allocates a zeroed page image.

@@ -96,6 +96,10 @@ type Driver struct {
 	// phase execute disjoint stretches of one stream (as RunMany does
 	// with rng), while staying independent of the terminal count.
 	sched *rand.Rand
+	// terminals holds one generator per terminal goroutine, kept across
+	// RunTerminals calls: runSlot re-seeds its terminal's generator for
+	// every attempt instead of allocating a 5 KB source per transaction.
+	terminals []*rand.Rand
 
 	mu     sync.Mutex
 	counts Counts
@@ -256,6 +260,9 @@ func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error 
 	if dr.sched == nil {
 		dr.sched = rand.New(rand.NewSource(dr.seed + 0x7e21))
 	}
+	for len(dr.terminals) < terminals {
+		dr.terminals = append(dr.terminals, rand.New(rand.NewSource(0)))
+	}
 	kinds := make([]Kind, total)
 	seeds := make([]int64, total)
 	for i := range kinds {
@@ -286,7 +293,7 @@ func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error 
 				if i >= total || ctx.Err() != nil {
 					return
 				}
-				if err := dr.runSlot(ctx, kinds[i], seeds[i]); err != nil {
+				if err := dr.runSlot(ctx, dr.terminals[terminal], kinds[i], seeds[i]); err != nil {
 					errs <- fmt.Errorf("tpcc: terminal %d: %w", terminal, err)
 					cancel()
 					return
@@ -314,19 +321,21 @@ func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error 
 }
 
 // runSlot executes one scheduled transaction, retrying deadlock victims.
-// The parameter stream is rebuilt from the slot seed on every attempt, so
-// a retry re-executes the identical transaction.
+// The parameter stream is restarted from the slot seed on every attempt —
+// rng, the calling terminal's own generator, is re-seeded, which gives the
+// stream a new generator with that seed would — so a retry re-executes the
+// identical transaction.
 //
 // Exactly one outcome is recorded per schedule slot — Committed[kind] for
 // the attempt that commits, RolledBack for the attempt that reaches its
 // expected New-Order rollback — and never for an attempt aborted as a
 // deadlock victim.  Those only tick DeadlockRetries, so tpmC counts each
 // scheduled transaction at most once no matter how often it was retried.
-func (dr *Driver) runSlot(ctx context.Context, kind Kind, seed int64) error {
+func (dr *Driver) runSlot(ctx context.Context, rng *rand.Rand, kind Kind, seed int64) error {
 	readonly := kind == KindOrderStatus || kind == KindStockLevel
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng.Seed(seed)
 		w := randInt(rng, 1, dr.db.cfg.Warehouses)
 		body := func(tx *engine.Tx) error { return dr.dispatch(tx, rng, kind, w) }
 		var err error
