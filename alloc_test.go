@@ -113,7 +113,9 @@ func TestAllocBudgetStageIn(t *testing.T) {
 // TestAllocBudgetModify: a transaction changing eight bytes of a resident
 // page keeps its before image on the stack and allocates what it did
 // before the page path was looked at — a transaction, a record, its edits,
-// the log's buffers — and no more.
+// the log's buffers — and no more.  A B-tree leaf insert that declares its
+// array shift with Tx.Move allocates no more than one whose shift the
+// differ has to find.
 func TestAllocBudgetModify(t *testing.T) {
 	db, err := engine.Open(engine.Config{
 		DataDev:     device.NewArray("data", device.ProfileCheetah15K, 4, 4096),
@@ -132,25 +134,64 @@ func TestAllocBudgetModify(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	modify := func(fn func(*engine.Tx, page.Buf)) func() {
+		return func() {
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Modify(id, func(buf page.Buf) error {
+				fn(tx, buf)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
 	var v uint64
-	bytes, allocs := heapPerRun(t, 4096, func() {
-		tx, err := db.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
+	bytes, allocs := heapPerRun(t, 4096, modify(func(_ *engine.Tx, buf page.Buf) {
 		v++
-		if err := tx.Modify(id, func(buf page.Buf) error {
-			binary.LittleEndian.PutUint64(buf.Payload()[64:], v)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	})
+		binary.LittleEndian.PutUint64(buf.Payload()[64:], v)
+	}))
 	t.Logf("Modify of 8 bytes: %.0f B/op, %.2f allocs/op", bytes, allocs)
 	if bytes >= page.Size || allocs > 8.5 {
 		t.Fatalf("Modify of 8 bytes costs %.0f B and %.2f allocations, budget is under %d B and at most 8", bytes, allocs, page.Size)
+	}
+
+	// A leaf of 150 18-byte entries after a 10-byte header; each call
+	// inserts an entry at position 40 or takes it out again.
+	const at, end = page.HeaderSize + 10 + 40*18, page.HeaderSize + 10 + 150*18
+	leaf := func(declare bool) func(*engine.Tx, page.Buf) {
+		insert := true
+		return func(tx *engine.Tx, buf page.Buf) {
+			dst, src := at+18, at
+			if !insert {
+				dst, src = src, dst
+			}
+			if declare {
+				tx.Move(buf, dst, src, end-at)
+			} else {
+				copy(buf[dst:dst+end-at], buf[src:src+end-at])
+			}
+			if insert {
+				binary.LittleEndian.PutUint64(buf[at:], v)
+			}
+			insert = !insert
+		}
+	}
+	modify(func(_ *engine.Tx, buf page.Buf) {
+		for i := 0; i < 150; i++ {
+			binary.LittleEndian.PutUint64(buf[page.HeaderSize+10+18*i:], uint64(1000+2*i))
+		}
+	})()
+	copyBytes, copyAllocs := heapPerRun(t, 4096, modify(leaf(false)))
+	moveBytes, moveAllocs := heapPerRun(t, 4096, modify(leaf(true)))
+	t.Logf("leaf insert, shift found: %.0f B/op, %.2f allocs/op; declared: %.0f B/op, %.2f allocs/op", copyBytes, copyAllocs, moveBytes, moveAllocs)
+	if moveBytes >= page.Size || moveAllocs > copyAllocs+0.05 {
+		t.Fatalf("a declared leaf insert costs %.0f B and %.2f allocations, budget is under %d B and the %.2f of a found one", moveBytes, moveAllocs, page.Size, copyAllocs)
 	}
 }

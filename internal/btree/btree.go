@@ -123,6 +123,12 @@ func setLeafEntry(buf page.Buf, i int, key uint64, rid page.RID) {
 	copy(payload(buf)[off+8:], enc[:])
 }
 
+// leafOff and innerKeyOff are the page offsets of leaf entry i and of inner
+// key i, which Tx.Move takes.
+func leafOff(i int) int { return page.HeaderSize + leafHeader + i*leafEntrySize }
+
+func innerKeyOff(i int) int { return page.HeaderSize + innerHeader + i*innerEntrySize + 8 }
+
 func copyLeafEntries(dst page.Buf, dstStart int, src page.Buf, srcStart, n int) {
 	d := payload(dst)[leafHeader+dstStart*leafEntrySize:]
 	s := payload(src)[leafHeader+srcStart*leafEntrySize : leafHeader+(srcStart+n)*leafEntrySize]
@@ -306,8 +312,7 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 			return nil
 		}
 		// Shift entries right and insert.
-		p := payload(buf)
-		copy(p[leafHeader+(pos+1)*leafEntrySize:], p[leafHeader+pos*leafEntrySize:leafHeader+n*leafEntrySize])
+		tx.Move(buf, leafOff(pos+1), leafOff(pos), (n-pos)*leafEntrySize)
 		setLeafEntry(buf, pos, key, rid)
 		setNodeCount(buf, n+1)
 		return nil
@@ -371,7 +376,7 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 			needSplit = true
 			return nil
 		}
-		insertInnerEntry(buf, split.key, split.right)
+		insertInnerEntry(tx, buf, split.key, split.right)
 		return nil
 	})
 	if err != nil {
@@ -422,7 +427,7 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 		target = rightID
 	}
 	if err := tx.Modify(target, func(buf page.Buf) error {
-		insertInnerEntry(buf, split.key, split.right)
+		insertInnerEntry(tx, buf, split.key, split.right)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -432,17 +437,15 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 
 // insertInnerEntry inserts (key, rightChild) into an internal node with
 // space available.
-func insertInnerEntry(buf page.Buf, key uint64, right page.ID) {
+func insertInnerEntry(tx *engine.Tx, buf page.Buf, key uint64, right page.ID) {
 	n := nodeCount(buf)
 	pos := 0
 	for pos < n && innerKey(buf, pos) <= key {
 		pos++
 	}
-	// Shift keys and children right of pos.
-	for i := n; i > pos; i-- {
-		setInnerKey(buf, i, innerKey(buf, i-1))
-		setInnerChild(buf, i+1, innerChild(buf, i))
-	}
+	// Shift keys and children right of pos: key i and child i+1 are
+	// adjacent, so the pairs from pos on move by one entry together.
+	tx.Move(buf, innerKeyOff(pos+1), innerKeyOff(pos), (n-pos)*innerEntrySize)
 	setInnerKey(buf, pos, key)
 	setInnerChild(buf, pos+1, right)
 	setNodeCount(buf, n+1)
@@ -462,8 +465,7 @@ func (t *Tree) Delete(tx *engine.Tx, key uint64) error {
 			return fmt.Errorf("%w: %d in %s", ErrNotFound, key, t.name)
 		}
 		n := nodeCount(buf)
-		p := payload(buf)
-		copy(p[leafHeader+pos*leafEntrySize:], p[leafHeader+(pos+1)*leafEntrySize:leafHeader+n*leafEntrySize])
+		tx.Move(buf, leafOff(pos), leafOff(pos+1), (n-pos-1)*leafEntrySize)
 		setNodeCount(buf, n-1)
 		return nil
 	})

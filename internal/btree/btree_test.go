@@ -275,3 +275,156 @@ func TestNodeCapacityConstants(t *testing.T) {
 		t.Fatal("inner layout overflows the page payload")
 	}
 }
+
+// TestLeafEdgesAgainstMap: inserts and deletes at the first, a middle and
+// the last position of full and nearly full leaves — the array moves the
+// tree declares with Tx.Move — committed, aborted, and left unfinished by a
+// crash, agree with a map before and after restart recovery.
+func TestLeafEdgesAgainstMap(t *testing.T) {
+	cfg := engine.Config{
+		DataDev:        device.New("data", device.ProfileCheetah15K, 16384),
+		LogDev:         device.New("log", device.ProfileCheetah15K, 32768),
+		FlashDev:       device.New("flash", device.ProfileSamsung470, 4096),
+		BufferPages:    8, // small, so pages cross the flash cache mid-test
+		Policy:         engine.PolicyFaCEGSC,
+		FlashFrames:    512,
+		GroupSize:      16,
+		SegmentEntries: 128,
+	}
+	db, err := engine.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One single-leaf tree per case, keys 10, 20, ...: room below the
+	// first, between any two and above the last.
+	type tcase struct {
+		tree *Tree
+		keys map[uint64]page.RID
+	}
+	sortedKeys := func(c *tcase) []uint64 {
+		keys := make([]uint64, 0, len(c.keys))
+		for k := range c.keys {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		return keys
+	}
+	var cases []*tcase
+	tx, _ := db.Begin()
+	for _, fill := range []int{MaxLeafEntries - 1, MaxLeafEntries} {
+		for range 6 {
+			tree, err := Create(tx, "edge")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &tcase{tree: tree, keys: map[uint64]page.RID{}}
+			for i := 1; i <= fill; i++ {
+				k := uint64(10 * i)
+				if err := tree.Insert(tx, k, ridFor(k)); err != nil {
+					t.Fatal(err)
+				}
+				c.keys[k] = ridFor(k)
+			}
+			cases = append(cases, c)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// agree checks a tree against its map: the scan in order, and Get.
+	agree := func(db *engine.DB, c *tcase, when string) {
+		t.Helper()
+		tx, _ := db.Begin()
+		defer tx.Commit()
+		var got []uint64
+		if err := c.tree.Scan(tx, 0, 1<<62, func(k uint64, rid page.RID) error {
+			if rid != c.keys[k] {
+				t.Fatalf("%s: key %d has rid %v, want %v", when, k, rid, c.keys[k])
+			}
+			got = append(got, k)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := sortedKeys(c)
+		if len(got) != len(want) {
+			t.Fatalf("%s: scan found %d keys, want %d", when, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: key %d of the scan is %d, want %d", when, i, got[i], want[i])
+			}
+			if rid, ok, err := c.tree.Get(tx, got[i]); err != nil || !ok || rid != c.keys[got[i]] {
+				t.Fatalf("%s: Get(%d) = %v %v %v", when, got[i], rid, ok, err)
+			}
+		}
+	}
+
+	// op inserts the key d before the first, or d after the middle or the
+	// last key of the tree, or deletes the first, middle or last key, as
+	// case i says, and keeps the map in step when commit is set.
+	op := func(tx *engine.Tx, c *tcase, i int, d uint64, commit bool) {
+		t.Helper()
+		sorted := sortedKeys(c)
+		k := sorted[[]int{0, len(sorted) / 2, len(sorted) - 1}[i/2%3]]
+		if i%2 == 1 {
+			if err := c.tree.Delete(tx, k); err != nil {
+				t.Fatal(err)
+			}
+			if commit {
+				delete(c.keys, k)
+			}
+			return
+		}
+		if i/2%3 == 0 {
+			k -= d
+		} else {
+			k += d
+		}
+		if err := c.tree.Insert(tx, k, ridFor(k)); err != nil {
+			t.Fatal(err)
+		}
+		if commit {
+			c.keys[k] = ridFor(k)
+		}
+	}
+
+	// Each case's operation once aborted, then committed.
+	for i, c := range cases {
+		for _, commit := range []bool{false, true} {
+			tx, _ := db.Begin()
+			op(tx, c, i, 1, commit)
+			if commit {
+				err = tx.Commit()
+			} else {
+				err = tx.Abort()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			agree(db, c, "after the transaction")
+		}
+	}
+
+	// A loser: the same operations again, forced to the log, then a crash.
+	loser, _ := db.Begin()
+	for i, c := range cases {
+		op(loser, c, i, 2, false)
+	}
+	if err := db.Log().ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+
+	cfg.Recover = true
+	db2, err := engine.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for _, c := range cases {
+		agree(db2, c, "after recovery")
+	}
+}

@@ -390,9 +390,52 @@ func TestAllocLogVolume(t *testing.T) {
 	}
 }
 
-// BenchmarkModify measures one Update changing eight bytes of a resident
-// page on in-memory devices: clone, diff, record, append, commit force.
+// BenchmarkModify measures one Update of a resident page on in-memory
+// devices — before image, diff, record, append, commit force — for two
+// callbacks: one that changes eight bytes, and a B-tree leaf insert that
+// declares its array shift with Move or leaves it to the differ (copy).
 func BenchmarkModify(b *testing.B) {
+	b.Run("8-bytes", func(b *testing.B) {
+		var v uint64
+		benchModify(b, func(_ *Tx, buf page.Buf) {
+			v++
+			binary.LittleEndian.PutUint64(buf.Payload()[64:], v)
+		})
+	})
+	b.Run("leaf-insert/move", func(b *testing.B) { benchModify(b, leafInsertDelete(true)) })
+	b.Run("leaf-insert/copy", func(b *testing.B) { benchModify(b, leafInsertDelete(false)) })
+}
+
+// leafInsertDelete returns a callback for a leafLike(150, 18) page that
+// inserts an entry at position 40 and, on the next call, deletes it again,
+// so that the leaf keeps its size; either moves the 110 entries behind it
+// by one, with tx.Move when declare is set and with copy otherwise.
+func leafInsertDelete(declare bool) func(*Tx, page.Buf) {
+	const at, end = page.HeaderSize + 10 + 40*18, page.HeaderSize + 10 + 150*18
+	insert := true
+	return func(tx *Tx, buf page.Buf) {
+		dst, src := at+18, at
+		if !insert {
+			dst, src = src, dst
+		}
+		if declare {
+			tx.Move(buf, dst, src, end-at)
+		} else {
+			copy(buf[dst:dst+end-at], buf[src:src+end-at])
+		}
+		if insert {
+			binary.LittleEndian.PutUint64(buf[at:], 5079)
+			buf.Payload()[0]++
+		} else {
+			buf.Payload()[0]--
+		}
+		insert = !insert
+	}
+}
+
+// benchModify times transactions of one Modify running fn on a resident
+// page that starts as leafLike(150, 18).
+func benchModify(b *testing.B, fn func(*Tx, page.Buf)) {
 	db, err := Open(Config{
 		DataDev:     device.NewArray("data", device.ProfileCheetah15K, 4, 4096),
 		LogDev:      device.New("log", device.ProfileCheetah15K, 1<<20),
@@ -403,23 +446,27 @@ func BenchmarkModify(b *testing.B) {
 	}
 	defer db.Crash()
 	tx, _ := db.Begin()
-	id, err := tx.Alloc(page.TypeHeap)
+	id, err := tx.Alloc(page.TypeBTreeLeaf)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tx.Modify(id, func(buf page.Buf) error {
+		copy(buf.Payload(), leafLike(150, 18).Payload())
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	var v uint64
 	for b.Loop() {
 		tx, err := db.Begin()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v++
 		if err := tx.Modify(id, func(buf page.Buf) error {
-			binary.LittleEndian.PutUint64(buf.Payload()[64:], v)
+			fn(tx, buf)
 			return nil
 		}); err != nil {
 			b.Fatal(err)
@@ -646,6 +693,12 @@ func fuzzPair(seed, script []byte) (before, after page.Buf) {
 		copy(before[i:], seed)
 	}
 	after = before.Clone()
+	runScript(after, script)
+	return before, after
+}
+
+// runScript applies fuzzPair's five-byte commands to after.
+func runScript(after page.Buf, script []byte) {
 	for ; len(script) >= 5; script = script[5:] {
 		off := int(binary.LittleEndian.Uint16(script[1:])) % page.Size
 		n := 1 + int(script[3])
@@ -666,7 +719,6 @@ func fuzzPair(seed, script []byte) (before, after page.Buf) {
 			copy(after[off:off+n-k], after[off+k:off+n])
 		}
 	}
-	return before, after
 }
 
 // FuzzDiffEdits: whatever the two images, diffEdits returns what the
@@ -683,7 +735,8 @@ func FuzzDiffEdits(f *testing.F) {
 
 // BenchmarkDiffEdits prices the differ alone on the four shapes of change
 // it meets: a few bytes (a row update), an array moved by one record (an
-// index insert), a page rewritten, and nothing at all.
+// index insert, found by the differ or declared with Move), a page
+// rewritten, and nothing at all.
 func BenchmarkDiffEdits(b *testing.B) {
 	before := leafLike(150, 18)
 	sparse := before.Clone()
@@ -692,16 +745,24 @@ func BenchmarkDiffEdits(b *testing.B) {
 	if err := arrayInsert(10+40*18, 10+150*18, make([]byte, 18))(shift); err != nil {
 		b.Fatal(err)
 	}
+	moved := declared(page.HeaderSize+10+41*18, page.HeaderSize+10+40*18, 110*18)
 	rewrite := page.NewBuf()
 	rand.New(rand.NewSource(3)).Read(rewrite)
 	for _, c := range []struct {
 		name  string
 		after page.Buf
-	}{{"sparse", sparse}, {"shift", shift}, {"rewrite", rewrite}, {"unchanged", before.Clone()}} {
+		moved declaredMove
+	}{
+		{"sparse", sparse, declaredMove{}},
+		{"shift", shift, declaredMove{}},
+		{"declared-shift", shift, moved},
+		{"rewrite", rewrite, declaredMove{}},
+		{"unchanged", before.Clone(), declaredMove{}},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				editsSink = diffEdits(before, c.after)
+				editsSink = diffMoved(before, c.after, c.moved)
 			}
 		})
 	}

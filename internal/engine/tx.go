@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"slices"
 	"time"
 
 	"github.com/reprolab/face/internal/lock"
@@ -50,6 +50,18 @@ type Tx struct {
 	// (nil when observability is disabled — every hook below starts with
 	// that nil check).
 	tr *txTrace
+
+	// moved holds what the running Modify's callback declared with Move.
+	moved declaredMove
+}
+
+// declaredMove is what the callback of a running Modify declared with Move
+// on its page: the last move, and how many there were (counting stops at
+// two).  Page offsets fit in 16 bits, which keeps every Tx small.
+type declaredMove struct {
+	page        *byte // the first byte of the page; nil outside a Modify
+	dst, src, n uint16
+	moves       uint8
 }
 
 type undoRecord struct {
@@ -218,16 +230,23 @@ func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 
 	// The before image lives on this goroutine's stack, not in the heap (a
 	// make of constant size that -gcflags=-m reports as not escaping):
-	// diffEdits copies the bytes it keeps and lets neither image escape.
+	// the differ copies the bytes it keeps and lets neither image escape.
 	before := make(page.Buf, page.Size)
 	copy(before, buf)
-	if err := fn(buf); err != nil {
+	// A callback may run a Modify of its own; the outer declaration is put
+	// back when fn returns.
+	outer := tx.moved
+	tx.moved = declaredMove{page: &buf[0]}
+	err = fn(buf)
+	moved := tx.moved
+	tx.moved = outer
+	if err != nil {
 		// Restore the pristine image so a failed modification leaves no
 		// unlogged change behind.
 		copy(buf, before)
 		return err
 	}
-	edits := diffEdits(before, buf)
+	edits := diffMoved(before, buf, moved)
 	if len(edits) == 0 {
 		return nil
 	}
@@ -243,6 +262,31 @@ func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 	}
 	tx.undo = append(tx.undo, undoRecord{pageID: id, edits: edits})
 	return nil
+}
+
+// Move copies the n bytes at offset src of buf to offset dst, as
+// copy(buf[dst:dst+n], buf[src:src+n]) does, and declares the move to the
+// Modify whose callback is running, so that opening or closing a gap in a
+// sorted array is logged as one shift edit — the bytes pushed off one end
+// and the new ones at the other — without the differ rediscovering it.
+// Offsets are page offsets, and buf is the image the callback was given.
+//
+// The declaration is used only if it is the callback's one Move on that
+// page, moves n >= 32 bytes by 1 to 127, the bytes at dst still equal the
+// moved ones when the callback returns, and the shift is cheaper than
+// logging the bytes it changed as writes.  Anything else — a Move outside a
+// Modify, on another buffer, one of several, or later overwritten — is a
+// plain copy and the whole page is diffed.  A wrong declaration costs time,
+// never correctness: the edits are always read off the two images, and the
+// declaration only says where a shift may lie.
+func (tx *Tx) Move(buf page.Buf, dst, src, n int) {
+	copy(buf[dst:dst+n], buf[src:src+n])
+	m := &tx.moved
+	if m.page == nil || len(buf) == 0 || &buf[0] != m.page {
+		return
+	}
+	m.dst, m.src, m.n = uint16(dst), uint16(src), uint16(n)
+	m.moves = min(m.moves+1, 2)
 }
 
 // Alloc allocates and formats a new page of the given type.  The
@@ -420,11 +464,13 @@ func (tx *Tx) abort() error {
 // at most maxShift apart (moving an array of records by one record changes
 // at least one byte per record) and that are long enough to pay for the
 // attempt; plain writes are split wherever the unchanged gap costs more as
-// two images than another edit header does.
+// two images than another edit header does.  A shift declared with Move may
+// be as long as an edit can record.
 const (
-	maxShift       = 64
-	minShiftRegion = 32
-	maxWriteGap    = wal.EditHeaderSize / 2
+	maxShift         = 64
+	minShiftRegion   = 32
+	maxWriteGap      = wal.EditHeaderSize / 2
+	maxDeclaredShift = math.MaxInt8
 )
 
 // span is one edit before its images are copied: the region [lo, hi) and
@@ -440,30 +486,68 @@ type span struct {
 // stack).  Every byte is compared, the page LSN field included — callers
 // stamp the LSN after the diff, so it only shows up here if fn itself wrote
 // to it.
-//
-// The page is walked from its end towards its start, because that is the
-// end a moved array is recognised from (see tailShift); the spans are turned
-// round when done.
 func diffEdits(before, after page.Buf) []wal.Edit {
+	return diffMoved(before, after, declaredMove{})
+}
+
+// diffMoved is diffEdits told where the callback declared a move (see
+// Move).  If the declaration holds, its region becomes one shift edit and
+// only the rest of the page is diffed.
+func diffMoved(before, after page.Buf, m declaredMove) []wal.Edit {
 	var stack [16]span
 	spans := stack[:0]
-	for hi := lastDiff(before, after, 0, page.Size); hi > 0; {
-		lo := regionStart(before, after, hi, maxShift)
-		spans = appendRegion(spans, before, after, lo, hi)
-		hi = lastDiff(before, after, 0, lo)
+	if s, ok := m.shift(before, after); ok {
+		spans = diffRange(spans, before, after, s.hi, page.Size)
+		spans = append(spans, s)
+		spans = diffRange(spans, before, after, 0, s.lo)
+	} else {
+		spans = diffRange(spans, before, after, 0, page.Size)
 	}
+	edits := editsOf(before, after, spans)
+	checkEdits(before, after, edits)
+	return edits
+}
+
+// shift returns the shift edit the declared move makes, if it is the only
+// move, within reach of one edit, borne out by the images, and cheaper than
+// logging the bytes it changed as writes (the rule tailShift applies).
+func (m declaredMove) shift(before, after page.Buf) (span, bool) {
+	dst, src, n := int(m.dst), int(m.src), int(m.n)
+	k := dst - src
+	if m.moves != 1 || k == 0 || max(k, -k) > maxDeclaredShift || n < minShiftRegion ||
+		string(after[dst:dst+n]) != string(before[src:src+n]) {
+		return span{}, false
+	}
+	s := span{lo: min(src, dst), hi: max(src, dst) + n, shift: k}
+	return s, cheaperThanWrites(before, after, s)
+}
+
+// diffRange appends, last first, the spans of the changes within
+// [floor, top).  The range is walked from its end towards its start,
+// because that is the end a moved array is recognised from (see tailShift).
+func diffRange(spans []span, before, after page.Buf, floor, top int) []span {
+	for hi := lastDiff(before, after, floor, top); hi > floor; {
+		lo := regionStart(before, after, floor, hi, maxShift)
+		spans = appendRegion(spans, before, after, lo, hi)
+		hi = lastDiff(before, after, floor, lo)
+	}
+	return spans
+}
+
+// editsOf turns spans, found last first, into edits in ascending order
+// with their images copied into one allocation.
+func editsOf(before, after page.Buf, spans []span) []wal.Edit {
 	if len(spans) == 0 {
 		return nil
 	}
-	slices.Reverse(spans)
-
 	total := 0
 	for _, s := range spans {
 		total += 2 * s.imageLen()
 	}
 	images := make([]byte, 0, total)
 	edits := make([]wal.Edit, len(spans))
-	for i, s := range spans {
+	for i := range edits {
+		s := spans[len(spans)-1-i]
 		n := s.imageLen()
 		// A write keeps the whole region; a shift towards higher offsets
 		// loses the region's last n bytes and gains n at its start, one
@@ -494,22 +578,34 @@ func (s span) imageLen() int {
 }
 
 // regionStart returns the start of the changed region that ends at hi
-// (byte hi-1 differs): the first changed byte not preceded, within gap
-// unchanged bytes, by another changed one.
-func regionStart(before, after page.Buf, hi, gap int) int {
+// (byte hi-1 differs) and lies within [floor, hi): the first changed byte
+// not preceded, within gap unchanged bytes, by another changed one.
+func regionStart(before, after page.Buf, floor, hi, gap int) int {
+	// [i, lo) is unchanged; the walk stops once it is longer than gap.
 	lo := hi - 1
-	for lo > 0 {
-		// Changed bytes mostly come in runs.
-		if before[lo-1] != after[lo-1] {
-			lo--
-			continue
+	i := lo
+	if gap >= 8 {
+		// No two changed bytes of a word are more than six apart, so only a
+		// word's highest changed byte needs the gap test, and the region
+		// then extends to its lowest.  The walk steps by whole words
+		// whatever it finds, so the next load never waits for this one.
+		for i-floor >= 8 && lo-i <= gap {
+			i -= 8
+			x := binary.LittleEndian.Uint64(before[i:]) ^ binary.LittleEndian.Uint64(after[i:])
+			if x == 0 {
+				continue
+			}
+			if lo-(i+7-bits.LeadingZeros64(x)/8) > gap+1 {
+				return lo
+			}
+			lo = i + bits.TrailingZeros64(x)/8
 		}
-		floor := max(0, lo-gap-1)
-		d := lastDiff(before, after, floor, lo)
-		if d == floor {
-			break
+	}
+	for i > floor && lo-i <= gap {
+		i--
+		if before[i] != after[i] {
+			lo = i
 		}
-		lo = d - 1
 	}
 	return lo
 }
@@ -517,8 +613,8 @@ func regionStart(before, after page.Buf, hi, gap int) int {
 // suffixLen returns the length of the longest common suffix of a and b,
 // which are of one length.  Most of a modified page is unchanged, so equal
 // stretches are skipped a block at a time with the runtime's vectorised
-// comparison, and only the block holding a difference is walked, eight
-// bytes at a time.
+// comparison, the block holding a difference is halved down to 64 bytes,
+// and only those are walked, eight bytes at a time.
 func suffixLen(a, b []byte) int {
 	const big, small = 1024, 64
 	n := len(a)
@@ -530,8 +626,10 @@ func suffixLen(a, b []byte) int {
 	for i >= big && string(a[i-big:i]) == string(b[i-big:i]) {
 		i -= big
 	}
-	for i >= small && string(a[i-small:i]) == string(b[i-small:i]) {
-		i -= small
+	for w := big / 2; w >= small; w /= 2 {
+		if i >= w && string(a[i-w:i]) == string(b[i-w:i]) {
+			i -= w
+		}
 	}
 	for ; i >= 8; i -= 8 {
 		// Little endian: the last byte is the word's most significant.
@@ -564,7 +662,7 @@ func appendRegion(spans []span, before, after page.Buf, lo, hi int) []span {
 		hi = lastDiff(before, after, lo, s.lo)
 	}
 	for hi > lo {
-		start := regionStart(before, after, hi, maxWriteGap)
+		start := regionStart(before, after, lo, hi, maxWriteGap)
 		spans = append(spans, span{lo: start, hi: hi})
 		hi = lastDiff(before, after, lo, start)
 	}
@@ -595,21 +693,30 @@ func tailShift(before, after page.Buf, lo, hi int) (span, bool) {
 			}
 		}
 	}
-	if moved == 0 {
+	if moved == 0 || !cheaperThanWrites(before, after, best) {
 		return span{}, false
 	}
-	// The shift costs a header and two images of |k| bytes.  As writes the
-	// same bytes cost two images of every changed byte, possibly appended
-	// to the write in front of them at no further header.
-	// Counting stops as soon as the writes are known to cost more.
-	cost, changed := wal.EditHeaderSize+2*best.imageLen(), 0
-	for i := best.lo; i < hi && cost >= 2*changed; i++ {
+	return best, true
+}
+
+// cheaperThanWrites reports whether the shift s costs less than logging
+// the bytes it changes as writes.  The shift costs a header and two images
+// of |k| bytes.  As writes the same bytes cost two images of every changed
+// byte, possibly appended to the write in front of them at no further
+// header.  Counting goes a word at a time and stops as soon as the writes
+// are known to cost more.
+func cheaperThanWrites(before, after page.Buf, s span) bool {
+	const low7, high = 0x7F7F7F7F7F7F7F7F, 0x8080808080808080
+	cost, changed, i := wal.EditHeaderSize+2*s.imageLen(), 0, s.lo
+	for ; i+8 <= s.hi && cost >= 2*changed; i += 8 {
+		x := binary.LittleEndian.Uint64(before[i:]) ^ binary.LittleEndian.Uint64(after[i:])
+		// The top bit of each byte of x that is not zero.
+		changed += bits.OnesCount64((x&low7 + low7 | x) & high)
+	}
+	for ; i < s.hi && cost >= 2*changed; i++ {
 		if before[i] != after[i] {
 			changed++
 		}
 	}
-	if cost >= 2*changed {
-		return span{}, false
-	}
-	return best, true
+	return cost < 2*changed
 }

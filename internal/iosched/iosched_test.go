@@ -3,6 +3,7 @@ package iosched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -366,13 +367,25 @@ func TestPipelineAbortDiscardsWithoutFlushing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(gate)
-	p.Abort()
-	if _, _, err := r.Put(item(99, 99, false)); err == nil {
-		t.Fatal("Put succeeded after Abort")
+	// The writer holds at most one batch, stuck at the gate.  The gate opens
+	// only once Abort has stopped the ring (Put refuses), so everything the
+	// writer had not taken by then must be lost; Abort returns after the
+	// batch in hand is flushed.
+	aborted := make(chan struct{})
+	go func() {
+		p.Abort()
+		close(aborted)
+	}()
+	for {
+		if _, _, err := r.Put(item(99, 99, false)); err != nil {
+			break
+		}
+		runtime.Gosched()
 	}
-	if flushes.Load() >= 20 {
-		t.Fatalf("abort flushed everything (%d items); staged pages should be lost", flushes.Load())
+	close(gate)
+	<-aborted
+	if n := flushes.Load(); n > 4 {
+		t.Fatalf("abort flushed %d items, more than the one batch of 4 in hand; staged pages should be lost", n)
 	}
 }
 

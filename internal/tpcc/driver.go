@@ -96,7 +96,7 @@ type Driver struct {
 	// phase execute disjoint stretches of one stream (as RunMany does
 	// with rng), while staying independent of the terminal count.
 	sched *rand.Rand
-	// terminals holds one generator per terminal goroutine, kept across
+	// terminals holds one generator per terminal, kept across
 	// RunTerminals calls: runSlot re-seeds its terminal's generator for
 	// every attempt instead of allocating a 5 KB source per transaction.
 	terminals []*rand.Rand
@@ -250,6 +250,9 @@ const maxDeadlockRetries = 1000
 // are fixed up front, and terminals claim slots from that shared schedule.
 // Only the interleaving changes with the terminal count, which is what
 // makes single-writer and multi-writer runs comparable.
+//
+// Terminal 0 is the calling goroutine, whose stack has already grown to
+// what a transaction needs; only terminals 1…N−1 are started.
 func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error {
 	if terminals < 1 {
 		terminals = 1
@@ -261,7 +264,7 @@ func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error 
 		dr.sched = rand.New(rand.NewSource(dr.seed + 0x7e21))
 	}
 	for len(dr.terminals) < terminals {
-		dr.terminals = append(dr.terminals, rand.New(rand.NewSource(0)))
+		dr.terminals = append(dr.terminals, rand.New(newLazySource(0)))
 	}
 	kinds := make([]Kind, total)
 	seeds := make([]int64, total)
@@ -284,33 +287,20 @@ func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error 
 		wg   sync.WaitGroup
 		errs = make(chan error, terminals)
 	)
-	for t := 0; t < terminals; t++ {
-		wg.Add(1)
-		go func(terminal int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total || ctx.Err() != nil {
-					return
-				}
-				if err := dr.runSlot(ctx, dr.terminals[terminal], kinds[i], seeds[i]); err != nil {
-					errs <- fmt.Errorf("tpcc: terminal %d: %w", terminal, err)
-					cancel()
-					return
-				}
-				// One terminal advances the engine clock, so periodic
-				// checkpoints keep firing without the other terminals
-				// serializing behind the (exclusive) tick.
-				if terminal == 0 {
-					if err := dr.eng.Tick(); err != nil {
-						errs <- fmt.Errorf("tpcc: terminal %d: %w", terminal, err)
-						cancel()
-						return
-					}
-				}
-			}
-		}(t)
+	run := func(terminal int) {
+		if err := dr.runTerminal(ctx, terminal, &next, kinds, seeds); err != nil {
+			errs <- fmt.Errorf("tpcc: terminal %d: %w", terminal, err)
+			cancel()
+		}
 	}
+	for t := 1; t < terminals; t++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(t)
+		}()
+	}
+	run(0)
 	wg.Wait()
 	select {
 	case err := <-errs:
@@ -320,11 +310,38 @@ func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error 
 	}
 }
 
+// runTerminal claims schedule slots and runs them until the schedule is
+// done or the run is cancelled.
+func (dr *Driver) runTerminal(ctx context.Context, terminal int, next *atomic.Int64, kinds []Kind, seeds []int64) error {
+	for {
+		i := int(next.Add(1)) - 1
+		if i >= len(kinds) || ctx.Err() != nil {
+			return nil
+		}
+		if err := dr.runSlot(ctx, dr.terminals[terminal], kinds[i], seeds[i]); err != nil {
+			return err
+		}
+		// One terminal advances the engine clock, so periodic
+		// checkpoints keep firing without the other terminals
+		// serializing behind the (exclusive) tick.
+		if terminal == 0 {
+			if err := dr.eng.Tick(); err != nil {
+				return err
+			}
+		}
+	}
+}
+
 // runSlot executes one scheduled transaction, retrying deadlock victims.
 // The parameter stream is restarted from the slot seed on every attempt —
 // rng, the calling terminal's own generator, is re-seeded, which gives the
 // stream a new generator with that seed would — so a retry re-executes the
-// identical transaction.
+// identical transaction.  The stream must stay math/rand's: every
+// transaction's parameters, and with them every simulated tpmC, benchmark
+// fingerprint and paper-table golden, follow from it.  Re-seeding math/rand
+// itself costs 1 881 generator steps, about 10 µs or a tenth of a tpcc-miss
+// transaction, so the terminals' generators draw from a lazySource, whose
+// Seed computes nothing until a value is drawn.
 //
 // Exactly one outcome is recorded per schedule slot — Committed[kind] for
 // the attempt that commits, RolledBack for the attempt that reaches its

@@ -2,7 +2,11 @@ package tpcc
 
 import (
 	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/engine"
@@ -130,5 +134,105 @@ func TestRunTerminalsSingleWriterFallback(t *testing.T) {
 	}
 	if c.DeadlockRetries != 0 {
 		t.Fatalf("single-writer scheduler produced deadlocks: %+v", c)
+	}
+}
+
+// TestRunTerminalsCallerIsTerminalZero: the goroutine that calls
+// RunTerminals is terminal 0.  One terminal commits what the code before
+// that did, to the transaction and the log byte (the counts and bytes below
+// are the parent commit's); four commit the same schedule; and an error in
+// the caller's own slot — here its clock tick, whose checkpoint cannot sync
+// the data device — stops the other terminals and is what the call returns.
+func TestRunTerminalsCallerIsTerminalZero(t *testing.T) {
+	want := [numKinds]int64{55, 50, 6, 6, 3}
+	const wantLogBytes = 181169
+	for _, terminals := range []int{1, 4} {
+		eng := newLockEngine(t, terminals)
+		db, err := Load(eng, tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr := NewDriver(eng, db, 99)
+		mark := eng.Log().Next()
+		for range 3 {
+			if err := dr.RunTerminals(context.Background(), terminals, 40); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := dr.Counts()
+		if c.Committed != want || c.RolledBack != 0 {
+			t.Fatalf("%d terminals committed %v and rolled back %d, want %v and 0", terminals, c.Committed, c.RolledBack, want)
+		}
+		if n := eng.Log().Next() - mark; terminals == 1 && n != wantLogBytes {
+			t.Fatalf("one terminal logged %d bytes, want %d", n, wantLogBytes)
+		}
+	}
+
+	data := &syncFailDev{Dev: device.NewArray("data", device.ProfileCheetah15K, 4, 32768)}
+	eng, err := engine.Open(engine.Config{
+		DataDev:         data,
+		LogDev:          device.New("log", device.ProfileCheetah15K, 1<<16),
+		BufferPages:     128,
+		PageLocks:       true,
+		MaxWriters:      4,
+		CheckpointEvery: time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	db, err := Load(eng, tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr := NewDriver(eng, db, 99)
+	data.fail.Store(true)
+	const total = 1000
+	err = dr.RunTerminals(context.Background(), 4, total)
+	if !errors.Is(err, errSyncFailed) || !strings.HasPrefix(err.Error(), "tpcc: terminal 0: ") {
+		t.Fatalf("RunTerminals returned %v, want terminal 0's %v", err, errSyncFailed)
+	}
+	if c := dr.Counts(); c.Total()+c.RolledBack >= total {
+		t.Fatalf("the other terminals ran the whole schedule (%+v)", c)
+	}
+}
+
+var errSyncFailed = errors.New("sync failed")
+
+// syncFailDev is a device whose durability barrier fails once fail is set.
+type syncFailDev struct {
+	device.Dev
+	fail atomic.Bool
+}
+
+func (d *syncFailDev) Sync() error {
+	if d.fail.Load() {
+		return errSyncFailed
+	}
+	return nil
+}
+
+// BenchmarkRunTerminalsOne prices one RunTerminals(ctx, 1, 1) call, the
+// way the tpcc-miss benchmark issues each transaction.
+func BenchmarkRunTerminalsOne(b *testing.B) {
+	eng, err := engine.Open(engine.Config{
+		DataDev:     device.NewArray("data", device.ProfileCheetah15K, 4, 32768),
+		LogDev:      device.New("log", device.ProfileCheetah15K, 1<<20),
+		BufferPages: 1024,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	db, err := Load(eng, tinyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	dr := NewDriver(eng, db, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := dr.RunTerminals(context.Background(), 1, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
