@@ -295,7 +295,7 @@ func TestRegisterPolicyPublicAPI(t *testing.T) {
 	}
 }
 
-// TestLockManagerPublicAPI opens a database with WithLockManager and
+// TestLockManagerPublicAPI opens a database with default scheduling and
 // WithMaxWriters, proves concurrent Update closures overlap, forces a
 // deadlock matched by the public ErrDeadlock sentinel, and checks the
 // Snapshot counters surface lock and group-commit activity.
@@ -304,7 +304,6 @@ func TestLockManagerPublicAPI(t *testing.T) {
 		WithDevices(NewDiskArray("data", 4, 8192), NewDisk("log", 1<<15)),
 		WithBufferPages(48),
 		WithPolicy(PolicyNone),
-		WithLockManager(),
 		WithMaxWriters(4),
 	)
 	if err != nil {

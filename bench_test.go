@@ -157,18 +157,6 @@ func BenchmarkAblationAsyncIO(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLockManager keeps the single-writer vs 2PL scheduler
-// comparison in the benchmark smoke run so the multi-terminal driver and
-// group-commit path cannot rot.
-func BenchmarkAblationLockManager(b *testing.B) {
-	g := benchGolden(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := g.AblationLockManager([]int{4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- micro-benchmarks of the cache managers -------------------------------
 
 func stagePages(b *testing.B, ext facecache.Extension, n int) {

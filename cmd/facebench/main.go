@@ -18,14 +18,13 @@
 //	fig5      throughput vs number of RAID-0 disks
 //	table6    restart time after a crash vs checkpoint interval
 //	fig6      post-restart throughput timeline
-//	lockmgr   single-writer vs page-level 2PL scheduler at 1/2/4/8 terminals
 //	ablations design-choice ablations (sync policy, async I/O, group size,
-//	          segment size, lock manager)
+//	          segment size)
 //	policies  list the registered cache policies
 //	all       every experiment above except policies, in order
 //
-// With -terminals N the throughput experiments run under the page-lock
-// (2PL) transaction scheduler with N concurrent terminal goroutines,
+// With -terminals N the throughput experiments run from N concurrent
+// terminal goroutines through the page-lock (2PL) transaction scheduler,
 // retrying transactions that lose a deadlock; the default keeps the
 // paper-faithful single-stream driver.
 //
@@ -41,7 +40,7 @@
 //	facebench -quick -dir $(mktemp -d) table3 table6
 //
 // With -json the results are emitted as one machine-readable JSON document
-// (schema bench.ReportSchema, currently "facebench/v9") instead of text
+// (schema bench.ReportSchema, currently "facebench/v10") instead of text
 // tables, so a perf trajectory can be tracked across commits, e.g.:
 //
 //	facebench -quick -json ablations > BENCH_ablations.json
@@ -61,7 +60,7 @@ import (
 )
 
 // allExperiments is what "all" runs, in order.
-var allExperiments = []string{"table1", "table3", "table4", "fig4", "table5", "fig5", "table6", "fig6", "lockmgr", "ablations"}
+var allExperiments = []string{"table1", "table3", "table4", "fig4", "table5", "fig5", "table6", "fig6", "ablations"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -78,14 +77,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose    = fs.Bool("v", false, "print one progress line per completed run")
 		seed       = fs.Int64("seed", 0, "workload random seed (0 = default)")
 		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of text tables")
-		terminals  = fs.Int("terminals", 0, "run throughput experiments from N concurrent terminals under the 2PL scheduler (0 = classic single-stream driver)")
+		terminals  = fs.Int("terminals", 0, "run throughput experiments from N concurrent terminals (0 = classic single-stream driver)")
 		shards     = fs.Int("shards", 0, "stripe the DRAM buffer pool and flash cache directory over N shards (0 = 1, the single-mutex structures)")
 		dir        = fs.String("dir", "", "run on persistent file-backed devices in subdirectories of this path (default: simulated in-memory devices)")
 		wallclock  = fs.Bool("wallclock", false, "show wall-clock throughput columns even on the in-memory backend")
 		nofsync    = fs.Bool("nofsync", false, "disable the fsync durability barrier of the file backend (-dir)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: facebench [flags] <table1|table3|table4|fig4|table5|fig5|table6|fig6|lockmgr|ablations|policies|all>...\n")
+		fmt.Fprintf(stderr, "usage: facebench [flags] <table1|table3|table4|fig4|table5|fig5|table6|fig6|ablations|policies|all>...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -252,12 +251,6 @@ func runExperiment(g *bench.Golden, what string, out io.Writer, report *bench.Re
 			return err
 		}
 		record("fig6", fig, func() string { return bench.FormatFigure6(fig) })
-	case "lockmgr":
-		rows, err := g.AblationLockManager(nil)
-		if err != nil {
-			return err
-		}
-		record("ablation_lock_manager", rows, func() string { return bench.FormatLockAblation(rows) })
 	case "ablations":
 		sync, err := g.AblationSyncPolicy(0)
 		if err != nil {

@@ -113,7 +113,6 @@ func run(args []string, stderr io.Writer) int {
 		face.WithPolicy(*policy),
 		face.WithFlashFrames(*flashFrames),
 		face.WithBufferPages(*bufferPages),
-		face.WithLockManager(),
 		face.WithMaxWriters(*writers),
 		face.WithMetricsRegistry(reg),
 		face.WithSlowTxLog(logger.Printf),

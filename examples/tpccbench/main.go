@@ -6,9 +6,10 @@
 //
 //	go run ./examples/tpccbench
 //
-// With -terminals N every configuration runs under the page-lock (2PL)
-// transaction scheduler with N concurrent terminal goroutines issuing the
-// mix (deadlock victims are retried), instead of the single-stream driver:
+// With -terminals N every configuration runs N concurrent terminal
+// goroutines issuing the mix through the page-lock (2PL) transaction
+// scheduler (deadlock victims are retried), instead of the single-stream
+// driver:
 //
 //	go run ./examples/tpccbench -terminals 4
 package main
@@ -24,7 +25,7 @@ import (
 )
 
 func main() {
-	terminals := flag.Int("terminals", 0, "concurrent terminals under the 2PL scheduler (0 = single-stream driver)")
+	terminals := flag.Int("terminals", 0, "concurrent terminals through the 2PL scheduler (0 = single-stream driver)")
 	flag.Parse()
 
 	opts := bench.QuickOptions()
@@ -64,10 +65,8 @@ func main() {
 	fmt.Println("cache beats HDD-only, and FaCE+GSC with a small cache beats SSD-only.")
 	if *terminals >= 1 {
 		for _, r := range results {
-			if r.PageLocks {
-				fmt.Printf("%-20s lock waits=%d (%v) deadlock retries=%d group-commit fan-in=%.2f\n",
-					r.Label, r.Locks.Waits, r.Locks.WaitTime, r.DeadlockRetries, r.GroupCommit.FanIn())
-			}
+			fmt.Printf("%-20s lock waits=%d (%v) deadlock retries=%d group-commit fan-in=%.2f\n",
+				r.Label, r.Locks.Waits, r.Locks.WaitTime, r.DeadlockRetries, r.GroupCommit.FanIn())
 		}
 	}
 }

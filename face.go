@@ -42,9 +42,8 @@
 //
 // # Transactions
 //
-// Work happens in closure transactions.  Any number of View transactions
-// run concurrently; Update transactions are serialized and exclusive with
-// every View:
+// Work happens in closure transactions.  View and Update transactions run
+// concurrently, isolated by page-granularity strict two-phase locking:
 //
 //	err = db.Update(ctx, func(tx *face.Tx) error {
 //	    id, err := tx.Alloc(face.TypeHeap)
@@ -66,12 +65,12 @@
 // boundaries, so a cancelled context never commits.  Writes inside View
 // fail with ErrConflict.
 //
-// With WithLockManager, Update transactions run concurrently under
-// page-granularity strict two-phase locking with deadlock detection —
-// transactions returning ErrDeadlock have been rolled back and should be
-// retried — and concurrent commits batch their log forces through the
-// WAL's group-commit protocol.  The default scheduler serializes writers
-// and never deadlocks.
+// Transactions lock the pages they read (shared) and write (exclusive) at
+// first touch and hold the locks to commit or abort.  Deadlocks are
+// detected: a transaction returning ErrDeadlock has been rolled back and
+// should be retried.  Concurrent commits batch their log forces through
+// the WAL's group-commit protocol, and WithMaxWriters(1) serialises
+// writers.
 //
 // # Cache policies
 //
@@ -135,9 +134,8 @@ type (
 	// PipelineStats is a snapshot of the asynchronous I/O pipeline
 	// enabled by WithAsyncIO; it is part of DB.Snapshot.
 	PipelineStats = metrics.PipelineStats
-	// LockStats is a snapshot of the page lock manager enabled by
-	// WithLockManager (grants, waits, deadlocks); it is part of
-	// DB.Snapshot.
+	// LockStats is a snapshot of the page lock manager (grants, waits,
+	// deadlocks); it is part of DB.Snapshot.
 	LockStats = metrics.LockStats
 	// ShardStats is the per-shard breakdown of buffer pool activity under
 	// WithBufferShards; DB.Snapshot carries one per shard.
@@ -186,9 +184,8 @@ type (
 	// Tracer.Dump: retention stats, pinned and sampled traces, and the
 	// flight recorder's lifecycle events.
 	TraceDump = trace.Dump
-	// DeadlockError is the structured form of ErrDeadlock under
-	// WithLockManager: the victim, the wait-for cycle it would have
-	// closed, and the pages it held.  Match with errors.As; errors.Is
+	// DeadlockError is the structured form of ErrDeadlock: the victim,
+	// the wait-for cycle it would have closed, and the pages it held.  Match with errors.As; errors.Is
 	// against ErrDeadlock keeps working.
 	DeadlockError = lock.DeadlockError
 
@@ -234,7 +231,7 @@ var (
 	// managed by View or Update.
 	ErrTxManaged = engine.ErrTxManaged
 	// ErrDeadlock is returned by View/Update transactions chosen as
-	// deadlock victims under WithLockManager.  The transaction has been
+	// deadlock victims by the page lock manager.  The transaction has been
 	// rolled back; retrying it is safe and expected.
 	ErrDeadlock = engine.ErrDeadlock
 )

@@ -63,56 +63,6 @@ func (g *Golden) AblationAsyncIO(cacheFraction float64) ([]Result, error) {
 	return out, nil
 }
 
-// AblationLockManager compares the single-writer transaction scheduler
-// against page-granularity two-phase locking (with WAL group commit) at
-// increasing terminal counts.
-//
-// The configuration is deliberately log-bound: the DRAM buffer holds the
-// whole database and no flash cache is attached, so the commit-time log
-// force is the dominant per-transaction device cost — the resource the
-// scheduler change actually affects.  (Under an I/O-bound configuration
-// the data array serves the same page misses either way and masks the
-// commit path entirely.)  The workload schedule is identical across rows
-// — terminals claim slots from one precomputed transaction sequence — so
-// rows differ only in scheduling: lock waits, deadlock retries, and how
-// many commit forces share one log write.  The multi-writer win in
-// simulated time comes from group commit (fewer, larger log writes); its
-// wall-clock win (closures overlapping) is demonstrated by the engine's
-// concurrency tests.
-func (g *Golden) AblationLockManager(terminalCounts []int) ([]Result, error) {
-	if len(terminalCounts) == 0 {
-		terminalCounts = []int{1, 2, 4, 8}
-	}
-	bufPages := int(g.dbPages) + 64
-	// Deep warm-up: the measurement window must start with the buffer hot
-	// and the log already the dominant accumulated resource, otherwise
-	// cold-start data-array reads (identical in every row) hide the
-	// commit-path difference being measured.
-	warmup := g.opts.WarmupTx + 3*g.opts.MeasureTx
-	specs := []RunSpec{
-		{Policy: engine.PolicyNone, BufferPages: bufPages, Terminals: 1, WarmupTx: warmup, Label: "single-writer"},
-	}
-	for _, n := range terminalCounts {
-		specs = append(specs, RunSpec{
-			Policy:      engine.PolicyNone,
-			BufferPages: bufPages,
-			PageLocks:   true,
-			Terminals:   n,
-			WarmupTx:    warmup,
-			Label:       fmt.Sprintf("2PL x%d", n),
-		})
-	}
-	var out []Result
-	for _, spec := range specs {
-		res, err := g.Run(spec)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // AblationGroupSize sweeps the replacement batch size of Group Second
 // Chance (the paper suggests the number of pages in a flash block,
 // typically 64 or 128).

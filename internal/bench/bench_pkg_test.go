@@ -327,41 +327,3 @@ func TestFormatHelpers(t *testing.T) {
 		t.Fatal("formatTable broken")
 	}
 }
-
-// TestLockManagerAblation asserts the acceptance shape of the scheduler
-// ablation: the page-lock scheduler must not lose throughput against the
-// single-writer baseline, and at 4 terminals its group commit must batch
-// concurrent commit forces (fewer log writes, fan-in above 1).
-func TestLockManagerAblation(t *testing.T) {
-	g := quickGolden(t)
-	rows, err := g.AblationLockManager([]int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want baseline + 2PL x4", len(rows))
-	}
-	single, multi := rows[0], rows[1]
-	if single.PageLocks || !multi.PageLocks || multi.Terminals != 4 {
-		t.Fatalf("row shapes wrong: %+v / %+v", single, multi)
-	}
-	// The schedule is deterministic and independent of the terminal
-	// count, so the committed workload must be identical.
-	if single.NewOrders != multi.NewOrders || single.TotalTx != multi.TotalTx {
-		t.Fatalf("workloads differ: single %d/%d multi %d/%d new-orders/total",
-			single.NewOrders, single.TotalTx, multi.NewOrders, multi.TotalTx)
-	}
-	if multi.TpmC < single.TpmC {
-		t.Errorf("multi-writer tpmC %.0f below single-writer %.0f", multi.TpmC, single.TpmC)
-	}
-	if multi.GroupCommit.FanIn() <= 1 {
-		t.Errorf("group commit did not batch: %+v", multi.GroupCommit)
-	}
-	if multi.GroupCommit.Forces >= single.GroupCommit.Forces {
-		t.Errorf("2PL x4 performed %d log writes, single-writer %d: no batching win",
-			multi.GroupCommit.Forces, single.GroupCommit.Forces)
-	}
-	t.Logf("single %.0f tpmC (%d forces) vs 2PL x4 %.0f tpmC (%d forces, fan-in %.2f, %d deadlock retries)",
-		single.TpmC, single.GroupCommit.Forces, multi.TpmC,
-		multi.GroupCommit.Forces, multi.GroupCommit.FanIn(), multi.DeadlockRetries)
-}

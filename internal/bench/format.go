@@ -318,38 +318,6 @@ func FormatAsyncAblation(rows []Result) string {
 	return "Ablation: synchronous vs asynchronous flash I/O pipeline\n" + formatTable(headers, out)
 }
 
-// FormatLockAblation renders the single-writer vs page-lock scheduler
-// comparison: throughput alongside the scheduler's own vital signs (lock
-// waits, deadlock retries, group-commit fan-in).
-func FormatLockAblation(rows []Result) string {
-	wall := wallclockMode(rows)
-	headers := []string{"Scheduler", "terminals", "tpmC", "total tpm",
-		"lock waits", "wait time", "deadlock retries", "upgrades", "log writes", "gc fan-in"}
-	if wall {
-		headers = append(headers, "tpmC (wall)")
-	}
-	var out [][]string
-	for _, r := range rows {
-		waits, wait, retries, upgrades, fanin := "-", "-", "-", "-", "-"
-		if r.PageLocks {
-			waits = fmt.Sprintf("%d", r.Locks.Waits)
-			wait = fdur(r.Locks.WaitTime)
-			retries = fmt.Sprintf("%d", r.DeadlockRetries)
-			upgrades = fmt.Sprintf("%d", r.Locks.Upgrades)
-			fanin = fmt.Sprintf("%.2f", r.GroupCommit.FanIn())
-		}
-		row := []string{
-			r.Label, fmt.Sprintf("%d", r.Terminals), fnum(r.TpmC), fnum(r.TotalTpm),
-			waits, wait, retries, upgrades, fmt.Sprintf("%d", r.GroupCommit.Forces), fanin,
-		}
-		if wall {
-			row = append(row, fnum(r.TpmCWall))
-		}
-		out = append(out, row)
-	}
-	return "Ablation: single-writer vs page-level 2PL transaction scheduler\n" + formatTable(headers, out)
-}
-
 // FormatResults renders a flat list of results (used by the ablations).
 // Under wall-clock mode (file backend or -wallclock) the wall-clock
 // throughput leads the row: on real devices the simulated-time tpmC no

@@ -126,10 +126,6 @@ type RunSpec struct {
 	// structures).
 	BufferShards int
 	CacheStripes int
-	// PageLocks runs the configuration under the page-granularity 2PL
-	// transaction scheduler (with group commit) instead of the default
-	// single-writer scheduler.
-	PageLocks bool
 	// Terminals issues the workload from this many concurrent terminal
 	// goroutines via Driver.RunTerminals (deadlock victims retried).
 	// Zero selects the classic single-stream driver; 1 runs the same
@@ -195,10 +191,8 @@ type Result struct {
 	AsyncDepth int
 	Pipeline   metrics.PipelineStats
 
-	// PageLocks and Terminals echo the scheduler configuration; Locks,
-	// GroupCommit and DeadlockRetries report its activity over the
-	// measurement window.
-	PageLocks       bool
+	// Terminals echoes the scheduler configuration; Locks, GroupCommit and
+	// DeadlockRetries report its activity over the measurement window.
 	Terminals       int
 	DeadlockRetries int64
 	Locks           metrics.LockStats
@@ -429,10 +423,9 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 		CheckpointEvery: spec.CheckpointEvery,
 		AsyncIODepth:    spec.AsyncDepth,
 		IOWriters:       spec.IOWriters,
-		PageLocks:       spec.PageLocks,
 		Recover:         recoverMode,
 	}
-	if spec.PageLocks && spec.Terminals > 1 {
+	if spec.Terminals > 1 {
 		// Bound admission to the terminal count; it doubles as the
 		// group-commit fan-in hint.
 		cfg.MaxWriters = spec.Terminals
@@ -459,9 +452,8 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 // workload is issued by concurrent terminal goroutines through the
 // View/Update scheduler instead of the classic single-stream driver.
 func (g *Golden) Run(spec RunSpec) (Result, error) {
-	if g.opts.Terminals >= 1 && spec.Terminals == 0 && !spec.PageLocks {
+	if g.opts.Terminals >= 1 && spec.Terminals == 0 {
 		spec.Terminals = g.opts.Terminals
-		spec.PageLocks = true
 	}
 	env, err := g.build(spec, false, nil)
 	if err != nil {
@@ -568,7 +560,6 @@ func (g *Golden) summarize(env *runEnv, spec RunSpec, before, after engine.Snaps
 	}
 	res.AsyncDepth = spec.AsyncDepth
 	res.Pipeline = after.Pipeline.Sub(before.Pipeline)
-	res.PageLocks = spec.PageLocks
 	res.Terminals = spec.Terminals
 	res.DeadlockRetries = ac.DeadlockRetries - bc.DeadlockRetries
 	res.Locks = after.Locks.Sub(before.Locks)

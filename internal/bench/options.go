@@ -89,8 +89,8 @@ type Options struct {
 	// forfeited.  Ignored without Dir.
 	NoFsync bool
 	// Terminals, when set (1 or more), runs every throughput experiment
-	// with the page-lock (2PL) transaction scheduler and this many
-	// concurrent terminal goroutines instead of the classic single-stream
+	// from this many concurrent terminal goroutines through the View/Update
+	// scheduler instead of the classic single-stream (unscheduled Begin)
 	// driver (the facebench -terminals flag); 1 gives the scheduled
 	// single-terminal baseline.  Recovery experiments keep the classic
 	// driver.  Zero preserves the paper-faithful single-stream setup.

@@ -254,10 +254,10 @@ func (p *Pool) shardFor(id page.ID) *shard {
 
 // SetPinWait selects how an all-pinned shard treats a frame allocation:
 // waiting for a pin to be released (true) or failing fast with
-// ErrAllPinned (false, the default).  The engine enables waiting under the
-// page-lock scheduler, where many concurrent transactions legitimately
-// pin pages at once but every pin is short-held — never across a lock
-// wait, a commit, or a blocking closure — so the wait is bounded.
+// ErrAllPinned (false, the default).  The engine enables waiting: many
+// concurrent transactions legitimately pin pages at once but every pin is
+// short-held — never across a lock wait, a commit, or a blocking closure —
+// so the wait is bounded.
 func (p *Pool) SetPinWait(wait bool) { p.pinWait.Store(wait) }
 
 // Close marks the pool closed: subsequent Gets fail with ErrClosed and

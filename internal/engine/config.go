@@ -83,9 +83,10 @@ var (
 // rolled back; retrying it is safe and expected.
 var ErrDeadlock = lock.ErrDeadlock
 
-// DefaultGroupCommitWindow is the group-commit collection window used
-// under the page-lock scheduler when Config.GroupCommitWindow is zero.
-const DefaultGroupCommitWindow = 200 * time.Microsecond
+// groupCommitWindow is how long the WAL syncer collects concurrent commit
+// forces on a log device without a durability barrier (simulated devices);
+// on files the barrier in flight paces the batches and nothing is timed.
+const groupCommitWindow = 200 * time.Microsecond
 
 // Config describes a database instance.
 type Config struct {
@@ -159,27 +160,11 @@ type Config struct {
 	// the parallelism of a striped data array.
 	IOWriters int
 
-	// PageLocks replaces the single-writer transaction scheduler with the
-	// page-granularity two-phase lock manager (internal/lock): Update
-	// transactions run concurrently, acquiring shared locks on the pages
-	// they read and exclusive locks on the pages they write at first
-	// touch, held to commit or abort.  Transactions refused by deadlock
-	// detection return ErrDeadlock and should be retried.  Commit-time log
-	// forces from concurrent writers are batched by the WAL's group-commit
-	// protocol.
-	PageLocks bool
 	// MaxWriters caps the number of concurrently admitted Update
-	// transactions under PageLocks (0 = unlimited).  A bound keeps lock
-	// contention and DRAM pin pressure proportionate to small buffer
-	// pools.
+	// transactions (0 = unlimited; 1 serialises writers).  A bound keeps
+	// lock contention and DRAM pin pressure proportionate to small buffer
+	// pools, and doubles as the group-commit fan-in hint.
 	MaxWriters int
-	// GroupCommitWindow is the WAL syncer's collection window for batching
-	// commit-time log forces under PageLocks: zero selects
-	// DefaultGroupCommitWindow, a negative value disables batching.  It
-	// is ignored without PageLocks, where commits cannot overlap, and on
-	// a log device with a durability barrier (files), where the barrier
-	// in flight paces the batches and nothing is timed.
-	GroupCommitWindow time.Duration
 
 	// CheckpointEvery triggers a database checkpoint whenever this much
 	// simulated time has passed since the previous one.  Zero disables

@@ -25,26 +25,22 @@ import (
 const superblockMagic = 0xFACEDB01
 
 // DB is a transactional page store with an optional flash cache extension.
-// It is safe for concurrent use: View transactions run in parallel with
-// each other, and Update transactions are scheduled by either the default
-// single-writer scheduler or, with Config.PageLocks, the page-granularity
-// two-phase lock manager that lets them run in parallel too (sched.go).
-// Unscheduled transactions from Begin remain single-threaded, as the
-// benchmark harness drives them.
+// It is safe for concurrent use: View and Update transactions run in
+// parallel, isolated by the page-granularity two-phase lock manager
+// (sched.go).  Unscheduled transactions from Begin remain single-threaded,
+// as the benchmark harness drives them.
 type DB struct {
-	// txMu is the transaction scheduler lock.  View transactions hold the
-	// read side; Update transactions hold the write side under the
-	// single-writer scheduler and the read side under the page-lock
-	// scheduler (page locks provide their mutual exclusion).  Lifecycle
-	// operations (Checkpoint, Close, Crash, Tick) hold the write side and
-	// must therefore not be called from inside a View/Update closure.
+	// txMu is the transaction scheduler lock.  View and Update transactions
+	// hold the read side (page locks provide their mutual exclusion).
+	// Lifecycle operations (Checkpoint, Close, Crash, Tick) hold the write
+	// side and must therefore not be called from inside a View/Update
+	// closure.
 	txMu sync.RWMutex
 
-	// locks is the page lock manager (nil under the single-writer
-	// scheduler).
+	// locks is the page lock manager.
 	locks *lock.Manager
 	// writerSem, when non-nil, admits at most Config.MaxWriters Update
-	// transactions at a time under the page-lock scheduler.
+	// transactions at a time.
 	writerSem chan struct{}
 
 	// mu guards page allocation, the checkpoint bookkeeping and the
@@ -173,13 +169,10 @@ func Open(cfg Config) (*DB, error) {
 		files:    files,
 		clock:    simclock.New(),
 		nextPage: 1,
+		locks:    lock.New(),
 	}
-
-	if cfg.PageLocks {
-		db.locks = lock.New()
-		if cfg.MaxWriters > 0 {
-			db.writerSem = make(chan struct{}, cfg.MaxWriters)
-		}
+	if cfg.MaxWriters > 0 {
+		db.writerSem = make(chan struct{}, cfg.MaxWriters)
 	}
 	if !cfg.DisableObs {
 		db.obs = newDBObs(&db.cfg)
@@ -197,22 +190,13 @@ func Open(cfg Config) (*DB, error) {
 		db.log.Close()
 		closeFiles()
 	}
-	if cfg.PageLocks {
-		// Concurrent committers batch their commit-time forces on the
-		// WAL syncer's waitlist.
-		window := cfg.GroupCommitWindow
-		if window == 0 {
-			window = DefaultGroupCommitWindow
-		}
-		if window > 0 {
-			db.log.SetGroupCommitWindow(window)
-		}
-		// A writer cap doubles as the expected group-commit fan-in: the
-		// first committer of a batch opens its collection window without
-		// waiting to observe a second one.
-		if cfg.MaxWriters > 1 {
-			db.log.SetCommitters(cfg.MaxWriters)
-		}
+	// Concurrent committers batch their commit-time forces on the WAL
+	// syncer's waitlist.  A writer cap doubles as the expected group-commit
+	// fan-in: the first committer of a batch opens its collection window
+	// without waiting to observe a second one.
+	db.log.SetCollectionWindow(groupCommitWindow)
+	if cfg.MaxWriters > 1 {
+		db.log.SetCommitters(cfg.MaxWriters)
 	}
 
 	if err := db.readSuperblock(); err != nil {
@@ -250,12 +234,10 @@ func Open(cfg Config) (*DB, error) {
 		abortCache()
 		return nil, err
 	}
-	if cfg.PageLocks {
-		// Concurrent transactions pin pages in parallel; a transiently
-		// all-pinned pool should wait for an unpin (pins are short-held
-		// and never span a lock wait) rather than fail the transaction.
-		db.pool.SetPinWait(true)
-	}
+	// Concurrent transactions pin pages in parallel; a transiently
+	// all-pinned pool should wait for an unpin (pins are short-held and
+	// never span a lock wait) rather than fail the transaction.
+	db.pool.SetPinWait(true)
 
 	db.obs.event("open: wal ready next=%d durable=%d", db.log.Next(), db.log.Durable())
 	if cfg.Recover {
@@ -727,8 +709,8 @@ type Snapshot struct {
 	// lookup counters.
 	CacheStripes []metrics.CacheStripeStats
 	Pipeline     metrics.PipelineStats
-	// Locks reports page lock manager activity (zero without PageLocks)
-	// and GroupCommit the WAL's commit-force batching.
+	// Locks reports page lock manager activity and GroupCommit the WAL's
+	// commit-force batching.
 	Locks       metrics.LockStats
 	GroupCommit metrics.GroupCommitStats
 	// Wal reports the WAL commit pipeline: reservation stalls, copy
@@ -771,14 +753,12 @@ func (db *DB) Snapshot() Snapshot {
 		Checkpoints:  db.checkpoints,
 		Pool:         ps,
 		PoolShards:   shards,
+		Locks:        db.locks.Stats(),
 		GroupCommit:  db.log.GroupCommitStats(),
 		Wal:          db.log.Stats(),
 		Data:         db.dataDev.Stats(),
 		Log:          db.logDev.Stats(),
 		Phases:       db.obs.phasesSnapshot(),
-	}
-	if db.locks != nil {
-		s.Locks = db.locks.Stats()
 	}
 	if db.cache != nil {
 		s.Cache = db.cache.Stats()
@@ -806,10 +786,6 @@ func (db *DB) Pool() *buffer.Pool { return db.pool }
 
 // Log exposes the write-ahead log manager.
 func (db *DB) Log() *wal.Manager { return db.log }
-
-// Locks exposes the page lock manager (nil under the single-writer
-// scheduler).
-func (db *DB) Locks() *lock.Manager { return db.locks }
 
 // Clock returns the simulated clock.
 func (db *DB) Clock() *simclock.Clock { return db.clock }

@@ -25,9 +25,10 @@ import (
 // Update transaction, so their sum never exceeds the transaction's total
 // latency:
 //
-//	admission    waiting to be admitted (writer semaphore, or the
-//	             single-writer scheduler's exclusive lock)
-//	lock_wait    blocked in the page lock manager
+//	admission    waiting to be admitted (a lifecycle fence, the writer
+//	             semaphore)
+//	lock_wait    blocked in the page lock manager (charged only when a
+//	             request queued)
 //	buffer       pinning pages (DRAM hits, misses, eviction stalls)
 //	wal_append   reserving and copying log records
 //	durable_wait the commit-time log force (group-commit park included)
@@ -231,10 +232,8 @@ func (db *DB) registerMetrics() {
 	reg.CounterFunc("face_wal_syncs_total", func() int64 { return db.log.Stats().Syncs })
 
 	// Page lock manager.
-	if db.locks != nil {
-		reg.CounterFunc("face_lock_waits_total", func() int64 { return db.locks.Stats().Waits })
-		reg.CounterFunc("face_lock_deadlocks_total", func() int64 { return db.locks.Stats().Deadlocks })
-	}
+	reg.CounterFunc("face_lock_waits_total", func() int64 { return db.locks.Stats().Waits })
+	reg.CounterFunc("face_lock_deadlocks_total", func() int64 { return db.locks.Stats().Deadlocks })
 
 	// Flash cache and its async I/O pipeline.
 	if db.cache != nil {

@@ -28,7 +28,6 @@ func TestRecycledImagesNeverReachReaders(t *testing.T) {
 	r.cfg.BufferPages = 16
 	r.cfg.FlashFrames = 64
 	r.cfg.GroupSize = 16
-	r.cfg.PageLocks = true
 	db := r.open(t, false)
 	ctx := context.Background()
 

@@ -7,27 +7,26 @@ import (
 )
 
 // This file is the transaction scheduler: bolt-style closure transactions
-// with two concurrency regimes.
+// under page-granularity strict two-phase locking.
 //
-// Single-writer (the default): View transactions share the read side of
-// txMu and run in parallel; Update transactions take the write side and
-// run exclusively.  No page locks are needed — exclusion is global.
-//
-// Page locks (Config.PageLocks): both View and Update transactions hold
-// the read side of txMu (which then only fences lifecycle operations:
-// Checkpoint, Close, Crash, Tick take the write side) and isolation moves
-// to the page-granularity lock manager.  Transactions lock pages at first
-// touch — shared for Read, exclusive for Modify and Alloc — and hold them
-// to commit or abort (strict 2PL), so the schedule stays serializable and
-// concurrent writers feed the flash pipeline from multiple cores.  A
-// transaction refused by deadlock detection is rolled back and returns
-// ErrDeadlock; callers retry it.  Commit-time log forces of concurrent
-// writers are batched by the WAL's group-commit protocol.
+// View and Update transactions both hold the read side of txMu, which
+// only fences lifecycle operations (Checkpoint, Close, Crash and Tick take
+// the write side); isolation comes from the lock manager.  Transactions
+// lock pages at first touch — shared for Read, exclusive for Modify and
+// Alloc — and hold them to commit or abort, so the schedule stays
+// serializable and concurrent writers feed the flash pipeline from
+// multiple cores.  A transaction refused by deadlock detection is rolled
+// back and returns ErrDeadlock; callers retry it.  Config.MaxWriters caps
+// the Update transactions admitted at once (1 serialises writers), and
+// commit-time log forces of concurrent writers are batched by the WAL's
+// group-commit protocol.  A lone writer pays for none of this beyond its
+// grants: re-reading a page it holds never reaches the manager, and a lock
+// granted at once reads no clock and records no span.
 //
 // The context is checked at the transaction boundaries — before the
-// transaction begins and again before it commits — so a cancelled context
-// never commits; under page locks it also bounds lock waits, unblocking a
-// queued transaction mid-closure.
+// transaction begins and again before it commits — and bounds lock waits,
+// unblocking a queued transaction mid-closure; a cancelled context never
+// commits.
 //
 // With observability enabled the scheduler also drives the commit-path
 // phase trace (obs.go): Update starts the trace before it waits for
@@ -39,8 +38,8 @@ import (
 // transactions run concurrently with each other.  The transaction is
 // managed: fn must not call Commit or Abort, and any error it returns is
 // propagated after rollback.  Writes inside fn fail with ErrConflict.
-// Under Config.PageLocks a View acquires shared page locks as it reads
-// and can therefore return ErrDeadlock; retrying is safe.
+// A View acquires shared page locks as it reads, so it sees a consistent
+// multi-page state and can return ErrDeadlock; retrying is safe.
 func (db *DB) View(ctx context.Context, fn func(*Tx) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -59,9 +58,8 @@ func (db *DB) View(ctx context.Context, fn func(*Tx) error) error {
 // an error or the context is cancelled, the transaction is rolled back and
 // the page images it changed are restored.
 //
-// Under the default scheduler Update transactions are serialized with each
-// other and exclusive with every View.  Under Config.PageLocks they run
-// concurrently, isolated by page locks, and may return ErrDeadlock after
+// Update transactions run concurrently with each other and with View
+// transactions, isolated by page locks, and may return ErrDeadlock after
 // rollback; retrying the closure is safe and expected.
 func (db *DB) Update(ctx context.Context, fn func(*Tx) error) error {
 	if err := ctx.Err(); err != nil {
@@ -81,28 +79,19 @@ func (db *DB) Update(ctx context.Context, fn func(*Tx) error) error {
 		}
 		defer db.obs.finishOwn(tr)
 	}
-	if db.locks == nil {
-		// Single-writer: waiting for the exclusive scheduler lock is this
-		// regime's admission wait.
-		db.txMu.Lock()
-		if tr != nil {
-			tr.charge(phaseAdmission, tr.start, time.Since(tr.start), 0, "single-writer")
-		}
-		defer db.txMu.Unlock()
-		return db.runManaged(ctx, false, tr, fn)
-	}
 	db.txMu.RLock()
 	defer db.txMu.RUnlock()
 	if db.writerSem != nil {
 		select {
 		case db.writerSem <- struct{}{}:
-			if tr != nil {
-				tr.charge(phaseAdmission, tr.start, time.Since(tr.start), 0, "writer-sem")
-			}
 			defer func() { <-db.writerSem }()
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+	}
+	if tr != nil {
+		// Admission: waiting out a lifecycle fence and the writer cap.
+		tr.charge(phaseAdmission, tr.start, time.Since(tr.start), 0, "")
 	}
 	// Register as a committer so the WAL's syncer knows how many
 	// concurrent commit forces it may collect.
@@ -111,9 +100,9 @@ func (db *DB) Update(ctx context.Context, fn func(*Tx) error) error {
 	return db.runManaged(ctx, false, tr, fn)
 }
 
-// runManaged executes fn in a managed transaction under whichever side of
-// the scheduler lock the caller holds.  A non-nil tr carries the phase
-// trace Update started before admission.
+// runManaged executes fn in a managed transaction; the caller holds the
+// read side of the scheduler lock.  A non-nil tr carries the phase trace
+// Update started before admission.
 func (db *DB) runManaged(ctx context.Context, readonly bool, tr *txTrace, fn func(*Tx) error) error {
 	tx, err := db.beginTx(ctx, readonly)
 	if err != nil {

@@ -13,12 +13,11 @@ import (
 	"github.com/reprolab/face/internal/page"
 )
 
-// schedDB2PL opens a database under the page-lock scheduler, pre-loaded
-// with n value pages.
+// schedDB2PL opens a database with the given writer cap, pre-loaded with n
+// value pages.
 func schedDB2PL(t *testing.T, n int, maxWriters int) (*DB, []page.ID) {
 	t.Helper()
 	r := newRig(t, PolicyFaCEGSC)
-	r.cfg.PageLocks = true
 	r.cfg.MaxWriters = maxWriters
 	db := r.open(t, false)
 	t.Cleanup(func() { db.Close() })
@@ -60,11 +59,10 @@ func retryUpdate(ctx context.Context, db *DB, fn func(*Tx) error) (int, error) {
 	}
 }
 
-// TestPageLocksWritersOverlap proves Update transactions really run
-// concurrently under the page-lock scheduler: two writers on disjoint
-// pages must both be inside their closures at the same time, which the
-// single-writer scheduler makes impossible.
-func TestPageLocksWritersOverlap(t *testing.T) {
+// TestPageLockWritersOverlap proves Update transactions really run
+// concurrently: two writers on disjoint pages must both be inside their
+// closures at the same time.
+func TestPageLockWritersOverlap(t *testing.T) {
 	db, ids := schedDB2PL(t, 2, 0)
 	var (
 		here  = make(chan struct{})
@@ -102,11 +100,11 @@ func TestPageLocksWritersOverlap(t *testing.T) {
 	}
 }
 
-// TestPageLocksDeadlockExactlyOneVictim forces the classic AB/BA cycle
+// TestPageLockDeadlockExactlyOneVictim forces the classic AB/BA cycle
 // through real transactions: exactly one Update must be refused with
 // ErrDeadlock (and roll back), the other must commit, and the victim must
 // succeed on retry.
-func TestPageLocksDeadlockExactlyOneVictim(t *testing.T) {
+func TestPageLockDeadlockExactlyOneVictim(t *testing.T) {
 	db, ids := schedDB2PL(t, 2, 0)
 	a, b := ids[0], ids[1]
 	set := func(tx *Tx, id page.ID, v uint64) error {
@@ -196,10 +194,10 @@ func TestPageLocksDeadlockExactlyOneVictim(t *testing.T) {
 	}
 }
 
-// TestPageLocksUpgradeStorm: every writer reads the counter page (shared
+// TestPageLockUpgradeStorm: every writer reads the counter page (shared
 // lock) and then increments it (upgrade to exclusive).  Deadlock victims
 // retry; no increment may be lost.
-func TestPageLocksUpgradeStorm(t *testing.T) {
+func TestPageLockUpgradeStorm(t *testing.T) {
 	db, ids := schedDB2PL(t, 1, 0)
 	ctr := ids[0]
 	const writers = 8
@@ -254,10 +252,10 @@ func TestPageLocksUpgradeStorm(t *testing.T) {
 	}
 }
 
-// TestPageLocksCancellationUnblocksQueuedWriter: a writer queued on a page
+// TestPageLockCancellationUnblocksQueuedWriter: a writer queued on a page
 // lock must unblock promptly when its context is cancelled, and the lock
 // holder must be unaffected.
-func TestPageLocksCancellationUnblocksQueuedWriter(t *testing.T) {
+func TestPageLockCancellationUnblocksQueuedWriter(t *testing.T) {
 	db, ids := schedDB2PL(t, 1, 0)
 	id := ids[0]
 
@@ -322,10 +320,10 @@ func TestPageLocksCancellationUnblocksQueuedWriter(t *testing.T) {
 	}
 }
 
-// TestPageLocksSerializableTransfers moves value between two pages from
+// TestPageLockSerializableTransfers moves value between two pages from
 // many writers while Views verify the invariant (the sum is constant) —
 // shared page locks give readers a consistent multi-page snapshot.
-func TestPageLocksSerializableTransfers(t *testing.T) {
+func TestPageLockSerializableTransfers(t *testing.T) {
 	db, ids := schedDB2PL(t, 2, 0)
 	a, b := ids[0], ids[1]
 	const total = 1000
@@ -425,10 +423,10 @@ func TestPageLocksSerializableTransfers(t *testing.T) {
 	}
 }
 
-// TestPageLocksMaxWriters bounds writer admission: with MaxWriters=1 two
-// Update closures must never overlap even though the page-lock scheduler
-// would otherwise admit them together.
-func TestPageLocksMaxWriters(t *testing.T) {
+// TestPageLockMaxWriters bounds writer admission: with MaxWriters=1 two
+// Update closures must never overlap even though page locks alone would
+// admit them together.
+func TestPageLockMaxWriters(t *testing.T) {
 	db, ids := schedDB2PL(t, 2, 1)
 	var inside, maxInside atomic.Int64
 	var wg sync.WaitGroup
@@ -464,13 +462,13 @@ func TestPageLocksMaxWriters(t *testing.T) {
 	}
 }
 
-// TestPageLocksGroupCommitBatching: concurrent writers on disjoint pages
+// TestPageLockGroupCommitBatching: concurrent writers on disjoint pages
 // commit in parallel; their log forces must batch (piggybacked > 0,
 // strictly fewer device writes than commits).  A flush round covers the
 // high-water mark, so a commit whose record an earlier round's write already
 // covered finds the log durable and is not a force request: Requests is
 // bounded by the commit count from above, not from below.
-func TestPageLocksGroupCommitBatching(t *testing.T) {
+func TestPageLockGroupCommitBatching(t *testing.T) {
 	// MaxWriters doubles as the expected fan-in hint, which lets the
 	// group-commit leader collect a batch even on GOMAXPROCS=1 where
 	// commits never overlap by accident.
@@ -512,12 +510,11 @@ func TestPageLocksGroupCommitBatching(t *testing.T) {
 		gc.FanIn(), gc.Requests, gc.Forces, gc.Piggybacked)
 }
 
-// TestPageLocksCrashRecovery: concurrent writers, a crash, and recovery —
+// TestPageLockCrashRecovery: concurrent writers, a crash, and recovery —
 // committed transactions survive, and the interleaved multi-writer log
 // replays cleanly.
-func TestPageLocksCrashRecovery(t *testing.T) {
+func TestPageLockCrashRecovery(t *testing.T) {
 	r := newRig(t, PolicyFaCEGSC)
-	r.cfg.PageLocks = true
 	db := r.open(t, false)
 	var ids []page.ID
 	err := db.Update(context.Background(), func(tx *Tx) error {

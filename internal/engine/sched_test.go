@@ -175,8 +175,8 @@ func TestUpdatePanicRollsBack(t *testing.T) {
 }
 
 // TestWritersMutuallyExclusive lets racing Updates mutate a plain variable
-// that is protected only by the transaction scheduler; the race detector
-// fails the test if Update transactions ever overlap.
+// that is protected only by the exclusive lock on the page they all write;
+// the race detector fails the test if two writers of the page ever overlap.
 func TestWritersMutuallyExclusive(t *testing.T) {
 	db, ids := schedDB(t, 1)
 	var unguarded int
@@ -187,8 +187,8 @@ func TestWritersMutuallyExclusive(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				err := db.Update(context.Background(), func(tx *Tx) error {
-					unguarded++
 					return tx.Modify(ids[0], func(buf page.Buf) error {
+						unguarded++
 						binary.LittleEndian.PutUint64(buf.Payload(), uint64(unguarded))
 						return nil
 					})

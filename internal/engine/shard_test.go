@@ -26,7 +26,6 @@ func newShardedEngine(t *testing.T, shards int) *DB {
 		Policy:       PolicyFaCEGSC,
 		FlashFrames:  512,
 		GroupSize:    16,
-		PageLocks:    true,
 	}
 	db, err := Open(cfg)
 	if err != nil {
@@ -128,7 +127,6 @@ func TestShardCountKeepsSimulatedTime(t *testing.T) {
 			BufferPages:  512,
 			BufferShards: shards,
 			Policy:       PolicyNone,
-			PageLocks:    true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +260,6 @@ func TestEngineClosePinWaitHang(t *testing.T) {
 		BufferPages:  2,
 		BufferShards: 1,
 		Policy:       PolicyNone,
-		PageLocks:    true, // enables pin-wait on the pool
 	}
 	db, err := Open(cfg)
 	if err != nil {

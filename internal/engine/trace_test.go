@@ -141,7 +141,6 @@ func TestTraceExemplarLinksJournal(t *testing.T) {
 // victim's self-started trace is pinned with the wait-for cycle.
 func TestTraceEngineDeadlockPin(t *testing.T) {
 	r := newRig(t, PolicyNone)
-	r.cfg.PageLocks = true
 	r.cfg.Logf = func(string, ...any) {}
 	db := r.open(t, false)
 	t.Cleanup(func() { db.Close() })
@@ -219,6 +218,91 @@ func TestTraceEngineDeadlockPin(t *testing.T) {
 	if !strings.Contains(detail, "cycle:") || !strings.Contains(detail, "held:") {
 		t.Errorf("deadlock pin detail = %q, want cycle and held pages", detail)
 	}
+}
+
+// TestNoLockSpanForImmediateGrant: an uncontended Update that reads,
+// rewrites and re-reads eight pages — every lock granted at once or held
+// already — records no lock_wait span and charges nothing to the phase,
+// while a request that queues behind a writer records one span carrying
+// its wait.
+func TestNoLockSpanForImmediateGrant(t *testing.T) {
+	db := traceDB(t)
+	tracer := db.Tracer()
+	ctx := context.Background()
+	var ids []page.ID
+	if err := db.Update(ctx, func(tx *Tx) error {
+		for range 8 {
+			id, err := tx.Alloc(page.TypeHeap)
+			if err != nil {
+				return err
+			}
+			ids = append(ids, id)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lockSpans := func(tr *trace.Trace) (n int, wait time.Duration) {
+		for _, sp := range tr.Spans() {
+			if sp.Name == "lock_wait" {
+				n++
+				wait += sp.Dur
+			}
+		}
+		return n, wait
+	}
+
+	before := db.Snapshot().Phases
+	tr := tracer.Start(trace.ID(1), "uncontended")
+	if err := db.Update(WithTrace(ctx, tr), func(tx *Tx) error {
+		for i, id := range ids {
+			readValue(t, tx, id)
+			writeValue(t, tx, id, uint64(i))
+			readValue(t, tx, id)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := lockSpans(tr); n != 0 {
+		t.Fatalf("uncontended Update recorded %d lock_wait spans: %+v", n, tr.Spans())
+	}
+	if p := db.Snapshot().Phases.Sub(before); p.LockWait.Sum != 0 {
+		t.Fatalf("uncontended Update charged %v to lock_wait", time.Duration(p.LockWait.Sum))
+	}
+	tracer.Finish(tr)
+
+	set := func(tx *Tx, v uint64) error {
+		return tx.Modify(ids[0], func(buf page.Buf) error {
+			binary.LittleEndian.PutUint64(buf.Payload(), v)
+			return nil
+		})
+	}
+	holding, release := make(chan struct{}), make(chan struct{})
+	holder := make(chan error, 1)
+	go func() {
+		holder <- db.Update(ctx, func(tx *Tx) error {
+			if err := set(tx, 100); err != nil {
+				return err
+			}
+			close(holding)
+			<-release
+			return nil
+		})
+	}()
+	<-holding
+	time.AfterFunc(5*time.Millisecond, func() { close(release) })
+	tr = tracer.Start(trace.ID(2), "contended")
+	if err := db.Update(WithTrace(ctx, tr), func(tx *Tx) error { return set(tx, 200) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	if n, wait := lockSpans(tr); n != 1 || wait <= 0 {
+		t.Fatalf("queued Update recorded %d lock_wait spans of %v, want one with its wait: %+v", n, wait, tr.Spans())
+	}
+	tracer.Finish(tr)
 }
 
 // TestTraceEngineDisabled: WithObservability(false) or DisableTracing

@@ -18,10 +18,8 @@ import (
 // Tx is a transaction.  Transactions started with Begin are unscheduled:
 // the caller is responsible for running one at a time, as the benchmark
 // harness does.  Transactions started with View and Update go through the
-// transaction scheduler (see sched.go) and may run concurrently: any
-// number of View transactions in parallel, and — under Config.PageLocks —
-// Update transactions in parallel too, isolated by page-granularity
-// strict two-phase locking.
+// transaction scheduler (see sched.go) and run concurrently, isolated by
+// page-granularity strict two-phase locking.
 type Tx struct {
 	db   *DB
 	id   wal.TxID
@@ -32,12 +30,11 @@ type Tx struct {
 	// transaction finishes it (View/Update closures).
 	managed bool
 
-	// locks is the page lock manager for scheduled transactions under
-	// Config.PageLocks: Read takes a shared lock, Modify and Alloc an
-	// exclusive one, all held until commit or abort (strict 2PL).  It is
-	// nil for unscheduled transactions and under the single-writer
-	// scheduler.
-	locks *lock.Manager
+	// locks is a scheduled transaction's page lock state: Read takes a
+	// shared lock, Modify and Alloc an exclusive one, all held until commit
+	// or abort (strict 2PL).  It is nil for unscheduled transactions and
+	// once the locks are released.
+	locks *lock.Txn
 	// ctx bounds lock waits; a cancelled context unblocks a queued
 	// request and the transaction rolls back.
 	ctx context.Context
@@ -85,8 +82,7 @@ func (db *DB) Begin() (*Tx, error) {
 }
 
 // beginTx starts a transaction.  A nil ctx marks it unscheduled (no page
-// locks); scheduled transactions inherit the lock manager when the
-// database runs under Config.PageLocks.
+// locks); a scheduled one gets its lock state from the lock manager.
 func (db *DB) beginTx(ctx context.Context, readonly bool) (*Tx, error) {
 	if db.crashed.Load() {
 		return nil, ErrCrashed
@@ -100,7 +96,7 @@ func (db *DB) beginTx(ctx context.Context, readonly bool) (*Tx, error) {
 	tx := &Tx{db: db, id: wal.TxID(db.nextTx.Add(1)), readonly: readonly}
 	if ctx != nil {
 		tx.ctx = ctx
-		tx.locks = db.locks
+		tx.locks = db.locks.Begin(uint64(tx.id))
 	}
 	return tx, nil
 }
@@ -118,18 +114,21 @@ func (tx *Tx) ctxErr() error {
 	return tx.ctx.Err()
 }
 
-// lockPage acquires the page lock in the given mode for scheduled
-// transactions under the page-lock scheduler; elsewhere it is a no-op.
+// lockPage acquires the page lock in the given mode for a scheduled
+// transaction; for an unscheduled one it is a no-op.  A page the
+// transaction already holds strongly enough is answered from its own lock
+// state, and only a request that blocked is charged to the lock_wait phase.
 func (tx *Tx) lockPage(id page.ID, mode lock.Mode) error {
 	if tx.locks == nil {
 		return nil
 	}
+	waited, err := tx.locks.Acquire(tx.ctx, id, mode)
 	if tx.tr == nil {
-		return tx.locks.Acquire(tx.ctx, uint64(tx.id), id, mode)
+		return err
 	}
-	t0 := time.Now()
-	err := tx.locks.Acquire(tx.ctx, uint64(tx.id), id, mode)
-	tx.tr.charge(phaseLockWait, t0, time.Since(t0), uint64(id), mode.String())
+	if waited > 0 {
+		tx.tr.charge(phaseLockWait, time.Now().Add(-waited), waited, uint64(id), mode.String())
+	}
 	if err != nil && tx.tr.span != nil {
 		// A deadlock victim's trace is pinned with the wait-for cycle
 		// the lock manager detected, so the journal answers "deadlocked
@@ -169,11 +168,12 @@ func (tx *Tx) logAppend(rec *wal.Record) (page.LSN, error) {
 
 // releaseLocks drops every page lock the transaction holds, once: commit
 // releases early (after the commit-record append) and its deferred call
-// must not touch the contended lock-manager mutex again, so the reference
-// is cleared on first use.
+// must not touch the contended lock-manager mutex again — nor the lock
+// state, which the manager recycles — so the reference is cleared on first
+// use.
 func (tx *Tx) releaseLocks() {
 	if tx.locks != nil {
-		tx.locks.ReleaseAll(uint64(tx.id))
+		tx.locks.ReleaseAll()
 		tx.locks = nil
 	}
 }
@@ -185,8 +185,8 @@ func (tx *Tx) ReadOnly() bool { return tx.readonly }
 func (tx *Tx) ID() uint64 { return uint64(tx.id) }
 
 // Read pins the page, passes it to fn for read-only use, and unpins it.
-// Under the page-lock scheduler it first takes a shared lock on the page,
-// which may block behind a writer or fail with ErrDeadlock.
+// A scheduled transaction first takes a shared lock on the page, which may
+// block behind a writer or fail with ErrDeadlock.
 func (tx *Tx) Read(id page.ID, fn func(buf page.Buf) error) error {
 	if tx.done {
 		return ErrTxDone

@@ -12,14 +12,13 @@ import (
 	"github.com/reprolab/face/internal/page"
 )
 
-func openMem(t *testing.T, pageLocks bool) *engine.DB {
+func openMem(t *testing.T) *engine.DB {
 	t.Helper()
 	cfg := engine.Config{
 		DataDev:     device.New("kv-data", device.ProfileCheetah15K, 1<<16),
 		LogDev:      device.New("kv-log", device.ProfileCheetah15K, 1<<17),
 		BufferPages: 256,
 		Policy:      engine.PolicyNone,
-		PageLocks:   pageLocks,
 	}
 	db, err := engine.Open(cfg)
 	if err != nil {
@@ -65,7 +64,7 @@ func get(t *testing.T, db *engine.DB, ns *Namespace, key uint64) ([]byte, bool) 
 }
 
 func TestKVCreateSetGetDelete(t *testing.T) {
-	db := openMem(t, false)
+	db := openMem(t)
 	defer db.Close()
 	s := mustStore(t, db)
 
@@ -122,7 +121,7 @@ func TestKVCreateSetGetDelete(t *testing.T) {
 }
 
 func TestKVInPlaceOverwriteDoesNotGrow(t *testing.T) {
-	db := openMem(t, false)
+	db := openMem(t)
 	defer db.Close()
 	s := mustStore(t, db)
 	ns, err := s.Create(context.Background(), "hot")
@@ -156,7 +155,7 @@ func TestKVInPlaceOverwriteDoesNotGrow(t *testing.T) {
 }
 
 func TestKVValueTooLarge(t *testing.T) {
-	db := openMem(t, false)
+	db := openMem(t)
 	defer db.Close()
 	s := mustStore(t, db)
 	ns, err := s.Create(context.Background(), "big")
@@ -178,7 +177,7 @@ func TestKVValueTooLarge(t *testing.T) {
 }
 
 func TestKVGrowthAndScan(t *testing.T) {
-	db := openMem(t, true)
+	db := openMem(t)
 	defer db.Close()
 	s := mustStore(t, db)
 	ns, err := s.Create(context.Background(), "scan")
@@ -232,7 +231,7 @@ func TestKVGrowthAndScan(t *testing.T) {
 }
 
 func TestKVAbortedGrowthNotPublished(t *testing.T) {
-	db := openMem(t, false)
+	db := openMem(t)
 	defer db.Close()
 	s := mustStore(t, db)
 	ns, err := s.Create(context.Background(), "abort")
@@ -275,7 +274,6 @@ func TestKVReopenPersistence(t *testing.T) {
 			Dir:         dir,
 			BufferPages: 256,
 			Policy:      engine.PolicyNone,
-			PageLocks:   true,
 			NoFsync:     true,
 		})
 		if err != nil {
@@ -331,7 +329,7 @@ func TestKVReopenPersistence(t *testing.T) {
 }
 
 func TestKVRefusesForeignDatabase(t *testing.T) {
-	db := openMem(t, false)
+	db := openMem(t)
 	defer db.Close()
 	// Allocate page 1 as something other than a catalog.
 	err := db.Update(context.Background(), func(tx *engine.Tx) error {
@@ -351,7 +349,7 @@ func TestKVRefusesForeignDatabase(t *testing.T) {
 // one b-tree entry, not for the pages they live on; an overwrite in place
 // pays for the value's old and new bytes.
 func TestLogVolumePerSet(t *testing.T) {
-	db := openMem(t, false)
+	db := openMem(t)
 	defer db.Close()
 	s := mustStore(t, db)
 	ns, err := s.Create(context.Background(), "main")

@@ -36,7 +36,7 @@ func forceDeadlock(t *testing.T, m *Manager) error {
 	<-blocked
 	// Wait until tx1 is actually queued on page 2 so the wait-for edge
 	// exists.
-	for m.Held(1) != 1 || !waitingOn(m, 1, page.ID(2)) {
+	for held(m, 1) != 1 || !waitingOn(m, 1, page.ID(2)) {
 	}
 	err := m.Acquire(ctx, 2, page.ID(1), Exclusive)
 	m.ReleaseAll(2)
@@ -48,8 +48,8 @@ func forceDeadlock(t *testing.T, m *Manager) error {
 func waitingOn(m *Manager, tx uint64, id page.ID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	got, ok := m.waiting[tx]
-	return ok && got == id
+	t := m.txns[tx]
+	return t != nil && t.wait != nil && t.wait.id == id
 }
 
 func TestDeadlockErrorCarriesCycle(t *testing.T) {

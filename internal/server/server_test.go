@@ -89,7 +89,6 @@ func openDirFsync(t testing.TB, dir string, writers int, fsync bool) *engine.DB 
 		Dir:         dir,
 		BufferPages: 512,
 		Policy:      engine.PolicyNone,
-		PageLocks:   true,
 		NoFsync:     !fsync,
 	}
 	if writers > 0 {

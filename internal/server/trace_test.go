@@ -30,7 +30,6 @@ func startTracedServer(t *testing.T, slow time.Duration) (*testServer, *obs.Regi
 		Dir:             dir,
 		BufferPages:     512,
 		Policy:          engine.PolicyNone,
-		PageLocks:       true,
 		MaxWriters:      4,
 		NoFsync:         true,
 		Obs:             reg,

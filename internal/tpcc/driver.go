@@ -249,7 +249,7 @@ const maxDeadlockRetries = 1000
 // terminal count: the kind and parameter stream of the i-th transaction
 // are fixed up front, and terminals claim slots from that shared schedule.
 // Only the interleaving changes with the terminal count, which is what
-// makes single-writer and multi-writer runs comparable.
+// makes one-terminal and multi-terminal runs comparable.
 //
 // Terminal 0 is the calling goroutine, whose stack has already grown to
 // what a transaction needs; only terminals 1…N−1 are started.

@@ -31,7 +31,7 @@ func BenchmarkForceFile(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer m.Close()
-			m.SetGroupCommitWindow(200 * time.Microsecond)
+			m.SetCollectionWindow(200 * time.Microsecond)
 			m.SetCommitters(committers)
 			m.AddCommitter(committers)
 			before, after := make([]byte, 50), make([]byte, 50)

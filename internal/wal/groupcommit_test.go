@@ -31,7 +31,7 @@ func TestGroupCommitBatchesConcurrentForces(t *testing.T) {
 		t.Fatal(err)
 	}
 	const committers = 8
-	m.SetGroupCommitWindow(5 * time.Millisecond)
+	m.SetCollectionWindow(5 * time.Millisecond)
 	m.AddCommitter(committers)
 	defer m.AddCommitter(-committers)
 
@@ -85,7 +85,7 @@ func TestGroupCommitForcesGrowSublinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetGroupCommitWindow(5 * time.Millisecond)
+		m.SetCollectionWindow(5 * time.Millisecond)
 		m.AddCommitter(committers)
 		defer m.AddCommitter(-committers)
 		before := m.Forces()
@@ -149,7 +149,7 @@ func TestGroupCommitSoloCommitterSkipsWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetGroupCommitWindow(time.Second)
+	m.SetCollectionWindow(time.Second)
 	m.AddCommitter(1)
 	defer m.AddCommitter(-1)
 	start := time.Now()
@@ -170,7 +170,7 @@ func TestGroupCommitEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	const committers = 4
-	m.SetGroupCommitWindow(10 * time.Second) // far beyond the test timeout
+	m.SetCollectionWindow(10 * time.Second) // far beyond the test timeout
 	m.AddCommitter(committers)
 	defer m.AddCommitter(-committers)
 
@@ -202,7 +202,7 @@ func TestGroupCommitStaleHintStopsStalling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const window = 50 * time.Millisecond
-	m.SetGroupCommitWindow(window)
+	m.SetCollectionWindow(window)
 	m.SetCommitters(4) // stale: nobody else will ever join
 	defer m.SetCommitters(0)
 

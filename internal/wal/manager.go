@@ -421,12 +421,12 @@ func (m *Manager) Durable() page.LSN { return page.LSN(m.durableA.Load()) }
 // I/O.
 func (m *Manager) Forces() int64 { return m.forcesA.Load() }
 
-// SetGroupCommitWindow sets the collection window for coalescing commit
+// SetCollectionWindow sets the collection window for coalescing commit
 // forces on devices without a durability barrier (see collectionWindow).
 // Zero (the default) disables it: every Force that finds the log short of
-// its LSN triggers an immediate flush round.  The engine enables a small
-// window under the multi-writer scheduler, where committers can overlap.
-func (m *Manager) SetGroupCommitWindow(d time.Duration) {
+// its LSN triggers an immediate flush round.  The engine sets a small
+// window, which only registered committers expecting company ever wait.
+func (m *Manager) SetCollectionWindow(d time.Duration) {
 	m.gcWindowNS.Store(int64(max(d, 0)))
 }
 

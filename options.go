@@ -258,35 +258,20 @@ func WithIOWriters(n int) Option {
 	}
 }
 
-// WithLockManager replaces the single-writer transaction scheduler with a
-// page-granularity two-phase lock manager: Update transactions run
-// concurrently, taking shared locks on the pages they read and exclusive
-// locks on the pages they write at first touch, held until commit or
-// abort (strict 2PL, so the schedule stays serializable).  View
-// transactions take shared locks as well, giving them consistent
-// multi-page snapshots against concurrent writers.
+// WithLockManager does nothing: every database schedules its transactions
+// with page-granularity two-phase locking.
 //
-// A transaction that would close a cycle in the wait-for graph is rolled
-// back and returns ErrDeadlock; retrying it is safe and expected.
-// Commit-time log forces from concurrent writers are batched by the
-// write-ahead log's syncer.
-//
-// Without this option (the default) Update transactions are serialized by
-// a reader-writer lock, which is cheaper for single-writer workloads and
-// can never deadlock.
+// Deprecated: remove the call.  WithMaxWriters(1) serialises writers.
 func WithLockManager() Option {
-	return func(c *engine.Config) error {
-		c.PageLocks = true
-		return nil
-	}
+	return func(*engine.Config) error { return nil }
 }
 
 // WithMaxWriters caps the number of Update transactions admitted
-// concurrently under WithLockManager (unlimited by default).  The cap
-// keeps lock contention and buffer-pool pin pressure proportionate to
-// small DRAM pools, and doubles as the group-commit batching hint: the
-// write-ahead log collects up to this many commit forces into one device
-// write.  It has no effect without WithLockManager.
+// concurrently (unlimited by default); WithMaxWriters(1) serialises
+// writers.  The cap keeps lock contention and buffer-pool pin pressure
+// proportionate to small DRAM pools, and doubles as the group-commit
+// batching hint: the write-ahead log collects up to this many commit forces
+// into one device write.
 func WithMaxWriters(n int) Option {
 	return func(c *engine.Config) error {
 		if n < 1 {
