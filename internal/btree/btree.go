@@ -61,8 +61,8 @@ func Create(tx *engine.Tx, name string) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("btree: creating %s: %w", name, err)
 	}
-	err = tx.Modify(root, func(buf page.Buf) error {
-		initLeaf(buf, 0)
+	err = tx.Edit(root, func(w *page.Writer) error {
+		initLeaf(w, 0)
 		return nil
 	})
 	if err != nil {
@@ -81,75 +81,65 @@ func (t *Tree) Name() string { return t.name }
 func (t *Tree) Root() page.ID { return t.root }
 
 // --- node accessors -------------------------------------------------------
+//
+// Readers take the page image; writers take the page.Writer of an Edit and
+// page offsets, which the *Off functions compute.
 
-func payload(buf page.Buf) []byte { return buf.Payload() }
+const (
+	countOff = page.HeaderSize
+	nextOff  = page.HeaderSize + 2
+)
 
-func initLeaf(buf page.Buf, next page.ID) {
-	buf.SetType(page.TypeBTreeLeaf)
-	p := payload(buf)
-	binary.LittleEndian.PutUint16(p[0:], 0)
-	binary.LittleEndian.PutUint64(p[2:], uint64(next))
-}
-
-func initInner(buf page.Buf) {
-	buf.SetType(page.TypeBTreeInternal)
-	binary.LittleEndian.PutUint16(payload(buf)[0:], 0)
-}
-
-func nodeCount(buf page.Buf) int { return int(binary.LittleEndian.Uint16(payload(buf)[0:])) }
-
-func setNodeCount(buf page.Buf, n int) { binary.LittleEndian.PutUint16(payload(buf)[0:], uint16(n)) }
-
-func leafNext(buf page.Buf) page.ID {
-	return page.ID(binary.LittleEndian.Uint64(payload(buf)[2:]))
-}
-
-func setLeafNext(buf page.Buf, next page.ID) {
-	binary.LittleEndian.PutUint64(payload(buf)[2:], uint64(next))
-}
-
-func leafKey(buf page.Buf, i int) uint64 {
-	return binary.LittleEndian.Uint64(payload(buf)[leafHeader+i*leafEntrySize:])
-}
-
-func leafRID(buf page.Buf, i int) page.RID {
-	return page.DecodeRID(payload(buf)[leafHeader+i*leafEntrySize+8:])
-}
-
-func setLeafEntry(buf page.Buf, i int, key uint64, rid page.RID) {
-	off := leafHeader + i*leafEntrySize
-	binary.LittleEndian.PutUint64(payload(buf)[off:], key)
-	enc := page.EncodeRID(rid)
-	copy(payload(buf)[off+8:], enc[:])
-}
-
-// leafOff and innerKeyOff are the page offsets of leaf entry i and of inner
-// key i, which Tx.Move takes.
+// leafOff is the page offset of leaf entry i.
 func leafOff(i int) int { return page.HeaderSize + leafHeader + i*leafEntrySize }
 
-func innerKeyOff(i int) int { return page.HeaderSize + innerHeader + i*innerEntrySize + 8 }
+// innerChildOff and innerKeyOff are the page offsets of inner child i and
+// of inner key i.
+func innerChildOff(i int) int { return page.HeaderSize + innerHeader + i*innerEntrySize }
 
-func copyLeafEntries(dst page.Buf, dstStart int, src page.Buf, srcStart, n int) {
-	d := payload(dst)[leafHeader+dstStart*leafEntrySize:]
-	s := payload(src)[leafHeader+srcStart*leafEntrySize : leafHeader+(srcStart+n)*leafEntrySize]
-	copy(d, s)
+func innerKeyOff(i int) int { return innerChildOff(i) + 8 }
+
+func initLeaf(w *page.Writer, next page.ID) {
+	w.SetType(page.TypeBTreeLeaf)
+	w.PutUint16(countOff, 0)
+	w.PutUint64(nextOff, uint64(next))
+}
+
+func initInner(w *page.Writer) {
+	w.SetType(page.TypeBTreeInternal)
+	w.PutUint16(countOff, 0)
+}
+
+func nodeCount(buf page.Buf) int { return int(binary.LittleEndian.Uint16(buf[countOff:])) }
+
+func setNodeCount(w *page.Writer, n int) { w.PutUint16(countOff, uint16(n)) }
+
+func leafNext(buf page.Buf) page.ID { return page.ID(binary.LittleEndian.Uint64(buf[nextOff:])) }
+
+func setLeafNext(w *page.Writer, next page.ID) { w.PutUint64(nextOff, uint64(next)) }
+
+func leafKey(buf page.Buf, i int) uint64 { return binary.LittleEndian.Uint64(buf[leafOff(i):]) }
+
+func leafRID(buf page.Buf, i int) page.RID { return page.DecodeRID(buf[leafOff(i)+8:]) }
+
+func setLeafEntry(w *page.Writer, i int, key uint64, rid page.RID) {
+	e := w.Bytes(leafOff(i), leafEntrySize)
+	binary.LittleEndian.PutUint64(e, key)
+	enc := page.EncodeRID(rid)
+	copy(e[8:], enc[:])
 }
 
 func innerChild(buf page.Buf, i int) page.ID {
-	return page.ID(binary.LittleEndian.Uint64(payload(buf)[innerHeader+i*innerEntrySize:]))
+	return page.ID(binary.LittleEndian.Uint64(buf[innerChildOff(i):]))
 }
 
-func setInnerChild(buf page.Buf, i int, child page.ID) {
-	binary.LittleEndian.PutUint64(payload(buf)[innerHeader+i*innerEntrySize:], uint64(child))
+func setInnerChild(w *page.Writer, i int, child page.ID) {
+	w.PutUint64(innerChildOff(i), uint64(child))
 }
 
-func innerKey(buf page.Buf, i int) uint64 {
-	return binary.LittleEndian.Uint64(payload(buf)[innerHeader+i*innerEntrySize+8:])
-}
+func innerKey(buf page.Buf, i int) uint64 { return binary.LittleEndian.Uint64(buf[innerKeyOff(i):]) }
 
-func setInnerKey(buf page.Buf, i int, key uint64) {
-	binary.LittleEndian.PutUint64(payload(buf)[innerHeader+i*innerEntrySize+8:], key)
-}
+func setInnerKey(w *page.Writer, i int, key uint64) { w.PutUint64(innerKeyOff(i), key) }
 
 // --- lookup ----------------------------------------------------------------
 
@@ -246,19 +236,19 @@ func (t *Tree) Insert(tx *engine.Tx, key uint64, rid page.RID) error {
 	}); err != nil {
 		return err
 	}
-	if err := tx.Modify(leftID, func(buf page.Buf) error {
-		copy(buf.Payload(), rootImage.Payload())
-		buf.SetType(rootImage.Type())
+	if err := tx.Edit(leftID, func(w *page.Writer) error {
+		copy(w.Bytes(page.HeaderSize, page.PayloadSize), rootImage.Payload())
+		w.SetType(rootImage.Type())
 		return nil
 	}); err != nil {
 		return err
 	}
-	return tx.Modify(t.root, func(buf page.Buf) error {
-		initInner(buf)
-		setNodeCount(buf, 1)
-		setInnerChild(buf, 0, leftID)
-		setInnerKey(buf, 0, split.key)
-		setInnerChild(buf, 1, split.right)
+	return tx.Edit(t.root, func(w *page.Writer) error {
+		initInner(w)
+		setNodeCount(w, 1)
+		setInnerChild(w, 0, leftID)
+		setInnerKey(w, 0, split.key)
+		setInnerChild(w, 1, split.right)
 		return nil
 	})
 }
@@ -301,7 +291,8 @@ func (t *Tree) insertInto(tx *engine.Tx, id page.ID, key uint64, rid page.RID) (
 
 func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RID) (*splitResult, error) {
 	var needSplit bool
-	err := tx.Modify(id, func(buf page.Buf) error {
+	err := tx.Edit(id, func(w *page.Writer) error {
+		buf := w.Page()
 		pos, found := leafSearch(buf, key)
 		if found {
 			return fmt.Errorf("%w: %d in %s", ErrDuplicate, key, t.name)
@@ -312,9 +303,9 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 			return nil
 		}
 		// Shift entries right and insert.
-		tx.Move(buf, leafOff(pos+1), leafOff(pos), (n-pos)*leafEntrySize)
-		setLeafEntry(buf, pos, key, rid)
-		setNodeCount(buf, n+1)
+		w.Move(leafOff(pos+1), leafOff(pos), (n-pos)*leafEntrySize)
+		setLeafEntry(w, pos, key, rid)
+		setNodeCount(w, n+1)
 		return nil
 	})
 	if err != nil {
@@ -342,17 +333,17 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 	half := n / 2
 	splitKey = leafKey(leftImage, half)
 
-	if err := tx.Modify(rightID, func(buf page.Buf) error {
-		initLeaf(buf, leafNext(leftImage))
-		copyLeafEntries(buf, 0, leftImage, half, n-half)
-		setNodeCount(buf, n-half)
+	if err := tx.Edit(rightID, func(w *page.Writer) error {
+		initLeaf(w, leafNext(leftImage))
+		copy(w.Bytes(leafOff(0), (n-half)*leafEntrySize), leftImage[leafOff(half):leafOff(n)])
+		setNodeCount(w, n-half)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := tx.Modify(id, func(buf page.Buf) error {
-		setNodeCount(buf, half)
-		setLeafNext(buf, rightID)
+	if err := tx.Edit(id, func(w *page.Writer) error {
+		setNodeCount(w, half)
+		setLeafNext(w, rightID)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -370,13 +361,12 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 
 func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*splitResult, error) {
 	var needSplit bool
-	err := tx.Modify(id, func(buf page.Buf) error {
-		n := nodeCount(buf)
-		if n >= MaxInnerEntries {
+	err := tx.Edit(id, func(w *page.Writer) error {
+		if nodeCount(w.Page()) >= MaxInnerEntries {
 			needSplit = true
 			return nil
 		}
-		insertInnerEntry(tx, buf, split.key, split.right)
+		insertInnerEntry(w, split.key, split.right)
 		return nil
 	})
 	if err != nil {
@@ -402,21 +392,19 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 	mid := n / 2
 	upKey := innerKey(image, mid)
 
-	if err := tx.Modify(rightID, func(buf page.Buf) error {
-		initInner(buf)
+	if err := tx.Edit(rightID, func(w *page.Writer) error {
+		initInner(w)
+		// Children mid+1 to n and the keys between them, which alternate
+		// in the node, become the right node's.
 		rightCount := n - mid - 1
-		setNodeCount(buf, rightCount)
-		setInnerChild(buf, 0, innerChild(image, mid+1))
-		for i := 0; i < rightCount; i++ {
-			setInnerKey(buf, i, innerKey(image, mid+1+i))
-			setInnerChild(buf, i+1, innerChild(image, mid+2+i))
-		}
+		setNodeCount(w, rightCount)
+		copy(w.Bytes(innerChildOff(0), rightCount*innerEntrySize+8), image[innerChildOff(mid+1):innerKeyOff(n)])
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := tx.Modify(id, func(buf page.Buf) error {
-		setNodeCount(buf, mid)
+	if err := tx.Edit(id, func(w *page.Writer) error {
+		setNodeCount(w, mid)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -426,8 +414,8 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 	if split.key >= upKey {
 		target = rightID
 	}
-	if err := tx.Modify(target, func(buf page.Buf) error {
-		insertInnerEntry(tx, buf, split.key, split.right)
+	if err := tx.Edit(target, func(w *page.Writer) error {
+		insertInnerEntry(w, split.key, split.right)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -437,7 +425,8 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 
 // insertInnerEntry inserts (key, rightChild) into an internal node with
 // space available.
-func insertInnerEntry(tx *engine.Tx, buf page.Buf, key uint64, right page.ID) {
+func insertInnerEntry(w *page.Writer, key uint64, right page.ID) {
+	buf := w.Page()
 	n := nodeCount(buf)
 	pos := 0
 	for pos < n && innerKey(buf, pos) <= key {
@@ -445,10 +434,10 @@ func insertInnerEntry(tx *engine.Tx, buf page.Buf, key uint64, right page.ID) {
 	}
 	// Shift keys and children right of pos: key i and child i+1 are
 	// adjacent, so the pairs from pos on move by one entry together.
-	tx.Move(buf, innerKeyOff(pos+1), innerKeyOff(pos), (n-pos)*innerEntrySize)
-	setInnerKey(buf, pos, key)
-	setInnerChild(buf, pos+1, right)
-	setNodeCount(buf, n+1)
+	w.Move(innerKeyOff(pos+1), innerKeyOff(pos), (n-pos)*innerEntrySize)
+	setInnerKey(w, pos, key)
+	setInnerChild(w, pos+1, right)
+	setNodeCount(w, n+1)
 }
 
 // --- delete ----------------------------------------------------------------
@@ -459,14 +448,15 @@ func (t *Tree) Delete(tx *engine.Tx, key uint64) error {
 	if err != nil {
 		return err
 	}
-	return tx.Modify(leaf, func(buf page.Buf) error {
+	return tx.Edit(leaf, func(w *page.Writer) error {
+		buf := w.Page()
 		pos, found := leafSearch(buf, key)
 		if !found {
 			return fmt.Errorf("%w: %d in %s", ErrNotFound, key, t.name)
 		}
 		n := nodeCount(buf)
-		tx.Move(buf, leafOff(pos), leafOff(pos+1), (n-pos-1)*leafEntrySize)
-		setNodeCount(buf, n-1)
+		w.Move(leafOff(pos), leafOff(pos+1), (n-pos-1)*leafEntrySize)
+		setNodeCount(w, n-1)
 		return nil
 	})
 }

@@ -24,12 +24,12 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/reprolab/face/internal/page"
 )
@@ -105,7 +105,8 @@ type frame struct {
 	dirty  bool
 	fdirty bool
 	pins   int
-	elem   *list.Element
+	// prev and next link the frame into its shard's LRU ring.
+	prev, next *frame
 	// flushing marks a frame a running FlushDirty has yet to reach.  If the
 	// frame leaves the pool before its turn, its image stays behind for the
 	// flush, which still owes the page to its callback: EvictBatch hands
@@ -120,7 +121,9 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[page.ID]*frame
-	lru      *list.List // front = most recently used
+	// lru is the sentinel of the ring of resident frames, most recently
+	// used first: lru.next is the front, lru.prev the back.
+	lru frame
 	// busy latches pages with in-flight fetch or eviction I/O: the channel
 	// is closed when the I/O completes and the page may be (re)examined.
 	busy  map[page.ID]chan struct{}
@@ -230,13 +233,14 @@ func NewSharded(capacity, shards int, fetch FetchFunc, evict EvictFunc) (*Pool, 
 		if i < rem {
 			c++
 		}
-		p.shards[i] = &shard{
+		s := &shard{
 			pool:     p,
 			capacity: c,
 			frames:   make(map[page.ID]*frame, c),
-			lru:      list.New(),
 			busy:     make(map[page.ID]chan struct{}),
 		}
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
+		p.shards[i] = s
 	}
 	return p, nil
 }
@@ -360,13 +364,30 @@ func (s *shard) waitBusyLocked(id page.ID) {
 // on the latch rather than observing a half-loaded frame or re-reading a
 // page whose write-back has not yet reached the backing store.
 func (p *Pool) Get(id page.ID) (page.Buf, error) {
+	buf, _, err := p.get(id, false)
+	return buf, err
+}
+
+// GetTimed is Get that also reports when it left its fast path, to wait
+// for the page's latch or to miss (the eviction that made room and the
+// fetch): the time from then until it returned is what the pool cost beyond
+// a hit.  A hit on a page nobody latched reads no clock and reports the
+// zero time.
+func (p *Pool) GetTimed(id page.ID) (buf page.Buf, slow time.Time, err error) {
+	return p.get(id, true)
+}
+
+func (p *Pool) get(id page.ID, timed bool) (buf page.Buf, slow time.Time, err error) {
 	if p.closed.Load() {
-		return nil, ErrClosed
+		return nil, slow, ErrClosed
 	}
 	s := p.shardFor(id)
 	s.mu.Lock()
 	for {
 		if ch, ok := s.busy[id]; ok {
+			if timed && slow.IsZero() {
+				slow = time.Now()
+			}
 			s.mu.Unlock()
 			<-ch
 			s.mu.Lock()
@@ -377,10 +398,13 @@ func (p *Pool) Get(id page.ID) (page.Buf, error) {
 			break
 		}
 		f.pins++
-		s.lru.MoveToFront(f.elem)
+		s.moveToFront(f)
 		s.stats.Hits++
 		s.mu.Unlock()
-		return f.data, nil
+		return f.data, slow, nil
+	}
+	if timed && slow.IsZero() {
+		slow = time.Now()
 	}
 	s.stats.Misses++
 	ch := make(chan struct{})
@@ -390,7 +414,7 @@ func (p *Pool) Get(id page.ID) (page.Buf, error) {
 		delete(s.busy, id)
 		close(ch)
 		s.mu.Unlock()
-		return nil, err
+		return nil, slow, err
 	}
 	s.mu.Unlock()
 
@@ -403,12 +427,12 @@ func (p *Pool) Get(id page.ID) (page.Buf, error) {
 		s.removeLocked(f)
 		p.images.Put(f.data)
 		s.mu.Unlock()
-		return nil, fmt.Errorf("buffer: fetching page %d: %w", id, err)
+		return nil, slow, fmt.Errorf("buffer: fetching page %d: %w", id, err)
 	}
 	f.dirty = dirty
 	f.fdirty = false
 	s.mu.Unlock()
-	return f.data, nil
+	return f.data, slow, nil
 }
 
 // Put inserts a brand-new page image into the pool without consulting the
@@ -431,7 +455,7 @@ func (p *Pool) Put(id page.ID, init func(buf page.Buf)) (page.Buf, error) {
 			break
 		}
 		f.pins++
-		s.lru.MoveToFront(f.elem)
+		s.moveToFront(f)
 		if init != nil {
 			init(f.data)
 		}
@@ -523,7 +547,7 @@ func (s *shard) allocateFrame(id page.ID) (*frame, error) {
 		s.mu.Lock()
 	}
 	f := &frame{id: id, data: p.images.Get(), pins: 1}
-	f.elem = s.lru.PushFront(f)
+	s.pushFront(f)
 	s.frames[id] = f
 	if !reserved {
 		p.resident.Add(1)
@@ -592,8 +616,7 @@ func (p *Pool) evictElsewhere(exclude *shard) (bool, error) {
 
 // pickVictimLocked returns the least recently used unpinned frame, or nil.
 func (s *shard) pickVictimLocked() *frame {
-	for e := s.lru.Back(); e != nil; e = e.Prev() {
-		f := e.Value.(*frame)
+	for f := s.lru.prev; f != &s.lru; f = f.prev {
 		if f.pins == 0 {
 			return f
 		}
@@ -601,8 +624,29 @@ func (s *shard) pickVictimLocked() *frame {
 	return nil
 }
 
+// pushFront links f in as the most recently used frame.
+func (s *shard) pushFront(f *frame) {
+	f.prev, f.next = &s.lru, s.lru.next
+	f.next.prev = f
+	s.lru.next = f
+}
+
+// unlink takes f out of the LRU ring.
+func (s *shard) unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// moveToFront makes f the most recently used frame.
+func (s *shard) moveToFront(f *frame) {
+	if s.lru.next != f {
+		s.unlink(f)
+		s.pushFront(f)
+	}
+}
+
 func (s *shard) removeLocked(f *frame) {
-	s.lru.Remove(f.elem)
+	s.unlink(f)
 	delete(s.frames, f.id)
 	s.pool.resident.Add(-1)
 	// A removed frame frees capacity: wake pin-waiters.
@@ -797,10 +841,8 @@ func (s *shard) evictTail(n int) []Victim {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Victim
-	e := s.lru.Back()
-	for e != nil && len(out) < n {
-		prev := e.Prev()
-		f := e.Value.(*frame)
+	for f := s.lru.prev; f != &s.lru && len(out) < n; {
+		prev := f.prev
 		if f.pins == 0 {
 			s.stats.Evictions++
 			if f.dirty {
@@ -814,7 +856,7 @@ func (s *shard) evictTail(n int) []Victim {
 			s.busy[f.id] = make(chan struct{})
 			s.removeLocked(f)
 		}
-		e = prev
+		f = prev
 	}
 	return out
 }
@@ -827,7 +869,7 @@ func (p *Pool) DropAll() {
 		s.mu.Lock()
 		p.resident.Add(-int64(len(s.frames)))
 		s.frames = make(map[page.ID]*frame, s.capacity)
-		s.lru.Init()
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 		s.mu.Unlock()
 	}
 	p.images.Drop()

@@ -3,6 +3,8 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -593,5 +595,94 @@ func TestEvictBatchLatchesUntilTaken(t *testing.T) {
 	})
 	if v := <-got; v != 42 {
 		t.Fatalf("Get after the pull saw %d, want the pulled page's 42", v)
+	}
+}
+
+// lruModel is the LRU order as the pool kept it in a container/list: ids,
+// most recently used first, and a pin count each.
+type lruModel struct {
+	order []page.ID
+	pins  map[page.ID]int
+}
+
+func (m *lruModel) touch(id page.ID) {
+	if i := slices.Index(m.order, id); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
+	}
+	m.order = slices.Insert(m.order, 0, id)
+	m.pins[id]++
+}
+
+// victims removes and returns up to n unpinned ids, least recently used
+// first.
+func (m *lruModel) victims(n int) []page.ID {
+	var out []page.ID
+	for i := len(m.order) - 1; i >= 0 && len(out) < n; i-- {
+		if id := m.order[i]; m.pins[id] == 0 {
+			out = append(out, id)
+			m.order = slices.Delete(m.order, i, i+1)
+		}
+	}
+	return out
+}
+
+// TestLRUOrderMatchesList: random sequences of hits, misses, new pages,
+// unpins and batch evictions pick the victims the pool picked when its LRU
+// was a container/list — the least recently used unpinned frame for a miss,
+// the unpinned frames from the tail for a batch.
+func TestLRUOrderMatchesList(t *testing.T) {
+	const capacity = 16
+	rng := rand.New(rand.NewSource(33))
+	for run := range 50 {
+		b := newTestBacking()
+		p := newPool(t, capacity, b)
+		m := &lruModel{pins: map[page.ID]int{}}
+		var pinned []page.ID // one entry per pin
+		var want []page.ID
+		for step := range 400 {
+			switch op := rng.Intn(10); {
+			case op < 5 && len(pinned) < capacity-1:
+				id := page.ID(1 + rng.Intn(3*capacity))
+				if !slices.Contains(m.order, id) && len(m.order) == capacity {
+					want = append(want, m.victims(1)...)
+				}
+				var err error
+				if op == 0 {
+					_, err = p.Put(id, nil)
+				} else {
+					_, err = p.Get(id)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.touch(id)
+				pinned = append(pinned, id)
+			case op < 9 && len(pinned) > 0:
+				i := rng.Intn(len(pinned))
+				id := pinned[i]
+				pinned = slices.Delete(pinned, i, i+1)
+				if err := p.Unpin(id); err != nil {
+					t.Fatal(err)
+				}
+				m.pins[id]--
+			case op == 9:
+				n := 1 + rng.Intn(4)
+				wantBatch := m.victims(n)
+				var got []page.ID
+				for _, v := range pullAll(p, n) {
+					got = append(got, v.ID)
+				}
+				if !slices.Equal(got, wantBatch) {
+					t.Fatalf("run %d step %d: a batch of %d pulled %v, want %v", run, step, n, got, wantBatch)
+				}
+			}
+			var got []page.ID
+			for _, v := range b.evicted {
+				got = append(got, v.ID)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("run %d step %d: misses evicted %v, want %v", run, step, got, want)
+			}
+		}
 	}
 }

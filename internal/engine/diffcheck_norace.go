@@ -7,6 +7,10 @@ import (
 	"github.com/reprolab/face/internal/wal"
 )
 
-// Without the race detector the differ's self-check of diffcheck_race.go
-// compiles to nothing.
+// Without the race detector the differ's self-checks of diffcheck_race.go
+// compile to nothing, and an Edit copies no page.
 func checkEdits(page.Buf, page.Buf, []wal.Edit) {}
+
+func fullImage(page.Buf) page.Buf { return nil }
+
+func checkWindowed(page.Buf, page.Buf, move, []wal.Edit) {}

@@ -25,6 +25,9 @@ func applyAll(img page.Buf, edits []wal.Edit) page.Buf {
 	return out
 }
 
+// diffEdits is the full-page differ with no move declared.
+func diffEdits(before, after page.Buf) []wal.Edit { return diffMoved(before, after, move{}) }
+
 // mutate changes a page the way the storage layers do: overwrites of a few
 // bytes or a few hundred, and memmoves of an array by one "record".
 func mutate(rng *rand.Rand, buf page.Buf) {
@@ -280,7 +283,7 @@ func TestCrashRedoesWinnerUndoesLoserMultiEdit(t *testing.T) {
 				}
 			}
 		}
-		if n := len(loser.undo[0].edits); n < 3 {
+		if n := len(loser.arena.undo[0].edits); n < 3 {
 			t.Fatalf("a Modify touching header, array and tail logged %d edits", n)
 		}
 		if flushLoser {
@@ -391,51 +394,77 @@ func TestAllocLogVolume(t *testing.T) {
 }
 
 // BenchmarkModify measures one Update of a resident page on in-memory
-// devices — before image, diff, record, append, commit force — for two
-// callbacks: one that changes eight bytes, and a B-tree leaf insert that
-// declares its array shift with Move or leaves it to the differ (copy).
+// devices — saved bytes, diff, record, append, commit force — for two
+// changes: eight bytes, and a B-tree leaf insert.  Each is made through an
+// Edit's Writer, the leaf insert declaring its array shift with
+// Writer.Move, and through Modify, which copies and compares the whole page
+// and finds the shift itself.
 func BenchmarkModify(b *testing.B) {
-	b.Run("8-bytes", func(b *testing.B) {
-		var v uint64
-		benchModify(b, func(_ *Tx, buf page.Buf) {
-			v++
-			binary.LittleEndian.PutUint64(buf.Payload()[64:], v)
+	var v uint64
+	b.Run("8-bytes/edit", func(b *testing.B) {
+		benchModify(b, func(tx *Tx, id page.ID) error {
+			return tx.Edit(id, func(w *page.Writer) error {
+				v++
+				w.PutUint64(page.HeaderSize+64, v)
+				return nil
+			})
 		})
 	})
-	b.Run("leaf-insert/move", func(b *testing.B) { benchModify(b, leafInsertDelete(true)) })
-	b.Run("leaf-insert/copy", func(b *testing.B) { benchModify(b, leafInsertDelete(false)) })
+	b.Run("8-bytes/modify", func(b *testing.B) {
+		benchModify(b, func(tx *Tx, id page.ID) error {
+			return tx.Modify(id, func(buf page.Buf) error {
+				v++
+				binary.LittleEndian.PutUint64(buf.Payload()[64:], v)
+				return nil
+			})
+		})
+	})
+	b.Run("leaf-insert/edit", func(b *testing.B) { benchModify(b, leafInsertDelete(true)) })
+	b.Run("leaf-insert/modify", func(b *testing.B) { benchModify(b, leafInsertDelete(false)) })
 }
 
-// leafInsertDelete returns a callback for a leafLike(150, 18) page that
+// leafInsertDelete returns a change of a leafLike(150, 18) page that
 // inserts an entry at position 40 and, on the next call, deletes it again,
 // so that the leaf keeps its size; either moves the 110 entries behind it
-// by one, with tx.Move when declare is set and with copy otherwise.
-func leafInsertDelete(declare bool) func(*Tx, page.Buf) {
+// by one, through an Edit with Writer.Move when edit is set and through
+// Modify with copy otherwise.
+func leafInsertDelete(edit bool) func(*Tx, page.ID) error {
 	const at, end = page.HeaderSize + 10 + 40*18, page.HeaderSize + 10 + 150*18
 	insert := true
-	return func(tx *Tx, buf page.Buf) {
+	return func(tx *Tx, id page.ID) error {
 		dst, src := at+18, at
 		if !insert {
 			dst, src = src, dst
 		}
-		if declare {
-			tx.Move(buf, dst, src, end-at)
-		} else {
-			copy(buf[dst:dst+end-at], buf[src:src+end-at])
-		}
+		count := byte(150)
 		if insert {
-			binary.LittleEndian.PutUint64(buf[at:], 5079)
-			buf.Payload()[0]++
-		} else {
-			buf.Payload()[0]--
+			count++
 		}
-		insert = !insert
+		defer func() { insert = !insert }()
+		if edit {
+			return tx.Edit(id, func(w *page.Writer) error {
+				w.Move(dst, src, end-at)
+				if insert {
+					w.PutUint64(at, 5079)
+				}
+				w.Bytes(page.HeaderSize, 1)[0] = count
+				return nil
+			})
+		}
+		return tx.Modify(id, func(buf page.Buf) error {
+			copy(buf[dst:dst+end-at], buf[src:src+end-at])
+			if insert {
+				binary.LittleEndian.PutUint64(buf[at:], 5079)
+			}
+			buf[page.HeaderSize] = count
+			return nil
+		})
 	}
 }
 
-// benchModify times transactions of one Modify running fn on a resident
-// page that starts as leafLike(150, 18).
-func benchModify(b *testing.B, fn func(*Tx, page.Buf)) {
+// benchModify times transactions of one change, fn, of a resident page
+// that starts as leafLike(150, 18).
+func benchModify(b *testing.B, fn func(*Tx, page.ID) error) {
 	db, err := Open(Config{
 		DataDev:     device.NewArray("data", device.ProfileCheetah15K, 4, 4096),
 		LogDev:      device.New("log", device.ProfileCheetah15K, 1<<20),
@@ -465,10 +494,7 @@ func benchModify(b *testing.B, fn func(*Tx, page.Buf)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tx.Modify(id, func(buf page.Buf) error {
-			fn(tx, buf)
-			return nil
-		}); err != nil {
+		if err := fn(tx, id); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -751,13 +777,13 @@ func BenchmarkDiffEdits(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		after page.Buf
-		moved declaredMove
+		moved move
 	}{
-		{"sparse", sparse, declaredMove{}},
-		{"shift", shift, declaredMove{}},
+		{"sparse", sparse, move{}},
+		{"shift", shift, move{}},
 		{"declared-shift", shift, moved},
-		{"rewrite", rewrite, declaredMove{}},
-		{"unchanged", before.Clone(), declaredMove{}},
+		{"rewrite", rewrite, move{}},
+		{"unchanged", before.Clone(), move{}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -29,7 +29,9 @@ import (
 //	             semaphore)
 //	lock_wait    blocked in the page lock manager (charged only when a
 //	             request queued)
-//	buffer       pinning pages (DRAM hits, misses, eviction stalls)
+//	buffer       pinning pages off the pool's fast path: latch waits,
+//	             misses and the evictions that make room for them (a
+//	             DRAM hit is not timed), and allocating pages
 //	wal_append   reserving and copying log records
 //	durable_wait the commit-time log force (group-commit park included)
 //	closure      the transaction closure's own time net of the engine

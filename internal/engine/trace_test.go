@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/obs/trace"
 	"github.com/reprolab/face/internal/page"
 )
@@ -303,6 +304,121 @@ func TestNoLockSpanForImmediateGrant(t *testing.T) {
 		t.Fatalf("queued Update recorded %d lock_wait spans of %v, want one with its wait: %+v", n, wait, tr.Spans())
 	}
 	tracer.Finish(tr)
+}
+
+// gatedDev is a data device whose next read of block blk, once gate is
+// set, closes reading and then waits for gate to close.
+type gatedDev struct {
+	device.Dev
+	mu            sync.Mutex
+	blk           int64
+	reading, gate chan struct{}
+}
+
+func (d *gatedDev) ReadAt(blk int64, p []byte) error {
+	d.mu.Lock()
+	reading, gate := d.reading, d.gate
+	if blk != d.blk {
+		gate = nil
+	}
+	if gate != nil {
+		d.gate = nil
+	}
+	d.mu.Unlock()
+	if gate != nil {
+		close(reading)
+		<-gate
+	}
+	return d.Dev.ReadAt(blk, p)
+}
+
+// TestBufferPhaseOffFastPathOnly: an Update whose pages are all in the
+// buffer records no buffer span and charges nothing to the phase, while a
+// miss, and a wait for the latch of a page another transaction is reading
+// in, are each charged to the page they were for.
+func TestBufferPhaseOffFastPathOnly(t *testing.T) {
+	r := newRig(t, PolicyNone)
+	dev := &gatedDev{Dev: r.data}
+	r.cfg.DataDev = dev
+	r.cfg.Logf = func(string, ...any) {}
+	db := r.open(t, false)
+	t.Cleanup(func() { db.Close() })
+	tracer := db.Tracer()
+	ctx := context.Background()
+
+	// Twice the buffer's pages: the first ones are evicted by the last.
+	var ids []page.ID
+	if err := db.Update(ctx, func(tx *Tx) error {
+		for i := range 2 * r.cfg.BufferPages {
+			id, err := tx.Alloc(page.TypeHeap)
+			if err != nil {
+				return err
+			}
+			writeValue(t, tx, id, uint64(i))
+			ids = append(ids, id)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// traced runs fn in an Update traced as name and returns the buffer
+	// spans it recorded and the buffer phase it was charged.
+	var traces uint64
+	traced := func(name string, fn func(tx *Tx)) (spans []trace.Span, charged time.Duration) {
+		t.Helper()
+		before := db.Snapshot().Phases
+		traces++
+		tr := tracer.Start(trace.ID(traces), name)
+		defer tracer.Finish(tr)
+		if err := db.Update(WithTrace(ctx, tr), func(tx *Tx) error { fn(tx); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "buffer" {
+				spans = append(spans, sp)
+			}
+		}
+		return spans, time.Duration(db.Snapshot().Phases.Sub(before).Buffer.Sum)
+	}
+
+	resident := ids[len(ids)-8:]
+	spans, charged := traced("hits", func(tx *Tx) {
+		for i, id := range resident {
+			readValue(t, tx, id)
+			writeValue(t, tx, id, uint64(i))
+		}
+	})
+	if len(spans) != 0 || charged != 0 {
+		t.Fatalf("an Update of resident pages recorded buffer spans %+v and was charged %v", spans, charged)
+	}
+
+	spans, charged = traced("miss", func(tx *Tx) { readValue(t, tx, ids[0]) })
+	if len(spans) != 1 || spans[0].Page != uint64(ids[0]) || spans[0].Dur <= 0 || charged <= 0 {
+		t.Fatalf("a miss on page %d recorded buffer spans %+v and was charged %v", ids[0], spans, charged)
+	}
+
+	// A reader misses on ids[1] and holds its latch, reading, until the
+	// gate opens; the traced Update then waits for the latch.
+	dev.mu.Lock()
+	dev.blk, dev.reading, dev.gate = int64(ids[1]), make(chan struct{}), make(chan struct{})
+	reading, gate := dev.reading, dev.gate
+	dev.mu.Unlock()
+	reader := make(chan error, 1)
+	go func() {
+		reader <- db.View(ctx, func(tx *Tx) error {
+			return tx.Read(ids[1], func(page.Buf) error { return nil })
+		})
+	}()
+	<-reading
+	const hold = 5 * time.Millisecond
+	time.AfterFunc(hold, func() { close(gate) })
+	spans, charged = traced("latch", func(tx *Tx) { readValue(t, tx, ids[1]) })
+	if err := <-reader; err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != 1 || spans[0].Page != uint64(ids[1]) || spans[0].Dur < hold/2 || charged < hold/2 {
+		t.Fatalf("a wait of some %v for page %d's latch recorded buffer spans %+v and was charged %v", hold, ids[1], spans, charged)
+	}
 }
 
 // TestTraceEngineDisabled: WithObservability(false) or DisableTracing

@@ -24,46 +24,30 @@ type Tx struct {
 	db   *DB
 	id   wal.TxID
 	done bool
-	// readonly rejects Modify and Alloc with ErrConflict (View).
+	// readonly rejects Modify, Edit and Alloc with ErrConflict (View).
 	readonly bool
 	// managed rejects manual Commit/Abort: the scheduler that created the
 	// transaction finishes it (View/Update closures).
 	managed bool
 
 	// locks is a scheduled transaction's page lock state: Read takes a
-	// shared lock, Modify and Alloc an exclusive one, all held until commit
-	// or abort (strict 2PL).  It is nil for unscheduled transactions and
-	// once the locks are released.
+	// shared lock, Modify, Edit and Alloc an exclusive one, all held until
+	// commit or abort (strict 2PL).  It is nil for unscheduled transactions
+	// and once the locks are released.
 	locks *lock.Txn
 	// ctx bounds lock waits; a cancelled context unblocks a queued
 	// request and the transaction rolls back.
 	ctx context.Context
 
-	// undo keeps the edits of this transaction's update records so Abort
-	// can roll them back without reading the log backwards.
-	undo []undoRecord
+	// arena holds the transaction's Writers, the edits of its update
+	// records and the undo list over them (see edit.go); nil until the
+	// first Edit or Modify, and again once commit or abort is done with it.
+	arena *editArena
 
 	// tr accumulates the commit-path phase trace for write transactions
 	// (nil when observability is disabled — every hook below starts with
 	// that nil check).
 	tr *txTrace
-
-	// moved holds what the running Modify's callback declared with Move.
-	moved declaredMove
-}
-
-// declaredMove is what the callback of a running Modify declared with Move
-// on its page: the last move, and how many there were (counting stops at
-// two).  Page offsets fit in 16 bits, which keeps every Tx small.
-type declaredMove struct {
-	page        *byte // the first byte of the page; nil outside a Modify
-	dst, src, n uint16
-	moves       uint8
-}
-
-type undoRecord struct {
-	pageID page.ID
-	edits  []wal.Edit
 }
 
 // Begin starts a new unscheduled read-write transaction.  Most callers
@@ -142,15 +126,17 @@ func (tx *Tx) lockPage(id page.ID, mode lock.Mode) error {
 	return err
 }
 
-// poolGet pins a page, charging the wait (DRAM hit or miss, eviction
-// stall, pin wait) to the buffer phase of a traced transaction.
+// poolGet pins a page, charging the time the pool spent off its fast path
+// (a latch wait, a miss and the eviction that made room for it) to the
+// buffer phase of a traced transaction.  A hit reads no clock.
 func (tx *Tx) poolGet(id page.ID) (page.Buf, error) {
 	if tx.tr == nil {
 		return tx.db.pool.Get(id)
 	}
-	t0 := time.Now()
-	buf, err := tx.db.pool.Get(id)
-	tx.tr.charge(phaseBuffer, t0, time.Since(t0), uint64(id), "")
+	buf, slow, err := tx.db.pool.GetTimed(id)
+	if !slow.IsZero() {
+		tx.tr.charge(phaseBuffer, slow, time.Since(slow), uint64(id), "")
+	}
 	return buf, err
 }
 
@@ -206,9 +192,11 @@ func (tx *Tx) Read(id page.ID, fn func(buf page.Buf) error) error {
 }
 
 // Modify pins the page, lets fn change it in place, logs what changed as
-// one update record (a list of edits, see diffEdits), stamps the page LSN
+// one update record (a list of edits, see diffMoved), stamps the page LSN
 // and marks the page dirty.  If fn returns an error or changes nothing, no
-// log record is written.
+// log record is written.  It copies and compares the whole page; the
+// storage layers use Edit, which saves and compares only what its callback
+// declares.
 func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 	if tx.done {
 		return ErrTxDone
@@ -233,60 +221,42 @@ func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 	// the differ copies the bytes it keeps and lets neither image escape.
 	before := make(page.Buf, page.Size)
 	copy(before, buf)
-	// A callback may run a Modify of its own; the outer declaration is put
-	// back when fn returns.
-	outer := tx.moved
-	tx.moved = declaredMove{page: &buf[0]}
-	err = fn(buf)
-	moved := tx.moved
-	tx.moved = outer
-	if err != nil {
+	if err := fn(buf); err != nil {
 		// Restore the pristine image so a failed modification leaves no
 		// unlogged change behind.
 		copy(buf, before)
 		return err
 	}
-	edits := diffMoved(before, buf, moved)
-	if len(edits) == 0 {
-		return nil
-	}
-	rec := &wal.Record{Type: wal.TypeUpdate, TxID: tx.id, PageID: id, Edits: edits}
-	lsn, err := tx.logAppend(rec)
-	if err != nil {
-		copy(buf, before)
+	edits := tx.edits().diff(before, buf, move{}, wholePage)
+	checkEdits(before, buf, edits)
+	if logged, err := tx.logUpdate(id, buf, edits); err != nil {
+		if !logged {
+			copy(buf, before)
+		}
 		return err
 	}
-	buf.SetLSN(lsn)
-	if err := tx.db.pool.MarkDirty(id); err != nil {
-		return err
-	}
-	tx.undo = append(tx.undo, undoRecord{pageID: id, edits: edits})
 	return nil
 }
 
-// Move copies the n bytes at offset src of buf to offset dst, as
-// copy(buf[dst:dst+n], buf[src:src+n]) does, and declares the move to the
-// Modify whose callback is running, so that opening or closing a gap in a
-// sorted array is logged as one shift edit — the bytes pushed off one end
-// and the new ones at the other — without the differ rediscovering it.
-// Offsets are page offsets, and buf is the image the callback was given.
-//
-// The declaration is used only if it is the callback's one Move on that
-// page, moves n >= 32 bytes by 1 to 127, the bytes at dst still equal the
-// moved ones when the callback returns, and the shift is cheaper than
-// logging the bytes it changed as writes.  Anything else — a Move outside a
-// Modify, on another buffer, one of several, or later overwritten — is a
-// plain copy and the whole page is diffed.  A wrong declaration costs time,
-// never correctness: the edits are always read off the two images, and the
-// declaration only says where a shift may lie.
-func (tx *Tx) Move(buf page.Buf, dst, src, n int) {
-	copy(buf[dst:dst+n], buf[src:src+n])
-	m := &tx.moved
-	if m.page == nil || len(buf) == 0 || &buf[0] != m.page {
-		return
+// logUpdate appends the update record of edits, which changed page id into
+// buf, stamps the page LSN, marks the page dirty and keeps the edits for
+// undo.  No edits log nothing.  logged reports whether the record reached
+// the log: if it did not, the caller puts the page back as it was.
+func (tx *Tx) logUpdate(id page.ID, buf page.Buf, edits []wal.Edit) (logged bool, err error) {
+	if len(edits) == 0 {
+		return false, nil
 	}
-	m.dst, m.src, m.n = uint16(dst), uint16(src), uint16(n)
-	m.moves = min(m.moves+1, 2)
+	rec := wal.Record{Type: wal.TypeUpdate, TxID: tx.id, PageID: id, Edits: edits}
+	lsn, err := tx.logAppend(&rec)
+	if err != nil {
+		return false, err
+	}
+	buf.SetLSN(lsn)
+	if err := tx.db.pool.MarkDirty(id); err != nil {
+		return true, err
+	}
+	tx.arena.undo = append(tx.arena.undo, undoRecord{pageID: id, edits: edits})
+	return true, nil
 }
 
 // Alloc allocates and formats a new page of the given type.  The
@@ -360,6 +330,8 @@ func (tx *Tx) commit() error {
 	}
 	tx.done = true
 	defer tx.releaseLocks()
+	// Nothing is undone once commit has begun.
+	tx.releaseArena()
 	db := tx.db
 	if !tx.readonly {
 		rec := &wal.Record{Type: wal.TypeCommit, TxID: tx.id}
@@ -424,13 +396,18 @@ func (tx *Tx) abort() error {
 	}
 	tx.done = true
 	defer tx.releaseLocks()
+	defer tx.releaseArena()
 	db := tx.db
 	if tx.readonly {
 		db.aborted.Add(1)
 		return nil
 	}
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
+	var undo []undoRecord
+	if tx.arena != nil {
+		undo = tx.arena.undo
+	}
+	for i := len(undo) - 1; i >= 0; i-- {
+		u := undo[i]
 		buf, err := db.pool.Get(u.pageID)
 		if err != nil {
 			return err
@@ -464,8 +441,8 @@ func (tx *Tx) abort() error {
 // at most maxShift apart (moving an array of records by one record changes
 // at least one byte per record) and that are long enough to pay for the
 // attempt; plain writes are split wherever the unchanged gap costs more as
-// two images than another edit header does.  A shift declared with Move may
-// be as long as an edit can record.
+// two images than another edit header does.  A shift declared with
+// Writer.Move may be as long as an edit can record.
 const (
 	maxShift         = 64
 	minShiftRegion   = 32
@@ -480,46 +457,43 @@ type span struct {
 	shift  int
 }
 
-// diffEdits returns the edits that turn before into after: disjoint, in
-// ascending order, with their own copies of the image bytes, so that neither
-// image is referenced afterwards (Modify's before image never leaves its
-// stack).  Every byte is compared, the page LSN field included — callers
-// stamp the LSN after the diff, so it only shows up here if fn itself wrote
-// to it.
-func diffEdits(before, after page.Buf) []wal.Edit {
-	return diffMoved(before, after, declaredMove{})
-}
+// move is a Writer.Move the differ may log as one shift edit: n bytes from
+// src to dst.  The zero move declares none.
+type move struct{ dst, src, n int }
 
-// diffMoved is diffEdits told where the callback declared a move (see
-// Move).  If the declaration holds, its region becomes one shift edit and
-// only the rest of the page is diffed.
-func diffMoved(before, after page.Buf, m declaredMove) []wal.Edit {
-	var stack [16]span
-	spans := stack[:0]
-	if s, ok := m.shift(before, after); ok {
-		spans = diffRange(spans, before, after, s.hi, page.Size)
-		spans = append(spans, s)
-		spans = diffRange(spans, before, after, 0, s.lo)
-	} else {
-		spans = diffRange(spans, before, after, 0, page.Size)
-	}
-	edits := editsOf(before, after, spans)
+// wholePage is the one window of a differ that compares every byte.
+var wholePage = []page.Window{{Lo: 0, Hi: page.Size}}
+
+// diffMoved returns the edits that turn before into after: disjoint, in
+// ascending order, with their own copies of the image bytes, so that neither
+// image is referenced afterwards.  Every byte is compared, the page LSN
+// field included — callers stamp the LSN after the diff, so it only shows up
+// here if the callback itself wrote to it.  If the move m holds, its region
+// becomes one shift edit and only the rest of the page is diffed.
+//
+// It is the differ's definition: Modify runs it into its transaction's
+// arena, and the windowed differ of Edit must return what it returns.
+func diffMoved(before, after page.Buf, m move) []wal.Edit {
+	edits := (*editArena)(nil).diff(before, after, m, wholePage)
 	checkEdits(before, after, edits)
 	return edits
 }
 
-// shift returns the shift edit the declared move makes, if it is the only
-// move, within reach of one edit, borne out by the images, and cheaper than
+// shift returns the shift edit the move makes, if it moves something,
+// within reach of one edit, is borne out by the images, and is cheaper than
 // logging the bytes it changed as writes (the rule tailShift applies).
-func (m declaredMove) shift(before, after page.Buf) (span, bool) {
-	dst, src, n := int(m.dst), int(m.src), int(m.n)
+func (m move) shift(before, after page.Buf) (span, bool) {
+	dst, src, n := m.dst, m.src, m.n
 	k := dst - src
-	if m.moves != 1 || k == 0 || max(k, -k) > maxDeclaredShift || n < minShiftRegion ||
+	if k == 0 || max(k, -k) > maxDeclaredShift || n < minShiftRegion ||
 		string(after[dst:dst+n]) != string(before[src:src+n]) {
 		return span{}, false
 	}
 	s := span{lo: min(src, dst), hi: max(src, dst) + n, shift: k}
-	return s, cheaperThanWrites(before, after, s)
+	if !cheaperThanWrites(before, after, s) {
+		return span{}, false
+	}
+	return s, true
 }
 
 // diffRange appends, last first, the spans of the changes within
@@ -535,8 +509,8 @@ func diffRange(spans []span, before, after page.Buf, floor, top int) []span {
 }
 
 // editsOf turns spans, found last first, into edits in ascending order
-// with their images copied into one allocation.
-func editsOf(before, after page.Buf, spans []span) []wal.Edit {
+// with their images copied into the arena.
+func (a *editArena) editsOf(before, after page.Buf, spans []span) []wal.Edit {
 	if len(spans) == 0 {
 		return nil
 	}
@@ -544,8 +518,7 @@ func editsOf(before, after page.Buf, spans []span) []wal.Edit {
 	for _, s := range spans {
 		total += 2 * s.imageLen()
 	}
-	images := make([]byte, 0, total)
-	edits := make([]wal.Edit, len(spans))
+	images, edits := a.alloc(total, len(spans))
 	for i := range edits {
 		s := spans[len(spans)-1-i]
 		n := s.imageLen()

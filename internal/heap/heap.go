@@ -110,8 +110,8 @@ func (t *Table) Insert(tx *engine.Tx, rec []byte) (page.RID, error) {
 
 func (t *Table) insertInto(tx *engine.Tx, id page.ID, rec []byte) (page.RID, error) {
 	var rid page.RID
-	err := tx.Modify(id, func(buf page.Buf) error {
-		slot, err := buf.Insert(rec)
+	err := tx.Edit(id, func(w *page.Writer) error {
+		slot, err := w.Insert(rec)
 		if err != nil {
 			return err
 		}
@@ -134,10 +134,11 @@ func (t *Table) Get(tx *engine.Tx, rid page.RID, fn func(rec []byte) error) erro
 }
 
 // Update lets fn modify the record at rid in place.  The record size must
-// not grow.
+// not grow: the slice fn is given ends with the record, and an append to it
+// reallocates rather than reaching the page.
 func (t *Table) Update(tx *engine.Tx, rid page.RID, fn func(rec []byte) error) error {
-	return tx.Modify(rid.Page, func(buf page.Buf) error {
-		rec, err := buf.Record(int(rid.Slot))
+	return tx.Edit(rid.Page, func(w *page.Writer) error {
+		rec, err := w.Record(int(rid.Slot))
 		if err != nil {
 			return fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
 		}
@@ -147,15 +148,15 @@ func (t *Table) Update(tx *engine.Tx, rid page.RID, fn func(rec []byte) error) e
 
 // Delete removes the record at rid (lazy delete: the slot is tombstoned).
 func (t *Table) Delete(tx *engine.Tx, rid page.RID) error {
-	return tx.Modify(rid.Page, func(buf page.Buf) error {
-		deleted, err := buf.Deleted(int(rid.Slot))
+	return tx.Edit(rid.Page, func(w *page.Writer) error {
+		deleted, err := w.Page().Deleted(int(rid.Slot))
 		if err != nil {
 			return fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
 		}
 		if deleted {
 			return fmt.Errorf("%w: %v already deleted", ErrNotFound, rid)
 		}
-		return buf.Delete(int(rid.Slot))
+		return w.Delete(int(rid.Slot))
 	})
 }
 

@@ -111,10 +111,9 @@ func Open(ctx context.Context, db *engine.DB) (*Store, error) {
 			if id != 1 {
 				return fmt.Errorf("kv: catalog allocated as page %d, want 1", id)
 			}
-			return tx.Modify(id, func(buf page.Buf) error {
-				p := buf.Payload()
-				binary.LittleEndian.PutUint32(p[0:], catalogMagic)
-				binary.LittleEndian.PutUint16(p[4:], 0)
+			return tx.Edit(id, func(w *page.Writer) error {
+				binary.LittleEndian.PutUint32(w.Bytes(page.HeaderSize, 4), catalogMagic)
+				w.PutUint16(page.HeaderSize+4, 0)
 				return nil
 			})
 		})
@@ -174,12 +173,13 @@ func readCatalogEntry(p []byte, i int) catalogEntry {
 	}
 }
 
-func writeCatalogEntry(p []byte, i int, e catalogEntry) {
-	off := catalogHeader + i*catalogEntrySize
-	p[off] = byte(len(e.name))
-	copy(p[off+1:off+1+MaxNameLen], e.name)
-	binary.LittleEndian.PutUint64(p[off+1+MaxNameLen:], uint64(e.root))
-	binary.LittleEndian.PutUint64(p[off+1+MaxNameLen+8:], uint64(e.metaHead))
+// writeCatalogEntry writes entry i of the catalog page.
+func writeCatalogEntry(w *page.Writer, i int, e catalogEntry) {
+	p := w.Bytes(page.HeaderSize+catalogHeader+i*catalogEntrySize, catalogEntrySize)
+	p[0] = byte(len(e.name))
+	copy(p[1:1+MaxNameLen], e.name)
+	binary.LittleEndian.PutUint64(p[1+MaxNameLen:], uint64(e.root))
+	binary.LittleEndian.PutUint64(p[1+MaxNameLen+8:], uint64(e.metaHead))
 }
 
 // Namespace returns the named namespace, or ErrNoNamespace.
@@ -244,20 +244,16 @@ func (s *Store) Create(ctx context.Context, name string) (*Namespace, error) {
 		if dataPage, err = tx.Alloc(page.TypeHeap); err != nil {
 			return err
 		}
-		err = tx.Modify(metaHead, func(buf page.Buf) error {
-			p := buf.Payload()
-			binary.LittleEndian.PutUint16(p[0:], 1)
-			binary.LittleEndian.PutUint64(p[2:], 0)
-			binary.LittleEndian.PutUint64(p[metaHeader:], uint64(dataPage))
+		err = tx.Edit(metaHead, func(w *page.Writer) error {
+			initMeta(w, dataPage)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		return tx.Modify(1, func(buf page.Buf) error {
-			p := buf.Payload()
-			writeCatalogEntry(p, count, catalogEntry{name: name, root: tree.Root(), metaHead: metaHead})
-			binary.LittleEndian.PutUint16(p[4:], uint16(count+1))
+		return tx.Edit(1, func(w *page.Writer) error {
+			writeCatalogEntry(w, count, catalogEntry{name: name, root: tree.Root(), metaHead: metaHead})
+			w.PutUint16(page.HeaderSize+4, uint16(count+1))
 			return nil
 		})
 	})
@@ -435,8 +431,8 @@ func (n *Namespace) Set(tx *engine.Tx, p *Pending, key uint64, val []byte) error
 	}
 	if found {
 		var inPlace bool
-		err := tx.Modify(rid.Page, func(buf page.Buf) error {
-			old, err := buf.Record(int(rid.Slot))
+		err := tx.Edit(rid.Page, func(w *page.Writer) error {
+			old, err := w.Page().Record(int(rid.Slot))
 			if err != nil {
 				return err
 			}
@@ -444,12 +440,16 @@ func (n *Namespace) Set(tx *engine.Tx, p *Pending, key uint64, val []byte) error
 				return nil
 			}
 			inPlace = true
-			// Keep the cell at its allocated size: copy the new record
-			// over the old bytes and leave the slack in place, so a later
-			// overwrite may grow back into it without reinserting.
-			full := append([]byte(nil), old...)
-			copy(full, rec)
-			return buf.Update(int(rid.Slot), full)
+			// Keep the cell at its allocated size: write the new record
+			// over the old one's first bytes and leave the slack in place,
+			// so a later overwrite may grow back into it without
+			// reinserting.
+			cell, err := w.Record(int(rid.Slot))
+			if err != nil {
+				return err
+			}
+			copy(cell, rec)
+			return nil
 		})
 		if err != nil {
 			return err
@@ -457,8 +457,8 @@ func (n *Namespace) Set(tx *engine.Tx, p *Pending, key uint64, val []byte) error
 		if inPlace {
 			return nil
 		}
-		err = tx.Modify(rid.Page, func(buf page.Buf) error {
-			return buf.Delete(int(rid.Slot))
+		err = tx.Edit(rid.Page, func(w *page.Writer) error {
+			return w.Delete(int(rid.Slot))
 		})
 		if err != nil {
 			return err
@@ -480,8 +480,8 @@ func (n *Namespace) Delete(tx *engine.Tx, key uint64) (bool, error) {
 	if err != nil || !found {
 		return false, err
 	}
-	err = tx.Modify(rid.Page, func(buf page.Buf) error {
-		return buf.Delete(int(rid.Slot))
+	err = tx.Edit(rid.Page, func(w *page.Writer) error {
+		return w.Delete(int(rid.Slot))
 	})
 	if err != nil {
 		return false, err
@@ -572,15 +572,14 @@ func (n *Namespace) tailMeta(g *growth) page.ID {
 func (n *Namespace) appendMeta(tx *engine.Tx, g *growth, id page.ID) error {
 	tail := n.tailMeta(g)
 	var full bool
-	err := tx.Modify(tail, func(buf page.Buf) error {
-		p := buf.Payload()
-		count := int(binary.LittleEndian.Uint16(p[0:]))
+	err := tx.Edit(tail, func(w *page.Writer) error {
+		count := int(binary.LittleEndian.Uint16(w.Page().Payload()))
 		if count >= metaEntries {
 			full = true
 			return nil
 		}
-		binary.LittleEndian.PutUint64(p[metaHeader+count*8:], uint64(id))
-		binary.LittleEndian.PutUint16(p[0:], uint16(count+1))
+		w.PutUint64(page.HeaderSize+metaHeader+count*8, uint64(id))
+		w.PutUint16(page.HeaderSize, uint16(count+1))
 		return nil
 	})
 	if err != nil || !full {
@@ -590,18 +589,15 @@ func (n *Namespace) appendMeta(tx *engine.Tx, g *growth, id page.ID) error {
 	if err != nil {
 		return err
 	}
-	err = tx.Modify(next, func(buf page.Buf) error {
-		p := buf.Payload()
-		binary.LittleEndian.PutUint16(p[0:], 1)
-		binary.LittleEndian.PutUint64(p[2:], 0)
-		binary.LittleEndian.PutUint64(p[metaHeader:], uint64(id))
+	err = tx.Edit(next, func(w *page.Writer) error {
+		initMeta(w, id)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	err = tx.Modify(tail, func(buf page.Buf) error {
-		binary.LittleEndian.PutUint64(buf.Payload()[2:], uint64(next))
+	err = tx.Edit(tail, func(w *page.Writer) error {
+		w.PutUint64(page.HeaderSize+2, uint64(next))
 		return nil
 	})
 	if err != nil {
@@ -611,12 +607,20 @@ func (n *Namespace) appendMeta(tx *engine.Tx, g *growth, id page.ID) error {
 	return nil
 }
 
+// initMeta formats a fresh meta page as the chain's tail, listing one data
+// page.
+func initMeta(w *page.Writer, dataPage page.ID) {
+	w.PutUint16(page.HeaderSize, 1)
+	w.PutUint64(page.HeaderSize+2, 0)
+	w.PutUint64(page.HeaderSize+metaHeader, uint64(dataPage))
+}
+
 // insertInto adds the record to one page, returning the slot.
 func insertInto(tx *engine.Tx, id page.ID, rec []byte) (int, error) {
 	var slot int
-	err := tx.Modify(id, func(buf page.Buf) error {
+	err := tx.Edit(id, func(w *page.Writer) error {
 		var err error
-		slot, err = buf.Insert(rec)
+		slot, err = w.Insert(rec)
 		return err
 	})
 	return slot, err

@@ -274,11 +274,8 @@ func (b Buf) FreeSpace() int {
 // Insert adds a record to the page and returns its slot number.
 // It returns ErrPageFull when the record does not fit.
 func (b Buf) Insert(rec []byte) (int, error) {
-	if len(rec) > PayloadSize-slotSize {
-		return 0, ErrTooLarge
-	}
-	if len(rec)+slotSize > b.upper()-b.lower() {
-		return 0, ErrPageFull
+	if err := b.fits(len(rec)); err != nil {
+		return 0, err
 	}
 	slot := b.SlotCount()
 	newUpper := b.upper() - len(rec)
@@ -290,17 +287,38 @@ func (b Buf) Insert(rec []byte) (int, error) {
 	return slot, nil
 }
 
+// fits reports why a record of n bytes cannot be inserted, or nil if it can.
+func (b Buf) fits(n int) error {
+	if n > PayloadSize-slotSize {
+		return ErrTooLarge
+	}
+	if n+slotSize > b.upper()-b.lower() {
+		return ErrPageFull
+	}
+	return nil
+}
+
 // Record returns the record stored in the given slot.  The returned slice
-// aliases the page buffer.
+// aliases the page buffer and its capacity ends with the record, so an
+// append to it reallocates instead of running over the neighbouring cells.
 func (b Buf) Record(slot int) ([]byte, error) {
+	off, length, err := b.cell(slot)
+	if err != nil {
+		return nil, err
+	}
+	return b[off : off+length : off+length], nil
+}
+
+// cell returns the offset and length of the record in the given slot.
+func (b Buf) cell(slot int) (off, length int, err error) {
 	if slot < 0 || slot >= b.SlotCount() {
-		return nil, fmt.Errorf("%w: slot %d of %d on page %d", ErrBadSlot, slot, b.SlotCount(), b.ID())
+		return 0, 0, fmt.Errorf("%w: slot %d of %d on page %d", ErrBadSlot, slot, b.SlotCount(), b.ID())
 	}
-	off, length := b.slotOffsets(slot)
+	off, length = b.slotOffsets(slot)
 	if off == 0 {
-		return nil, fmt.Errorf("%w: slot %d on page %d", ErrSlotDeleted, slot, b.ID())
+		return 0, 0, fmt.Errorf("%w: slot %d on page %d", ErrSlotDeleted, slot, b.ID())
 	}
-	return b[off : off+length], nil
+	return off, length, nil
 }
 
 // Update replaces the record in the given slot.  The new record must not be

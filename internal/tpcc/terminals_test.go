@@ -10,6 +10,7 @@ import (
 
 	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/engine"
+	"github.com/reprolab/face/internal/face"
 )
 
 // newLockEngine opens an engine admitting at most maxWriters concurrent
@@ -229,6 +230,42 @@ func BenchmarkRunTerminalsOne(b *testing.B) {
 		b.Fatal(err)
 	}
 	dr := NewDriver(eng, db, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := dr.RunTerminals(context.Background(), 1, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunTerminalsMiss is BenchmarkRunTerminalsOne in the tpcc-miss
+// benchmark's shape: two warehouses behind a 64-page buffer and a face+gsc
+// flash cache of 336 frames (segment 256), warmed up by 1 000 transactions,
+// so that the buffer misses, evictions and stage-ins it runs are the ones
+// the One benchmark, whose database fits its buffer, never reaches.
+func BenchmarkRunTerminalsMiss(b *testing.B) {
+	const frames, segment = 336, 256
+	eng, err := engine.Open(engine.Config{
+		DataDev:        device.NewArray("data", device.ProfileCheetah15K, 8, 1<<16),
+		LogDev:         device.New("log", device.ProfileCheetah15K, 1<<20),
+		FlashDev:       device.New("flash", device.ProfileSamsung470, face.FlashDeviceBlocks(frames, segment)+face.FlashDeviceSlack),
+		BufferPages:    64,
+		Policy:         engine.PolicyFaCEGSC,
+		FlashFrames:    frames,
+		SegmentEntries: segment,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	db, err := Load(eng, DefaultConfig(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dr := NewDriver(eng, db, 1)
+	if err := dr.RunTerminals(context.Background(), 1, 1000); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for b.Loop() {
 		if err := dr.RunTerminals(context.Background(), 1, 1); err != nil {
