@@ -142,6 +142,41 @@ func TestConcurrentSameMissLoadsOnce(t *testing.T) {
 	}
 }
 
+// TestLatchWaitsCounted: a Get of a page whose fetch is in flight is
+// counted as one latch wait, and is then a hit.
+func TestLatchWaitsCounted(t *testing.T) {
+	fetching, gate := make(chan struct{}), make(chan struct{})
+	p, err := New(4, func(id page.ID, buf page.Buf) (bool, error) {
+		close(fetching)
+		<-gate
+		buf.Init(id, page.TypeHeap)
+		return false, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 2)
+	get := func() {
+		_, err := p.Get(7)
+		done <- err
+	}
+	go get()
+	<-fetching
+	go get()
+	for p.Stats().LatchWaits == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(gate)
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := p.Stats(); s.LatchWaits != 1 || s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("stats %+v, want one miss, one latch wait and one hit", s)
+	}
+}
+
 // TestPinWaitBlocksInsteadOfFailing: with SetPinWait(true) an all-pinned
 // pool parks the allocating goroutine until a pin is released, instead of
 // returning ErrAllPinned.

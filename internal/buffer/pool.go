@@ -78,6 +78,9 @@ type Stats struct {
 	// frame to be released (only under SetPinWait; otherwise an
 	// all-pinned pool fails fast with ErrAllPinned).
 	PinWaits int64
+	// LatchWaits counts Gets that waited for a page's latch: another
+	// goroutine's fetch or eviction of the page was in flight.
+	LatchWaits int64
 }
 
 // HitRate returns the fraction of Get calls served from DRAM.
@@ -97,6 +100,7 @@ func (s *Stats) Add(o Stats) {
 	s.Evictions += o.Evictions
 	s.DirtyEvictions += o.DirtyEvictions
 	s.PinWaits += o.PinWaits
+	s.LatchWaits += o.LatchWaits
 }
 
 type frame struct {
@@ -383,10 +387,14 @@ func (p *Pool) get(id page.ID, timed bool) (buf page.Buf, slow time.Time, err er
 	}
 	s := p.shardFor(id)
 	s.mu.Lock()
-	for {
+	for waited := false; ; {
 		if ch, ok := s.busy[id]; ok {
-			if timed && slow.IsZero() {
-				slow = time.Now()
+			if !waited {
+				waited = true
+				s.stats.LatchWaits++
+				if timed {
+					slow = time.Now()
+				}
 			}
 			s.mu.Unlock()
 			<-ch

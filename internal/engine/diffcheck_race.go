@@ -12,11 +12,11 @@ import (
 )
 
 // The differ's self-checks.  They exist only under the race build, where
-// every test that modifies pages doubles as a differ test: the edits of
-// every Modify are redone on a copy of the before image and must give the
-// after image, and every Edit keeps a copy of the whole page and must log
-// the edits that the full-page differ finds in it — which also catches a
-// callback that wrote a byte its Writer was not told about.
+// every test that modifies pages doubles as a differ test: every Edit (and
+// so every Modify) keeps a copy of the whole page and must log the edits
+// that the full-page differ finds in it — which also catches a callback
+// that wrote a byte its Writer was not told about — and those edits are
+// redone on a copy of the before image and must give the after image.
 func checkEdits(before, after page.Buf, edits []wal.Edit) {
 	got := before.Clone()
 	for i := range edits {

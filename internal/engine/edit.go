@@ -9,14 +9,15 @@ import (
 	"github.com/reprolab/face/internal/wal"
 )
 
-// Edit pins the page, lets fn change it through a page.Writer, and logs
-// what changed as one update record, as Modify does — but without copying
-// or comparing the page.  The Writer saves the bytes fn declares before it
+// Edit pins the page, lets fn change it through a page.Writer, logs what
+// changed as one update record (a list of edits), stamps the page LSN and
+// marks the page dirty.  The Writer saves the bytes fn declares before it
 // writes them, and only the windows around those are diffed, with a
 // Writer.Move that is fn's only one taken as a shift without searching for
-// it.  The record is the one Modify's full-page differ would log (race
-// builds check it on every Edit).  If fn returns an error, what it wrote is
-// put back and nothing is logged.
+// it.  The record is the one the full-page differ, diffMoved, would log
+// (race builds check it on every Edit).  If fn changes nothing, nothing is
+// logged; if it returns an error, what it wrote is put back and nothing is
+// logged.
 func (tx *Tx) Edit(id page.ID, fn func(w *page.Writer) error) error {
 	if tx.done {
 		return ErrTxDone
@@ -66,10 +67,11 @@ func movedBy(w *page.Writer) move {
 	return move{}
 }
 
-// windowGap is how close two ranges a Writer saves must lie to share a
-// window.  Regions the differ logs apart are more than maxShift unchanged
-// bytes apart, so windows farther apart than that never split one.
-const windowGap = 2 * maxShift
+// A Writer's windows lie more than page.WindowGap bytes apart.  Regions the
+// differ logs apart are more than maxShift unchanged bytes apart, so windows
+// that far apart never split one.  This fails to compile if the gap is ever
+// made smaller than 2*maxShift.
+const _ = uint(page.WindowGap - 2*maxShift)
 
 // editArena is what one transaction's page edits are made in: a Writer
 // (with its before image) per nesting depth of Edit, the images and edit
@@ -128,7 +130,7 @@ func (tx *Tx) releaseArena() {
 // may run an Edit of its own.
 func (a *editArena) enter() *page.Writer {
 	if a.depth == len(a.writers) {
-		a.writers = append(a.writers, page.NewWriter(windowGap))
+		a.writers = append(a.writers, page.NewWriter())
 	}
 	a.depth++
 	return a.writers[a.depth-1]

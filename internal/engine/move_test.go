@@ -117,7 +117,7 @@ func scribble(rng *rand.Rand, w *page.Writer, lo, hi int) {
 // bytes, so that the move no longer describes the page.
 func movedEdit(rng *rand.Rand, iter int, clobber bool) (before page.Buf, w *page.Writer, m move) {
 	before, _ = mutatedPair(rng, iter)
-	w = page.NewWriter(windowGap)
+	w = page.NewWriter()
 	w.Reset(before.Clone())
 	m = randomMove(rng)
 	if rng.Intn(4) == 0 {
@@ -191,7 +191,7 @@ func TestDiffMovedRoundTrip(t *testing.T) {
 func TestDiffMovedIgnoresOtherDeclarations(t *testing.T) {
 	before := leafLike(150, 18)
 	at := page.HeaderSize + 10 + 40*18
-	w := page.NewWriter(windowGap)
+	w := page.NewWriter()
 	w.Reset(before.Clone())
 	w.Move(at+18, at, 110*18)
 	w.Move(at+18, at+18, 0)
@@ -260,7 +260,7 @@ func FuzzEdit(f *testing.F) {
 				}
 			}
 		}
-		w := page.NewWriter(windowGap)
+		w := page.NewWriter()
 		w.Reset(before.Clone())
 		runWriter(w, script)
 		checkEdit(t, before, w)
@@ -305,7 +305,8 @@ func runWriter(w *page.Writer, script []byte) {
 			}
 		case 5:
 			if slot, ok := liveSlot(buf, int(val)); ok {
-				w.Update(slot, bytes.Repeat([]byte{script[5]}, n%17))
+				rec, _ := w.Record(slot)
+				copy(rec, bytes.Repeat([]byte{script[5]}, n%17))
 			}
 		case 6:
 			if slotted(buf) {

@@ -226,6 +226,7 @@ func (db *DB) registerMetrics() {
 	reg.CounterFunc("face_pool_misses_total", func() int64 { return db.pool.Stats().Misses })
 	reg.CounterFunc("face_pool_evictions_total", func() int64 { return db.pool.Stats().Evictions })
 	reg.CounterFunc("face_pool_pin_waits_total", func() int64 { return db.pool.Stats().PinWaits })
+	reg.CounterFunc("face_pool_latch_waits_total", func() int64 { return db.pool.Stats().LatchWaits })
 
 	// WAL commit pipeline.
 	reg.CounterFunc("face_wal_appends_total", func() int64 { return db.log.Stats().Appends })

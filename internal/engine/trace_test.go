@@ -398,11 +398,14 @@ func TestBufferPhaseOffFastPathOnly(t *testing.T) {
 	}
 
 	// A reader misses on ids[1] and holds its latch, reading, until the
-	// gate opens; the traced Update then waits for the latch.
+	// gate opens; the traced Update then waits for the latch.  The gate
+	// opens hold after the pool has counted that wait, so the wait lasts at
+	// least hold however slowly the Update got to it.
 	dev.mu.Lock()
 	dev.blk, dev.reading, dev.gate = int64(ids[1]), make(chan struct{}), make(chan struct{})
 	reading, gate := dev.reading, dev.gate
 	dev.mu.Unlock()
+	latchWaits := db.pool.Stats().LatchWaits
 	reader := make(chan error, 1)
 	go func() {
 		reader <- db.View(ctx, func(tx *Tx) error {
@@ -411,12 +414,21 @@ func TestBufferPhaseOffFastPathOnly(t *testing.T) {
 	}()
 	<-reading
 	const hold = 5 * time.Millisecond
-	time.AfterFunc(hold, func() { close(gate) })
+	go func() {
+		defer close(gate)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			if db.pool.Stats().LatchWaits > latchWaits {
+				time.Sleep(hold)
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 	spans, charged = traced("latch", func(tx *Tx) { readValue(t, tx, ids[1]) })
 	if err := <-reader; err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 1 || spans[0].Page != uint64(ids[1]) || spans[0].Dur < hold/2 || charged < hold/2 {
+	if len(spans) != 1 || spans[0].Page != uint64(ids[1]) || spans[0].Dur < hold || charged < hold {
 		t.Fatalf("a wait of some %v for page %d's latch recorded buffer spans %+v and was charged %v", hold, ids[1], spans, charged)
 	}
 }

@@ -191,51 +191,12 @@ func (tx *Tx) Read(id page.ID, fn func(buf page.Buf) error) error {
 	return fn(buf)
 }
 
-// Modify pins the page, lets fn change it in place, logs what changed as
-// one update record (a list of edits, see diffMoved), stamps the page LSN
-// and marks the page dirty.  If fn returns an error or changes nothing, no
-// log record is written.  It copies and compares the whole page; the
-// storage layers use Edit, which saves and compares only what its callback
-// declares.
+// Modify pins the page, lets fn change it in place, and logs what changed
+// as one update record, as Edit does.  fn may write anywhere in the page,
+// so the whole page is saved and compared; the storage layers use Edit,
+// which saves and compares only what its callback declares.
 func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if tx.readonly {
-		return fmt.Errorf("%w: Modify of page %d", ErrConflict, id)
-	}
-	if err := tx.ctxErr(); err != nil {
-		return err
-	}
-	if err := tx.lockPage(id, lock.Exclusive); err != nil {
-		return err
-	}
-	buf, err := tx.poolGet(id)
-	if err != nil {
-		return err
-	}
-	defer tx.db.pool.Unpin(id)
-
-	// The before image lives on this goroutine's stack, not in the heap (a
-	// make of constant size that -gcflags=-m reports as not escaping):
-	// the differ copies the bytes it keeps and lets neither image escape.
-	before := make(page.Buf, page.Size)
-	copy(before, buf)
-	if err := fn(buf); err != nil {
-		// Restore the pristine image so a failed modification leaves no
-		// unlogged change behind.
-		copy(buf, before)
-		return err
-	}
-	edits := tx.edits().diff(before, buf, move{}, wholePage)
-	checkEdits(before, buf, edits)
-	if logged, err := tx.logUpdate(id, buf, edits); err != nil {
-		if !logged {
-			copy(buf, before)
-		}
-		return err
-	}
-	return nil
+	return tx.Edit(id, func(w *page.Writer) error { return fn(w.Bytes(0, page.Size)) })
 }
 
 // logUpdate appends the update record of edits, which changed page id into
@@ -471,8 +432,8 @@ var wholePage = []page.Window{{Lo: 0, Hi: page.Size}}
 // here if the callback itself wrote to it.  If the move m holds, its region
 // becomes one shift edit and only the rest of the page is diffed.
 //
-// It is the differ's definition: Modify runs it into its transaction's
-// arena, and the windowed differ of Edit must return what it returns.
+// It is the differ's definition: the windowed differ of Edit must return
+// what it returns.
 func diffMoved(before, after page.Buf, m move) []wal.Edit {
 	edits := (*editArena)(nil).diff(before, after, m, wholePage)
 	checkEdits(before, after, edits)

@@ -6,8 +6,8 @@ import "encoding/binary"
 // callback of a transaction's Edit.  Every method that writes first declares
 // the bytes it is about to write, and the Writer saves their old contents,
 // once, into a before image at the same offsets.  The declared ranges are
-// kept as a few windows — ranges closer together than the Writer's gap share
-// one, with the untouched bytes between them saved too — so that the bytes
+// kept as a few windows — ranges closer together than WindowGap share one,
+// with the untouched bytes between them saved too — so that the bytes
 // of the page outside the windows are known to be unchanged, and whoever
 // logs the edit compares the windows only, and restores only them when the
 // edit fails.
@@ -18,7 +18,6 @@ import "encoding/binary"
 // every Edit against the whole page reports.
 type Writer struct {
 	buf, before Buf
-	gap         int
 	wins        [maxWindows]Window
 	n           int
 	// The last Move, and how many there were (counting stops at two).
@@ -26,17 +25,22 @@ type Writer struct {
 	moves           int
 }
 
-// maxWindows bounds the windows a Writer keeps.  Windows more than a gap of
-// 128 bytes apart fit 32 times on a page; with a smaller gap a range that
-// finds no free window joins the nearest one instead.
-const maxWindows = 32
+// WindowGap is how close two ranges a Writer saves must lie to share a
+// window: the windows lie more than WindowGap bytes apart.
+const WindowGap = 128
+
+// maxWindows is the most windows that fit on a page: k windows more than
+// WindowGap bytes apart take at least k + (k-1)*(WindowGap+1) bytes, so 32
+// of them fit in a page and 33 do not.  A range that finds no window within
+// the gap therefore always has room for one of its own.
+const maxWindows = (Size + WindowGap + 1) / (WindowGap + 2)
 
 // Window is a byte range [Lo, Hi) of a page.
 type Window struct{ Lo, Hi int }
 
-// NewWriter returns a Writer whose windows lie more than gap bytes apart.
-// It owns a before image of its own, which every edit reuses.
-func NewWriter(gap int) *Writer { return &Writer{before: NewBuf(), gap: gap} }
+// NewWriter returns a Writer.  It owns a before image of its own, which
+// every edit reuses.
+func NewWriter() *Writer { return &Writer{before: NewBuf()} }
 
 // Reset starts an edit of buf.
 func (w *Writer) Reset(buf Buf) {
@@ -76,20 +80,12 @@ func (w *Writer) touch(lo, hi int) {
 	}
 	// Windows i to j-1 lie within the gap of [lo, hi).
 	i := 0
-	for i < w.n && w.wins[i].Hi+w.gap < lo {
+	for i < w.n && w.wins[i].Hi+WindowGap < lo {
 		i++
 	}
 	j := i
-	for j < w.n && w.wins[j].Lo <= hi+w.gap {
+	for j < w.n && w.wins[j].Lo <= hi+WindowGap {
 		j++
-	}
-	if i == j && w.n == maxWindows {
-		// No room for another window: join the nearest.
-		if i == w.n || i > 0 && lo-w.wins[i-1].Hi < w.wins[i].Lo-hi {
-			i--
-		} else {
-			j++
-		}
 	}
 	if i == j {
 		copy(w.before[lo:hi], w.buf[lo:hi])
@@ -116,12 +112,6 @@ func (w *Writer) touchSlot(slot int) {
 	w.touch(base, base+slotSize)
 }
 
-// Init formats the page as Buf.Init does.
-func (w *Writer) Init(id ID, t Type) {
-	w.touch(0, Size)
-	w.buf.Init(id, t)
-}
-
 // SetType stores the page type.
 func (w *Writer) SetType(t Type) {
 	w.touch(offType, offType+2)
@@ -138,17 +128,6 @@ func (w *Writer) Insert(rec []byte) (int, error) {
 	w.touchSlot(b.SlotCount())
 	w.touch(b.upper()-len(rec), b.upper())
 	return b.Insert(rec)
-}
-
-// Update replaces the record in the given slot, as Buf.Update does.
-func (w *Writer) Update(slot int, rec []byte) error {
-	if off, length, err := w.buf.cell(slot); err == nil && len(rec) <= length {
-		w.touch(off, off+len(rec))
-		if len(rec) < length {
-			w.touchSlot(slot)
-		}
-	}
-	return w.buf.Update(slot, rec)
 }
 
 // Delete marks the slot as deleted, as Buf.Delete does.

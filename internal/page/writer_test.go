@@ -18,7 +18,7 @@ func TestRecordIsCapped(t *testing.T) {
 		}
 	}
 	want := b.Clone()
-	w := NewWriter(128)
+	w := NewWriter()
 	w.Reset(b)
 	for name, record := range map[string]func(int) ([]byte, error){"Buf": b.Record, "Writer": w.Record} {
 		rec, err := record(2)
@@ -36,17 +36,12 @@ func TestRecordIsCapped(t *testing.T) {
 }
 
 // TestWriterKeepsWhatItWrote: after any mix of the Writer's methods, every
-// byte that changed lies in a window, the windows ascend more than the gap
-// apart, the before image holds the old bytes across each window, and
-// Restore gives the page back.  A gap small enough for the windows to run
-// out makes a range join its nearest window instead.
+// byte that changed lies in a window, the windows ascend more than
+// WindowGap apart, the before image holds the old bytes across each window,
+// and Restore gives the page back.
 func TestWriterKeepsWhatItWrote(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := range 2000 {
-		gap := 128
-		if iter%2 == 1 {
-			gap = rng.Intn(8)
-		}
 		orig := NewBuf()
 		rng.Read(orig)
 		slotted := iter%3 == 0
@@ -57,15 +52,15 @@ func TestWriterKeepsWhatItWrote(t *testing.T) {
 			}
 		}
 		b := orig.Clone()
-		w := NewWriter(gap)
+		w := NewWriter()
 		w.Reset(b)
 		for range 1 + rng.Intn(60) {
 			writeSomething(rng, w, slotted)
 		}
 		wins := w.Windows()
 		for i, win := range wins {
-			if win.Lo >= win.Hi || i > 0 && wins[i-1].Hi+gap >= win.Lo {
-				t.Fatalf("iter %d: windows %v with gap %d", iter, wins, gap)
+			if win.Lo >= win.Hi || i > 0 && wins[i-1].Hi+WindowGap >= win.Lo {
+				t.Fatalf("iter %d: windows %v", iter, wins)
 			}
 			if !bytes.Equal(w.Before()[win.Lo:win.Hi], orig[win.Lo:win.Hi]) {
 				t.Fatalf("iter %d: the before image of window %v is not the page's", iter, win)
@@ -121,7 +116,7 @@ func writeSomething(rng *rand.Rand, w *Writer, slotted bool) {
 			w.Delete(slot)
 		default:
 			if rec, err := w.Record(slot); err == nil {
-				w.Update(slot, rec[:rng.Intn(len(rec)+1)])
+				rng.Read(rec)
 			}
 		}
 	}
@@ -140,24 +135,20 @@ func inWindow(wins []Window, i int) bool {
 // Buf's do, errors included.
 func TestWriterSlottedMatchesBuf(t *testing.T) {
 	b, ref := NewBuf(), NewBuf()
-	w := NewWriter(128)
-	w.Reset(b)
-	w.Init(5, TypeHeap)
+	b.Init(5, TypeHeap)
 	ref.Init(5, TypeHeap)
+	w := NewWriter()
+	w.Reset(b)
 	rng := rand.New(rand.NewSource(32))
 	for range 500 {
 		rec := make([]byte, 1+rng.Intn(300))
 		rng.Read(rec)
 		slot := rng.Intn(b.SlotCount() + 2)
 		var got, want error
-		switch rng.Intn(3) {
-		case 0:
+		if rng.Intn(2) == 0 {
 			_, got = w.Insert(rec)
 			_, want = ref.Insert(rec)
-		case 1:
-			rec = rec[:min(len(rec), 20)]
-			got, want = w.Update(slot, rec), ref.Update(slot, rec)
-		case 2:
+		} else {
 			got, want = w.Delete(slot), ref.Delete(slot)
 		}
 		if (got == nil) != (want == nil) || !bytes.Equal(b, ref) {
