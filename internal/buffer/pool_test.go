@@ -598,8 +598,8 @@ func TestEvictBatchLatchesUntilTaken(t *testing.T) {
 	}
 }
 
-// lruModel is the LRU order as the pool kept it in a container/list: ids,
-// most recently used first, and a pin count each.
+// lruModel is the LRU order as a plain list of ids, most recently used
+// first, with a pin count each.
 type lruModel struct {
 	order []page.ID
 	pins  map[page.ID]int
@@ -627,9 +627,9 @@ func (m *lruModel) victims(n int) []page.ID {
 }
 
 // TestLRUOrderMatchesList: random sequences of hits, misses, new pages,
-// unpins and batch evictions pick the victims the pool picked when its LRU
-// was a container/list — the least recently used unpinned frame for a miss,
-// the unpinned frames from the tail for a batch.
+// unpins and batch evictions pick the victims a plain LRU list picks — the
+// least recently used unpinned frame for a miss, the unpinned frames from
+// the tail for a batch.
 func TestLRUOrderMatchesList(t *testing.T) {
 	const capacity = 16
 	rng := rand.New(rand.NewSource(33))
