@@ -4,26 +4,32 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/reprolab/face/internal/bench"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/paper.quick.golden from this build's output")
 
+const golden = "testdata/paper.quick.golden"
+
 // TestPaperTablesGolden holds the paper's tables still: the simulated runs
 // are deterministic, so any change to replacement order, device model or
-// recovery shows up as a diff against the committed file.
+// recovery shows up as a diff against the committed file.  A run whose
+// tables lose the paper's orderings (checkPaperShape) fails before -update
+// can write it.
 func TestPaperTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates Table 3, Figure 4 and Table 6 at the quick scale")
 	}
-	const golden = "testdata/paper.quick.golden"
 	var out, errOut strings.Builder
 	if code := run([]string{"-quick", "table3", "fig4", "table6"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
+	checkPaperShape(t, out.String())
 	if *update {
 		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -37,6 +43,99 @@ func TestPaperTablesGolden(t *testing.T) {
 	if got := out.String(); got != string(want) {
 		t.Fatalf("paper tables differ from %s (-update rewrites it)\n--- got\n%s--- want\n%s", golden, got, want)
 	}
+}
+
+// TestPaperGoldenShape holds the committed golden to the paper's orderings.
+func TestPaperGoldenShape(t *testing.T) {
+	text, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPaperShape(t, string(text))
+}
+
+// checkPaperShape fails t unless the text of -quick table3 fig4 table6
+// keeps the orderings the paper reports, which hold whatever the exact
+// figures: in every column of Table 3(a) FaCE+GSC's hit ratio is at least
+// FaCE's and FaCE's at least FaCE+GR's; LC hits more often than FaCE but
+// is slower on the Samsung 470 (Figure 4); and FaCE+GSC restarts sooner than
+// HDD-only (Table 6).
+func checkPaperShape(t *testing.T, text string) {
+	t.Helper()
+	hit := paperTable(t, text, "Table 3(a)")
+	tpmC := paperTable(t, text, "Figure 4: transaction throughput (tpmC) vs cache size, Samsung 470")
+	for col := range hit["face"] {
+		if gsc, face, gr := hit["face+gsc"][col], hit["face"][col], hit["face+gr"][col]; gsc < face || face < gr {
+			t.Errorf("Table 3(a) column %d: face+gsc %v, face %v, face+gr %v, want descending", col, gsc, face, gr)
+		}
+		if lc, face := hit["lc"][col], hit["face"][col]; lc <= face {
+			t.Errorf("Table 3(a) column %d: lc hit ratio %v, not above face's %v", col, lc, face)
+		}
+		if lc, face := tpmC["lc"][col], tpmC["face"][col]; lc >= face {
+			t.Errorf("Figure 4 (Samsung 470) column %d: lc %v tpmC, not below face's %v", col, lc, face)
+		}
+	}
+	rows := tableRows(t, text, "Table 6")
+	if len(rows) == 0 {
+		t.Fatal("Table 6 has no rows")
+	}
+	for _, row := range rows {
+		face, err1 := time.ParseDuration(row[1])
+		hdd, err2 := time.ParseDuration(row[3])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("Table 6 row %q: %v %v", row, err1, err2)
+		}
+		if face >= hdd {
+			t.Errorf("Table 6 interval %s: FaCE+GSC restart %v, not shorter than HDD-only's %v", row[0], face, hdd)
+		}
+	}
+}
+
+// paperTable returns the numeric rows of the table titled prefix in text,
+// each series' values by column.
+func paperTable(t *testing.T, text, prefix string) map[string][]float64 {
+	t.Helper()
+	table := map[string][]float64{}
+	for _, row := range tableRows(t, text, prefix) {
+		for _, f := range row[1:] {
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				t.Fatalf("%s row %q: %v", prefix, row, err)
+			}
+			table[row[0]] = append(table[row[0]], v)
+		}
+	}
+	for _, series := range []string{"lc", "face", "face+gr", "face+gsc"} {
+		if len(table[series]) == 0 || len(table[series]) != len(table["face"]) {
+			t.Fatalf("%s: series %s has %d columns, face %d", prefix, series, len(table[series]), len(table["face"]))
+		}
+	}
+	return table
+}
+
+// tableRows returns the fields of the rows of the table titled prefix in
+// text: the lines after its dashed rule, up to a blank line or one that is
+// not a row ("HDD-only reference: ...").
+func tableRows(t *testing.T, text, prefix string) [][]string {
+	t.Helper()
+	at := strings.Index(text, prefix)
+	if at < 0 {
+		t.Fatalf("no table titled %q", prefix)
+	}
+	lines := strings.Split(text[at:], "\n")
+	i := 1
+	for i < len(lines) && !strings.HasPrefix(lines[i], "---") {
+		i++
+	}
+	var rows [][]string
+	for _, line := range lines[min(i+1, len(lines)):] {
+		f := strings.Fields(line)
+		if len(f) < 2 || strings.Contains(line, ":") {
+			break
+		}
+		rows = append(rows, f)
+	}
+	return rows
 }
 
 func TestPoliciesText(t *testing.T) {

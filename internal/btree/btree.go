@@ -1,5 +1,6 @@
 // Package btree implements a disk-resident B+tree mapping uint64 keys to
-// record ids.  It provides the primary-key indexes of the TPC-C tables.
+// record ids.  It provides the primary-key indexes of the TPC-C tables and
+// the key index of every kv namespace.
 //
 // Node pages live in the database like any other page: all access goes
 // through engine transactions, so index traffic competes for the DRAM
@@ -11,6 +12,14 @@
 // to two freshly allocated children and the root becomes their parent.
 // Deletes are lazy (no rebalancing), which is all the TPC-C Delivery
 // transaction needs.
+//
+// A full node splits in the middle, unless the key that overflows it sorts
+// after all of its keys: then the node stays full and its new right sibling
+// starts with that key alone (a leaf) or with that one child (an internal
+// node).  Every index here grows in key order — the kv preload, fresh kv
+// keys, TPC-C's order ids within a district — so this keeps their pages
+// full instead of half empty, as in PostgreSQL's nbtree and InnoDB.  Random
+// inserts still split 50/50.
 package btree
 
 import (
@@ -290,7 +299,10 @@ func (t *Tree) insertInto(tx *engine.Tx, id page.ID, key uint64, rid page.RID) (
 }
 
 func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RID) (*splitResult, error) {
-	var needSplit bool
+	var (
+		needSplit, atEnd bool
+		next             page.ID
+	)
 	err := tx.Edit(id, func(w *page.Writer) error {
 		buf := w.Page()
 		pos, found := leafSearch(buf, key)
@@ -299,7 +311,7 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 		}
 		n := nodeCount(buf)
 		if n >= MaxLeafEntries {
-			needSplit = true
+			needSplit, atEnd, next = true, pos == n, leafNext(buf)
 			return nil
 		}
 		// Shift entries right and insert.
@@ -315,12 +327,32 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 		return nil, nil
 	}
 
-	// Split the leaf: allocate a right sibling, move the upper half there,
-	// then retry the insert into the appropriate half.
 	rightID, err := tx.Alloc(page.TypeBTreeLeaf)
 	if err != nil {
 		return nil, err
 	}
+	if atEnd {
+		// The key sorts after every key of the full leaf: leave the leaf
+		// full and start the right sibling with the key alone.
+		if err := tx.Edit(rightID, func(w *page.Writer) error {
+			initLeaf(w, next)
+			setLeafEntry(w, 0, key, rid)
+			setNodeCount(w, 1)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		if err := tx.Edit(id, func(w *page.Writer) error {
+			setLeafNext(w, rightID)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		return &splitResult{key: key, right: rightID}, nil
+	}
+
+	// Split the leaf in the middle: move the upper half to the right
+	// sibling, then retry the insert into the appropriate half.
 	var splitKey uint64
 	var leftImage page.Buf
 	if err := tx.Read(id, func(buf page.Buf) error {
@@ -360,10 +392,11 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 }
 
 func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*splitResult, error) {
-	var needSplit bool
+	var needSplit, atEnd bool
 	err := tx.Edit(id, func(w *page.Writer) error {
-		if nodeCount(w.Page()) >= MaxInnerEntries {
-			needSplit = true
+		buf := w.Page()
+		if n := nodeCount(buf); n >= MaxInnerEntries {
+			needSplit, atEnd = true, split.key > innerKey(buf, n-1)
 			return nil
 		}
 		insertInnerEntry(w, split.key, split.right)
@@ -376,11 +409,24 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 		return nil, nil
 	}
 
-	// Split the internal node around its median key.
 	rightID, err := tx.Alloc(page.TypeBTreeInternal)
 	if err != nil {
 		return nil, err
 	}
+	if atEnd {
+		// The new child sorts after every key of the full node: leave the
+		// node whole and give the right node no keys and that one child.
+		if err := tx.Edit(rightID, func(w *page.Writer) error {
+			initInner(w)
+			setInnerChild(w, 0, split.right)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		return &splitResult{key: split.key, right: rightID}, nil
+	}
+
+	// Split the internal node around its median key.
 	var image page.Buf
 	if err := tx.Read(id, func(buf page.Buf) error {
 		image = buf.Clone()

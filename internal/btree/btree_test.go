@@ -2,7 +2,10 @@ package btree
 
 import (
 	"errors"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -182,38 +185,32 @@ func TestDelete(t *testing.T) {
 	tx.Commit()
 }
 
-func TestInsertSequentialAndReverse(t *testing.T) {
-	db := testDB(t)
-	for name, gen := range map[string]func(i, n int) uint64{
-		"ascending":  func(i, n int) uint64 { return uint64(i) },
-		"descending": func(i, n int) uint64 { return uint64(n - i) },
-	} {
-		tx, _ := db.Begin()
-		tree, _ := Create(tx, name)
-		const n = 1500
-		for i := 0; i < n; i++ {
-			if err := tree.Insert(tx, gen(i, n), ridFor(gen(i, n))); err != nil {
-				t.Fatalf("%s Insert(%d): %v", name, gen(i, n), err)
+// deepAscending is a count of ascending keys whose full leaves overflow a
+// full internal root: loading them splits leaves and internal nodes.
+const deepAscending = (MaxInnerEntries+1)*MaxLeafEntries + 10*MaxLeafEntries + 1
+
+// insertAscending inserts keys 0 to n-1 in order, committing every 2048, and
+// returns them.
+func insertAscending(t *testing.T, db *engine.DB, tree *Tree, n int) []uint64 {
+	t.Helper()
+	keys := make([]uint64, n)
+	tx, _ := db.Begin()
+	for i := range keys {
+		keys[i] = uint64(i)
+		if err := tree.Insert(tx, keys[i], ridFor(keys[i])); err != nil {
+			t.Fatalf("Insert(%d): %v", i, err)
+		}
+		if i%2048 == 2047 {
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
 			}
+			tx, _ = db.Begin()
 		}
-		// All keys present and in order via a full scan.
-		var prev uint64
-		count := 0
-		if err := tree.Scan(tx, 0, 1<<63, func(k uint64, rid page.RID) error {
-			if count > 0 && k <= prev {
-				t.Fatalf("%s scan out of order: %d after %d", name, k, prev)
-			}
-			prev = k
-			count++
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if count != n {
-			t.Fatalf("%s scan found %d keys, want %d", name, count, n)
-		}
-		tx.Commit()
 	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 func TestTreeSurvivesCrashRecovery(t *testing.T) {
@@ -236,15 +233,11 @@ func TestTreeSurvivesCrashRecovery(t *testing.T) {
 	}
 	tx, _ := db.Begin()
 	tree, _ := Create(tx, "pk")
-	const n = 2000
-	for k := uint64(0); k < n; k++ {
-		if err := tree.Insert(tx, k, ridFor(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// Enough ascending keys to split leaves and the internal root.
+	keys := insertAscending(t, db, tree, deepAscending)
 	db.Crash()
 
 	cfg.Recover = true
@@ -253,15 +246,299 @@ func TestTreeSurvivesCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	tree2 := Attach("pk", tree.Root())
 	tx2, _ := db2.Begin()
-	for k := uint64(0); k < n; k++ {
-		rid, found, err := tree2.Get(tx2, k)
-		if err != nil || !found || rid != ridFor(k) {
-			t.Fatalf("after recovery Get(%d) = %v %v %v", k, rid, found, err)
-		}
+	shape := checkModel(t, tx2, Attach("pk", tree.Root()), keys)
+	if len(shape.levels) != 3 {
+		t.Fatalf("after recovery the tree has %d levels, want 3", len(shape.levels))
 	}
 	tx2.Commit()
+}
+
+// treeShape is what checkTree found: the leaves left to right and, for each
+// level from the root down to the leaves, the key count of every node left
+// to right.
+type treeShape struct {
+	leaves []page.ID
+	levels [][]int
+}
+
+// checkTree walks the whole tree.  It fails t unless the keys of every node
+// are ascending and lie within the bounds its parent's separators give it,
+// every leaf is at the same depth, and the leaves' next links visit them
+// left to right.
+func checkTree(t *testing.T, tx *engine.Tx, tree *Tree) treeShape {
+	t.Helper()
+	var s treeShape
+	var visit func(id page.ID, depth int, lo, hi uint64)
+	visit = func(id page.ID, depth int, lo, hi uint64) {
+		var (
+			isLeaf   bool
+			keys     []uint64
+			children []page.ID
+		)
+		if err := tx.Read(id, func(buf page.Buf) error {
+			isLeaf = buf.Type() == page.TypeBTreeLeaf
+			n := nodeCount(buf)
+			for i := 0; i < n; i++ {
+				if isLeaf {
+					keys = append(keys, leafKey(buf, i))
+				} else {
+					keys = append(keys, innerKey(buf, i))
+					children = append(children, innerChild(buf, i))
+				}
+			}
+			if !isLeaf {
+				children = append(children, innerChild(buf, n))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if k < lo || k >= hi || i > 0 && k <= keys[i-1] {
+				t.Fatalf("node %d at depth %d: key %d is %d, not ascending within [%d, %d)", id, depth, i, k, lo, hi)
+			}
+		}
+		// The first leaf the walk meets is the leftmost; it sets the depth.
+		if leafDepth := len(s.levels) - 1; len(s.leaves) > 0 && isLeaf != (depth == leafDepth) {
+			t.Fatalf("node %d at depth %d: leaf %v, but the leaves are at depth %d", id, depth, isLeaf, leafDepth)
+		}
+		if len(s.levels) == depth {
+			s.levels = append(s.levels, nil)
+		}
+		s.levels[depth] = append(s.levels[depth], len(keys))
+		if isLeaf {
+			s.leaves = append(s.leaves, id)
+			return
+		}
+		for i, child := range children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = keys[i-1]
+			}
+			if i < len(keys) {
+				chi = keys[i]
+			}
+			visit(child, depth+1, clo, chi)
+		}
+	}
+	visit(tree.Root(), 0, 0, math.MaxUint64)
+
+	id := s.leaves[0]
+	for i, leaf := range s.leaves {
+		if id != leaf {
+			t.Fatalf("leaf %d of %d is %d, but the next links reach %d", i, len(s.leaves), leaf, id)
+		}
+		if err := tx.Read(id, func(buf page.Buf) error {
+			id = leafNext(buf)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id != page.InvalidID {
+		t.Fatalf("the last leaf links to %d", id)
+	}
+	return s
+}
+
+// checkModel fails t unless the tree holds exactly the ascending keys of
+// model, each under ridFor(key), in its structure (checkTree), its full
+// scan and Get.
+func checkModel(t *testing.T, tx *engine.Tx, tree *Tree, model []uint64) treeShape {
+	t.Helper()
+	s := checkTree(t, tx, tree)
+	checkScan(t, tx, tree, 0, math.MaxUint64-1, model)
+	for _, k := range model {
+		if rid, ok, err := tree.Get(tx, k); err != nil || !ok || rid != ridFor(k) {
+			t.Fatalf("Get(%d) = %v %v %v", k, rid, ok, err)
+		}
+	}
+	return s
+}
+
+// checkScan fails t unless Scan(lo, hi) visits exactly want, in order.
+func checkScan(t *testing.T, tx *engine.Tx, tree *Tree, lo, hi uint64, want []uint64) {
+	t.Helper()
+	i := 0
+	if err := tree.Scan(tx, lo, hi, func(k uint64, rid page.RID) error {
+		if i >= len(want) {
+			t.Fatalf("Scan(%d, %d): key %d is %d, want only %d keys", lo, hi, i, k, len(want))
+		}
+		if k != want[i] || rid != ridFor(k) {
+			t.Fatalf("Scan(%d, %d): key %d is %d (rid %v), want %d", lo, hi, i, k, rid, want[i])
+		}
+		i++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(want) {
+		t.Fatalf("Scan(%d, %d) visited %d keys, want %d", lo, hi, i, len(want))
+	}
+}
+
+// TestTreeMatchesModel runs seeded scripts of inserts and deletes against
+// a set of keys.  After every step Get and a scan of the key it touched
+// must agree with the set; every so many steps and at the end the whole
+// tree must hold the set in order (checkModel).  The insert orders are
+// those the engine's indexes see: ascending (the kv preload), two
+// interleaved ascending streams (kv-insert's clients), ten ascending groups
+// (TPC-C's districts), descending and random ones, and an ascending run
+// into the gaps of an earlier one.  The deep script runs until internal
+// nodes split.
+func TestTreeMatchesModel(t *testing.T) {
+	ascendingGroups := func(groups int) func() func(*rand.Rand) uint64 {
+		return func() func(*rand.Rand) uint64 {
+			next := make([]uint64, groups)
+			return func(rng *rand.Rand) uint64 {
+				g := rng.Intn(groups)
+				next[g]++
+				return uint64(g)<<32 | next[g]*10
+			}
+		}
+	}
+	for _, script := range []struct {
+		name             string
+		seed             int64
+		steps, fullEvery int
+		deletes          int                            // percent of steps
+		keys             func() func(*rand.Rand) uint64 // a fresh generator of insert keys
+	}{
+		{"ascending", 1, 3000, 64, 15, ascendingGroups(1)},
+		{"descending", 2, 3000, 64, 15, func() func(*rand.Rand) uint64 {
+			var i uint64
+			return func(*rand.Rand) uint64 { i++; return 1<<40 - 10*i }
+		}},
+		{"random", 3, 3000, 64, 15, func() func(*rand.Rand) uint64 {
+			return func(rng *rand.Rand) uint64 { return uint64(rng.Int63n(1 << 40)) }
+		}},
+		{"interleaved", 4, 3000, 64, 15, func() func(*rand.Rand) uint64 {
+			var next [2]uint64
+			return func(rng *rand.Rand) uint64 {
+				w := rng.Intn(2)
+				next[w]++
+				return 2*next[w] + uint64(w)
+			}
+		}},
+		{"groups", 5, 3000, 64, 15, ascendingGroups(10)},
+		{"groups deep", 6, 80000, 16384, 15, ascendingGroups(10)},
+		// An ascending pass, then a second one between its keys, whose
+		// inserts reach the last key of full leaves with a right sibling.
+		{"gaps", 7, 3000, 64, 0, func() func(*rand.Rand) uint64 {
+			var i uint64
+			return func(*rand.Rand) uint64 {
+				i++
+				if i <= 1500 {
+					return 10 * i
+				}
+				return 10*(i-1500) + 5
+			}
+		}},
+	} {
+		t.Run(script.name, func(t *testing.T) {
+			db := testDB(t)
+			rng := rand.New(rand.NewSource(script.seed))
+			keys := script.keys()
+			tx, _ := db.Begin()
+			tree, err := Create(tx, script.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// live holds the keys in the tree in no order; at[k] is k's
+			// position in it.
+			var live []uint64
+			at := map[uint64]int{}
+			for step := 1; step <= script.steps; step++ {
+				var k uint64
+				if len(live) > 0 && rng.Intn(100) < script.deletes {
+					i := rng.Intn(len(live))
+					k = live[i]
+					if err := tree.Delete(tx, k); err != nil {
+						t.Fatalf("step %d: Delete(%d): %v", step, k, err)
+					}
+					last := live[len(live)-1]
+					live[i], at[last] = last, i
+					live = live[:len(live)-1]
+					delete(at, k)
+					if err := tree.Delete(tx, k); !errors.Is(err, ErrNotFound) {
+						t.Fatalf("step %d: second Delete(%d): %v", step, k, err)
+					}
+				} else {
+					k = keys(rng)
+					_, present := at[k]
+					err := tree.Insert(tx, k, ridFor(k))
+					if present {
+						if !errors.Is(err, ErrDuplicate) {
+							t.Fatalf("step %d: Insert(%d) of a present key: %v", step, k, err)
+						}
+					} else {
+						if err != nil {
+							t.Fatalf("step %d: Insert(%d): %v", step, k, err)
+						}
+						at[k] = len(live)
+						live = append(live, k)
+					}
+				}
+
+				var want []uint64
+				if _, present := at[k]; present {
+					want = []uint64{k}
+				}
+				if rid, ok, err := tree.Get(tx, k); err != nil || ok != (want != nil) || ok && rid != ridFor(k) {
+					t.Fatalf("step %d: Get(%d) = %v %v %v, want present=%v", step, k, rid, ok, err, want != nil)
+				}
+				checkScan(t, tx, tree, k, k, want)
+				if step%script.fullEvery == 0 || step == script.steps {
+					s := checkModel(t, tx, tree, slices.Sorted(maps.Keys(at)))
+					if step == script.steps && script.steps > deepAscending && len(s.levels) < 3 {
+						t.Fatalf("%d steps left %d levels, want 3 (an internal split)", step, len(s.levels))
+					}
+				}
+				if step%256 == 0 {
+					if err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					tx, _ = db.Begin()
+				}
+			}
+			tx.Commit()
+		})
+	}
+}
+
+// TestAscendingLoadFillsPages: ascending keys fill every node but the
+// rightmost of each level, leaves and internal nodes alike, so n keys take
+// ceil(n/MaxLeafEntries) leaves.
+func TestAscendingLoadFillsPages(t *testing.T) {
+	db := testDB(t)
+	tx, _ := db.Begin()
+	tree, _ := Create(tx, "pk")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	keys := insertAscending(t, db, tree, deepAscending)
+	tx, _ = db.Begin()
+	defer tx.Commit()
+	s := checkModel(t, tx, tree, keys)
+
+	if want := (deepAscending + MaxLeafEntries - 1) / MaxLeafEntries; len(s.leaves) != want {
+		t.Fatalf("%d ascending keys take %d leaves, want %d", deepAscending, len(s.leaves), want)
+	}
+	if len(s.levels) != 3 {
+		t.Fatalf("the tree has %d levels, want 3 (an internal split)", len(s.levels))
+	}
+	for depth, counts := range s.levels {
+		full := MaxInnerEntries
+		if depth == len(s.levels)-1 {
+			full = MaxLeafEntries
+		}
+		for i, n := range counts[:len(counts)-1] {
+			if n != full {
+				t.Fatalf("node %d of %d at depth %d holds %d keys, want %d", i, len(counts), depth, n, full)
+			}
+		}
+	}
 }
 
 func TestNodeCapacityConstants(t *testing.T) {
