@@ -45,15 +45,6 @@ func TestPaperTablesGolden(t *testing.T) {
 	}
 }
 
-// TestPaperGoldenShape holds the committed golden to the paper's orderings.
-func TestPaperGoldenShape(t *testing.T) {
-	text, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPaperShape(t, string(text))
-}
-
 // checkPaperShape fails t unless the text of -quick table3 fig4 table6
 // keeps the orderings the paper reports, which hold whatever the exact
 // figures: in every column of Table 3(a) FaCE+GSC's hit ratio is at least

@@ -18,8 +18,12 @@
 // starts with that key alone (a leaf) or with that one child (an internal
 // node).  Every index here grows in key order — the kv preload, fresh kv
 // keys, TPC-C's order ids within a district — so this keeps their pages
-// full instead of half empty, as in PostgreSQL's nbtree and InnoDB.  Random
-// inserts still split 50/50.
+// full instead of half empty.  The rule is similar to PostgreSQL nbtree's
+// rightmost-page split, but it applies to any node where the new key sorts
+// last, not only the rightmost of its level: each TPC-C district's newest
+// orders go at the end of a leaf that has a right sibling.  Inserts into
+// the gaps between such leaves can leave one-key leaves, no worse than
+// 50/50 splits in the worst case.  Random inserts still split 50/50.
 package btree
 
 import (

@@ -185,6 +185,40 @@ func TestDelete(t *testing.T) {
 	tx.Commit()
 }
 
+func TestInsertSequentialAndReverse(t *testing.T) {
+	db := testDB(t)
+	for name, gen := range map[string]func(i, n int) uint64{
+		"ascending":  func(i, n int) uint64 { return uint64(i) },
+		"descending": func(i, n int) uint64 { return uint64(n - i) },
+	} {
+		tx, _ := db.Begin()
+		tree, _ := Create(tx, name)
+		const n = 1500
+		for i := 0; i < n; i++ {
+			if err := tree.Insert(tx, gen(i, n), ridFor(gen(i, n))); err != nil {
+				t.Fatalf("%s Insert(%d): %v", name, gen(i, n), err)
+			}
+		}
+		// All keys present and in order via a full scan.
+		var prev uint64
+		count := 0
+		if err := tree.Scan(tx, 0, 1<<63, func(k uint64, rid page.RID) error {
+			if count > 0 && k <= prev {
+				t.Fatalf("%s scan out of order: %d after %d", name, k, prev)
+			}
+			prev = k
+			count++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if count != n {
+			t.Fatalf("%s scan found %d keys, want %d", name, count, n)
+		}
+		tx.Commit()
+	}
+}
+
 // deepAscending is a count of ascending keys whose full leaves overflow a
 // full internal root: loading them splits leaves and internal nodes.
 const deepAscending = (MaxInnerEntries+1)*MaxLeafEntries + 10*MaxLeafEntries + 1
