@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
@@ -336,6 +337,99 @@ func TestGSCPullsVictimsFromDRAM(t *testing.T) {
 		if _, onDisk := disk.pages[id]; !onDisk && !m.Contains(id) {
 			t.Fatalf("pulled page %d neither cached nor written to disk", id)
 		}
+	}
+}
+
+// TestGSCLookupNeverSeesSurvivorOverPull re-enqueues a hot page as a
+// second-chance survivor in the same write group as a newer version of it
+// pulled from DRAM, over and over, while another goroutine looks the page up.
+// Once the pulled version has been handed over, no lookup may return an
+// older one: the survivor is published first, and the transit copy of the
+// pulled version must keep serving the page until its own frame is.
+func TestGSCLookupNeverSeesSurvivorOverPull(t *testing.T) {
+	disk := newFakeDisk()
+	const hot = page.ID(1)
+	var m *MVFIFO
+	var floor atomic.Uint64 // LSN of the newest version of hot handed over
+	nextFiller := page.ID(1000)
+	survivals := 0
+	pull := func(n int, take func([]PulledPage)) {
+		// Pull a newer hot page when its frame has just survived, after as
+		// many other victims as fit, so that a whole group of publications
+		// lies between the survivor's and the pulled page's.
+		st := m.stripe(hot)
+		st.mu.Lock()
+		_, survived := st.transit[hot]
+		st.mu.Unlock()
+		if !survived {
+			return
+		}
+		survivals++
+		out := make([]PulledPage, 0, n)
+		for len(out) < n-1 {
+			out = append(out, PulledPage{ID: nextFiller, Data: makePage(nextFiller, 1, 0), FDirty: true})
+			nextFiller++
+		}
+		lsn := page.LSN(floor.Load() + 1)
+		out = append(out, PulledPage{ID: hot, Data: makePage(hot, lsn, 1), Dirty: true, FDirty: true})
+		take(out)
+		floor.Store(uint64(lsn))
+	}
+	m = newFaCE(t, 64, disk, func(c *MVFIFOConfig) {
+		c.GroupSize = 16
+		c.SecondChance = true
+		c.Pull = pull
+	})
+	if err := m.StageIn(hot, makePage(hot, 1, 1), true, true); err != nil {
+		t.Fatal(err)
+	}
+	floor.Store(1)
+
+	stop := make(chan struct{})
+	var readErr atomic.Value
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		buf := page.NewBuf()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			want := floor.Load()
+			found, _, err := m.Lookup(hot, buf)
+			if err != nil {
+				readErr.Store(err)
+				return
+			}
+			if found && uint64(buf.LSN()) < want {
+				readErr.Store(fmt.Errorf("Lookup(%d) returned LSN %d, want at least %d", hot, buf.LSN(), want))
+				return
+			}
+		}
+	}()
+	buf := page.NewBuf()
+	var err error
+	for r := 0; r < 3000 && err == nil && readErr.Load() == nil; r++ {
+		id := page.ID(2 + r%200)
+		if err = m.StageIn(id, makePage(id, 1, byte(id)), false, true); err == nil {
+			// Reference the hot page between stage-ins, so that it
+			// survives every time it reaches the front.
+			_, _, err = m.Lookup(hot, buf)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := readErr.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if survivals < 20 {
+		t.Fatalf("the hot page survived next to a newer pulled version %d times, want at least 20", survivals)
 	}
 }
 

@@ -113,8 +113,13 @@ func (m *MVFIFO) enqueue(items []stageItem) error {
 		} else {
 			m.stats.Invalidations++
 		}
-		// The page is reachable through the directory again.
-		delete(st.transit, it.id)
+		// The page is reachable through the directory again, unless the
+		// transit copy is newer: a second-chance survivor is published
+		// before a newer version of it pulled from DRAM later in the group,
+		// and lookups must keep finding the pulled one until it is published.
+		if t, ok := st.transit[it.id]; ok && t.lsn <= it.lsn {
+			delete(st.transit, it.id)
+		}
 		st.mu.Unlock()
 	}
 	m.mu.Unlock()
