@@ -129,9 +129,9 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	if rep := db.RecoveryReport(); rep != nil {
-		logger.Printf("recovered %s in %v (%d records scanned, %d redo, %d undo, %d winners, %d losers, %d flash reads)",
+		logger.Printf("recovered %s in %v (%d records scanned, %d redo on %d pages, %d pages skipped, %d undo, %d winners, %d losers, %d flash reads)",
 			*dir, time.Since(start).Round(time.Millisecond),
-			rep.RecordsScanned, rep.RedoApplied, rep.UndoApplied,
+			rep.RecordsScanned, rep.RedoApplied, rep.PagesRedone, rep.PagesSkipped, rep.UndoApplied,
 			rep.WinnerTxns, rep.LoserTxns, rep.FlashReads)
 	} else {
 		logger.Printf("opened %s in %v", *dir, time.Since(start).Round(time.Millisecond))

@@ -65,7 +65,8 @@ func (g *Golden) AblationAsyncIO(cacheFraction float64) ([]Result, error) {
 
 // AblationGroupSize sweeps the replacement batch size of Group Second
 // Chance (the paper suggests the number of pages in a flash block,
-// typically 64 or 128).
+// typically 64 or 128).  Group sizes the cache cannot hold twice are left
+// out: every row runs on the cache size the fraction names.
 func (g *Golden) AblationGroupSize(cacheFraction float64, groupSizes []int) ([]Result, error) {
 	if cacheFraction <= 0 {
 		cacheFraction = 0.12
@@ -75,6 +76,10 @@ func (g *Golden) AblationGroupSize(cacheFraction float64, groupSizes []int) ([]R
 	}
 	var out []Result
 	for _, gs := range groupSizes {
+		if !g.holdsTwoGroups(cacheFraction, gs) {
+			g.progress("skipping group=%d: %d frames hold fewer than two groups", gs, g.cacheFrames(cacheFraction))
+			continue
+		}
 		policy := engine.PolicyFaCEGSC
 		if gs <= 1 {
 			policy = engine.PolicyFaCE

@@ -223,6 +223,25 @@ func TestAblationsQuick(t *testing.T) {
 	}
 }
 
+// TestHarnessNeverResizesTheCache: a spec whose cache holds fewer than two
+// replacement groups is refused rather than run on a larger cache, and the
+// group-size ablation leaves such groups out.
+func TestHarnessNeverResizesTheCache(t *testing.T) {
+	g := quickGolden(t)
+	frames := g.cacheFrames(0.10)
+	group := frames/2 + 1
+	if _, err := g.Run(RunSpec{Policy: engine.PolicyFaCEGSC, CacheFraction: 0.10, GroupSize: group}); err == nil {
+		t.Fatalf("a %d-frame cache ran with groups of %d", frames, group)
+	}
+	rows, err := g.AblationGroupSize(0.10, []int{16, group})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Label != "group=16" || rows[0].CacheFrames != frames {
+		t.Fatalf("ablation rows %+v, want group=16 alone on %d frames", rows, frames)
+	}
+}
+
 func TestAblationAsyncIOQuick(t *testing.T) {
 	g := quickGolden(t)
 	rows, err := g.AblationAsyncIO(0.10)

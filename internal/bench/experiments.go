@@ -63,6 +63,7 @@ func (g *Golden) CacheSweep(policies []engine.CachePolicy, fractions []float64) 
 	if len(fractions) == 0 {
 		fractions = g.opts.CacheFractions
 	}
+	fractions = g.fittingFractions(fractions)
 	sweep := SweepResult{
 		Fractions: fractions,
 		Policies:  policies,
@@ -129,7 +130,7 @@ func (g *Golden) Figure4Throughput(ssd device.Profile) (Figure4Result, error) {
 
 	for _, p := range ComparedPolicies() {
 		series := FigureSeries{Label: p.String()}
-		for _, f := range g.opts.Figure4Fractions {
+		for _, f := range g.fittingFractions(g.opts.Figure4Fractions) {
 			res, err := g.Run(RunSpec{Policy: p, CacheFraction: f, FlashProfile: ssd})
 			if err != nil {
 				return out, err

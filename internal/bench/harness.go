@@ -69,6 +69,35 @@ func (g *Golden) Options() Options { return g.opts }
 // DBPages returns the number of pages in the loaded database.
 func (g *Golden) DBPages() int64 { return g.dbPages }
 
+// cacheFrames is the flash cache size, in frames, of a cache fraction.
+func (g *Golden) cacheFrames(fraction float64) int {
+	return int(float64(g.dbPages) * fraction)
+}
+
+// holdsTwoGroups reports whether a flash cache of the given fraction holds
+// two replacement groups of groupSize pages (0 = Options.GroupSize), the
+// least a run accepts: the harness never resizes a cache behind its label.
+func (g *Golden) holdsTwoGroups(fraction float64, groupSize int) bool {
+	if groupSize <= 0 {
+		groupSize = g.opts.GroupSize
+	}
+	return g.cacheFrames(fraction) >= 2*groupSize
+}
+
+// fittingFractions returns the cache fractions that hold two replacement
+// groups of the default size, reporting the ones it drops.
+func (g *Golden) fittingFractions(fractions []float64) []float64 {
+	var out []float64
+	for _, f := range fractions {
+		if g.holdsTwoGroups(f, 0) {
+			out = append(out, f)
+		} else {
+			g.progress("skipping a %.0f%% flash cache: %d frames hold fewer than two groups of %d", f*100, g.cacheFrames(f), g.opts.GroupSize)
+		}
+	}
+	return out
+}
+
 func (g *Golden) progress(format string, args ...interface{}) {
 	if g.opts.Progress != nil {
 		fmt.Fprintf(g.opts.Progress, format+"\n", args...)
@@ -323,9 +352,9 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 			env.bufPages = opts.MinBufferPages
 		}
 		if spec.Policy.UsesFlash() {
-			env.frames = int(float64(g.dbPages) * spec.CacheFraction)
-			if env.frames < groupSize*2 {
-				env.frames = groupSize * 2
+			env.frames = g.cacheFrames(spec.CacheFraction)
+			if !g.holdsTwoGroups(spec.CacheFraction, groupSize) {
+				return nil, fmt.Errorf("bench: %s: a %d-frame flash cache holds fewer than two replacement groups of %d pages", spec.label(), env.frames, groupSize)
 			}
 		}
 		// The flash device holds the layout (superblock + metadata
@@ -604,6 +633,10 @@ type RecoveryRun struct {
 	FlashReads  int64
 	DiskReads   int64
 	RedoApplied int
+	// PagesRedone and PagesSkipped are the distinct pages redo changed and
+	// did not read (see recovery.Report).
+	PagesRedone  int
+	PagesSkipped int
 	// RecordsReplayed is the number of log records restart scanned; it
 	// measures how much lost work the crash left behind, which differs
 	// between configurations because a faster system loses more work per
@@ -692,6 +725,8 @@ func (g *Golden) RunRecovery(spec RunSpec, buckets int, bucketWidth time.Duratio
 		FlashReads:          rep.FlashReads,
 		DiskReads:           rep.DiskReads,
 		RedoApplied:         rep.RedoApplied,
+		PagesRedone:         rep.PagesRedone,
+		PagesSkipped:        rep.PagesSkipped,
 		RecordsReplayed:     rep.RecordsScanned,
 		BucketWidth:         bucketWidth,
 	}

@@ -508,7 +508,7 @@ func (db *DB) recover() error {
 	}
 	db.obs.event("recover: cache metadata restored in %v", rep.MetadataRestoreTime)
 
-	// Phase 2: redo and undo from the last completed checkpoint.
+	// Phase 2: analysis, redo and undo from the last completed checkpoint.
 	r, err := recovery.Run(db.log, dbPager{db})
 	if err != nil {
 		return err
@@ -517,7 +517,8 @@ func (db *DB) recover() error {
 	if r.MaxPageID >= db.nextPage {
 		db.nextPage = r.MaxPageID + 1
 	}
-	db.obs.event("recover: redo/undo complete records=%d redo=%d undo=%d losers=%d", r.RecordsScanned, r.RedoApplied, r.UndoApplied, r.LoserTxns)
+	db.obs.event("recover: redo/undo complete records=%d redo=%d pages_redone=%d pages_skipped=%d undo=%d losers=%d",
+		r.RecordsScanned, r.RedoApplied, r.PagesRedone, r.PagesSkipped, r.UndoApplied, r.LoserTxns)
 
 	// Recovery runs single-threaded, so its simulated duration is the sum
 	// of the service demand it placed on every device.
@@ -556,6 +557,24 @@ type dbPager struct{ db *DB }
 func (p dbPager) Get(id page.ID) (page.Buf, error) { return p.db.pool.Get(id) }
 func (p dbPager) Unpin(id page.ID) error           { return p.db.pool.Unpin(id) }
 func (p dbPager) MarkDirty(id page.ID) error       { return p.db.pool.MarkDirty(id) }
+
+// lsnDirectory is a flash cache whose directory records the pageLSN of
+// each cached copy: mvFIFO, with or without the async pipeline.
+type lsnDirectory interface {
+	CopyLSN(id page.ID) (lsn page.LSN, ok bool)
+}
+
+// PersistentLSN answers from the flash cache directory, which Recover has
+// restored before redo starts.  A page already in the DRAM buffer may be
+// newer than its flash copy, so it answers "unknown", as do caches whose
+// directory keeps no LSNs (LC, write-through) and HDD-only databases.
+func (p dbPager) PersistentLSN(id page.ID) (page.LSN, bool) {
+	d, ok := p.db.cache.(lsnDirectory)
+	if !ok || p.db.pool.Contains(id) {
+		return 0, false
+	}
+	return d.CopyLSN(id)
+}
 
 // --- checkpointing -------------------------------------------------------
 

@@ -294,6 +294,11 @@ func (a *Async) Contains(id page.ID) bool {
 	return ok || a.core.Contains(id) || a.pipe.Dest.Contains(id)
 }
 
+// CopyLSN reports the core's directory entry.  A version still in the
+// staging ring is newer than the core's copy, so the answer never claims a
+// newer copy than Lookup serves.
+func (a *Async) CopyLSN(id page.ID) (page.LSN, bool) { return a.core.CopyLSN(id) }
+
 // Checkpoint drains the staging ring into the core so every page offered
 // to the cache is durable in flash, then checkpoints the core's metadata
 // directory.

@@ -406,6 +406,21 @@ func (m *MVFIFO) noteDiskWrite() {
 	m.stats.DiskPageWrites++
 }
 
+// CopyLSN returns the pageLSN of the page's valid flash copy, as the
+// directory records it (Recover restores it from the persistent metadata).
+// ok is false when the directory has no entry for the page or the page is
+// in transit between frames.
+func (m *MVFIFO) CopyLSN(id page.ID) (page.LSN, bool) {
+	st := m.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, moving := st.transit[id]; moving {
+		return 0, false
+	}
+	e, ok := st.dir[id]
+	return e.lsn, ok
+}
+
 // Contains reports whether a valid copy of the page is cached.  It takes
 // only the page's stripe lock, so probes for different pages never contend
 // with each other or with an in-flight group write.

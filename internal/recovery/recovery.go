@@ -2,24 +2,33 @@
 //
 // The FaCE system follows the two classic recovery principles (Section 4 of
 // the paper): write-ahead logging and commit-time log force.  Restart
-// therefore performs an ARIES-style pass over the log from the most recent
+// therefore runs the ARIES passes over the log from the most recent
 // completed checkpoint:
 //
-//  1. redo every page-level change whose effects are missing from the
-//     persistent database (flash cache ∪ disk), and
-//  2. undo, and log the undoing of, the changes of loser transactions
-//     (those without a commit or abort record).
+//  1. analysis: one scan of the log groups the page-level records by page,
+//     in LSN order, and finds the loser transactions (those without a
+//     commit or abort record);
+//  2. redo, page by page in ascending page id order: each page is read
+//     once and every change of it missing from the persistent database
+//     (flash cache ∪ disk) is reapplied; a page whose persistent copy the
+//     pager already knows to cover its last record is not read at all;
+//  3. undo: the changes of the losers are rolled back, and the rollback is
+//     logged.
 //
 // The package is deliberately independent of the engine: pages are accessed
 // through the Pager interface, which the engine backs with its buffer pool
-// so that recovery reads are served from the flash cache whenever possible.
-// That is precisely the mechanism that makes FaCE restarts fast (Table 6 /
-// Figure 6 of the paper): most pages needed during recovery are found in
-// flash rather than behind random disk reads.
+// so that recovery reads are served from the flash cache whenever possible,
+// and with the flash cache's directory, which FaCE restores from its
+// persistent metadata before redo starts and which records the pageLSN of
+// every cached copy.  That is precisely the mechanism that makes FaCE
+// restarts fast (Table 6 / Figure 6 of the paper): most pages the log names
+// are either current in flash, and need not be read, or found in flash
+// rather than behind random disk reads.
 package recovery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/reprolab/face/internal/page"
@@ -28,11 +37,14 @@ import (
 
 // Pager provides page access during recovery.  Get pins the page; Unpin
 // releases it; MarkDirty flags it as modified so it reaches the persistent
-// database through the normal eviction/checkpoint paths.
+// database through the normal eviction/checkpoint paths.  PersistentLSN
+// reports, without reading the page, the pageLSN of the copy Get would
+// return; known is false when the pager cannot tell.
 type Pager interface {
 	Get(id page.ID) (page.Buf, error)
 	Unpin(id page.ID) error
 	MarkDirty(id page.ID) error
+	PersistentLSN(id page.ID) (lsn page.LSN, known bool)
 }
 
 // Report summarises what restart did.
@@ -48,6 +60,11 @@ type Report struct {
 	// RedoSkipped is the number of changes already reflected in the
 	// persistent page (its pageLSN was current).
 	RedoSkipped int
+	// PagesRedone is the number of distinct pages redo changed.
+	PagesRedone int
+	// PagesSkipped is the number of distinct pages redo did not read
+	// because the pager knew their persistent copy covered every record.
+	PagesSkipped int
 	// UndoApplied is the number of changes rolled back for loser
 	// transactions.
 	UndoApplied int
@@ -60,7 +77,8 @@ type Report struct {
 	MaxPageID page.ID
 }
 
-// Run performs redo and undo.  It returns a report of the work done.
+// Run performs analysis, redo and undo.  It returns a report of the work
+// done.
 //
 // Undo is logged the way a live abort logs it: every update record of a
 // loser that is rolled back gets a compensation record, and the loser an
@@ -71,9 +89,11 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 	var rep Report
 	rep.StartLSN = log.LastCheckpoint()
 
+	// pages maps every page the log changes to its records, oldest first.
 	// open maps every transaction that has logged an update but no commit
 	// or abort record to its update records that no compensation record
 	// covers yet, oldest first.
+	pages := make(map[page.ID][]*wal.Record)
 	open := make(map[wal.TxID][]*wal.Record)
 
 	err := log.Iterate(rep.StartLSN, func(r *wal.Record) error {
@@ -83,13 +103,13 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 			if r.PageID > rep.MaxPageID {
 				rep.MaxPageID = r.PageID
 			}
+			pages[r.PageID] = append(pages[r.PageID], r)
 			if r.TxID != 0 && r.Type == wal.TypeUpdate {
 				open[r.TxID] = append(open[r.TxID], r)
 			} else if stack := open[r.TxID]; r.Type == wal.TypeCompensation && len(stack) > 0 {
 				// Compensation records are written newest update first.
 				open[r.TxID] = stack[:len(stack)-1]
 			}
-			return redo(pager, r, &rep)
 		case wal.TypeCommit, wal.TypeAbort:
 			if _, ok := open[r.TxID]; ok {
 				rep.WinnerTxns++
@@ -101,7 +121,21 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 		return nil
 	})
 	if err != nil {
-		return rep, fmt.Errorf("recovery: redo pass: %w", err)
+		return rep, fmt.Errorf("recovery: analysis pass: %w", err)
+	}
+
+	// Records only ever change their own page, so replaying each page's
+	// records on their own, in LSN order, leaves every page as replaying
+	// the whole log in LSN order would, and reads each page once.
+	ids := make([]page.ID, 0, len(pages))
+	for id := range pages {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := redo(pager, id, pages[id], &rep); err != nil {
+			return rep, fmt.Errorf("recovery: redo pass: %w", err)
+		}
 	}
 
 	// Undo the losers, newest transaction first so that repeated runs log
@@ -127,31 +161,43 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 	return rep, nil
 }
 
-// redo reapplies a logged change when the persistent page is older than the
-// record.  The page is then exactly as it was when the record was written,
-// which is what an edit that moves bytes needs.
-func redo(pager Pager, r *wal.Record, rep *Report) error {
-	buf, err := pager.Get(r.PageID)
-	if err != nil {
-		return fmt.Errorf("reading page %d: %w", r.PageID, err)
-	}
-	defer pager.Unpin(r.PageID)
-	if buf.LSN() >= r.LSN && buf.LSN() != 0 {
-		rep.RedoSkipped++
+// redo reapplies, oldest first, the records of one page that are newer than
+// the persistent page.  Each is applied to the page exactly as it was when
+// the record was written, which is what an edit that moves bytes needs.
+// When the pager knows the persistent copy is at least as new as the last
+// record, every record would be skipped, so the page is not read.
+func redo(pager Pager, id page.ID, recs []*wal.Record, rep *Report) error {
+	if lsn, known := pager.PersistentLSN(id); known && lsn != 0 && lsn >= recs[len(recs)-1].LSN {
+		rep.RedoSkipped += len(recs)
+		rep.PagesSkipped++
 		return nil
 	}
-	if r.Type == wal.TypeFormat {
-		buf.Init(r.PageID, r.PageType)
+	buf, err := pager.Get(id)
+	if err != nil {
+		return fmt.Errorf("reading page %d: %w", id, err)
 	}
-	for i := range r.Edits {
-		r.Edits[i].Apply(buf)
+	defer pager.Unpin(id)
+	applied := 0
+	for _, r := range recs {
+		if buf.LSN() >= r.LSN && buf.LSN() != 0 {
+			rep.RedoSkipped++
+			continue
+		}
+		if r.Type == wal.TypeFormat {
+			buf.Init(r.PageID, r.PageType)
+		}
+		for i := range r.Edits {
+			r.Edits[i].Apply(buf)
+		}
+		buf.SetLSN(r.LSN)
+		applied++
 	}
-	buf.SetLSN(r.LSN)
-	if err := pager.MarkDirty(r.PageID); err != nil {
-		return err
+	if applied == 0 {
+		return nil
 	}
-	rep.RedoApplied++
-	return nil
+	rep.RedoApplied += applied
+	rep.PagesRedone++
+	return pager.MarkDirty(id)
 }
 
 // undo rolls back one update record of a loser transaction and logs the

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
@@ -33,6 +34,8 @@ func (p *fakePager) Get(id page.ID) (page.Buf, error) {
 
 func (p *fakePager) Unpin(id page.ID) error     { return nil }
 func (p *fakePager) MarkDirty(id page.ID) error { p.dirty[id] = true; return nil }
+
+func (p *fakePager) PersistentLSN(id page.ID) (page.LSN, bool) { return 0, false }
 
 func newLog(t *testing.T) *wal.Manager {
 	t.Helper()
@@ -264,4 +267,294 @@ func TestCompensatedUpdatesAreNotUndoneAgain(t *testing.T) {
 	if !bytes.Equal(disk, start) {
 		t.Fatalf("page after restart %q, want %q", disk[100:120], start[100:120])
 	}
+}
+
+// hintPager is a fakePager whose PersistentLSN knows the pageLSN of the
+// pages listed in known, the way the flash cache directory knows the
+// pages it holds; reads counts Gets per page.
+type hintPager struct {
+	*fakePager
+	known map[page.ID]page.LSN
+	reads map[page.ID]int
+}
+
+func newHintPager() *hintPager {
+	return &hintPager{fakePager: newFakePager(), known: make(map[page.ID]page.LSN), reads: make(map[page.ID]int)}
+}
+
+func (p *hintPager) Get(id page.ID) (page.Buf, error) {
+	p.reads[id]++
+	return p.fakePager.Get(id)
+}
+
+func (p *hintPager) PersistentLSN(id page.ID) (page.LSN, bool) {
+	lsn, ok := p.known[id]
+	return lsn, ok
+}
+
+// TestRedoReadsPageNewerThanItsKnownCopy: the pager knows a copy of page 5
+// that holds the page's first logged change but not its second, which is
+// only in the log.  Redo must read the page and reapply the second change;
+// page 6, whose known copy holds its only change, is not read.
+func TestRedoReadsPageNewerThanItsKnownCopy(t *testing.T) {
+	log := newLog(t)
+	log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 0}) // keep records off LSN 0
+	first := &wal.Record{Type: wal.TypeUpdate, TxID: 1, PageID: 5, Offset: 100, Before: []byte{0}, After: []byte{1}}
+	log.Append(first)
+	only := &wal.Record{Type: wal.TypeUpdate, TxID: 1, PageID: 6, Offset: 100, Before: []byte{0}, After: []byte{3}}
+	log.Append(only)
+	log.Append(&wal.Record{Type: wal.TypeUpdate, TxID: 1, PageID: 5, Offset: 100, Before: []byte{1}, After: []byte{2}})
+	log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 1})
+	log.ForceAll()
+
+	pager := newHintPager()
+	older, _ := pager.fakePager.Get(5)
+	older[100] = 1
+	older.SetLSN(first.LSN)
+	pager.known[5] = first.LSN
+	current, _ := pager.fakePager.Get(6)
+	current[100] = 3
+	current.SetLSN(only.LSN)
+	pager.known[6] = only.LSN
+
+	rep, err := Run(log, pager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if older[100] != 2 {
+		t.Fatalf("page 5 byte = %d, want 2: the change only the log holds was not redone", older[100])
+	}
+	if pager.reads[5] != 1 || pager.reads[6] != 0 {
+		t.Fatalf("reads of pages 5/6 = %d/%d, want 1/0", pager.reads[5], pager.reads[6])
+	}
+	if rep.RedoApplied != 1 || rep.RedoSkipped != 2 || rep.PagesRedone != 1 || rep.PagesSkipped != 1 {
+		t.Fatalf("report %+v", rep)
+	}
+}
+
+// TestPerPageRedoMatchesLogOrderReplay drives Run over seeded logs of
+// interleaved format, update and compensation records on many pages, with
+// committed, aborted and loser transactions (one of them half rolled back)
+// and a persistent database holding each page at some point of its
+// history.  The pages Run leaves must equal, byte for byte, those of a
+// replay of the whole log (the compensation records Run appended
+// included) in LSN order, one record at a time, from the same persistent
+// pages.
+func TestPerPageRedoMatchesLogOrderReplay(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		log, disk, losers := randomHistory(t, seed)
+		pager := newHintPager()
+		for id, buf := range disk {
+			pager.pages[id] = buf.Clone()
+			if id%2 == 0 {
+				pager.known[id] = buf.LSN()
+			}
+		}
+		end := log.Durable()
+		rep, err := Run(log, pager)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if losers == 0 || rep.LoserTxns != losers || rep.PagesSkipped == 0 || rep.PagesRedone == 0 {
+			t.Fatalf("seed %d: history does not exercise every path: %+v", seed, rep)
+		}
+		if err := log.ForceAll(); err != nil {
+			t.Fatal(err)
+		}
+
+		ref := make(map[page.ID]page.Buf, len(disk))
+		for id, buf := range disk {
+			ref[id] = buf.Clone()
+		}
+		applied := 0
+		err = log.Iterate(0, func(r *wal.Record) error {
+			if r.Type != wal.TypeUpdate && r.Type != wal.TypeCompensation && r.Type != wal.TypeFormat {
+				return nil
+			}
+			buf, ok := ref[r.PageID]
+			if !ok {
+				buf = page.NewBuf()
+				buf.SetID(r.PageID)
+				ref[r.PageID] = buf
+			}
+			if buf.LSN() >= r.LSN && buf.LSN() != 0 {
+				return nil
+			}
+			if r.Type == wal.TypeFormat {
+				buf.Init(r.PageID, r.PageType)
+			}
+			for i := range r.Edits {
+				r.Edits[i].Apply(buf)
+			}
+			buf.SetLSN(r.LSN)
+			if r.LSN < end {
+				applied++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RedoApplied != applied {
+			t.Fatalf("seed %d: redo applied %d, log-order replay %d", seed, rep.RedoApplied, applied)
+		}
+		if len(pager.pages) != len(ref) {
+			t.Fatalf("seed %d: %d pages after Run, %d after replay", seed, len(pager.pages), len(ref))
+		}
+		for id, want := range ref {
+			if !bytes.Equal(pager.pages[id], want) {
+				t.Fatalf("seed %d: page %d differs from the log-order replay", seed, id)
+			}
+		}
+	}
+}
+
+// randomHistory logs a seeded history on pages 1..24 under page-level
+// two-phase locking and returns the log, the persistent pages at the
+// crash and the number of loser transactions.
+func randomHistory(t *testing.T, seed uint64) (*wal.Manager, map[page.ID]page.Buf, int) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, 36))
+	log := newLog(t)
+	log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 0}) // keep records off LSN 0
+
+	live := make(map[page.ID]page.Buf)
+	disk := make(map[page.ID]page.Buf)
+	owner := make(map[page.ID]wal.TxID)
+	undo := make(map[wal.TxID][]*wal.Record)
+	next := wal.TxID(1)
+	appendRec := func(r *wal.Record) {
+		if _, err := log.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply := func(r *wal.Record) {
+		buf := live[r.PageID]
+		for i := range r.Edits {
+			r.Edits[i].Apply(buf)
+		}
+		buf.SetLSN(r.LSN)
+	}
+	release := func(tx wal.TxID) {
+		for id, o := range owner {
+			if o == tx {
+				delete(owner, id)
+			}
+		}
+		delete(undo, tx)
+	}
+	// compensate rolls back tx's newest n updates, logging each.
+	compensate := func(tx wal.TxID, n int) {
+		stack := undo[tx]
+		for ; n > 0 && len(stack) > 0; n-- {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			edits := make([]wal.Edit, len(u.Edits))
+			for i, e := range u.Edits {
+				edits[i] = wal.Edit{Off: e.Off, Len: e.Len, Shift: e.Shift,
+					Before: append([]byte(nil), e.Before...), After: append([]byte(nil), e.After...)}
+			}
+			wal.Invert(edits)
+			c := &wal.Record{Type: wal.TypeCompensation, TxID: tx, PageID: u.PageID, Edits: edits}
+			appendRec(c)
+			apply(c)
+		}
+		undo[tx] = stack
+	}
+	update := func(tx wal.TxID, id page.ID) {
+		buf := live[id]
+		off := page.HeaderSize + rng.IntN(2000)
+		var e wal.Edit
+		if rng.IntN(2) == 0 {
+			after := make([]byte, 1+rng.IntN(16))
+			for i := range after {
+				after[i] = byte(rng.Uint32())
+			}
+			e = wal.Edit{Off: uint16(off), Len: uint16(len(after)),
+				Before: append([]byte(nil), buf[off:off+len(after)]...), After: after}
+		} else {
+			n, k := 1+rng.IntN(200), 1+rng.IntN(8)
+			e = wal.Edit{Off: uint16(off), Len: uint16(n + k), Shift: int8(k),
+				Before: append([]byte(nil), buf[off+n:off+n+k]...), After: bytes.Repeat([]byte{byte(tx)}, k)}
+		}
+		r := &wal.Record{Type: wal.TypeUpdate, TxID: tx, PageID: id, Edits: []wal.Edit{e}}
+		appendRec(r)
+		apply(r)
+		undo[tx] = append(undo[tx], r)
+	}
+
+	var active []wal.TxID
+	for step := 0; step < 600; step++ {
+		switch k := rng.IntN(20); {
+		case k < 2 && len(active) < 4 || len(active) == 0:
+			active = append(active, next)
+			next++
+		case k < 4 && len(live) < 24:
+			tx := active[rng.IntN(len(active))]
+			id := page.ID(len(live) + 1)
+			r := &wal.Record{Type: wal.TypeFormat, TxID: tx, PageID: id, PageType: page.TypeHeap}
+			appendRec(r)
+			buf := page.NewBuf()
+			buf.Init(id, page.TypeHeap)
+			buf.SetLSN(r.LSN)
+			live[id] = buf
+			owner[id] = tx
+		case k < 15 && len(live) > 0:
+			tx := active[rng.IntN(len(active))]
+			id := page.ID(1 + rng.IntN(len(live)))
+			if o, held := owner[id]; held && o != tx {
+				continue
+			}
+			owner[id] = tx
+			update(tx, id)
+		case k < 17:
+			// Flush a page: the persistent database catches up with it.
+			if len(live) > 0 {
+				id := page.ID(1 + rng.IntN(len(live)))
+				disk[id] = live[id].Clone()
+			}
+		default:
+			i := rng.IntN(len(active))
+			tx := active[i]
+			if rng.IntN(3) == 0 {
+				compensate(tx, len(undo[tx]))
+				appendRec(&wal.Record{Type: wal.TypeAbort, TxID: tx})
+			} else {
+				appendRec(&wal.Record{Type: wal.TypeCommit, TxID: tx})
+			}
+			release(tx)
+			active = append(active[:i], active[i+1:]...)
+		}
+	}
+	// One more transaction updates an unlocked page just before the crash.
+	active = append(active, next)
+	for id := page.ID(1); int(id) <= len(live); id++ {
+		if _, held := owner[id]; !held {
+			owner[id] = next
+			update(next, id)
+			break
+		}
+	}
+	// The transactions still running are the losers; one was half way
+	// through rolling back when the system stopped.
+	losers := 0
+	for i, tx := range active {
+		if len(undo[tx]) == 0 {
+			continue
+		}
+		if i == 0 {
+			compensate(tx, len(undo[tx])/2)
+		}
+		losers++
+	}
+	// Pages 2, 4 and 6 reached the persistent database at the very end.
+	for _, id := range []page.ID{2, 4, 6} {
+		if buf, ok := live[id]; ok {
+			disk[id] = buf.Clone()
+		}
+	}
+	if err := log.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	return log, disk, losers
 }
