@@ -71,10 +71,10 @@ func main() {
 	report(faceRun)
 	report(hdd)
 	if faceRun.RestartTime > 0 {
-		fmt.Printf("\nFaCE restarts %.1fx faster: redo skips the pages whose flash copy is current\n",
+		fmt.Printf("\nFaCE restarts %.1fx faster: both skip the pages the log notes as current on\n",
 			float64(hdd.RestartTime)/float64(faceRun.RestartTime))
-		fmt.Println("and reads most others from the persistent flash cache instead of random disk")
-		fmt.Println("reads (paper §5.5).")
+		fmt.Println("disk, FaCE also those whose flash copy is current, and it reads most others")
+		fmt.Println("from the persistent flash cache instead of random disk reads (paper §5.5).")
 	}
 	if *dir != "" {
 		fmt.Println("\nWall-clock restart measured over a real close-and-reopen of the device")

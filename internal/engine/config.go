@@ -172,7 +172,8 @@ type Config struct {
 	CheckpointEvery time.Duration
 
 	// Model is the CPU/overlap model used to derive elapsed simulated
-	// time.  The zero value uses metrics.DefaultModel.
+	// time and to charge restart its CPU.  Zero fields take their values
+	// from metrics.DefaultModel.
 	Model metrics.Model
 
 	// DisableObs turns the observability layer off entirely: no
@@ -337,11 +338,11 @@ func (c *Config) resolveStriping() {
 }
 
 // buildCache constructs the flash cache manager for the configured policy
-// through the registry; policies without a flash cache yield (nil, nil).
+// through the registry, writing to and syncing the data device through
+// diskWrite and diskSync; policies without a flash cache yield (nil, nil).
 // With AsyncIODepth set, the manager is wrapped in the asynchronous
 // group-write and destage pipeline.
-func (c *Config) buildCache(diskWrite face.DiskWriteFunc, pull face.PullFunc) (face.Extension, error) {
-	dataDev := c.DataDev
+func (c *Config) buildCache(diskWrite face.DiskWriteFunc, diskSync func() error, pull face.PullFunc) (face.Extension, error) {
 	ext, err := face.NewPolicy(c.Policy.String(), face.PolicyParams{
 		Dev:            c.FlashDev,
 		Frames:         c.FlashFrames,
@@ -350,7 +351,7 @@ func (c *Config) buildCache(diskWrite face.DiskWriteFunc, pull face.PullFunc) (f
 		Stripes:        c.CacheStripes,
 		CleanThreshold: c.CleanThreshold,
 		DiskWrite:      diskWrite,
-		DiskSync:       func() error { return device.Sync(dataDev) },
+		DiskSync:       diskSync,
 		Pull:           pull,
 	})
 	if err != nil || ext == nil || c.AsyncIODepth == 0 {

@@ -57,6 +57,17 @@ type DB struct {
 	logDev   device.Dev
 	flashDev device.Dev
 
+	// dataBarrier is whether the data device has a durability barrier
+	// (device.Syncer).  Without one a write is durable when it returns.
+	dataBarrier bool
+	// writtenMu guards written, the page-written notes of data device
+	// writes that wait for syncData to log them.  notesPending is set while
+	// written holds any, so that an eviction that wrote nothing does not
+	// cross the process-wide mutex.
+	writtenMu    sync.Mutex
+	written      []wal.PageWrite
+	notesPending atomic.Bool
+
 	pool  *buffer.Pool
 	cache face.Extension
 	log   *wal.Manager
@@ -160,16 +171,19 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	cfg.resolveStriping()
+	cfg.Model = cfg.Model.Normalized()
+	_, dataBarrier := cfg.DataDev.(device.Syncer)
 	db := &DB{
-		cfg:      cfg,
-		model:    cfg.Model,
-		dataDev:  cfg.DataDev,
-		logDev:   cfg.LogDev,
-		flashDev: cfg.FlashDev,
-		files:    files,
-		clock:    simclock.New(),
-		nextPage: 1,
-		locks:    lock.New(),
+		cfg:         cfg,
+		model:       cfg.Model,
+		dataDev:     cfg.DataDev,
+		logDev:      cfg.LogDev,
+		flashDev:    cfg.FlashDev,
+		dataBarrier: dataBarrier,
+		files:       files,
+		clock:       simclock.New(),
+		nextPage:    1,
+		locks:       lock.New(),
 	}
 	if cfg.MaxWriters > 0 {
 		db.writerSem = make(chan struct{}, cfg.MaxWriters)
@@ -214,7 +228,7 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 
-	db.cache, err = cfg.buildCache(db.diskWritePage, db.pullVictims)
+	db.cache, err = cfg.buildCache(db.writeData, db.syncData, db.pullVictims)
 	if err != nil {
 		abortLog()
 		return nil, err
@@ -286,19 +300,66 @@ func (db *DB) evictPage(v buffer.Victim) error {
 			return err
 		}
 	}
+	var err error
 	if db.cache != nil {
-		return db.cache.StageIn(v.ID, v.Data, v.Dirty, v.FDirty)
+		err = db.cache.StageIn(v.ID, v.Data, v.Dirty, v.FDirty)
+	} else if v.Dirty {
+		err = db.writeData(v.ID, v.Data)
 	}
-	if v.Dirty {
-		return db.dataDev.WriteAt(int64(v.ID), v.Data)
+	if err != nil || db.dataBarrier || !db.notesPending.Load() {
+		return err
+	}
+	// Without a barrier a write is durable when it returns, and syncData
+	// only logs notes: those of the writes this eviction caused go at once.
+	return db.syncData()
+}
+
+// writeData writes a page image to its home on the data device.  Every
+// write goes through it — the flash cache's destages too — so that restart
+// learns from the log which images are durable there: the write is noted,
+// and the note logged by the next syncData, which follows the barrier that
+// makes the write durable.
+func (db *DB) writeData(id page.ID, data page.Buf) error {
+	if err := db.dataDev.WriteAt(int64(id), data); err != nil {
+		return err
+	}
+	// Redo never trusts a pageLSN of 0.
+	if lsn := data.LSN(); lsn != 0 {
+		db.writtenMu.Lock()
+		if len(db.written) < maxPendingNotes {
+			db.written = append(db.written, wal.PageWrite{ID: id, LSN: lsn})
+			db.notesPending.Store(true)
+		}
+		db.writtenMu.Unlock()
 	}
 	return nil
 }
 
-// diskWritePage is handed to the flash cache so it can stage dirty pages
-// out to the database on disk.
-func (db *DB) diskWritePage(id page.ID, data page.Buf) error {
-	return db.dataDev.WriteAt(int64(id), data)
+// maxPendingNotes bounds the notes that wait for a barrier, which on a
+// data device with one may not come before the next checkpoint (HDD-only
+// evictions).  A note dropped past it only costs restart a read.  It also
+// keeps a page-written record (16 bytes a note) far below the log buffer.
+const maxPendingNotes = 4096
+
+// syncData is the data device's durability barrier (a no-op without one).
+// The writes noted before it are durable after it, so their notes are
+// logged then; writes that complete meanwhile wait for the next barrier.
+// A failed barrier drops the notes, as it may have lost their writes.
+func (db *DB) syncData() error {
+	db.writtenMu.Lock()
+	batch := db.written
+	db.written = nil
+	db.notesPending.Store(false)
+	db.writtenMu.Unlock()
+	if err := device.Sync(db.dataDev); err != nil || len(batch) == 0 {
+		return err
+	}
+	// Nothing forces the notes: one lost in a crash only costs restart a
+	// read.
+	if _, err := db.log.Append(&wal.Record{Type: wal.TypePageWritten, Written: batch}); err != nil {
+		return fmt.Errorf("engine: logging page writes: %w", err)
+	}
+	return nil
 }
 
 // pullVictims lets Group Second Chance top up a write group with victims
@@ -437,7 +498,7 @@ func (db *DB) closeFlushLocked() error {
 		if !v.Dirty {
 			return nil
 		}
-		return db.dataDev.WriteAt(int64(v.ID), v.Data)
+		return db.writeData(v.ID, v.Data)
 	}, true); err != nil {
 		return err
 	}
@@ -448,7 +509,7 @@ func (db *DB) closeFlushLocked() error {
 	}
 	// Leave the data device durably self-contained (no-op on simulated
 	// devices; the flash metadata was synced by the checkpoint above).
-	if err := device.Sync(db.dataDev); err != nil {
+	if err := db.syncData(); err != nil {
 		return fmt.Errorf("engine: syncing data device at close: %w", err)
 	}
 	return nil
@@ -564,16 +625,24 @@ type lsnDirectory interface {
 	CopyLSN(id page.ID) (lsn page.LSN, ok bool)
 }
 
-// PersistentLSN answers from the flash cache directory, which Recover has
-// restored before redo starts.  A page already in the DRAM buffer may be
-// newer than its flash copy, so it answers "unknown", as do caches whose
-// directory keeps no LSNs (LC, write-through) and HDD-only databases.
-func (p dbPager) PersistentLSN(id page.ID) (page.LSN, bool) {
-	d, ok := p.db.cache.(lsnDirectory)
-	if !ok || p.db.pool.Contains(id) {
-		return 0, false
+// Locate follows the read path: a page in the DRAM buffer, which may be
+// newer than any persistent copy, is Unknown; a page the flash cache holds
+// is Cached when its directory records the copy's pageLSN (mvFIFO, whose
+// directory Recover has restored before redo starts) and Unknown otherwise
+// (LC, write-through, a page in transit); any other page is OnDisk.
+func (p dbPager) Locate(id page.ID) (recovery.Copy, page.LSN) {
+	if p.db.pool.Contains(id) {
+		return recovery.Unknown, 0
 	}
-	return d.CopyLSN(id)
+	if p.db.cache == nil || !p.db.cache.Contains(id) {
+		return recovery.OnDisk, 0
+	}
+	if d, ok := p.db.cache.(lsnDirectory); ok {
+		if lsn, ok := d.CopyLSN(id); ok {
+			return recovery.Cached, lsn
+		}
+	}
+	return recovery.Unknown, 0
 }
 
 // --- checkpointing -------------------------------------------------------
@@ -625,7 +694,7 @@ func (db *DB) checkpointLocked() error {
 			if err := db.log.Force(v.Data.LSN() + 1); err != nil {
 				return err
 			}
-			return db.dataDev.WriteAt(int64(v.ID), v.Data)
+			return db.writeData(v.ID, v.Data)
 		}, true)
 		if err != nil {
 			return err
@@ -637,7 +706,7 @@ func (db *DB) checkpointLocked() error {
 	// Durability barriers before the checkpoint-end record: the record
 	// must never become durable while the page writes it vouches for are
 	// still in a volatile OS cache.  No-ops on simulated devices.
-	if err := device.Sync(db.dataDev); err != nil {
+	if err := db.syncData(); err != nil {
 		return fmt.Errorf("engine: syncing data device at checkpoint: %w", err)
 	}
 	if db.flashDev != nil {

@@ -408,10 +408,13 @@ func TestFaCERecoveryReadsMostlyFromFlash(t *testing.T) {
 
 // restartCase is a cache configuration a restart test runs under: every
 // policy, and Group Second Chance behind the asynchronous pipeline.
+// volatile puts the data device behind a barrier whose unsynced writes a
+// crash loses (volatileDev).
 type restartCase struct {
-	name   string
-	policy CachePolicy
-	async  bool
+	name     string
+	policy   CachePolicy
+	async    bool
+	volatile bool
 }
 
 func restartCases() []restartCase {
@@ -422,19 +425,22 @@ func restartCases() []restartCase {
 	return append(out, restartCase{name: "face+gsc-async", policy: PolicyFaCEGSC, async: true})
 }
 
-// changedThenEvicted opens a database under c, checkpoints 64 pages, logs
-// one change of the first page and reads the others until that page has
-// left the DRAM buffer for the flash cache (for HDD-only, the disk).  Its
+// changedThenEvicted opens a database under c, checkpoints n pages, logs
+// one change of the first page and reads up to 63 others, so that page
+// leaves the DRAM buffer for the flash cache (for HDD-only, the disk).  Its
 // flash copy then holds the page's only logged change.
-func changedThenEvicted(t *testing.T, c restartCase) (*testRig, *DB, page.ID) {
+func changedThenEvicted(t *testing.T, c restartCase, n int) (*testRig, *DB, []page.ID) {
 	t.Helper()
 	r := newRig(t, c.policy)
 	if c.async {
 		r.cfg.AsyncIODepth = 64
 	}
+	if c.volatile {
+		r.cfg.DataDev = newVolatileDev(r.data)
+	}
 	db := r.open(t, false)
 	tx, _ := db.Begin()
-	ids := make([]page.ID, 64)
+	ids := make([]page.ID, n)
 	for i := range ids {
 		ids[i], _ = tx.Alloc(page.TypeHeap)
 		writeValue(t, tx, ids[i], 0)
@@ -449,7 +455,7 @@ func changedThenEvicted(t *testing.T, c restartCase) (*testRig, *DB, page.ID) {
 	tx, _ = db.Begin()
 	var changed page.LSN
 	tx.Read(ids[0], func(buf page.Buf) error { changed = buf.LSN(); return nil })
-	for _, id := range ids[1:] {
+	for _, id := range ids[1:min(n, 64)] {
 		readValue(t, tx, id)
 	}
 	tx.Commit()
@@ -468,7 +474,7 @@ func changedThenEvicted(t *testing.T, c restartCase) (*testRig, *DB, page.ID) {
 			}
 		}
 	}
-	return r, db, ids[0]
+	return r, db, ids
 }
 
 // TestRestartRedoesPageNewerThanItsFlashCopy: the page's flash (or disk)
@@ -478,7 +484,8 @@ func changedThenEvicted(t *testing.T, c restartCase) (*testRig, *DB, page.ID) {
 func TestRestartRedoesPageNewerThanItsFlashCopy(t *testing.T) {
 	for _, c := range restartCases() {
 		t.Run(c.name, func(t *testing.T) {
-			r, db, id := changedThenEvicted(t, c)
+			r, db, ids := changedThenEvicted(t, c, 64)
+			id := ids[0]
 			tx, _ := db.Begin()
 			writeValue(t, tx, id, 2)
 			tx.Commit()
@@ -503,11 +510,16 @@ func TestRestartRedoesPageNewerThanItsFlashCopy(t *testing.T) {
 
 // TestRestartSkipsPageCurrentInFlash: the page's flash copy holds its only
 // logged change, so a cache whose directory records pageLSNs lets restart
-// skip the page without reading it.  The other policies read it once.
+// skip the page without reading it.  So does the page-written note of a
+// write of that copy to disk: HDD-only's eviction, write-through's
+// stage-in.  LC, whose only current copy is in a cache that restarts cold,
+// reads it once.
 func TestRestartSkipsPageCurrentInFlash(t *testing.T) {
 	for _, c := range restartCases() {
 		t.Run(c.name, func(t *testing.T) {
-			r, db, id := changedThenEvicted(t, c)
+			r, db, ids := changedThenEvicted(t, c, 64)
+			id := ids[0]
+			onDisk := diskValue(t, r, id) == 1
 			db.Crash()
 
 			db2 := r.open(t, true)
@@ -519,8 +531,12 @@ func TestRestartSkipsPageCurrentInFlash(t *testing.T) {
 					t.Fatalf("restart read %d pages (%d flash lookups), skipped %d; want the page skipped unread",
 						reads, db2.cache.Stats().Lookups, rep.PagesSkipped)
 				}
-			} else if rep.PagesSkipped != 0 || reads != 1 {
-				t.Fatalf("restart read %d pages and skipped %d without a pageLSN directory, want 1 and 0", reads, rep.PagesSkipped)
+			} else if onDisk != (c.policy == PolicyNone || c.policy == PolicyWriteThrough) {
+				t.Fatalf("current copy on disk = %v under %s", onDisk, c.policy)
+			} else if onDisk && (rep.PagesSkipped != 1 || reads != 0) {
+				t.Fatalf("restart read %d pages and skipped %d with the current copy noted on disk, want 0 and 1", reads, rep.PagesSkipped)
+			} else if !onDisk && (rep.PagesSkipped != 0 || reads != 1) {
+				t.Fatalf("restart read %d pages and skipped %d without a current copy it knows of, want 1 and 0", reads, rep.PagesSkipped)
 			}
 			tx, _ := db2.Begin()
 			if got := readValue(t, tx, id); got != 1 {

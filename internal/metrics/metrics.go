@@ -43,7 +43,9 @@ func DefaultModel() Model {
 	return Model{CPUPerPageAccess: DefaultCPUPerPageAccess, CPUParallelism: DefaultCPUParallelism}
 }
 
-func (m Model) normalized() Model {
+// Normalized returns the model with every unset field taken from
+// DefaultModel.
+func (m Model) Normalized() Model {
 	if m.CPUPerPageAccess <= 0 {
 		m.CPUPerPageAccess = DefaultCPUPerPageAccess
 	}
@@ -66,7 +68,7 @@ type Resource struct {
 // Elapsed returns the modelled elapsed time for a workload that performed
 // pageAccesses buffer-pool accesses and kept the given resources busy.
 func (m Model) Elapsed(pageAccesses int64, resources ...Resource) time.Duration {
-	m = m.normalized()
+	m = m.Normalized()
 	cpu := time.Duration(pageAccesses) * m.CPUPerPageAccess / time.Duration(m.CPUParallelism)
 	elapsed := cpu
 	for _, r := range resources {

@@ -6,24 +6,29 @@
 // completed checkpoint:
 //
 //  1. analysis: one scan of the log groups the page-level records by page,
-//     in LSN order, and finds the loser transactions (those without a
-//     commit or abort record);
+//     in LSN order, finds the loser transactions (those without a commit
+//     or abort record) and keeps, for each page, the pageLSN of its last
+//     page-written note (the engine logs one once a page image is durable
+//     on the data device);
 //  2. redo, page by page in ascending page id order: each page is read
 //     once and every change of it missing from the persistent database
-//     (flash cache ∪ disk) is reapplied; a page whose persistent copy the
-//     pager already knows to cover its last record is not read at all;
+//     (flash cache ∪ disk) is reapplied; a page whose persistent copy is
+//     known to cover its last record is not read at all;
 //  3. undo: the changes of the losers are rolled back, and the rollback is
 //     logged.
 //
 // The package is deliberately independent of the engine: pages are accessed
 // through the Pager interface, which the engine backs with its buffer pool
-// so that recovery reads are served from the flash cache whenever possible,
-// and with the flash cache's directory, which FaCE restores from its
-// persistent metadata before redo starts and which records the pageLSN of
-// every cached copy.  That is precisely the mechanism that makes FaCE
-// restarts fast (Table 6 / Figure 6 of the paper): most pages the log names
-// are either current in flash, and need not be read, or found in flash
-// rather than behind random disk reads.
+// so that recovery reads are served from the flash cache whenever possible.
+// The pager also says which copy of a page a read would return.  When the
+// flash cache holds it, the cache's directory, which FaCE restores from its
+// persistent metadata before redo starts, gives the copy's pageLSN; when
+// only the data device holds it, the page-written notes do.  That is
+// precisely the mechanism that makes FaCE restarts fast (Table 6 / Figure 6
+// of the paper): the persistent database includes flash, so most pages the
+// log names are known to be current in flash or on disk and need not be
+// read, and the rest are mostly found in flash rather than behind random
+// disk reads.
 package recovery
 
 import (
@@ -37,15 +42,29 @@ import (
 
 // Pager provides page access during recovery.  Get pins the page; Unpin
 // releases it; MarkDirty flags it as modified so it reaches the persistent
-// database through the normal eviction/checkpoint paths.  PersistentLSN
-// reports, without reading the page, the pageLSN of the copy Get would
-// return; known is false when the pager cannot tell.
+// database through the normal eviction/checkpoint paths.  Locate reports,
+// without reading the page, which copy Get would return and, for a cached
+// copy whose pageLSN the cache records, that pageLSN.
 type Pager interface {
 	Get(id page.ID) (page.Buf, error)
 	Unpin(id page.ID) error
 	MarkDirty(id page.ID) error
-	PersistentLSN(id page.ID) (lsn page.LSN, known bool)
+	Locate(id page.ID) (where Copy, lsn page.LSN)
 }
+
+// Copy names the copy of a page Get would return.
+type Copy uint8
+
+const (
+	// Unknown is a copy whose pageLSN the pager cannot tell: a DRAM frame,
+	// or a cache copy that carries no LSN (LC, write-through).
+	Unknown Copy = iota
+	// Cached is a flash cache copy whose pageLSN Locate returns.
+	Cached
+	// OnDisk is the data device's copy: nothing else holds the page.  Its
+	// pageLSN is at least that of the page's last page-written note.
+	OnDisk
+)
 
 // Report summarises what restart did.
 type Report struct {
@@ -63,7 +82,7 @@ type Report struct {
 	// PagesRedone is the number of distinct pages redo changed.
 	PagesRedone int
 	// PagesSkipped is the number of distinct pages redo did not read
-	// because the pager knew their persistent copy covered every record.
+	// because their persistent copy was known to cover every record.
 	PagesSkipped int
 	// UndoApplied is the number of changes rolled back for loser
 	// transactions.
@@ -90,10 +109,12 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 	rep.StartLSN = log.LastCheckpoint()
 
 	// pages maps every page the log changes to its records, oldest first.
-	// open maps every transaction that has logged an update but no commit
-	// or abort record to its update records that no compensation record
-	// covers yet, oldest first.
+	// written maps every page with a page-written note to the pageLSN of
+	// its last one.  open maps every transaction that has logged an update
+	// but no commit or abort record to its update records that no
+	// compensation record covers yet, oldest first.
 	pages := make(map[page.ID][]*wal.Record)
+	written := make(map[page.ID]page.LSN)
 	open := make(map[wal.TxID][]*wal.Record)
 
 	err := log.Iterate(rep.StartLSN, func(r *wal.Record) error {
@@ -115,6 +136,10 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 				rep.WinnerTxns++
 				delete(open, r.TxID)
 			}
+		case wal.TypePageWritten:
+			for _, w := range r.Written {
+				written[w.ID] = w.LSN
+			}
 		case wal.TypeCheckpointBegin, wal.TypeCheckpointEnd:
 			// Checkpoint records carry no page changes.
 		}
@@ -133,7 +158,7 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		if err := redo(pager, id, pages[id], &rep); err != nil {
+		if err := redo(pager, id, pages[id], written[id], &rep); err != nil {
 			return rep, fmt.Errorf("recovery: redo pass: %w", err)
 		}
 	}
@@ -164,10 +189,19 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 // redo reapplies, oldest first, the records of one page that are newer than
 // the persistent page.  Each is applied to the page exactly as it was when
 // the record was written, which is what an edit that moves bytes needs.
-// When the pager knows the persistent copy is at least as new as the last
-// record, every record would be skipped, so the page is not read.
-func redo(pager Pager, id page.ID, recs []*wal.Record, rep *Report) error {
-	if lsn, known := pager.PersistentLSN(id); known && lsn != 0 && lsn >= recs[len(recs)-1].LSN {
+// When the copy Get would return is known to be at least as new as the
+// last record — from the cache's directory, or, when only the data device
+// holds the page, from its last page-written note (written, 0 without
+// one) — every record would be skipped, so the page is not read.
+func redo(pager Pager, id page.ID, recs []*wal.Record, written page.LSN, rep *Report) error {
+	var known page.LSN
+	switch where, lsn := pager.Locate(id); where {
+	case Cached:
+		known = lsn
+	case OnDisk:
+		known = written
+	}
+	if known != 0 && known >= recs[len(recs)-1].LSN {
 		rep.RedoSkipped += len(recs)
 		rep.PagesSkipped++
 		return nil

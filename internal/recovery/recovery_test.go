@@ -35,7 +35,7 @@ func (p *fakePager) Get(id page.ID) (page.Buf, error) {
 func (p *fakePager) Unpin(id page.ID) error     { return nil }
 func (p *fakePager) MarkDirty(id page.ID) error { p.dirty[id] = true; return nil }
 
-func (p *fakePager) PersistentLSN(id page.ID) (page.LSN, bool) { return 0, false }
+func (p *fakePager) Locate(id page.ID) (Copy, page.LSN) { return OnDisk, 0 }
 
 func newLog(t *testing.T) *wal.Manager {
 	t.Helper()
@@ -269,17 +269,21 @@ func TestCompensatedUpdatesAreNotUndoneAgain(t *testing.T) {
 	}
 }
 
-// hintPager is a fakePager whose PersistentLSN knows the pageLSN of the
-// pages listed in known, the way the flash cache directory knows the
-// pages it holds; reads counts Gets per page.
+// hintPager is a fakePager whose Locate knows the pageLSN of the pages
+// listed in known, the way the flash cache directory knows the pages it
+// holds, and cannot tell that of the pages listed in held, the way a
+// cache without LSNs holds them; every other page is on disk.  reads
+// counts Gets per page.
 type hintPager struct {
 	*fakePager
 	known map[page.ID]page.LSN
+	held  map[page.ID]bool
 	reads map[page.ID]int
 }
 
 func newHintPager() *hintPager {
-	return &hintPager{fakePager: newFakePager(), known: make(map[page.ID]page.LSN), reads: make(map[page.ID]int)}
+	return &hintPager{fakePager: newFakePager(), known: make(map[page.ID]page.LSN),
+		held: make(map[page.ID]bool), reads: make(map[page.ID]int)}
 }
 
 func (p *hintPager) Get(id page.ID) (page.Buf, error) {
@@ -287,9 +291,57 @@ func (p *hintPager) Get(id page.ID) (page.Buf, error) {
 	return p.fakePager.Get(id)
 }
 
-func (p *hintPager) PersistentLSN(id page.ID) (page.LSN, bool) {
-	lsn, ok := p.known[id]
-	return lsn, ok
+func (p *hintPager) Locate(id page.ID) (Copy, page.LSN) {
+	if lsn, ok := p.known[id]; ok {
+		return Cached, lsn
+	}
+	if p.held[id] {
+		return Unknown, 0
+	}
+	return OnDisk, 0
+}
+
+// TestRedoTrustsNoteOnlyForPagesOnDisk: page 5's last page-written note
+// covers its only change.  On disk, the note lets redo skip it unread.
+// Held by a cache whose copy is older, or by one that keeps no LSNs, the
+// note says nothing about the copy a read returns, so redo reads the page
+// and reapplies the change.
+func TestRedoTrustsNoteOnlyForPagesOnDisk(t *testing.T) {
+	for _, where := range []Copy{OnDisk, Cached, Unknown} {
+		log := newLog(t)
+		log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 0}) // keep records off LSN 0
+		older, _ := log.Append(&wal.Record{Type: wal.TypeFormat, TxID: 0, PageID: 5, PageType: page.TypeHeap})
+		change := &wal.Record{Type: wal.TypeUpdate, TxID: 1, PageID: 5, Offset: 100, Before: []byte{0}, After: []byte{7}}
+		log.Append(change)
+		log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 1})
+		log.Append(&wal.Record{Type: wal.TypePageWritten, Written: []wal.PageWrite{{ID: 9, LSN: change.LSN}, {ID: 5, LSN: change.LSN}}})
+		log.ForceAll()
+
+		pager := newHintPager()
+		buf, _ := pager.fakePager.Get(5)
+		switch where {
+		case OnDisk:
+			buf[100] = 7
+			buf.SetLSN(change.LSN)
+		case Cached:
+			buf.SetLSN(older)
+			pager.known[5] = older
+		case Unknown:
+			buf.SetLSN(older)
+			pager.held[5] = true
+		}
+		rep, err := Run(log, pager)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantReads := 1
+		if where == OnDisk {
+			wantReads = 0
+		}
+		if buf[100] != 7 || pager.reads[5] != wantReads || rep.PagesSkipped != 1-wantReads {
+			t.Fatalf("copy %d: byte %d, %d reads, report %+v; want 7, %d reads", where, buf[100], pager.reads[5], rep, wantReads)
+		}
+	}
 }
 
 // TestRedoReadsPageNewerThanItsKnownCopy: the pager knows a copy of page 5
@@ -342,12 +394,22 @@ func TestRedoReadsPageNewerThanItsKnownCopy(t *testing.T) {
 // pages.
 func TestPerPageRedoMatchesLogOrderReplay(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		log, disk, losers := randomHistory(t, seed)
+		h := randomHistory(t, seed)
+		log := h.log
+		persistent := h.persistent()
 		pager := newHintPager()
-		for id, buf := range disk {
+		for id, buf := range persistent {
 			pager.pages[id] = buf.Clone()
-			if id%2 == 0 {
+			if _, cached := h.flash[id]; !cached {
+				continue
+			}
+			// The flash cache records the pageLSN of even pages and of
+			// the two the history placed there at its end; of the others
+			// it keeps none, the way LC and write-through keep none.
+			if id%2 == 0 || id == h.currentFlash || id == h.noteOverOlderFlash {
 				pager.known[id] = buf.LSN()
+			} else {
+				pager.held[id] = true
 			}
 		}
 		end := log.Durable()
@@ -355,15 +417,22 @@ func TestPerPageRedoMatchesLogOrderReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if losers == 0 || rep.LoserTxns != losers || rep.PagesSkipped == 0 || rep.PagesRedone == 0 {
+		if h.losers == 0 || rep.LoserTxns != h.losers || rep.PagesSkipped == 0 || rep.PagesRedone == 0 {
 			t.Fatalf("seed %d: history does not exercise every path: %+v", seed, rep)
+		}
+		if n := pager.reads[h.currentNote] + pager.reads[h.currentFlash]; n != 0 {
+			t.Fatalf("seed %d: pages %d and %d, current on disk and in flash, read %d times", seed, h.currentNote, h.currentFlash, n)
+		}
+		if pager.reads[h.noteOverOlderFlash] != 1 {
+			t.Fatalf("seed %d: page %d, whose flash copy is older than its current note, read %d times, want 1",
+				seed, h.noteOverOlderFlash, pager.reads[h.noteOverOlderFlash])
 		}
 		if err := log.ForceAll(); err != nil {
 			t.Fatal(err)
 		}
 
-		ref := make(map[page.ID]page.Buf, len(disk))
-		for id, buf := range disk {
+		ref := make(map[page.ID]page.Buf, len(persistent))
+		for id, buf := range persistent {
 			ref[id] = buf.Clone()
 		}
 		applied := 0
@@ -409,17 +478,44 @@ func TestPerPageRedoMatchesLogOrderReplay(t *testing.T) {
 	}
 }
 
+// history is a seeded log and the persistent database at its end.
+type history struct {
+	log *wal.Manager
+	// disk holds the data device's copy of every page written there, each
+	// write followed by a page-written note, and flash the copy of every
+	// page the flash cache holds.
+	disk, flash map[page.ID]page.Buf
+	losers      int
+	// currentNote is on disk only, with a note that covers its last
+	// record; currentFlash is in flash, current; noteOverOlderFlash has a
+	// current note but a flash copy that misses its last record.
+	currentNote, currentFlash, noteOverOlderFlash page.ID
+}
+
+// persistent returns the copy of every page a read returns: the flash
+// copy when the cache holds one, the disk copy otherwise.
+func (h *history) persistent() map[page.ID]page.Buf {
+	out := make(map[page.ID]page.Buf, len(h.disk)+len(h.flash))
+	for id, buf := range h.disk {
+		out[id] = buf
+	}
+	for id, buf := range h.flash {
+		out[id] = buf
+	}
+	return out
+}
+
 // randomHistory logs a seeded history on pages 1..24 under page-level
-// two-phase locking and returns the log, the persistent pages at the
-// crash and the number of loser transactions.
-func randomHistory(t *testing.T, seed uint64) (*wal.Manager, map[page.ID]page.Buf, int) {
+// two-phase locking, with pages staged into flash and written to disk
+// along the way, and returns it.
+func randomHistory(t *testing.T, seed uint64) *history {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 36))
 	log := newLog(t)
 	log.Append(&wal.Record{Type: wal.TypeCommit, TxID: 0}) // keep records off LSN 0
+	h := &history{log: log, disk: make(map[page.ID]page.Buf), flash: make(map[page.ID]page.Buf)}
 
 	live := make(map[page.ID]page.Buf)
-	disk := make(map[page.ID]page.Buf)
 	owner := make(map[page.ID]wal.TxID)
 	undo := make(map[wal.TxID][]*wal.Record)
 	next := wal.TxID(1)
@@ -434,6 +530,19 @@ func randomHistory(t *testing.T, seed uint64) (*wal.Manager, map[page.ID]page.Bu
 			r.Edits[i].Apply(buf)
 		}
 		buf.SetLSN(r.LSN)
+	}
+	// writeDisk writes the pages to disk and notes the writes; the cache
+	// keeps its copies when keepFlash is set and drops them otherwise.
+	writeDisk := func(keepFlash bool, ids ...page.ID) {
+		r := &wal.Record{Type: wal.TypePageWritten}
+		for _, id := range ids {
+			h.disk[id] = live[id].Clone()
+			r.Written = append(r.Written, wal.PageWrite{ID: id, LSN: live[id].LSN()})
+			if !keepFlash {
+				delete(h.flash, id)
+			}
+		}
+		appendRec(r)
 	}
 	release := func(tx wal.TxID) {
 		for id, o := range owner {
@@ -482,6 +591,7 @@ func randomHistory(t *testing.T, seed uint64) (*wal.Manager, map[page.ID]page.Bu
 		apply(r)
 		undo[tx] = append(undo[tx], r)
 	}
+	randomPage := func() page.ID { return page.ID(1 + rng.IntN(len(live))) }
 
 	var active []wal.TxID
 	for step := 0; step < 600; step++ {
@@ -501,18 +611,24 @@ func randomHistory(t *testing.T, seed uint64) (*wal.Manager, map[page.ID]page.Bu
 			owner[id] = tx
 		case k < 15 && len(live) > 0:
 			tx := active[rng.IntN(len(active))]
-			id := page.ID(1 + rng.IntN(len(live)))
+			id := randomPage()
 			if o, held := owner[id]; held && o != tx {
 				continue
 			}
 			owner[id] = tx
 			update(tx, id)
-		case k < 17:
-			// Flush a page: the persistent database catches up with it.
-			if len(live) > 0 {
-				id := page.ID(1 + rng.IntN(len(live)))
-				disk[id] = live[id].Clone()
+		case k < 16 && len(live) > 0:
+			// The flash cache takes a copy of a page.
+			id := randomPage()
+			h.flash[id] = live[id].Clone()
+		case k < 17 && len(live) > 0:
+			// A page or two reach the disk, leaving the cache or not; a
+			// copy it keeps may be older than the disk's.
+			ids := []page.ID{randomPage()}
+			if id := randomPage(); id != ids[0] && rng.IntN(2) == 0 {
+				ids = append(ids, id)
 			}
+			writeDisk(rng.IntN(2) == 0, ids...)
 		default:
 			i := rng.IntN(len(active))
 			tx := active[i]
@@ -528,16 +644,20 @@ func randomHistory(t *testing.T, seed uint64) (*wal.Manager, map[page.ID]page.Bu
 	}
 	// One more transaction updates an unlocked page just before the crash.
 	active = append(active, next)
+	next++
+	var unlocked []page.ID
 	for id := page.ID(1); int(id) <= len(live); id++ {
 		if _, held := owner[id]; !held {
-			owner[id] = next
-			update(next, id)
-			break
+			unlocked = append(unlocked, id)
 		}
 	}
+	if len(unlocked) < 4 {
+		t.Fatalf("seed %d: %d unlocked pages at the crash, want 4", seed, len(unlocked))
+	}
+	owner[unlocked[0]] = active[len(active)-1]
+	update(active[len(active)-1], unlocked[0])
 	// The transactions still running are the losers; one was half way
 	// through rolling back when the system stopped.
-	losers := 0
 	for i, tx := range active {
 		if len(undo[tx]) == 0 {
 			continue
@@ -545,16 +665,20 @@ func randomHistory(t *testing.T, seed uint64) (*wal.Manager, map[page.ID]page.Bu
 		if i == 0 {
 			compensate(tx, len(undo[tx])/2)
 		}
-		losers++
+		h.losers++
 	}
-	// Pages 2, 4 and 6 reached the persistent database at the very end.
-	for _, id := range []page.ID{2, 4, 6} {
-		if buf, ok := live[id]; ok {
-			disk[id] = buf.Clone()
-		}
-	}
+	// Three unlocked pages reach the persistent database at the very end:
+	// one on disk, one in flash, and one whose flash copy misses a change
+	// a last transaction made before the page reached disk.
+	h.currentNote, h.currentFlash, h.noteOverOlderFlash = unlocked[1], unlocked[2], unlocked[3]
+	writeDisk(false, h.currentNote)
+	h.flash[h.currentFlash] = live[h.currentFlash].Clone()
+	h.flash[h.noteOverOlderFlash] = live[h.noteOverOlderFlash].Clone()
+	update(next, h.noteOverOlderFlash)
+	appendRec(&wal.Record{Type: wal.TypeCommit, TxID: next})
+	writeDisk(true, h.noteOverOlderFlash)
 	if err := log.ForceAll(); err != nil {
 		t.Fatal(err)
 	}
-	return log, disk, losers
+	return h
 }

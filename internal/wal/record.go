@@ -46,6 +46,11 @@ const (
 	// TypeCheckpointEnd marks the end of a checkpoint; its payload is the
 	// LSN of the matching TypeCheckpointBegin record.
 	TypeCheckpointEnd
+	// TypePageWritten notes page images that are durable on the data
+	// device, each with the pageLSN of the image written.  It is logged
+	// only once the writes are durable and is never forced: a note lost in
+	// a crash costs restart a page read, nothing more.
+	TypePageWritten
 )
 
 // String names the record type.
@@ -65,6 +70,8 @@ func (t RecordType) String() string {
 		return "checkpoint-begin"
 	case TypeCheckpointEnd:
 		return "checkpoint-end"
+	case TypePageWritten:
+		return "page-written"
 	default:
 		return fmt.Sprintf("record(%d)", uint8(t))
 	}
@@ -141,6 +148,8 @@ type Record struct {
 	Edits []Edit
 	// PageType is the type a format record initialises the page as.
 	PageType page.Type
+	// Written lists the pages of a page-written record.
+	Written []PageWrite
 	// Offset, Before and After describe an update record of a single
 	// write when Edits is nil, which is how tests and micro-benchmarks
 	// build one by hand; decoding always fills Edits instead.  After also
@@ -149,6 +158,16 @@ type Record struct {
 	Before []byte
 	After  []byte
 }
+
+// PageWrite is one entry of a page-written record: the image of page ID
+// with pageLSN LSN is durable on the data device.
+type PageWrite struct {
+	ID  page.ID
+	LSN page.LSN
+}
+
+// pageWriteSize is the log cost of one PageWrite.
+const pageWriteSize = 8 + 8
 
 // Errors returned by record encoding and decoding.
 var (
@@ -179,6 +198,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	                       (shift 0) and |shift| bytes for a shift
 //	format:                u16 page type
 //	checkpoint-end:        u64 LSN of the checkpoint-begin record
+//	page-written:          per page, u64 page id and u64 pageLSN
 //	commit, abort, checkpoint-begin: nothing
 const (
 	// recordHeaderSize is also the size of the smallest record (a commit);
@@ -202,6 +222,9 @@ func (r *Record) single() ([1]Edit, bool) {
 
 // check reports whether decodeRecord would accept the record once encoded.
 func (r *Record) check() error {
+	if r.Type == TypePageWritten && len(r.Written) == 0 {
+		return fmt.Errorf("%w: page-written record without pages", ErrInvalid)
+	}
 	if r.Type != TypeUpdate && r.Type != TypeCompensation {
 		return nil
 	}
@@ -264,6 +287,8 @@ func (r *Record) encodedSize() int {
 		n += 2
 	case TypeCheckpointEnd:
 		n += len(r.After)
+	case TypePageWritten:
+		n += len(r.Written) * pageWriteSize
 	}
 	return n
 }
@@ -298,6 +323,11 @@ func (r *Record) encode(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.PageType))
 	case TypeCheckpointEnd:
 		dst = append(dst, r.After...)
+	case TypePageWritten:
+		for _, w := range r.Written {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(w.ID))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(w.LSN))
+		}
 	}
 	rec := dst[start:]
 	binary.LittleEndian.PutUint32(rec[0:], uint32(len(rec)-4))
@@ -350,6 +380,15 @@ func decodeRecord(buf []byte) (*Record, int, error) {
 			return nil, 0, fmt.Errorf("%w: checkpoint-end payload of %d bytes", ErrCorrupt, len(payload))
 		}
 		r.After = append([]byte(nil), payload...)
+	case TypePageWritten:
+		if len(payload) == 0 || len(payload)%pageWriteSize != 0 {
+			return nil, 0, fmt.Errorf("%w: page-written payload of %d bytes", ErrCorrupt, len(payload))
+		}
+		r.Written = make([]PageWrite, len(payload)/pageWriteSize)
+		for i := range r.Written {
+			w := payload[i*pageWriteSize:]
+			r.Written[i] = PageWrite{ID: page.ID(binary.LittleEndian.Uint64(w)), LSN: page.LSN(binary.LittleEndian.Uint64(w[8:]))}
+		}
 	case TypeCommit, TypeAbort, TypeCheckpointBegin:
 		if len(payload) != 0 {
 			return nil, 0, fmt.Errorf("%w: %s record with a payload", ErrCorrupt, r.Type)

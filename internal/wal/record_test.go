@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
@@ -183,5 +184,31 @@ func BenchmarkRecordEncodeDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = got
+	}
+}
+
+// TestPageWrittenRecord: a page-written record round-trips its pages, one
+// without pages is refused, and a payload that is not whole entries is
+// corrupt.
+func TestPageWrittenRecord(t *testing.T) {
+	r := &Record{Type: TypePageWritten, Written: []PageWrite{{ID: 7, LSN: 4096}, {ID: 1 << 40, LSN: 1<<50 + 3}}}
+	if err := r.check(); err != nil {
+		t.Fatal(err)
+	}
+	enc := r.encode(nil)
+	if len(enc) != r.encodedSize() {
+		t.Fatalf("encoded %d bytes, encodedSize says %d", len(enc), r.encodedSize())
+	}
+	got, n, err := decodeRecord(enc)
+	if err != nil || n != len(enc) || got.Type != TypePageWritten || !slices.Equal(got.Written, r.Written) {
+		t.Fatalf("decoded %+v, %d, %v", got, n, err)
+	}
+	if err := (&Record{Type: TypePageWritten}).check(); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("empty page-written record: %v, want ErrInvalid", err)
+	}
+	for _, payload := range [][]byte{nil, make([]byte, pageWriteSize-1), make([]byte, pageWriteSize+1)} {
+		if _, _, err := decodeRecord(frame(body(TypePageWritten, payload...))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("page-written payload of %d bytes: %v, want ErrCorrupt", len(payload), err)
+		}
 	}
 }

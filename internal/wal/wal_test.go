@@ -16,7 +16,7 @@ func newLogDevice() *device.Device {
 }
 
 func TestRecordTypeString(t *testing.T) {
-	types := []RecordType{TypeUpdate, TypeCompensation, TypeFormat, TypeCommit, TypeAbort, TypeCheckpointBegin, TypeCheckpointEnd, RecordType(200)}
+	types := []RecordType{TypeUpdate, TypeCompensation, TypeFormat, TypeCommit, TypeAbort, TypeCheckpointBegin, TypeCheckpointEnd, TypePageWritten, RecordType(200)}
 	seen := map[string]bool{}
 	for _, ty := range types {
 		s := ty.String()
