@@ -1,6 +1,11 @@
-// Package btree implements a disk-resident B+tree mapping uint64 keys to
-// record ids.  It provides the primary-key indexes of the TPC-C tables and
-// the key index of every kv namespace.
+// Package btree implements disk-resident B+trees over uint64 keys.  A tree
+// has one of two kinds of leaf.  A RID tree's leaves map each key to a
+// record id: it provides the primary-key indexes of the TPC-C tables, whose
+// records live in heap pages.  A record tree's leaves hold the records
+// themselves, key, value length and value (record.go): it holds every kv
+// namespace, so a lookup reads no page beyond the leaf.  Internal nodes, the
+// descent, and the splits of internal nodes and of the root are the same
+// for both kinds.
 //
 // Node pages live in the database like any other page: all access goes
 // through engine transactions, so index traffic competes for the DRAM
@@ -24,6 +29,14 @@
 // orders go at the end of a leaf that has a right sibling.  Inserts into
 // the gaps between such leaves can leave one-key leaves, no worse than
 // 50/50 splits in the worst case.  Random inserts still split 50/50.
+//
+// Locking.  A RID tree's operations take a shared lock on every node they
+// pass, held to the end of the transaction, and a writer upgrades it on
+// the leaf and on each node a split changes.  A record tree's descent
+// peeks at the internal nodes instead, and locks the leaf before reading
+// it (record.go); each of its internal nodes carries its level, so the
+// descent knows which child is a leaf.  RID trees carry no level: their
+// pages are the ones TPC-C has always written.
 package btree
 
 import (
@@ -48,7 +61,9 @@ var (
 //	          count * key u64:  child0 key0 child1 key1 ... childN
 //
 // Keys in an internal node separate children: child i holds keys < key i,
-// child i+1 holds keys >= key i.
+// child i+1 holds keys >= key i.  An internal node of a record tree keeps
+// its level in the last two bytes of the page: 1 when its children are
+// leaves, one more for each level above.  In a RID tree they are 0.
 const (
 	leafHeader     = 2 + 8
 	leafEntrySize  = 8 + 10
@@ -58,7 +73,7 @@ const (
 	// MaxLeafEntries and MaxInnerEntries are exported for tests and for
 	// sizing databases.
 	MaxLeafEntries  = (page.PayloadSize - leafHeader) / leafEntrySize
-	MaxInnerEntries = (page.PayloadSize - innerHeader - 8) / innerEntrySize
+	MaxInnerEntries = (page.PayloadSize - innerHeader - 8 - 2) / innerEntrySize
 )
 
 // Tree is a B+tree handle.  The root page id is fixed for the lifetime of
@@ -68,7 +83,7 @@ type Tree struct {
 	root page.ID
 }
 
-// Create allocates an empty tree (a single empty leaf serving as root).
+// Create allocates an empty RID tree (a single empty leaf serving as root).
 func Create(tx *engine.Tx, name string) (*Tree, error) {
 	root, err := tx.Alloc(page.TypeBTreeLeaf)
 	if err != nil {
@@ -101,6 +116,7 @@ func (t *Tree) Root() page.ID { return t.root }
 const (
 	countOff = page.HeaderSize
 	nextOff  = page.HeaderSize + 2
+	levelOff = page.Size - 2
 )
 
 // leafOff is the page offset of leaf entry i.
@@ -118,14 +134,23 @@ func initLeaf(w *page.Writer, next page.ID) {
 	w.PutUint64(nextOff, uint64(next))
 }
 
-func initInner(w *page.Writer) {
+// initInner formats an empty internal node at the given level (0 in a RID
+// tree, where it is not written).
+func initInner(w *page.Writer, level int) {
 	w.SetType(page.TypeBTreeInternal)
 	w.PutUint16(countOff, 0)
+	if level > 0 {
+		w.PutUint16(levelOff, uint16(level))
+	}
 }
 
 func nodeCount(buf page.Buf) int { return int(binary.LittleEndian.Uint16(buf[countOff:])) }
 
 func setNodeCount(w *page.Writer, n int) { w.PutUint16(countOff, uint16(n)) }
+
+// innerLevel returns the level of an internal node: 1 above the leaves of
+// a record tree, 0 anywhere in a RID tree.
+func innerLevel(buf page.Buf) int { return int(binary.LittleEndian.Uint16(buf[levelOff:])) }
 
 func leafNext(buf page.Buf) page.ID { return page.ID(binary.LittleEndian.Uint64(buf[nextOff:])) }
 
@@ -154,49 +179,44 @@ func innerKey(buf page.Buf, i int) uint64 { return binary.LittleEndian.Uint64(bu
 
 func setInnerKey(w *page.Writer, i int, key uint64) { w.PutUint64(innerKeyOff(i), key) }
 
-// --- lookup ----------------------------------------------------------------
+// The two leaf kinds, read alike: isLeaf tells a leaf of either kind, and
+// entries, keyAt, search and next read one without knowing which.  keyAt
+// takes the kind (rec: a record leaf) from its caller, which looks it up
+// once per leaf rather than once per key.
 
-// Get returns the RID stored under key.
-func (t *Tree) Get(tx *engine.Tx, key uint64) (page.RID, bool, error) {
-	id := t.root
-	for {
-		var (
-			isLeaf bool
-			next   page.ID
-			rid    page.RID
-			found  bool
-		)
-		err := tx.Read(id, func(buf page.Buf) error {
-			if buf.Type() == page.TypeBTreeLeaf {
-				isLeaf = true
-				i, ok := leafSearch(buf, key)
-				if ok {
-					rid = leafRID(buf, i)
-					found = true
-				}
-				return nil
-			}
-			next = childFor(buf, key)
-			return nil
-		})
-		if err != nil {
-			return page.RID{}, false, err
-		}
-		if isLeaf {
-			return rid, found, nil
-		}
-		id = next
-	}
+func isLeaf(buf page.Buf) bool {
+	return buf.Type() == page.TypeBTreeLeaf || buf.Type() == page.TypeRecordLeaf
 }
 
-// leafSearch returns the position of key in the leaf and whether it is
-// present.  When absent, the position is where it would be inserted.
-func leafSearch(buf page.Buf, key uint64) (int, bool) {
-	n := nodeCount(buf)
-	lo, hi := 0, n
+func entries(buf page.Buf) int {
+	if buf.Type() == page.TypeRecordLeaf {
+		return buf.SlotCount()
+	}
+	return nodeCount(buf)
+}
+
+func keyAt(buf page.Buf, rec bool, i int) uint64 {
+	if rec {
+		return recKey(buf, i)
+	}
+	return leafKey(buf, i)
+}
+
+func next(buf page.Buf) page.ID {
+	if buf.Type() == page.TypeRecordLeaf {
+		return recNext(buf)
+	}
+	return leafNext(buf)
+}
+
+// search returns the position of key in a leaf of either kind and whether
+// it is present.  When absent, the position is where it would be inserted.
+func search(buf page.Buf, key uint64) (int, bool) {
+	rec := buf.Type() == page.TypeRecordLeaf
+	lo, hi := 0, entries(buf)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch k := leafKey(buf, mid); {
+		switch k := keyAt(buf, rec, mid); {
 		case k == key:
 			return mid, true
 		case k < key:
@@ -206,6 +226,34 @@ func leafSearch(buf page.Buf, key uint64) (int, bool) {
 		}
 	}
 	return lo, false
+}
+
+// --- lookup ----------------------------------------------------------------
+
+// Get returns the RID stored under key.
+func (t *Tree) Get(tx *engine.Tx, key uint64) (page.RID, bool, error) {
+	var (
+		rid   page.RID
+		found bool
+	)
+	for id := t.root; id != page.InvalidID; {
+		err := tx.Read(id, func(buf page.Buf) error {
+			if !isLeaf(buf) {
+				id = childFor(buf, key)
+				return nil
+			}
+			var i int
+			if i, found = search(buf, key); found {
+				rid = leafRID(buf, i)
+			}
+			id = page.InvalidID
+			return nil
+		})
+		if err != nil {
+			return page.RID{}, false, err
+		}
+	}
+	return rid, found, nil
 }
 
 // childFor returns the child page to follow for key in an internal node.
@@ -223,21 +271,94 @@ func childFor(buf page.Buf, key uint64) page.ID {
 	return innerChild(buf, lo)
 }
 
+// maxDepth is the height of tree whose descent keeps its path on the
+// stack; a deeper one's spills to the heap.
+const maxDepth = 16
+
+// path descends from the root to the leaf for key.  It returns the
+// internal nodes on the way, the root first, and the leaf.  A RID tree's
+// descent reads every node, the leaf too (it cannot tell a leaf before
+// reading it), under shared locks held to the end of the transaction.  A
+// record tree's descent (peek) reads the internal nodes with Tx.Peek,
+// whose locks last only the read, and stops at the child of the node
+// marked level 1 without touching it: what it found may be stale by the
+// time the caller locks the leaf (see record.go).
+func (t *Tree) path(tx *engine.Tx, key uint64, peek bool, nodes []page.ID) ([]page.ID, page.ID, error) {
+	id := t.root
+	for {
+		var (
+			child           page.ID
+			leaf, childLeaf bool
+		)
+		read := func(buf page.Buf) error {
+			if leaf = isLeaf(buf); !leaf {
+				child, childLeaf = childFor(buf, key), innerLevel(buf) == 1
+			}
+			return nil
+		}
+		var err error
+		if peek {
+			err = tx.Peek(id, read)
+		} else {
+			err = tx.Read(id, read)
+		}
+		if err != nil || leaf {
+			return nodes, id, err
+		}
+		nodes = append(nodes, id)
+		if childLeaf {
+			return nodes, child, nil
+		}
+		id = child
+	}
+}
+
+// findLeaf returns the leaf of a RID tree for key.
+func (t *Tree) findLeaf(tx *engine.Tx, key uint64) (page.ID, error) {
+	var stack [maxDepth]page.ID
+	_, leaf, err := t.path(tx, key, false, stack[:0])
+	return leaf, err
+}
+
 // --- insert ----------------------------------------------------------------
+
+// splitResult describes a child split that must be registered in the parent.
+type splitResult struct {
+	key   uint64
+	right page.ID
+}
 
 // Insert adds key -> rid to the tree.  Inserting an existing key returns
 // ErrDuplicate.
 func (t *Tree) Insert(tx *engine.Tx, key uint64, rid page.RID) error {
-	split, err := t.insertInto(tx, t.root, key, rid)
+	var stack [maxDepth]page.ID
+	nodes, leaf, err := t.path(tx, key, false, stack[:0])
 	if err != nil {
 		return err
 	}
-	if split == nil {
-		return nil
+	split, err := t.insertIntoLeaf(tx, leaf, key, rid)
+	if err != nil || split == nil {
+		return err
 	}
-	// The root split.  Keep the root page in place: move its current
-	// content to a new left sibling and turn the root into an internal
-	// node over (left, splitKey, right).
+	return t.registerSplit(tx, nodes, split)
+}
+
+// registerSplit inserts the separator of a split child into the last of
+// nodes, its parent, splitting that in turn as needed, up to the root.
+func (t *Tree) registerSplit(tx *engine.Tx, nodes []page.ID, split *splitResult) error {
+	for i := len(nodes) - 1; i >= 0; i-- {
+		var err error
+		if split, err = t.insertIntoInner(tx, nodes[i], split); err != nil || split == nil {
+			return err
+		}
+	}
+	return t.splitRoot(tx, split)
+}
+
+// splitRoot keeps the root page in place: it moves the root's content to a
+// new left sibling of split.right and turns the root into an internal node
+// over (left, split.key, split.right), one level higher.
+func (t *Tree) splitRoot(tx *engine.Tx, split *splitResult) error {
 	leftID, err := tx.Alloc(page.TypeBTreeInternal)
 	if err != nil {
 		return err
@@ -256,50 +377,18 @@ func (t *Tree) Insert(tx *engine.Tx, key uint64, rid page.RID) error {
 	}); err != nil {
 		return err
 	}
+	level := 0
+	if !isLeaf(rootImage) && innerLevel(rootImage) > 0 {
+		level = innerLevel(rootImage) + 1
+	}
 	return tx.Edit(t.root, func(w *page.Writer) error {
-		initInner(w)
+		initInner(w, level)
 		setNodeCount(w, 1)
 		setInnerChild(w, 0, leftID)
 		setInnerKey(w, 0, split.key)
 		setInnerChild(w, 1, split.right)
 		return nil
 	})
-}
-
-// splitResult describes a child split that must be registered in the parent.
-type splitResult struct {
-	key   uint64
-	right page.ID
-}
-
-func (t *Tree) insertInto(tx *engine.Tx, id page.ID, key uint64, rid page.RID) (*splitResult, error) {
-	var (
-		isLeaf bool
-		child  page.ID
-	)
-	if err := tx.Read(id, func(buf page.Buf) error {
-		if buf.Type() == page.TypeBTreeLeaf {
-			isLeaf = true
-			return nil
-		}
-		child = childFor(buf, key)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	if isLeaf {
-		return t.insertIntoLeaf(tx, id, key, rid)
-	}
-
-	childSplit, err := t.insertInto(tx, child, key, rid)
-	if err != nil {
-		return nil, err
-	}
-	if childSplit == nil {
-		return nil, nil
-	}
-	return t.insertIntoInner(tx, id, childSplit)
 }
 
 func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RID) (*splitResult, error) {
@@ -309,7 +398,7 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 	)
 	err := tx.Edit(id, func(w *page.Writer) error {
 		buf := w.Page()
-		pos, found := leafSearch(buf, key)
+		pos, found := search(buf, key)
 		if found {
 			return fmt.Errorf("%w: %d in %s", ErrDuplicate, key, t.name)
 		}
@@ -397,10 +486,11 @@ func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RI
 
 func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*splitResult, error) {
 	var needSplit, atEnd bool
+	var level int
 	err := tx.Edit(id, func(w *page.Writer) error {
 		buf := w.Page()
 		if n := nodeCount(buf); n >= MaxInnerEntries {
-			needSplit, atEnd = true, split.key > innerKey(buf, n-1)
+			needSplit, atEnd, level = true, split.key > innerKey(buf, n-1), innerLevel(buf)
 			return nil
 		}
 		insertInnerEntry(w, split.key, split.right)
@@ -421,7 +511,7 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 		// The new child sorts after every key of the full node: leave the
 		// node whole and give the right node no keys and that one child.
 		if err := tx.Edit(rightID, func(w *page.Writer) error {
-			initInner(w)
+			initInner(w, level)
 			setInnerChild(w, 0, split.right)
 			return nil
 		}); err != nil {
@@ -443,7 +533,7 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 	upKey := innerKey(image, mid)
 
 	if err := tx.Edit(rightID, func(w *page.Writer) error {
-		initInner(w)
+		initInner(w, level)
 		// Children mid+1 to n and the keys between them, which alternate
 		// in the node, become the right node's.
 		rightCount := n - mid - 1
@@ -500,7 +590,7 @@ func (t *Tree) Delete(tx *engine.Tx, key uint64) error {
 	}
 	return tx.Edit(leaf, func(w *page.Writer) error {
 		buf := w.Page()
-		pos, found := leafSearch(buf, key)
+		pos, found := search(buf, key)
 		if !found {
 			return fmt.Errorf("%w: %d in %s", ErrNotFound, key, t.name)
 		}
@@ -509,30 +599,6 @@ func (t *Tree) Delete(tx *engine.Tx, key uint64) error {
 		setNodeCount(w, n-1)
 		return nil
 	})
-}
-
-func (t *Tree) findLeaf(tx *engine.Tx, key uint64) (page.ID, error) {
-	id := t.root
-	for {
-		var (
-			isLeaf bool
-			next   page.ID
-		)
-		if err := tx.Read(id, func(buf page.Buf) error {
-			if buf.Type() == page.TypeBTreeLeaf {
-				isLeaf = true
-				return nil
-			}
-			next = childFor(buf, key)
-			return nil
-		}); err != nil {
-			return page.InvalidID, err
-		}
-		if isLeaf {
-			return id, nil
-		}
-		id = next
-	}
 }
 
 // --- range scan -------------------------------------------------------------
@@ -546,35 +612,39 @@ func (t *Tree) Scan(tx *engine.Tx, lo, hi uint64, fn func(key uint64, rid page.R
 	if err != nil {
 		return err
 	}
+	return scan(tx, leaf, lo, hi, func(buf page.Buf, i int, key uint64) error {
+		return fn(key, leafRID(buf, i))
+	})
+}
+
+// scan visits the entries of keys in [lo, hi] in ascending order, from
+// leaf on along the next links, passing fn the leaf, the entry's position
+// and its key.
+func scan(tx *engine.Tx, leaf page.ID, lo, hi uint64, fn func(buf page.Buf, i int, key uint64) error) error {
 	for leaf != page.InvalidID {
-		var next page.ID
 		stop := false
 		err := tx.Read(leaf, func(buf page.Buf) error {
-			start, _ := leafSearch(buf, lo)
-			n := nodeCount(buf)
+			start, _ := search(buf, lo)
+			rec, n := buf.Type() == page.TypeRecordLeaf, entries(buf)
 			for i := start; i < n; i++ {
-				k := leafKey(buf, i)
+				k := keyAt(buf, rec, i)
 				if k > hi {
 					stop = true
 					return nil
 				}
-				if err := fn(k, leafRID(buf, i)); err != nil {
+				if err := fn(buf, i, k); err != nil {
 					return err
 				}
 			}
-			next = leafNext(buf)
+			leaf = next(buf)
 			return nil
 		})
 		if errors.Is(err, ErrStopScan) {
 			return nil
 		}
-		if err != nil {
+		if err != nil || stop {
 			return err
 		}
-		if stop {
-			return nil
-		}
-		leaf = next
 	}
 	return nil
 }
@@ -586,12 +656,12 @@ func (t *Tree) Height(tx *engine.Tx) (int, error) {
 	id := t.root
 	for {
 		var (
-			isLeaf bool
-			next   page.ID
+			leaf bool
+			next page.ID
 		)
 		if err := tx.Read(id, func(buf page.Buf) error {
-			if buf.Type() == page.TypeBTreeLeaf {
-				isLeaf = true
+			if isLeaf(buf) {
+				leaf = true
 				return nil
 			}
 			next = innerChild(buf, 0)
@@ -599,7 +669,7 @@ func (t *Tree) Height(tx *engine.Tx) (int, error) {
 		}); err != nil {
 			return 0, err
 		}
-		if isLeaf {
+		if leaf {
 			return h, nil
 		}
 		h++

@@ -282,96 +282,18 @@ func TestTreeSurvivesCrashRecovery(t *testing.T) {
 	defer db2.Close()
 	tx2, _ := db2.Begin()
 	shape := checkModel(t, tx2, Attach("pk", tree.Root()), keys)
-	if len(shape.levels) != 3 {
-		t.Fatalf("after recovery the tree has %d levels, want 3", len(shape.levels))
+	if len(shape.Levels) != 3 {
+		t.Fatalf("after recovery the tree has %d levels, want 3", len(shape.Levels))
 	}
 	tx2.Commit()
 }
 
-// treeShape is what checkTree found: the leaves left to right and, for each
-// level from the root down to the leaves, the key count of every node left
-// to right.
-type treeShape struct {
-	leaves []page.ID
-	levels [][]int
-}
-
-// checkTree walks the whole tree.  It fails t unless the keys of every node
-// are ascending and lie within the bounds its parent's separators give it,
-// every leaf is at the same depth, and the leaves' next links visit them
-// left to right.
-func checkTree(t *testing.T, tx *engine.Tx, tree *Tree) treeShape {
+// checkTree fails t unless the tree passes Check.
+func checkTree(t *testing.T, tx *engine.Tx, tree *Tree) Shape {
 	t.Helper()
-	var s treeShape
-	var visit func(id page.ID, depth int, lo, hi uint64)
-	visit = func(id page.ID, depth int, lo, hi uint64) {
-		var (
-			isLeaf   bool
-			keys     []uint64
-			children []page.ID
-		)
-		if err := tx.Read(id, func(buf page.Buf) error {
-			isLeaf = buf.Type() == page.TypeBTreeLeaf
-			n := nodeCount(buf)
-			for i := 0; i < n; i++ {
-				if isLeaf {
-					keys = append(keys, leafKey(buf, i))
-				} else {
-					keys = append(keys, innerKey(buf, i))
-					children = append(children, innerChild(buf, i))
-				}
-			}
-			if !isLeaf {
-				children = append(children, innerChild(buf, n))
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range keys {
-			if k < lo || k >= hi || i > 0 && k <= keys[i-1] {
-				t.Fatalf("node %d at depth %d: key %d is %d, not ascending within [%d, %d)", id, depth, i, k, lo, hi)
-			}
-		}
-		// The first leaf the walk meets is the leftmost; it sets the depth.
-		if leafDepth := len(s.levels) - 1; len(s.leaves) > 0 && isLeaf != (depth == leafDepth) {
-			t.Fatalf("node %d at depth %d: leaf %v, but the leaves are at depth %d", id, depth, isLeaf, leafDepth)
-		}
-		if len(s.levels) == depth {
-			s.levels = append(s.levels, nil)
-		}
-		s.levels[depth] = append(s.levels[depth], len(keys))
-		if isLeaf {
-			s.leaves = append(s.leaves, id)
-			return
-		}
-		for i, child := range children {
-			clo, chi := lo, hi
-			if i > 0 {
-				clo = keys[i-1]
-			}
-			if i < len(keys) {
-				chi = keys[i]
-			}
-			visit(child, depth+1, clo, chi)
-		}
-	}
-	visit(tree.Root(), 0, 0, math.MaxUint64)
-
-	id := s.leaves[0]
-	for i, leaf := range s.leaves {
-		if id != leaf {
-			t.Fatalf("leaf %d of %d is %d, but the next links reach %d", i, len(s.leaves), leaf, id)
-		}
-		if err := tx.Read(id, func(buf page.Buf) error {
-			id = leafNext(buf)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if id != page.InvalidID {
-		t.Fatalf("the last leaf links to %d", id)
+	s, err := tree.Check(tx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s
 }
@@ -379,7 +301,7 @@ func checkTree(t *testing.T, tx *engine.Tx, tree *Tree) treeShape {
 // checkModel fails t unless the tree holds exactly the ascending keys of
 // model, each under ridFor(key), in its structure (checkTree), its full
 // scan and Get.
-func checkModel(t *testing.T, tx *engine.Tx, tree *Tree, model []uint64) treeShape {
+func checkModel(t *testing.T, tx *engine.Tx, tree *Tree, model []uint64) Shape {
 	t.Helper()
 	s := checkTree(t, tx, tree)
 	checkScan(t, tx, tree, 0, math.MaxUint64-1, model)
@@ -525,8 +447,8 @@ func TestTreeMatchesModel(t *testing.T) {
 				checkScan(t, tx, tree, k, k, want)
 				if step%script.fullEvery == 0 || step == script.steps {
 					s := checkModel(t, tx, tree, slices.Sorted(maps.Keys(at)))
-					if step == script.steps && script.steps > deepAscending && len(s.levels) < 3 {
-						t.Fatalf("%d steps left %d levels, want 3 (an internal split)", step, len(s.levels))
+					if step == script.steps && script.steps > deepAscending && len(s.Levels) < 3 {
+						t.Fatalf("%d steps left %d levels, want 3 (an internal split)", step, len(s.Levels))
 					}
 				}
 				if step%256 == 0 {
@@ -556,15 +478,15 @@ func TestAscendingLoadFillsPages(t *testing.T) {
 	defer tx.Commit()
 	s := checkModel(t, tx, tree, keys)
 
-	if want := (deepAscending + MaxLeafEntries - 1) / MaxLeafEntries; len(s.leaves) != want {
-		t.Fatalf("%d ascending keys take %d leaves, want %d", deepAscending, len(s.leaves), want)
+	if want := (deepAscending + MaxLeafEntries - 1) / MaxLeafEntries; len(s.Leaves) != want {
+		t.Fatalf("%d ascending keys take %d leaves, want %d", deepAscending, len(s.Leaves), want)
 	}
-	if len(s.levels) != 3 {
-		t.Fatalf("the tree has %d levels, want 3 (an internal split)", len(s.levels))
+	if len(s.Levels) != 3 {
+		t.Fatalf("the tree has %d levels, want 3 (an internal split)", len(s.Levels))
 	}
-	for depth, counts := range s.levels {
+	for depth, counts := range s.Levels {
 		full := MaxInnerEntries
-		if depth == len(s.levels)-1 {
+		if depth == len(s.Levels)-1 {
 			full = MaxLeafEntries
 		}
 		for i, n := range counts[:len(counts)-1] {
@@ -582,8 +504,8 @@ func TestNodeCapacityConstants(t *testing.T) {
 	if leafHeader+MaxLeafEntries*leafEntrySize > page.PayloadSize {
 		t.Fatal("leaf layout overflows the page payload")
 	}
-	if innerHeader+8+MaxInnerEntries*innerEntrySize > page.PayloadSize {
-		t.Fatal("inner layout overflows the page payload")
+	if page.HeaderSize+innerHeader+8+MaxInnerEntries*innerEntrySize > levelOff {
+		t.Fatal("inner layout reaches the level mark")
 	}
 }
 

@@ -191,6 +191,21 @@ func (tx *Tx) Read(id page.ID, fn func(buf page.Buf) error) error {
 	return fn(buf)
 }
 
+// Peek reads the page as Read does, but a shared lock it takes is released
+// when fn returns: the page may change as soon as Peek has returned, and a
+// caller must check what it learned from it against the pages it locks
+// afterwards.  A lock the transaction held before the call is kept.  The
+// descent through a record tree's internal nodes uses it (btree), so a
+// transaction waiting for a leaf holds no lock on the leaf's parent, which
+// the leaf's writer may need to split it.
+func (tx *Tx) Peek(id page.ID, fn func(buf page.Buf) error) error {
+	if tx.locks == nil || tx.locks.Holds(id) {
+		return tx.Read(id, fn)
+	}
+	defer tx.locks.Release(id)
+	return tx.Read(id, fn)
+}
+
 // Modify pins the page, lets fn change it in place, and logs what changed
 // as one update record, as Edit does.  fn may write anywhere in the page,
 // so the whole page is saved and compared; the storage layers use Edit,

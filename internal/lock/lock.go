@@ -417,6 +417,31 @@ func (t *Txn) Acquire(ctx context.Context, id page.ID, mode Mode) (time.Duration
 	return waited, err
 }
 
+// Holds reports whether the transaction holds a lock on page id.
+func (t *Txn) Holds(id page.ID) bool {
+	_, ok := t.held.find(id)
+	return ok
+}
+
+// Release drops the transaction's lock on page id before the transaction
+// ends, and wakes whoever that makes eligible.  It is for locks that guard
+// no data the transaction depends on past the call that took them: a
+// released lock is two-phase locking given up for that page.
+func (t *Txn) Release(id page.ID) {
+	m := t.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, ok := t.held.find(id)
+	if !ok {
+		return
+	}
+	e := t.held.slots[i].e
+	t.held.remove(id)
+	j := slices.IndexFunc(e.holders, func(h holder) bool { return h.tx == t })
+	e.holders = slices.Delete(e.holders, j, j+1)
+	m.promoteLocked(id, e)
+}
+
 // ReleaseAll releases every lock the transaction holds and retires its
 // state; t must not be used afterwards.
 func (t *Txn) ReleaseAll() {

@@ -98,6 +98,34 @@ func TestExclusiveBlocksAndHandsOver(t *testing.T) {
 	}
 }
 
+// TestReleaseHandsOverEarly: a shared lock released before its
+// transaction ends lets the writer queued behind it in at once, while the
+// transaction keeps its other locks.
+func TestReleaseHandsOverEarly(t *testing.T) {
+	m := New()
+	t1 := m.Begin(1)
+	mustAcquire(t, m, 1, 10, Shared)
+	mustAcquire(t, m, 1, 11, Shared)
+	got := make(chan error, 1)
+	go func() { got <- m.Acquire(ctxb(), 2, 10, Exclusive) }()
+	for m.Stats().Waits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if !t1.Holds(10) {
+		t.Fatal("Holds(10) = false before the release")
+	}
+	t1.Release(10)
+	if err := <-got; err != nil {
+		t.Fatalf("X acquire behind the released lock: %v", err)
+	}
+	if t1.Holds(10) || !t1.Holds(11) || held(m, 1) != 1 {
+		t.Fatalf("after Release(10) tx 1 holds %d pages, page 10: %v, page 11: %v", held(m, 1), t1.Holds(10), t1.Holds(11))
+	}
+	t1.Release(10) // no longer held: nothing to do
+	m.ReleaseAll(1)
+	m.ReleaseAll(2)
+}
+
 func TestSoleHolderUpgradesInPlace(t *testing.T) {
 	m := New()
 	mustAcquire(t, m, 1, 10, Shared)

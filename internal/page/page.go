@@ -61,7 +61,7 @@ const (
 	TypeBTreeInternal
 	TypeMeta
 	TypeKVCatalog
-	TypeKVMeta
+	TypeRecordLeaf
 )
 
 // String returns a readable page type name.
@@ -81,8 +81,8 @@ func (t Type) String() string {
 		return "meta"
 	case TypeKVCatalog:
 		return "kv-catalog"
-	case TypeKVMeta:
-		return "kv-meta"
+	case TypeRecordLeaf:
+		return "record-leaf"
 	default:
 		return fmt.Sprintf("type(%d)", uint16(t))
 	}
@@ -234,8 +234,16 @@ func (b Buf) Clone() Buf {
 // The slot array grows downward from HeaderSize; cells grow upward from the
 // end of the page.  Each slot is 4 bytes: 2-byte cell offset, 2-byte cell
 // length.  Offset 0 marks a deleted slot.
+//
+// A heap page appends slots and deletes them in place.  A page whose slots
+// are kept in an order of its owner's (a B-tree record leaf) opens and
+// closes them with Writer.InsertAt and Writer.RemoveAt instead, so it has
+// no deleted slots; its cells may end before the page does, leaving the
+// bytes after them to the owner, and the space of removed cells comes back
+// with Writer.Compact.
 
-const slotSize = 4
+// SlotSize is the size of one slot.
+const SlotSize = 4
 
 // SlotCount returns the number of slots (including deleted ones).
 func (b Buf) SlotCount() int { return int(binary.LittleEndian.Uint16(b[offSlots:])) }
@@ -251,12 +259,12 @@ func (b Buf) upper() int { return int(binary.LittleEndian.Uint16(b[offUpper:])) 
 func (b Buf) setUpper(v int) { binary.LittleEndian.PutUint16(b[offUpper:], uint16(v)) }
 
 func (b Buf) slotOffsets(slot int) (cellOff, cellLen int) {
-	base := HeaderSize + slot*slotSize
+	base := HeaderSize + slot*SlotSize
 	return int(binary.LittleEndian.Uint16(b[base:])), int(binary.LittleEndian.Uint16(b[base+2:]))
 }
 
 func (b Buf) setSlot(slot, cellOff, cellLen int) {
-	base := HeaderSize + slot*slotSize
+	base := HeaderSize + slot*SlotSize
 	binary.LittleEndian.PutUint16(b[base:], uint16(cellOff))
 	binary.LittleEndian.PutUint16(b[base+2:], uint16(cellLen))
 }
@@ -264,7 +272,7 @@ func (b Buf) setSlot(slot, cellOff, cellLen int) {
 // FreeSpace returns the number of bytes available for one new record
 // (including its slot).
 func (b Buf) FreeSpace() int {
-	free := b.upper() - b.lower() - slotSize
+	free := b.upper() - b.lower() - SlotSize
 	if free < 0 {
 		return 0
 	}
@@ -283,16 +291,16 @@ func (b Buf) Insert(rec []byte) (int, error) {
 	b.setUpper(newUpper)
 	b.setSlot(slot, newUpper, len(rec))
 	b.setSlotCount(slot + 1)
-	b.setLower(b.lower() + slotSize)
+	b.setLower(b.lower() + SlotSize)
 	return slot, nil
 }
 
 // fits reports why a record of n bytes cannot be inserted, or nil if it can.
 func (b Buf) fits(n int) error {
-	if n > PayloadSize-slotSize {
+	if n > PayloadSize-SlotSize {
 		return ErrTooLarge
 	}
-	if n+slotSize > b.upper()-b.lower() {
+	if n+SlotSize > b.upper()-b.lower() {
 		return ErrPageFull
 	}
 	return nil
@@ -307,6 +315,24 @@ func (b Buf) Record(slot int) ([]byte, error) {
 		return nil, err
 	}
 	return b[off : off+length : off+length], nil
+}
+
+// Cell returns the cell of slot i of a page without deleted slots, as
+// Record does without its checks.
+func (b Buf) Cell(i int) []byte {
+	off, length := b.slotOffsets(i)
+	return b[off : off+length : off+length]
+}
+
+// CellBytes returns the bytes the cells of a page without deleted slots
+// take.
+func (b Buf) CellBytes() int {
+	n := 0
+	for i := range b.SlotCount() {
+		_, length := b.slotOffsets(i)
+		n += length
+	}
+	return n
 }
 
 // cell returns the offset and length of the record in the given slot.

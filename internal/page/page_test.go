@@ -199,13 +199,13 @@ func TestInitClearsOldContent(t *testing.T) {
 	if b.SlotCount() != 0 || b.ID() != 2 || b.Type() != TypeBTreeLeaf {
 		t.Fatalf("Init did not reset page: slots=%d id=%d type=%v", b.SlotCount(), b.ID(), b.Type())
 	}
-	if b.FreeSpace() < PayloadSize-2*slotSize {
+	if b.FreeSpace() < PayloadSize-2*SlotSize {
 		t.Fatalf("FreeSpace after Init = %d", b.FreeSpace())
 	}
 }
 
 func TestTypeString(t *testing.T) {
-	types := []Type{TypeFree, TypeSuperblock, TypeHeap, TypeBTreeLeaf, TypeBTreeInternal, TypeMeta, Type(99)}
+	types := []Type{TypeFree, TypeSuperblock, TypeHeap, TypeBTreeLeaf, TypeBTreeInternal, TypeMeta, TypeKVCatalog, TypeRecordLeaf, Type(99)}
 	seen := map[string]bool{}
 	for _, ty := range types {
 		s := ty.String()

@@ -1,6 +1,9 @@
 package page
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Writer is an editing view of one page: the engine hands one to the
 // callback of a transaction's Edit.  Every method that writes first declares
@@ -108,8 +111,8 @@ func (w *Writer) touch(lo, hi int) {
 
 // touchSlot declares the slot array entry of the given slot.
 func (w *Writer) touchSlot(slot int) {
-	base := HeaderSize + slot*slotSize
-	w.touch(base, base+slotSize)
+	base := HeaderSize + slot*SlotSize
+	w.touch(base, base+SlotSize)
 }
 
 // SetType stores the page type.
@@ -136,6 +139,80 @@ func (w *Writer) Delete(slot int) error {
 		w.touchSlot(slot)
 	}
 	return w.buf.Delete(slot)
+}
+
+// ClearSlots empties the slotted page and ends its cell area at page
+// offset end: the bytes from end on are the caller's.
+func (w *Writer) ClearSlots(end int) {
+	w.touch(offSlots, offStamp)
+	w.buf.setSlotCount(0)
+	w.buf.setLower(HeaderSize)
+	w.buf.setUpper(end)
+}
+
+// InsertAt opens slot i of a page whose slots are kept in order, moving the
+// slots from i on up by one, for a cell of n bytes, and returns the cell for
+// writing.  It returns ErrPageFull when the free space between the slots
+// and the cells is too small; Compact may make room.
+func (w *Writer) InsertAt(i, n int) ([]byte, error) {
+	b := w.buf
+	if err := b.fits(n); err != nil {
+		return nil, err
+	}
+	count := b.SlotCount()
+	w.Move(HeaderSize+(i+1)*SlotSize, HeaderSize+i*SlotSize, (count-i)*SlotSize)
+	w.touch(offSlots, offStamp)
+	w.touchSlot(i)
+	upper := b.upper() - n
+	w.touch(upper, upper+n)
+	b.setUpper(upper)
+	b.setSlot(i, upper, n)
+	b.setSlotCount(count + 1)
+	b.setLower(b.lower() + SlotSize)
+	return b[upper : upper+n : upper+n], nil
+}
+
+// RemoveAt closes slot i of a page whose slots are kept in order, moving
+// the slots above it down by one.  The cell's bytes stay where they are
+// until Compact, unless it is the lowest cell, whose space is free at once.
+func (w *Writer) RemoveAt(i int) {
+	b := w.buf
+	count := b.SlotCount()
+	off, length := b.slotOffsets(i)
+	w.Move(HeaderSize+i*SlotSize, HeaderSize+(i+1)*SlotSize, (count-i-1)*SlotSize)
+	w.touch(offSlots, offStamp)
+	if off == b.upper() {
+		b.setUpper(off + length)
+	}
+	b.setSlotCount(count - 1)
+	b.setLower(b.lower() - SlotSize)
+}
+
+// Compact moves the cells of a page without deleted slots together against
+// page offset end, keeping their order on the page, so that all its free
+// space lies between the slots and the cells.
+func (w *Writer) Compact(end int) {
+	b := w.buf
+	count := b.SlotCount()
+	type cell struct{ slot, off, n int }
+	cells := make([]cell, count)
+	for i := range cells {
+		off, n := b.slotOffsets(i)
+		cells[i] = cell{i, off, n}
+	}
+	slices.SortFunc(cells, func(x, y cell) int { return y.off - x.off })
+	w.touch(HeaderSize, HeaderSize+count*SlotSize)
+	w.touch(b.upper(), end)
+	at := end
+	for _, c := range cells {
+		at -= c.n
+		if at != c.off {
+			copy(b[at:at+c.n], b[c.off:c.off+c.n])
+			b.setSlot(c.slot, at, c.n)
+		}
+	}
+	w.touch(offSlots, offStamp)
+	b.setUpper(at)
 }
 
 // Record returns the record in the given slot for writing.  The slice's

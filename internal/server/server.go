@@ -826,14 +826,9 @@ func (s *Server) doSet(ctx context.Context, tr *trace.Trace, req *wire.Request) 
 		return err
 	}
 	defer s.adm.Release()
-	p := kv.NewPending()
-	if err := s.db.Update(ctx, func(tx *engine.Tx) error {
-		return ns.Set(tx, p, req.Key, req.Value)
-	}); err != nil {
-		return err
-	}
-	p.Apply()
-	return nil
+	return s.db.Update(ctx, func(tx *engine.Tx) error {
+		return ns.Set(tx, nil, req.Key, req.Value)
+	})
 }
 
 func (s *Server) doDel(ctx context.Context, tr *trace.Trace, req *wire.Request) error {
@@ -954,7 +949,6 @@ func (s *Server) doCommit(ctx context.Context, cs *connState, tr *trace.Trace) e
 		return err
 	}
 	defer s.adm.Release()
-	p := kv.NewPending()
 	err := s.db.Update(ctx, func(tx *engine.Tx) error {
 		for i, name := range names {
 			m := cs.batch[name]
@@ -971,7 +965,7 @@ func (s *Server) doCommit(ctx context.Context, cs *connState, tr *trace.Trace) e
 					}
 					continue
 				}
-				if err := spaces[i].Set(tx, p, k, v.val); err != nil {
+				if err := spaces[i].Set(tx, nil, k, v.val); err != nil {
 					return err
 				}
 			}
@@ -987,7 +981,6 @@ func (s *Server) doCommit(ctx context.Context, cs *connState, tr *trace.Trace) e
 		}
 		return err
 	}
-	p.Apply()
 	cs.dropBatch()
 	return nil
 }

@@ -62,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // MaxFrame bounds a frame body; larger frames are a protocol error.
@@ -188,11 +189,15 @@ type KV struct {
 }
 
 func readFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
+	_, _ = r.Discard(4) // the four bytes Peek returned: it cannot fail
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
@@ -203,16 +208,15 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return body, nil
 }
 
-func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
+// writeFrame writes a frame built with its length prefix in place: four
+// bytes of room, then the body.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -221,7 +225,7 @@ func WriteRequest(w io.Writer, req *Request) error {
 	if len(req.NS) > 255 {
 		return fmt.Errorf("wire: namespace %q too long", req.NS)
 	}
-	body := make([]byte, 0, 10+len(req.NS)+recSize(req))
+	body := make([]byte, 4, 4+10+len(req.NS)+recSize(req))
 	body = append(body, req.Op)
 	body = binary.LittleEndian.AppendUint32(body, req.Seq)
 	body = binary.LittleEndian.AppendUint32(body, req.DeadlineMS)
@@ -283,7 +287,7 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 	if len(rest) < nsLen {
 		return nil, fmt.Errorf("wire: request namespace truncated")
 	}
-	req.NS = string(rest[:nsLen])
+	req.NS = intern(rest[:nsLen])
 	rest = rest[nsLen:]
 	need := func(n int) error {
 		if len(rest) < n {
@@ -322,6 +326,29 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 	return req, nil
 }
 
+// names interns namespace names: a request's name is a string the table
+// already holds whenever the name was seen before and no other name has
+// taken its place since.  The table is bounded by its size; a name that
+// hashes to a taken entry replaces it.  Like a sync.Pool, it is a cache
+// no caller can observe: intern returns a string equal to its bytes
+// either way.
+var names [256]atomic.Pointer[string]
+
+func intern(b []byte) string {
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	e := &names[h%uint32(len(names))]
+	if p := e.Load(); p != nil && *p == string(b) {
+		return *p
+	}
+	p := new(string)
+	*p = string(b)
+	e.Store(p)
+	return *p
+}
+
 // readExtension decodes the optional trailing flags block.  It is
 // deliberately forgiving: a truncated or unrecognized extension is
 // treated as absent rather than as a protocol error, because every
@@ -344,7 +371,7 @@ func readExtension(req *Request, rest []byte) {
 
 // WriteResponse encodes and writes one response frame.
 func WriteResponse(w io.Writer, resp *Response) error {
-	body := make([]byte, 0, 5+len(resp.Body))
+	body := make([]byte, 4, 4+5+len(resp.Body))
 	body = append(body, resp.Status)
 	body = binary.LittleEndian.AppendUint32(body, resp.Seq)
 	body = append(body, resp.Body...)
