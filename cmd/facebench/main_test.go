@@ -3,7 +3,9 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,10 +25,10 @@ const golden = "testdata/paper.quick.golden"
 // can write it.
 func TestPaperTablesGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates Table 3, Figure 4 and Table 6 at the quick scale")
+		t.Skip("regenerates every numbered table and figure at the quick scale")
 	}
 	var out, errOut strings.Builder
-	if code := run([]string{"-quick", "table3", "fig4", "table6"}, &out, &errOut); code != 0 {
+	if code := run(append([]string{"-quick"}, paperExperiments...), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	checkPaperShape(t, out.String())
@@ -45,12 +47,24 @@ func TestPaperTablesGolden(t *testing.T) {
 	}
 }
 
-// checkPaperShape fails t unless the text of -quick table3 fig4 table6
-// keeps the orderings the paper reports, which hold whatever the exact
-// figures: in every column of Table 3(a) FaCE+GSC's hit ratio is at least
-// FaCE's and FaCE's at least FaCE+GR's; LC hits more often than FaCE but
-// is slower on the Samsung 470 (Figure 4); and FaCE+GSC restarts sooner than
-// HDD-only (Table 6).
+// paperExperiments is what the golden holds: every experiment that prints
+// a numbered table or figure except the static Table 1, in one run that
+// builds the database once.  The experiments the file held first come
+// first, so adding one appends to it.
+var paperExperiments = []string{"table3", "fig4", "table6", "table4", "table5", "fig5", "fig6"}
+
+// checkPaperShape fails t unless the text of the paper experiments keeps
+// the orderings the paper reports, which hold whatever the exact figures:
+//   - Table 3(a): in every column FaCE+GSC's hit ratio is at least FaCE's
+//     and FaCE's at least FaCE+GR's, and LC hits more often than FaCE;
+//   - Figure 4: on the Samsung 470 LC is slower than FaCE, and FaCE+GSC
+//     faster;
+//   - Table 4: LC saturates its flash device and FaCE+GSC does not, yet
+//     FaCE+GSC issues more flash I/Os per second;
+//   - Table 5: the first flash increment buys more than the first DRAM one;
+//   - Figure 5: FaCE+GSC gains more than LC from 4 to 8 disks;
+//   - Table 6 and Figure 6: FaCE+GSC restarts sooner than HDD-only, and in
+//     the first bucket where it serves transactions it serves more.
 func checkPaperShape(t *testing.T, text string) {
 	t.Helper()
 	hit := paperTable(t, text, "Table 3(a)")
@@ -65,6 +79,28 @@ func checkPaperShape(t *testing.T, text string) {
 		if lc, face := tpmC["lc"][col], tpmC["face"][col]; lc >= face {
 			t.Errorf("Figure 4 (Samsung 470) column %d: lc %v tpmC, not below face's %v", col, lc, face)
 		}
+		if gsc, face := tpmC["face+gsc"][col], tpmC["face"][col]; gsc <= face {
+			t.Errorf("Figure 4 (Samsung 470) column %d: face+gsc %v tpmC, not above face's %v", col, gsc, face)
+		}
+	}
+	util := paperTable(t, text, "Table 4(a)")
+	iops := paperTable(t, text, "Table 4(b)")
+	for col := range util["lc"] {
+		if lc, gsc := util["lc"][col], util["face+gsc"][col]; lc != 100 || gsc >= lc {
+			t.Errorf("Table 4(a) column %d: lc at %v%%, face+gsc at %v%%, want lc at 100%% and face+gsc below", col, lc, gsc)
+		}
+		if lc, gsc := iops["lc"][col], iops["face+gsc"][col]; gsc <= lc {
+			t.Errorf("Table 4(b) column %d: face+gsc %v IOPS, not above lc's %v", col, gsc, lc)
+		}
+	}
+	t5 := numericRows(t, text, "Table 5")
+	if dram, flash := column(t, t5, "More DRAM", 0), column(t, t5, "More Flash", 0); flash <= dram {
+		t.Errorf("Table 5 x1: More Flash %v tpmC, not above More DRAM's %v", flash, dram)
+	}
+	f5 := numericRows(t, text, "Figure 5")
+	gain := func(series string) float64 { return column(t, f5, series, 1) - column(t, f5, series, 0) }
+	if gsc, lc := gain("FaCE+GSC"), gain("LC"); gsc <= lc {
+		t.Errorf("Figure 5: FaCE+GSC gains %v tpmC from 4 to 8 disks, not more than LC's %v", gsc, lc)
 	}
 	rows := tableRows(t, text, "Table 6")
 	if len(rows) == 0 {
@@ -80,28 +116,80 @@ func checkPaperShape(t *testing.T, text string) {
 			t.Errorf("Table 6 interval %s: FaCE+GSC restart %v, not shorter than HDD-only's %v", row[0], face, hdd)
 		}
 	}
+	// Figure 6's buckets rise and fall as the caches warm, so only the
+	// first bucket in which FaCE+GSC serves transactions is compared.
+	f6 := numericRows(t, text, "Figure 6")
+	first := slices.IndexFunc(f6["FaCE+GSC"], func(v float64) bool { return v > 0 })
+	if first < 0 {
+		t.Error("Figure 6: FaCE+GSC serves no transaction after the restart")
+	} else if gsc, hdd := f6["FaCE+GSC"][first], column(t, f6, "HDD-only", first); gsc <= hdd {
+		t.Errorf("Figure 6 bucket %d: FaCE+GSC %v tpmC, not above HDD-only's %v", first, gsc, hdd)
+	}
+	at := strings.Index(text, "Restart time: ")
+	if at < 0 {
+		t.Fatal("Figure 6 states no restart times")
+	}
+	var faceRestart, hddRestart string
+	if _, err := fmt.Sscanf(text[at:], "Restart time: FaCE+GSC %s HDD-only %s", &faceRestart, &hddRestart); err != nil {
+		t.Fatalf("Figure 6 restart times: %v", err)
+	}
+	face, err1 := time.ParseDuration(strings.TrimSuffix(faceRestart, ","))
+	hdd, err2 := time.ParseDuration(hddRestart)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("Figure 6 restart times: %v %v", err1, err2)
+	}
+	if face >= hdd {
+		t.Errorf("Figure 6: FaCE+GSC restart %v, not shorter than HDD-only's %v", face, hdd)
+	}
 }
 
-// paperTable returns the numeric rows of the table titled prefix in text,
-// each series' values by column.
+// paperTable returns the numeric rows of the policy table titled prefix in
+// text, each policy's values by column.
 func paperTable(t *testing.T, text, prefix string) map[string][]float64 {
 	t.Helper()
-	table := map[string][]float64{}
-	for _, row := range tableRows(t, text, prefix) {
-		for _, f := range row[1:] {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				t.Fatalf("%s row %q: %v", prefix, row, err)
-			}
-			table[row[0]] = append(table[row[0]], v)
-		}
-	}
+	table := numericRows(t, text, prefix)
 	for _, series := range []string{"lc", "face", "face+gr", "face+gsc"} {
 		if len(table[series]) == 0 || len(table[series]) != len(table["face"]) {
 			t.Fatalf("%s: series %s has %d columns, face %d", prefix, series, len(table[series]), len(table["face"]))
 		}
 	}
 	return table
+}
+
+// numericRows returns the rows of the table titled prefix in text, each
+// row's values by column, keyed by its name: the words before its first
+// number ("More DRAM").
+func numericRows(t *testing.T, text, prefix string) map[string][]float64 {
+	t.Helper()
+	table := map[string][]float64{}
+	for _, row := range tableRows(t, text, prefix) {
+		name := 1
+		for name < len(row) {
+			if _, err := strconv.ParseFloat(row[name], 64); err == nil {
+				break
+			}
+			name++
+		}
+		key := strings.Join(row[:name], " ")
+		for _, f := range row[name:] {
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				t.Fatalf("%s row %q: %v", prefix, row, err)
+			}
+			table[key] = append(table[key], v)
+		}
+	}
+	return table
+}
+
+// column returns series' value in column col of table, failing t when
+// the table has no such value.
+func column(t *testing.T, table map[string][]float64, series string, col int) float64 {
+	t.Helper()
+	if col >= len(table[series]) {
+		t.Fatalf("series %q has %d columns, want column %d", series, len(table[series]), col)
+	}
+	return table[series][col]
 }
 
 // tableRows returns the fields of the rows of the table titled prefix in
