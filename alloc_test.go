@@ -134,14 +134,7 @@ func allocEngine(t *testing.T) *engine.DB {
 // inTx returns a call that runs fn in a transaction of its own and commits.
 func inTx(t *testing.T, db *engine.DB, fn func(tx *engine.Tx) error) func() {
 	return func() {
-		tx, err := db.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fn(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
+		if err := db.Update(context.Background(), fn); err != nil {
 			t.Fatal(err)
 		}
 	}

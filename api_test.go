@@ -259,10 +259,6 @@ func TestPublicErrorValues(t *testing.T) {
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("Alloc in View: %v, want ErrConflict", err)
 	}
-	err = db.Update(ctx, func(tx *Tx) error { return tx.Commit() })
-	if !errors.Is(err, ErrTxManaged) {
-		t.Fatalf("manual Commit: %v, want ErrTxManaged", err)
-	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if err := db.Update(cancelled, func(*Tx) error { return nil }); !errors.Is(err, context.Canceled) {

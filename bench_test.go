@@ -304,33 +304,30 @@ func BenchmarkEngineTransaction(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	tx, _ := db.Begin()
+	ctx := context.Background()
 	var ids []page.ID
-	for i := 0; i < 2048; i++ {
-		id, err := tx.Alloc(page.TypeHeap)
-		if err != nil {
-			b.Fatal(err)
+	if err := db.Update(ctx, func(tx *engine.Tx) error {
+		for i := 0; i < 2048; i++ {
+			id, err := tx.Alloc(page.TypeHeap)
+			if err != nil {
+				return err
+			}
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
-	}
-	if err := tx.Commit(); err != nil {
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx, err := db.Begin()
-		if err != nil {
-			b.Fatal(err)
-		}
 		id := ids[i%len(ids)]
-		if err := tx.Modify(id, func(buf page.Buf) error {
-			buf.Payload()[0]++
-			return nil
+		if err := db.Update(ctx, func(tx *engine.Tx) error {
+			return tx.Modify(id, func(buf page.Buf) error {
+				buf.Payload()[0]++
+				return nil
+			})
 		}); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -227,9 +227,6 @@ var (
 	// ErrConflict is returned for writes attempted inside a read-only
 	// (View) transaction.
 	ErrConflict = engine.ErrConflict
-	// ErrTxManaged is returned by manual Commit/Abort of a transaction
-	// managed by View or Update.
-	ErrTxManaged = engine.ErrTxManaged
 	// ErrDeadlock is returned by View/Update transactions chosen as
 	// deadlock victims by the page lock manager.  The transaction has been
 	// rolled back; retrying it is safe and expected.

@@ -89,11 +89,12 @@ type Options struct {
 	// forfeited.  Ignored without Dir.
 	NoFsync bool
 	// Terminals, when set (1 or more), runs every throughput experiment
-	// from this many concurrent terminal goroutines through the View/Update
-	// scheduler instead of the classic single-stream (unscheduled Begin)
-	// driver (the facebench -terminals flag); 1 gives the scheduled
-	// single-terminal baseline.  Recovery experiments keep the classic
-	// driver.  Zero preserves the paper-faithful single-stream setup.
+	// from this many concurrent terminal goroutines (RunTerminals) instead
+	// of the classic single stream (RunMany) (the facebench -terminals
+	// flag); 1 gives the single-terminal baseline of that path.  Recovery
+	// experiments keep the classic driver.  Zero preserves the
+	// paper-faithful single-stream setup.  Both paths run every
+	// transaction through the View/Update scheduler, under page locks.
 	Terminals int
 	// MLCProfile and SLCProfile are the flash devices for Figure 4(a) and
 	// 4(b).

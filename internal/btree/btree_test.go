@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"context"
 	"errors"
 	"maps"
 	"math"
@@ -30,159 +31,171 @@ func testDB(t *testing.T) *engine.DB {
 	return db
 }
 
+// update runs fn in one Update transaction and fails t unless it commits.
+func update(t *testing.T, db *engine.DB, fn func(tx *engine.Tx) error) {
+	t.Helper()
+	if err := db.Update(context.Background(), fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func ridFor(k uint64) page.RID {
 	return page.RID{Page: page.ID(k + 1000), Slot: uint16(k % 7)}
 }
 
 func TestInsertGetSmall(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tree, err := Create(tx, "pk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Name() != "pk" || tree.Root() == page.InvalidID {
-		t.Fatal("bad tree handle")
-	}
-	for k := uint64(1); k <= 50; k++ {
-		if err := tree.Insert(tx, k, ridFor(k)); err != nil {
+	update(t, db, func(tx *engine.Tx) error {
+		tree, err := Create(tx, "pk")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for k := uint64(1); k <= 50; k++ {
-		rid, found, err := tree.Get(tx, k)
-		if err != nil || !found || rid != ridFor(k) {
-			t.Fatalf("Get(%d) = %v %v %v", k, rid, found, err)
+		if tree.Name() != "pk" || tree.Root() == page.InvalidID {
+			t.Fatal("bad tree handle")
 		}
-	}
-	if _, found, _ := tree.Get(tx, 999); found {
-		t.Fatal("phantom key")
-	}
-	if err := tree.Insert(tx, 10, ridFor(10)); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("duplicate insert: %v", err)
-	}
-	h, err := tree.Height(tx)
-	if err != nil || h != 1 {
-		t.Fatalf("Height = %d, %v (want 1)", h, err)
-	}
-	tx.Commit()
+		for k := uint64(1); k <= 50; k++ {
+			if err := tree.Insert(tx, k, ridFor(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := uint64(1); k <= 50; k++ {
+			rid, found, err := tree.Get(tx, k)
+			if err != nil || !found || rid != ridFor(k) {
+				t.Fatalf("Get(%d) = %v %v %v", k, rid, found, err)
+			}
+		}
+		if _, found, _ := tree.Get(tx, 999); found {
+			t.Fatal("phantom key")
+		}
+		if err := tree.Insert(tx, 10, ridFor(10)); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("duplicate insert: %v", err)
+		}
+		h, err := tree.Height(tx)
+		if err != nil || h != 1 {
+			t.Fatalf("Height = %d, %v (want 1)", h, err)
+		}
+		return nil
+	})
 }
 
 func TestInsertManyWithSplits(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tree, _ := Create(tx, "pk")
+	var tree *Tree
 	const n = 3000 // several leaf splits and at least one root split
-	keys := rand.New(rand.NewSource(7)).Perm(n)
-	for _, k := range keys {
-		if err := tree.Insert(tx, uint64(k), ridFor(uint64(k))); err != nil {
-			t.Fatalf("Insert(%d): %v", k, err)
+	update(t, db, func(tx *engine.Tx) error {
+		tree, _ = Create(tx, "pk")
+		keys := rand.New(rand.NewSource(7)).Perm(n)
+		for _, k := range keys {
+			if err := tree.Insert(tx, uint64(k), ridFor(uint64(k))); err != nil {
+				t.Fatalf("Insert(%d): %v", k, err)
+			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+		return nil
+	})
 
-	tx2, _ := db.Begin()
-	for k := 0; k < n; k++ {
-		rid, found, err := tree.Get(tx2, uint64(k))
-		if err != nil || !found {
-			t.Fatalf("Get(%d) after splits = %v %v", k, found, err)
+	update(t, db, func(tx2 *engine.Tx) error {
+		for k := 0; k < n; k++ {
+			rid, found, err := tree.Get(tx2, uint64(k))
+			if err != nil || !found {
+				t.Fatalf("Get(%d) after splits = %v %v", k, found, err)
+			}
+			if rid != ridFor(uint64(k)) {
+				t.Fatalf("Get(%d) rid = %v", k, rid)
+			}
 		}
-		if rid != ridFor(uint64(k)) {
-			t.Fatalf("Get(%d) rid = %v", k, rid)
+		h, err := tree.Height(tx2)
+		if err != nil || h < 2 {
+			t.Fatalf("Height = %d, %v (want >= 2 after splits)", h, err)
 		}
-	}
-	h, err := tree.Height(tx2)
-	if err != nil || h < 2 {
-		t.Fatalf("Height = %d, %v (want >= 2 after splits)", h, err)
-	}
-	// The root page id must not have changed.
-	if tree.Root() != Attach("pk", tree.Root()).Root() {
-		t.Fatal("root moved")
-	}
-	tx2.Commit()
+		// The root page id must not have changed.
+		if tree.Root() != Attach("pk", tree.Root()).Root() {
+			t.Fatal("root moved")
+		}
+		return nil
+	})
 }
 
 func TestScanRange(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tree, _ := Create(tx, "pk")
-	for k := uint64(0); k < 2000; k += 2 { // even keys only
-		if err := tree.Insert(tx, k, ridFor(k)); err != nil {
+	update(t, db, func(tx *engine.Tx) error {
+		tree, _ := Create(tx, "pk")
+		for k := uint64(0); k < 2000; k += 2 { // even keys only
+			if err := tree.Insert(tx, k, ridFor(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []uint64
+		if err := tree.Scan(tx, 100, 140, func(k uint64, rid page.RID) error {
+			got = append(got, k)
+			if rid != ridFor(k) {
+				t.Fatalf("rid mismatch for %d", k)
+			}
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var got []uint64
-	if err := tree.Scan(tx, 100, 140, func(k uint64, rid page.RID) error {
-		got = append(got, k)
-		if rid != ridFor(k) {
-			t.Fatalf("rid mismatch for %d", k)
+		want := []uint64{100, 102, 104, 106, 108, 110, 112, 114, 116, 118, 120, 122, 124, 126, 128, 130, 132, 134, 136, 138, 140}
+		if len(got) != len(want) {
+			t.Fatalf("Scan returned %v", got)
+		}
+		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+			t.Fatal("scan out of order")
+		}
+		// Early stop.
+		count := 0
+		if err := tree.Scan(tx, 0, 1<<62, func(k uint64, rid page.RID) error {
+			count++
+			if count == 10 {
+				return ErrStopScan
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if count != 10 {
+			t.Fatalf("early stop visited %d", count)
+		}
+		// Empty range.
+		empty := 0
+		if err := tree.Scan(tx, 3001, 3005, func(uint64, page.RID) error { empty++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if empty != 0 {
+			t.Fatalf("empty range returned %d keys", empty)
 		}
 		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{100, 102, 104, 106, 108, 110, 112, 114, 116, 118, 120, 122, 124, 126, 128, 130, 132, 134, 136, 138, 140}
-	if len(got) != len(want) {
-		t.Fatalf("Scan returned %v", got)
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatal("scan out of order")
-	}
-	// Early stop.
-	count := 0
-	if err := tree.Scan(tx, 0, 1<<62, func(k uint64, rid page.RID) error {
-		count++
-		if count == 10 {
-			return ErrStopScan
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Fatalf("early stop visited %d", count)
-	}
-	// Empty range.
-	empty := 0
-	if err := tree.Scan(tx, 3001, 3005, func(uint64, page.RID) error { empty++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if empty != 0 {
-		t.Fatalf("empty range returned %d keys", empty)
-	}
-	tx.Commit()
+	})
 }
 
 func TestDelete(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tree, _ := Create(tx, "pk")
-	for k := uint64(0); k < 500; k++ {
-		tree.Insert(tx, k, ridFor(k))
-	}
-	for k := uint64(0); k < 500; k += 5 {
-		if err := tree.Delete(tx, k); err != nil {
-			t.Fatalf("Delete(%d): %v", k, err)
+	update(t, db, func(tx *engine.Tx) error {
+		tree, _ := Create(tx, "pk")
+		for k := uint64(0); k < 500; k++ {
+			tree.Insert(tx, k, ridFor(k))
 		}
-	}
-	for k := uint64(0); k < 500; k++ {
-		_, found, err := tree.Get(tx, k)
-		if err != nil {
-			t.Fatal(err)
+		for k := uint64(0); k < 500; k += 5 {
+			if err := tree.Delete(tx, k); err != nil {
+				t.Fatalf("Delete(%d): %v", k, err)
+			}
 		}
-		if (k%5 == 0) == found {
-			t.Fatalf("key %d found=%v after deletes", k, found)
+		for k := uint64(0); k < 500; k++ {
+			_, found, err := tree.Get(tx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (k%5 == 0) == found {
+				t.Fatalf("key %d found=%v after deletes", k, found)
+			}
 		}
-	}
-	if err := tree.Delete(tx, 5); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete: %v", err)
-	}
-	if err := tree.Delete(tx, 99999); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("delete missing: %v", err)
-	}
-	tx.Commit()
+		if err := tree.Delete(tx, 5); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("double delete: %v", err)
+		}
+		if err := tree.Delete(tx, 99999); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("delete missing: %v", err)
+		}
+		return nil
+	})
 }
 
 func TestInsertSequentialAndReverse(t *testing.T) {
@@ -191,31 +204,32 @@ func TestInsertSequentialAndReverse(t *testing.T) {
 		"ascending":  func(i, n int) uint64 { return uint64(i) },
 		"descending": func(i, n int) uint64 { return uint64(n - i) },
 	} {
-		tx, _ := db.Begin()
-		tree, _ := Create(tx, name)
-		const n = 1500
-		for i := 0; i < n; i++ {
-			if err := tree.Insert(tx, gen(i, n), ridFor(gen(i, n))); err != nil {
-				t.Fatalf("%s Insert(%d): %v", name, gen(i, n), err)
+		update(t, db, func(tx *engine.Tx) error {
+			tree, _ := Create(tx, name)
+			const n = 1500
+			for i := 0; i < n; i++ {
+				if err := tree.Insert(tx, gen(i, n), ridFor(gen(i, n))); err != nil {
+					t.Fatalf("%s Insert(%d): %v", name, gen(i, n), err)
+				}
 			}
-		}
-		// All keys present and in order via a full scan.
-		var prev uint64
-		count := 0
-		if err := tree.Scan(tx, 0, 1<<63, func(k uint64, rid page.RID) error {
-			if count > 0 && k <= prev {
-				t.Fatalf("%s scan out of order: %d after %d", name, k, prev)
+			// All keys present and in order via a full scan.
+			var prev uint64
+			count := 0
+			if err := tree.Scan(tx, 0, 1<<63, func(k uint64, rid page.RID) error {
+				if count > 0 && k <= prev {
+					t.Fatalf("%s scan out of order: %d after %d", name, k, prev)
+				}
+				prev = k
+				count++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
-			prev = k
-			count++
+			if count != n {
+				t.Fatalf("%s scan found %d keys, want %d", name, count, n)
+			}
 			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if count != n {
-			t.Fatalf("%s scan found %d keys, want %d", name, count, n)
-		}
-		tx.Commit()
+		})
 	}
 }
 
@@ -228,21 +242,16 @@ const deepAscending = (MaxInnerEntries+1)*MaxLeafEntries + 10*MaxLeafEntries + 1
 func insertAscending(t *testing.T, db *engine.DB, tree *Tree, n int) []uint64 {
 	t.Helper()
 	keys := make([]uint64, n)
-	tx, _ := db.Begin()
-	for i := range keys {
-		keys[i] = uint64(i)
-		if err := tree.Insert(tx, keys[i], ridFor(keys[i])); err != nil {
-			t.Fatalf("Insert(%d): %v", i, err)
-		}
-		if i%2048 == 2047 {
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
+	for first := 0; first < n; first += 2048 {
+		update(t, db, func(tx *engine.Tx) error {
+			for i := first; i < min(first+2048, n); i++ {
+				keys[i] = uint64(i)
+				if err := tree.Insert(tx, keys[i], ridFor(keys[i])); err != nil {
+					t.Fatalf("Insert(%d): %v", i, err)
+				}
 			}
-			tx, _ = db.Begin()
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+			return nil
+		})
 	}
 	return keys
 }
@@ -265,11 +274,11 @@ func TestTreeSurvivesCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, _ := db.Begin()
-	tree, _ := Create(tx, "pk")
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	var tree *Tree
+	update(t, db, func(tx *engine.Tx) (err error) {
+		tree, err = Create(tx, "pk")
+		return err
+	})
 	// Enough ascending keys to split leaves and the internal root.
 	keys := insertAscending(t, db, tree, deepAscending)
 	db.Crash()
@@ -280,12 +289,13 @@ func TestTreeSurvivesCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	tx2, _ := db2.Begin()
-	shape := checkModel(t, tx2, Attach("pk", tree.Root()), keys)
-	if len(shape.Levels) != 3 {
-		t.Fatalf("after recovery the tree has %d levels, want 3", len(shape.Levels))
-	}
-	tx2.Commit()
+	update(t, db2, func(tx2 *engine.Tx) error {
+		shape := checkModel(t, tx2, Attach("pk", tree.Root()), keys)
+		if len(shape.Levels) != 3 {
+			t.Fatalf("after recovery the tree has %d levels, want 3", len(shape.Levels))
+		}
+		return nil
+	})
 }
 
 // checkTree fails t unless the tree passes Check.
@@ -396,69 +406,68 @@ func TestTreeMatchesModel(t *testing.T) {
 			db := testDB(t)
 			rng := rand.New(rand.NewSource(script.seed))
 			keys := script.keys()
-			tx, _ := db.Begin()
-			tree, err := Create(tx, script.name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var tree *Tree
+			update(t, db, func(tx *engine.Tx) (err error) {
+				tree, err = Create(tx, script.name)
+				return err
+			})
 			// live holds the keys in the tree in no order; at[k] is k's
 			// position in it.
 			var live []uint64
 			at := map[uint64]int{}
-			for step := 1; step <= script.steps; step++ {
-				var k uint64
-				if len(live) > 0 && rng.Intn(100) < script.deletes {
-					i := rng.Intn(len(live))
-					k = live[i]
-					if err := tree.Delete(tx, k); err != nil {
-						t.Fatalf("step %d: Delete(%d): %v", step, k, err)
-					}
-					last := live[len(live)-1]
-					live[i], at[last] = last, i
-					live = live[:len(live)-1]
-					delete(at, k)
-					if err := tree.Delete(tx, k); !errors.Is(err, ErrNotFound) {
-						t.Fatalf("step %d: second Delete(%d): %v", step, k, err)
-					}
-				} else {
-					k = keys(rng)
-					_, present := at[k]
-					err := tree.Insert(tx, k, ridFor(k))
-					if present {
-						if !errors.Is(err, ErrDuplicate) {
-							t.Fatalf("step %d: Insert(%d) of a present key: %v", step, k, err)
+			// 256 steps to a transaction.
+			for first := 1; first <= script.steps; first += 256 {
+				update(t, db, func(tx *engine.Tx) error {
+					for step := first; step <= min(first+255, script.steps); step++ {
+						var k uint64
+						if len(live) > 0 && rng.Intn(100) < script.deletes {
+							i := rng.Intn(len(live))
+							k = live[i]
+							if err := tree.Delete(tx, k); err != nil {
+								t.Fatalf("step %d: Delete(%d): %v", step, k, err)
+							}
+							last := live[len(live)-1]
+							live[i], at[last] = last, i
+							live = live[:len(live)-1]
+							delete(at, k)
+							if err := tree.Delete(tx, k); !errors.Is(err, ErrNotFound) {
+								t.Fatalf("step %d: second Delete(%d): %v", step, k, err)
+							}
+						} else {
+							k = keys(rng)
+							_, present := at[k]
+							err := tree.Insert(tx, k, ridFor(k))
+							if present {
+								if !errors.Is(err, ErrDuplicate) {
+									t.Fatalf("step %d: Insert(%d) of a present key: %v", step, k, err)
+								}
+							} else {
+								if err != nil {
+									t.Fatalf("step %d: Insert(%d): %v", step, k, err)
+								}
+								at[k] = len(live)
+								live = append(live, k)
+							}
 						}
-					} else {
-						if err != nil {
-							t.Fatalf("step %d: Insert(%d): %v", step, k, err)
-						}
-						at[k] = len(live)
-						live = append(live, k)
-					}
-				}
 
-				var want []uint64
-				if _, present := at[k]; present {
-					want = []uint64{k}
-				}
-				if rid, ok, err := tree.Get(tx, k); err != nil || ok != (want != nil) || ok && rid != ridFor(k) {
-					t.Fatalf("step %d: Get(%d) = %v %v %v, want present=%v", step, k, rid, ok, err, want != nil)
-				}
-				checkScan(t, tx, tree, k, k, want)
-				if step%script.fullEvery == 0 || step == script.steps {
-					s := checkModel(t, tx, tree, slices.Sorted(maps.Keys(at)))
-					if step == script.steps && script.steps > deepAscending && len(s.Levels) < 3 {
-						t.Fatalf("%d steps left %d levels, want 3 (an internal split)", step, len(s.Levels))
+						var want []uint64
+						if _, present := at[k]; present {
+							want = []uint64{k}
+						}
+						if rid, ok, err := tree.Get(tx, k); err != nil || ok != (want != nil) || ok && rid != ridFor(k) {
+							t.Fatalf("step %d: Get(%d) = %v %v %v, want present=%v", step, k, rid, ok, err, want != nil)
+						}
+						checkScan(t, tx, tree, k, k, want)
+						if step%script.fullEvery == 0 || step == script.steps {
+							s := checkModel(t, tx, tree, slices.Sorted(maps.Keys(at)))
+							if step == script.steps && script.steps > deepAscending && len(s.Levels) < 3 {
+								t.Fatalf("%d steps left %d levels, want 3 (an internal split)", step, len(s.Levels))
+							}
+						}
 					}
-				}
-				if step%256 == 0 {
-					if err := tx.Commit(); err != nil {
-						t.Fatal(err)
-					}
-					tx, _ = db.Begin()
-				}
+					return nil
+				})
 			}
-			tx.Commit()
 		})
 	}
 }
@@ -468,15 +477,17 @@ func TestTreeMatchesModel(t *testing.T) {
 // ceil(n/MaxLeafEntries) leaves.
 func TestAscendingLoadFillsPages(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tree, _ := Create(tx, "pk")
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	var tree *Tree
+	update(t, db, func(tx *engine.Tx) (err error) {
+		tree, err = Create(tx, "pk")
+		return err
+	})
 	keys := insertAscending(t, db, tree, deepAscending)
-	tx, _ = db.Begin()
-	defer tx.Commit()
-	s := checkModel(t, tx, tree, keys)
+	var s Shape
+	update(t, db, func(tx *engine.Tx) error {
+		s = checkModel(t, tx, tree, keys)
+		return nil
+	})
 
 	if want := (deepAscending + MaxLeafEntries - 1) / MaxLeafEntries; len(s.Leaves) != want {
 		t.Fatalf("%d ascending keys take %d leaves, want %d", deepAscending, len(s.Leaves), want)
@@ -514,10 +525,15 @@ func TestNodeCapacityConstants(t *testing.T) {
 // tree declares with Tx.Move — committed, aborted, and left unfinished by a
 // crash, agree with a map before and after restart recovery.
 func TestLeafEdgesAgainstMap(t *testing.T) {
+	devs := []*device.Device{
+		device.New("data", device.ProfileCheetah15K, 16384),
+		device.New("log", device.ProfileCheetah15K, 32768),
+		device.New("flash", device.ProfileSamsung470, 4096),
+	}
 	cfg := engine.Config{
-		DataDev:        device.New("data", device.ProfileCheetah15K, 16384),
-		LogDev:         device.New("log", device.ProfileCheetah15K, 32768),
-		FlashDev:       device.New("flash", device.ProfileSamsung470, 4096),
+		DataDev:        devs[0],
+		LogDev:         devs[1],
+		FlashDev:       devs[2],
 		BufferPages:    8, // small, so pages cross the flash cache mid-test
 		Policy:         engine.PolicyFaCEGSC,
 		FlashFrames:    512,
@@ -544,54 +560,57 @@ func TestLeafEdgesAgainstMap(t *testing.T) {
 		return keys
 	}
 	var cases []*tcase
-	tx, _ := db.Begin()
-	for _, fill := range []int{MaxLeafEntries - 1, MaxLeafEntries} {
-		for range 6 {
-			tree, err := Create(tx, "edge")
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &tcase{tree: tree, keys: map[uint64]page.RID{}}
-			for i := 1; i <= fill; i++ {
-				k := uint64(10 * i)
-				if err := tree.Insert(tx, k, ridFor(k)); err != nil {
+	update(t, db, func(tx *engine.Tx) error {
+		for _, fill := range []int{MaxLeafEntries - 1, MaxLeafEntries} {
+			for range 6 {
+				tree, err := Create(tx, "edge")
+				if err != nil {
 					t.Fatal(err)
 				}
-				c.keys[k] = ridFor(k)
+				c := &tcase{tree: tree, keys: map[uint64]page.RID{}}
+				for i := 1; i <= fill; i++ {
+					k := uint64(10 * i)
+					if err := tree.Insert(tx, k, ridFor(k)); err != nil {
+						t.Fatal(err)
+					}
+					c.keys[k] = ridFor(k)
+				}
+				cases = append(cases, c)
 			}
-			cases = append(cases, c)
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+		return nil
+	})
 
 	// agree checks a tree against its map: the scan in order, and Get.
 	agree := func(db *engine.DB, c *tcase, when string) {
 		t.Helper()
-		tx, _ := db.Begin()
-		defer tx.Commit()
-		var got []uint64
-		if err := c.tree.Scan(tx, 0, 1<<62, func(k uint64, rid page.RID) error {
-			if rid != c.keys[k] {
-				t.Fatalf("%s: key %d has rid %v, want %v", when, k, rid, c.keys[k])
+		err := db.View(context.Background(), func(tx *engine.Tx) error {
+			var got []uint64
+			if err := c.tree.Scan(tx, 0, 1<<62, func(k uint64, rid page.RID) error {
+				if rid != c.keys[k] {
+					t.Fatalf("%s: key %d has rid %v, want %v", when, k, rid, c.keys[k])
+				}
+				got = append(got, k)
+				return nil
+			}); err != nil {
+				return err
 			}
-			got = append(got, k)
+			want := sortedKeys(c)
+			if len(got) != len(want) {
+				t.Fatalf("%s: scan found %d keys, want %d", when, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: key %d of the scan is %d, want %d", when, i, got[i], want[i])
+				}
+				if rid, ok, err := c.tree.Get(tx, got[i]); err != nil || !ok || rid != c.keys[got[i]] {
+					t.Fatalf("%s: Get(%d) = %v %v %v", when, got[i], rid, ok, err)
+				}
+			}
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
-		}
-		want := sortedKeys(c)
-		if len(got) != len(want) {
-			t.Fatalf("%s: scan found %d keys, want %d", when, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: key %d of the scan is %d, want %d", when, i, got[i], want[i])
-			}
-			if rid, ok, err := c.tree.Get(tx, got[i]); err != nil || !ok || rid != c.keys[got[i]] {
-				t.Fatalf("%s: Get(%d) = %v %v %v", when, got[i], rid, ok, err)
-			}
 		}
 	}
 
@@ -625,32 +644,50 @@ func TestLeafEdgesAgainstMap(t *testing.T) {
 	}
 
 	// Each case's operation once aborted, then committed.
+	errRollback := errors.New("roll back")
 	for i, c := range cases {
 		for _, commit := range []bool{false, true} {
-			tx, _ := db.Begin()
-			op(tx, c, i, 1, commit)
-			if commit {
-				err = tx.Commit()
-			} else {
-				err = tx.Abort()
-			}
-			if err != nil {
+			err := db.Update(context.Background(), func(tx *engine.Tx) error {
+				op(tx, c, i, 1, commit)
+				if !commit {
+					return errRollback
+				}
+				return nil
+			})
+			if err != nil && (commit || !errors.Is(err, errRollback)) {
 				t.Fatal(err)
 			}
 			agree(db, c, "after the transaction")
 		}
 	}
 
-	// A loser: the same operations again, forced to the log, then a crash.
-	loser, _ := db.Begin()
-	for i, c := range cases {
-		op(loser, c, i, 2, false)
-	}
-	if err := db.Log().ForceAll(); err != nil {
-		t.Fatal(err)
+	// A loser: the same operations again, forced to the log.  The crash
+	// comes while it is still open: the devices' contents then are the
+	// image a restart finds.
+	errCrash := errors.New("crash image taken")
+	image := make([][][]byte, len(devs))
+	err = db.Update(context.Background(), func(loser *engine.Tx) error {
+		for i, c := range cases {
+			op(loser, c, i, 2, false)
+		}
+		if err := db.Log().ForceAll(); err != nil {
+			return err
+		}
+		for i, d := range devs {
+			image[i] = d.SnapshotContent()
+		}
+		return errCrash
+	})
+	if !errors.Is(err, errCrash) {
+		t.Fatalf("the loser's transaction: %v", err)
 	}
 	db.Crash()
 
+	for i, d := range devs {
+		devs[i] = device.New(d.Name(), d.Profile(), d.NumBlocks())
+		devs[i].RestoreContent(image[i])
+	}
+	cfg.DataDev, cfg.LogDev, cfg.FlashDev = devs[0], devs[1], devs[2]
 	cfg.Recover = true
 	db2, err := engine.Open(cfg)
 	if err != nil {

@@ -70,12 +70,11 @@ func ParsePolicy(s string) (CachePolicy, error) {
 
 // Errors returned by the engine.
 var (
-	ErrClosed    = errors.New("engine: database is closed")
-	ErrCrashed   = errors.New("engine: database has crashed; reopen it to recover")
-	ErrNoDevice  = errors.New("engine: missing required device")
-	ErrTxDone    = errors.New("engine: transaction already finished")
-	ErrConflict  = errors.New("engine: conflicting access: write in a read-only transaction")
-	ErrTxManaged = errors.New("engine: manual Commit/Abort of a managed transaction")
+	ErrClosed   = errors.New("engine: database is closed")
+	ErrCrashed  = errors.New("engine: database has crashed; reopen it to recover")
+	ErrNoDevice = errors.New("engine: missing required device")
+	ErrTxDone   = errors.New("engine: transaction already finished")
+	ErrConflict = errors.New("engine: conflicting access: write in a read-only transaction")
 )
 
 // ErrDeadlock is returned by transactions refused by the page lock

@@ -25,10 +25,9 @@ import (
 const superblockMagic = 0xFACEDB01
 
 // DB is a transactional page store with an optional flash cache extension.
-// It is safe for concurrent use: View and Update transactions run in
-// parallel, isolated by the page-granularity two-phase lock manager
-// (sched.go).  Unscheduled transactions from Begin remain single-threaded,
-// as the benchmark harness drives them.
+// It is safe for concurrent use: every transaction is a View or Update,
+// and they run in parallel, isolated by the page-granularity two-phase
+// lock manager (sched.go).
 type DB struct {
 	// txMu is the transaction scheduler lock.  View and Update transactions
 	// hold the read side (page locks provide their mutual exclusion).

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -202,14 +203,9 @@ func arrayInsert(at, end int, rec []byte) func(page.Buf) error {
 func pageImage(t *testing.T, db *DB, id page.ID) page.Buf {
 	t.Helper()
 	var img page.Buf
-	tx, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Read(id, func(buf page.Buf) error { img = buf.Clone(); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := db.View(context.Background(), func(tx *Tx) error {
+		return tx.Read(id, func(buf page.Buf) error { img = buf.Clone(); return nil })
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// The LSN, the checksum and the cache stamp are not the transaction's.
@@ -223,7 +219,7 @@ func pageImage(t *testing.T, db *DB, id page.ID) page.Buf {
 func editLogScenario(t *testing.T, r *testRig) (*DB, []page.ID, []page.Buf) {
 	t.Helper()
 	db := r.open(t, false)
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	var ids []page.ID
 	for i := 0; i < 4; i++ {
 		id, err := tx.Alloc(page.TypeBTreeLeaf)
@@ -238,7 +234,7 @@ func editLogScenario(t *testing.T, r *testRig) (*DB, []page.ID, []page.Buf) {
 			t.Fatal(err)
 		}
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
@@ -262,7 +258,7 @@ func TestCrashRedoesWinnerUndoesLoserMultiEdit(t *testing.T) {
 		rec := []byte("0123456789abcdefgh")
 		end := 10 + 120*18
 
-		winner, _ := db.Begin()
+		winner := begin(t, db)
 		for i, at := range []int{10 + 18*7, 10 + 18*90} {
 			if err := winner.Modify(ids[0], arrayInsert(at, end+18*i, rec)); err != nil {
 				t.Fatal(err)
@@ -271,11 +267,11 @@ func TestCrashRedoesWinnerUndoesLoserMultiEdit(t *testing.T) {
 		want0 := images[0].Clone()
 		arrayInsert(10+18*7, end, rec)(want0)
 		arrayInsert(10+18*90, end+18, rec)(want0)
-		if err := winner.Commit(); err != nil {
+		if err := winner.commit(); err != nil {
 			t.Fatal(err)
 		}
 
-		loser, _ := db.Begin()
+		loser := begin(t, db)
 		for i, id := range ids[1:] {
 			for j := 0; j < 3; j++ {
 				if err := loser.Modify(id, arrayInsert(10+18*(5+11*i+j), end+18*j, rec)); err != nil {
@@ -289,7 +285,7 @@ func TestCrashRedoesWinnerUndoesLoserMultiEdit(t *testing.T) {
 		if flushLoser {
 			// A checkpoint would wait for the loser; push its pages out by
 			// reading others.
-			reader, _ := db.Begin()
+			reader := begin(t, db)
 			for i := 0; i < 2*r.cfg.BufferPages; i++ {
 				id, err := reader.Alloc(page.TypeHeap)
 				if err != nil {
@@ -328,14 +324,14 @@ func TestAbortThenCrashReplaysCompensation(t *testing.T) {
 	db, ids, images := editLogScenario(t, r)
 	rec := []byte("0123456789abcdefgh")
 
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	for j := 0; j < 3; j++ {
 		if err := tx.Modify(ids[2], arrayInsert(10+18*(40+j), 10+18*(120+j), rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mark := db.Log().Next()
-	if err := tx.Abort(); err != nil {
+	if err := tx.abort(); err != nil {
 		t.Fatal(err)
 	}
 	if got := pageImage(t, db, ids[2]); !bytes.Equal(got, images[2]) {
@@ -380,7 +376,7 @@ func TestAllocLogVolume(t *testing.T) {
 	r := newRig(t, PolicyNone)
 	db := r.open(t, false)
 	defer db.Close()
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	mark := db.Log().Next()
 	if _, err := tx.Alloc(page.TypeHeap); err != nil {
 		t.Fatal(err)
@@ -388,7 +384,7 @@ func TestAllocLogVolume(t *testing.T) {
 	if n := db.Log().Next() - mark; n > 64 {
 		t.Fatalf("Alloc logged %d bytes, want at most 64", n)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -474,7 +470,7 @@ func benchModify(b *testing.B, fn func(*Tx, page.ID) error) {
 		b.Fatal(err)
 	}
 	defer db.Crash()
-	tx, _ := db.Begin()
+	tx := begin(b, db)
 	id, err := tx.Alloc(page.TypeBTreeLeaf)
 	if err != nil {
 		b.Fatal(err)
@@ -485,19 +481,12 @@ func benchModify(b *testing.B, fn func(*Tx, page.ID) error) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		tx, err := db.Begin()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fn(tx, id); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
+		if err := db.Update(context.Background(), func(tx *Tx) error { return fn(tx, id) }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,6 +59,22 @@ func (r *testRig) open(t *testing.T, recover bool) *DB {
 }
 
 // writeValue stores a uint64 value in the payload of the page.
+// begin starts a read-write transaction outside View and Update, so a test
+// can interleave it with others or leave it open across a crash; the test
+// finishes it with commit or abort.  Its lock waits end after ten seconds,
+// so transactions of one test that lock the same page fail the test
+// instead of hanging it.
+func begin(t testing.TB, db *DB) *Tx {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	t.Cleanup(cancel)
+	tx, err := db.beginTx(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
 func writeValue(t *testing.T, tx *Tx, id page.ID, v uint64) {
 	t.Helper()
 	if err := tx.Modify(id, func(buf page.Buf) error {
@@ -149,10 +166,7 @@ func TestBasicTransactionsAcrossPolicies(t *testing.T) {
 			defer db.Close()
 
 			// Allocate pages and write values.
-			tx, err := db.Begin()
-			if err != nil {
-				t.Fatal(err)
-			}
+			tx := begin(t, db)
 			var ids []page.ID
 			for i := 0; i < 100; i++ {
 				id, err := tx.Alloc(page.TypeHeap)
@@ -162,13 +176,13 @@ func TestBasicTransactionsAcrossPolicies(t *testing.T) {
 				ids = append(ids, id)
 				writeValue(t, tx, id, uint64(i))
 			}
-			if err := tx.Commit(); err != nil {
+			if err := tx.commit(); err != nil {
 				t.Fatal(err)
 			}
 
 			// Read them back through a workload large enough to overflow
 			// the 32-page DRAM buffer, exercising the cache/disk paths.
-			tx2, _ := db.Begin()
+			tx2 := begin(t, db)
 			for round := 0; round < 3; round++ {
 				for i, id := range ids {
 					if got := readValue(t, tx2, id); got != uint64(i) {
@@ -176,7 +190,7 @@ func TestBasicTransactionsAcrossPolicies(t *testing.T) {
 					}
 				}
 			}
-			if err := tx2.Commit(); err != nil {
+			if err := tx2.commit(); err != nil {
 				t.Fatal(err)
 			}
 			if db.Committed() != 2 {
@@ -204,46 +218,60 @@ func TestAbortRollsBack(t *testing.T) {
 	db := r.open(t, false)
 	defer db.Close()
 
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	id, err := tx.Alloc(page.TypeHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeValue(t, tx, id, 111)
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
 
-	tx2, _ := db.Begin()
+	tx2 := begin(t, db)
 	writeValue(t, tx2, id, 222)
 	if got := readValue(t, tx2, id); got != 222 {
 		t.Fatalf("uncommitted read = %d", got)
 	}
-	if err := tx2.Abort(); err != nil {
+	if err := tx2.abort(); err != nil {
 		t.Fatal(err)
 	}
 
-	tx3, _ := db.Begin()
+	tx3 := begin(t, db)
 	if got := readValue(t, tx3, id); got != 111 {
 		t.Fatalf("value after abort = %d, want 111", got)
 	}
-	tx3.Commit()
+	tx3.commit()
 
-	// Operations on finished transactions fail.
-	if err := tx2.Commit(); !errors.Is(err, ErrTxDone) {
-		t.Fatalf("Commit after Abort: %v", err)
-	}
-	if err := tx2.Abort(); !errors.Is(err, ErrTxDone) {
-		t.Fatalf("double Abort: %v", err)
-	}
-	if err := tx2.Modify(id, func(page.Buf) error { return nil }); !errors.Is(err, ErrTxDone) {
-		t.Fatalf("Modify after Abort: %v", err)
-	}
-	if err := tx2.Read(id, func(page.Buf) error { return nil }); !errors.Is(err, ErrTxDone) {
-		t.Fatalf("Read after Abort: %v", err)
-	}
-	if _, err := tx2.Alloc(page.TypeHeap); !errors.Is(err, ErrTxDone) {
-		t.Fatalf("Alloc after Abort: %v", err)
+	// A transaction kept past its closure is finished: every operation
+	// on it fails, whether the closure committed it or rolled it back.
+	for _, fail := range []error{nil, errors.New("roll back")} {
+		var leaked *Tx
+		err := db.Update(context.Background(), func(tx *Tx) error {
+			leaked = tx
+			return fail
+		})
+		if !errors.Is(err, fail) {
+			t.Fatalf("Update returning %v: %v", fail, err)
+		}
+		if err := leaked.commit(); !errors.Is(err, ErrTxDone) {
+			t.Fatalf("commit after Update (%v): %v", fail, err)
+		}
+		if err := leaked.abort(); !errors.Is(err, ErrTxDone) {
+			t.Fatalf("abort after Update (%v): %v", fail, err)
+		}
+		if err := leaked.Modify(id, func(page.Buf) error { return nil }); !errors.Is(err, ErrTxDone) {
+			t.Fatalf("Modify after Update (%v): %v", fail, err)
+		}
+		if err := leaked.Read(id, func(page.Buf) error { return nil }); !errors.Is(err, ErrTxDone) {
+			t.Fatalf("Read after Update (%v): %v", fail, err)
+		}
+		if err := leaked.Peek(id, func(page.Buf) error { return nil }); !errors.Is(err, ErrTxDone) {
+			t.Fatalf("Peek after Update (%v): %v", fail, err)
+		}
+		if _, err := leaked.Alloc(page.TypeHeap); !errors.Is(err, ErrTxDone) {
+			t.Fatalf("Alloc after Update (%v): %v", fail, err)
+		}
 	}
 }
 
@@ -251,7 +279,7 @@ func TestModifyErrorLeavesPageUntouched(t *testing.T) {
 	r := newRig(t, PolicyNone)
 	db := r.open(t, false)
 	defer db.Close()
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	id, _ := tx.Alloc(page.TypeHeap)
 	writeValue(t, tx, id, 5)
 	boom := fmt.Errorf("boom")
@@ -265,14 +293,14 @@ func TestModifyErrorLeavesPageUntouched(t *testing.T) {
 	if got := readValue(t, tx, id); got != 5 {
 		t.Fatalf("value after failed Modify = %d, want 5", got)
 	}
-	tx.Commit()
+	tx.commit()
 }
 
 func TestModifyNoChangeWritesNoLog(t *testing.T) {
 	r := newRig(t, PolicyNone)
 	db := r.open(t, false)
 	defer db.Close()
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	id, _ := tx.Alloc(page.TypeHeap)
 	before := db.Log().Next()
 	if err := tx.Modify(id, func(buf page.Buf) error { return nil }); err != nil {
@@ -281,7 +309,7 @@ func TestModifyNoChangeWritesNoLog(t *testing.T) {
 	if db.Log().Next() != before {
 		t.Fatal("no-op Modify appended a log record")
 	}
-	tx.Commit()
+	tx.commit()
 }
 
 func crashRecoverScenario(t *testing.T, policy CachePolicy) {
@@ -289,7 +317,7 @@ func crashRecoverScenario(t *testing.T, policy CachePolicy) {
 	db := r.open(t, false)
 
 	// Committed state before the crash.
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	var ids []page.ID
 	for i := 0; i < 200; i++ {
 		id, err := tx.Alloc(page.TypeHeap)
@@ -299,7 +327,7 @@ func crashRecoverScenario(t *testing.T, policy CachePolicy) {
 		ids = append(ids, id)
 		writeValue(t, tx, id, uint64(i))
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
@@ -307,32 +335,32 @@ func crashRecoverScenario(t *testing.T, policy CachePolicy) {
 	}
 
 	// More committed updates after the checkpoint.
-	tx2, _ := db.Begin()
+	tx2 := begin(t, db)
 	for i := 0; i < 100; i++ {
 		writeValue(t, tx2, ids[i], uint64(i)+1000)
 	}
-	if err := tx2.Commit(); err != nil {
+	if err := tx2.commit(); err != nil {
 		t.Fatal(err)
 	}
 
 	// An uncommitted (loser) transaction.
-	tx3, _ := db.Begin()
+	tx3 := begin(t, db)
 	for i := 100; i < 150; i++ {
 		writeValue(t, tx3, ids[i], 7777)
 	}
 	// Force the loser's pages out of DRAM so some reach the persistent
 	// database before the crash.
-	tx4, _ := db.Begin()
+	tx4 := begin(t, db)
 	for i := 150; i < 200; i++ {
 		_ = readValue(t, tx4, ids[i])
 	}
-	tx4.Commit()
+	tx4.commit()
 
 	db.Crash()
 
 	// A crashed database refuses new work.
-	if _, err := db.Begin(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Begin after crash: %v", err)
+	if err := db.Update(context.Background(), func(*Tx) error { return nil }); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Update after crash: %v", err)
 	}
 
 	db2 := r.open(t, true)
@@ -345,7 +373,7 @@ func crashRecoverScenario(t *testing.T, policy CachePolicy) {
 		t.Fatal("recovery took no simulated time")
 	}
 
-	tx5, _ := db2.Begin()
+	tx5 := begin(t, db2)
 	for i := 0; i < 100; i++ {
 		if got := readValue(t, tx5, ids[i]); got != uint64(i)+1000 {
 			t.Fatalf("policy %s: committed update lost: page %d = %d, want %d", policy, ids[i], got, i+1000)
@@ -361,7 +389,7 @@ func crashRecoverScenario(t *testing.T, policy CachePolicy) {
 			t.Fatalf("policy %s: baseline value lost: page %d = %d, want %d", policy, ids[i], got, i)
 		}
 	}
-	tx5.Commit()
+	tx5.commit()
 }
 
 func TestCrashRecoveryAllPolicies(t *testing.T) {
@@ -374,20 +402,20 @@ func TestCrashRecoveryAllPolicies(t *testing.T) {
 func TestFaCERecoveryReadsMostlyFromFlash(t *testing.T) {
 	r := newRig(t, PolicyFaCEGSC)
 	db := r.open(t, false)
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	var ids []page.ID
 	for i := 0; i < 150; i++ {
 		id, _ := tx.Alloc(page.TypeHeap)
 		ids = append(ids, id)
 		writeValue(t, tx, id, uint64(i))
 	}
-	tx.Commit()
+	tx.commit()
 	db.Checkpoint()
-	tx2, _ := db.Begin()
+	tx2 := begin(t, db)
 	for i := 0; i < 150; i++ {
 		writeValue(t, tx2, ids[i], uint64(i)*3)
 	}
-	tx2.Commit()
+	tx2.commit()
 	db.Crash()
 
 	db2 := r.open(t, true)
@@ -439,26 +467,26 @@ func changedThenEvicted(t *testing.T, c restartCase, n int) (*testRig, *DB, []pa
 		r.cfg.DataDev = newVolatileDev(r.data)
 	}
 	db := r.open(t, false)
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	ids := make([]page.ID, n)
 	for i := range ids {
 		ids[i], _ = tx.Alloc(page.TypeHeap)
 		writeValue(t, tx, ids[i], 0)
 	}
-	tx.Commit()
+	tx.commit()
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	tx, _ = db.Begin()
+	tx = begin(t, db)
 	writeValue(t, tx, ids[0], 1)
-	tx.Commit()
-	tx, _ = db.Begin()
+	tx.commit()
+	tx = begin(t, db)
 	var changed page.LSN
 	tx.Read(ids[0], func(buf page.Buf) error { changed = buf.LSN(); return nil })
 	for _, id := range ids[1:min(n, 64)] {
 		readValue(t, tx, id)
 	}
-	tx.Commit()
+	tx.commit()
 	if db.pool.Contains(ids[0]) {
 		t.Fatal("changed page still in the DRAM buffer")
 	}
@@ -486,9 +514,9 @@ func TestRestartRedoesPageNewerThanItsFlashCopy(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r, db, ids := changedThenEvicted(t, c, 64)
 			id := ids[0]
-			tx, _ := db.Begin()
+			tx := begin(t, db)
 			writeValue(t, tx, id, 2)
-			tx.Commit()
+			tx.commit()
 			db.Crash()
 
 			db2 := r.open(t, true)
@@ -499,11 +527,11 @@ func TestRestartRedoesPageNewerThanItsFlashCopy(t *testing.T) {
 			if rep.RedoApplied == 0 || rep.PagesRedone != 1 || rep.PagesSkipped != 0 {
 				t.Fatalf("report %+v", rep.Report)
 			}
-			tx, _ = db2.Begin()
+			tx = begin(t, db2)
 			if got := readValue(t, tx, id); got != 2 {
 				t.Fatalf("page %d = %d after restart, want 2", id, got)
 			}
-			tx.Commit()
+			tx.commit()
 		})
 	}
 }
@@ -538,11 +566,11 @@ func TestRestartSkipsPageCurrentInFlash(t *testing.T) {
 			} else if !onDisk && (rep.PagesSkipped != 0 || reads != 1) {
 				t.Fatalf("restart read %d pages and skipped %d without a current copy it knows of, want 1 and 0", reads, rep.PagesSkipped)
 			}
-			tx, _ := db2.Begin()
+			tx := begin(t, db2)
 			if got := readValue(t, tx, id); got != 1 {
 				t.Fatalf("page %d = %d after restart, want 1", id, got)
 			}
-			tx.Commit()
+			tx.commit()
 		})
 	}
 }
@@ -551,20 +579,20 @@ func TestHDDOnlyRecoverySlowerThanFaCE(t *testing.T) {
 	run := func(policy CachePolicy) time.Duration {
 		r := newRig(t, policy)
 		db := r.open(t, false)
-		tx, _ := db.Begin()
+		tx := begin(t, db)
 		var ids []page.ID
 		for i := 0; i < 200; i++ {
 			id, _ := tx.Alloc(page.TypeHeap)
 			ids = append(ids, id)
 			writeValue(t, tx, id, uint64(i))
 		}
-		tx.Commit()
+		tx.commit()
 		db.Checkpoint()
-		tx2, _ := db.Begin()
+		tx2 := begin(t, db)
 		for i := 0; i < 200; i++ {
 			writeValue(t, tx2, ids[i], uint64(i)+5)
 		}
-		tx2.Commit()
+		tx2.commit()
 		db.Crash()
 		db2 := r.open(t, true)
 		defer db2.Close()
@@ -583,20 +611,20 @@ func TestPeriodicCheckpointViaTick(t *testing.T) {
 	db := r.open(t, false)
 	defer db.Close()
 
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	var ids []page.ID
 	for i := 0; i < 50; i++ {
 		id, _ := tx.Alloc(page.TypeHeap)
 		ids = append(ids, id)
 	}
-	tx.Commit()
+	tx.commit()
 
 	for round := 0; round < 60; round++ {
-		tx, _ := db.Begin()
+		tx := begin(t, db)
 		for _, id := range ids {
 			writeValue(t, tx, id, uint64(round))
 		}
-		tx.Commit()
+		tx.commit()
 		if err := db.Tick(); err != nil {
 			t.Fatal(err)
 		}
@@ -613,17 +641,17 @@ func TestSnapshotDeltas(t *testing.T) {
 	r := newRig(t, PolicyFaCE)
 	db := r.open(t, false)
 	defer db.Close()
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	id, _ := tx.Alloc(page.TypeHeap)
 	writeValue(t, tx, id, 1)
-	tx.Commit()
+	tx.commit()
 
 	before := db.Snapshot()
-	tx2, _ := db.Begin()
+	tx2 := begin(t, db)
 	for i := 0; i < 10; i++ {
 		writeValue(t, tx2, id, uint64(i))
 	}
-	tx2.Commit()
+	tx2.commit()
 	after := db.Snapshot()
 
 	if after.Committed-before.Committed != 1 {
@@ -640,20 +668,20 @@ func TestSnapshotDeltas(t *testing.T) {
 func TestCloseMakesDataDeviceSelfContained(t *testing.T) {
 	r := newRig(t, PolicyFaCEGSC)
 	db := r.open(t, false)
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	var ids []page.ID
 	for i := 0; i < 300; i++ {
 		id, _ := tx.Alloc(page.TypeHeap)
 		ids = append(ids, id)
 		writeValue(t, tx, id, uint64(i)*7)
 	}
-	tx.Commit()
+	tx.commit()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Begin after close fails.
-	if _, err := db.Begin(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Begin after Close: %v", err)
+	// Update after close fails.
+	if err := db.Update(context.Background(), func(*Tx) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Update after Close: %v", err)
 	}
 	// Closing twice is fine.
 	if err := db.Close(); err != nil {
@@ -671,13 +699,13 @@ func TestCloseMakesDataDeviceSelfContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	tx2, _ := db2.Begin()
+	tx2 := begin(t, db2)
 	for i, id := range ids {
 		if got := readValue(t, tx2, id); got != uint64(i)*7 {
 			t.Fatalf("page %d = %d after Close, want %d", id, got, uint64(i)*7)
 		}
 	}
-	tx2.Commit()
+	tx2.commit()
 }
 
 func TestAllocExhaustsDevice(t *testing.T) {
@@ -688,7 +716,7 @@ func TestAllocExhaustsDevice(t *testing.T) {
 	r.cfg = Config{DataDev: r.data, LogDev: r.log, BufferPages: 4, Policy: PolicyNone}
 	db := r.open(t, false)
 	defer db.Close()
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	for {
 		_, err := tx.Alloc(page.TypeHeap)
 		if err != nil {
@@ -718,7 +746,7 @@ func TestIdenticalRunsIdenticalCountersAcrossCheckpoint(t *testing.T) {
 		r.cfg.FlashFrames = 64
 		db := r.open(t, false)
 		defer db.Close()
-		tx, _ := db.Begin()
+		tx := begin(t, db)
 		var ids []page.ID
 		for i := 0; i < 150; i++ {
 			id, err := tx.Alloc(page.TypeHeap)
@@ -733,16 +761,16 @@ func TestIdenticalRunsIdenticalCountersAcrossCheckpoint(t *testing.T) {
 			}
 		}
 		touch(400)
-		if err := tx.Commit(); err != nil {
+		if err := tx.commit(); err != nil {
 			t.Fatal(err)
 		}
 		for round := 0; round < 3; round++ {
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			tx, _ = db.Begin()
+			tx = begin(t, db)
 			touch(300)
-			if err := tx.Commit(); err != nil {
+			if err := tx.commit(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -353,7 +353,7 @@ func TestMoveDeclaresOnItsPageOnly(t *testing.T) {
 	r := newRig(t, PolicyNone)
 	db := r.open(t, false)
 	defer db.Close()
-	tx, _ := db.Begin()
+	tx := begin(t, db)
 	a, _ := tx.Alloc(page.TypeHeap)
 	b, _ := tx.Alloc(page.TypeHeap)
 
@@ -388,7 +388,7 @@ func TestMoveDeclaresOnItsPageOnly(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
 }

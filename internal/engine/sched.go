@@ -35,9 +35,9 @@ import (
 // the closure's wall time to the closure phase.
 
 // View runs fn in a read-only transaction.  Any number of View
-// transactions run concurrently with each other.  The transaction is
-// managed: fn must not call Commit or Abort, and any error it returns is
-// propagated after rollback.  Writes inside fn fail with ErrConflict.
+// transactions run concurrently with each other.  The transaction ends
+// when fn returns, and any error fn returns is propagated after rollback.
+// Writes inside fn fail with ErrConflict.
 // A View acquires shared page locks as it reads, so it sees a consistent
 // multi-page state and can return ErrDeadlock; retrying is safe.
 func (db *DB) View(ctx context.Context, fn func(*Tx) error) error {
@@ -100,7 +100,7 @@ func (db *DB) Update(ctx context.Context, fn func(*Tx) error) error {
 	return db.runManaged(ctx, false, tr, fn)
 }
 
-// runManaged executes fn in a managed transaction; the caller holds the
+// runManaged executes fn in a transaction it finishes; the caller holds the
 // read side of the scheduler lock.  A non-nil tr carries the phase trace
 // Update started before admission.
 func (db *DB) runManaged(ctx context.Context, readonly bool, tr *txTrace, fn func(*Tx) error) error {
@@ -109,7 +109,6 @@ func (db *DB) runManaged(ctx context.Context, readonly bool, tr *txTrace, fn fun
 		return err
 	}
 	tx.tr = tr
-	tx.managed = true
 	defer func() {
 		// Safety net: roll back if fn panicked past the paths below.
 		if !tx.done {

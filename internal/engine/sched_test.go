@@ -59,22 +59,6 @@ func TestViewRejectsWrites(t *testing.T) {
 	}
 }
 
-func TestManagedTxRejectsManualFinish(t *testing.T) {
-	db, _ := schedDB(t, 1)
-	err := db.Update(context.Background(), func(tx *Tx) error {
-		if err := tx.Commit(); !errors.Is(err, ErrTxManaged) {
-			t.Fatalf("Commit in Update closure: %v, want ErrTxManaged", err)
-		}
-		if err := tx.Abort(); !errors.Is(err, ErrTxManaged) {
-			t.Fatalf("Abort in Update closure: %v, want ErrTxManaged", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUpdateRollsBackOnError(t *testing.T) {
 	db, ids := schedDB(t, 1)
 	boom := fmt.Errorf("boom")

@@ -279,8 +279,8 @@ func TestEngineClosePinWaitHang(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pin both frames directly (as an unscheduled harness transaction
-	// would), then park a third allocation on the pin-wait.
+	// Pin both frames directly, then park a third allocation on the
+	// pin-wait.
 	pool := db.Pool()
 	if _, err := pool.Get(a); err != nil {
 		t.Fatal(err)

@@ -15,25 +15,21 @@ import (
 	"github.com/reprolab/face/internal/wal"
 )
 
-// Tx is a transaction.  Transactions started with Begin are unscheduled:
-// the caller is responsible for running one at a time, as the benchmark
-// harness does.  Transactions started with View and Update go through the
-// transaction scheduler (see sched.go) and run concurrently, isolated by
-// page-granularity strict two-phase locking.
+// Tx is a transaction.  Every transaction is started by View or Update,
+// which pass it to their closure and commit or roll it back when the
+// closure returns (see sched.go); transactions run concurrently, isolated
+// by page-granularity strict two-phase locking.  A Tx used after its
+// closure has returned fails with ErrTxDone.
 type Tx struct {
 	db   *DB
 	id   wal.TxID
 	done bool
 	// readonly rejects Modify, Edit and Alloc with ErrConflict (View).
 	readonly bool
-	// managed rejects manual Commit/Abort: the scheduler that created the
-	// transaction finishes it (View/Update closures).
-	managed bool
 
-	// locks is a scheduled transaction's page lock state: Read takes a
-	// shared lock, Modify, Edit and Alloc an exclusive one, all held until
-	// commit or abort (strict 2PL).  It is nil for unscheduled transactions
-	// and once the locks are released.
+	// locks is the transaction's page lock state: Read takes a shared
+	// lock, Modify, Edit and Alloc an exclusive one, all held until commit
+	// or abort (strict 2PL).  It is nil once the locks are released.
 	locks *lock.Txn
 	// ctx bounds lock waits; a cancelled context unblocks a queued
 	// request and the transaction rolls back.
@@ -50,23 +46,8 @@ type Tx struct {
 	tr *txTrace
 }
 
-// Begin starts a new unscheduled read-write transaction.  Most callers
-// should prefer View or Update, which schedule concurrent transactions and
-// finish them automatically.  Unscheduled transactions bypass the page
-// lock manager, so they must not run concurrently with anything else.
-func (db *DB) Begin() (*Tx, error) {
-	tx, err := db.beginTx(nil, false)
-	if err != nil {
-		return nil, err
-	}
-	if db.obs != nil {
-		tx.tr = &txTrace{start: time.Now()}
-	}
-	return tx, nil
-}
-
-// beginTx starts a transaction.  A nil ctx marks it unscheduled (no page
-// locks); a scheduled one gets its lock state from the lock manager.
+// beginTx starts a transaction whose lock waits ctx bounds, with its lock
+// state from the lock manager.
 func (db *DB) beginTx(ctx context.Context, readonly bool) (*Tx, error) {
 	if db.crashed.Load() {
 		return nil, ErrCrashed
@@ -77,35 +58,21 @@ func (db *DB) beginTx(ctx context.Context, readonly bool) (*Tx, error) {
 	if err := db.loadIOErr(); err != nil {
 		return nil, err
 	}
-	tx := &Tx{db: db, id: wal.TxID(db.nextTx.Add(1)), readonly: readonly}
-	if ctx != nil {
-		tx.ctx = ctx
-		tx.locks = db.locks.Begin(uint64(tx.id))
-	}
-	return tx, nil
+	id := wal.TxID(db.nextTx.Add(1))
+	return &Tx{db: db, id: id, readonly: readonly, ctx: ctx, locks: db.locks.Begin(uint64(id))}, nil
 }
 
 // ctxErr reports whether the transaction's context has ended.  Every
 // page operation checks it, so a request whose deadline expired or whose
 // client went away stops at the next operation instead of running its
 // closure to completion — the scheduler then rolls the transaction back.
-// Unscheduled transactions (nil ctx) are never cancelled this way, and
-// the abort path never consults it: rollback must always finish.
-func (tx *Tx) ctxErr() error {
-	if tx.ctx == nil {
-		return nil
-	}
-	return tx.ctx.Err()
-}
+// The abort path never consults it: rollback must always finish.
+func (tx *Tx) ctxErr() error { return tx.ctx.Err() }
 
-// lockPage acquires the page lock in the given mode for a scheduled
-// transaction; for an unscheduled one it is a no-op.  A page the
+// lockPage acquires the page lock in the given mode.  A page the
 // transaction already holds strongly enough is answered from its own lock
 // state, and only a request that blocked is charged to the lock_wait phase.
 func (tx *Tx) lockPage(id page.ID, mode lock.Mode) error {
-	if tx.locks == nil {
-		return nil
-	}
 	waited, err := tx.locks.Acquire(tx.ctx, id, mode)
 	if tx.tr == nil {
 		return err
@@ -171,8 +138,8 @@ func (tx *Tx) ReadOnly() bool { return tx.readonly }
 func (tx *Tx) ID() uint64 { return uint64(tx.id) }
 
 // Read pins the page, passes it to fn for read-only use, and unpins it.
-// A scheduled transaction first takes a shared lock on the page, which may
-// block behind a writer or fail with ErrDeadlock.
+// It first takes a shared lock on the page, which may block behind a
+// writer or fail with ErrDeadlock.
 func (tx *Tx) Read(id page.ID, fn func(buf page.Buf) error) error {
 	if tx.done {
 		return ErrTxDone
@@ -199,7 +166,7 @@ func (tx *Tx) Read(id page.ID, fn func(buf page.Buf) error) error {
 // transaction waiting for a leaf holds no lock on the leaf's parent, which
 // the leaf's writer may need to split it.
 func (tx *Tx) Peek(id page.ID, fn func(buf page.Buf) error) error {
-	if tx.locks == nil || tx.locks.Holds(id) {
+	if tx.done || tx.locks.Holds(id) {
 		return tx.Read(id, fn)
 	}
 	defer tx.locks.Release(id)
@@ -288,18 +255,9 @@ func (tx *Tx) Alloc(t page.Type) (page.ID, error) {
 	return id, nil
 }
 
-// Commit makes the transaction durable: a commit record is appended and the
+// commit makes the transaction durable: a commit record is appended and the
 // log is forced (commit-time force-write, Section 4 of the paper).
-// Read-only transactions commit without touching the log.  Transactions
-// managed by View/Update are committed by their scheduler and reject a
-// manual Commit with ErrTxManaged.
-func (tx *Tx) Commit() error {
-	if tx.managed {
-		return ErrTxManaged
-	}
-	return tx.commit()
-}
-
+// Read-only transactions commit without touching the log.
 func (tx *Tx) commit() error {
 	if tx.done {
 		return ErrTxDone
@@ -354,18 +312,10 @@ func (tx *Tx) commit() error {
 	return nil
 }
 
-// Abort rolls the transaction back by undoing its update records in reverse
+// abort rolls the transaction back by undoing its update records in reverse
 // order.  Each undo is logged as a compensation record — the inverse edits,
 // redo-only — so redo replays it, and restart after a crash in mid-abort
-// undoes only the updates no compensation record covers.  Transactions
-// managed by View/Update reject a manual Abort with ErrTxManaged.
-func (tx *Tx) Abort() error {
-	if tx.managed {
-		return ErrTxManaged
-	}
-	return tx.abort()
-}
-
+// undoes only the updates no compensation record covers.
 func (tx *Tx) abort() error {
 	if tx.done {
 		return ErrTxDone

@@ -42,11 +42,11 @@ func TestRestartSkipsPageCurrentOnDisk(t *testing.T) {
 					t.Fatal("changed page never left the cache for the disk")
 				}
 				home = diskValue(t, r, id) == 1 && (db.cache == nil || !db.cache.Contains(id))
-				tx, _ := db.Begin()
+				tx := begin(t, db)
 				for _, other := range ids[1:] {
 					readValue(t, tx, other)
 				}
-				tx.Commit()
+				tx.commit()
 			}
 			// Notes are not forced; a later commit would carry this one.
 			if err := db.log.ForceAll(); err != nil {
@@ -61,11 +61,11 @@ func TestRestartSkipsPageCurrentOnDisk(t *testing.T) {
 				t.Fatalf("restart read %d disk blocks and %d pages, skipped %d; want the page skipped unread: %+v",
 					rep.DiskReads, db2.pool.Stats().Misses, rep.PagesSkipped, rep.Report)
 			}
-			tx, _ := db2.Begin()
+			tx := begin(t, db2)
 			if got := readValue(t, tx, id); got != 1 {
 				t.Fatalf("page %d = %d after restart, want 1", id, got)
 			}
-			tx.Commit()
+			tx.commit()
 		})
 	}
 }
@@ -117,11 +117,11 @@ func TestPageWriteNotedOnlyOnceDurable(t *testing.T) {
 			if !synced && (rep.PagesRedone != 1 || rep.RedoApplied != 1) {
 				t.Fatalf("lost write: restart redid %d changes on %d pages, want 1 on 1: %+v", rep.RedoApplied, rep.PagesRedone, rep.Report)
 			}
-			tx, _ := db2.Begin()
+			tx := begin(t, db2)
 			if got := readValue(t, tx, id); got != 1 {
 				t.Fatalf("page %d = %d after restart, want 1", id, got)
 			}
-			tx.Commit()
+			tx.commit()
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,6 +28,14 @@ func testDB(t *testing.T) *engine.DB {
 	return db
 }
 
+// update runs fn in one Update transaction and fails t unless it commits.
+func update(t *testing.T, db *engine.DB, fn func(tx *engine.Tx) error) {
+	t.Helper()
+	if err := db.Update(context.Background(), fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func rec(v uint64, size int) []byte {
 	b := make([]byte, size)
 	binary.LittleEndian.PutUint64(b, v)
@@ -35,75 +44,19 @@ func rec(v uint64, size int) []byte {
 
 func TestInsertGetUpdateDelete(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tbl, err := Create(tx, "customer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Name() != "customer" || tbl.NumPages() != 1 {
-		t.Fatalf("new table: %s, %d pages", tbl.Name(), tbl.NumPages())
-	}
-
-	rid, err := tbl.Insert(tx, rec(42, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got uint64
-	if err := tbl.Get(tx, rid, func(r []byte) error {
-		got = binary.LittleEndian.Uint64(r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != 42 {
-		t.Fatalf("Get = %d", got)
-	}
-
-	if err := tbl.Update(tx, rid, func(r []byte) error {
-		binary.LittleEndian.PutUint64(r, 77)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tbl.Get(tx, rid, func(r []byte) error {
-		got = binary.LittleEndian.Uint64(r)
-		return nil
-	})
-	if got != 77 {
-		t.Fatalf("after Update = %d", got)
-	}
-
-	if err := tbl.Delete(tx, rid); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Get(tx, rid, func([]byte) error { return nil }); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after Delete: %v", err)
-	}
-	if err := tbl.Delete(tx, rid); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double Delete: %v", err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInsertGrowsTable(t *testing.T) {
-	db := testDB(t)
-	tx, _ := db.Begin()
-	tbl, _ := Create(tx, "stock")
-	const n = 500
-	rids := make([]page.RID, n)
-	for i := 0; i < n; i++ {
-		rid, err := tbl.Insert(tx, rec(uint64(i), 200))
+	update(t, db, func(tx *engine.Tx) error {
+		tbl, err := Create(tx, "customer")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rids[i] = rid
-	}
-	if tbl.NumPages() < 20 {
-		t.Fatalf("table should have grown, has %d pages", tbl.NumPages())
-	}
-	for i, rid := range rids {
+		if tbl.Name() != "customer" || tbl.NumPages() != 1 {
+			t.Fatalf("new table: %s, %d pages", tbl.Name(), tbl.NumPages())
+		}
+
+		rid, err := tbl.Insert(tx, rec(42, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got uint64
 		if err := tbl.Get(tx, rid, func(r []byte) error {
 			got = binary.LittleEndian.Uint64(r)
@@ -111,97 +64,156 @@ func TestInsertGrowsTable(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if got != uint64(i) {
-			t.Fatalf("record %d = %d", i, got)
+		if got != 42 {
+			t.Fatalf("Get = %d", got)
 		}
-	}
-	tx.Commit()
+
+		if err := tbl.Update(tx, rid, func(r []byte) error {
+			binary.LittleEndian.PutUint64(r, 77)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		tbl.Get(tx, rid, func(r []byte) error {
+			got = binary.LittleEndian.Uint64(r)
+			return nil
+		})
+		if got != 77 {
+			t.Fatalf("after Update = %d", got)
+		}
+
+		if err := tbl.Delete(tx, rid); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Get(tx, rid, func([]byte) error { return nil }); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get after Delete: %v", err)
+		}
+		if err := tbl.Delete(tx, rid); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("double Delete: %v", err)
+		}
+		return nil
+	})
+}
+
+func TestInsertGrowsTable(t *testing.T) {
+	db := testDB(t)
+	update(t, db, func(tx *engine.Tx) error {
+		tbl, _ := Create(tx, "stock")
+		const n = 500
+		rids := make([]page.RID, n)
+		for i := 0; i < n; i++ {
+			rid, err := tbl.Insert(tx, rec(uint64(i), 200))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids[i] = rid
+		}
+		if tbl.NumPages() < 20 {
+			t.Fatalf("table should have grown, has %d pages", tbl.NumPages())
+		}
+		for i, rid := range rids {
+			var got uint64
+			if err := tbl.Get(tx, rid, func(r []byte) error {
+				got = binary.LittleEndian.Uint64(r)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got != uint64(i) {
+				t.Fatalf("record %d = %d", i, got)
+			}
+		}
+		return nil
+	})
 }
 
 func TestScan(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tbl, _ := Create(tx, "orders")
-	const n = 100
-	for i := 0; i < n; i++ {
-		if _, err := tbl.Insert(tx, rec(uint64(i), 100)); err != nil {
+	update(t, db, func(tx *engine.Tx) error {
+		tbl, _ := Create(tx, "orders")
+		const n = 100
+		for i := 0; i < n; i++ {
+			if _, err := tbl.Insert(tx, rec(uint64(i), 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Delete every third record.
+		deleted := 0
+		if err := tbl.Scan(tx, func(rid page.RID, r []byte) error {
+			if binary.LittleEndian.Uint64(r)%3 == 0 {
+				deleted++
+				return tbl.Delete(tx, rid)
+			}
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Delete every third record.
-	deleted := 0
-	if err := tbl.Scan(tx, func(rid page.RID, r []byte) error {
-		if binary.LittleEndian.Uint64(r)%3 == 0 {
-			deleted++
-			return tbl.Delete(tx, rid)
+		// Count the survivors.
+		count := 0
+		if err := tbl.Scan(tx, func(rid page.RID, r []byte) error {
+			count++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if count != n-deleted {
+			t.Fatalf("scan found %d records, want %d", count, n-deleted)
+		}
+		// Early stop.
+		seen := 0
+		if err := tbl.Scan(tx, func(page.RID, []byte) error {
+			seen++
+			if seen == 5 {
+				return ErrStopScan
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != 5 {
+			t.Fatalf("early stop visited %d records", seen)
+		}
+		// Propagated error.
+		boom := fmt.Errorf("boom")
+		if err := tbl.Scan(tx, func(page.RID, []byte) error { return boom }); !errors.Is(err, boom) {
+			t.Fatalf("scan error: %v", err)
 		}
 		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Count the survivors.
-	count := 0
-	if err := tbl.Scan(tx, func(rid page.RID, r []byte) error {
-		count++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != n-deleted {
-		t.Fatalf("scan found %d records, want %d", count, n-deleted)
-	}
-	// Early stop.
-	seen := 0
-	if err := tbl.Scan(tx, func(page.RID, []byte) error {
-		seen++
-		if seen == 5 {
-			return ErrStopScan
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 5 {
-		t.Fatalf("early stop visited %d records", seen)
-	}
-	// Propagated error.
-	boom := fmt.Errorf("boom")
-	if err := tbl.Scan(tx, func(page.RID, []byte) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("scan error: %v", err)
-	}
-	tx.Commit()
+	})
 }
 
 func TestInsertTooLarge(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tbl, _ := Create(tx, "big")
-	if _, err := tbl.Insert(tx, make([]byte, page.PayloadSize)); !errors.Is(err, page.ErrTooLarge) {
-		t.Fatalf("oversized insert: %v", err)
-	}
-	tx.Commit()
+	update(t, db, func(tx *engine.Tx) error {
+		tbl, _ := Create(tx, "big")
+		if _, err := tbl.Insert(tx, make([]byte, page.PayloadSize)); !errors.Is(err, page.ErrTooLarge) {
+			t.Fatalf("oversized insert: %v", err)
+		}
+		return nil
+	})
 }
 
 func TestAttach(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tbl, _ := Create(tx, "district")
-	rid, _ := tbl.Insert(tx, rec(9, 32))
-	tx.Commit()
+	var tbl *Table
+	var rid page.RID
+	update(t, db, func(tx *engine.Tx) error {
+		tbl, _ = Create(tx, "district")
+		rid, _ = tbl.Insert(tx, rec(9, 32))
+		return nil
+	})
 
 	re := Attach("district", tbl.Pages())
-	tx2, _ := db.Begin()
 	var got uint64
-	if err := re.Get(tx2, rid, func(r []byte) error {
-		got = binary.LittleEndian.Uint64(r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	update(t, db, func(tx2 *engine.Tx) error {
+		return re.Get(tx2, rid, func(r []byte) error {
+			got = binary.LittleEndian.Uint64(r)
+			return nil
+		})
+	})
 	if got != 9 {
 		t.Fatalf("Attach Get = %d", got)
 	}
-	tx2.Commit()
 	// Pages() returns a copy.
 	pages := tbl.Pages()
 	pages[0] = 9999
@@ -214,29 +226,24 @@ func TestAttach(t *testing.T) {
 // space they replace), a slot and a few header bytes — not the page.
 func TestInsertLogVolume(t *testing.T) {
 	db := testDB(t)
-	tx, _ := db.Begin()
-	tbl, err := Create(tx, "orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	var tbl *Table
+	update(t, db, func(tx *engine.Tx) (err error) {
+		tbl, err = Create(tx, "orders")
+		return err
+	})
 	for _, n := range []int{24, 100, 650} {
 		for i := 0; i < 3; i++ {
 			row := make([]byte, n)
 			for j := range row {
 				row[j] = byte(j*13 + i + 1)
 			}
-			tx, _ := db.Begin()
 			pages := tbl.NumPages()
-			mark := db.Log().Next()
-			if _, err := tbl.Insert(tx, row); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
+			var mark page.LSN
+			update(t, db, func(tx *engine.Tx) error {
+				mark = db.Log().Next()
+				_, err := tbl.Insert(tx, row)
+				return err
+			})
 			logged := int(db.Log().Next() - mark)
 			if tbl.NumPages() == pages && logged > 2*n+150 {
 				t.Errorf("inserting a %d-byte row logged %d bytes, want at most %d", n, logged, 2*n+150)

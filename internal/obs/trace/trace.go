@@ -83,7 +83,15 @@ type Trace struct {
 	spans     []Span
 	truncated int
 	pins      []PinReason
+	// spanBuf backs the first span, all that most served requests record,
+	// so they cost no allocation beyond the trace's own.
+	spanBuf [1]Span
 }
+
+// spanRoom is the capacity a trace's span list grows to first: enough for
+// a short Update's phase spans, so they cost one allocation, not one for
+// every doubling.
+const spanRoom = 8
 
 // ID returns the trace's identity (0 on nil).
 func (t *Trace) ID() ID {
@@ -147,6 +155,9 @@ func (t *Trace) Span(name string, start time.Time, d time.Duration, page uint64,
 	off := start.Sub(t.start)
 	if off < 0 {
 		off = 0
+	}
+	if len(t.spans) == cap(t.spans) && len(t.spans) < spanRoom {
+		t.spans = append(make([]Span, 0, spanRoom), t.spans...)
 	}
 	t.spans = append(t.spans, Span{Name: name, Start: off, Dur: d, Page: page, Note: note})
 }
@@ -315,7 +326,9 @@ func (t *Tracer) Start(id ID, kind string) *Trace {
 	if id == 0 {
 		id = t.MintID()
 	}
-	return &Trace{id: id, kind: kind, start: time.Now()}
+	tr := &Trace{id: id, kind: kind, start: time.Now()}
+	tr.spans = tr.spanBuf[:0]
+	return tr
 }
 
 // Finish seals the trace and applies tail-based retention: pin if slow,

@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -81,104 +82,120 @@ func Load(eng *engine.DB, cfg Config) (*Database, error) {
 	return db, nil
 }
 
+// inChunks runs fill in one Update transaction after another until fill
+// reports that it is done, passing the number of transactions before this
+// one.  fill carries on from where the previous transaction stopped, and
+// returns after the row that ends its chunk.  It always runs once more
+// after the chunk that ends on the last row, in a transaction that commits
+// nothing but its commit record, as the loader always has: that record is
+// part of the log whose volume the modelled clock charges.
+func inChunks(eng *engine.DB, fill func(tx *engine.Tx, chunk int) (done bool, err error)) error {
+	for chunk := 0; ; chunk++ {
+		var done bool
+		err := eng.Update(context.TODO(), func(tx *engine.Tx) (err error) {
+			done, err = fill(tx, chunk)
+			return err
+		})
+		if err != nil || done {
+			return err
+		}
+	}
+}
+
 func (d *Database) createSchema(eng *engine.DB) error {
-	tx, err := eng.Begin()
-	if err != nil {
+	err := eng.Update(context.TODO(), func(tx *engine.Tx) (err error) {
+		create := func(name string) *heap.Table {
+			if err != nil {
+				return nil
+			}
+			var t *heap.Table
+			t, err = heap.Create(tx, name)
+			return t
+		}
+		index := func(name string) *btree.Tree {
+			if err != nil {
+				return nil
+			}
+			var t *btree.Tree
+			t, err = btree.Create(tx, name)
+			return t
+		}
+		d.warehouse = create("warehouse")
+		d.district = create("district")
+		d.customer = create("customer")
+		d.history = create("history")
+		d.order = create("orders")
+		d.newOrder = create("new_order")
+		d.orderLine = create("order_line")
+		d.item = create("item")
+		d.stock = create("stock")
+		d.customerIdx = index("customer_pk")
+		d.itemIdx = index("item_pk")
+		d.stockIdx = index("stock_pk")
+		d.orderIdx = index("orders_pk")
+		d.newOrderIdx = index("new_order_pk")
+		d.orderLineIdx = index("order_line_pk")
+		d.custOrderIdx = index("orders_by_customer")
 		return err
-	}
-	create := func(name string) *heap.Table {
-		if err != nil {
-			return nil
-		}
-		var t *heap.Table
-		t, err = heap.Create(tx, name)
-		return t
-	}
-	index := func(name string) *btree.Tree {
-		if err != nil {
-			return nil
-		}
-		var t *btree.Tree
-		t, err = btree.Create(tx, name)
-		return t
-	}
-	d.warehouse = create("warehouse")
-	d.district = create("district")
-	d.customer = create("customer")
-	d.history = create("history")
-	d.order = create("orders")
-	d.newOrder = create("new_order")
-	d.orderLine = create("order_line")
-	d.item = create("item")
-	d.stock = create("stock")
-	d.customerIdx = index("customer_pk")
-	d.itemIdx = index("item_pk")
-	d.stockIdx = index("stock_pk")
-	d.orderIdx = index("orders_pk")
-	d.newOrderIdx = index("new_order_pk")
-	d.orderLineIdx = index("order_line_pk")
-	d.custOrderIdx = index("orders_by_customer")
+	})
 	if err != nil {
 		return fmt.Errorf("tpcc: creating schema: %w", err)
 	}
-	return tx.Commit()
+	return nil
 }
 
+// loadItems loads the items, 2 000 to a transaction.
 func (d *Database) loadItems(eng *engine.DB) error {
-	tx, err := eng.Begin()
-	if err != nil {
-		return err
-	}
-	for i := 1; i <= d.cfg.Items; i++ {
-		rid, err := d.item.Insert(tx, newItemRec(i))
-		if err != nil {
-			return fmt.Errorf("tpcc: loading item %d: %w", i, err)
-		}
-		if err := d.itemIdx.Insert(tx, itemKey(i), rid); err != nil {
-			return err
-		}
-		if i%2000 == 0 {
-			if err := tx.Commit(); err != nil {
-				return err
+	next := 1
+	return inChunks(eng, func(tx *engine.Tx, _ int) (bool, error) {
+		for next <= d.cfg.Items {
+			i := next
+			next++
+			rid, err := d.item.Insert(tx, newItemRec(i))
+			if err != nil {
+				return false, fmt.Errorf("tpcc: loading item %d: %w", i, err)
 			}
-			if tx, err = eng.Begin(); err != nil {
-				return err
+			if err := d.itemIdx.Insert(tx, itemKey(i), rid); err != nil {
+				return false, err
+			}
+			if i%2000 == 0 {
+				return false, nil
 			}
 		}
-	}
-	return tx.Commit()
+		return true, nil
+	})
 }
 
+// loadWarehouse loads warehouse w and its stock, 2 000 stock rows to a
+// transaction, then its districts.
 func (d *Database) loadWarehouse(eng *engine.DB, rng *rand.Rand, w int) error {
-	tx, err := eng.Begin()
-	if err != nil {
-		return err
-	}
-	rid, err := d.warehouse.Insert(tx, newWarehouseRec(w))
-	if err != nil {
-		return err
-	}
-	d.warehouseRID[w] = rid
-
-	// Stock: one row per item.
-	for i := 1; i <= d.cfg.Items; i++ {
-		rid, err := d.stock.Insert(tx, newStockRec(i))
-		if err != nil {
-			return fmt.Errorf("tpcc: loading stock (%d,%d): %w", w, i, err)
-		}
-		if err := d.stockIdx.Insert(tx, stockKey(w, i), rid); err != nil {
-			return err
-		}
-		if i%2000 == 0 {
-			if err := tx.Commit(); err != nil {
-				return err
+	next := 1
+	err := inChunks(eng, func(tx *engine.Tx, chunk int) (bool, error) {
+		if chunk == 0 {
+			rid, err := d.warehouse.Insert(tx, newWarehouseRec(w))
+			if err != nil {
+				return false, err
 			}
-			if tx, err = eng.Begin(); err != nil {
-				return err
+			d.warehouseRID[w] = rid
+		}
+		// Stock: one row per item.
+		for next <= d.cfg.Items {
+			i := next
+			next++
+			rid, err := d.stock.Insert(tx, newStockRec(i))
+			if err != nil {
+				return false, fmt.Errorf("tpcc: loading stock (%d,%d): %w", w, i, err)
+			}
+			if err := d.stockIdx.Insert(tx, stockKey(w, i), rid); err != nil {
+				return false, err
+			}
+			if i%2000 == 0 {
+				return false, nil
 			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
+		return true, nil
+	})
+	if err != nil {
 		return err
 	}
 
@@ -190,89 +207,91 @@ func (d *Database) loadWarehouse(eng *engine.DB, rng *rand.Rand, w int) error {
 	return nil
 }
 
+// loadDistrict loads district dist of warehouse w: its customers, 500 to a
+// transaction, and then its initial orders, 200 to a transaction, the
+// first of them in the transaction of the last customers.
 func (d *Database) loadDistrict(eng *engine.DB, rng *rand.Rand, w, dist int) error {
 	cfg := d.cfg
-	tx, err := eng.Begin()
-	if err != nil {
-		return err
-	}
 	firstFree := cfg.InitialOrdersPerDistrict + 1
-	rid, err := d.district.Insert(tx, newDistrictRec(dist, firstFree))
-	if err != nil {
-		return err
-	}
 	dk := districtKey(w, dist)
-	d.districtRID[dk] = rid
-	d.nextOrderHint[dk] = firstFree
-
-	// Customers.
-	for c := 1; c <= cfg.CustomersPerDistrict; c++ {
-		rid, err := d.customer.Insert(tx, newCustomerRec(c))
-		if err != nil {
-			return fmt.Errorf("tpcc: loading customer (%d,%d,%d): %w", w, dist, c, err)
-		}
-		if err := d.customerIdx.Insert(tx, customerKey(w, dist, c), rid); err != nil {
-			return err
-		}
-		// History row for the initial payment.
-		if _, err := d.history.Insert(tx, newHistoryRec(w, dist, c, 1000)); err != nil {
-			return err
-		}
-		if c%500 == 0 {
-			if err := tx.Commit(); err != nil {
-				return err
-			}
-			if tx, err = eng.Begin(); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Initial orders: one per customer (permuted), the most recent third
-	// still undelivered (rows in NEW-ORDER), as in the specification.
-	perm := rng.Perm(cfg.CustomersPerDistrict)
-	for o := 1; o <= cfg.InitialOrdersPerDistrict; o++ {
-		c := perm[(o-1)%len(perm)] + 1
-		lines := randInt(rng, 5, 15)
-		orid, err := d.order.Insert(tx, newOrderRec(c, lines, o))
-		if err != nil {
-			return err
-		}
-		if err := d.orderIdx.Insert(tx, orderKey(w, dist, o), orid); err != nil {
-			return err
-		}
-		if err := d.custOrderIdx.Insert(tx, customerOrderKey(w, dist, c, o), orid); err != nil {
-			return err
-		}
-		for ol := 1; ol <= lines; ol++ {
-			item := randItem(rng, cfg.Items)
-			olrid, err := d.orderLine.Insert(tx, newOrderLineRec(item, randInt(rng, 1, 10), uint64(randInt(rng, 10, 9999))))
+	nextCustomer, nextOrder := 1, 1
+	var perm []int
+	return inChunks(eng, func(tx *engine.Tx, chunk int) (bool, error) {
+		if chunk == 0 {
+			rid, err := d.district.Insert(tx, newDistrictRec(dist, firstFree))
 			if err != nil {
-				return err
+				return false, err
 			}
-			if err := d.orderLineIdx.Insert(tx, orderLineKey(w, dist, o, ol), olrid); err != nil {
-				return err
-			}
+			d.districtRID[dk] = rid
+			d.nextOrderHint[dk] = firstFree
 		}
-		if o > cfg.InitialOrdersPerDistrict*2/3 {
-			norid, err := d.newOrder.Insert(tx, newNewOrderRec(o))
+
+		// Customers.
+		for nextCustomer <= cfg.CustomersPerDistrict {
+			c := nextCustomer
+			nextCustomer++
+			rid, err := d.customer.Insert(tx, newCustomerRec(c))
 			if err != nil {
-				return err
+				return false, fmt.Errorf("tpcc: loading customer (%d,%d,%d): %w", w, dist, c, err)
 			}
-			if err := d.newOrderIdx.Insert(tx, orderKey(w, dist, o), norid); err != nil {
-				return err
+			if err := d.customerIdx.Insert(tx, customerKey(w, dist, c), rid); err != nil {
+				return false, err
+			}
+			// History row for the initial payment.
+			if _, err := d.history.Insert(tx, newHistoryRec(w, dist, c, 1000)); err != nil {
+				return false, err
+			}
+			if c%500 == 0 {
+				return false, nil
 			}
 		}
-		if o%200 == 0 {
-			if err := tx.Commit(); err != nil {
-				return err
+
+		// Initial orders: one per customer (permuted), the most recent
+		// third still undelivered (rows in NEW-ORDER), as in the
+		// specification.
+		if perm == nil {
+			perm = rng.Perm(cfg.CustomersPerDistrict)
+		}
+		for nextOrder <= cfg.InitialOrdersPerDistrict {
+			o := nextOrder
+			nextOrder++
+			c := perm[(o-1)%len(perm)] + 1
+			lines := randInt(rng, 5, 15)
+			orid, err := d.order.Insert(tx, newOrderRec(c, lines, o))
+			if err != nil {
+				return false, err
 			}
-			if tx, err = eng.Begin(); err != nil {
-				return err
+			if err := d.orderIdx.Insert(tx, orderKey(w, dist, o), orid); err != nil {
+				return false, err
+			}
+			if err := d.custOrderIdx.Insert(tx, customerOrderKey(w, dist, c, o), orid); err != nil {
+				return false, err
+			}
+			for ol := 1; ol <= lines; ol++ {
+				item := randItem(rng, cfg.Items)
+				olrid, err := d.orderLine.Insert(tx, newOrderLineRec(item, randInt(rng, 1, 10), uint64(randInt(rng, 10, 9999))))
+				if err != nil {
+					return false, err
+				}
+				if err := d.orderLineIdx.Insert(tx, orderLineKey(w, dist, o, ol), olrid); err != nil {
+					return false, err
+				}
+			}
+			if o > cfg.InitialOrdersPerDistrict*2/3 {
+				norid, err := d.newOrder.Insert(tx, newNewOrderRec(o))
+				if err != nil {
+					return false, err
+				}
+				if err := d.newOrderIdx.Insert(tx, orderKey(w, dist, o), norid); err != nil {
+					return false, err
+				}
+			}
+			if o%200 == 0 {
+				return false, nil
 			}
 		}
-	}
-	return tx.Commit()
+		return true, nil
+	})
 }
 
 // Tables returns the names and page counts of all tables (diagnostics).

@@ -81,10 +81,11 @@ func (c Counts) NewOrders() int64 { return c.Committed[KindNewOrder] }
 // driver over the reopened engine and the same Database.
 //
 // Two execution paths are provided: the classic single-stream path
-// (RunOne/RunMany, unscheduled transactions, one at a time) and the
-// multi-terminal path (RunTerminals), which issues the same mix from N
-// goroutines through the engine's View/Update scheduler and retries
-// transactions chosen as deadlock victims.
+// (RunOne/RunMany, one transaction at a time, parameters drawn from the
+// driver's own stream) and the multi-terminal path (RunTerminals), which
+// issues the same mix from N goroutines and retries transactions chosen as
+// deadlock victims.  Both run every transaction through the engine's
+// scheduler, under page locks, and account for it in the same way.
 type Driver struct {
 	eng  *engine.DB
 	db   *Database
@@ -193,35 +194,17 @@ func (dr *Driver) RunOne() (Kind, error) {
 	return kind, nil
 }
 
-// Run executes one transaction of the given kind.
+// Run executes one transaction of the given kind in an Update transaction,
+// every kind alike, drawing its parameters from the driver's stream.  A
+// single stream has no concurrent transaction to deadlock with, so a
+// deadlock ends the run like any other failure.
 func (dr *Driver) Run(kind Kind) error {
 	start := time.Now()
 	w := randInt(dr.rng, 1, dr.db.cfg.Warehouses)
-	tx, err := dr.eng.Begin()
-	if err != nil {
+	err := dr.eng.Update(context.TODO(), func(tx *engine.Tx) error { return dr.dispatch(tx, dr.rng, kind, w) })
+	if _, err := dr.record(kind, start, err); err != nil {
 		return err
 	}
-	err = dr.dispatch(tx, dr.rng, kind, w)
-	if errors.Is(err, ErrRollback) {
-		dr.mu.Lock()
-		dr.counts.RolledBack++
-		dr.mu.Unlock()
-		if err := tx.Abort(); err != nil {
-			return err
-		}
-		return dr.eng.Tick()
-	}
-	if err != nil {
-		tx.Abort()
-		return fmt.Errorf("tpcc: %s: %w", kind, err)
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	dr.lat[kind].Observe(time.Since(start))
-	dr.mu.Lock()
-	dr.counts.Committed[kind]++
-	dr.mu.Unlock()
 	return dr.eng.Tick()
 }
 
@@ -361,41 +344,53 @@ func (dr *Driver) runSlot(ctx context.Context, rng *rand.Rand, kind Kind, seed i
 		} else {
 			err = dr.eng.Update(ctx, body)
 		}
-		switch classifySlotErr(err) {
-		case slotCommitted:
-			dr.lat[kind].Observe(time.Since(start))
-			dr.mu.Lock()
-			dr.counts.Committed[kind]++
-			dr.mu.Unlock()
-			return nil
-		case slotDeadlock:
-			if attempt >= maxDeadlockRetries {
-				return fmt.Errorf("tpcc: %s deadlocked %d times: %w", kind, attempt, err)
-			}
-			dr.mu.Lock()
-			dr.counts.DeadlockRetries++
-			dr.mu.Unlock()
-			// Back off so a transaction whose lock order opposes the
-			// prevailing traffic is not re-victimized forever.
-			backoff := time.Duration(attempt+1) * 20 * time.Microsecond
-			if backoff > time.Millisecond {
-				backoff = time.Millisecond
-			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		case slotRollback:
-			dr.mu.Lock()
-			dr.counts.RolledBack++
-			dr.mu.Unlock()
-			return nil
-		case slotBrokenRollback:
-			return fmt.Errorf("tpcc: %s rollback did not complete cleanly: %w", kind, err)
-		default:
-			return fmt.Errorf("tpcc: %s: %w", kind, err)
+		outcome, err := dr.record(kind, start, err)
+		if outcome != slotDeadlock {
+			return err
 		}
+		if attempt >= maxDeadlockRetries {
+			return fmt.Errorf("%w (deadlocked %d times)", err, attempt)
+		}
+		dr.mu.Lock()
+		dr.counts.DeadlockRetries++
+		dr.mu.Unlock()
+		// Back off so a transaction whose lock order opposes the
+		// prevailing traffic is not re-victimized forever.
+		backoff := time.Duration(attempt+1) * 20 * time.Microsecond
+		if backoff > time.Millisecond {
+			backoff = time.Millisecond
+		}
+		select {
+		case <-time.After(backoff):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// record accounts for the outcome of one attempt at a transaction of the
+// given kind, started at start: a commit counts in Committed[kind] and its
+// latency histogram, a clean expected rollback in RolledBack.  Any other
+// outcome counts nothing and comes back as an error; for a deadlock victim
+// (slotDeadlock) the caller decides whether to retry.
+func (dr *Driver) record(kind Kind, start time.Time, err error) (slotOutcome, error) {
+	outcome := classifySlotErr(err)
+	switch outcome {
+	case slotCommitted:
+		dr.lat[kind].Observe(time.Since(start))
+		dr.mu.Lock()
+		dr.counts.Committed[kind]++
+		dr.mu.Unlock()
+		return outcome, nil
+	case slotRollback:
+		dr.mu.Lock()
+		dr.counts.RolledBack++
+		dr.mu.Unlock()
+		return outcome, nil
+	case slotBrokenRollback:
+		return outcome, fmt.Errorf("tpcc: %s rollback did not complete cleanly: %w", kind, err)
+	default:
+		return outcome, fmt.Errorf("tpcc: %s: %w", kind, err)
 	}
 }
 
