@@ -167,8 +167,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report = bench.NewStaticReport(opts)
 	}
 
+	var sweep bench.SweepResult // Tables 3 and 4 print one cache sweep
 	for _, exp := range experiments {
-		if err := runExperiment(golden, exp, stdout, report); err != nil {
+		if err := runExperiment(golden, exp, stdout, report, &sweep); err != nil {
 			fmt.Fprintf(stderr, "facebench %s: %v\n", exp, err)
 			return 1
 		}
@@ -187,7 +188,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runExperiment executes one experiment.  With a non-nil report the raw
 // result structs are recorded there; otherwise the text tables are printed.
-func runExperiment(g *bench.Golden, what string, out io.Writer, report *bench.Report) error {
+// sweep holds the cache sweep once Table 3 or 4 has run it.
+func runExperiment(g *bench.Golden, what string, out io.Writer, report *bench.Report, sweep *bench.SweepResult) error {
 	record := func(name string, data any, text func() string) {
 		if report != nil {
 			report.Add(name, data)
@@ -205,15 +207,17 @@ func runExperiment(g *bench.Golden, what string, out io.Writer, report *bench.Re
 			return "Registered cache policies:\n  " + strings.Join(names, "\n  ")
 		})
 	case "table3", "table4", "table3+4":
-		sweep, err := g.CacheSweep(nil, nil)
-		if err != nil {
-			return err
+		if sweep.Results == nil {
+			var err error
+			if *sweep, err = g.CacheSweep(nil, nil); err != nil {
+				return err
+			}
 		}
 		if what != "table4" {
-			record("table3", sweep, func() string { return bench.FormatTable3(sweep) })
+			record("table3", *sweep, func() string { return bench.FormatTable3(*sweep) })
 		}
 		if what != "table3" {
-			record("table4", sweep, func() string { return bench.FormatTable4(sweep) })
+			record("table4", *sweep, func() string { return bench.FormatTable4(*sweep) })
 		}
 	case "fig4":
 		for _, ssd := range []string{"mlc", "slc"} {
