@@ -146,17 +146,6 @@ func BenchmarkAblationGroupSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAsyncIO keeps the sync-vs-async pipeline comparison in
-// the benchmark smoke run so the ablation code cannot rot.
-func BenchmarkAblationAsyncIO(b *testing.B) {
-	g := benchGolden(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := g.AblationAsyncIO(0.10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- micro-benchmarks of the cache managers -------------------------------
 
 func stagePages(b *testing.B, ext facecache.Extension, n int) {

@@ -18,8 +18,8 @@
 //	fig5      throughput vs number of RAID-0 disks
 //	table6    restart time after a crash vs checkpoint interval
 //	fig6      post-restart throughput timeline
-//	ablations design-choice ablations (sync policy, async I/O, group size,
-//	          segment size)
+//	ablations design-choice ablations (sync policy, group size, segment
+//	          size)
 //	policies  list the registered cache policies
 //	all       every experiment above except policies, in order
 //
@@ -263,11 +263,6 @@ func runExperiment(g *bench.Golden, what string, out io.Writer, report *bench.Re
 		record("ablation_sync_policy", sync, func() string {
 			return bench.FormatResults("Ablation: write-back vs write-through (Section 3.2)", sync)
 		})
-		async, err := g.AblationAsyncIO(0)
-		if err != nil {
-			return err
-		}
-		record("ablation_async_io", async, func() string { return bench.FormatAsyncAblation(async) })
 		groups, err := g.AblationGroupSize(0, nil)
 		if err != nil {
 			return err

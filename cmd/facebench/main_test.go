@@ -57,10 +57,13 @@ var paperExperiments = []string{"table3", "fig4", "table6", "table4", "table5", 
 // the orderings the paper reports, which hold whatever the exact figures:
 //   - Table 3(a): in every column FaCE+GSC's hit ratio is at least FaCE's
 //     and FaCE's at least FaCE+GR's, and LC hits more often than FaCE;
+//   - Table 3(b): LC, which overwrites a cached dirty page in place, saves
+//     more disk writes than FaCE;
 //   - Figure 4: on the Samsung 470 LC is slower than FaCE, and FaCE+GSC
 //     faster;
 //   - Table 4: LC saturates its flash device and FaCE+GSC does not, yet
-//     FaCE+GSC issues more flash I/Os per second;
+//     FaCE+GSC issues more flash I/Os per second, and FaCE+GR's group
+//     writes issue more than FaCE's page writes;
 //   - Table 5: the first flash increment buys more than the first DRAM one;
 //   - Figure 5: FaCE+GSC gains more than LC from 4 to 8 disks;
 //   - Table 6 and Figure 6: FaCE+GSC restarts sooner than HDD-only, and in
@@ -68,6 +71,7 @@ var paperExperiments = []string{"table3", "fig4", "table6", "table4", "table5", 
 func checkPaperShape(t *testing.T, text string) {
 	t.Helper()
 	hit := paperTable(t, text, "Table 3(a)")
+	reduction := paperTable(t, text, "Table 3(b)")
 	tpmC := paperTable(t, text, "Figure 4: transaction throughput (tpmC) vs cache size, Samsung 470")
 	for col := range hit["face"] {
 		if gsc, face, gr := hit["face+gsc"][col], hit["face"][col], hit["face+gr"][col]; gsc < face || face < gr {
@@ -75,6 +79,9 @@ func checkPaperShape(t *testing.T, text string) {
 		}
 		if lc, face := hit["lc"][col], hit["face"][col]; lc <= face {
 			t.Errorf("Table 3(a) column %d: lc hit ratio %v, not above face's %v", col, lc, face)
+		}
+		if lc, face := reduction["lc"][col], reduction["face"][col]; lc <= face {
+			t.Errorf("Table 3(b) column %d: lc write reduction %v, not above face's %v", col, lc, face)
 		}
 		if lc, face := tpmC["lc"][col], tpmC["face"][col]; lc >= face {
 			t.Errorf("Figure 4 (Samsung 470) column %d: lc %v tpmC, not below face's %v", col, lc, face)
@@ -91,6 +98,9 @@ func checkPaperShape(t *testing.T, text string) {
 		}
 		if lc, gsc := iops["lc"][col], iops["face+gsc"][col]; gsc <= lc {
 			t.Errorf("Table 4(b) column %d: face+gsc %v IOPS, not above lc's %v", col, gsc, lc)
+		}
+		if gr, face := iops["face+gr"][col], iops["face"][col]; gr <= face {
+			t.Errorf("Table 4(b) column %d: face+gr %v IOPS, not above face's %v", col, gr, face)
 		}
 	}
 	t5 := numericRows(t, text, "Table 5")

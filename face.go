@@ -131,9 +131,6 @@ type (
 	PolicyParams = intface.PolicyParams
 	// CacheStats is a snapshot of flash cache activity.
 	CacheStats = intface.Stats
-	// PipelineStats is a snapshot of the asynchronous I/O pipeline
-	// enabled by WithAsyncIO; it is part of DB.Snapshot.
-	PipelineStats = metrics.PipelineStats
 	// LockStats is a snapshot of the page lock manager (grants, waits,
 	// deadlocks); it is part of DB.Snapshot.
 	LockStats = metrics.LockStats

@@ -31,38 +31,6 @@ func (g *Golden) AblationSyncPolicy(cacheFraction float64) ([]Result, error) {
 	return out, nil
 }
 
-// AblationAsyncIO compares the synchronous flash I/O path (every group
-// write and destage inline on the evicting transaction) against the
-// asynchronous pipeline (staging ring, background group writer, destager
-// workers) at the same cache size, for both FaCE+GR and FaCE+GSC.  The
-// async pipeline batches staged evictions into fuller group writes and
-// coalesces repeated evictions of hot pages in the ring, which is where
-// its simulated-time win comes from; its wall-clock win (DRAM eviction no
-// longer blocking on flash) is demonstrated by the concurrency tests.
-func (g *Golden) AblationAsyncIO(cacheFraction float64) ([]Result, error) {
-	if cacheFraction <= 0 {
-		cacheFraction = 0.12
-	}
-	// The ring is sized relative to the replacement group so its transient
-	// contents stay small next to the cache itself and the hit ratios of
-	// the two modes remain comparable.
-	depth := 4 * g.opts.GroupSize
-	var out []Result
-	for _, spec := range []RunSpec{
-		{Policy: engine.PolicyFaCEGR, CacheFraction: cacheFraction, Label: "GR sync"},
-		{Policy: engine.PolicyFaCEGR, CacheFraction: cacheFraction, AsyncDepth: depth, IOWriters: 2, Label: "GR async"},
-		{Policy: engine.PolicyFaCEGSC, CacheFraction: cacheFraction, Label: "GSC sync"},
-		{Policy: engine.PolicyFaCEGSC, CacheFraction: cacheFraction, AsyncDepth: depth, IOWriters: 2, Label: "GSC async"},
-	} {
-		res, err := g.Run(spec)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // AblationGroupSize sweeps the replacement batch size of Group Second
 // Chance (the paper suggests the number of pages in a flash block,
 // typically 64 or 128).  Group sizes the cache cannot hold twice are left

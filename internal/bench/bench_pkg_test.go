@@ -242,46 +242,10 @@ func TestHarnessNeverResizesTheCache(t *testing.T) {
 	}
 }
 
-func TestAblationAsyncIOQuick(t *testing.T) {
-	g := quickGolden(t)
-	rows, err := g.AblationAsyncIO(0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("async ablation rows = %d", len(rows))
-	}
-	for i := 0; i < len(rows); i += 2 {
-		sync, async := rows[i], rows[i+1]
-		// The asynchronous pipeline must not cost simulated throughput; a
-		// small tolerance absorbs run-to-run divergence in the replacement
-		// decisions.
-		if async.TpmC < 0.9*sync.TpmC {
-			t.Errorf("%s tpmC %.0f fell below 90%% of %s tpmC %.0f",
-				async.Label, async.TpmC, sync.Label, sync.TpmC)
-		}
-		// Hit ratios of the two modes must stay comparable: the ring is a
-		// transient buffer, not a second cache tier.
-		if diff := async.FlashHitRate - sync.FlashHitRate; diff < -0.10 || diff > 0.15 {
-			t.Errorf("%s flash hit rate %.3f diverges from %s %.3f",
-				async.Label, async.FlashHitRate, sync.Label, sync.FlashHitRate)
-		}
-		if async.Pipeline.Staged == 0 || async.Pipeline.Batches == 0 {
-			t.Errorf("%s: pipeline counters empty: %+v", async.Label, async.Pipeline)
-		}
-		if sync.Pipeline.Staged != 0 {
-			t.Errorf("%s: sync run reports pipeline activity", sync.Label)
-		}
-	}
-	if !strings.Contains(FormatAsyncAblation(rows), "group fill") {
-		t.Fatal("async ablation text malformed")
-	}
-}
-
 func TestJSONReport(t *testing.T) {
 	g := quickGolden(t)
 	rep := NewReport(g)
-	res, err := g.Run(RunSpec{Policy: engine.PolicyFaCEGR, CacheFraction: 0.10, AsyncDepth: 32})
+	res, err := g.Run(RunSpec{Policy: engine.PolicyFaCEGR, CacheFraction: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +255,7 @@ func TestJSONReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{ReportSchema, `"single_run"`, `"Policy"`, `"TpmC"`, `"Pipeline"`} {
+	for _, want := range []string{ReportSchema, `"single_run"`, `"Policy"`, `"TpmC"`, `"FlashHitRate"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("JSON report missing %s:\n%s", want, out[:min(len(out), 400)])
 		}

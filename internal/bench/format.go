@@ -287,37 +287,6 @@ func FormatFigure6(f Figure6Result) string {
 	return b.String()
 }
 
-// FormatAsyncAblation renders the sync-vs-async I/O ablation with the
-// pipeline counters that explain the difference.
-func FormatAsyncAblation(rows []Result) string {
-	wall := wallclockMode(rows)
-	headers := []string{"Config", "tpmC", "flash hit %", "write red. %", "DRAM hit %",
-		"group fill", "coalesced", "stalls", "stall", "destages"}
-	if wall {
-		headers = append(headers, "tpmC (wall)")
-	}
-	var out [][]string
-	for _, r := range rows {
-		fill, coalesced, stalls, stall, destages := "-", "-", "-", "-", "-"
-		if r.AsyncDepth != 0 {
-			fill = fmt.Sprintf("%.1f", r.Pipeline.GroupFill())
-			coalesced = fmt.Sprintf("%d", r.Pipeline.Coalesced)
-			stalls = fmt.Sprintf("%d", r.Pipeline.Stalls)
-			stall = fdur(r.Pipeline.StallTime)
-			destages = fmt.Sprintf("%d", r.Pipeline.Destages)
-		}
-		row := []string{
-			r.Label, fnum(r.TpmC), pct(r.FlashHitRate), pct(r.WriteReduction), pct(r.DRAMHitRate),
-			fill, coalesced, stalls, stall, destages,
-		}
-		if wall {
-			row = append(row, fnum(r.TpmCWall))
-		}
-		out = append(out, row)
-	}
-	return "Ablation: synchronous vs asynchronous flash I/O pipeline\n" + formatTable(headers, out)
-}
-
 // FormatResults renders a flat list of results (used by the ablations).
 // Under wall-clock mode (file backend or -wallclock) the wall-clock
 // throughput leads the row: on real devices the simulated-time tpmC no

@@ -143,11 +143,6 @@ type RunSpec struct {
 	GroupSize int
 	// SegmentEntries overrides Options.SegmentEntries (0 = default).
 	SegmentEntries int
-	// AsyncDepth enables the asynchronous I/O pipeline with the given
-	// staging ring depth (0 = synchronous, negative = default depth).
-	AsyncDepth int
-	// IOWriters is the number of destager workers under async I/O.
-	IOWriters int
 	// BufferShards stripes the DRAM buffer pool over this many
 	// independently locked shards and CacheStripes the flash cache
 	// directory over this many stripes (0 = the option-level
@@ -213,12 +208,6 @@ type Result struct {
 	DiskReads   int64
 	DiskWrites  int64
 	Checkpoints int64
-
-	// AsyncDepth echoes the configured staging ring depth (0 = sync) and
-	// Pipeline the background pipeline activity over the measurement
-	// window.
-	AsyncDepth int
-	Pipeline   metrics.PipelineStats
 
 	// Terminals echoes the scheduler configuration; Locks, GroupCommit and
 	// DeadlockRetries report its activity over the measurement window.
@@ -450,8 +439,6 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 		GroupSize:       groupSize,
 		SegmentEntries:  segEntries,
 		CheckpointEvery: spec.CheckpointEvery,
-		AsyncIODepth:    spec.AsyncDepth,
-		IOWriters:       spec.IOWriters,
 		Recover:         recoverMode,
 	}
 	if spec.Terminals > 1 {
@@ -537,8 +524,8 @@ func (g *Golden) Run(spec RunSpec) (Result, error) {
 	}
 	res.TxLatency = total.Summary()
 	res.TpmCWall = metrics.PerMinute(res.NewOrders, wall)
-	// Close the instance so background pipeline goroutines (async I/O) are
-	// drained and stopped; the devices are discarded with the env.
+	// Close the instance, which stops its log syncer goroutine; the
+	// devices are discarded with the env.
 	if err := env.eng.Close(); err != nil {
 		return Result{}, fmt.Errorf("bench: closing %s: %w", spec.label(), err)
 	}
@@ -587,8 +574,6 @@ func (g *Golden) summarize(env *runEnv, spec RunSpec, before, after engine.Snaps
 		res.FlashUtilization = metrics.Utilization(flashDelta.Busy, elapsed)
 		res.FlashIOPS = metrics.IOPS(flashDelta.Ops(), elapsed)
 	}
-	res.AsyncDepth = spec.AsyncDepth
-	res.Pipeline = after.Pipeline.Sub(before.Pipeline)
 	res.Terminals = spec.Terminals
 	res.DeadlockRetries = ac.DeadlockRetries - bc.DeadlockRetries
 	res.Locks = after.Locks.Sub(before.Locks)

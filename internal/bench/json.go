@@ -8,13 +8,13 @@ import (
 
 // ReportSchema versions the facebench -json output format so downstream
 // tooling tracking a BENCH_*.json perf trajectory can detect changes.
-const ReportSchema = "facebench/v10"
+const ReportSchema = "facebench/v11"
 
 // Report is the machine-readable form of a facebench run: the options the
 // golden image was built with plus one entry per executed experiment.  The
 // experiment payloads are the same structs the text formatters render
 // (Result, SweepResult, RecoveryRun, ...), so every number in the tables —
-// policy, throughput, hit ratios, device I/O counts, pipeline counters —
+// policy, throughput, hit ratios, device I/O counts, lock and WAL counters —
 // is available to scripts.
 type Report struct {
 	Schema      string         `json:"schema"`

@@ -57,8 +57,8 @@ type Syncer interface {
 
 // Sync flushes dev to stable storage when it supports a durability
 // barrier and is a no-op otherwise (including for a nil device).  The
-// write-ahead log force, destage watermark and checkpoint paths call it so
-// their ordering guarantees hold on real media without the simulated
+// write-ahead log force, flash metadata flush and checkpoint paths call it
+// so their ordering guarantees hold on real media without the simulated
 // devices paying for a method they do not need.
 func Sync(dev Dev) error {
 	if s, ok := dev.(Syncer); ok && s != nil {

@@ -313,7 +313,7 @@ func (d *Device) runChunks(n int, op func(lo, hi int) error) (time.Duration, err
 
 // Sync flushes all written blocks to stable storage (fsync).  With
 // Options.NoFsync it only counts the request.  The engine calls it from
-// the write-ahead log force, the destage watermark and the checkpoint
+// the write-ahead log force, the flash metadata flush and the checkpoint
 // paths, which is what makes group commit and the flash cache's
 // destage-before-front-advance invariant genuinely durable on real media.
 func (d *Device) Sync() error {

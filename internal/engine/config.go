@@ -147,18 +147,6 @@ type Config struct {
 	// CleanThreshold is the LC lazy-cleaner dirty fraction threshold.
 	CleanThreshold float64
 
-	// AsyncIODepth enables the asynchronous group-write and destage
-	// pipeline for mvFIFO policies: evicted pages are staged into a
-	// bounded ring of this many pages and written to flash by a background
-	// group writer, so DRAM eviction no longer waits on flash I/O.  Zero
-	// keeps the synchronous path.  Negative values select the default
-	// depth.
-	AsyncIODepth int
-	// IOWriters is the number of destager workers writing cold dirty
-	// pages back to disk under async I/O (0 = 1).  More workers exploit
-	// the parallelism of a striped data array.
-	IOWriters int
-
 	// MaxWriters caps the number of concurrently admitted Update
 	// transactions (0 = unlimited; 1 serialises writers).  A bound keeps
 	// lock contention and DRAM pin pressure proportionate to small buffer
@@ -339,10 +327,8 @@ func (c *Config) resolveStriping() {
 // buildCache constructs the flash cache manager for the configured policy
 // through the registry, writing to and syncing the data device through
 // diskWrite and diskSync; policies without a flash cache yield (nil, nil).
-// With AsyncIODepth set, the manager is wrapped in the asynchronous
-// group-write and destage pipeline.
 func (c *Config) buildCache(diskWrite face.DiskWriteFunc, diskSync func() error, pull face.PullFunc) (face.Extension, error) {
-	ext, err := face.NewPolicy(c.Policy.String(), face.PolicyParams{
+	return face.NewPolicy(c.Policy.String(), face.PolicyParams{
 		Dev:            c.FlashDev,
 		Frames:         c.FlashFrames,
 		GroupSize:      c.GroupSize,
@@ -353,12 +339,4 @@ func (c *Config) buildCache(diskWrite face.DiskWriteFunc, diskSync func() error,
 		DiskSync:       diskSync,
 		Pull:           pull,
 	})
-	if err != nil || ext == nil || c.AsyncIODepth == 0 {
-		return ext, err
-	}
-	depth := c.AsyncIODepth
-	if depth < 0 {
-		depth = 0 // NewAsync applies the default
-	}
-	return face.NewAsync(ext, face.AsyncConfig{Depth: depth, Writers: c.IOWriters})
 }

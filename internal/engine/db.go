@@ -233,18 +233,9 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 
-	// From here on a failed Open must stop the cache's background
-	// pipeline, or its goroutines would outlive the aborted instance.
-	abortCache := func() {
-		if s, ok := db.cache.(face.Shutdowner); ok {
-			s.Abort()
-		}
-		abortLog()
-	}
-
 	db.pool, err = buffer.NewSharded(cfg.BufferPages, cfg.BufferShards, db.fetchPage, db.evictPage)
 	if err != nil {
-		abortCache()
+		abortLog()
 		return nil, err
 	}
 	// Concurrent transactions pin pages in parallel; a transiently
@@ -255,7 +246,7 @@ func Open(cfg Config) (*DB, error) {
 	db.obs.event("open: wal ready next=%d durable=%d", db.log.Next(), db.log.Durable())
 	if cfg.Recover {
 		if err := db.recover(); err != nil {
-			abortCache()
+			abortLog()
 			return nil, err
 		}
 	}
@@ -444,15 +435,10 @@ func (db *DB) Close() error {
 	}
 	//lint:allow facevet/nolockio shutdown fence: txMu excludes every transaction, holding both locks across the final flush is the point
 	if err := db.closeFlushLocked(); err != nil {
-		// The caller is abandoning the instance: stop the cache's
-		// background pipeline even on a failed close so its goroutines do
-		// not leak and keep touching the devices, and close the pool so a
+		// The caller is abandoning the instance: close the pool so a
 		// goroutine parked on a pin-wait fails instead of hanging.  The
 		// instance counts as closed — its devices are gone, so admitting
 		// another transaction would only fail deeper in the I/O stack.
-		if s, ok := db.cache.(face.Shutdowner); ok {
-			s.Abort()
-		}
 		db.pool.Close()
 		db.log.Close()
 		db.closeFilesLocked()
@@ -482,8 +468,7 @@ func (db *DB) closeFilesLocked() error {
 }
 
 // closeFlushLocked performs the flush side of Close: checkpoint, drain
-// the cache to disk, write back dirty DRAM pages, and stop the cache's
-// background pipeline (everything in flight was drained by FlushAll).
+// the cache to disk and write back dirty DRAM pages.
 func (db *DB) closeFlushLocked() error {
 	if err := db.checkpointLocked(); err != nil {
 		return err
@@ -500,11 +485,6 @@ func (db *DB) closeFlushLocked() error {
 		return db.writeData(v.ID, v.Data)
 	}, true); err != nil {
 		return err
-	}
-	if s, ok := db.cache.(face.Shutdowner); ok {
-		if err := s.Shutdown(); err != nil {
-			return err
-		}
 	}
 	// Leave the data device durably self-contained (no-op on simulated
 	// devices; the flash metadata was synced by the checkpoint above).
@@ -528,12 +508,6 @@ func (db *DB) Crash() {
 	db.pool.DropAll()
 	db.pool.Close()
 	db.log.Crash()
-	// The cache's background pipeline is volatile: abort it without
-	// draining, losing staged pages exactly as a crash would.  Whatever
-	// already reached the devices stays.
-	if s, ok := db.cache.(face.Shutdowner); ok {
-		s.Abort()
-	}
 	// On file-backed devices the handles are released without any final
 	// sync: whatever the OS already holds survives, exactly like a process
 	// kill.  Reopening the same directory runs recovery.
@@ -619,7 +593,7 @@ func (p dbPager) Unpin(id page.ID) error           { return p.db.pool.Unpin(id) 
 func (p dbPager) MarkDirty(id page.ID) error       { return p.db.pool.MarkDirty(id) }
 
 // lsnDirectory is a flash cache whose directory records the pageLSN of
-// each cached copy: mvFIFO, with or without the async pipeline.
+// each cached copy: mvFIFO.
 type lsnDirectory interface {
 	CopyLSN(id page.ID) (lsn page.LSN, ok bool)
 }
@@ -795,7 +769,9 @@ type Snapshot struct {
 	// cache; a single-stripe cache yields one entry equal to the cache-wide
 	// lookup counters.
 	CacheStripes []metrics.CacheStripeStats
-	Pipeline     metrics.PipelineStats
+	// Pipeline is always zero (see metrics.PipelineStats); it stays until
+	// the end-to-end benchmark stops reading it (ROADMAP item 1).
+	Pipeline metrics.PipelineStats
 	// Locks reports page lock manager activity and GroupCommit the WAL's
 	// commit-force batching.
 	Locks       metrics.LockStats
@@ -852,9 +828,6 @@ func (db *DB) Snapshot() Snapshot {
 	}
 	if sr, ok := db.cache.(face.StripeReporter); ok {
 		s.CacheStripes = sr.StripeStats()
-	}
-	if p, ok := db.cache.(face.PipelineReporter); ok {
-		s.Pipeline = p.PipelineStats()
 	}
 	if db.flashDev != nil {
 		s.Flash = db.flashDev.Stats()

@@ -435,13 +435,11 @@ func TestFaCERecoveryReadsMostlyFromFlash(t *testing.T) {
 }
 
 // restartCase is a cache configuration a restart test runs under: every
-// policy, and Group Second Chance behind the asynchronous pipeline.
-// volatile puts the data device behind a barrier whose unsynced writes a
-// crash loses (volatileDev).
+// policy.  volatile puts the data device behind a barrier whose unsynced
+// writes a crash loses (volatileDev).
 type restartCase struct {
 	name     string
 	policy   CachePolicy
-	async    bool
 	volatile bool
 }
 
@@ -450,7 +448,7 @@ func restartCases() []restartCase {
 	for _, p := range allPolicies() {
 		out = append(out, restartCase{name: string(p), policy: p})
 	}
-	return append(out, restartCase{name: "face+gsc-async", policy: PolicyFaCEGSC, async: true})
+	return out
 }
 
 // changedThenEvicted opens a database under c, checkpoints n pages, logs
@@ -460,9 +458,6 @@ func restartCases() []restartCase {
 func changedThenEvicted(t *testing.T, c restartCase, n int) (*testRig, *DB, []page.ID) {
 	t.Helper()
 	r := newRig(t, c.policy)
-	if c.async {
-		r.cfg.AsyncIODepth = 64
-	}
 	if c.volatile {
 		r.cfg.DataDev = newVolatileDev(r.data)
 	}
@@ -491,15 +486,8 @@ func changedThenEvicted(t *testing.T, c restartCase, n int) (*testRig, *DB, []pa
 		t.Fatal("changed page still in the DRAM buffer")
 	}
 	if d, ok := db.cache.(lsnDirectory); ok {
-		// Under async I/O the page reaches the flash queue in the
-		// background.
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			if lsn, ok := d.CopyLSN(ids[0]); ok && lsn >= changed {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("changed page never reached the flash queue")
-			}
+		if lsn, ok := d.CopyLSN(ids[0]); !ok || lsn < changed {
+			t.Fatal("changed page never reached the flash queue")
 		}
 	}
 	return r, db, ids

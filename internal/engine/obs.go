@@ -6,7 +6,6 @@ import (
 	"log"
 	"time"
 
-	"github.com/reprolab/face/internal/face"
 	"github.com/reprolab/face/internal/obs"
 	"github.com/reprolab/face/internal/obs/trace"
 	"github.com/reprolab/face/internal/wal"
@@ -14,7 +13,7 @@ import (
 
 // This file is the engine's observability layer: wall-clock phase tracing
 // on the commit path, latency histograms, and scrape-time counters for
-// every substrate (buffer pool, WAL, lock manager, flash cache pipeline).
+// every substrate (buffer pool, WAL, lock manager, flash cache).
 //
 // The layer is optional (Config.DisableObs) and its absence costs one nil
 // check per instrumentation site: a disabled database carries a nil
@@ -238,16 +237,11 @@ func (db *DB) registerMetrics() {
 	reg.CounterFunc("face_lock_waits_total", func() int64 { return db.locks.Stats().Waits })
 	reg.CounterFunc("face_lock_deadlocks_total", func() int64 { return db.locks.Stats().Deadlocks })
 
-	// Flash cache and its async I/O pipeline.
+	// Flash cache.
 	if db.cache != nil {
 		reg.CounterFunc("face_cache_lookups_total", func() int64 { return db.cache.Stats().Lookups })
 		reg.CounterFunc("face_cache_hits_total", func() int64 { return db.cache.Stats().Hits })
 		reg.CounterFunc("face_cache_flash_writes_total", func() int64 { return db.cache.Stats().FlashPageWrites })
-	}
-	if p, ok := db.cache.(face.PipelineReporter); ok {
-		reg.CounterFunc("face_iosched_staged_total", func() int64 { return p.PipelineStats().Staged })
-		reg.CounterFunc("face_iosched_stalls_total", func() int64 { return p.PipelineStats().Stalls })
-		reg.CounterFunc("face_iosched_destage_writes_total", func() int64 { return p.PipelineStats().DestageWrites })
 	}
 }
 

@@ -35,7 +35,7 @@ func TestRestartSkipsPageCurrentOnDisk(t *testing.T) {
 			id := ids[0]
 			// The round of reads after the page is home evicts pages, and
 			// each eviction logs the notes of the writes that landed before
-			// it, a background destage's too.
+			// it.
 			deadline := time.Now().Add(10 * time.Second)
 			for home := false; !home; {
 				if time.Now().After(deadline) {

@@ -3,6 +3,7 @@ package face
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // fakeDisk records dirty pages written back by the cache managers.  write
-// may be called from several destager workers at once; tests read the
+// takes the lock, so it is safe under concurrent stage-ins; tests read the
 // fields directly only once the cache has been flushed or shut down.
 type fakeDisk struct {
 	mu     sync.Mutex
@@ -899,3 +900,64 @@ func TestWriterPathReturnsWhatItBorrows(t *testing.T) {
 		check(id, 9)
 	}
 }
+
+// TestMVFIFOConcurrentLookupDuringGroupWrite exercises the split-lock
+// protocol of the synchronous core: lookups proceed and stay consistent
+// while group writes and replacements run on another goroutine.
+func TestMVFIFOConcurrentLookupDuringGroupWrite(t *testing.T) {
+	disk := newFakeDisk()
+	m := newFaCE(t, 32, disk, func(c *MVFIFOConfig) {
+		c.GroupSize = 8
+		c.SecondChance = true
+	})
+	const pages = 24
+	stop := make(chan struct{})
+	var readErr atomic.Value
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			buf := page.NewBuf()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := page.ID(rng.Intn(pages) + 1)
+				found, _, err := m.Lookup(id, buf)
+				if err != nil {
+					readErr.Store(err)
+					return
+				}
+				if found && (buf.ID() != id || buf.Payload()[0] != byte(id)) {
+					readErr.Store(errLookupMismatch(id))
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 400; r++ {
+		id := page.ID(r%pages + 1)
+		p := makePage(id, page.LSN(r+1), byte(id))
+		if err := m.StageIn(id, p, r%2 == 0, true); err != nil {
+			t.Fatal(err)
+		}
+		if r%100 == 99 {
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := readErr.Load(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+type errLookupMismatch page.ID
+
+func (e errLookupMismatch) Error() string { return "lookup returned wrong page" }

@@ -167,7 +167,7 @@ type dirStripe struct {
 //   - mu guards the queue metadata (front, seq, meta, writer-side stats)
 //     and is never held across device I/O.  The writer path may take a
 //     stripe lock while holding mu; the reverse order never occurs.
-//   - wrMu serializes the writer path (StageIn/StageBatch, Checkpoint,
+//   - wrMu serializes the writer path (StageIn, Checkpoint,
 //     Recover, FlushAll) and protects the metadata directory; the device
 //     I/O of a group write happens under wrMu alone.
 //
@@ -215,14 +215,14 @@ type MVFIFO struct {
 	//
 	// images holds the frame images group replacement reads the front of
 	// the queue into.  makeRoom takes them, and every one comes back: at
-	// once when its page was destaged inline or forced out, after enqueue has
+	// once when its page was destaged or forced out, after enqueue has
 	// published the new frame when it survived.  A second round of making
 	// room can start while the first round's survivors are still out, so
 	// the list is bounded by two groups.
 	images *page.FreeList
 	// stage is the run a write group is stamped in and written from, and
 	// pages its blocks as WriteRun wants them; both grow to the largest
-	// group written.  items is the list StageBatch builds for enqueue, kept
+	// group written.  items is the list StageIn builds for enqueue, kept
 	// for its storage, and room the lists makeRoom builds, each one
 	// replacement group long.
 	stage []byte
@@ -235,19 +235,6 @@ type MVFIFO struct {
 		frames    []page.Buf
 		survivors []stageItem
 	}
-
-	// Asynchronous destage hooks, nil in synchronous mode.  enableAsync
-	// installs them before the manager is shared, so they are read without
-	// synchronization afterwards.
-	//
-	// destage hands a dirty page leaving the queue to the destager instead
-	// of writing it to disk inline; waitReuse blocks until the destage for
-	// the given position has landed (the frame slot may then be rewritten);
-	// persistFront clamps the front pointer recorded in the persistent
-	// superblock so it never advances past an un-landed destage.
-	destage      func(pos uint64, id page.ID, data page.Buf) error
-	waitReuse    func(pos uint64)
-	persistFront func(front uint64) uint64
 }
 
 // NewMVFIFO creates a FaCE cache manager on the given flash device.  The
@@ -307,8 +294,8 @@ const FlashDeviceSlack = 64
 
 // stripeIndex maps a page id to one of n stripes with the same Fibonacci
 // multiplicative hash the buffer pool shards use; every striped structure
-// keyed by page id (directory stripes, the async staging map) shares it so
-// a page always lands on the same stripe index everywhere.
+// keyed by page id shares it so a page always lands on the same stripe
+// index everywhere.
 func stripeIndex(id page.ID, n int) int {
 	if n <= 1 {
 		return 0
@@ -397,13 +384,6 @@ func (m *MVFIFO) StripeStats() []metrics.CacheStripeStats {
 		st.mu.Unlock()
 	}
 	return out
-}
-
-// noteDiskWrite records a completed asynchronous destage disk write.
-func (m *MVFIFO) noteDiskWrite() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats.DiskPageWrites++
 }
 
 // CopyLSN returns the pageLSN of the page's valid flash copy, as the
@@ -502,30 +482,11 @@ func (st *dirStripe) transitLookupLocked(id page.ID, buf page.Buf) (bool, bool) 
 	return true, t.dirty
 }
 
-// StageItem is a page offered to the cache, as StageBatch consumes them.
-// Data is lent, like StageIn's: the cache reads it until StageBatch returns
-// and keeps nothing of it.
-type StageItem struct {
-	ID     page.ID
-	Data   page.Buf
-	Dirty  bool // newer than the disk copy
-	FDirty bool // newer than the flash copy
-	Ref    bool // referenced while staged (async ring hit)
-}
-
 // StageIn offers a page evicted from the DRAM buffer to the cache,
 // implementing Algorithm 1 of the paper: unconditional enqueue when fdirty,
 // conditional enqueue (skip when an identical copy is cached) otherwise.
 // The image is copied into the write group; see Extension.StageIn.
 func (m *MVFIFO) StageIn(id page.ID, data page.Buf, dirty, fdirty bool) error {
-	return m.StageBatch([]StageItem{{ID: id, Data: data, Dirty: dirty, FDirty: fdirty}})
-}
-
-// StageBatch offers several evicted pages at once.  The async group writer
-// drains its staging ring in batches so that one sequential flash group
-// write covers all of them; each item still gets the per-page treatment of
-// Algorithm 1.
-func (m *MVFIFO) StageBatch(in []StageItem) error {
 	m.wrMu.Lock()
 	defer m.wrMu.Unlock()
 
@@ -533,37 +494,33 @@ func (m *MVFIFO) StageBatch(in []StageItem) error {
 		return ErrClosed
 	}
 	m.mu.Lock()
-	items := m.items[:0]
-	for _, it := range in {
-		m.stats.StageIns++
-		if it.Dirty {
-			m.stats.DirtyStageIns++
-		} else {
-			m.stats.CleanStageIns++
-		}
-		if !it.FDirty {
-			st := m.stripe(it.ID)
-			st.mu.Lock()
-			_, cached := st.dir[it.ID]
-			if !cached {
-				// A second-chance survivor between its frame being
-				// recycled and its re-enqueue counts as cached too: it is
-				// about to be republished.
-				_, cached = st.transit[it.ID]
-			}
-			st.mu.Unlock()
-			if cached {
-				// An identical copy is already in the flash cache.
-				continue
-			}
-			// Not cached: enqueue.  A dirty page whose flash copy was
-			// staged out must be re-enqueued so the persistent database
-			// keeps the newest version; a clean page is enqueued as clean.
-		}
-		items = append(items, stageItem{
-			id: it.ID, data: it.Data, dirty: it.Dirty, lsn: it.Data.LSN(), ref: it.Ref,
-		})
+	m.stats.StageIns++
+	if dirty {
+		m.stats.DirtyStageIns++
+	} else {
+		m.stats.CleanStageIns++
 	}
+	if !fdirty {
+		st := m.stripe(id)
+		st.mu.Lock()
+		_, cached := st.dir[id]
+		if !cached {
+			// A second-chance survivor between its frame being recycled
+			// and its re-enqueue counts as cached too: it is about to be
+			// republished.
+			_, cached = st.transit[id]
+		}
+		st.mu.Unlock()
+		if cached {
+			// An identical copy is already in the flash cache.
+			m.mu.Unlock()
+			return nil
+		}
+		// Not cached: enqueue.  A dirty page whose flash copy was staged
+		// out must be re-enqueued so the persistent database keeps the
+		// newest version; a clean page is enqueued as clean.
+	}
+	items := append(m.items[:0], stageItem{id: id, data: data, dirty: dirty, lsn: data.LSN()})
 	m.mu.Unlock()
 	//lint:allow facevet/nolockio wrMu is the single-writer serialization lock and is held across destage by design; the shared-state lock m.mu is released first
 	return m.enqueue(items)
@@ -580,10 +537,6 @@ type stageItem struct {
 	home  *page.FreeList
 	dirty bool
 	lsn   page.LSN
-	ref   bool
-	// pos is the queue position a second-chance survivor came from; it is
-	// only used to order asynchronous destages of forced-out survivors.
-	pos uint64
 }
 
 // DirtyFrames returns the number of valid dirty frames (diagnostics).

@@ -72,11 +72,6 @@ func (m *MVFIFO) enqueue(items []stageItem) error {
 		images = append(images, img)
 	}
 	m.pages = images[:0]
-	// Under asynchronous destaging a frame slot must not be rewritten
-	// until the dirty page that last occupied it has landed on disk.
-	if m.waitReuse != nil && start+uint64(len(items)) > capacity {
-		m.waitReuse(start + uint64(len(items)) - 1 - capacity)
-	}
 	if err := m.writeFrames(start, images); err != nil {
 		return err
 	}
@@ -107,7 +102,7 @@ func (m *MVFIFO) enqueue(items []stageItem) error {
 			}
 		}
 		m.meta[slot] = frameMeta{id: it.id, lsn: it.lsn, valid: newest, dirty: it.dirty, used: true}
-		m.refs[slot].Store(it.ref)
+		m.refs[slot].Store(false)
 		if newest {
 			st.dir[it.id] = dirEntry{pos: pos, lsn: it.lsn, dirty: it.dirty}
 		} else {
@@ -134,7 +129,7 @@ func (m *MVFIFO) enqueue(items []stageItem) error {
 	flushes := 0
 	for i, it := range items {
 		pos := start + uint64(i)
-		n, err := m.metadir.appendEntry(metaEntry{id: it.id, lsn: it.lsn, dirty: it.dirty}, pos, m.clampFront(front))
+		n, err := m.metadir.appendEntry(metaEntry{id: it.id, lsn: it.lsn, dirty: it.dirty}, pos, front)
 		flushes += n
 		if err != nil {
 			return err
@@ -148,27 +143,15 @@ func (m *MVFIFO) enqueue(items []stageItem) error {
 	return nil
 }
 
-// clampFront bounds the front pointer recorded in the persistent
-// superblock: under asynchronous destaging it must not advance past the
-// oldest un-landed destage, or a crash could lose the only copy of a dirty
-// page.  Recovery then conservatively replays the extra positions as
-// cached dirty pages.
-func (m *MVFIFO) clampFront(front uint64) uint64 {
-	if m.persistFront != nil {
-		return m.persistFront(front)
-	}
-	return front
-}
-
 // makeRoom frees at least GroupSize frames (or one frame when grouping is
 // disabled) from the front of the queue.  With second chance enabled it
 // returns referenced frames and pulled DRAM victims to be appended to the
 // caller's write group; reserve tells it how many slots the caller already
 // needs so the group is not overfilled.  The caller holds wrMu.
 //
-// Dirty pages leaving the queue are destaged (inline or to the destager)
-// BEFORE their directory entries are removed, so a concurrent lookup never
-// misses into a stale disk copy.
+// Dirty pages leaving the queue are written to disk BEFORE their directory
+// entries are removed, so a concurrent lookup never misses into a stale
+// disk copy.
 func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 	capacity := uint64(m.cfg.Frames)
 
@@ -210,14 +193,10 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 		m.mu.Unlock()
 	}
 
-	// Issue the stage-outs.  readFrames filled private images.  One handed
-	// to the asynchronous destager stays with it (and falls to the collector
-	// when its disk write has landed); one written inline is finished with
-	// when the write returns.
-	inline := m.destage == nil
+	// Issue the stage-outs.  readFrames filled private images; one written
+	// to disk is finished with when the write returns.
 	survivors := m.room.survivors[:0] // survivors and pulled victims together never exceed the group
 	for i := 0; i < group; i++ {
-		pos := front + uint64(i)
 		fm := metas[i]
 		if !fm.valid {
 			continue
@@ -225,14 +204,12 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 		switch {
 		case m.cfg.SecondChance && refs[i]:
 			// Second chance: re-enqueue regardless of dirtiness.
-			survivors = append(survivors, stageItem{id: fm.id, data: frames[i], home: m.images, dirty: fm.dirty, lsn: fm.lsn, pos: pos})
+			survivors = append(survivors, stageItem{id: fm.id, data: frames[i], home: m.images, dirty: fm.dirty, lsn: fm.lsn})
 		case fm.dirty:
-			if err := m.destageOut(pos, fm.id, frames[i]); err != nil {
+			if err := m.destageOut(fm.id, frames[i]); err != nil {
 				return nil, err
 			}
-			if inline {
-				m.images.Put(frames[i])
-			}
+			m.images.Put(frames[i])
 		}
 	}
 
@@ -284,19 +261,16 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 		victim := survivors[0]
 		survivors = survivors[1:]
 		if victim.dirty {
-			if err := m.destageOut(victim.pos, victim.id, victim.data); err != nil {
+			if err := m.destageOut(victim.id, victim.data); err != nil {
 				return nil, err
 			}
 		}
-		// A dirty victim stays visible through the destager until its disk
-		// write lands; a clean one is current on disk.
+		// The victim is current on disk now.
 		st := m.stripe(victim.id)
 		st.mu.Lock()
 		delete(st.transit, victim.id)
 		st.mu.Unlock()
-		if inline || !victim.dirty {
-			victim.home.Put(victim.data)
-		}
+		victim.home.Put(victim.data)
 	}
 	// Survivors will be re-enqueued by the caller, which publishes their
 	// new directory entries.
@@ -340,16 +314,9 @@ func (m *MVFIFO) makeRoom(reserve int) ([]stageItem, error) {
 	return survivors, nil
 }
 
-// destageOut moves a dirty page leaving the queue towards its disk home:
-// through the asynchronous destager when one is attached, which keeps the
-// image, inline through the DiskWrite callback otherwise, which is lent it.
-func (m *MVFIFO) destageOut(pos uint64, id page.ID, data page.Buf) error {
-	if m.destage != nil {
-		if err := m.destage(pos, id, data); err != nil {
-			return fmt.Errorf("face: destaging page %d: %w", id, err)
-		}
-		return nil
-	}
+// destageOut writes a dirty page leaving the queue to its disk home
+// through the DiskWrite callback, which is lent the image.
+func (m *MVFIFO) destageOut(id page.ID, data page.Buf) error {
 	if err := m.cfg.DiskWrite(id, data); err != nil {
 		return fmt.Errorf("face: staging out page %d: %w", id, err)
 	}
@@ -441,7 +408,7 @@ func (m *MVFIFO) Checkpoint() error {
 	seq, front := m.seq, m.front
 	m.mu.Unlock()
 	//lint:allow facevet/nolockio checkpoint fence: wrMu excludes writers so the metadata flush sees a stable queue; m.mu is released first
-	flushes, err := m.metadir.flush(seq, m.clampFront(front))
+	flushes, err := m.metadir.flush(seq, front)
 	if flushes > 0 {
 		m.mu.Lock()
 		m.stats.MetadataFlushes += int64(flushes)
@@ -553,13 +520,12 @@ func (m *MVFIFO) Recover() error {
 	}
 
 	// Clamp the recovered window to the frame array.  The persisted front
-	// can lag the pre-crash front (it is recorded at metadata flushes and,
-	// under asynchronous destaging, clamped to un-landed destages), so
+	// can lag the pre-crash front (it is recorded at metadata flushes), so
 	// seq-front may exceed the number of physical slots.  Positions below
 	// seq-capacity are below the pre-crash front, which only ever advanced
-	// past landed destages — their disk copies are current — and their
-	// slots alias newer positions, so keeping them would let the live
-	// replacement path recycle a slot out from under a still-published
+	// past pages already written to disk — their disk copies are current —
+	// and their slots alias newer positions, so keeping them would let the
+	// live replacement path recycle a slot out from under a still-published
 	// directory entry.  Drop them and start the queue from a window that
 	// fits.
 	if m.seq > m.front+capacity {
@@ -614,7 +580,7 @@ func (m *MVFIFO) FlushAll() error {
 		m.mu.Lock()
 		m.stats.FlashPageReads++
 		m.mu.Unlock()
-		if err := m.destageOut(t.pos, t.id, buf); err != nil {
+		if err := m.destageOut(t.id, buf); err != nil {
 			return fmt.Errorf("face: flush write page %d: %w", t.id, err)
 		}
 		m.mu.Lock()
@@ -629,10 +595,7 @@ func (m *MVFIFO) FlushAll() error {
 		m.mu.Unlock()
 	}
 	// The flush exists to leave the disk self-contained; make it durable.
-	// Under asynchronous destaging the writes above went to the destager
-	// and have not landed yet — the Async wrapper syncs after draining
-	// them, so a barrier here would cover nothing.
-	if m.cfg.DiskSync != nil && m.destage == nil {
+	if m.cfg.DiskSync != nil {
 		if err := m.cfg.DiskSync(); err != nil {
 			return fmt.Errorf("face: syncing disk after flush: %w", err)
 		}

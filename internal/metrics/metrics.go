@@ -91,49 +91,20 @@ func DeviceResource(d device.Dev) Resource {
 	return Resource{Name: d.Name(), Busy: d.BusyTime(), Parallelism: d.Parallelism()}
 }
 
-// PipelineStats captures the activity of the asynchronous flash I/O
-// pipeline (internal/iosched): the staging ring the DRAM buffer evicts
-// into, the group writer that batches staged pages into sequential flash
-// writes, and the destager workers that drain cold dirty pages to disk.
-//
-// All fields are cumulative counters so two snapshots can be subtracted to
-// measure a window of work, except the *Max* fields, which are high-water
-// marks.
+// PipelineStats is what is left of the counters of the removed
+// asynchronous flash I/O pipeline.  Every value is always zero: the cache
+// writes groups and destages inline.  The end-to-end benchmark still
+// reports them as its pipeline stall, coalescing and group-fill rows; the
+// type goes when those rows do (ROADMAP item 1).
 type PipelineStats struct {
-	// Staged is the number of pages accepted into the staging ring.
-	Staged int64
-	// Stalls counts Put calls that blocked on a full ring (backpressure).
-	Stalls int64
-	// StallTime is the total wall-clock time producers spent blocked on a
-	// full staging ring.
-	StallTime time.Duration
-	// MaxDepth is the staging ring occupancy high-water mark.
-	MaxDepth int64
-	// Coalesced counts staged pages that were superseded in place by a
-	// newer version of the same page before reaching flash (write
-	// coalescing in the ring).
+	// Coalesced counted staged pages superseded before reaching flash.
 	Coalesced int64
-
-	// Batches is the number of group-writer flushes and BatchPages the
-	// total pages they carried; BatchPages/Batches is the mean group fill.
+	// StallTime was the time producers spent blocked on a full ring.
+	StallTime time.Duration
+	// Batches and BatchPages were the group-writer flushes and the pages
+	// they carried.
 	Batches    int64
 	BatchPages int64
-
-	// Destages is the number of dirty pages handed to the destager and
-	// DestageWrites the number actually written to disk (stale versions
-	// superseded in the queue are skipped).
-	Destages      int64
-	DestageWrites int64
-	// DestageMaxDepth is the destage queue occupancy high-water mark.
-	DestageMaxDepth int64
-	// ReuseWaits counts group writes that had to wait for a destage to
-	// land before a flash frame slot could be reused.
-	ReuseWaits int64
-
-	// RingHits and DestageHits count cache lookups served from the staging
-	// ring and from the in-flight destage buffer respectively.
-	RingHits    int64
-	DestageHits int64
 }
 
 // GroupFill returns the mean number of pages per group-writer flush.
@@ -144,23 +115,13 @@ func (p PipelineStats) GroupFill() float64 {
 	return float64(p.BatchPages) / float64(p.Batches)
 }
 
-// Sub returns the counter difference p - prior; high-water marks are taken
-// from p unchanged.
+// Sub returns the counter difference p - prior.
 func (p PipelineStats) Sub(prior PipelineStats) PipelineStats {
 	return PipelineStats{
-		Staged:          p.Staged - prior.Staged,
-		Stalls:          p.Stalls - prior.Stalls,
-		StallTime:       p.StallTime - prior.StallTime,
-		MaxDepth:        p.MaxDepth,
-		Coalesced:       p.Coalesced - prior.Coalesced,
-		Batches:         p.Batches - prior.Batches,
-		BatchPages:      p.BatchPages - prior.BatchPages,
-		Destages:        p.Destages - prior.Destages,
-		DestageWrites:   p.DestageWrites - prior.DestageWrites,
-		DestageMaxDepth: p.DestageMaxDepth,
-		ReuseWaits:      p.ReuseWaits - prior.ReuseWaits,
-		RingHits:        p.RingHits - prior.RingHits,
-		DestageHits:     p.DestageHits - prior.DestageHits,
+		Coalesced:  p.Coalesced - prior.Coalesced,
+		StallTime:  p.StallTime - prior.StallTime,
+		Batches:    p.Batches - prior.Batches,
+		BatchPages: p.BatchPages - prior.BatchPages,
 	}
 }
 

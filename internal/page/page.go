@@ -122,7 +122,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 //   - lent: the callee may read it until it returns and must neither keep
 //     nor write it (buffer.Victim.Data in an eviction or flush callback,
-//     the data of Extension.StageIn, face.StageItem and DiskWriteFunc);
+//     the data of Extension.StageIn and DiskWriteFunc);
 //   - handed over: ownership moves to the receiver, who alone decides when
 //     the image is finished with (buffer.Victim.Data from EvictBatch,
 //     face.PulledPage.Data);
@@ -130,10 +130,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 // An image goes back to a FreeList only from the goroutine that owns it
 // exclusively, and only after the last device write or copy out of it has
-// returned; from then on nobody may read or write it.  Images that cross to
-// another goroutine's pipeline (the asynchronous staging ring and destager),
-// the LC baseline's and recovery's scratch images are never recycled: they
-// fall to the collector.
+// returned; from then on nobody may read or write it.  The LC baseline's
+// and recovery's scratch images are never recycled: they fall to the
+// collector.
 type Buf []byte
 
 // NewBuf allocates a zeroed page image.

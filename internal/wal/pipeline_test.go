@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/page"
@@ -148,6 +149,47 @@ func TestReserveRingWrapStallsAndRecovers(t *testing.T) {
 	}
 	if s := m.Stats(); s.ReserveStalls == 0 {
 		t.Fatalf("no reservation stalls despite a %d-byte ring and %d bytes appended", 4096, writers*perWriter*len(payload))
+	}
+}
+
+// TestReserveStallSurvivesConcurrentForces: appenders that force every
+// record they append keep a 4 KiB ring on the edge of full, so an appender
+// often finds it full from a flushed offset that a concurrent force then
+// moves past, sometimes to the end of an empty ring.  Its stall must end
+// then: waiting for a flush the ring no longer needs hangs every appender
+// behind it.
+func TestReserveStallSurvivesConcurrentForces(t *testing.T) {
+	payload := make([]byte, 900) // two records fill the ring
+	for round := 0; round < 2000; round++ {
+		m, err := OpenConfig(device.New("log", device.ProfileCheetah15K, 1<<15), Config{Segments: 2, SegmentBytes: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					lsn, err := m.Append(&Record{Type: TypeUpdate, TxID: TxID(w*100 + i + 1), Before: payload, After: payload})
+					if err == nil {
+						err = m.Force(lsn)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: appenders stalled on a ring with room (%d stalls)", round, m.Stats().ReserveStalls)
+		}
+		m.Close()
 	}
 }
 

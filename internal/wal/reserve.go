@@ -188,8 +188,10 @@ func (p *pipeline) append(r *Record) (page.LSN, error) {
 		}
 		// Admission: a successful reservation must fit in the ring
 		// alongside everything not yet flushed, so every admitted copy
-		// can complete without waiting on another appender.
-		if end-p.flushedOff.Load() > p.ringBytes {
+		// can complete without waiting on another appender.  cur may be
+		// stale, its end already flushed past: the sum, unlike end-flushed,
+		// cannot wrap into a full ring, and the CAS below then fails.
+		if flushed := p.flushedOff.Load(); end > flushed+p.ringBytes {
 			if b := p.flushErr.Load(); b != nil {
 				return 0, b.err
 			}
@@ -201,8 +203,11 @@ func (p *pipeline) append(r *Record) (page.LSN, error) {
 				m.reserveStalls.Add(1)
 			}
 			// Sleep until a round has freed ring space (or none ever
-			// will); re-reading under the lock loses no wake-up.
-			flushed := p.flushedOff.Load()
+			// will); re-reading under the lock loses no wake-up.  The
+			// sleep waits on the flushed offset the admission test read:
+			// a flush that lands after that read, and may leave the ring
+			// empty so that the round kicked here has nothing to write,
+			// must stop the sleep too.
 			p.kickFlush()
 			p.space.L.Lock()
 			if p.flushedOff.Load() == flushed && p.flushErr.Load() == nil && !p.stopped.Load() {

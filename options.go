@@ -226,38 +226,6 @@ func WithCleanThreshold(t float64) Option {
 	}
 }
 
-// WithAsyncIO enables the asynchronous group-write and destage pipeline
-// for the mvFIFO cache policies ("face", "face+gr", "face+gsc"): pages
-// evicted from the DRAM buffer are staged into a bounded ring of depth
-// pages and written to flash by a background group writer, and cold dirty
-// pages are drained to disk by background destager workers, so Pool.Get
-// returns without waiting on flash or disk I/O.  The ring applies
-// backpressure when full.
-//
-// WithAsyncIO(0) selects the synchronous path (the default): every group
-// write and destage happens inline on the evicting transaction.  Prefer it
-// when deterministic, strictly paper-faithful I/O scheduling matters more
-// than throughput.  A negative depth selects the default ring depth.
-func WithAsyncIO(depth int) Option {
-	return func(c *engine.Config) error {
-		c.AsyncIODepth = depth
-		return nil
-	}
-}
-
-// WithIOWriters sets the number of background destager workers that write
-// cold dirty pages back to the data device under WithAsyncIO (default 1).
-// More workers exploit the parallelism of a striped data array.
-func WithIOWriters(n int) Option {
-	return func(c *engine.Config) error {
-		if n < 1 {
-			return fmt.Errorf("face: WithIOWriters(%d): must be at least 1", n)
-		}
-		c.IOWriters = n
-		return nil
-	}
-}
-
 // WithLockManager does nothing: every database schedules its transactions
 // with page-granularity two-phase locking.
 //

@@ -198,8 +198,8 @@ func TestCrashReopenTorture(t *testing.T) {
 			next++
 		}
 
-		// Kill: volatile state (buffer pool, log tail, cache metadata,
-		// async pipeline) is dropped; only the device files remain.
+		// Kill: volatile state (buffer pool, log tail, cache metadata) is
+		// dropped; only the device files remain.
 		db.Crash()
 		if err := db.Update(context.Background(), func(tx *Tx) error { return nil }); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("cycle %d: update after crash: %v, want ErrCrashed", cycle, err)
