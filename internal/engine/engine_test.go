@@ -11,6 +11,7 @@ import (
 	"github.com/reprolab/face/internal/buffer"
 	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/face"
+	"github.com/reprolab/face/internal/metrics"
 	"github.com/reprolab/face/internal/page"
 )
 
@@ -694,6 +695,157 @@ func TestCloseMakesDataDeviceSelfContained(t *testing.T) {
 		}
 	}
 	tx2.commit()
+}
+
+// TestCrashRecoversManySmallCommits crashes each policy after a stream of
+// one-page transactions through an 8-page buffer, so most committed
+// versions were evicted to the cache (or disk) and superseded several
+// times before the crash.  Restart must reproduce the last committed
+// value of every page.
+func TestCrashRecoversManySmallCommits(t *testing.T) {
+	for _, policy := range allPolicies() {
+		t.Run(string(policy), func(t *testing.T) {
+			r := newRig(t, policy)
+			r.cfg.BufferPages = 8
+			db := r.open(t, false)
+			ctx := context.Background()
+
+			var ids []page.ID
+			if err := db.Update(ctx, func(tx *Tx) error {
+				for i := 0; i < 48; i++ {
+					id, err := tx.Alloc(page.TypeHeap)
+					if err != nil {
+						return err
+					}
+					ids = append(ids, id)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 6; round++ {
+				for i, id := range ids {
+					if err := db.Update(ctx, func(tx *Tx) error {
+						writeValue(t, tx, id, uint64(round*1000+i))
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			db.Crash()
+
+			db2 := r.open(t, true)
+			defer db2.Close()
+			if err := db2.View(ctx, func(tx *Tx) error {
+				for i, id := range ids {
+					if got := readValue(t, tx, id); got != uint64(5000+i) {
+						t.Fatalf("page %d = %d, want %d", id, got, 5000+i)
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCloseWritesEveryCachedVersionHome closes each policy while most of
+// its dirty pages live only in the flash cache, several versions deep, and
+// reopens the data device alone: Close must have written the newest
+// committed version of every page to disk.
+func TestCloseWritesEveryCachedVersionHome(t *testing.T) {
+	for _, policy := range allPolicies() {
+		t.Run(string(policy), func(t *testing.T) {
+			r := newRig(t, policy)
+			r.cfg.BufferPages = 8
+			db := r.open(t, false)
+			ctx := context.Background()
+
+			var ids []page.ID
+			if err := db.Update(ctx, func(tx *Tx) error {
+				for i := 0; i < 40; i++ {
+					id, err := tx.Alloc(page.TypeHeap)
+					if err != nil {
+						return err
+					}
+					writeValue(t, tx, id, uint64(i))
+					ids = append(ids, id)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for round := 1; round <= 3; round++ {
+				if err := db.Update(ctx, func(tx *Tx) error {
+					for i, id := range ids {
+						writeValue(t, tx, id, uint64(round*7000+i))
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := r.cfg
+			cfg.Policy = PolicyNone
+			cfg.FlashDev = nil
+			cfg.FlashFrames = 0
+			db2, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			if err := db2.View(ctx, func(tx *Tx) error {
+				for i, id := range ids {
+					if got := readValue(t, tx, id); got != uint64(21000+i) {
+						t.Fatalf("page %d = %d, want %d (dirty page lost across Close)", id, got, 21000+i)
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSnapshotPipelineStaysZero pins the documented contract of
+// Snapshot.Pipeline: the cache writes its groups inline, so after work
+// that fills and replaces flash groups every pipeline counter, and the
+// group fill derived from them, is still zero.
+func TestSnapshotPipelineStaysZero(t *testing.T) {
+	r := newRig(t, PolicyFaCEGR)
+	r.cfg.BufferPages = 8
+	db := r.open(t, false)
+	defer db.Close()
+	ctx := context.Background()
+	if err := db.Update(ctx, func(tx *Tx) error {
+		for i := 0; i < 32; i++ {
+			id, err := tx.Alloc(page.TypeHeap)
+			if err != nil {
+				return err
+			}
+			writeValue(t, tx, id, uint64(i))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s := db.Snapshot()
+	if s.Cache.FlashPageWrites == 0 {
+		t.Fatal("no flash writes: the cache was not exercised")
+	}
+	if s.Pipeline != (metrics.PipelineStats{}) || s.Pipeline.GroupFill() != 0 {
+		t.Fatalf("pipeline counters moved: %+v", s.Pipeline)
+	}
 }
 
 func TestAllocExhaustsDevice(t *testing.T) {

@@ -961,3 +961,364 @@ func TestMVFIFOConcurrentLookupDuringGroupWrite(t *testing.T) {
 type errLookupMismatch page.ID
 
 func (e errLookupMismatch) Error() string { return "lookup returned wrong page" }
+
+// mvfifoVariants are the paper's three mvFIFO policies as newFaCE options,
+// named as the policy registry names them.
+func mvfifoVariants() []struct {
+	name string
+	opt  func(*MVFIFOConfig)
+} {
+	return []struct {
+		name string
+		opt  func(*MVFIFOConfig)
+	}{
+		{"face", func(*MVFIFOConfig) {}},
+		{"face+gr", func(c *MVFIFOConfig) { c.GroupSize = 4 }},
+		{"face+gsc", func(c *MVFIFOConfig) { c.GroupSize = 4; c.SecondChance = true }},
+	}
+}
+
+// TestMVFIFOConcurrentStress hammers StageIn, Lookup and Checkpoint from
+// many goroutines (run it under -race) and then checks that the newest
+// version of every dirty page survived in the cache or on disk.
+func TestMVFIFOConcurrentStress(t *testing.T) {
+	for _, v := range mvfifoVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			disk := newFakeDisk()
+			m := newFaCE(t, 64, disk, v.opt)
+
+			const (
+				workers = 4
+				pages   = 40
+				rounds  = 150
+			)
+			// Each stager owns the pages congruent to its number, as the
+			// buffer pool's busy latch gives every page one evictor at a
+			// time (StageIn's contract), so the versions of a page are
+			// staged in LSN order.
+			var latest [pages + 1]atomic.Int64 // page id -> newest staged LSN
+			var wg sync.WaitGroup
+			errs := make(chan error, workers*2+1)
+
+			var lsnSource atomic.Int64
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for r := 0; r < rounds; r++ {
+						id := page.ID(rng.Intn(pages/workers)*workers + w + 1)
+						lsn := lsnSource.Add(1)
+						p := makePage(id, page.LSN(lsn), byte(id))
+						latest[id].Store(lsn)
+						if err := m.StageIn(id, p, true, true); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(w)
+			}
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(100 + w)))
+					buf := page.NewBuf()
+					for r := 0; r < rounds; r++ {
+						id := page.ID(rng.Intn(pages) + 1)
+						found, _, err := m.Lookup(id, buf)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if found && (buf.ID() != id || buf.Payload()[0] != byte(id)) {
+							errs <- errLookupMismatch(id)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < 10; r++ {
+					if err := m.Checkpoint(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			select {
+			case err := <-errs:
+				t.Fatal(err)
+			default:
+			}
+
+			if err := m.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			buf := page.NewBuf()
+			for id := page.ID(1); id <= pages; id++ {
+				want := page.LSN(latest[id].Load())
+				if want == 0 {
+					continue
+				}
+				found, _, err := m.Lookup(id, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := page.LSN(0)
+				if found {
+					got = buf.LSN()
+				}
+				if d, ok := disk.pages[id]; ok && d.LSN() > got {
+					got = d.LSN()
+				}
+				if got != want {
+					t.Fatalf("page %d: newest surviving LSN %d, last staged %d", id, got, want)
+				}
+			}
+		})
+	}
+}
+
+// tornDev silently drops all writes after the first budget page writes,
+// simulating power loss in the middle of a write: a prefix of the pages
+// reaches the medium, the rest never does.
+type tornDev struct {
+	device.Dev
+	mu     sync.Mutex
+	budget int
+}
+
+func (d *tornDev) WriteAt(blk int64, p []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.budget <= 0 {
+		return nil
+	}
+	d.budget--
+	//lint:allow facevet/nolockio test double: the torn-write budget must be apportioned atomically with the write it gates
+	return d.Dev.WriteAt(blk, p)
+}
+
+func (d *tornDev) WriteRun(blk int64, pages [][]byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, p := range pages {
+		if d.budget <= 0 {
+			return nil
+		}
+		d.budget--
+		//lint:allow facevet/nolockio test double: the torn-write budget must be apportioned atomically with the writes it gates
+		if err := d.Dev.WriteAt(blk+int64(i), p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestMVFIFOCrashRecoverSeesNoTornFrames loses power part-way through a
+// wave of stage-ins that recycles the frames of an earlier lap of the
+// queue, then recovers a fresh manager on the same device.  The frames
+// whose writes were lost still hold the earlier lap's images; recovery
+// must tell them from current ones by their stamps, serve only whole
+// frames at each page's newest version, and keep every page of the
+// checkpointed first wave in the cache or on disk.
+func TestMVFIFOCrashRecoverSeesNoTornFrames(t *testing.T) {
+	for _, v := range mvfifoVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			disk := newFakeDisk()
+			inner := flashDev(256)
+			cfg := MVFIFOConfig{Dev: inner, Frames: 32, SegmentEntries: 16, DiskWrite: disk.write}
+			v.opt(&cfg)
+			m, err := NewMVFIFO(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var newest [41]page.LSN
+			stage := func(m *MVFIFO, id page.ID, lsn page.LSN) {
+				t.Helper()
+				p := makePage(id, lsn, byte(id))
+				p.UpdateChecksum()
+				if err := m.StageIn(id, p, true, true); err != nil {
+					t.Fatal(err)
+				}
+				newest[id] = lsn
+			}
+			// A first wave of 56 stage-ins over 24 pages laps the 32-frame
+			// queue; the checkpoint makes it persistent state worth
+			// recovering.
+			for i := 0; i < 56; i++ {
+				stage(m, page.ID(i%24+1), page.LSN(i+1))
+			}
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Second incarnation on a torn device: the writes of the next
+			// wave stop landing after five pages.
+			tornCfg := cfg
+			tornCfg.Dev = &tornDev{Dev: inner, budget: 5}
+			m2, err := NewMVFIFO(tornCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m2.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 16; i++ {
+				stage(m2, page.ID(25+i), page.LSN(100+i))
+			}
+
+			// Third incarnation recovers from whatever reached the medium.
+			m3, err := NewMVFIFO(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m3.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			// Pages of the lost tail may be missing — that is the crash
+			// contract — but nothing torn or stale may be served.
+			buf := page.NewBuf()
+			for id := page.ID(1); id <= 40; id++ {
+				found, _, err := m3.Lookup(id, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !found {
+					if id <= 24 {
+						if d := disk.pages[id]; d == nil || d.LSN() != newest[id] {
+							t.Fatalf("checkpointed page %d lost after crash", id)
+						}
+					}
+					continue
+				}
+				if buf.ID() != id {
+					t.Fatalf("page %d: recovered frame has id %d (torn write leaked)", id, buf.ID())
+				}
+				if err := buf.VerifyChecksum(); err != nil {
+					t.Fatalf("page %d: recovered frame fails checksum: %v", id, err)
+				}
+				if buf.Payload()[0] != byte(id) || buf.LSN() != newest[id] {
+					t.Fatalf("page %d: recovered frame has marker %d at LSN %d, want LSN %d",
+						id, buf.Payload()[0], buf.LSN(), newest[id])
+				}
+			}
+		})
+	}
+}
+
+// failDev fails every write once armed.
+type failDev struct {
+	device.Dev
+	armed atomic.Bool
+}
+
+var errFlashGone = errors.New("flash gone")
+
+func (d *failDev) WriteAt(blk int64, p []byte) error {
+	if d.armed.Load() {
+		return errFlashGone
+	}
+	return d.Dev.WriteAt(blk, p)
+}
+
+func (d *failDev) WriteRun(blk int64, pages [][]byte) error {
+	if d.armed.Load() {
+		return errFlashGone
+	}
+	return d.Dev.WriteRun(blk, pages)
+}
+
+// TestMVFIFOFlashWriteErrorPropagates: a flash write that fails, whether
+// it is a single frame or a replacement group, fails the StageIn that
+// needed it, and the page it carried is never published to lookups.
+func TestMVFIFOFlashWriteErrorPropagates(t *testing.T) {
+	for _, v := range mvfifoVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			disk := newFakeDisk()
+			dev := &failDev{Dev: flashDev(16 + 64)}
+			cfg := MVFIFOConfig{Dev: dev, Frames: 16, SegmentEntries: 16, DiskWrite: disk.write}
+			v.opt(&cfg)
+			m, err := NewMVFIFO(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Fill the queue so the failing stage-in has to make room.
+			for id := page.ID(1); id <= 16; id++ {
+				if err := m.StageIn(id, makePage(id, page.LSN(id), byte(id)), true, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dev.armed.Store(true)
+			err = m.StageIn(17, makePage(17, 17, 17), true, true)
+			if !errors.Is(err, errFlashGone) {
+				t.Fatalf("StageIn on a failing flash device returned %v, want %v", err, errFlashGone)
+			}
+			if m.Contains(17) {
+				t.Fatal("page of a failed flash write reported as cached")
+			}
+			if found, _, err := m.Lookup(17, page.NewBuf()); found || err != nil {
+				t.Fatalf("Lookup of a page whose flash write failed = %v, %v", found, err)
+			}
+		})
+	}
+}
+
+// TestMVFIFONewestVersionReachesDisk stages many versions of a few pages
+// through a small queue, with lookups setting reference bits so Group
+// Second Chance re-enqueues survivors next to newer versions.  The disk
+// must never receive an older version of a page after a newer one, and
+// after FlushAll it must hold the newest version of every page.
+func TestMVFIFONewestVersionReachesDisk(t *testing.T) {
+	for _, v := range mvfifoVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			disk := newFakeDisk()
+			var backwards error
+			write := func(id page.ID, data page.Buf) error {
+				if old, ok := disk.pages[id]; ok && old.LSN() > data.LSN() && backwards == nil {
+					backwards = fmt.Errorf("page %d: disk went from LSN %d back to %d", id, old.LSN(), data.LSN())
+				}
+				return disk.write(id, data)
+			}
+			m := newFaCE(t, 16, disk, v.opt, func(c *MVFIFOConfig) { c.DiskWrite = write })
+
+			const pages = 24
+			var newest [pages + 1]page.LSN
+			rng := rand.New(rand.NewSource(1))
+			buf := page.NewBuf()
+			for i := 1; i <= 600; i++ {
+				id := page.ID(rng.Intn(pages) + 1)
+				if rng.Intn(3) == 0 {
+					if found, _, err := m.Lookup(id, buf); err != nil {
+						t.Fatal(err)
+					} else if found && buf.LSN() != newest[id] {
+						t.Fatalf("Lookup(%d) served LSN %d, newest staged %d", id, buf.LSN(), newest[id])
+					}
+					continue
+				}
+				newest[id] = page.LSN(i)
+				if err := m.StageIn(id, makePage(id, page.LSN(i), byte(id)), true, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			if backwards != nil {
+				t.Fatal(backwards)
+			}
+			for id := page.ID(1); id <= pages; id++ {
+				if newest[id] == 0 {
+					continue
+				}
+				if d := disk.pages[id]; d == nil || d.LSN() != newest[id] {
+					t.Fatalf("page %d: disk holds %v after FlushAll, want LSN %d", id, d, newest[id])
+				}
+			}
+		})
+	}
+}
