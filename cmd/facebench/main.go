@@ -40,7 +40,7 @@
 //	facebench -quick -dir $(mktemp -d) table3 table6
 //
 // With -json the results are emitted as one machine-readable JSON document
-// (schema bench.ReportSchema, currently "facebench/v10") instead of text
+// (schema bench.ReportSchema, currently "facebench/v11") instead of text
 // tables, so a perf trajectory can be tracked across commits, e.g.:
 //
 //	facebench -quick -json ablations > BENCH_ablations.json

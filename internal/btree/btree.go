@@ -3,9 +3,10 @@
 // record id: it provides the primary-key indexes of the TPC-C tables, whose
 // records live in heap pages.  A record tree's leaves hold the records
 // themselves, key, value length and value (record.go): it holds every kv
-// namespace, so a lookup reads no page beyond the leaf.  Internal nodes, the
-// descent, and the splits of internal nodes and of the root are the same
-// for both kinds.
+// namespace, so a lookup reads no page beyond the leaf.  Everything else —
+// internal nodes, the leaves' high keys and right siblings, the descent,
+// the locking and the splits of internal nodes and of the root — is the
+// same for both kinds.
 //
 // Node pages live in the database like any other page: all access goes
 // through engine transactions, so index traffic competes for the DRAM
@@ -15,8 +16,9 @@
 //
 // The root page id never changes: when the root splits, its content moves
 // to two freshly allocated children and the root becomes their parent.
-// Deletes are lazy (no rebalancing), which is all the TPC-C Delivery
-// transaction needs.
+// The root is never a leaf: a new tree is a root at level 1 over one empty
+// leaf.  Deletes are lazy (no rebalancing), which is all the TPC-C
+// Delivery transaction needs.
 //
 // A full node splits in the middle, unless the key that overflows it sorts
 // after all of its keys: then the node stays full and its new right sibling
@@ -30,13 +32,19 @@
 // the gaps between such leaves can leave one-key leaves, no worse than
 // 50/50 splits in the worst case.  Random inserts still split 50/50.
 //
-// Locking.  A RID tree's operations take a shared lock on every node they
-// pass, held to the end of the transaction, and a writer upgrades it on
-// the leaf and on each node a split changes.  A record tree's descent
-// peeks at the internal nodes instead, and locks the leaf before reading
-// it (record.go); each of its internal nodes carries its level, so the
-// descent knows which child is a leaf.  RID trees carry no level: their
-// pages are the ones TPC-C has always written.
+// Locking, after Lehman and Yao.  A descent peeks at the internal nodes
+// (their locks last only the read: Tx.Peek) and locks the leaf, shared to
+// read it or exclusive to write it, before it reads it; each internal node
+// carries its level, so the descent knows which child is a leaf.  Until
+// the leaf is locked it may have split, so an operation that finds its key
+// at or above the leaf's high key moves right along the siblings.  No
+// transaction therefore waits for a leaf while it holds a lock on the
+// leaf's parent, which a writer must lock to split the leaf, and no
+// operation upgrades a lock it took itself.  A writer that must split
+// locks the ancestors it will change exclusively, bottom up, before it
+// changes any of them, and checks that each still holds the node below; if
+// one does not, a concurrent split moved that node, and the writer
+// descends again.
 package btree
 
 import (
@@ -56,23 +64,29 @@ var (
 
 // Node layout (within the page payload):
 //
-//	leaf:     [count u16][next u64] then count * (key u64, rid 10 bytes)
+//	RID leaf: [count u16] then count * (key u64, rid 10 bytes)
 //	internal: [count u16] then (count+1) * child u64 interleaved with
 //	          count * key u64:  child0 key0 child1 key1 ... childN
 //
+// The last sixteen bytes of a leaf of either kind hold its high key and its
+// right sibling (0 for the rightmost leaf).  The high key bounds the leaf's
+// keys from above when it has a right sibling: it is the separator its
+// parent holds for the sibling.
+//
 // Keys in an internal node separate children: child i holds keys < key i,
-// child i+1 holds keys >= key i.  An internal node of a record tree keeps
-// its level in the last two bytes of the page: 1 when its children are
-// leaves, one more for each level above.  In a RID tree they are 0.
+// child i+1 holds keys >= key i.  An internal node keeps its level in the
+// last two bytes of the page: 1 when its children are leaves, one more for
+// each level above.
 const (
-	leafHeader     = 2 + 8
+	leafHeader     = 2
 	leafEntrySize  = 8 + 10
+	leafTrailer    = 8 + 8 // high key + right sibling
 	innerHeader    = 2
 	innerEntrySize = 8 + 8 // key + child (plus one extra child pointer)
 
 	// MaxLeafEntries and MaxInnerEntries are exported for tests and for
 	// sizing databases.
-	MaxLeafEntries  = (page.PayloadSize - leafHeader) / leafEntrySize
+	MaxLeafEntries  = (page.PayloadSize - leafHeader - leafTrailer) / leafEntrySize
 	MaxInnerEntries = (page.PayloadSize - innerHeader - 8 - 2) / innerEntrySize
 )
 
@@ -83,17 +97,37 @@ type Tree struct {
 	root page.ID
 }
 
-// Create allocates an empty RID tree (a single empty leaf serving as root).
+// Create allocates an empty RID tree.
 func Create(tx *engine.Tx, name string) (*Tree, error) {
-	root, err := tx.Alloc(page.TypeBTreeLeaf)
+	return create(tx, name, page.TypeBTreeLeaf)
+}
+
+// create allocates an empty tree whose leaves are of type leafType: a root
+// internal node at level 1 over one empty leaf.
+func create(tx *engine.Tx, name string, leafType page.Type) (*Tree, error) {
+	root, err := tx.Alloc(page.TypeBTreeInternal)
 	if err != nil {
 		return nil, fmt.Errorf("btree: creating %s: %w", name, err)
 	}
-	err = tx.Edit(root, func(w *page.Writer) error {
-		initLeaf(w, 0)
-		return nil
-	})
+	leaf, err := tx.Alloc(leafType)
 	if err != nil {
+		return nil, fmt.Errorf("btree: creating %s: %w", name, err)
+	}
+	if err := tx.Edit(leaf, func(w *page.Writer) error {
+		if leafType == page.TypeRecordLeaf {
+			initRecordLeaf(w, 0, page.InvalidID)
+		} else {
+			initLeaf(w, 0, page.InvalidID)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if err := tx.Edit(root, func(w *page.Writer) error {
+		initInner(w, 1)
+		setInnerChild(w, 0, leaf)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return &Tree{name: name, root: root}, nil
@@ -115,11 +149,12 @@ func (t *Tree) Root() page.ID { return t.root }
 
 const (
 	countOff = page.HeaderSize
-	nextOff  = page.HeaderSize + 2
+	highOff  = page.Size - leafTrailer
+	rightOff = page.Size - 8
 	levelOff = page.Size - 2
 )
 
-// leafOff is the page offset of leaf entry i.
+// leafOff is the page offset of RID leaf entry i.
 func leafOff(i int) int { return page.HeaderSize + leafHeader + i*leafEntrySize }
 
 // innerChildOff and innerKeyOff are the page offsets of inner child i and
@@ -128,43 +163,40 @@ func innerChildOff(i int) int { return page.HeaderSize + innerHeader + i*innerEn
 
 func innerKeyOff(i int) int { return innerChildOff(i) + 8 }
 
-func initLeaf(w *page.Writer, next page.ID) {
-	w.SetType(page.TypeBTreeLeaf)
+// initLeaf formats an empty RID leaf with the given high key and right
+// sibling.
+func initLeaf(w *page.Writer, high uint64, right page.ID) {
 	w.PutUint16(countOff, 0)
-	w.PutUint64(nextOff, uint64(next))
+	setSibling(w, high, right)
 }
 
-// initInner formats an empty internal node at the given level (0 in a RID
-// tree, where it is not written).
+// initInner formats an empty internal node at the given level.
 func initInner(w *page.Writer, level int) {
-	w.SetType(page.TypeBTreeInternal)
 	w.PutUint16(countOff, 0)
-	if level > 0 {
-		w.PutUint16(levelOff, uint16(level))
-	}
+	w.PutUint16(levelOff, uint16(level))
 }
 
 func nodeCount(buf page.Buf) int { return int(binary.LittleEndian.Uint16(buf[countOff:])) }
 
 func setNodeCount(w *page.Writer, n int) { w.PutUint16(countOff, uint16(n)) }
 
-// innerLevel returns the level of an internal node: 1 above the leaves of
-// a record tree, 0 anywhere in a RID tree.
+// innerLevel returns the level of an internal node: 1 above the leaves.
 func innerLevel(buf page.Buf) int { return int(binary.LittleEndian.Uint16(buf[levelOff:])) }
-
-func leafNext(buf page.Buf) page.ID { return page.ID(binary.LittleEndian.Uint64(buf[nextOff:])) }
-
-func setLeafNext(w *page.Writer, next page.ID) { w.PutUint64(nextOff, uint64(next)) }
 
 func leafKey(buf page.Buf, i int) uint64 { return binary.LittleEndian.Uint64(buf[leafOff(i):]) }
 
 func leafRID(buf page.Buf, i int) page.RID { return page.DecodeRID(buf[leafOff(i)+8:]) }
 
-func setLeafEntry(w *page.Writer, i int, key uint64, rid page.RID) {
+// insertLeafEntry inserts key -> rid at position i of a RID leaf with room
+// for it.
+func insertLeafEntry(w *page.Writer, i int, key uint64, rid page.RID) {
+	n := nodeCount(w.Page())
+	w.Move(leafOff(i+1), leafOff(i), (n-i)*leafEntrySize)
 	e := w.Bytes(leafOff(i), leafEntrySize)
 	binary.LittleEndian.PutUint64(e, key)
 	enc := page.EncodeRID(rid)
 	copy(e[8:], enc[:])
+	setNodeCount(w, n+1)
 }
 
 func innerChild(buf page.Buf, i int) page.ID {
@@ -180,9 +212,9 @@ func innerKey(buf page.Buf, i int) uint64 { return binary.LittleEndian.Uint64(bu
 func setInnerKey(w *page.Writer, i int, key uint64) { w.PutUint64(innerKeyOff(i), key) }
 
 // The two leaf kinds, read alike: isLeaf tells a leaf of either kind, and
-// entries, keyAt, search and next read one without knowing which.  keyAt
-// takes the kind (rec: a record leaf) from its caller, which looks it up
-// once per leaf rather than once per key.
+// entries, keyAt, search, highKey, next and beyond read one without knowing
+// which.  keyAt takes the kind (rec: a record leaf) from its caller, which
+// looks it up once per leaf rather than once per key.
 
 func isLeaf(buf page.Buf) bool {
 	return buf.Type() == page.TypeBTreeLeaf || buf.Type() == page.TypeRecordLeaf
@@ -202,11 +234,17 @@ func keyAt(buf page.Buf, rec bool, i int) uint64 {
 	return leafKey(buf, i)
 }
 
-func next(buf page.Buf) page.ID {
-	if buf.Type() == page.TypeRecordLeaf {
-		return recNext(buf)
-	}
-	return leafNext(buf)
+func highKey(buf page.Buf) uint64 { return binary.LittleEndian.Uint64(buf[highOff:]) }
+
+// next returns the leaf's right sibling.
+func next(buf page.Buf) page.ID { return page.ID(binary.LittleEndian.Uint64(buf[rightOff:])) }
+
+// beyond reports whether key lies past the leaf, in a right sibling.
+func beyond(buf page.Buf, key uint64) bool { return next(buf) != 0 && key >= highKey(buf) }
+
+func setSibling(w *page.Writer, high uint64, right page.ID) {
+	w.PutUint64(highOff, high)
+	w.PutUint64(rightOff, uint64(right))
 }
 
 // search returns the position of key in a leaf of either kind and whether
@@ -228,33 +266,7 @@ func search(buf page.Buf, key uint64) (int, bool) {
 	return lo, false
 }
 
-// --- lookup ----------------------------------------------------------------
-
-// Get returns the RID stored under key.
-func (t *Tree) Get(tx *engine.Tx, key uint64) (page.RID, bool, error) {
-	var (
-		rid   page.RID
-		found bool
-	)
-	for id := t.root; id != page.InvalidID; {
-		err := tx.Read(id, func(buf page.Buf) error {
-			if !isLeaf(buf) {
-				id = childFor(buf, key)
-				return nil
-			}
-			var i int
-			if i, found = search(buf, key); found {
-				rid = leafRID(buf, i)
-			}
-			id = page.InvalidID
-			return nil
-		})
-		if err != nil {
-			return page.RID{}, false, err
-		}
-	}
-	return rid, found, nil
-}
+// --- descent ---------------------------------------------------------------
 
 // childFor returns the child page to follow for key in an internal node.
 func childFor(buf page.Buf, key uint64) page.ID {
@@ -276,51 +288,266 @@ func childFor(buf page.Buf, key uint64) page.ID {
 const maxDepth = 16
 
 // path descends from the root to the leaf for key.  It returns the
-// internal nodes on the way, the root first, and the leaf.  A RID tree's
-// descent reads every node, the leaf too (it cannot tell a leaf before
-// reading it), under shared locks held to the end of the transaction.  A
-// record tree's descent (peek) reads the internal nodes with Tx.Peek,
-// whose locks last only the read, and stops at the child of the node
-// marked level 1 without touching it: what it found may be stale by the
-// time the caller locks the leaf (see record.go).
-func (t *Tree) path(tx *engine.Tx, key uint64, peek bool, nodes []page.ID) ([]page.ID, page.ID, error) {
-	id := t.root
-	for {
+// internal nodes on the way, the root first, and the leaf.  It reads the
+// internal nodes with Tx.Peek, whose locks last only the read, and stops
+// at the child of the node marked level 1 without touching it: what it
+// found may be stale by the time the caller locks the leaf, so the caller
+// moves right past the leaf's high key (beyond).
+func (t *Tree) path(tx *engine.Tx, key uint64, nodes []page.ID) ([]page.ID, page.ID, error) {
+	for id := t.root; ; {
 		var (
-			child           page.ID
-			leaf, childLeaf bool
+			child page.ID
+			level int
 		)
-		read := func(buf page.Buf) error {
-			if leaf = isLeaf(buf); !leaf {
-				child, childLeaf = childFor(buf, key), innerLevel(buf) == 1
-			}
+		if err := tx.Peek(id, func(buf page.Buf) error {
+			child, level = childFor(buf, key), innerLevel(buf)
 			return nil
-		}
-		var err error
-		if peek {
-			err = tx.Peek(id, read)
-		} else {
-			err = tx.Read(id, read)
-		}
-		if err != nil || leaf {
-			return nodes, id, err
+		}); err != nil {
+			return nodes, page.InvalidID, err
 		}
 		nodes = append(nodes, id)
-		if childLeaf {
+		if level == 1 {
 			return nodes, child, nil
 		}
 		id = child
 	}
 }
 
-// findLeaf returns the leaf of a RID tree for key.
-func (t *Tree) findLeaf(tx *engine.Tx, key uint64) (page.ID, error) {
+// readLeaf locks the leaf that holds key shared, before it reads it, and
+// passes fn the leaf and key's position in it if key is there.  It
+// reports whether it was.
+func (t *Tree) readLeaf(tx *engine.Tx, key uint64, fn func(buf page.Buf, i int) error) (bool, error) {
 	var stack [maxDepth]page.ID
-	_, leaf, err := t.path(tx, key, false, stack[:0])
-	return leaf, err
+	_, leaf, err := t.path(tx, key, stack[:0])
+	found := false
+	for err == nil && leaf != page.InvalidID {
+		err = tx.Read(leaf, func(buf page.Buf) error {
+			if beyond(buf, key) {
+				leaf = next(buf)
+				return nil
+			}
+			leaf = page.InvalidID
+			i, ok := search(buf, key)
+			if !ok {
+				return nil
+			}
+			found = true
+			return fn(buf, i)
+		})
+	}
+	return found, err
 }
 
-// --- insert ----------------------------------------------------------------
+// editLeaf runs fn on the leaf that holds key, locked exclusively before
+// it is read: leaf, which a descent found, or a right sibling of it.  It
+// returns that leaf.
+func editLeaf(tx *engine.Tx, leaf page.ID, key uint64, fn func(w *page.Writer) error) (page.ID, error) {
+	for {
+		right := page.InvalidID
+		err := tx.Edit(leaf, func(w *page.Writer) error {
+			if beyond(w.Page(), key) {
+				right = next(w.Page())
+				return nil
+			}
+			return fn(w)
+		})
+		if err != nil || right == page.InvalidID {
+			return leaf, err
+		}
+		leaf = right
+	}
+}
+
+// Height returns the number of levels of the tree, the leaves included: 2
+// for a new tree.  It is used by tests and diagnostics.
+func (t *Tree) Height(tx *engine.Tx) (int, error) {
+	var stack [maxDepth]page.ID
+	nodes, _, err := t.path(tx, 0, stack[:0])
+	return len(nodes) + 1, err
+}
+
+// --- RID trees ---------------------------------------------------------------
+
+// Get returns the RID stored under key.
+func (t *Tree) Get(tx *engine.Tx, key uint64) (page.RID, bool, error) {
+	var rid page.RID
+	found, err := t.readLeaf(tx, key, func(buf page.Buf, i int) error {
+		rid = leafRID(buf, i)
+		return nil
+	})
+	return rid, found, err
+}
+
+// Insert adds key -> rid to the tree.  Inserting an existing key returns
+// ErrDuplicate.
+func (t *Tree) Insert(tx *engine.Tx, key uint64, rid page.RID) error {
+	return t.insert(tx, key, func(w *page.Writer) (int, bool, error) {
+		buf := w.Page()
+		i, found := search(buf, key)
+		if found {
+			return 0, false, fmt.Errorf("%w: %d in %s", ErrDuplicate, key, t.name)
+		}
+		if nodeCount(buf) >= MaxLeafEntries {
+			return i, true, nil
+		}
+		insertLeafEntry(w, i, key, rid)
+		return 0, false, nil
+	}, func(leaf page.ID, pos int) (*splitResult, bool, error) {
+		split, err := splitLeaf(tx, leaf, pos, key, rid)
+		return split, false, err
+	})
+}
+
+// splitLeaf splits the full RID leaf id and inserts key -> rid at position
+// pos of it.  If the key sorts last, the leaf stays full and the new right
+// sibling holds the key alone; otherwise the leaf keeps the lower half of
+// its keys, and the key goes into the half it sorts into.
+func splitLeaf(tx *engine.Tx, id page.ID, pos int, key uint64, rid page.RID) (*splitResult, error) {
+	var image page.Buf
+	if err := tx.Read(id, func(buf page.Buf) error {
+		image = buf.Clone()
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	rightID, err := tx.Alloc(page.TypeBTreeLeaf)
+	if err != nil {
+		return nil, err
+	}
+	n := nodeCount(image)
+	cut, sep := n, key
+	if pos < n {
+		cut = n / 2
+		sep = leafKey(image, cut)
+	}
+	if err := tx.Edit(rightID, func(w *page.Writer) error {
+		initLeaf(w, highKey(image), next(image))
+		copy(w.Bytes(leafOff(0), (n-cut)*leafEntrySize), image[leafOff(cut):leafOff(n)])
+		setNodeCount(w, n-cut)
+		if key >= sep {
+			insertLeafEntry(w, pos-cut, key, rid)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if err := tx.Edit(id, func(w *page.Writer) error {
+		setNodeCount(w, cut)
+		setSibling(w, sep, rightID)
+		if key < sep {
+			insertLeafEntry(w, pos, key, rid)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return &splitResult{key: sep, right: rightID}, nil
+}
+
+// Delete removes key from the tree (lazy: leaves may underflow).
+func (t *Tree) Delete(tx *engine.Tx, key uint64) error {
+	var stack [maxDepth]page.ID
+	_, leaf, err := t.path(tx, key, stack[:0])
+	if err != nil {
+		return err
+	}
+	_, err = editLeaf(tx, leaf, key, func(w *page.Writer) error {
+		pos, found := search(w.Page(), key)
+		if !found {
+			return fmt.Errorf("%w: %d in %s", ErrNotFound, key, t.name)
+		}
+		deleteLeafEntry(w, pos)
+		return nil
+	})
+	return err
+}
+
+// DeleteFirst removes the least key in [lo, hi] from the tree and returns
+// it with its RID, and false if the range is empty.  It locks each leaf it
+// reads exclusively before reading it, so a transaction that takes the
+// oldest entry of a queue this way — TPC-C's Delivery — never holds the
+// leaf shared first and upgrades.
+func (t *Tree) DeleteFirst(tx *engine.Tx, lo, hi uint64) (uint64, page.RID, bool, error) {
+	var stack [maxDepth]page.ID
+	_, leaf, err := t.path(tx, lo, stack[:0])
+	var (
+		key   uint64
+		rid   page.RID
+		found bool
+	)
+	for err == nil && leaf != page.InvalidID {
+		err = tx.Edit(leaf, func(w *page.Writer) error {
+			buf := w.Page()
+			i, _ := search(buf, lo)
+			if i == entries(buf) {
+				// Nothing here from lo on: the range goes on in the right
+				// sibling if it reaches the sibling's first key.
+				if leaf = next(buf); leaf != page.InvalidID && highKey(buf) > hi {
+					leaf = page.InvalidID
+				}
+				return nil
+			}
+			leaf = page.InvalidID
+			if key = leafKey(buf, i); key <= hi {
+				rid, found = leafRID(buf, i), true
+				deleteLeafEntry(w, i)
+			}
+			return nil
+		})
+	}
+	return key, rid, found, err
+}
+
+// deleteLeafEntry removes entry i of a RID leaf.
+func deleteLeafEntry(w *page.Writer, i int) {
+	n := nodeCount(w.Page())
+	w.Move(leafOff(i), leafOff(i+1), (n-i-1)*leafEntrySize)
+	setNodeCount(w, n-1)
+}
+
+// ErrStopScan stops a Scan early without reporting an error.
+var ErrStopScan = errors.New("btree: stop scan")
+
+// Scan visits keys in [lo, hi] in ascending order.
+func (t *Tree) Scan(tx *engine.Tx, lo, hi uint64, fn func(key uint64, rid page.RID) error) error {
+	return t.scan(tx, lo, hi, func(buf page.Buf, i int, key uint64) error {
+		return fn(key, leafRID(buf, i))
+	})
+}
+
+// scan visits the entries of keys in [lo, hi] in ascending order, from the
+// leaf of lo on along the right siblings, each locked shared before it is
+// read, passing fn the leaf, the entry's position and its key.  A leaf
+// that split since the descent passes the scan on to its right sibling
+// like any other.
+func (t *Tree) scan(tx *engine.Tx, lo, hi uint64, fn func(buf page.Buf, i int, key uint64) error) error {
+	var stack [maxDepth]page.ID
+	_, leaf, err := t.path(tx, lo, stack[:0])
+	for err == nil && leaf != page.InvalidID {
+		err = tx.Read(leaf, func(buf page.Buf) error {
+			start, _ := search(buf, lo)
+			rec, n := buf.Type() == page.TypeRecordLeaf, entries(buf)
+			for i := start; i < n; i++ {
+				k := keyAt(buf, rec, i)
+				if k > hi {
+					leaf = page.InvalidID
+					return nil
+				}
+				if err := fn(buf, i, k); err != nil {
+					return err
+				}
+			}
+			leaf = next(buf)
+			return nil
+		})
+	}
+	if errors.Is(err, ErrStopScan) {
+		return nil
+	}
+	return err
+}
+
+// --- splits ----------------------------------------------------------------
 
 // splitResult describes a child split that must be registered in the parent.
 type splitResult struct {
@@ -328,23 +555,76 @@ type splitResult struct {
 	right page.ID
 }
 
-// Insert adds key -> rid to the tree.  Inserting an existing key returns
-// ErrDuplicate.
-func (t *Tree) Insert(tx *engine.Tx, key uint64, rid page.RID) error {
-	var stack [maxDepth]page.ID
-	nodes, leaf, err := t.path(tx, key, false, stack[:0])
-	if err != nil {
-		return err
+// insert runs put on the leaf of key, locked exclusively before it is
+// read.  put makes its change and returns false, or finds the leaf too
+// full for it and returns true and the position of key in the leaf.  Then
+// insert locks the ancestors a split of the leaf changes (lockAncestors),
+// has split split the leaf and make the change, and registers the new
+// sibling in the parent.  When an ancestor has moved since the descent,
+// or when split asks to, insert descends again.
+func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos int, full bool, err error), split func(leaf page.ID, pos int) (s *splitResult, again bool, err error)) error {
+	for {
+		var stack [maxDepth]page.ID
+		nodes, leaf, err := t.path(tx, key, stack[:0])
+		if err != nil {
+			return err
+		}
+		var (
+			pos  int
+			full bool
+		)
+		leaf, err = editLeaf(tx, leaf, key, func(w *page.Writer) (err error) {
+			pos, full, err = put(w)
+			return err
+		})
+		if err != nil || !full {
+			return err
+		}
+		ok, err := lockAncestors(tx, nodes, leaf)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		s, again, err := split(leaf, pos)
+		if err == nil {
+			err = t.registerSplit(tx, nodes, s)
+		}
+		if err != nil || !again {
+			return err
+		}
 	}
-	split, err := t.insertIntoLeaf(tx, leaf, key, rid)
-	if err != nil || split == nil {
-		return err
+}
+
+// lockAncestors locks exclusively, bottom up, the internal nodes a split of
+// leaf changes: its parent, the last of nodes, and each full node's parent.
+// It reports false if one of them no longer holds the node below it, the
+// leaf itself included: a split since the descent moved that node, and the
+// caller must descend again.
+func lockAncestors(tx *engine.Tx, nodes []page.ID, leaf page.ID) (bool, error) {
+	child := leaf
+	for i := len(nodes) - 1; i >= 0; i-- {
+		var holds, full bool
+		if err := tx.Edit(nodes[i], func(w *page.Writer) error {
+			buf := w.Page()
+			n := nodeCount(buf)
+			for j := 0; j <= n && !holds; j++ {
+				holds = innerChild(buf, j) == child
+			}
+			full = n >= MaxInnerEntries
+			return nil
+		}); err != nil || !holds || !full {
+			return holds, err
+		}
+		child = nodes[i]
 	}
-	return t.registerSplit(tx, nodes, split)
+	return true, nil
 }
 
 // registerSplit inserts the separator of a split child into the last of
 // nodes, its parent, splitting that in turn as needed, up to the root.
+// lockAncestors has locked every node it changes.
 func (t *Tree) registerSplit(tx *engine.Tx, nodes []page.ID, split *splitResult) error {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		var err error
@@ -372,116 +652,18 @@ func (t *Tree) splitRoot(tx *engine.Tx, split *splitResult) error {
 	}
 	if err := tx.Edit(leftID, func(w *page.Writer) error {
 		copy(w.Bytes(page.HeaderSize, page.PayloadSize), rootImage.Payload())
-		w.SetType(rootImage.Type())
 		return nil
 	}); err != nil {
 		return err
 	}
-	level := 0
-	if !isLeaf(rootImage) && innerLevel(rootImage) > 0 {
-		level = innerLevel(rootImage) + 1
-	}
 	return tx.Edit(t.root, func(w *page.Writer) error {
-		initInner(w, level)
+		initInner(w, innerLevel(rootImage)+1)
 		setNodeCount(w, 1)
 		setInnerChild(w, 0, leftID)
 		setInnerKey(w, 0, split.key)
 		setInnerChild(w, 1, split.right)
 		return nil
 	})
-}
-
-func (t *Tree) insertIntoLeaf(tx *engine.Tx, id page.ID, key uint64, rid page.RID) (*splitResult, error) {
-	var (
-		needSplit, atEnd bool
-		next             page.ID
-	)
-	err := tx.Edit(id, func(w *page.Writer) error {
-		buf := w.Page()
-		pos, found := search(buf, key)
-		if found {
-			return fmt.Errorf("%w: %d in %s", ErrDuplicate, key, t.name)
-		}
-		n := nodeCount(buf)
-		if n >= MaxLeafEntries {
-			needSplit, atEnd, next = true, pos == n, leafNext(buf)
-			return nil
-		}
-		// Shift entries right and insert.
-		w.Move(leafOff(pos+1), leafOff(pos), (n-pos)*leafEntrySize)
-		setLeafEntry(w, pos, key, rid)
-		setNodeCount(w, n+1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !needSplit {
-		return nil, nil
-	}
-
-	rightID, err := tx.Alloc(page.TypeBTreeLeaf)
-	if err != nil {
-		return nil, err
-	}
-	if atEnd {
-		// The key sorts after every key of the full leaf: leave the leaf
-		// full and start the right sibling with the key alone.
-		if err := tx.Edit(rightID, func(w *page.Writer) error {
-			initLeaf(w, next)
-			setLeafEntry(w, 0, key, rid)
-			setNodeCount(w, 1)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if err := tx.Edit(id, func(w *page.Writer) error {
-			setLeafNext(w, rightID)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return &splitResult{key: key, right: rightID}, nil
-	}
-
-	// Split the leaf in the middle: move the upper half to the right
-	// sibling, then retry the insert into the appropriate half.
-	var splitKey uint64
-	var leftImage page.Buf
-	if err := tx.Read(id, func(buf page.Buf) error {
-		leftImage = buf.Clone()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	n := nodeCount(leftImage)
-	half := n / 2
-	splitKey = leafKey(leftImage, half)
-
-	if err := tx.Edit(rightID, func(w *page.Writer) error {
-		initLeaf(w, leafNext(leftImage))
-		copy(w.Bytes(leafOff(0), (n-half)*leafEntrySize), leftImage[leafOff(half):leafOff(n)])
-		setNodeCount(w, n-half)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := tx.Edit(id, func(w *page.Writer) error {
-		setNodeCount(w, half)
-		setLeafNext(w, rightID)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	target := id
-	if key >= splitKey {
-		target = rightID
-	}
-	if _, err := t.insertIntoLeaf(tx, target, key, rid); err != nil {
-		return nil, err
-	}
-	return &splitResult{key: splitKey, right: rightID}, nil
 }
 
 func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*splitResult, error) {
@@ -578,101 +760,4 @@ func insertInnerEntry(w *page.Writer, key uint64, right page.ID) {
 	setInnerKey(w, pos, key)
 	setInnerChild(w, pos+1, right)
 	setNodeCount(w, n+1)
-}
-
-// --- delete ----------------------------------------------------------------
-
-// Delete removes key from the tree (lazy: leaves may underflow).
-func (t *Tree) Delete(tx *engine.Tx, key uint64) error {
-	leaf, err := t.findLeaf(tx, key)
-	if err != nil {
-		return err
-	}
-	return tx.Edit(leaf, func(w *page.Writer) error {
-		buf := w.Page()
-		pos, found := search(buf, key)
-		if !found {
-			return fmt.Errorf("%w: %d in %s", ErrNotFound, key, t.name)
-		}
-		n := nodeCount(buf)
-		w.Move(leafOff(pos), leafOff(pos+1), (n-pos-1)*leafEntrySize)
-		setNodeCount(w, n-1)
-		return nil
-	})
-}
-
-// --- range scan -------------------------------------------------------------
-
-// ErrStopScan stops a Scan early without reporting an error.
-var ErrStopScan = errors.New("btree: stop scan")
-
-// Scan visits keys in [lo, hi] in ascending order.
-func (t *Tree) Scan(tx *engine.Tx, lo, hi uint64, fn func(key uint64, rid page.RID) error) error {
-	leaf, err := t.findLeaf(tx, lo)
-	if err != nil {
-		return err
-	}
-	return scan(tx, leaf, lo, hi, func(buf page.Buf, i int, key uint64) error {
-		return fn(key, leafRID(buf, i))
-	})
-}
-
-// scan visits the entries of keys in [lo, hi] in ascending order, from
-// leaf on along the next links, passing fn the leaf, the entry's position
-// and its key.
-func scan(tx *engine.Tx, leaf page.ID, lo, hi uint64, fn func(buf page.Buf, i int, key uint64) error) error {
-	for leaf != page.InvalidID {
-		stop := false
-		err := tx.Read(leaf, func(buf page.Buf) error {
-			start, _ := search(buf, lo)
-			rec, n := buf.Type() == page.TypeRecordLeaf, entries(buf)
-			for i := start; i < n; i++ {
-				k := keyAt(buf, rec, i)
-				if k > hi {
-					stop = true
-					return nil
-				}
-				if err := fn(buf, i, k); err != nil {
-					return err
-				}
-			}
-			leaf = next(buf)
-			return nil
-		})
-		if errors.Is(err, ErrStopScan) {
-			return nil
-		}
-		if err != nil || stop {
-			return err
-		}
-	}
-	return nil
-}
-
-// Height returns the height of the tree (1 for a single leaf).  It is used
-// by tests and diagnostics.
-func (t *Tree) Height(tx *engine.Tx) (int, error) {
-	h := 1
-	id := t.root
-	for {
-		var (
-			leaf bool
-			next page.ID
-		)
-		if err := tx.Read(id, func(buf page.Buf) error {
-			if isLeaf(buf) {
-				leaf = true
-				return nil
-			}
-			next = innerChild(buf, 0)
-			return nil
-		}); err != nil {
-			return 0, err
-		}
-		if leaf {
-			return h, nil
-		}
-		h++
-		id = next
-	}
 }

@@ -3,11 +3,14 @@ package btree
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
@@ -70,9 +73,10 @@ func TestInsertGetSmall(t *testing.T) {
 		if err := tree.Insert(tx, 10, ridFor(10)); !errors.Is(err, ErrDuplicate) {
 			t.Fatalf("duplicate insert: %v", err)
 		}
+		// A root over one leaf.
 		h, err := tree.Height(tx)
-		if err != nil || h != 1 {
-			t.Fatalf("Height = %d, %v (want 1)", h, err)
+		if err != nil || h != 2 {
+			t.Fatalf("Height = %d, %v (want 2)", h, err)
 		}
 		return nil
 	})
@@ -512,8 +516,9 @@ func TestNodeCapacityConstants(t *testing.T) {
 	if MaxLeafEntries < 100 || MaxInnerEntries < 100 {
 		t.Fatalf("node capacities too small: leaf=%d inner=%d", MaxLeafEntries, MaxInnerEntries)
 	}
-	if leafHeader+MaxLeafEntries*leafEntrySize > page.PayloadSize {
-		t.Fatal("leaf layout overflows the page payload")
+	// The high key and right sibling take the last 16 bytes of a leaf.
+	if leafHeader+MaxLeafEntries*leafEntrySize+16 > page.PayloadSize || highOff != page.Size-16 {
+		t.Fatal("leaf layout reaches the high key and right sibling")
 	}
 	if page.HeaderSize+innerHeader+8+MaxInnerEntries*innerEntrySize > levelOff {
 		t.Fatal("inner layout reaches the level mark")
@@ -697,4 +702,183 @@ func TestLeafEdgesAgainstMap(t *testing.T) {
 	for _, c := range cases {
 		agree(db2, c, "after recovery")
 	}
+}
+
+// TestConcurrentRIDTree: eight writers insert into one index shaped like
+// TPC-C's order lines — each transaction a district's next order with one
+// to ten lines, keys grouped by district and ascending within it — while a
+// deleter takes each district's lowest key, as Delivery does, and a reader
+// scans the whole index and checks its structure.  Leaves split in the
+// middle all the time, since the districts share them.  No transaction
+// may upgrade a lock, every scan must ascend and every Check pass.  Every
+// operation takes its leaves left to right and holds no internal node
+// while it waits for one, so deadlocks are rare (none in 25 runs): the
+// test allows one retried deadlock per writer in all.  The index must end
+// up holding exactly the keys inserted and not deleted.
+func TestConcurrentRIDTree(t *testing.T) {
+	const writers, perWriter, districts = 8, 60, 10
+	db := testDB(t)
+	var tree *Tree
+	update(t, db, func(tx *engine.Tx) (err error) {
+		tree, err = Create(tx, "order_line")
+		return err
+	})
+	key := func(d int, o uint64, ol int) uint64 { return (uint64(d)<<32|o)<<4 | uint64(ol) }
+	// retry runs fn in Update or View transactions until it does not lose
+	// a deadlock, and returns how many it lost.
+	var retries atomic.Int64
+	retry := func(run func(context.Context, func(*engine.Tx) error) error, fn func(*engine.Tx) error) error {
+		for {
+			err := run(context.Background(), fn)
+			if !errors.Is(err, engine.ErrDeadlock) {
+				return err
+			}
+			retries.Add(1)
+		}
+	}
+
+	var (
+		orders    [districts]atomic.Uint64
+		mu        sync.Mutex
+		inserted  = map[uint64]bool{}
+		deleted   = map[uint64]bool{}
+		errs      = make(chan error, writers+2)
+		done      = make(chan struct{})
+		rounds    int
+		writersWG sync.WaitGroup
+		othersWG  sync.WaitGroup
+	)
+	for w := range writers {
+		writersWG.Add(1)
+		go func() {
+			defer writersWG.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for range perWriter {
+				d := rng.Intn(districts)
+				o, lines := orders[d].Add(1), 1+rng.Intn(10)
+				if err := retry(db.Update, func(tx *engine.Tx) error {
+					for ol := 1; ol <= lines; ol++ {
+						if err := tree.Insert(tx, key(d, o, ol), ridFor(key(d, o, ol))); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				for ol := 1; ol <= lines; ol++ {
+					inserted[key(d, o, ol)] = true
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	othersWG.Add(2)
+	go func() { // the deleter
+		defer othersWG.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var got []uint64
+			if err := retry(db.Update, func(tx *engine.Tx) error {
+				got = got[:0]
+				for d := range districts {
+					k, rid, ok, err := tree.DeleteFirst(tx, key(d, 0, 0), key(d+1, 0, 0)-1)
+					if err != nil {
+						return err
+					}
+					if ok && rid != ridFor(k) {
+						return fmt.Errorf("DeleteFirst took %d with rid %v", k, rid)
+					}
+					if ok {
+						got = append(got, k)
+					}
+				}
+				return nil
+			}); err != nil {
+				errs <- err
+				return
+			}
+			mu.Lock()
+			for _, k := range got {
+				if deleted[k] {
+					mu.Unlock()
+					errs <- fmt.Errorf("key %d deleted twice", k)
+					return
+				}
+				deleted[k] = true
+			}
+			mu.Unlock()
+		}
+	}()
+	go func() { // the reader
+		defer othersWG.Done()
+		for ; ; rounds++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := retry(db.View, func(tx *engine.Tx) error {
+				prev, n := uint64(0), 0
+				if err := tree.Scan(tx, 0, math.MaxUint64, func(k uint64, rid page.RID) error {
+					if n > 0 && k <= prev || rid != ridFor(k) {
+						return fmt.Errorf("scan: key %d (rid %v) after %d", k, rid, prev)
+					}
+					prev, n = k, n+1
+					return nil
+				}); err != nil {
+					return err
+				}
+				_, err := tree.Check(tx)
+				return err
+			}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	writersWG.Wait()
+	close(done)
+	othersWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	locks := db.Snapshot().Locks
+	t.Logf("%d reader rounds, %d keys deleted, %d deadlocks retried; locks %+v", rounds, len(deleted), retries.Load(), locks)
+	if locks.Upgrades != 0 {
+		t.Fatalf("%d lock upgrades, want none", locks.Upgrades)
+	}
+	if retries.Load() > writers {
+		t.Fatalf("%d deadlocks retried, more than %d", retries.Load(), writers)
+	}
+	if len(deleted) == 0 || rounds == 0 {
+		t.Fatalf("the deleter took %d keys and the reader ran %d rounds, want some of each", len(deleted), rounds)
+	}
+	var model []uint64
+	for k := range inserted {
+		if !deleted[k] {
+			model = append(model, k)
+		}
+	}
+	for k := range deleted {
+		if !inserted[k] {
+			t.Fatalf("key %d deleted but never inserted", k)
+		}
+	}
+	slices.Sort(model)
+	update(t, db, func(tx *engine.Tx) error {
+		s := checkModel(t, tx, tree, model)
+		if len(s.Leaves) < 8 {
+			t.Fatalf("the index has %d leaves, want splits", len(s.Leaves))
+		}
+		return nil
+	})
 }

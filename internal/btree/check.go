@@ -18,41 +18,35 @@ type Shape struct {
 
 // Check walks the whole tree and reports the first broken invariant: the
 // keys of every node ascend and lie within the bounds its parent's
-// separators give it, every leaf is at the same depth, the level marks of
-// a record tree count down to 1 above the leaves and its leaves' high keys
-// are their parents' bounds, and the leaves' next links visit them left to
-// right.  It is meant for tests and diagnostics.
+// separators give it, every leaf is at the same depth, the level marks
+// count down from the root to 1 above the leaves, the leaves' high keys are their
+// parents' bounds, and the leaves' right siblings visit them left to right.
+// It is meant for tests and diagnostics.
 func (t *Tree) Check(tx *engine.Tx) (Shape, error) {
 	var s Shape
 	var visit func(id page.ID, depth, level int, lo, hi uint64) error
-	// level is the mark the node must carry: -1 for any node of a RID
-	// tree, 0 for a record leaf.
+	// level is the mark the node must carry: 0 for a leaf.
 	visit = func(id page.ID, depth, level int, lo, hi uint64) error {
 		var (
 			leaf     bool
 			mark     int
 			keys     []uint64
 			children []page.ID
-			high     = hi // a record leaf's high key, its last if it has no sibling
+			high     = hi // a leaf's high key, its last if it has no sibling
 		)
 		if err := tx.Read(id, func(buf page.Buf) error {
 			if leaf = isLeaf(buf); leaf {
-				mark = -1
-				if buf.Type() == page.TypeRecordLeaf {
-					mark = 0
-					if high = math.MaxUint64; recNext(buf) != 0 {
-						high = recHigh(buf)
-					}
+				if high = math.MaxUint64; next(buf) != 0 {
+					high = highKey(buf)
 				}
+				rec := buf.Type() == page.TypeRecordLeaf
 				for i := range entries(buf) {
-					keys = append(keys, keyAt(buf, mark == 0, i))
+					keys = append(keys, keyAt(buf, rec, i))
 				}
 				return nil
 			}
 			n := nodeCount(buf)
-			if mark = innerLevel(buf); mark == 0 {
-				mark = -1
-			}
+			mark = innerLevel(buf)
 			for i := range n {
 				keys = append(keys, innerKey(buf, i))
 				children = append(children, innerChild(buf, i))
@@ -62,8 +56,8 @@ func (t *Tree) Check(tx *engine.Tx) (Shape, error) {
 		}); err != nil {
 			return err
 		}
-		if depth > 0 && mark != level {
-			return fmt.Errorf("btree %s: node %d at depth %d is marked level %d, want %d", t.name, id, depth, mark, level)
+		if depth > 0 && mark != level || depth == 0 && mark == 0 {
+			return fmt.Errorf("btree %s: node %d at depth %d is marked level %d, want %d (any above 0 at the root)", t.name, id, depth, mark, level)
 		}
 		if high != hi {
 			return fmt.Errorf("btree %s: leaf %d has high key %d, but its parent bounds it by %d", t.name, id, high, hi)
@@ -93,20 +87,20 @@ func (t *Tree) Check(tx *engine.Tx) (Shape, error) {
 			if i < len(keys) {
 				chi = keys[i]
 			}
-			if err := visit(child, depth+1, max(mark-1, -1), clo, chi); err != nil {
+			if err := visit(child, depth+1, mark-1, clo, chi); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := visit(t.root, 0, -1, 0, math.MaxUint64); err != nil {
+	if err := visit(t.root, 0, 0, 0, math.MaxUint64); err != nil {
 		return s, err
 	}
 
 	id := s.Leaves[0]
 	for i, leaf := range s.Leaves {
 		if id != leaf {
-			return s, fmt.Errorf("btree %s: leaf %d of %d is %d, but the next links reach %d", t.name, i, len(s.Leaves), leaf, id)
+			return s, fmt.Errorf("btree %s: leaf %d of %d is %d, but the right siblings reach %d", t.name, i, len(s.Leaves), leaf, id)
 		}
 		if err := tx.Read(id, func(buf page.Buf) error {
 			id = next(buf)

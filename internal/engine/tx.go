@@ -161,10 +161,10 @@ func (tx *Tx) Read(id page.ID, fn func(buf page.Buf) error) error {
 // Peek reads the page as Read does, but a shared lock it takes is released
 // when fn returns: the page may change as soon as Peek has returned, and a
 // caller must check what it learned from it against the pages it locks
-// afterwards.  A lock the transaction held before the call is kept.  The
-// descent through a record tree's internal nodes uses it (btree), so a
-// transaction waiting for a leaf holds no lock on the leaf's parent, which
-// the leaf's writer may need to split it.
+// afterwards.  A lock the transaction held before the call is kept.  Every
+// B-tree descent reads the internal nodes with it (btree), so a transaction
+// waiting for a leaf holds no lock on the leaf's parent, which the leaf's
+// writer may need to split it.
 func (tx *Tx) Peek(id page.ID, fn func(buf page.Buf) error) error {
 	if tx.done || tx.locks.Holds(id) {
 		return tx.Read(id, fn)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/reprolab/face/internal/btree"
 	"github.com/reprolab/face/internal/engine"
 	"github.com/reprolab/face/internal/page"
 )
@@ -252,17 +251,9 @@ func (d *Database) Delivery(tx *engine.Tx, rng *rand.Rand, w int) error {
 	cfg := d.cfg
 	carrier := randInt(rng, 1, 10)
 	for dist := 1; dist <= cfg.DistrictsPerWarehouse; dist++ {
+		// Take the oldest NEW-ORDER index entry, then its row.
 		lo := orderKey(w, dist, 0)
-		hi := orderKey(w, dist, orderSpan-1)
-		var oldestKey uint64
-		var oldestRID page.RID
-		found := false
-		err := d.newOrderIdx.Scan(tx, lo, hi, func(k uint64, rid page.RID) error {
-			oldestKey = k
-			oldestRID = rid
-			found = true
-			return btree.ErrStopScan
-		})
+		oldestKey, oldestRID, found, err := d.newOrderIdx.DeleteFirst(tx, lo, orderKey(w, dist, orderSpan-1))
 		if err != nil {
 			return err
 		}
@@ -270,12 +261,7 @@ func (d *Database) Delivery(tx *engine.Tx, rng *rand.Rand, w int) error {
 			continue
 		}
 		orderID := int(oldestKey - lo)
-
-		// Remove the NEW-ORDER row and its index entry.
 		if err := d.newOrder.Delete(tx, oldestRID); err != nil {
-			return err
-		}
-		if err := d.newOrderIdx.Delete(tx, oldestKey); err != nil {
 			return err
 		}
 
