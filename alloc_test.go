@@ -268,7 +268,7 @@ func TestAllocBudgetEdit(t *testing.T) {
 			if err := tree.Insert(tx, key, rids[i]); err != nil {
 				return err
 			}
-			if err := tree.Delete(tx, key); err != nil {
+			if _, _, _, err := tree.DeleteFirst(tx, key, key); err != nil {
 				return err
 			}
 		}

@@ -56,11 +56,8 @@ import (
 	"github.com/reprolab/face/internal/page"
 )
 
-// Errors returned by the tree.
-var (
-	ErrDuplicate = errors.New("btree: duplicate key")
-	ErrNotFound  = errors.New("btree: key not found")
-)
+// ErrDuplicate is returned by Insert for a key the tree holds.
+var ErrDuplicate = errors.New("btree: duplicate key")
 
 // Node layout (within the page payload):
 //
@@ -444,27 +441,10 @@ func splitLeaf(tx *engine.Tx, id page.ID, pos int, key uint64, rid page.RID) (*s
 	return &splitResult{key: sep, right: rightID}, nil
 }
 
-// Delete removes key from the tree (lazy: leaves may underflow).
-func (t *Tree) Delete(tx *engine.Tx, key uint64) error {
-	var stack [maxDepth]page.ID
-	_, leaf, err := t.path(tx, key, stack[:0])
-	if err != nil {
-		return err
-	}
-	_, err = editLeaf(tx, leaf, key, func(w *page.Writer) error {
-		pos, found := search(w.Page(), key)
-		if !found {
-			return fmt.Errorf("%w: %d in %s", ErrNotFound, key, t.name)
-		}
-		deleteLeafEntry(w, pos)
-		return nil
-	})
-	return err
-}
-
 // DeleteFirst removes the least key in [lo, hi] from the tree and returns
-// it with its RID, and false if the range is empty.  It locks each leaf it
-// reads exclusively before reading it, so a transaction that takes the
+// it with its RID, and false if the range is empty; DeleteFirst(k, k)
+// deletes k.  Deletes are lazy: leaves may underflow.  It locks each leaf
+// it reads exclusively before reading it, so a transaction that takes the
 // oldest entry of a queue this way — TPC-C's Delivery — never holds the
 // leaf shared first and upgrades.
 func (t *Tree) DeleteFirst(tx *engine.Tx, lo, hi uint64) (uint64, page.RID, bool, error) {
@@ -479,7 +459,7 @@ func (t *Tree) DeleteFirst(tx *engine.Tx, lo, hi uint64) (uint64, page.RID, bool
 		err = tx.Edit(leaf, func(w *page.Writer) error {
 			buf := w.Page()
 			i, _ := search(buf, lo)
-			if i == entries(buf) {
+			if i == nodeCount(buf) {
 				// Nothing here from lo on: the range goes on in the right
 				// sibling if it reaches the sibling's first key.
 				if leaf = next(buf); leaf != page.InvalidID && highKey(buf) > hi {

@@ -46,6 +46,17 @@ func ridFor(k uint64) page.RID {
 	return page.RID{Page: page.ID(k + 1000), Slot: uint16(k % 7)}
 }
 
+// del deletes k with DeleteFirst(k, k), fails t unless that succeeds and
+// hands back k and ridFor(k) when k was there, and reports whether it was.
+func del(t *testing.T, tx *engine.Tx, tree *Tree, k uint64) bool {
+	t.Helper()
+	got, rid, ok, err := tree.DeleteFirst(tx, k, k)
+	if err != nil || ok && (got != k || rid != ridFor(k)) {
+		t.Fatalf("DeleteFirst(%d, %d) = %d %v %v %v", k, k, got, rid, ok, err)
+	}
+	return ok
+}
+
 func TestInsertGetSmall(t *testing.T) {
 	db := testDB(t)
 	update(t, db, func(tx *engine.Tx) error {
@@ -179,8 +190,8 @@ func TestDelete(t *testing.T) {
 			tree.Insert(tx, k, ridFor(k))
 		}
 		for k := uint64(0); k < 500; k += 5 {
-			if err := tree.Delete(tx, k); err != nil {
-				t.Fatalf("Delete(%d): %v", k, err)
+			if !del(t, tx, tree, k) {
+				t.Fatalf("key %d was not there to delete", k)
 			}
 		}
 		for k := uint64(0); k < 500; k++ {
@@ -192,12 +203,53 @@ func TestDelete(t *testing.T) {
 				t.Fatalf("key %d found=%v after deletes", k, found)
 			}
 		}
-		if err := tree.Delete(tx, 5); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("double delete: %v", err)
+		if del(t, tx, tree, 5) || del(t, tx, tree, 99999) {
+			t.Fatal("deleted a key that was not there")
 		}
-		if err := tree.Delete(tx, 99999); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("delete missing: %v", err)
+		return nil
+	})
+}
+
+// TestDeleteFirst: DeleteFirst takes the least key of a range, across
+// leaves emptied by deletes, and finds nothing in a range that holds no key,
+// whether the range ends before the next key or lies past the last one.
+func TestDeleteFirst(t *testing.T) {
+	db := testDB(t)
+	update(t, db, func(tx *engine.Tx) error {
+		tree, _ := Create(tx, "queue")
+		const n = 3 * MaxLeafEntries // three leaves at least
+		for k := uint64(0); k < 2*n; k += 2 {
+			if err := tree.Insert(tx, k, ridFor(k)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		// Empty every leaf but the last of the keys below 2*(n-10).
+		for k := uint64(0); k < 2*(n-10); k += 2 {
+			del(t, tx, tree, k)
+		}
+		for _, c := range []struct {
+			lo, hi, want uint64
+			ok           bool
+		}{
+			{0, 2 * n, 2 * (n - 10), true}, // past the emptied leaves
+			{2*(n-10) + 1, 2*(n-10) + 1, 0, false},
+			{2*(n-10) + 1, 2 * n, 2*(n-10) + 2, true},
+			{2 * n, math.MaxUint64, 0, false},
+			{1, 2*(n-10) - 1, 0, false}, // the emptied leaves alone
+		} {
+			k, rid, ok, err := tree.DeleteFirst(tx, c.lo, c.hi)
+			if err != nil || ok != c.ok || ok && (k != c.want || rid != ridFor(k)) {
+				t.Fatalf("DeleteFirst(%d, %d) = %d %v %v %v, want %d %v", c.lo, c.hi, k, rid, ok, err, c.want, c.ok)
+			}
+			if _, found, _ := tree.Get(tx, k); ok && found {
+				t.Fatalf("DeleteFirst(%d, %d) left %d in the tree", c.lo, c.hi, k)
+			}
+		}
+		var rest []uint64
+		for k := uint64(2*(n-10) + 4); k < 2*n; k += 2 {
+			rest = append(rest, k)
+		}
+		checkModel(t, tx, tree, rest)
 		return nil
 	})
 }
@@ -427,15 +479,15 @@ func TestTreeMatchesModel(t *testing.T) {
 						if len(live) > 0 && rng.Intn(100) < script.deletes {
 							i := rng.Intn(len(live))
 							k = live[i]
-							if err := tree.Delete(tx, k); err != nil {
-								t.Fatalf("step %d: Delete(%d): %v", step, k, err)
+							if !del(t, tx, tree, k) {
+								t.Fatalf("step %d: %d was not there to delete", step, k)
 							}
 							last := live[len(live)-1]
 							live[i], at[last] = last, i
 							live = live[:len(live)-1]
 							delete(at, k)
-							if err := tree.Delete(tx, k); !errors.Is(err, ErrNotFound) {
-								t.Fatalf("step %d: second Delete(%d): %v", step, k, err)
+							if del(t, tx, tree, k) {
+								t.Fatalf("step %d: deleted %d twice", step, k)
 							}
 						} else {
 							k = keys(rng)
@@ -627,8 +679,8 @@ func TestLeafEdgesAgainstMap(t *testing.T) {
 		sorted := sortedKeys(c)
 		k := sorted[[]int{0, len(sorted) / 2, len(sorted) - 1}[i/2%3]]
 		if i%2 == 1 {
-			if err := c.tree.Delete(tx, k); err != nil {
-				t.Fatal(err)
+			if !del(t, tx, c.tree, k) {
+				t.Fatalf("key %d was not there to delete", k)
 			}
 			if commit {
 				delete(c.keys, k)

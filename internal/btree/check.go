@@ -19,9 +19,9 @@ type Shape struct {
 // Check walks the whole tree and reports the first broken invariant: the
 // keys of every node ascend and lie within the bounds its parent's
 // separators give it, every leaf is at the same depth, the level marks
-// count down from the root to 1 above the leaves, the leaves' high keys are their
-// parents' bounds, and the leaves' right siblings visit them left to right.
-// It is meant for tests and diagnostics.
+// count down from the root to 1 above the leaves, the leaves' high keys
+// are their parents' bounds, and the leaves' right siblings visit them
+// left to right.  It is meant for tests and diagnostics.
 func (t *Tree) Check(tx *engine.Tx) (Shape, error) {
 	var s Shape
 	var visit func(id page.ID, depth, level int, lo, hi uint64) error
