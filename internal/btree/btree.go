@@ -565,6 +565,7 @@ func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos i
 			return err
 		}
 		if !ok {
+			pauseBeforeRedescent(tx)
 			continue
 		}
 		s, again, err := split(leaf, pos)
@@ -581,12 +582,22 @@ func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos i
 // leaf changes: its parent, the last of nodes, and each full node's parent.
 // It reports false if one of them no longer holds the node below it, the
 // leaf itself included: a split since the descent moved that node, and the
-// caller must descend again.
+// caller must descend again.  Before it reports false it gives back the
+// locks it took (Tx.Unlock): it changed nothing under them, and a writer
+// that kept them through its next descent, which peeks top down, would
+// hold a node while it waits for one above it, the opposite of the bottom
+// up order every split locks in.
 func lockAncestors(tx *engine.Tx, nodes []page.ID, leaf page.ID) (bool, error) {
+	var stack [maxDepth]bool
+	took := stack[:]
+	if len(nodes) > maxDepth {
+		took = make([]bool, len(nodes))
+	}
 	child := leaf
 	for i := len(nodes) - 1; i >= 0; i-- {
 		var holds, full bool
-		if err := tx.Edit(nodes[i], func(w *page.Writer) error {
+		took[i] = !tx.Holds(nodes[i])
+		err := tx.Edit(nodes[i], func(w *page.Writer) error {
 			buf := w.Page()
 			n := nodeCount(buf)
 			for j := 0; j <= n && !holds; j++ {
@@ -594,7 +605,15 @@ func lockAncestors(tx *engine.Tx, nodes []page.ID, leaf page.ID) (bool, error) {
 			}
 			full = n >= MaxInnerEntries
 			return nil
-		}); err != nil || !holds || !full {
+		})
+		if err == nil && !holds {
+			for j := i; j < len(nodes); j++ {
+				if took[j] {
+					tx.Unlock(nodes[j])
+				}
+			}
+		}
+		if err != nil || !holds || !full {
 			return holds, err
 		}
 		child = nodes[i]

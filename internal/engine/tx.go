@@ -173,6 +173,32 @@ func (tx *Tx) Peek(id page.ID, fn func(buf page.Buf) error) error {
 	return tx.Read(id, fn)
 }
 
+// Holds reports whether the transaction holds a lock on page id.
+func (tx *Tx) Holds(id page.ID) bool { return !tx.done && tx.locks.Holds(id) }
+
+// Unlock gives back the transaction's lock on page id before the
+// transaction ends, by the rule Peek's release follows: the caller took the
+// lock after a point at which Holds(id) reported false, so nothing the
+// transaction read before that point depends on it, and the transaction has
+// changed nothing on the page since, so no undo needs it.  A B-tree writer
+// whose check of the ancestors it locked fails gives them back this way
+// before it descends again.  A page the transaction changed keeps its lock,
+// and Unlock reports false.
+func (tx *Tx) Unlock(id page.ID) bool {
+	if tx.done {
+		return false
+	}
+	if tx.arena != nil {
+		for _, u := range tx.arena.undo {
+			if u.pageID == id {
+				return false
+			}
+		}
+	}
+	tx.locks.Release(id)
+	return true
+}
+
 // Modify pins the page, lets fn change it in place, and logs what changed
 // as one update record, as Edit does.  fn may write anywhere in the page,
 // so the whole page is saved and compared; the storage layers use Edit,
