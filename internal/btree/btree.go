@@ -44,7 +44,13 @@
 // locks the ancestors it will change exclusively, bottom up, before it
 // changes any of them, and checks that each still holds the node below; if
 // one does not, a concurrent split moved that node, and the writer
-// descends again.
+// descends again, having given back the ancestors it locked.
+//
+// Logging.  Every change to a node is one Tx.Edit, which logs one update
+// record.  InsertRun puts every key of an ascending run that belongs in a
+// leaf into it in one Edit, so a run logs one record per leaf it fills,
+// not one per key, and leaves the tree in the shape Insert key by key
+// would.
 package btree
 
 import (
@@ -393,6 +399,54 @@ func (t *Tree) Insert(tx *engine.Tx, key uint64, rid page.RID) error {
 		split, err := splitLeaf(tx, leaf, pos, key, rid)
 		return split, false, err
 	})
+}
+
+// InsertRun adds keys[i] -> rids[i] for every i, as calls of Insert in that
+// order would, and leaves the tree in the shape they would: keys must
+// ascend.  A leaf takes every key of the run that belongs in it, in one
+// Edit logged as one update record, until it is full; the key that finds
+// it full goes in by Insert, whose split makes room, and the rest of the
+// run goes on from there.  A key the tree holds, or one the run repeats,
+// stops the run with ErrDuplicate, the keys before it inserted.
+func (t *Tree) InsertRun(tx *engine.Tx, keys []uint64, rids []page.RID) error {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] < keys[i-1] {
+			return fmt.Errorf("btree: run into %s descends at %d: %d after %d", t.name, i, keys[i], keys[i-1])
+		}
+	}
+	for len(keys) > 0 {
+		var stack [maxDepth]page.ID
+		_, leaf, err := t.path(tx, keys[0], stack[:0])
+		if err != nil {
+			return err
+		}
+		n, dup := 0, false
+		if _, err := editLeaf(tx, leaf, keys[0], func(w *page.Writer) error {
+			buf := w.Page()
+			for ; n < len(keys) && !beyond(buf, keys[n]) && nodeCount(buf) < MaxLeafEntries; n++ {
+				i, found := search(buf, keys[n])
+				if dup = found; dup {
+					return nil
+				}
+				insertLeafEntry(w, i, keys[n], rids[n])
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		if dup {
+			return fmt.Errorf("%w: %d in %s", ErrDuplicate, keys[n], t.name)
+		}
+		if n == 0 {
+			// The leaf of keys[0] is full.
+			if err := t.Insert(tx, keys[0], rids[0]); err != nil {
+				return err
+			}
+			n = 1
+		}
+		keys, rids = keys[n:], rids[n:]
+	}
+	return nil
 }
 
 // splitLeaf splits the full RID leaf id and inserts key -> rid at position

@@ -407,8 +407,10 @@ func checkScan(t *testing.T, tx *engine.Tx, tree *Tree, lo, hi uint64, want []ui
 // those the engine's indexes see: ascending (the kv preload), two
 // interleaved ascending streams (kv-insert's clients), ten ascending groups
 // (TPC-C's districts), descending and random ones, and an ascending run
-// into the gaps of an earlier one.  The deep script runs until internal
-// nodes split.
+// into the gaps of an earlier one.  The deep scripts run until internal
+// nodes split.  The scripts with runs insert some of their keys by
+// InsertRun instead, 2 to 16 drawn at a time and sorted, a present or a
+// repeated key among them stopping the run there.
 func TestTreeMatchesModel(t *testing.T) {
 	ascendingGroups := func(groups int) func() func(*rand.Rand) uint64 {
 		return func() func(*rand.Rand) uint64 {
@@ -426,15 +428,16 @@ func TestTreeMatchesModel(t *testing.T) {
 		steps, fullEvery int
 		deletes          int                            // percent of steps
 		keys             func() func(*rand.Rand) uint64 // a fresh generator of insert keys
+		runs             int                            // percent of inserts made by InsertRun
 	}{
-		{"ascending", 1, 3000, 64, 15, ascendingGroups(1)},
+		{"ascending", 1, 3000, 64, 15, ascendingGroups(1), 0},
 		{"descending", 2, 3000, 64, 15, func() func(*rand.Rand) uint64 {
 			var i uint64
 			return func(*rand.Rand) uint64 { i++; return 1<<40 - 10*i }
-		}},
+		}, 0},
 		{"random", 3, 3000, 64, 15, func() func(*rand.Rand) uint64 {
 			return func(rng *rand.Rand) uint64 { return uint64(rng.Int63n(1 << 40)) }
-		}},
+		}, 0},
 		{"interleaved", 4, 3000, 64, 15, func() func(*rand.Rand) uint64 {
 			var next [2]uint64
 			return func(rng *rand.Rand) uint64 {
@@ -442,9 +445,9 @@ func TestTreeMatchesModel(t *testing.T) {
 				next[w]++
 				return 2*next[w] + uint64(w)
 			}
-		}},
-		{"groups", 5, 3000, 64, 15, ascendingGroups(10)},
-		{"groups deep", 6, 80000, 16384, 15, ascendingGroups(10)},
+		}, 0},
+		{"groups", 5, 3000, 64, 15, ascendingGroups(10), 0},
+		{"groups deep", 6, 80000, 16384, 15, ascendingGroups(10), 0},
 		// An ascending pass, then a second one between its keys, whose
 		// inserts reach the last key of full leaves with a right sibling.
 		{"gaps", 7, 3000, 64, 0, func() func(*rand.Rand) uint64 {
@@ -456,7 +459,23 @@ func TestTreeMatchesModel(t *testing.T) {
 				}
 				return 10*(i-1500) + 5
 			}
-		}},
+		}, 0},
+		{"ascending runs", 8, 1500, 64, 15, ascendingGroups(1), 50},
+		{"random runs", 9, 1500, 64, 15, func() func(*rand.Rand) uint64 {
+			return func(rng *rand.Rand) uint64 { return uint64(rng.Int63n(1 << 12)) }
+		}, 50},
+		{"groups runs", 10, 1500, 64, 15, ascendingGroups(10), 50},
+		{"groups deep runs", 11, 8000, 8000, 10, ascendingGroups(10), 95},
+		{"gaps runs", 12, 1500, 64, 0, func() func(*rand.Rand) uint64 {
+			var i uint64
+			return func(*rand.Rand) uint64 {
+				i++
+				if i <= 3000 {
+					return 10 * i
+				}
+				return 10*(i-3000) + 5
+			}
+		}, 50},
 	} {
 		t.Run(script.name, func(t *testing.T) {
 			db := testDB(t)
@@ -476,6 +495,7 @@ func TestTreeMatchesModel(t *testing.T) {
 				update(t, db, func(tx *engine.Tx) error {
 					for step := first; step <= min(first+255, script.steps); step++ {
 						var k uint64
+						var run []uint64
 						if len(live) > 0 && rng.Intn(100) < script.deletes {
 							i := rng.Intn(len(live))
 							k = live[i]
@@ -488,6 +508,25 @@ func TestTreeMatchesModel(t *testing.T) {
 							delete(at, k)
 							if del(t, tx, tree, k) {
 								t.Fatalf("step %d: deleted %d twice", step, k)
+							}
+						} else if rng.Intn(100) < script.runs {
+							run = make([]uint64, 2+rng.Intn(15))
+							for i := range run {
+								run[i] = keys(rng)
+							}
+							slices.Sort(run)
+							err := tree.InsertRun(tx, run, ridsFor(run))
+							stop := len(run)
+							for i, k := range run {
+								if _, present := at[k]; present {
+									stop = i
+									break
+								}
+								at[k] = len(live)
+								live = append(live, k)
+							}
+							if stop < len(run) && !errors.Is(err, ErrDuplicate) || stop == len(run) && err != nil {
+								t.Fatalf("step %d: InsertRun(%v): %v, want a duplicate at %d of %d", step, run, err, stop, len(run))
 							}
 						} else {
 							k = keys(rng)
@@ -506,6 +545,14 @@ func TestTreeMatchesModel(t *testing.T) {
 							}
 						}
 
+						if run != nil {
+							// The run's ends stand for it.
+							k = run[len(run)-1]
+							if _, present := at[run[0]]; !present {
+								t.Fatalf("step %d: the run's first key %d is not in the model", step, run[0])
+							}
+							checkScan(t, tx, tree, run[0], run[0], []uint64{run[0]})
+						}
 						var want []uint64
 						if _, present := at[k]; present {
 							want = []uint64{k}
@@ -516,7 +563,7 @@ func TestTreeMatchesModel(t *testing.T) {
 						checkScan(t, tx, tree, k, k, want)
 						if step%script.fullEvery == 0 || step == script.steps {
 							s := checkModel(t, tx, tree, slices.Sorted(maps.Keys(at)))
-							if step == script.steps && script.steps > deepAscending && len(s.Levels) < 3 {
+							if step == script.steps && max(script.steps, len(live)) > deepAscending && len(s.Levels) < 3 {
 								t.Fatalf("%d steps left %d levels, want 3 (an internal split)", step, len(s.Levels))
 							}
 						}

@@ -5,6 +5,14 @@
 // are indexed by B+trees from the btree package.  All page access goes
 // through engine transactions, so every modification is logged and every
 // read benefits from the DRAM buffer and the flash cache.
+//
+// Every change is one Tx.Edit of one page, which logs one update record.
+// The set operations, InsertMany and UpdateEach, change the rows they are
+// given of one page in one Edit, so they log one record per page, not one
+// per row: physiological logging as ARIES has it, and what PostgreSQL's
+// heap_multi_insert does.  They leave the rows on the pages
+// and in the slots the row calls would, so a caller switches for the log
+// alone.
 package heap
 
 import (
@@ -121,6 +129,59 @@ func (t *Table) insertInto(tx *engine.Tx, id page.ID, rec []byte) (page.RID, err
 	return rid, err
 }
 
+// InsertMany appends records of recs, in order, to one page of the table in
+// one Edit, logged as one update record, stores the RID of recs[i] in
+// rids[i] and returns how many it appended: as many as fit on the tail
+// page, or, if the first does not fit there, as many as fit on a page it
+// adds to the table.  Calls that go on with the rest put the rows on the
+// pages and in the slots calls of Insert row by row would, one log record
+// per page instead of one per row, and allocate each page at the point the
+// row calls would: what the caller does between two calls comes after the
+// rows of the first and before the page the second may add.  rids must be
+// at least as long as recs.
+func (t *Table) InsertMany(tx *engine.Tx, recs [][]byte, rids []page.RID) (int, error) {
+	for _, rec := range recs {
+		if len(rec) > page.PayloadSize-8 {
+			return 0, page.ErrTooLarge
+		}
+	}
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	n, err := t.insertMany(tx, t.lastPage(), recs, rids)
+	if err != nil || n > 0 {
+		return n, err
+	}
+	id, err := tx.Alloc(page.TypeHeap)
+	if err != nil {
+		return 0, fmt.Errorf("heap: growing table %s: %w", t.name, err)
+	}
+	t.appendPage(id)
+	return t.insertMany(tx, id, recs, rids)
+}
+
+// insertMany inserts the records of recs that fit on page id, in one Edit.
+func (t *Table) insertMany(tx *engine.Tx, id page.ID, recs [][]byte, rids []page.RID) (int, error) {
+	n := 0
+	err := tx.Edit(id, func(w *page.Writer) error {
+		for ; n < len(recs); n++ {
+			slot, err := w.Insert(recs[n])
+			if errors.Is(err, page.ErrPageFull) {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			rids[n] = page.RID{Page: id, Slot: uint16(slot)}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
 // Get passes the record at rid to fn.  The record slice is only valid
 // during the callback.
 func (t *Table) Get(tx *engine.Tx, rid page.RID, fn func(rec []byte) error) error {
@@ -144,6 +205,35 @@ func (t *Table) Update(tx *engine.Tx, rid page.RID, fn func(rec []byte) error) e
 		}
 		return fn(rec)
 	})
+}
+
+// UpdateEach lets fn modify the record at each of rids in place, in order,
+// as calls of Update would, passing it the RID's position in rids too.  A
+// run of RIDs on one page is updated in one Edit, so it is logged as one
+// update record; if fn fails, the records of its run stay as they were.
+func (t *Table) UpdateEach(tx *engine.Tx, rids []page.RID, fn func(i int, rec []byte) error) error {
+	for lo := 0; lo < len(rids); {
+		hi := lo + 1
+		for hi < len(rids) && rids[hi].Page == rids[lo].Page {
+			hi++
+		}
+		if err := tx.Edit(rids[lo].Page, func(w *page.Writer) error {
+			for i := lo; i < hi; i++ {
+				rec, err := w.Record(int(rids[i].Slot))
+				if err != nil {
+					return fmt.Errorf("%w: %v (%v)", ErrNotFound, rids[i], err)
+				}
+				if err := fn(i, rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // Delete removes the record at rid (lazy delete: the slot is tombstoned).

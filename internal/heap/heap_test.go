@@ -251,3 +251,192 @@ func TestInsertLogVolume(t *testing.T) {
 		}
 	}
 }
+
+// images returns the image of every allocated page of db, its LSN cleared:
+// a set operation logs fewer records than the calls it stands for, so the
+// LSNs it stamps differ, and nothing else may.
+func images(t *testing.T, db *engine.DB) []page.Buf {
+	t.Helper()
+	var out []page.Buf
+	if err := db.View(context.Background(), func(tx *engine.Tx) error {
+		for id := page.ID(1); int64(id) <= db.NumPages(); id++ {
+			if err := tx.Read(id, func(buf page.Buf) error {
+				img := buf.Clone()
+				img.SetLSN(0)
+				out = append(out, img)
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameImages fails t unless the two databases hold the same pages, LSNs
+// aside.
+func sameImages(t *testing.T, a, b *engine.DB) {
+	t.Helper()
+	ia, ib := images(t, a), images(t, b)
+	if len(ia) != len(ib) {
+		t.Fatalf("%d pages against %d", len(ia), len(ib))
+	}
+	for i := range ia {
+		if string(ia[i]) != string(ib[i]) {
+			t.Fatalf("page %d differs", i+1)
+		}
+	}
+}
+
+// runs returns the number of runs of RIDs on one page in rids.
+func runs(rids []page.RID) int {
+	n := 0
+	for i, rid := range rids {
+		if i == 0 || rid.Page != rids[i-1].Page {
+			n++
+		}
+	}
+	return n
+}
+
+// appends returns the number of records db has logged.
+func appends(db *engine.DB) int64 { return db.Snapshot().Wal.Appends }
+
+// TestSetOperationsMatchRowCalls: InsertMany and UpdateEach leave the page
+// images, the RIDs and the table's page list that Insert and Update called
+// row by row leave, with one update record per page.  The rows cross full
+// pages, so sets of them need a second call of InsertMany, which grows the
+// table, and the updates come in runs on one page, across pages and back
+// to an earlier page.
+func TestSetOperationsMatchRowCalls(t *testing.T) {
+	const rows = 150
+	row := func(i int) []byte { return rec(uint64(i), 40+i%5*20) }
+	var rids [2][rows]page.RID
+	var tables [2]*Table
+	dbs := [2]*engine.DB{testDB(t), testDB(t)}
+	for k, db := range dbs {
+		update(t, db, func(tx *engine.Tx) (err error) {
+			tables[k], err = Create(tx, "order_line")
+			if err != nil {
+				return err
+			}
+			_, err = tables[k].Insert(tx, rec(99, 3000))
+			return err
+		})
+	}
+	// Row by row.
+	update(t, dbs[0], func(tx *engine.Tx) error {
+		for i := range rows {
+			rid, err := tables[0].Insert(tx, row(i))
+			if err != nil {
+				return err
+			}
+			rids[0][i] = rid
+		}
+		return nil
+	})
+	// In sets of 7, and then the rest in one.
+	var calls [][2]int
+	for i := 0; i < 70; i += 7 {
+		calls = append(calls, [2]int{i, i + 7})
+	}
+	calls = append(calls, [2]int{70, rows})
+	before := appends(dbs[1])
+	update(t, dbs[1], func(tx *engine.Tx) error {
+		recs := make([][]byte, rows)
+		for i := range recs {
+			recs[i] = row(i)
+		}
+		for _, c := range calls {
+			for i := c[0]; i < c[1]; {
+				n, err := tables[1].InsertMany(tx, recs[i:c[1]], rids[1][i:])
+				if err != nil {
+					return err
+				}
+				if n == 0 {
+					return fmt.Errorf("InsertMany of %d records appended none", c[1]-i)
+				}
+				i += n
+			}
+		}
+		return nil
+	})
+	if rids[0] != rids[1] {
+		t.Fatal("InsertMany put the rows in other slots than Insert")
+	}
+	pages := tables[1].Pages()
+	if fmt.Sprint(tables[0].Pages()) != fmt.Sprint(pages) || len(pages) < 3 {
+		t.Fatalf("pages %v against %v, want three or more", tables[0].Pages(), pages)
+	}
+	// A record per page each set touched, one per new page's format and
+	// the commit.
+	want := int64(len(pages) - 1 + 1)
+	for _, c := range calls {
+		want += int64(runs(rids[1][c[0]:c[1]]))
+	}
+	if n := appends(dbs[1]) - before; n != want {
+		t.Errorf("InsertMany logged %d records, want %d", n, want)
+	}
+	sameImages(t, dbs[0], dbs[1])
+
+	order := make([]page.RID, 0, rows+20)
+	order = append(order, rids[0][:]...)
+	order = append(order, rids[0][:20]...)
+	bump := func(i int, r []byte) error {
+		binary.LittleEndian.PutUint64(r[8:], binary.LittleEndian.Uint64(r[8:])+uint64(i)+1)
+		return nil
+	}
+	update(t, dbs[0], func(tx *engine.Tx) error {
+		for i, rid := range order {
+			if err := tables[0].Update(tx, rid, func(r []byte) error { return bump(i, r) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	before = appends(dbs[1])
+	update(t, dbs[1], func(tx *engine.Tx) error {
+		return tables[1].UpdateEach(tx, order, bump)
+	})
+	if n, want := appends(dbs[1])-before, int64(runs(order)+1); n != want {
+		t.Errorf("UpdateEach logged %d records, want %d", n, want)
+	}
+	sameImages(t, dbs[0], dbs[1])
+}
+
+// TestUpdateEachOfAMissingRecord: a RID with no record fails UpdateEach with
+// ErrNotFound, and the records of its run stay as they were.
+func TestUpdateEachOfAMissingRecord(t *testing.T) {
+	db := testDB(t)
+	var tbl *Table
+	var rids [3]page.RID
+	update(t, db, func(tx *engine.Tx) (err error) {
+		if tbl, err = Create(tx, "t"); err != nil {
+			return err
+		}
+		_, err = tbl.InsertMany(tx, [][]byte{rec(1, 32), rec(2, 32)}, rids[:])
+		return err
+	})
+	rids[2] = page.RID{Page: rids[0].Page, Slot: 9}
+	err := db.Update(context.Background(), func(tx *engine.Tx) error {
+		err := tbl.UpdateEach(tx, rids[:], func(i int, r []byte) error {
+			r[0] = 0xFF
+			return nil
+		})
+		if !errors.Is(err, ErrNotFound) {
+			t.Errorf("UpdateEach with a missing slot: %v, want ErrNotFound", err)
+		}
+		return tbl.Get(tx, rids[0], func(r []byte) error {
+			if r[0] == 0xFF {
+				return fmt.Errorf("the run's first record was changed")
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
