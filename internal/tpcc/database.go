@@ -267,15 +267,13 @@ func (d *Database) loadDistrict(eng *engine.DB, rng *rand.Rand, w, dist int) err
 			if err := d.custOrderIdx.Insert(tx, customerOrderKey(w, dist, c, o), orid); err != nil {
 				return false, err
 			}
+			var ols orderLines
 			for ol := 1; ol <= lines; ol++ {
 				item := randItem(rng, cfg.Items)
-				olrid, err := d.orderLine.Insert(tx, newOrderLineRec(item, randInt(rng, 1, 10), uint64(randInt(rng, 10, 9999))))
-				if err != nil {
-					return false, err
-				}
-				if err := d.orderLineIdx.Insert(tx, orderLineKey(w, dist, o, ol), olrid); err != nil {
-					return false, err
-				}
+				ols.add(orderLineKey(w, dist, o, ol), item, randInt(rng, 1, 10), uint64(randInt(rng, 10, 9999)))
+			}
+			if err := d.insertOrderLines(tx, &ols); err != nil {
+				return false, err
 			}
 			if o > cfg.InitialOrdersPerDistrict*2/3 {
 				norid, err := d.newOrder.Insert(tx, newNewOrderRec(o))
@@ -292,6 +290,47 @@ func (d *Database) loadDistrict(eng *engine.DB, rng *rand.Rand, w, dist int) err
 		}
 		return true, nil
 	})
+}
+
+// orderLines collects the lines of one order, at most orderLineMax, for
+// insertOrderLines: in arrays, so that collecting them allocates nothing.
+type orderLines struct {
+	n    int
+	recs [orderLineMax][orderLineRecSize]byte
+	keys [orderLineMax]uint64
+	rids [orderLineMax]page.RID
+}
+
+// add appends the line of key.
+func (l *orderLines) add(key uint64, item, quantity int, amount uint64) {
+	putOrderLineRec(l.recs[l.n][:], item, quantity, amount)
+	l.keys[l.n] = key
+	l.n++
+}
+
+// insertOrderLines inserts the collected lines of an order into the
+// ORDER-LINE table and its index with one log record per page changed:
+// the table's tail page, usually, and the index leaf of the order.  It
+// goes a table page at a time, each page's index entries after it, so a
+// page the table grows by is allocated after the index splits of the
+// lines before it, as when the lines go in one by one: the pages are
+// where those calls would put them, down to their ids.
+func (d *Database) insertOrderLines(tx *engine.Tx, l *orderLines) error {
+	var recs [orderLineMax][]byte
+	for i := range l.n {
+		recs[i] = l.recs[i][:]
+	}
+	for done := 0; done < l.n; {
+		n, err := d.orderLine.InsertMany(tx, recs[done:l.n], l.rids[done:])
+		if err != nil {
+			return err
+		}
+		if err := d.orderLineIdx.InsertRun(tx, l.keys[done:done+n], l.rids[done:done+n]); err != nil {
+			return err
+		}
+		done += n
+	}
+	return nil
 }
 
 // Tables returns the names and page counts of all tables (diagnostics).

@@ -233,12 +233,13 @@ func newNewOrderRec(o int) []byte {
 }
 
 // OrderLine: [item u32][quantity u32][amount u32][deliveryDate u32][pad]
-func newOrderLineRec(item, quantity int, amount uint64) []byte {
-	rec := make([]byte, orderLineRecSize)
+//
+// putOrderLineRec fills rec, orderLineRecSize zero bytes, with a new order
+// line.
+func putOrderLineRec(rec []byte, item, quantity int, amount uint64) {
 	binary.LittleEndian.PutUint32(rec[0:], uint32(item))
 	binary.LittleEndian.PutUint32(rec[4:], uint32(quantity))
 	binary.LittleEndian.PutUint32(rec[8:], uint32(amount))
-	return rec
 }
 
 func orderLineItem(rec []byte) int { return int(binary.LittleEndian.Uint32(rec[0:])) }

@@ -136,7 +136,8 @@ func TestRecordAccessors(t *testing.T) {
 	if orderCarrier(o) != 4 {
 		t.Fatal("order carrier")
 	}
-	ol := newOrderLineRec(55, 3, 200)
+	ol := make([]byte, orderLineRecSize)
+	putOrderLineRec(ol, 55, 3, 200)
 	if orderLineItem(ol) != 55 || orderLineAmount(ol) != 200 {
 		t.Fatal("order line accessors")
 	}

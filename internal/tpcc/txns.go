@@ -125,7 +125,9 @@ func (d *Database) NewOrder(tx *engine.Tx, rng *rand.Rand, w int) error {
 			return err
 		}
 
-		olrid, err := d.orderLine.Insert(tx, newOrderLineRec(item, quantity, price*uint64(quantity)))
+		rec := make([]byte, orderLineRecSize)
+		putOrderLineRec(rec, item, quantity, price*uint64(quantity))
+		olrid, err := d.orderLine.Insert(tx, rec)
 		if err != nil {
 			return err
 		}
