@@ -57,6 +57,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/reprolab/face/internal/engine"
 	"github.com/reprolab/face/internal/page"
@@ -403,50 +404,110 @@ func (t *Tree) Insert(tx *engine.Tx, key uint64, rid page.RID) error {
 
 // InsertRun adds keys[i] -> rids[i] for every i, as calls of Insert in that
 // order would, and leaves the tree in the shape they would: keys must
-// ascend.  A leaf takes every key of the run that belongs in it, in one
-// Edit logged as one update record, until it is full; the key that finds
-// it full goes in by Insert, whose split makes room, and the rest of the
-// run goes on from there.  A key the tree holds, or one the run repeats,
-// stops the run with ErrDuplicate, the keys before it inserted.
+// ascend.  The keys that go into one gap of a leaf — between two of its
+// keys, or after its last — go in one Edit, logged as one update record:
+// a run that extends a leaf costs one record, where Insert logs one per
+// key.  A key that finds its leaf full goes in by Insert, whose split
+// makes room, and the run goes on from there.  A key the tree holds, or
+// one the run repeats, stops the run with ErrDuplicate, the keys before it
+// inserted.
 func (t *Tree) InsertRun(tx *engine.Tx, keys []uint64, rids []page.RID) error {
 	for i := 1; i < len(keys); i++ {
 		if keys[i] < keys[i-1] {
 			return fmt.Errorf("btree: run into %s descends at %d: %d after %d", t.name, i, keys[i], keys[i-1])
 		}
 	}
+	leaf := page.InvalidID
 	for len(keys) > 0 {
-		var stack [maxDepth]page.ID
-		_, leaf, err := t.path(tx, keys[0], stack[:0])
-		if err != nil {
-			return err
-		}
-		n, dup := 0, false
-		if _, err := editLeaf(tx, leaf, keys[0], func(w *page.Writer) error {
-			buf := w.Page()
-			for ; n < len(keys) && !beyond(buf, keys[n]) && nodeCount(buf) < MaxLeafEntries; n++ {
-				i, found := search(buf, keys[n])
-				if dup = found; dup {
-					return nil
-				}
-				insertLeafEntry(w, i, keys[n], rids[n])
+		if leaf == page.InvalidID {
+			var stack [maxDepth]page.ID
+			var err error
+			if _, leaf, err = t.path(tx, keys[0], stack[:0]); err != nil {
+				return err
 			}
+		}
+		var (
+			n         int
+			dup, past bool
+			err       error
+		)
+		leaf, err = editLeaf(tx, leaf, keys[0], func(w *page.Writer) error {
+			n, dup, past = insertGap(w, keys, rids)
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			return err
 		}
 		if dup {
 			return fmt.Errorf("%w: %d in %s", ErrDuplicate, keys[n], t.name)
 		}
 		if n == 0 {
-			// The leaf of keys[0] is full.
+			// The leaf is full: Insert splits it, and the rest of the run
+			// descends again to find where the split put its keys.
 			if err := t.Insert(tx, keys[0], rids[0]); err != nil {
 				return err
 			}
-			n = 1
+			n, past = 1, true
+		}
+		if past {
+			leaf = page.InvalidID
 		}
 		keys, rids = keys[n:], rids[n:]
 	}
 	return nil
+}
+
+// maxGapEntries is the most entries one Edit inserts into a gap below other
+// entries: the entries above the gap move up by the new ones, and a log
+// record's shift (wal.Edit.Shift) moves bytes at most math.MaxInt8 far.
+const maxGapEntries = math.MaxInt8 / leafEntrySize
+
+// insertGap inserts into a RID leaf, which holds keys[0]'s range, the keys
+// of keys that go where keys[0] goes, keys[0] first, in one move of the
+// entries above them and one write of theirs, and returns how many it
+// inserted.  It inserts none if the leaf is full.  dup reports that
+// keys[n] is in the leaf or repeats keys[n-1], and past that keys[n] lies
+// beyond the leaf, in a right sibling.
+func insertGap(w *page.Writer, keys []uint64, rids []page.RID) (n int, dup, past bool) {
+	buf := w.Page()
+	i, found := search(buf, keys[0])
+	if found {
+		return 0, true, false
+	}
+	count := nodeCount(buf)
+	room := MaxLeafEntries - count
+	if room == 0 {
+		return 0, false, false
+	}
+	if i < count {
+		room = min(room, maxGapEntries)
+	}
+	for n < len(keys) && n < room {
+		k := keys[n]
+		if n > 0 {
+			if k == keys[n-1] || i < count && k == leafKey(buf, i) {
+				dup = true
+				break
+			}
+			if past = beyond(buf, k); past || i < count && k > leafKey(buf, i) {
+				break
+			}
+		}
+		n++
+	}
+	if i < count {
+		w.Move(leafOff(i+n), leafOff(i), (count-i)*leafEntrySize)
+	}
+	for j := range n {
+		e := w.Bytes(leafOff(i+j), leafEntrySize)
+		binary.LittleEndian.PutUint64(e, keys[j])
+		enc := page.EncodeRID(rids[j])
+		copy(e[8:], enc[:])
+	}
+	if n > 0 {
+		setNodeCount(w, count+n)
+	}
+	return n, dup, past
 }
 
 // splitLeaf splits the full RID leaf id and inserts key -> rid at position

@@ -39,10 +39,12 @@ func images(t *testing.T, db *engine.DB) []page.Buf {
 }
 
 // TestInsertRunMatchesInsert: InsertRun leaves the page images and the tree
-// shape that Insert called key by key leaves, with fewer log records.  The
-// tree is loaded in order with every tenth key, so its leaves are full; the
-// runs go into the gaps, the first of them across two full leaves, which
-// splits each in mid-run, then far apart, one key to a leaf, and last past
+// shape that Insert called key by key leaves, with fewer log records and
+// no more log bytes.  The tree is loaded in order with every tenth key, so
+// its leaves are full; the runs go into the gaps, the first of them across
+// two full leaves, which splits each in mid-run, then far apart, one key
+// to a leaf, then nine keys into one gap in the middle of a leaf, more
+// than one move of the entries above it can make room for, and last past
 // the end, where the rightmost leaf fills and splits at its end.
 func TestInsertRunMatchesInsert(t *testing.T) {
 	const loaded = 3 * MaxLeafEntries
@@ -53,6 +55,11 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 	}
 	runs = append(runs, run, []uint64{3, 10*MaxLeafEntries + 7, 10*2*MaxLeafEntries + 7, 10*loaded - 1})
 	run = nil
+	for k := uint64(10*(2*MaxLeafEntries+MaxLeafEntries/2) + 1); k < 10*(2*MaxLeafEntries+MaxLeafEntries/2)+10; k++ {
+		run = append(run, k)
+	}
+	runs = append(runs, run)
+	run = nil
 	for k := uint64(10*loaded + 1); k < 10*loaded+2*MaxLeafEntries; k++ {
 		run = append(run, k)
 	}
@@ -62,6 +69,7 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 		dbs     = [2]*engine.DB{testDB(t), testDB(t)}
 		trees   [2]*Tree
 		records [2]int64
+		bytes   [2]int64
 	)
 	for i, db := range dbs {
 		update(t, db, func(tx *engine.Tx) (err error) {
@@ -75,7 +83,7 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 			}
 			return nil
 		})
-		before := db.Snapshot().Wal.Appends
+		before, mark := db.Snapshot().Wal.Appends, db.Log().Next()
 		for _, run := range runs {
 			update(t, db, func(tx *engine.Tx) error {
 				if i == 1 {
@@ -90,9 +98,11 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 			})
 		}
 		records[i] = db.Snapshot().Wal.Appends - before
+		bytes[i] = int64(db.Log().Next() - mark)
 	}
-	if records[1] >= records[0]/4 {
-		t.Errorf("the runs logged %d records, Insert %d: want under a quarter", records[1], records[0])
+	t.Logf("Insert logged %d records and %d bytes, InsertRun %d and %d", records[0], bytes[0], records[1], bytes[1])
+	if records[1] >= records[0]*2/3 || bytes[1] > bytes[0] {
+		t.Errorf("the runs logged %d records and %d bytes, Insert %d and %d: want under two thirds of the records and no more bytes", records[1], bytes[1], records[0], bytes[0])
 	}
 	ia, ib := images(t, dbs[0]), images(t, dbs[1])
 	if len(ia) != len(ib) {
