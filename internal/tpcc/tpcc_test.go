@@ -1,11 +1,15 @@
 package tpcc
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/engine"
+	"github.com/reprolab/face/internal/page"
 )
 
 // tinyConfig is small enough for fast unit tests while still exercising
@@ -375,5 +379,97 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	if clone.Config().Warehouses != db.Config().Warehouses {
 		t.Fatal("clone config mismatch")
+	}
+}
+
+// TestOrderLineScanMatchesOrderRows: the one scan of the order-line index
+// that Delivery, Order-Status and Stock-Level make finds exactly the lines
+// they found with a lookup per line, lines 1 to the ORDER row's line count,
+// for every order and for every district's last 20, after a run of the
+// mix that delivered some orders and rolled some New-Orders back.
+func TestOrderLineScanMatchesOrderRows(t *testing.T) {
+	eng := newEngine(t, engine.PolicyFaCEGSC)
+	db, err := Load(eng, tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr := NewDriver(eng, db, 5)
+	for i := 0; dr.Counts().Committed[KindDelivery] < 5 || dr.Counts().RolledBack == 0; i++ {
+		if i == 5000 {
+			t.Fatalf("5000 transactions of the mix delivered too little or rolled nothing back: %+v", dr.Counts())
+		}
+		if _, err := dr.RunOne(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := db.Config()
+	err = eng.View(context.Background(), func(tx *engine.Tx) error {
+		for w := 1; w <= cfg.Warehouses; w++ {
+			for dist := 1; dist <= cfg.DistrictsPerWarehouse; dist++ {
+				var next int
+				if err := db.district.Get(tx, db.districtRID[districtKey(w, dist)], func(rec []byte) error {
+					next = districtNextOrder(rec)
+					return nil
+				}); err != nil {
+					return err
+				}
+				// byLookup returns the RIDs of the lines of order o as the
+				// transactions found them before the scan.
+				byLookup := func(o int) ([]page.RID, error) {
+					ordRID, ok, err := db.orderIdx.Get(tx, orderKey(w, dist, o))
+					if err != nil || !ok {
+						return nil, err
+					}
+					var lines int
+					if err := db.order.Get(tx, ordRID, func(rec []byte) error {
+						lines = orderLineCount(rec)
+						return nil
+					}); err != nil {
+						return nil, err
+					}
+					var rids []page.RID
+					for ol := 1; ol <= lines; ol++ {
+						rid, ok, err := db.orderLineIdx.Get(tx, orderLineKey(w, dist, o, ol))
+						if err != nil {
+							return nil, err
+						}
+						if ok {
+							rids = append(rids, rid)
+						}
+					}
+					return rids, nil
+				}
+				var last20 []page.RID
+				for o := 1; o < next; o++ {
+					want, err := byLookup(o)
+					if err != nil {
+						return err
+					}
+					var got [orderLineMax]page.RID
+					n, err := db.orderLineRIDs(tx, w, dist, o, o, got[:])
+					if err != nil {
+						return err
+					}
+					if !slices.Equal(got[:n], want) {
+						return fmt.Errorf("order (%d, %d, %d): the scan found %v, the lookups %v", w, dist, o, got[:n], want)
+					}
+					if o >= next-20 {
+						last20 = append(last20, want...)
+					}
+				}
+				var got [20 * orderLineMax]page.RID
+				n, err := db.orderLineRIDs(tx, w, dist, max(next-20, 1), next-1, got[:])
+				if err != nil {
+					return err
+				}
+				if !slices.Equal(got[:n], last20) {
+					return fmt.Errorf("district (%d, %d): the scan of the last 20 orders found %d lines, the lookups %d", w, dist, n, len(last20))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -75,7 +75,9 @@ func (d *Database) NewOrder(tx *engine.Tx, rng *rand.Rand, w int) error {
 		return err
 	}
 
-	// Order lines.
+	// Order lines: each item and its stock, and then the lines, a page of
+	// the table and its index entries at a time.
+	var lines orderLines
 	for ol := 1; ol <= lineCount; ol++ {
 		if rollback && ol == lineCount {
 			// Unused item id: the whole transaction rolls back.
@@ -125,17 +127,9 @@ func (d *Database) NewOrder(tx *engine.Tx, rng *rand.Rand, w int) error {
 			return err
 		}
 
-		rec := make([]byte, orderLineRecSize)
-		putOrderLineRec(rec, item, quantity, price*uint64(quantity))
-		olrid, err := d.orderLine.Insert(tx, rec)
-		if err != nil {
-			return err
-		}
-		if err := d.orderLineIdx.Insert(tx, orderLineKey(w, dist, orderID, ol), olrid); err != nil {
-			return err
-		}
+		lines.add(orderLineKey(w, dist, orderID, ol), item, quantity, price*uint64(quantity))
 	}
-	return nil
+	return d.insertOrderLines(tx, &lines)
 }
 
 // Payment executes the TPC-C Payment transaction against warehouse w.
@@ -225,26 +219,37 @@ func (d *Database) OrderStatus(tx *engine.Tx, rng *rand.Rand, w int) error {
 		return nil
 	}
 	orderID := int(lastOrder - lo)
-	var lines int
-	if err := d.order.Get(tx, lastRID, func(rec []byte) error {
-		lines = orderLineCount(rec)
-		return nil
-	}); err != nil {
+	if err := d.order.Get(tx, lastRID, func(rec []byte) error { return nil }); err != nil {
 		return err
 	}
-	for ol := 1; ol <= lines; ol++ {
-		olRID, ok, err := d.orderLineIdx.Get(tx, orderLineKey(w, dist, orderID, ol))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := d.orderLine.Get(tx, olRID, func(rec []byte) error { return nil }); err != nil {
+	var lines [orderLineMax]page.RID
+	n, err := d.orderLineRIDs(tx, w, dist, orderID, orderID, lines[:])
+	if err != nil {
+		return err
+	}
+	for _, rid := range lines[:n] {
+		if err := d.orderLine.Get(tx, rid, func(rec []byte) error { return nil }); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// orderLineRIDs stores in rids the RIDs of the lines of orders first to
+// last of district (w, dist), in key order, found with one scan of the
+// order-line index, and returns how many there are.  rids must have room
+// for orderLineMax-1 lines an order.
+func (d *Database) orderLineRIDs(tx *engine.Tx, w, dist, first, last int, rids []page.RID) (int, error) {
+	n := 0
+	err := d.orderLineIdx.Scan(tx, orderLineKey(w, dist, first, 0), orderLineKey(w, dist, last, orderLineMax-1), func(k uint64, rid page.RID) error {
+		if n == len(rids) {
+			return fmt.Errorf("tpcc: more than %d lines in orders %d to %d of district %d", len(rids), first, last, districtKey(w, dist))
+		}
+		rids[n] = rid
+		n++
+		return nil
+	})
+	return n, err
 }
 
 // Delivery executes the TPC-C Delivery transaction: the oldest undelivered
@@ -275,32 +280,28 @@ func (d *Database) Delivery(tx *engine.Tx, rng *rand.Rand, w int) error {
 		if !ok {
 			return errNotFound("order", orderKey(w, dist, orderID))
 		}
-		var cust, lines int
+		var cust int
 		if err := d.order.Update(tx, ordRID, func(rec []byte) error {
 			cust = orderCustomer(rec)
-			lines = orderLineCount(rec)
 			orderSetCarrier(rec, carrier)
 			return nil
 		}); err != nil {
 			return err
 		}
 
+		// Its lines, found with one scan and updated a page at a time.
+		var lines [orderLineMax]page.RID
+		n, err := d.orderLineRIDs(tx, w, dist, orderID, orderID, lines[:])
+		if err != nil {
+			return err
+		}
 		var total uint64
-		for ol := 1; ol <= lines; ol++ {
-			olRID, ok, err := d.orderLineIdx.Get(tx, orderLineKey(w, dist, orderID, ol))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := d.orderLine.Update(tx, olRID, func(rec []byte) error {
-				total += orderLineAmount(rec)
-				orderLineSetDeliveryDate(rec, orderID)
-				return nil
-			}); err != nil {
-				return err
-			}
+		if err := d.orderLine.UpdateEach(tx, lines[:n], func(_ int, rec []byte) error {
+			total += orderLineAmount(rec)
+			orderLineSetDeliveryDate(rec, orderID)
+			return nil
+		}); err != nil {
+			return err
 		}
 
 		custRID, ok, err := d.customerIdx.Get(tx, customerKey(w, dist, cust))
@@ -340,57 +341,44 @@ func (d *Database) StockLevel(tx *engine.Tx, rng *rand.Rand, w int) error {
 	if first < 1 {
 		first = 1
 	}
+	if first >= nextOrder {
+		return nil
+	}
+	// The lines of the last 20 orders, with one scan of the order-line
+	// index, as the specification's join does: no ORDER row is read.
+	var lines [20 * orderLineMax]page.RID
+	n, err := d.orderLineRIDs(tx, w, dist, first, nextOrder-1, lines[:])
+	if err != nil {
+		return err
+	}
 	seen := make(map[int]bool)
 	low := 0
-	for o := first; o < nextOrder; o++ {
-		ordRID, ok, err := d.orderIdx.Get(tx, orderKey(w, dist, o))
+	for _, rid := range lines[:n] {
+		var item int
+		if err := d.orderLine.Get(tx, rid, func(rec []byte) error {
+			item = orderLineItem(rec)
+			return nil
+		}); err != nil {
+			return err
+		}
+		if seen[item] {
+			continue
+		}
+		seen[item] = true
+		stockRID, ok, err := d.stockIdx.Get(tx, stockKey(w, item))
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		lines := 0
-		if err := d.order.Get(tx, ordRID, func(rec []byte) error {
-			lines = orderLineCount(rec)
+		if err := d.stock.Get(tx, stockRID, func(rec []byte) error {
+			if stockQuantity(rec) < threshold {
+				low++
+			}
 			return nil
 		}); err != nil {
 			return err
-		}
-		for ol := 1; ol <= lines; ol++ {
-			olRID, ok, err := d.orderLineIdx.Get(tx, orderLineKey(w, dist, o, ol))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			var item int
-			if err := d.orderLine.Get(tx, olRID, func(rec []byte) error {
-				item = orderLineItem(rec)
-				return nil
-			}); err != nil {
-				return err
-			}
-			if seen[item] {
-				continue
-			}
-			seen[item] = true
-			stockRID, ok, err := d.stockIdx.Get(tx, stockKey(w, item))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := d.stock.Get(tx, stockRID, func(rec []byte) error {
-				if stockQuantity(rec) < threshold {
-					low++
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
 		}
 	}
 	_ = low
