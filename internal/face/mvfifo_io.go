@@ -8,6 +8,7 @@ package face
 // so Lookup and Contains proceed while a group write is in flight.
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -492,28 +493,39 @@ func (m *MVFIFO) Recover() error {
 	}
 
 	// Rescan frames written after the last metadata flush.  The enqueue
-	// stamp distinguishes current-generation frames from stale ones.
+	// stamp distinguishes current-generation frames from stale ones.  The
+	// frames are read in runs of one, two, four and so on up to
+	// maxRescanRun, each one device command, so a long rescan pays the
+	// command overhead once per run rather than once per frame, and a
+	// short one reads little past its end.
 	limit := persisted + 2*uint64(m.cfg.SegmentEntries)
 	if limit > persisted+capacity {
 		limit = persisted + capacity
 	}
 	m.seq = persisted
-	buf := page.NewBuf()
-	for pos := persisted; pos < limit; pos++ {
+	pos, stale := persisted, false
+	for run := uint64(1); pos < limit && !stale; run = min(2*run, maxRescanRun) {
 		slot := pos % capacity
+		n := min(run, limit-pos, capacity-slot)
+		m.stats.FlashPageReads += int64(n)
 		//lint:allow facevet/nolockio recovery scan: runs before the cache is shared, single-threaded by construction
-		if err := m.cfg.Dev.ReadAt(m.layout.frameBlock(slot), buf); err != nil {
+		err := m.cfg.Dev.ReadRun(m.layout.frameBlock(slot), int(n), func(_ int, p []byte) error {
+			buf := page.Buf(p)
+			if stale = buf.CacheStamp() != uint32(pos) || buf.ID() == page.InvalidID; stale {
+				return errStaleFrame
+			}
+			// Conservatively treat rediscovered frames as dirty: at worst
+			// this causes one redundant disk write when the frame is
+			// staged out.
+			apply(pos, buf.ID(), buf.LSN(), true)
+			m.metadir.restoreEntry(pos, metaEntry{id: buf.ID(), lsn: buf.LSN(), dirty: true})
+			pos++
+			m.seq = pos
+			return nil
+		})
+		if err != nil && !errors.Is(err, errStaleFrame) {
 			return fmt.Errorf("face: recovery scan at frame %d: %w", slot, err)
 		}
-		m.stats.FlashPageReads++
-		if buf.CacheStamp() != uint32(pos) || buf.ID() == page.InvalidID {
-			break
-		}
-		// Conservatively treat rediscovered frames as dirty: at worst this
-		// causes one redundant disk write when the frame is staged out.
-		apply(pos, buf.ID(), buf.LSN(), true)
-		m.metadir.restoreEntry(pos, metaEntry{id: buf.ID(), lsn: buf.LSN(), dirty: true})
-		m.seq = pos + 1
 	}
 	if m.seq < m.front {
 		m.seq = m.front
@@ -548,6 +560,14 @@ func (m *MVFIFO) Recover() error {
 	}
 	return nil
 }
+
+// maxRescanRun is the longest run of frames the restart rescan reads with
+// one device command.
+const maxRescanRun = 16
+
+// errStaleFrame stops a run of the restart rescan at the first frame the
+// current generation of the queue did not write.
+var errStaleFrame = errors.New("face: stale frame")
 
 // FlushAll writes every valid dirty frame to disk and marks it clean.  It
 // is used for clean shutdown.
