@@ -344,9 +344,12 @@ func (t *Tree) readLeaf(tx *engine.Tx, key uint64, fn func(buf page.Buf, i int) 
 
 // editLeaf runs fn on the leaf that holds key, locked exclusively before
 // it is read: leaf, which a descent found, or a right sibling of it.  It
-// returns that leaf.
-func editLeaf(tx *engine.Tx, leaf page.ID, key uint64, fn func(w *page.Writer) error) (page.ID, error) {
+// returns that leaf, and whether the transaction took its lock in this
+// call.  A leaf it passes on the way it gives back if it took its lock
+// (Tx.Unlock): it changed nothing there.
+func editLeaf(tx *engine.Tx, leaf page.ID, key uint64, fn func(w *page.Writer) error) (page.ID, bool, error) {
 	for {
+		took := !tx.Holds(leaf)
 		right := page.InvalidID
 		err := tx.Edit(leaf, func(w *page.Writer) error {
 			if beyond(w.Page(), key) {
@@ -356,7 +359,10 @@ func editLeaf(tx *engine.Tx, leaf page.ID, key uint64, fn func(w *page.Writer) e
 			return fn(w)
 		})
 		if err != nil || right == page.InvalidID {
-			return leaf, err
+			return leaf, took, err
+		}
+		if took {
+			tx.Unlock(leaf)
 		}
 		leaf = right
 	}
@@ -431,7 +437,7 @@ func (t *Tree) InsertRun(tx *engine.Tx, keys []uint64, rids []page.RID) error {
 			dup, past bool
 			err       error
 		)
-		leaf, err = editLeaf(tx, leaf, keys[0], func(w *page.Writer) error {
+		leaf, _, err = editLeaf(tx, leaf, keys[0], func(w *page.Writer) error {
 			n, dup, past = insertGap(w, keys, rids)
 			return nil
 		})
@@ -665,10 +671,10 @@ func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos i
 			return err
 		}
 		var (
-			pos  int
-			full bool
+			pos        int
+			full, took bool
 		)
-		leaf, err = editLeaf(tx, leaf, key, func(w *page.Writer) (err error) {
+		leaf, took, err = editLeaf(tx, leaf, key, func(w *page.Writer) (err error) {
 			pos, full, err = put(w)
 			return err
 		})
@@ -680,6 +686,11 @@ func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos i
 			return err
 		}
 		if !ok {
+			// The leaf goes back too, unless put changed it: nothing
+			// holds a lock across the next descent that it did not need.
+			if took {
+				tx.Unlock(leaf)
+			}
 			pauseBeforeRedescent(tx)
 			continue
 		}

@@ -77,7 +77,7 @@ func (t *Tree) Remove(tx *engine.Tx, key uint64) (bool, error) {
 		return false, err
 	}
 	found := false
-	_, err = editLeaf(tx, leaf, key, func(w *page.Writer) error {
+	_, _, err = editLeaf(tx, leaf, key, func(w *page.Writer) error {
 		var i int
 		if i, found = search(w.Page(), key); found {
 			w.RemoveAt(i)
