@@ -47,10 +47,10 @@
 // descends again, having given back the ancestors it locked.
 //
 // Logging.  Every change to a node is one Tx.Edit, which logs one update
-// record.  InsertRun puts every key of an ascending run that belongs in a
-// leaf into it in one Edit, so a run logs one record per leaf it fills,
-// not one per key, and leaves the tree in the shape Insert key by key
-// would.
+// record.  InsertRun puts the keys of an ascending run that go into one
+// gap of a leaf into it in one Edit, so a run that extends a leaf logs one
+// record for it, not one per key, and leaves the tree in the shape Insert
+// key by key would.
 package btree
 
 import (

@@ -98,35 +98,9 @@ func (t *Table) appendPage(id page.ID) {
 // appends its own page, so records never collide (the transactions hold
 // exclusive page locks), at worst leaving a page partially filled.
 func (t *Table) Insert(tx *engine.Tx, rec []byte) (page.RID, error) {
-	if len(rec) > page.PayloadSize-8 {
-		return page.RID{}, page.ErrTooLarge
-	}
-	rid, err := t.insertInto(tx, t.lastPage(), rec)
-	if err == nil {
-		return rid, nil
-	}
-	if !errors.Is(err, page.ErrPageFull) {
-		return page.RID{}, err
-	}
-	id, err := tx.Alloc(page.TypeHeap)
-	if err != nil {
-		return page.RID{}, fmt.Errorf("heap: growing table %s: %w", t.name, err)
-	}
-	t.appendPage(id)
-	return t.insertInto(tx, id, rec)
-}
-
-func (t *Table) insertInto(tx *engine.Tx, id page.ID, rec []byte) (page.RID, error) {
-	var rid page.RID
-	err := tx.Edit(id, func(w *page.Writer) error {
-		slot, err := w.Insert(rec)
-		if err != nil {
-			return err
-		}
-		rid = page.RID{Page: id, Slot: uint16(slot)}
-		return nil
-	})
-	return rid, err
+	var rid [1]page.RID
+	_, err := t.InsertMany(tx, [][]byte{rec}, rid[:])
+	return rid[0], err
 }
 
 // InsertMany appends records of recs, in order, to one page of the table in
