@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -399,5 +400,39 @@ func TestLockManagerPublicAPI(t *testing.T) {
 	}
 	if snap.GroupCommit.Requests == 0 {
 		t.Fatalf("group-commit counters not surfaced: %+v", snap.GroupCommit)
+	}
+}
+
+// TestMetricsRegistryAndTracingOptions: an engine opened with a registry
+// from NewMetricsRegistry publishes its metrics there, and its snapshot's
+// phases condense (Summaries) to the transactions it ran; WithTracing(false)
+// leaves it without a tracer, which the default gives it.
+func TestMetricsRegistryAndTracingOptions(t *testing.T) {
+	for _, tracing := range []bool{true, false} {
+		reg := NewMetricsRegistry()
+		db, err := Open(WithDevices(NewDisk("data", 1024), NewDisk("log", 1024)), WithMetricsRegistry(reg), WithTracing(tracing))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Tracer() != nil; got != tracing {
+			t.Fatalf("WithTracing(%v): tracer present %v", tracing, got)
+		}
+		for range 3 {
+			if err := db.Update(context.Background(), func(tx *Tx) error {
+				_, err := tx.Alloc(TypeHeap)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := db.Snapshot().Phases.Summaries().Total.Count; n != 3 {
+			t.Fatalf("WithTracing(%v): the phases summarise %d transactions, want 3", tracing, n)
+		}
+		var out strings.Builder
+		reg.WritePrometheus(&out)
+		if !strings.Contains(out.String(), "face_tx_total_seconds") {
+			t.Fatalf("WithTracing(%v): the shared registry holds no transaction metrics:\n%s", tracing, out.String())
+		}
+		db.Close()
 	}
 }

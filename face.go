@@ -286,22 +286,10 @@ func NewSSD(name string, blocks int64) *device.Device {
 	return device.New(name, device.ProfileSamsung470, blocks)
 }
 
-// NewSLCSSD creates a simulated SLC flash SSD (Intel X25-E).
-func NewSLCSSD(name string, blocks int64) *device.Device {
-	return device.New(name, device.ProfileIntelX25E, blocks)
-}
-
 // NewMetricsRegistry creates an empty metrics registry to share between
 // the engine (WithMetricsRegistry) and the embedder's own exporter; see
 // MetricsRegistry.WritePrometheus and MetricsRegistry.Expvar.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// DefaultBenchOptions returns the experiment scale used by the facebench
-// command.
-func DefaultBenchOptions() BenchOptions { return bench.DefaultOptions() }
-
-// QuickBenchOptions returns a small experiment scale for tests.
-func QuickBenchOptions() BenchOptions { return bench.QuickOptions() }
 
 // BuildGolden loads the TPC-C database image used by the experiments.
 func BuildGolden(opts BenchOptions) (*Golden, error) { return bench.BuildGolden(opts) }

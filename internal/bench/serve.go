@@ -69,23 +69,6 @@ type ServeResult struct {
 	ServerPinnedTraces int64 `json:"server_pinned_traces,omitempty"`
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) of the sorted-
-// or-unsorted latency sample; it sorts its argument in place.
-func Percentile(lat []time.Duration, p float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	idx := int(float64(len(lat))*p/100+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lat) {
-		idx = len(lat) - 1
-	}
-	return lat[idx]
-}
-
 // FillPercentiles computes the result's latency fields from a sample
 // (sorted in place).
 func (r *ServeResult) FillPercentiles(lat []time.Duration) {

@@ -57,7 +57,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/reprolab/face/internal/engine"
 	"github.com/reprolab/face/internal/page"
@@ -463,11 +462,6 @@ func (t *Tree) InsertRun(tx *engine.Tx, keys []uint64, rids []page.RID) error {
 	return nil
 }
 
-// maxGapEntries is the most entries one Edit inserts into a gap below other
-// entries: the entries above the gap move up by the new ones, and a log
-// record's shift (wal.Edit.Shift) moves bytes at most math.MaxInt8 far.
-const maxGapEntries = math.MaxInt8 / leafEntrySize
-
 // insertGap inserts into a RID leaf, which holds keys[0]'s range, the keys
 // of keys that go where keys[0] goes, keys[0] first, in one move of the
 // entries above them and one write of theirs, and returns how many it
@@ -484,9 +478,6 @@ func insertGap(w *page.Writer, keys []uint64, rids []page.RID) (n int, dup, past
 	room := MaxLeafEntries - count
 	if room == 0 {
 		return 0, false, false
-	}
-	if i < count {
-		room = min(room, maxGapEntries)
 	}
 	for n < len(keys) && n < room {
 		k := keys[n]

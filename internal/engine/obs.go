@@ -31,7 +31,8 @@ import (
 //	buffer       pinning pages off the pool's fast path: latch waits,
 //	             misses and the evictions that make room for them (a
 //	             DRAM hit is not timed), and allocating pages
-//	wal_append   reserving and copying log records
+//	wal_append   stalled reserving log buffer space (charged only when
+//	             a reservation found the buffer full)
 //	durable_wait the commit-time log force (group-commit park included)
 //	closure      the transaction closure's own time net of the engine
 //	             phases above (user code + everything untraced)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/obs/trace"
 	"github.com/reprolab/face/internal/page"
+	"github.com/reprolab/face/internal/wal"
 )
 
 // traceDB opens a database with tracing on and every committed write
@@ -28,7 +30,8 @@ func traceDB(t *testing.T) *DB {
 
 // TestTraceEngineSelfStartedSpans: an Update whose context carries no
 // request trace starts (and finishes) its own, so embedded deployments
-// feed the journal; its spans are the commit-path phases.
+// feed the journal; its spans are the commit-path phases it waited in (an
+// append that did not stall has none: TestWalAppendPhaseOnStallOnly).
 func TestTraceEngineSelfStartedSpans(t *testing.T) {
 	db := traceDB(t)
 	ctx := context.Background()
@@ -61,7 +64,7 @@ func TestTraceEngineSelfStartedSpans(t *testing.T) {
 			allocSpan = true
 		}
 	}
-	for _, want := range []string{"admission", "buffer", "wal_append", "durable_wait"} {
+	for _, want := range []string{"admission", "buffer", "durable_wait"} {
 		if !names[want] {
 			t.Errorf("span %q missing from %+v", want, tr.Spans)
 		}
@@ -430,6 +433,122 @@ func TestBufferPhaseOffFastPathOnly(t *testing.T) {
 	}
 	if len(spans) != 1 || spans[0].Page != uint64(ids[1]) || spans[0].Dur < hold || charged < hold {
 		t.Fatalf("a wait of some %v for page %d's latch recorded buffer spans %+v and was charged %v", hold, ids[1], spans, charged)
+	}
+}
+
+// gatedLog is a log device whose writes, once gate is set, wait for gate
+// to close.
+type gatedLog struct {
+	device.Dev
+	mu   sync.Mutex
+	gate chan struct{}
+}
+
+func (d *gatedLog) wait() {
+	d.mu.Lock()
+	gate := d.gate
+	d.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+}
+
+func (d *gatedLog) WriteAt(blk int64, p []byte) error {
+	d.wait()
+	return d.Dev.WriteAt(blk, p)
+}
+
+func (d *gatedLog) WriteRun(blk int64, pages [][]byte) error {
+	d.wait()
+	return d.Dev.WriteRun(blk, pages)
+}
+
+// TestWalAppendPhaseOnStallOnly: an Update whose appends find room in the
+// log buffer records no wal_append span and charges nothing to the phase;
+// one whose append stalls on a full buffer, while the log device holds its
+// writes, is charged the stall.
+func TestWalAppendPhaseOnStallOnly(t *testing.T) {
+	r := newRig(t, PolicyNone)
+	dev := &gatedLog{Dev: r.log}
+	r.cfg.LogDev = dev
+	r.cfg.Logf = func(string, ...any) {}
+	db := r.open(t, false)
+	t.Cleanup(func() { db.Close() })
+	tracer := db.Tracer()
+	ctx := context.Background()
+	var ids []page.ID
+	if err := db.Update(ctx, func(tx *Tx) error {
+		for range 8 {
+			id, err := tx.Alloc(page.TypeHeap)
+			if err != nil {
+				return err
+			}
+			ids = append(ids, id)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// traced runs fn in an Update and returns its wal_append spans and
+	// the phase it was charged.
+	traced := func(id trace.ID, fn func(tx *Tx) error) (spans int, charged time.Duration) {
+		t.Helper()
+		before := db.Snapshot().Phases
+		tr := tracer.Start(id, "update")
+		defer tracer.Finish(tr)
+		if err := db.Update(WithTrace(ctx, tr), fn); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "wal_append" {
+				spans++
+			}
+		}
+		return spans, time.Duration(db.Snapshot().Phases.Sub(before).WalAppend.Sum)
+	}
+	if spans, charged := traced(1, func(tx *Tx) error {
+		writeValue(t, tx, ids[0], 7)
+		return nil
+	}); spans != 0 || charged != 0 {
+		t.Fatalf("an append with room recorded %d wal_append spans and was charged %v", spans, charged)
+	}
+
+	// Whole pages rewritten, some 8 KiB of log each, fill the log buffer
+	// while the device holds its writes; the gate opens hold after the
+	// first stall.
+	dev.mu.Lock()
+	dev.gate = make(chan struct{})
+	gate := dev.gate
+	dev.mu.Unlock()
+	stalls := db.Log().Stats().ReserveStalls
+	const hold = 5 * time.Millisecond
+	go func() {
+		defer close(gate)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			if db.Log().Stats().ReserveStalls > stalls {
+				time.Sleep(hold)
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	rng := rand.New(rand.NewSource(5))
+	spans, charged := traced(2, func(tx *Tx) error {
+		for i := range wal.DefaultSegments * wal.DefaultSegmentBytes / (6 << 10) {
+			if err := tx.Modify(ids[i%len(ids)], func(buf page.Buf) error {
+				rng.Read(buf.Payload())
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	dev.mu.Lock()
+	dev.gate = nil
+	dev.mu.Unlock()
+	if spans == 0 || charged < hold {
+		t.Fatalf("appends that stalled some %v on a full log buffer recorded %d wal_append spans and were charged %v", hold, spans, charged)
 	}
 }
 

@@ -2,11 +2,8 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
 	"time"
 
 	"github.com/reprolab/face/internal/lock"
@@ -107,15 +104,17 @@ func (tx *Tx) poolGet(id page.ID) (page.Buf, error) {
 	return buf, err
 }
 
-// logAppend appends a record, charging the reservation and copy to the
-// wal_append phase of a traced transaction.
+// logAppend appends a record, charging the time its reservation stalled on
+// a full log buffer to the wal_append phase of a traced transaction.  An
+// append that did not stall reads no clock.
 func (tx *Tx) logAppend(rec *wal.Record) (page.LSN, error) {
 	if tx.tr == nil {
 		return tx.db.log.Append(rec)
 	}
-	t0 := time.Now()
-	lsn, err := tx.db.log.Append(rec)
-	tx.tr.charge(phaseWalAppend, t0, time.Since(t0), uint64(rec.PageID), "")
+	lsn, stalled, err := tx.db.log.AppendTimed(rec)
+	if !stalled.IsZero() {
+		tx.tr.charge(phaseWalAppend, stalled, time.Since(stalled), uint64(rec.PageID), "")
+	}
 	return lsn, err
 }
 
@@ -201,21 +200,21 @@ func (tx *Tx) Unlock(id page.ID) bool {
 
 // Modify pins the page, lets fn change it in place, and logs what changed
 // as one update record, as Edit does.  fn may write anywhere in the page,
-// so the whole page is saved and compared; the storage layers use Edit,
-// which saves and compares only what its callback declares.
+// so the whole page is one write, whose changed bytes are logged; the
+// storage layers use Edit, whose Writer logs what each of its methods did.
 func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 	return tx.Edit(id, func(w *page.Writer) error { return fn(w.Bytes(0, page.Size)) })
 }
 
-// logUpdate appends the update record of edits, which changed page id into
-// buf, stamps the page LSN, marks the page dirty and keeps the edits for
-// undo.  No edits log nothing.  logged reports whether the record reached
-// the log: if it did not, the caller puts the page back as it was.
-func (tx *Tx) logUpdate(id page.ID, buf page.Buf, edits []wal.Edit) (logged bool, err error) {
-	if len(edits) == 0 {
+// logUpdate appends the update record of ops, which changed page id into
+// buf, stamps the page LSN, marks the page dirty and keeps the operations
+// for undo.  No operations log nothing.  logged reports whether the record
+// reached the log: if it did not, the caller puts the page back as it was.
+func (tx *Tx) logUpdate(id page.ID, buf page.Buf, ops []byte) (logged bool, err error) {
+	if len(ops) == 0 {
 		return false, nil
 	}
-	rec := wal.Record{Type: wal.TypeUpdate, TxID: tx.id, PageID: id, Edits: edits}
+	rec := wal.Record{Type: wal.TypeUpdate, TxID: tx.id, PageID: id, Ops: ops}
 	lsn, err := tx.logAppend(&rec)
 	if err != nil {
 		return false, err
@@ -224,7 +223,7 @@ func (tx *Tx) logUpdate(id page.ID, buf page.Buf, edits []wal.Edit) (logged bool
 	if err := tx.db.pool.MarkDirty(id); err != nil {
 		return true, err
 	}
-	tx.arena.undo = append(tx.arena.undo, undoRecord{pageID: id, edits: edits})
+	tx.arena.undo = append(tx.arena.undo, undoRecord{pageID: id, ops: tx.arena.keep(ops)})
 	return true, nil
 }
 
@@ -339,9 +338,9 @@ func (tx *Tx) commit() error {
 }
 
 // abort rolls the transaction back by undoing its update records in reverse
-// order.  Each undo is logged as a compensation record — the inverse edits,
-// redo-only — so redo replays it, and restart after a crash in mid-abort
-// undoes only the updates no compensation record covers.
+// order.  Each undo is logged as a compensation record — the inverse
+// operations, redo-only — so redo replays it, and restart after a crash in
+// mid-abort undoes only the updates no compensation record covers.
 func (tx *Tx) abort() error {
 	if tx.done {
 		return ErrTxDone
@@ -354,32 +353,13 @@ func (tx *Tx) abort() error {
 		db.aborted.Add(1)
 		return nil
 	}
-	var undo []undoRecord
-	if tx.arena != nil {
-		undo = tx.arena.undo
-	}
-	for i := len(undo) - 1; i >= 0; i-- {
-		u := undo[i]
-		buf, err := db.pool.Get(u.pageID)
-		if err != nil {
-			return err
+	if a := tx.arena; a != nil && len(a.undo) > 0 {
+		w := a.enter()
+		for i := len(a.undo) - 1; i >= 0; i-- {
+			if err := tx.undo(w, a.undo[i]); err != nil {
+				return err
+			}
 		}
-		wal.Invert(u.edits)
-		rec := &wal.Record{Type: wal.TypeCompensation, TxID: tx.id, PageID: u.pageID, Edits: u.edits}
-		lsn, err := db.log.Append(rec)
-		if err != nil {
-			db.pool.Unpin(u.pageID)
-			return err
-		}
-		for j := range u.edits {
-			u.edits[j].Apply(buf)
-		}
-		buf.SetLSN(lsn)
-		if err := db.pool.MarkDirty(u.pageID); err != nil {
-			db.pool.Unpin(u.pageID)
-			return err
-		}
-		db.pool.Unpin(u.pageID)
 	}
 	rec := &wal.Record{Type: wal.TypeAbort, TxID: tx.id}
 	if _, err := db.log.Append(rec); err != nil {
@@ -389,259 +369,20 @@ func (tx *Tx) abort() error {
 	return nil
 }
 
-// Differ tuning.  A shift is looked for in regions whose changed bytes lie
-// at most maxShift apart (moving an array of records by one record changes
-// at least one byte per record) and that are long enough to pay for the
-// attempt; plain writes are split wherever the unchanged gap costs more as
-// two images than another edit header does.  A shift declared with
-// Writer.Move may be as long as an edit can record.
-const (
-	maxShift         = 64
-	minShiftRegion   = 32
-	maxWriteGap      = wal.EditHeaderSize / 2
-	maxDeclaredShift = math.MaxInt8
-)
-
-// span is one edit before its images are copied: the region [lo, hi) and
-// the shift distance (0 for a write).
-type span struct {
-	lo, hi int
-	shift  int
-}
-
-// move is a Writer.Move the differ may log as one shift edit: n bytes from
-// src to dst.  The zero move declares none.
-type move struct{ dst, src, n int }
-
-// wholePage is the one window of a differ that compares every byte.
-var wholePage = []page.Window{{Lo: 0, Hi: page.Size}}
-
-// diffMoved returns the edits that turn before into after: disjoint, in
-// ascending order, with their own copies of the image bytes, so that neither
-// image is referenced afterwards.  Every byte is compared, the page LSN
-// field included — callers stamp the LSN after the diff, so it only shows up
-// here if the callback itself wrote to it.  If the move m holds, its region
-// becomes one shift edit and only the rest of the page is diffed.
-//
-// It is the differ's definition: the windowed differ of Edit must return
-// what it returns.
-func diffMoved(before, after page.Buf, m move) []wal.Edit {
-	edits := (*editArena)(nil).diff(before, after, m, wholePage)
-	checkEdits(before, after, edits)
-	return edits
-}
-
-// shift returns the shift edit the move makes, if it moves something,
-// within reach of one edit, is borne out by the images, and is cheaper than
-// logging the bytes it changed as writes (the rule tailShift applies).
-func (m move) shift(before, after page.Buf) (span, bool) {
-	dst, src, n := m.dst, m.src, m.n
-	k := dst - src
-	if k == 0 || max(k, -k) > maxDeclaredShift || n < minShiftRegion ||
-		string(after[dst:dst+n]) != string(before[src:src+n]) {
-		return span{}, false
+// undo rolls back one update record through w and logs its compensation
+// record.
+func (tx *Tx) undo(w *page.Writer, u undoRecord) error {
+	db := tx.db
+	buf, err := db.pool.Get(u.pageID)
+	if err != nil {
+		return err
 	}
-	s := span{lo: min(src, dst), hi: max(src, dst) + n, shift: k}
-	if !cheaperThanWrites(before, after, s) {
-		return span{}, false
+	defer db.pool.Unpin(u.pageID)
+	ops := w.Undo(buf, u.ops)
+	lsn, err := db.log.Append(&wal.Record{Type: wal.TypeCompensation, TxID: tx.id, PageID: u.pageID, Ops: ops})
+	if err != nil {
+		return err
 	}
-	return s, true
-}
-
-// diffRange appends, last first, the spans of the changes within
-// [floor, top).  The range is walked from its end towards its start,
-// because that is the end a moved array is recognised from (see tailShift).
-func diffRange(spans []span, before, after page.Buf, floor, top int) []span {
-	for hi := lastDiff(before, after, floor, top); hi > floor; {
-		lo := regionStart(before, after, floor, hi, maxShift)
-		spans = appendRegion(spans, before, after, lo, hi)
-		hi = lastDiff(before, after, floor, lo)
-	}
-	return spans
-}
-
-// editsOf turns spans, found last first, into edits in ascending order
-// with their images copied into the arena.
-func (a *editArena) editsOf(before, after page.Buf, spans []span) []wal.Edit {
-	if len(spans) == 0 {
-		return nil
-	}
-	total := 0
-	for _, s := range spans {
-		total += 2 * s.imageLen()
-	}
-	images, edits := a.alloc(total, len(spans))
-	for i := range edits {
-		s := spans[len(spans)-1-i]
-		n := s.imageLen()
-		// A write keeps the whole region; a shift towards higher offsets
-		// loses the region's last n bytes and gains n at its start, one
-		// towards lower offsets the reverse.
-		out, in := s.lo, s.lo
-		switch {
-		case s.shift > 0:
-			out = s.hi - n
-		case s.shift < 0:
-			in = s.hi - n
-		}
-		images = append(images, before[out:out+n]...)
-		images = append(images, after[in:in+n]...)
-		img := images[len(images)-2*n:]
-		edits[i] = wal.Edit{
-			Off: uint16(s.lo), Len: uint16(s.hi - s.lo), Shift: int8(s.shift),
-			Before: img[:n:n], After: img[n:],
-		}
-	}
-	return edits
-}
-
-func (s span) imageLen() int {
-	if s.shift == 0 {
-		return s.hi - s.lo
-	}
-	return max(s.shift, -s.shift)
-}
-
-// regionStart returns the start of the changed region that ends at hi
-// (byte hi-1 differs) and lies within [floor, hi): the first changed byte
-// not preceded, within gap unchanged bytes, by another changed one.
-func regionStart(before, after page.Buf, floor, hi, gap int) int {
-	// [i, lo) is unchanged; the walk stops once it is longer than gap.
-	lo := hi - 1
-	i := lo
-	if gap >= 8 {
-		// No two changed bytes of a word are more than six apart, so only a
-		// word's highest changed byte needs the gap test, and the region
-		// then extends to its lowest.  The walk steps by whole words
-		// whatever it finds, so the next load never waits for this one.
-		for i-floor >= 8 && lo-i <= gap {
-			i -= 8
-			x := binary.LittleEndian.Uint64(before[i:]) ^ binary.LittleEndian.Uint64(after[i:])
-			if x == 0 {
-				continue
-			}
-			if lo-(i+7-bits.LeadingZeros64(x)/8) > gap+1 {
-				return lo
-			}
-			lo = i + bits.TrailingZeros64(x)/8
-		}
-	}
-	for i > floor && lo-i <= gap {
-		i--
-		if before[i] != after[i] {
-			lo = i
-		}
-	}
-	return lo
-}
-
-// suffixLen returns the length of the longest common suffix of a and b,
-// which are of one length.  Most of a modified page is unchanged, so equal
-// stretches are skipped a block at a time with the runtime's vectorised
-// comparison, the block holding a difference is halved down to 64 bytes,
-// and only those are walked, eight bytes at a time.
-func suffixLen(a, b []byte) int {
-	const big, small = 1024, 64
-	n := len(a)
-	b = b[:n]
-	if n == 0 || a[n-1] != b[n-1] {
-		return 0
-	}
-	i := n
-	for i >= big && string(a[i-big:i]) == string(b[i-big:i]) {
-		i -= big
-	}
-	for w := big / 2; w >= small; w /= 2 {
-		if i >= w && string(a[i-w:i]) == string(b[i-w:i]) {
-			i -= w
-		}
-	}
-	for ; i >= 8; i -= 8 {
-		// Little endian: the last byte is the word's most significant.
-		if x := binary.LittleEndian.Uint64(a[i-8:]) ^ binary.LittleEndian.Uint64(b[i-8:]); x != 0 {
-			return n - i + bits.LeadingZeros64(x)/8
-		}
-	}
-	for i > 0 && a[i-1] == b[i-1] {
-		i--
-	}
-	return n - i
-}
-
-// lastDiff returns the largest i in (lo, hi] with before[i-1] != after[i-1],
-// or lo if the images agree on all of [lo, hi).
-func lastDiff(before, after page.Buf, lo, hi int) int {
-	return hi - suffixLen(before[lo:hi], after[lo:hi])
-}
-
-// appendRegion appends, last first, the spans of the changed region
-// [lo, hi), whose first and last bytes differ: shifts for as long as the
-// tail of what is left is one, then plain writes.
-func appendRegion(spans []span, before, after page.Buf, lo, hi int) []span {
-	for hi-lo >= minShiftRegion {
-		s, ok := tailShift(before, after, lo, hi)
-		if !ok {
-			break
-		}
-		spans = append(spans, s)
-		hi = lastDiff(before, after, lo, s.lo)
-	}
-	for hi > lo {
-		start := regionStart(before, after, lo, hi, maxWriteGap)
-		spans = append(spans, span{lo: start, hi: hi})
-		hi = lastDiff(before, after, lo, start)
-	}
-	return spans
-}
-
-// tailShift looks for the [s, hi) within [lo, hi) most of whose content
-// moved by k bytes, 1 <= k <= maxShift, in either direction — towards
-// higher offsets when after[s+k:hi] == before[s:hi-k] — and reports it if
-// logging the shift is cheaper than logging the bytes it changed.
-func tailShift(before, after page.Buf, lo, hi int) (span, bool) {
-	best, moved := span{hi: hi}, 0
-	// No more than hi-lo-k bytes can have moved by k, so the search ends
-	// when that cannot beat the best so far.
-	for k := 1; k <= maxShift && moved < hi-lo-k; k++ {
-		// n counts the bytes at the end of the region that moved by k, up
-		// and then down.  It beats the best so far only if the byte that
-		// many back from the end moved too, which is looked at first: once
-		// the real distance is found, the others are dismissed at a glance.
-		if after[hi-1-moved] == before[hi-k-1-moved] {
-			if n := suffixLen(after[lo+k:hi], before[lo:hi-k]); n > moved {
-				moved, best.lo, best.shift = n, hi-k-n, k
-			}
-		}
-		if moved < hi-lo-k && after[hi-k-1-moved] == before[hi-1-moved] {
-			if n := suffixLen(after[lo:hi-k], before[lo+k:hi]); n > moved {
-				moved, best.lo, best.shift = n, hi-k-n, -k
-			}
-		}
-	}
-	if moved == 0 || !cheaperThanWrites(before, after, best) {
-		return span{}, false
-	}
-	return best, true
-}
-
-// cheaperThanWrites reports whether the shift s costs less than logging
-// the bytes it changes as writes.  The shift costs a header and two images
-// of |k| bytes.  As writes the same bytes cost two images of every changed
-// byte, possibly appended to the write in front of them at no further
-// header.  Counting goes a word at a time and stops as soon as the writes
-// are known to cost more.
-func cheaperThanWrites(before, after page.Buf, s span) bool {
-	const low7, high = 0x7F7F7F7F7F7F7F7F, 0x8080808080808080
-	cost, changed, i := wal.EditHeaderSize+2*s.imageLen(), 0, s.lo
-	for ; i+8 <= s.hi && cost >= 2*changed; i += 8 {
-		x := binary.LittleEndian.Uint64(before[i:]) ^ binary.LittleEndian.Uint64(after[i:])
-		// The top bit of each byte of x that is not zero.
-		changed += bits.OnesCount64((x&low7 + low7 | x) & high)
-	}
-	for ; i < s.hi && cost >= 2*changed; i++ {
-		if before[i] != after[i] {
-			changed++
-		}
-	}
-	return cost < 2*changed
+	buf.SetLSN(lsn)
+	return db.pool.MarkDirty(u.pageID)
 }

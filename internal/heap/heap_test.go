@@ -222,8 +222,9 @@ func TestAttach(t *testing.T) {
 	}
 }
 
-// TestInsertLogVolume: inserting an n-byte row logs its bytes (and the free
-// space they replace), a slot and a few header bytes — not the page.
+// TestInsertLogVolume: inserting an n-byte row logs its bytes once, its
+// slot and the record and commit headers — not the free space the row
+// replaces, nor the page.
 func TestInsertLogVolume(t *testing.T) {
 	db := testDB(t)
 	var tbl *Table
@@ -245,8 +246,8 @@ func TestInsertLogVolume(t *testing.T) {
 				return err
 			})
 			logged := int(db.Log().Next() - mark)
-			if tbl.NumPages() == pages && logged > 2*n+150 {
-				t.Errorf("inserting a %d-byte row logged %d bytes, want at most %d", n, logged, 2*n+150)
+			if tbl.NumPages() == pages && logged > n+100 {
+				t.Errorf("inserting a %d-byte row logged %d bytes, want at most %d", n, logged, n+100)
 			}
 		}
 	}

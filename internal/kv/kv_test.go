@@ -402,8 +402,8 @@ func TestLogVolumePerSet(t *testing.T) {
 		}
 	}
 	t.Logf("worst fresh-key insert %d bytes of log, worst overwrite %d", worstInsert, worstOverwrite)
-	if worstInsert == 0 || worstInsert > 500 {
-		t.Errorf("a fresh-key insert of a 128-byte value logged %d bytes, want at most 500", worstInsert)
+	if worstInsert == 0 || worstInsert > 250 {
+		t.Errorf("a fresh-key insert of a 128-byte value logged %d bytes, want at most 250", worstInsert)
 	}
 	if limit := int64(2*128 + 150); worstOverwrite == 0 || worstOverwrite > limit {
 		t.Errorf("an in-place overwrite of a 128-byte value logged %d bytes, want at most %d", worstOverwrite, limit)

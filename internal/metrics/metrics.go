@@ -141,9 +141,6 @@ type ShardStats struct {
 	PinWaits       int64
 }
 
-// Accesses returns the shard's buffer access count.
-func (s ShardStats) Accesses() int64 { return s.Hits + s.Misses }
-
 // CacheStripeStats is the per-stripe breakdown of flash cache lookup
 // activity under the striped directory: one coherent counter snapshot per
 // stripe, in stripe order.  Comparing stripes diagnoses directory hot

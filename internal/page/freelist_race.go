@@ -80,3 +80,8 @@ func (g *guard) violation(b Buf) string {
 }
 
 func (g *guard) reset() { g.sites = nil }
+
+// checkReplay says whether every Writer.Ops replays the edit's operations
+// on a copy of the page as the edit began and panics unless that gives the
+// page: the race build's check that the operations log every write.
+const checkReplay = true

@@ -257,13 +257,16 @@ func (b Buf) upper() int { return int(binary.LittleEndian.Uint16(b[offUpper:])) 
 
 func (b Buf) setUpper(v int) { binary.LittleEndian.PutUint16(b[offUpper:], uint16(v)) }
 
+// slotOff is the page offset of the slot array entry of the given slot.
+func slotOff(slot int) int { return HeaderSize + slot*SlotSize }
+
 func (b Buf) slotOffsets(slot int) (cellOff, cellLen int) {
-	base := HeaderSize + slot*SlotSize
+	base := slotOff(slot)
 	return int(binary.LittleEndian.Uint16(b[base:])), int(binary.LittleEndian.Uint16(b[base+2:]))
 }
 
 func (b Buf) setSlot(slot, cellOff, cellLen int) {
-	base := HeaderSize + slot*SlotSize
+	base := slotOff(slot)
 	binary.LittleEndian.PutUint16(b[base:], uint16(cellOff))
 	binary.LittleEndian.PutUint16(b[base+2:], uint16(cellLen))
 }
@@ -285,13 +288,36 @@ func (b Buf) Insert(rec []byte) (int, error) {
 		return 0, err
 	}
 	slot := b.SlotCount()
-	newUpper := b.upper() - len(rec)
-	copy(b[newUpper:], rec)
-	b.setUpper(newUpper)
-	b.setSlot(slot, newUpper, len(rec))
-	b.setSlotCount(slot + 1)
-	b.setLower(b.lower() + SlotSize)
+	copy(b.insertAt(slot, len(rec)), rec)
 	return slot, nil
+}
+
+// insertAt opens slot i of a page whose slots are kept in order, moving the
+// slots from i on up by one, for a cell of n bytes below the cell area, and
+// returns the cell.  The caller has checked that it fits.
+func (b Buf) insertAt(i, n int) []byte {
+	count := b.SlotCount()
+	copy(b[slotOff(i+1):slotOff(count+1)], b[slotOff(i):slotOff(count)])
+	upper := b.upper() - n
+	b.setUpper(upper)
+	b.setSlot(i, upper, n)
+	b.setSlotCount(count + 1)
+	b.setLower(b.lower() + SlotSize)
+	return b[upper : upper+n : upper+n]
+}
+
+// removeAt closes slot i of a page whose slots are kept in order, moving
+// the slots above it down by one.  The cell's bytes stay where they are;
+// if it is the lowest cell, its space is free at once.
+func (b Buf) removeAt(i int) {
+	count := b.SlotCount()
+	off, length := b.slotOffsets(i)
+	copy(b[slotOff(i):slotOff(count-1)], b[slotOff(i+1):slotOff(count)])
+	if off == b.upper() {
+		b.setUpper(off + length)
+	}
+	b.setSlotCount(count - 1)
+	b.setLower(b.lower() - SlotSize)
 }
 
 // fits reports why a record of n bytes cannot be inserted, or nil if it can.
@@ -344,26 +370,6 @@ func (b Buf) cell(slot int) (off, length int, err error) {
 		return 0, 0, fmt.Errorf("%w: slot %d on page %d", ErrSlotDeleted, slot, b.ID())
 	}
 	return off, length, nil
-}
-
-// Update replaces the record in the given slot.  The new record must not be
-// larger than the old one (fixed-size records in this system always
-// satisfy this; variable-size updates go through delete+insert).
-func (b Buf) Update(slot int, rec []byte) error {
-	old, err := b.Record(slot)
-	if err != nil {
-		return err
-	}
-	if len(rec) > len(old) {
-		return fmt.Errorf("%w: update of slot %d grows record from %d to %d bytes",
-			ErrPageFull, slot, len(old), len(rec))
-	}
-	copy(old, rec)
-	if len(rec) < len(old) {
-		off, _ := b.slotOffsets(slot)
-		b.setSlot(slot, off, len(rec))
-	}
-	return nil
 }
 
 // Delete marks the slot as deleted.  The cell space is not reclaimed; this

@@ -105,37 +105,6 @@ func TestInsertTooLarge(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	b := NewBuf()
-	b.Init(1, TypeHeap)
-	s, err := b.Insert([]byte("hello world"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Update(s, []byte("HELLO WORLD")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Record(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "HELLO WORLD" {
-		t.Fatalf("updated record = %q", got)
-	}
-	// Shrinking update adjusts the visible length.
-	if err := b.Update(s, []byte("short")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = b.Record(s)
-	if string(got) != "short" {
-		t.Fatalf("shrunk record = %q", got)
-	}
-	// Growing update is rejected.
-	if err := b.Update(s, make([]byte, 200)); err == nil {
-		t.Fatal("expected error growing a record in place")
-	}
-}
-
 func TestDelete(t *testing.T) {
 	b := NewBuf()
 	b.Init(1, TypeHeap)

@@ -1,153 +1,272 @@
 package page
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"slices"
 )
 
 // Writer is an editing view of one page: the engine hands one to the
-// callback of a transaction's Edit.  Every method that writes first declares
-// the bytes it is about to write, and the Writer saves their old contents,
-// once, into a before image at the same offsets.  The declared ranges are
-// kept as a few windows — ranges closer together than WindowGap share one,
-// with the untouched bytes between them saved too — so that the bytes
-// of the page outside the windows are known to be unchanged, and whoever
-// logs the edit compares the windows only, and restores only them when the
-// edit fails.
+// callback of a transaction's Edit.  Each method makes its change and
+// records it as an operation, and the engine logs the list of them (Ops)
+// for the edit: physical to the page, logical within it, as ARIES's
+// physiological logging is.  Redo runs the same operations on the same
+// page again, so it rebuilds the page byte for byte; Undo runs their
+// inverses through a Writer.
 //
-// Read the page through Page.  A write that no method declared — through
-// Page, or through a slice that Record or Bytes returned after the callback
-// has ended — is not seen: it is a bug, which the race build's check of
-// every Edit against the whole page reports.
+// A slice that Bytes, Record or InsertAt returns is the callback's to write
+// until it calls the Writer again: its bytes are logged then, or when the
+// callback returns.  A write through Page, or through such a slice later,
+// is not logged: it is a bug, which the race build's replay of every edit
+// reports.
 type Writer struct {
-	buf, before Buf
-	wins        [maxWindows]Window
-	n           int
-	// The last Move, and how many there were (counting stops at two).
-	dst, src, moved int
-	moves           int
+	buf Buf
+	// undo says whether the operations carry what undoing them takes:
+	// they do in an update record, not in a compensation record, which is
+	// never undone.
+	undo bool
+	ops  []byte
+	// [lo, hi) is the open write, which the callback may still be
+	// writing; before holds its old bytes at their own offsets.
+	lo, hi int
+	before Buf
+	// [glo, ghi) is where writes are fills: the new cell of the last
+	// InsertAt, or the bytes of the last Move's source that its
+	// destination did not cover.
+	glo, ghi int
+	// freed holds, for each new cell, the bytes of free space it and its
+	// slot took, which only Restore puts back.
+	freed []byte
+	// orig is the page as the edit began, kept by the race build only.
+	orig Buf
 }
 
-// WindowGap is how close two ranges a Writer saves must lie to share a
-// window: the windows lie more than WindowGap bytes apart.
-const WindowGap = 128
+// Operation kinds.  An operation is its kind byte and then, little endian,
+// the fields below; those in brackets are undo information, which only
+// update records carry.
+//
+//	opWrite   u16 off, u16 n, [n bytes before], n bytes after
+//	opFill    u16 off, u16 n, n bytes after: a write into the new cell of
+//	          the last insert, or into the gap the last move left
+//	opMove    u16 dst, u16 src, u16 n, [the min(|dst-src|, n) bytes the
+//	          move overwrote outside its source]
+//	opInsert  u16 slot, u16 n: InsertAt, whose cell the fills after it write
+//	opRemove  u16 slot, [u16 off, u16 n, the n bytes of the cell]: RemoveAt
+//
+// A new cell needs no before image, because its undo is its removal: undo
+// leaves its bytes in the free space.  Nor does the gap a move leaves,
+// which undoing the move overwrites.  So a write into either, until the
+// next operation that is not a write, is a fill, and only the bytes of it
+// that differ from what the free space or the gap held are logged, once.
+const (
+	opWrite byte = iota + 1
+	opFill
+	opMove
+	opInsert
+	opRemove
+)
 
-// maxWindows is the most windows that fit on a page: k windows more than
-// WindowGap bytes apart take at least k + (k-1)*(WindowGap+1) bytes, so 32
-// of them fit in a page and 33 do not.  A range that finds no window within
-// the gap therefore always has room for one of its own.
-const maxWindows = (Size + WindowGap + 1) / (WindowGap + 2)
+// WriteHeaderSize is the log cost of one write, before its images.
+const WriteHeaderSize = 1 + 2 + 2
 
-// Window is a byte range [Lo, Hi) of a page.
-type Window struct{ Lo, Hi int }
+// maxWriteGap is the longest run of unchanged bytes a logged write spans:
+// a longer one costs more as before and after images than the header of
+// another write does.
+const maxWriteGap = 2
 
-// NewWriter returns a Writer.  It owns a before image of its own, which
-// every edit reuses.
+// NewWriter returns a Writer.  It owns a page-sized buffer for before
+// images, which every edit reuses.
 func NewWriter() *Writer { return &Writer{before: NewBuf()} }
 
-// Reset starts an edit of buf.
-func (w *Writer) Reset(buf Buf) {
-	w.buf = buf
-	w.n, w.moves = 0, 0
+// Reset starts an edit of buf whose operations are logged with their undo
+// information.
+func (w *Writer) Reset(buf Buf) { w.reset(buf, true) }
+
+func (w *Writer) reset(buf Buf, undo bool) {
+	w.buf, w.undo, w.ops, w.freed = buf, undo, w.ops[:0], w.freed[:0]
+	w.lo, w.hi, w.glo, w.ghi = 0, 0, 0, 0
+	if checkReplay {
+		w.orig = append(w.orig[:0], buf...)
+	}
 }
 
 // Page returns the page for reading.
 func (w *Writer) Page() Buf { return w.buf }
 
-// Before returns the before image: the page as it was when the edit began,
-// at the offsets of the windows and nowhere else.
-func (w *Writer) Before() Buf { return w.before }
-
-// Windows returns the windows, in ascending order.  Every byte the edit
-// wrote lies in one of them.
-func (w *Writer) Windows() []Window { return w.wins[:w.n] }
-
-// Moved reports the move the edit made with Move, if it made exactly one.
-func (w *Writer) Moved() (dst, src, n int, ok bool) {
-	return w.dst, w.src, w.moved, w.moves == 1
+// Ops returns the operations of the edit so far, encoded as a log record
+// carries them; empty if the edit changed nothing.  The slice is valid
+// until the Writer's next Reset or Undo.
+func (w *Writer) Ops() []byte {
+	w.settle()
+	if checkReplay {
+		got := Buf(bytes.Clone(w.orig))
+		Redo(got, w.ops, w.undo)
+		if !bytes.Equal(got, w.buf) {
+			panic(fmt.Sprintf("page: %d bytes of operations do not replay into page %d as it was edited", len(w.ops), w.buf.ID()))
+		}
+	}
+	return w.ops
 }
 
-// Restore writes the saved bytes back, undoing everything the edit wrote.
+// Restore undoes everything the edit wrote, exactly: the operations are
+// undone newest first, and new cells give back the free space they took.
 func (w *Writer) Restore() {
-	for _, win := range w.Windows() {
-		copy(w.buf[win.Lo:win.Hi], w.before[win.Lo:win.Hi])
+	w.undoOps(w.buf, bytes.Clone(w.Ops()), bytes.Clone(w.freed))
+}
+
+// Undo runs the inverses of the operations of an update record, newest
+// first, on buf, which they left as it is, and returns them as the
+// operations of its compensation record, valid until the Writer's next
+// Reset or Undo.  Every byte the page uses comes back as it was before the
+// record; a cell the record added leaves its bytes in the free space.
+func (w *Writer) Undo(buf Buf, ops []byte) []byte {
+	w.undoOps(buf, ops, nil)
+	return w.Ops()
+}
+
+func (w *Writer) undoOps(buf Buf, ops, freed []byte) {
+	w.reset(buf, false)
+	var stack [64]op
+	list := stack[:0]
+	for rest := ops; len(rest) > 0; {
+		var o op
+		o, rest, _ = nextOp(rest, true)
+		list = append(list, o)
+	}
+	for _, o := range slices.Backward(list) {
+		switch o.kind {
+		case opWrite:
+			copy(w.Bytes(o.a, o.b), o.before)
+		case opMove:
+			w.Move(o.b, o.a, o.c)
+			lo, _ := lost(o.a, o.b, o.c)
+			copy(w.Bytes(lo, len(o.before)), o.before)
+		case opInsert:
+			off, _ := buf.slotOffsets(o.a)
+			w.RemoveAt(o.a)
+			if freed != nil {
+				f := freed[len(freed)-SlotSize-o.b:]
+				copy(buf[slotOff(buf.SlotCount()):], f[:SlotSize])
+				copy(buf[off:], f[SlotSize:])
+				freed = freed[:len(freed)-len(f)]
+			}
+		case opRemove:
+			// The slot opens again for the cell, where it was.
+			count, off := buf.SlotCount(), o.b
+			w.Move(slotOff(o.a+1), slotOff(o.a), (count-o.a)*SlotSize)
+			w.PutUint16(slotOff(o.a), uint16(off))
+			w.PutUint16(slotOff(o.a)+2, uint16(o.c))
+			copy(w.Bytes(off, o.c), o.before)
+			w.PutUint16(offSlots, uint16(count+1))
+			w.PutUint16(offLower, uint16(buf.lower()+SlotSize))
+			w.PutUint16(offUpper, uint16(min(buf.upper(), off)))
+		}
 	}
 }
 
-// touch declares that [lo, hi) is about to be written: the bytes no window
-// holds yet are saved, and the range joins the windows within the gap of
-// it, or becomes a window of its own.
-func (w *Writer) touch(lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	// Windows i to j-1 lie within the gap of [lo, hi).
-	i := 0
-	for i < w.n && w.wins[i].Hi+WindowGap < lo {
-		i++
-	}
-	j := i
-	for j < w.n && w.wins[j].Lo <= hi+WindowGap {
-		j++
-	}
-	if i == j {
-		copy(w.before[lo:hi], w.buf[lo:hi])
-		copy(w.wins[i+1:w.n+1], w.wins[i:w.n])
-		w.wins[i] = Window{lo, hi}
-		w.n++
-		return
-	}
-	lo, hi = min(lo, w.wins[i].Lo), max(hi, w.wins[j-1].Hi)
-	at := lo
-	for _, win := range w.wins[i:j] {
-		copy(w.before[at:win.Lo], w.buf[at:win.Lo])
-		at = win.Hi
-	}
-	copy(w.before[at:hi], w.buf[at:hi])
-	w.wins[i] = Window{lo, hi}
-	copy(w.wins[i+1:], w.wins[j:w.n])
-	w.n -= j - i - 1
+// settle logs the open write.
+func (w *Writer) settle() {
+	w.logWrite(w.lo, w.hi)
+	w.lo, w.hi = 0, 0
 }
 
-// touchSlot declares the slot array entry of the given slot.
-func (w *Writer) touchSlot(slot int) {
-	base := HeaderSize + slot*SlotSize
-	w.touch(base, base+SlotSize)
+// logWrite logs the bytes of [lo, hi) that differ from the before image,
+// as writes split at every run of more than maxWriteGap unchanged bytes.
+func (w *Writer) logWrite(lo, hi int) {
+	b, old := w.buf, w.before
+	if string(b[lo:hi]) == string(old[lo:hi]) {
+		return
+	}
+	for i := lo; i < hi; {
+		for i+8 <= hi && binary.LittleEndian.Uint64(b[i:]) == binary.LittleEndian.Uint64(old[i:]) {
+			i += 8
+		}
+		for i < hi && b[i] == old[i] {
+			i++
+		}
+		if i == hi {
+			return
+		}
+		j := i + 1
+		for k := j; k < hi && k <= j+maxWriteGap; k++ {
+			if b[k] != old[k] {
+				j = k + 1
+			}
+		}
+		switch {
+		case !w.undo:
+			w.ops = AppendWrite(w.ops, i, nil, b[i:j])
+		case w.glo <= i && j <= w.ghi:
+			w.op(opFill, i, j-i)
+			w.ops = append(w.ops, b[i:j]...)
+		default:
+			w.ops = AppendWrite(w.ops, i, old[i:j], b[i:j])
+		}
+		i = j
+	}
+}
+
+// AppendWrite appends to ops a write of after over before at page offset
+// off, as a Writer logs one.
+func AppendWrite(ops []byte, off int, before, after []byte) []byte {
+	ops = append(ops, opWrite)
+	ops = binary.LittleEndian.AppendUint16(ops, uint16(off))
+	ops = binary.LittleEndian.AppendUint16(ops, uint16(len(after)))
+	return append(append(ops, before...), after...)
+}
+
+// op appends an operation's kind and fields.  Any operation but a write
+// ends the fills of the last insert or move.
+func (w *Writer) op(kind byte, fields ...int) {
+	if kind != opFill {
+		w.glo, w.ghi = 0, 0
+	}
+	w.ops = append(w.ops, kind)
+	for _, f := range fields {
+		w.ops = binary.LittleEndian.AppendUint16(w.ops, uint16(f))
+	}
+}
+
+// lost returns the region a move of n bytes from src to dst overwrites
+// outside its source.
+func lost(dst, src, n int) (lo, hi int) {
+	if dst > src {
+		return max(dst, src+n), dst + n
+	}
+	return dst, min(dst+n, src)
 }
 
 // SetType stores the page type.
-func (w *Writer) SetType(t Type) {
-	w.touch(offType, offType+2)
-	w.buf.SetType(t)
-}
+func (w *Writer) SetType(t Type) { w.PutUint16(offType, uint16(t)) }
 
 // Insert adds a record to the slotted page, as Buf.Insert does.
 func (w *Writer) Insert(rec []byte) (int, error) {
-	b := w.buf
-	if err := b.fits(len(rec)); err != nil {
+	slot := w.buf.SlotCount()
+	cell, err := w.InsertAt(slot, len(rec))
+	if err != nil {
 		return 0, err
 	}
-	w.touch(offSlots, offStamp) // slot count, lower and upper bounds
-	w.touchSlot(b.SlotCount())
-	w.touch(b.upper()-len(rec), b.upper())
-	return b.Insert(rec)
+	copy(cell, rec)
+	return slot, nil
 }
 
 // Delete marks the slot as deleted, as Buf.Delete does.
 func (w *Writer) Delete(slot int) error {
-	if slot >= 0 && slot < w.buf.SlotCount() {
-		w.touchSlot(slot)
+	if slot < 0 || slot >= w.buf.SlotCount() {
+		return w.buf.Delete(slot)
 	}
-	return w.buf.Delete(slot)
+	clear(w.Bytes(slotOff(slot), SlotSize))
+	return nil
 }
 
 // ClearSlots empties the slotted page and ends its cell area at page
 // offset end: the bytes from end on are the caller's.
 func (w *Writer) ClearSlots(end int) {
-	w.touch(offSlots, offStamp)
-	w.buf.setSlotCount(0)
-	w.buf.setLower(HeaderSize)
-	w.buf.setUpper(end)
+	w.PutUint16(offSlots, 0)
+	w.PutUint16(offLower, HeaderSize)
+	w.PutUint16(offUpper, uint16(end))
 }
 
 // InsertAt opens slot i of a page whose slots are kept in order, moving the
@@ -159,60 +278,62 @@ func (w *Writer) InsertAt(i, n int) ([]byte, error) {
 	if err := b.fits(n); err != nil {
 		return nil, err
 	}
-	count := b.SlotCount()
-	w.Move(HeaderSize+(i+1)*SlotSize, HeaderSize+i*SlotSize, (count-i)*SlotSize)
-	w.touch(offSlots, offStamp)
-	w.touchSlot(i)
-	upper := b.upper() - n
-	w.touch(upper, upper+n)
-	b.setUpper(upper)
-	b.setSlot(i, upper, n)
-	b.setSlotCount(count + 1)
-	b.setLower(b.lower() + SlotSize)
-	return b[upper : upper+n : upper+n], nil
+	w.settle()
+	w.op(opInsert, i, n)
+	count, upper := b.SlotCount(), b.upper()
+	w.freed = append(w.freed, b[slotOff(count):slotOff(count+1)]...)
+	w.freed = append(w.freed, b[upper-n:upper]...)
+	b.insertAt(i, n)
+	w.glo, w.ghi = upper-n, upper
+	return w.Bytes(upper-n, n), nil
 }
 
 // RemoveAt closes slot i of a page whose slots are kept in order, moving
 // the slots above it down by one.  The cell's bytes stay where they are
 // until Compact, unless it is the lowest cell, whose space is free at once.
 func (w *Writer) RemoveAt(i int) {
-	b := w.buf
-	count := b.SlotCount()
-	off, length := b.slotOffsets(i)
-	w.Move(HeaderSize+i*SlotSize, HeaderSize+(i+1)*SlotSize, (count-i-1)*SlotSize)
-	w.touch(offSlots, offStamp)
-	if off == b.upper() {
-		b.setUpper(off + length)
+	w.settle()
+	if !w.undo {
+		w.op(opRemove, i)
+	} else {
+		off, n := w.buf.slotOffsets(i)
+		w.op(opRemove, i, off, n)
+		w.ops = append(w.ops, w.buf[off:off+n]...)
 	}
-	b.setSlotCount(count - 1)
-	b.setLower(b.lower() - SlotSize)
+	w.buf.removeAt(i)
 }
 
 // Compact moves the cells of a page without deleted slots together against
 // page offset end, keeping their order on the page, so that all its free
-// space lies between the slots and the cells.
+// space lies between the slots and the cells.  It is rare, and logged as
+// writes: of the header and the slot array, and of the whole cell area,
+// whose before image undo needs whole, since the space the cells leave may
+// take new cells, which log no before image.
 func (w *Writer) Compact(end int) {
 	b := w.buf
-	count := b.SlotCount()
+	w.settle()
+	w.glo, w.ghi = 0, 0
 	type cell struct{ slot, off, n int }
-	cells := make([]cell, count)
+	cells := make([]cell, b.SlotCount())
 	for i := range cells {
 		off, n := b.slotOffsets(i)
 		cells[i] = cell{i, off, n}
 	}
 	slices.SortFunc(cells, func(x, y cell) int { return y.off - x.off })
-	w.touch(HeaderSize, HeaderSize+count*SlotSize)
-	w.touch(b.upper(), end)
+	slots, upper := slotOff(len(cells)), b.upper()
+	copy(w.before[offUpper:slots], b[offUpper:slots])
+	copy(w.before[upper:end], b[upper:end])
 	at := end
 	for _, c := range cells {
 		at -= c.n
-		if at != c.off {
-			copy(b[at:at+c.n], b[c.off:c.off+c.n])
-			b.setSlot(c.slot, at, c.n)
-		}
+		copy(b[at:at+c.n], b[c.off:c.off+c.n])
+		b.setSlot(c.slot, at, c.n)
 	}
-	w.touch(offSlots, offStamp)
 	b.setUpper(at)
+	w.logWrite(offUpper, slots)
+	if upper < end {
+		w.ops = AppendWrite(w.ops, upper, w.before[upper:end], b[upper:end])
+	}
 }
 
 // Record returns the record in the given slot for writing.  The slice's
@@ -226,9 +347,15 @@ func (w *Writer) Record(slot int) ([]byte, error) {
 }
 
 // Bytes returns the n bytes at page offset off for writing.  The slice's
-// capacity ends with them.
+// capacity ends with them.  A write that starts where the open one ends
+// joins it.
 func (w *Writer) Bytes(off, n int) []byte {
-	w.touch(off, off+n)
+	if off != w.hi || w.hi == 0 {
+		w.settle()
+		w.lo = off
+	}
+	w.hi = off + n
+	copy(w.before[off:off+n], w.buf[off:off+n])
 	return w.buf[off : off+n : off+n]
 }
 
@@ -244,12 +371,111 @@ func (w *Writer) PutUint64(off int, v uint64) {
 
 // Move copies the n bytes at page offset src to offset dst, as
 // copy(buf[dst:dst+n], buf[src:src+n]) does: it opens or closes a gap in a
-// sorted array.  If it is the edit's only move, whoever logs the edit may
-// log it as one shift — the bytes pushed off one end and the new ones at the
-// other — without looking for it (see Moved).
+// sorted array.
 func (w *Writer) Move(dst, src, n int) {
-	w.touch(min(dst, src), max(dst, src)+n)
+	if n <= 0 || dst == src {
+		return
+	}
+	w.settle()
+	w.op(opMove, dst, src, n)
+	if w.undo {
+		lo, hi := lost(dst, src, n)
+		w.ops = append(w.ops, w.buf[lo:hi]...)
+	}
 	copy(w.buf[dst:dst+n], w.buf[src:src+n])
-	w.dst, w.src, w.moved = dst, src, n
-	w.moves = min(w.moves+1, 2)
+	w.glo, w.ghi = lost(src, dst, n)
+}
+
+// Redo runs the operations ops on buf, which must be the page they were
+// recorded on, as it was when they were; undo says whether they carry undo
+// information (an update record's do, a compensation record's do not).
+// CheckOps has accepted them.
+func Redo(buf Buf, ops []byte, undo bool) {
+	for len(ops) > 0 {
+		var o op
+		o, ops, _ = nextOp(ops, undo)
+		switch o.kind {
+		case opWrite, opFill:
+			copy(buf[o.a:], o.after)
+		case opMove:
+			copy(buf[o.a:o.a+o.c], buf[o.b:o.b+o.c])
+		case opInsert:
+			buf.insertAt(o.a, o.b)
+		case opRemove:
+			buf.removeAt(o.a)
+		}
+	}
+}
+
+// ErrBadOps is returned by CheckOps for operations that are not well
+// formed.
+var ErrBadOps = errors.New("page: malformed operations")
+
+// CheckOps reports whether ops is a well-formed list of operations, with
+// undo information or without, every region of which lies in the page.
+func CheckOps(ops []byte, undo bool) error {
+	for rest, ok := ops, true; len(rest) > 0; {
+		at := len(ops) - len(rest)
+		if _, rest, ok = nextOp(rest, undo); !ok {
+			return fmt.Errorf("%w: operation at byte %d", ErrBadOps, at)
+		}
+	}
+	return nil
+}
+
+// op is one decoded operation: its fields in the order of the encoding,
+// its undo information and its bytes.
+type op struct {
+	kind          byte
+	a, b, c       int
+	before, after []byte
+}
+
+// opFields is how many fields each kind of operation has, its undo
+// information included.
+var opFields = [...]int{opWrite: 2, opFill: 2, opMove: 3, opInsert: 2, opRemove: 3}
+
+// nextOp decodes the operation ops starts with and returns it and the rest
+// of ops; ok is false, and the rest empty, if it is malformed.
+func nextOp(ops []byte, undo bool) (o op, rest []byte, ok bool) {
+	o.kind = ops[0]
+	fields := 0
+	if int(o.kind) < len(opFields) {
+		fields = opFields[o.kind]
+	}
+	if o.kind == opRemove && !undo {
+		fields = 1
+	}
+	if fields == 0 || len(ops) < 1+2*fields {
+		return o, nil, false
+	}
+	var f [3]int
+	for i := range fields {
+		f[i] = int(binary.LittleEndian.Uint16(ops[1+2*i:]))
+	}
+	o.a, o.b, o.c = f[0], f[1], f[2]
+	before, after := 0, 0 // the lengths of its images
+	switch o.kind {
+	case opWrite, opFill:
+		ok = o.b > 0 && o.a+o.b <= Size && (undo || o.kind == opWrite)
+		after = o.b
+		if undo && o.kind == opWrite {
+			before = o.b
+		}
+	case opMove:
+		ok = o.c > 0 && o.a != o.b && max(o.a, o.b)+o.c <= Size
+		if lo, hi := lost(o.a, o.b, o.c); undo {
+			before = hi - lo
+		}
+	case opInsert:
+		ok = slotOff(o.a+1) <= Size && o.b <= PayloadSize
+	case opRemove:
+		ok, before = o.b+o.c <= Size, o.c
+	}
+	rest = ops[1+2*fields:]
+	if !ok || len(rest) < before+after {
+		return o, nil, false
+	}
+	o.before, o.after = rest[:before:before], rest[before:before+after:before+after]
+	return o, rest[before+after:], true
 }

@@ -35,12 +35,14 @@ func TestRecordIsCapped(t *testing.T) {
 	}
 }
 
-// TestWriterKeepsWhatItWrote: after any mix of the Writer's methods, every
-// byte that changed lies in a window, the windows ascend more than
-// WindowGap apart, the before image holds the old bytes across each window,
-// and Restore gives the page back.
-func TestWriterKeepsWhatItWrote(t *testing.T) {
+// TestWriterOpsRoundTrip: after any mix of the Writer's methods, the
+// operations it logged are well formed, redone on the page as it was they
+// give the page as it is, undone on the page as it is they give back every
+// byte the page used before (a new cell leaves its bytes in the free
+// space), and Restore gives the page back exactly.
+func TestWriterOpsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	undoer := NewWriter()
 	for iter := range 2000 {
 		orig := NewBuf()
 		rng.Read(orig)
@@ -57,23 +59,37 @@ func TestWriterKeepsWhatItWrote(t *testing.T) {
 		for range 1 + rng.Intn(60) {
 			writeSomething(rng, w, slotted)
 		}
-		wins := w.Windows()
-		for i, win := range wins {
-			if win.Lo >= win.Hi || i > 0 && wins[i-1].Hi+WindowGap >= win.Lo {
-				t.Fatalf("iter %d: windows %v", iter, wins)
-			}
-			if !bytes.Equal(w.Before()[win.Lo:win.Hi], orig[win.Lo:win.Hi]) {
-				t.Fatalf("iter %d: the before image of window %v is not the page's", iter, win)
+		ops := w.Ops()
+		if err := CheckOps(ops, true); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		redone := orig.Clone()
+		Redo(redone, ops, true)
+		if !bytes.Equal(redone, b) {
+			t.Fatalf("iter %d: redoing %d bytes of operations does not give the page", iter, len(ops))
+		}
+		undone := b.Clone()
+		clr := undoer.Undo(undone, ops)
+		if err := CheckOps(clr, false); err != nil {
+			t.Fatalf("iter %d: compensation: %v", iter, err)
+		}
+		free := [2]int{}
+		if slotted {
+			free = [2]int{orig.lower(), orig.upper()}
+		}
+		for i := range orig {
+			if undone[i] != orig[i] && (i < free[0] || i >= free[1]) {
+				t.Fatalf("iter %d: undo leaves byte %d changed outside the free space %v", iter, i, free)
 			}
 		}
-		for i := range b {
-			if b[i] != orig[i] && !inWindow(wins, i) {
-				t.Fatalf("iter %d: byte %d changed outside the windows %v", iter, i, wins)
-			}
+		again := b.Clone()
+		Redo(again, clr, false)
+		if !bytes.Equal(again, undone) {
+			t.Fatalf("iter %d: redoing the compensation does not give the undone page", iter)
 		}
 		w.Restore()
 		if !bytes.Equal(b, orig) {
-			t.Fatalf("iter %d: Restore over windows %v does not give the page back", iter, wins)
+			t.Fatalf("iter %d: Restore does not give the page back", iter)
 		}
 	}
 }
@@ -120,15 +136,6 @@ func writeSomething(rng *rand.Rand, w *Writer, slotted bool) {
 			}
 		}
 	}
-}
-
-func inWindow(wins []Window, i int) bool {
-	for _, win := range wins {
-		if win.Lo <= i && i < win.Hi {
-			return true
-		}
-	}
-	return false
 }
 
 // TestWriterSlottedMatchesBuf: the Writer's slotted-page methods do what

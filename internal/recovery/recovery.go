@@ -102,8 +102,8 @@ type Report struct {
 // Undo is logged the way a live abort logs it: every update record of a
 // loser that is rolled back gets a compensation record, and the loser an
 // abort record, so a crash during or after restart never undoes the same
-// update twice — which edits that move bytes, unlike plain overwrites,
-// would not survive.
+// update twice — which operations that move bytes or open slots, unlike
+// plain overwrites, would not survive.
 func Run(log *wal.Manager, pager Pager) (Report, error) {
 	var rep Report
 	rep.StartLSN = log.LastCheckpoint()
@@ -171,11 +171,12 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 		losers = append(losers, id)
 	}
 	sort.Slice(losers, func(i, j int) bool { return losers[i] > losers[j] })
+	w := page.NewWriter()
 	for _, id := range losers {
 		rep.LoserTxns++
 		stack := open[id]
 		for i := len(stack) - 1; i >= 0; i-- {
-			if err := undo(log, pager, stack[i], &rep); err != nil {
+			if err := undo(log, pager, w, stack[i], &rep); err != nil {
 				return rep, fmt.Errorf("recovery: undo pass: %w", err)
 			}
 		}
@@ -188,7 +189,8 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 
 // redo reapplies, oldest first, the records of one page that are newer than
 // the persistent page.  Each is applied to the page exactly as it was when
-// the record was written, which is what an edit that moves bytes needs.
+// the record was written, which is what its operations need: they are run
+// again, not copied.
 // When the copy Get would return is known to be at least as new as the
 // last record — from the cache's directory, or, when only the data device
 // holds the page, from its last page-written note (written, 0 without
@@ -220,9 +222,7 @@ func redo(pager Pager, id page.ID, recs []*wal.Record, written page.LSN, rep *Re
 		if r.Type == wal.TypeFormat {
 			buf.Init(r.PageID, r.PageType)
 		}
-		for i := range r.Edits {
-			r.Edits[i].Apply(buf)
-		}
+		page.Redo(buf, r.Ops, r.Type == wal.TypeUpdate)
 		buf.SetLSN(r.LSN)
 		applied++
 	}
@@ -234,23 +234,20 @@ func redo(pager Pager, id page.ID, recs []*wal.Record, written page.LSN, rep *Re
 	return pager.MarkDirty(id)
 }
 
-// undo rolls back one update record of a loser transaction and logs the
-// compensation record.  Strict two-phase locking guarantees nothing else
-// touched the page after the loser did, so the inverse edits find the page
-// as the record left it.
-func undo(log *wal.Manager, pager Pager, r *wal.Record, rep *Report) error {
+// undo rolls back one update record of a loser transaction through w and
+// logs the compensation record.  Strict two-phase locking guarantees
+// nothing else touched the page after the loser did, so the inverse
+// operations find the page as the record left it.
+func undo(log *wal.Manager, pager Pager, w *page.Writer, r *wal.Record, rep *Report) error {
 	buf, err := pager.Get(r.PageID)
 	if err != nil {
 		return fmt.Errorf("reading page %d: %w", r.PageID, err)
 	}
 	defer pager.Unpin(r.PageID)
-	wal.Invert(r.Edits)
-	lsn, err := log.Append(&wal.Record{Type: wal.TypeCompensation, TxID: r.TxID, PageID: r.PageID, Edits: r.Edits})
+	ops := w.Undo(buf, r.Ops)
+	lsn, err := log.Append(&wal.Record{Type: wal.TypeCompensation, TxID: r.TxID, PageID: r.PageID, Ops: ops})
 	if err != nil {
 		return err
-	}
-	for i := range r.Edits {
-		r.Edits[i].Apply(buf)
 	}
 	buf.SetLSN(lsn)
 	if err := pager.MarkDirty(r.PageID); err != nil {

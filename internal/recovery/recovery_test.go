@@ -154,23 +154,23 @@ func TestFormatRedoAndCheckpointStart(t *testing.T) {
 }
 
 // shiftRecord logs, as transaction tx, the insertion of ins at offset off of
-// the n-byte array that starts there on page id, and applies it to buf.
+// the n-byte array that starts there on page id, which it makes in buf: a
+// move of the array and a fill of the gap.
 func shiftRecord(t *testing.T, log *wal.Manager, buf page.Buf, tx wal.TxID, id page.ID, off, n int, ins []byte) *wal.Record {
 	t.Helper()
-	k := len(ins)
-	r := &wal.Record{Type: wal.TypeUpdate, TxID: tx, PageID: id, Edits: []wal.Edit{{
-		Off: uint16(off), Len: uint16(n + k), Shift: int8(k),
-		Before: append([]byte(nil), buf[off+n:off+n+k]...), After: ins,
-	}}}
+	w := page.NewWriter()
+	w.Reset(buf)
+	w.Move(off+len(ins), off, n)
+	copy(w.Bytes(off, len(ins)), ins)
+	r := &wal.Record{Type: wal.TypeUpdate, TxID: tx, PageID: id, Ops: bytes.Clone(w.Ops())}
 	if _, err := log.Append(r); err != nil {
 		t.Fatal(err)
 	}
-	r.Edits[0].Apply(buf)
 	return r
 }
 
-// TestShiftEditsRedoneAndUndone: edits that move bytes are redone for a
-// winner and undone for a loser, against pages that never saw them and
+// TestShiftEditsRedoneAndUndone: operations that move bytes are redone for
+// a winner and undone for a loser, against pages that never saw them and
 // pages that did.
 func TestShiftEditsRedoneAndUndone(t *testing.T) {
 	log := newLog(t)
@@ -248,8 +248,8 @@ func TestCompensatedUpdatesAreNotUndoneAgain(t *testing.T) {
 	shiftRecord(t, log, buf, 9, 4, 100, 16, []byte("11"))
 	second := shiftRecord(t, log, buf, 9, 4, 104, 14, []byte("22"))
 	// The abort got as far as compensating the second update.
-	wal.Invert(second.Edits)
-	if _, err := log.Append(&wal.Record{Type: wal.TypeCompensation, TxID: 9, PageID: 4, Edits: second.Edits}); err != nil {
+	clr := page.NewWriter().Undo(buf, second.Ops)
+	if _, err := log.Append(&wal.Record{Type: wal.TypeCompensation, TxID: 9, PageID: 4, Ops: clr}); err != nil {
 		t.Fatal(err)
 	}
 	log.ForceAll()
@@ -452,9 +452,7 @@ func TestPerPageRedoMatchesLogOrderReplay(t *testing.T) {
 			if r.Type == wal.TypeFormat {
 				buf.Init(r.PageID, r.PageType)
 			}
-			for i := range r.Edits {
-				r.Edits[i].Apply(buf)
-			}
+			page.Redo(buf, r.Ops, r.Type == wal.TypeUpdate)
 			buf.SetLSN(r.LSN)
 			if r.LSN < end {
 				applied++
@@ -524,12 +522,13 @@ func randomHistory(t *testing.T, seed uint64) *history {
 			t.Fatal(err)
 		}
 	}
-	apply := func(r *wal.Record) {
-		buf := live[r.PageID]
-		for i := range r.Edits {
-			r.Edits[i].Apply(buf)
-		}
-		buf.SetLSN(r.LSN)
+	// logged appends the record of what w did to its page, and stamps the
+	// page.
+	w := page.NewWriter()
+	logged := func(r *wal.Record) {
+		r.Ops = bytes.Clone(w.Ops())
+		appendRec(r)
+		live[r.PageID].SetLSN(r.LSN)
 	}
 	// writeDisk writes the pages to disk and notes the writes; the cache
 	// keeps its copies when keepFlash is set and drops them otherwise.
@@ -558,37 +557,26 @@ func randomHistory(t *testing.T, seed uint64) *history {
 		for ; n > 0 && len(stack) > 0; n-- {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			edits := make([]wal.Edit, len(u.Edits))
-			for i, e := range u.Edits {
-				edits[i] = wal.Edit{Off: e.Off, Len: e.Len, Shift: e.Shift,
-					Before: append([]byte(nil), e.Before...), After: append([]byte(nil), e.After...)}
-			}
-			wal.Invert(edits)
-			c := &wal.Record{Type: wal.TypeCompensation, TxID: tx, PageID: u.PageID, Edits: edits}
-			appendRec(c)
-			apply(c)
+			w.Undo(live[u.PageID], u.Ops)
+			logged(&wal.Record{Type: wal.TypeCompensation, TxID: tx, PageID: u.PageID})
 		}
 		undo[tx] = stack
 	}
 	update := func(tx wal.TxID, id page.ID) {
-		buf := live[id]
+		w.Reset(live[id])
 		off := page.HeaderSize + rng.IntN(2000)
-		var e wal.Edit
 		if rng.IntN(2) == 0 {
-			after := make([]byte, 1+rng.IntN(16))
-			for i := range after {
-				after[i] = byte(rng.Uint32())
+			b := w.Bytes(off, 1+rng.IntN(16))
+			for i := range b {
+				b[i] ^= byte(1 + rng.IntN(255))
 			}
-			e = wal.Edit{Off: uint16(off), Len: uint16(len(after)),
-				Before: append([]byte(nil), buf[off:off+len(after)]...), After: after}
 		} else {
 			n, k := 1+rng.IntN(200), 1+rng.IntN(8)
-			e = wal.Edit{Off: uint16(off), Len: uint16(n + k), Shift: int8(k),
-				Before: append([]byte(nil), buf[off+n:off+n+k]...), After: bytes.Repeat([]byte{byte(tx)}, k)}
+			w.Move(off+k, off, n)
+			copy(w.Bytes(off, k), bytes.Repeat([]byte{byte(tx)}, k))
 		}
-		r := &wal.Record{Type: wal.TypeUpdate, TxID: tx, PageID: id, Edits: []wal.Edit{e}}
-		appendRec(r)
-		apply(r)
+		r := &wal.Record{Type: wal.TypeUpdate, TxID: tx, PageID: id}
+		logged(r)
 		undo[tx] = append(undo[tx], r)
 	}
 	randomPage := func() page.ID { return page.ID(1 + rng.IntN(len(live))) }

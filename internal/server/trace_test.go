@@ -78,7 +78,7 @@ func TestTraceServerPinsSlowRequest(t *testing.T) {
 	for _, sp := range set.Spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"server_admission", "wal_append", "durable_wait"} {
+	for _, want := range []string{"server_admission", "admission", "durable_wait"} {
 		if !names[want] {
 			t.Errorf("span %q missing from %+v", want, set.Spans)
 		}

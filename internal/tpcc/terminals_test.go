@@ -179,7 +179,7 @@ func TestRunTerminalsSingleWriterFallback(t *testing.T) {
 // one update record per page changed instead of one per line.
 func TestRunTerminalsCallerIsTerminalZero(t *testing.T) {
 	want := [numKinds]int64{55, 50, 6, 6, 3}
-	const wantLogBytes = 140661
+	const wantLogBytes = 125421
 	for _, terminals := range []int{1, 4} {
 		eng := newLockEngine(t, terminals)
 		db, err := Load(eng, tinyConfig())

@@ -473,3 +473,23 @@ func TestOrderLineScanMatchesOrderRows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestItemSetMatchesMap: Stock-Level's item set finds new what a map finds
+// new, for as many items as its order lines can name, from item ranges
+// small and large.
+func TestItemSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, items := range []int{10, 300, 100000} {
+		for range 50 {
+			var set itemSet
+			seen := make(map[int]bool)
+			for range 20 * orderLineMax {
+				item := 1 + rng.Intn(items)
+				if got, want := set.add(item), !seen[item]; got != want {
+					t.Fatalf("%d items: add(%d) = %v, want %v", items, item, got, want)
+				}
+				seen[item] = true
+			}
+		}
+	}
+}

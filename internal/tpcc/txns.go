@@ -351,7 +351,7 @@ func (d *Database) StockLevel(tx *engine.Tx, rng *rand.Rand, w int) error {
 	if err != nil {
 		return err
 	}
-	seen := make(map[int]bool)
+	var seen itemSet
 	low := 0
 	for _, rid := range lines[:n] {
 		var item int
@@ -361,10 +361,9 @@ func (d *Database) StockLevel(tx *engine.Tx, rng *rand.Rand, w int) error {
 		}); err != nil {
 			return err
 		}
-		if seen[item] {
+		if !seen.add(item) {
 			continue
 		}
-		seen[item] = true
 		stockRID, ok, err := d.stockIdx.Get(tx, stockKey(w, item))
 		if err != nil {
 			return err
@@ -383,4 +382,22 @@ func (d *Database) StockLevel(tx *engine.Tx, rng *rand.Rand, w int) error {
 	}
 	_ = low
 	return nil
+}
+
+// itemSet is a set of the items of Stock-Level's order lines, at most
+// 20*orderLineMax of them, kept open addressed so that it allocates
+// nothing.  Item ids are positive.
+type itemSet [512]int32
+
+// add adds item to the set and reports whether it was not there yet.
+func (s *itemSet) add(item int) bool {
+	for i := uint(item) * 0x9E3779B1 % uint(len(s)); ; i = (i + 1) % uint(len(s)) {
+		switch s[i] {
+		case int32(item):
+			return false
+		case 0:
+			s[i] = int32(item)
+			return true
+		}
+	}
 }

@@ -17,12 +17,12 @@ import (
 const controlBlocks = 1
 
 // controlMagic identifies an initialised control block of the current
-// format (edit-list update records, two log tail entries).  Magics from
-// oldestControlMagic up to it were written by earlier formats — single-range
-// update records, then a two-block double-write slot — which this code
-// cannot read.
+// format (operation-list update records, two log tail entries).  Magics
+// from oldestControlMagic up to it were written by earlier formats —
+// single-range update records, then a two-block double-write slot, then
+// byte-diff edit lists — which this code cannot read.
 const (
-	controlMagic       = 0xFACE10C2
+	controlMagic       = 0xFACE10C3
 	oldestControlMagic = 0xFACE10C0
 )
 
@@ -396,10 +396,23 @@ func (m *Manager) syncDevice() error {
 // no mutex: it reserves log space with one CAS and copies the record bytes
 // concurrently with other appenders.
 func (m *Manager) Append(r *Record) (page.LSN, error) {
+	lsn, _, err := m.append(r, false)
+	return lsn, err
+}
+
+// AppendTimed is Append that also reports when the record's reservation
+// stalled on a full log buffer: the time from then until it returned is
+// what the append cost beyond a copy.  An append that did not stall reads
+// no clock and reports the zero time.
+func (m *Manager) AppendTimed(r *Record) (lsn page.LSN, stalled time.Time, err error) {
+	return m.append(r, true)
+}
+
+func (m *Manager) append(r *Record, timed bool) (page.LSN, time.Time, error) {
 	if err := r.check(); err != nil {
-		return 0, err
+		return 0, time.Time{}, err
 	}
-	return m.pipe.append(r)
+	return m.pipe.append(r, timed)
 }
 
 // Force makes the log durable at least up to lsn.  It is a no-op when the

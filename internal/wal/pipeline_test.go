@@ -1,9 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -80,7 +80,7 @@ func TestWalParallelAppendStormMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range recs {
-		lsn, err := serial.Append(&Record{Type: r.Type, TxID: r.TxID, PageID: r.PageID, Edits: r.Edits})
+		lsn, err := serial.Append(&Record{Type: r.Type, TxID: r.TxID, PageID: r.PageID, Ops: r.Ops})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestWalParallelAppendStormMatchesSerial(t *testing.T) {
 	err = serial.Iterate(0, func(r *Record) error {
 		want := recs[i]
 		if r.LSN != want.LSN || r.Type != want.Type || r.TxID != want.TxID ||
-			r.PageID != want.PageID || !reflect.DeepEqual(r.Edits, want.Edits) {
+			r.PageID != want.PageID || !bytes.Equal(r.Ops, want.Ops) {
 			t.Fatalf("record %d differs between serial and concurrent logs", i)
 		}
 		i++

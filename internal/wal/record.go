@@ -26,13 +26,14 @@ type RecordType uint8
 
 // Log record types.
 const (
-	// TypeUpdate records what one Modify changed on one page as a list of
-	// edits, each with the bytes needed to redo and to undo it.
+	// TypeUpdate records what one Edit did to one page as a list of
+	// operations (package page), each with what redoing and undoing it
+	// takes.
 	TypeUpdate RecordType = iota + 1
 	// TypeCompensation records the rollback of one update record of the
-	// same transaction: the inverse edits, with redo images only.  It is
-	// never undone, and it tells restart that the transaction's newest
-	// update not yet compensated needs no undo.
+	// same transaction: the inverse operations, without undo information.
+	// It is never undone, and it tells restart that the transaction's
+	// newest update not yet compensated needs no undo.
 	TypeCompensation
 	// TypeFormat records that a freshly allocated page was initialised as
 	// an empty page of PageType.  Redo-only.
@@ -77,61 +78,6 @@ func (t RecordType) String() string {
 	}
 }
 
-// Edit is one change to a page.  With Shift zero it is a write: the Len
-// bytes at Off changed from Before to After.  Otherwise it is a shift: the
-// Len bytes at Off moved by Shift bytes within their own region — towards
-// higher offsets when Shift is positive — which is what inserting into or
-// deleting from a sorted array does.  A shift by k pushes |k| bytes off one
-// end of the region (Before) and leaves room for |k| new ones at the other
-// (After), so it costs 2|k| image bytes however long the region is.
-//
-// The edits of one record cover disjoint regions in ascending order.
-type Edit struct {
-	Off   uint16
-	Len   uint16
-	Shift int8
-	// Before is empty in compensation records, which are never undone.
-	Before []byte
-	After  []byte
-}
-
-// imageLen is the length of each of the edit's images.
-func (e *Edit) imageLen() int {
-	if e.Shift == 0 {
-		return int(e.Len)
-	}
-	return max(int(e.Shift), -int(e.Shift))
-}
-
-// Apply redoes the edit on buf, which must be in the state the edit was
-// recorded against.  The record codec guarantees the region lies inside the
-// page and the images have the right length.
-func (e *Edit) Apply(buf page.Buf) {
-	region := buf[e.Off : int(e.Off)+int(e.Len)]
-	k := e.imageLen()
-	switch {
-	case e.Shift == 0:
-		copy(region, e.After)
-	case e.Shift > 0:
-		copy(region[k:], region[:len(region)-k])
-		copy(region, e.After)
-	default:
-		copy(region, region[k:])
-		copy(region[len(region)-k:], e.After)
-	}
-}
-
-// Invert turns every edit into the one that undoes it, in place: images
-// swap and shifts reverse.  The regions are disjoint, so the order of the
-// list needs no change.
-func Invert(edits []Edit) {
-	for i := range edits {
-		e := &edits[i]
-		e.Shift = -e.Shift
-		e.Before, e.After = e.After, e.Before
-	}
-}
-
 // Record is a single log record.  Not every field is meaningful for every
 // type; see the type constants.
 type Record struct {
@@ -144,15 +90,16 @@ type Record struct {
 	// PageID is the affected page for update, compensation and format
 	// records.
 	PageID page.ID
-	// Edits is the edit list of update and compensation records.
-	Edits []Edit
+	// Ops is the operation list of update and compensation records, in
+	// package page's encoding (page.Writer.Ops).
+	Ops []byte
 	// PageType is the type a format record initialises the page as.
 	PageType page.Type
 	// Written lists the pages of a page-written record.
 	Written []PageWrite
 	// Offset, Before and After describe an update record of a single
-	// write when Edits is nil, which is how tests and micro-benchmarks
-	// build one by hand; decoding always fills Edits instead.  After also
+	// write when Ops is nil, which is how tests and micro-benchmarks build
+	// one by hand; decoding always fills Ops instead.  After also
 	// holds the encoded begin LSN of a checkpoint-end record.
 	Offset uint16
 	Before []byte
@@ -174,8 +121,7 @@ var (
 	ErrCorrupt   = errors.New("wal: corrupt log record")
 	ErrTruncated = errors.New("wal: truncated log")
 	// ErrInvalid is returned by Append for a record that could not be
-	// decoded again (edits out of the page, out of order, or with images
-	// of the wrong length).
+	// decoded again (operations that are malformed or leave the page).
 	ErrInvalid = errors.New("wal: invalid log record")
 )
 
@@ -191,78 +137,36 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //
 // followed, by type, with
 //
-//	update, compensation:  u16 edit count, then per edit
-//	                         u16 offset, u16 length, i8 shift,
-//	                         before image (update records only), after image
-//	                       where an image is `length` bytes for a write
-//	                       (shift 0) and |shift| bytes for a shift
+//	update, compensation:  the operations (page.Writer), with undo
+//	                       information in update records only
 //	format:                u16 page type
 //	checkpoint-end:        u64 LSN of the checkpoint-begin record
 //	page-written:          per page, u64 page id and u64 pageLSN
 //	commit, abort, checkpoint-begin: nothing
-const (
-	// recordHeaderSize is also the size of the smallest record (a commit);
-	// the pipeline sizes its publication ring by it.
-	recordHeaderSize = 4 + 4 + 1 + 8 + 8
-	// EditHeaderSize is the log cost of one more edit in a record, before
-	// its images; the engine's differ uses it to decide when two nearby
-	// changes are cheaper logged as one.
-	EditHeaderSize = 2 + 2 + 1
-)
+//
+// recordHeaderSize is also the size of the smallest record (a commit); the
+// pipeline sizes its publication ring by it.
+const recordHeaderSize = 4 + 4 + 1 + 8 + 8
 
-// single returns the edit list of an update record built with Offset,
-// Before and After, and whether r is one.  It returns an array so that the
-// images stay where the caller put them — on its stack, in the benchmarks.
-func (r *Record) single() ([1]Edit, bool) {
-	if r.Edits != nil || r.Type != TypeUpdate {
-		return [1]Edit{}, false
-	}
-	return [1]Edit{{Off: r.Offset, Len: uint16(len(r.After)), Before: r.Before, After: r.After}}, true
-}
+// single reports whether r is an update record of one write built with
+// Offset, Before and After.
+func (r *Record) single() bool { return r.Ops == nil && r.Type == TypeUpdate }
 
 // check reports whether decodeRecord would accept the record once encoded.
 func (r *Record) check() error {
-	if r.Type == TypePageWritten && len(r.Written) == 0 {
-		return fmt.Errorf("%w: page-written record without pages", ErrInvalid)
-	}
-	if r.Type != TypeUpdate && r.Type != TypeCompensation {
-		return nil
-	}
-	edits := r.Edits
-	if one, ok := r.single(); ok {
-		edits = one[:]
-	}
-	if len(edits) == 0 || len(edits) > 0xFFFF {
-		return fmt.Errorf("%w: %d edits", ErrInvalid, len(edits))
-	}
-	end := 0
-	for i := range edits {
-		e := &edits[i]
-		if err := e.checkGeometry(end); err != nil {
-			return fmt.Errorf("%w: edit %d: %v", ErrInvalid, i, err)
-		}
-		n := e.imageLen()
-		if len(e.After) != n || (r.Type == TypeUpdate && len(e.Before) != n) {
-			return fmt.Errorf("%w: edit %d: images of %d and %d bytes, want %d", ErrInvalid, i, len(e.Before), len(e.After), n)
-		}
-		end = int(e.Off) + int(e.Len)
-	}
-	return nil
-}
-
-// checkGeometry validates the edit's region: non-empty, inside the page,
-// at or after minOff (the end of the previous edit), and no shorter than
-// the shift distance.
-func (e *Edit) checkGeometry(minOff int) error {
 	switch {
-	case e.Len == 0:
-		return errors.New("empty region")
-	case int(e.Off) < minOff:
-		return fmt.Errorf("region at %d overlaps or precedes the previous one (ends at %d)", e.Off, minOff)
-	case int(e.Off)+int(e.Len) > page.Size:
-		return fmt.Errorf("region [%d,%d) leaves the page", e.Off, int(e.Off)+int(e.Len))
-	case e.Shift == -128 || e.imageLen() > int(e.Len):
-		return fmt.Errorf("shift by %d in a region of %d bytes", e.Shift, e.Len)
+	case r.Type == TypePageWritten && len(r.Written) == 0:
+		return fmt.Errorf("%w: page-written record without pages", ErrInvalid)
+	case r.single():
+		if n := len(r.After); n == 0 || len(r.Before) != n || int(r.Offset)+n > page.Size {
+			return fmt.Errorf("%w: a write of %d and %d bytes at %d", ErrInvalid, len(r.Before), n, r.Offset)
+		}
+	case r.Type == TypeUpdate && len(r.Ops) == 0:
+		return fmt.Errorf("%w: update record without operations", ErrInvalid)
+	case r.Type == TypeUpdate || r.Type == TypeCompensation:
+		if err := page.CheckOps(r.Ops, r.Type == TypeUpdate); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalid, err)
+		}
 	}
 	return nil
 }
@@ -272,17 +176,10 @@ func (r *Record) encodedSize() int {
 	n := recordHeaderSize
 	switch r.Type {
 	case TypeUpdate, TypeCompensation:
-		edits := r.Edits
-		if one, ok := r.single(); ok {
-			edits = one[:]
+		if r.single() {
+			return n + page.WriteHeaderSize + len(r.Before) + len(r.After)
 		}
-		n += 2
-		for _, e := range edits {
-			n += EditHeaderSize + len(e.After)
-			if r.Type == TypeUpdate {
-				n += len(e.Before)
-			}
-		}
+		n += len(r.Ops)
 	case TypeFormat:
 		n += 2
 	case TypeCheckpointEnd:
@@ -304,20 +201,10 @@ func (r *Record) encode(dst []byte) []byte {
 	dst = append(dst, hdr[:]...)
 	switch r.Type {
 	case TypeUpdate, TypeCompensation:
-		edits := r.Edits
-		if one, ok := r.single(); ok {
-			edits = one[:]
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(edits)))
-		for i := range edits {
-			e := &edits[i]
-			dst = binary.LittleEndian.AppendUint16(dst, e.Off)
-			dst = binary.LittleEndian.AppendUint16(dst, e.Len)
-			dst = append(dst, byte(e.Shift))
-			if r.Type == TypeUpdate {
-				dst = append(dst, e.Before...)
-			}
-			dst = append(dst, e.After...)
+		if r.single() {
+			dst = page.AppendWrite(dst, int(r.Offset), r.Before, r.After)
+		} else {
+			dst = append(dst, r.Ops...)
 		}
 	case TypeFormat:
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.PageType))
@@ -339,8 +226,8 @@ func (r *Record) encode(dst []byte) []byte {
 // number of bytes consumed.  A zero length field signals the end of the
 // log (zero-filled tail); ErrTruncated is returned in that case.  Anything
 // that is not exactly one well-formed record — a bad checksum, an unknown
-// type, edits that overlap, leave the page or disagree with the record
-// length — is ErrCorrupt.
+// type, operations that are malformed, leave the page or disagree with the
+// record length — is ErrCorrupt.
 func decodeRecord(buf []byte) (*Record, int, error) {
 	if len(buf) < 8 {
 		return nil, 0, ErrTruncated
@@ -367,9 +254,13 @@ func decodeRecord(buf []byte) (*Record, int, error) {
 	payload := buf[recordHeaderSize:total]
 	switch r.Type {
 	case TypeUpdate, TypeCompensation:
-		if err := r.decodeEdits(payload); err != nil {
-			return nil, 0, err
+		if len(payload) == 0 && r.Type == TypeUpdate {
+			return nil, 0, fmt.Errorf("%w: update record without operations", ErrCorrupt)
 		}
+		if err := page.CheckOps(payload, r.Type == TypeUpdate); err != nil {
+			return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		r.Ops = append([]byte(nil), payload...)
 	case TypeFormat:
 		if len(payload) != 2 {
 			return nil, 0, fmt.Errorf("%w: format record payload of %d bytes", ErrCorrupt, len(payload))
@@ -397,55 +288,6 @@ func decodeRecord(buf []byte) (*Record, int, error) {
 		return nil, 0, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, buf[8])
 	}
 	return r, total, nil
-}
-
-// decodeEdits parses the edit list of an update or compensation record.
-// The images are copied out of payload into one allocation.
-func (r *Record) decodeEdits(payload []byte) error {
-	if len(payload) < 2 {
-		return fmt.Errorf("%w: no edit count", ErrCorrupt)
-	}
-	count := int(binary.LittleEndian.Uint16(payload))
-	rest := payload[2:]
-	if count == 0 || count*(EditHeaderSize+1) > len(rest) {
-		return fmt.Errorf("%w: %d edits in %d bytes", ErrCorrupt, count, len(rest))
-	}
-	images := make([]byte, 0, len(rest)-count*EditHeaderSize)
-	r.Edits = make([]Edit, count)
-	end := 0
-	for i := range r.Edits {
-		e := &r.Edits[i]
-		if len(rest) < EditHeaderSize {
-			return fmt.Errorf("%w: edit %d cut short", ErrCorrupt, i)
-		}
-		e.Off = binary.LittleEndian.Uint16(rest[0:])
-		e.Len = binary.LittleEndian.Uint16(rest[2:])
-		e.Shift = int8(rest[4])
-		rest = rest[EditHeaderSize:]
-		if err := e.checkGeometry(end); err != nil {
-			return fmt.Errorf("%w: edit %d: %v", ErrCorrupt, i, err)
-		}
-		end = int(e.Off) + int(e.Len)
-		n := e.imageLen()
-		need := n
-		if r.Type == TypeUpdate {
-			need = 2 * n
-		}
-		if len(rest) < need {
-			return fmt.Errorf("%w: edit %d images cut short", ErrCorrupt, i)
-		}
-		images = append(images, rest[:need]...)
-		img := images[len(images)-need:]
-		if r.Type == TypeUpdate {
-			e.Before, img = img[:n:n], img[n:]
-		}
-		e.After = img[:n:n]
-		rest = rest[need:]
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d bytes after the last edit", ErrCorrupt, len(rest))
-	}
-	return nil
 }
 
 // EncodeLSN encodes an LSN as the payload of a checkpoint-end record.

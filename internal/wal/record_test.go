@@ -30,38 +30,61 @@ func body(t RecordType, payload ...byte) []byte {
 	return append(b, payload...)
 }
 
-// edit encodes one edit header followed by image bytes.
-func edit(off, length uint16, shift int8, images ...byte) []byte {
-	b := binary.LittleEndian.AppendUint16(nil, off)
-	b = binary.LittleEndian.AppendUint16(b, length)
-	b = append(b, byte(shift))
+// op encodes an operation by hand: its kind, u16 fields, then bytes.
+func op(kind byte, fields []uint16, images ...byte) []byte {
+	b := []byte{kind}
+	for _, f := range fields {
+		b = binary.LittleEndian.AppendUint16(b, f)
+	}
 	return append(b, images...)
 }
 
+func u16s(f ...uint16) []uint16 { return f }
+
 func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
+// sampleOps returns the operations of an update record of a heap page (a
+// record inserted, one overwritten in part and one removed, and a move),
+// with undo information, and those of its compensation record.
+func sampleOps() (update, compensation []byte) {
+	buf := page.NewBuf()
+	buf.Init(2, page.TypeHeap)
+	for _, r := range []string{"first record", "second record", "third"} {
+		buf.Insert([]byte(r))
+	}
+	w := page.NewWriter()
+	w.Reset(buf)
+	w.Insert([]byte("a new record"))
+	copy(w.Bytes(4000, 6), "NEWBIE")
+	w.RemoveAt(1)
+	w.Move(2000, 1980, 40)
+	update = bytes.Clone(w.Ops())
+	return update, bytes.Clone(page.NewWriter().Undo(buf, update))
+}
+
 // corruptBodies are well-framed records (length and CRC intact) whose
-// payload is not a valid edit list, format or checkpoint payload.
+// payload is not a valid operation list, format or checkpoint payload.
 var corruptBodies = map[string][]byte{
 	"unknown type":             body(RecordType(99)),
 	"commit with payload":      body(TypeCommit, 1),
 	"format short":             body(TypeFormat, 1),
 	"format long":              body(TypeFormat, 1, 0, 0),
 	"checkpoint-end short":     body(TypeCheckpointEnd, 1, 2, 3),
-	"update without count":     body(TypeUpdate, 1),
-	"update zero edits":        body(TypeUpdate, 0, 0),
-	"count beyond payload":     body(TypeUpdate, cat([]byte{9, 0}, edit(10, 1, 0, 7, 8))...),
-	"edit header cut":          body(TypeUpdate, cat([]byte{2, 0}, edit(10, 1, 0, 7, 8), []byte{20, 0, 1})...),
-	"images cut":               body(TypeUpdate, cat([]byte{1, 0}, edit(10, 4, 0, 1, 2, 3, 4, 5))...),
-	"trailing bytes":           body(TypeUpdate, cat([]byte{1, 0}, edit(10, 1, 0, 7, 8), []byte{0})...),
-	"empty region":             body(TypeUpdate, cat([]byte{1, 0}, edit(10, 0, 0))...),
-	"region leaves page":       body(TypeUpdate, cat([]byte{1, 0}, edit(page.Size-1, 2, 0, 1, 2, 3, 4))...),
-	"offset beyond page":       body(TypeUpdate, cat([]byte{1, 0}, edit(60000, 1, 0, 1, 2))...),
-	"overlapping edits":        body(TypeUpdate, cat([]byte{2, 0}, edit(10, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8), edit(13, 1, 0, 1, 2))...),
-	"descending edits":         body(TypeUpdate, cat([]byte{2, 0}, edit(10, 1, 0, 1, 2), edit(4, 1, 0, 1, 2))...),
-	"shift longer than region": body(TypeUpdate, cat([]byte{1, 0}, edit(10, 2, 3, 1, 2, 3, 4, 5, 6))...),
-	"shift of -128":            body(TypeUpdate, cat([]byte{1, 0}, edit(10, 300, -128), make([]byte, 256))...),
-	"compensation with before": body(TypeCompensation, cat([]byte{1, 0}, edit(10, 2, 0, 1, 2, 3, 4))...),
+	"update without ops":       body(TypeUpdate),
+	"unknown op":               body(TypeUpdate, 9, 0, 0),
+	"fields cut":               body(TypeUpdate, op(1, u16s(10), 0)...),
+	"images cut":               body(TypeUpdate, op(1, u16s(10, 4), 1, 2, 3, 4, 5)...),
+	"empty write":              body(TypeUpdate, op(1, u16s(10, 0))...),
+	"write leaves page":        body(TypeUpdate, op(1, u16s(page.Size-1, 2), 1, 2, 3, 4)...),
+	"offset beyond page":       body(TypeUpdate, op(1, u16s(60000, 1), 1, 2)...),
+	"move leaves page":         body(TypeUpdate, op(3, u16s(page.Size-4, 10, 8), 1, 2, 3, 4, 5, 6, 7, 8)...),
+	"move onto itself":         body(TypeUpdate, op(3, u16s(10, 10, 8))...),
+	"lost bytes cut":           body(TypeUpdate, op(3, u16s(12, 10, 8), 1)...),
+	"cell beyond payload":      body(TypeUpdate, op(4, u16s(0, page.Size))...),
+	"removed cell cut":         body(TypeUpdate, op(5, u16s(0, 100, 4), 1, 2)...),
+	"unknown op 6":             body(TypeUpdate, op(6, u16s(100, 200, 0))...),
+	"fill in compensation":     body(TypeCompensation, op(2, u16s(10, 1), 7)...),
+	"compensation with before": body(TypeCompensation, op(1, u16s(10, 2), 1, 2, 3, 4)...),
 }
 
 func TestDecodeRejectsMalformedPayloads(t *testing.T) {
@@ -70,10 +93,11 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 			t.Errorf("%s: %v, want ErrCorrupt", name, err)
 		}
 	}
-	// The same edits, well formed, decode.
-	good := body(TypeUpdate, cat([]byte{2, 0}, edit(10, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8), edit(14, 9, -2, 1, 2, 3, 4))...)
+	// Well-formed operations decode.
+	ops := cat(op(1, u16s(10, 4), 1, 2, 3, 4, 5, 6, 7, 8), op(3, u16s(14, 16, 9), 1, 2))
+	good := body(TypeUpdate, ops...)
 	r, n, err := decodeRecord(frame(good))
-	if err != nil || n != 8+len(good) || len(r.Edits) != 2 || r.Edits[1].Shift != -2 {
+	if err != nil || n != 8+len(good) || !bytes.Equal(r.Ops, ops) {
 		t.Fatalf("well-formed record: %+v, %d, %v", r, n, err)
 	}
 	// A length field pointing past the buffer is a truncated log, whatever
@@ -96,17 +120,15 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 
 // FuzzDecodeRecord feeds the payload parser arbitrary bodies behind a valid
 // frame, and the frame parser arbitrary bytes.  Decoding must never panic
-// or read past its input; what it accepts must pass the Append check,
-// apply inside a page, and encode back to the same bytes.
+// or read past its input; what it accepts must pass the Append check and
+// encode back to the same bytes.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, b := range corruptBodies {
 		f.Add(b, true)
 	}
-	valid := &Record{Type: TypeUpdate, TxID: 3, PageID: 4, Edits: []Edit{
-		{Off: 22, Len: 6, Before: []byte("abcdef"), After: []byte("ghijkl")},
-		{Off: 42, Len: 500, Shift: 18, Before: make([]byte, 18), After: bytes.Repeat([]byte{9}, 18)},
-	}}
-	enc := valid.encode(nil)
+	update, compensation := sampleOps()
+	f.Add(body(TypeCompensation, compensation...), true)
+	enc := (&Record{Type: TypeUpdate, TxID: 3, PageID: 4, Ops: update}).encode(nil)
 	f.Add(enc[8:], true)
 	f.Add(enc, false)
 	f.Add(enc[:len(enc)-3], false)
@@ -134,19 +156,16 @@ func FuzzDecodeRecord(f *testing.F) {
 		if !bytes.Equal(r.encode(nil), in[:n]) {
 			t.Fatal("decoded record does not encode back to its bytes")
 		}
-		buf := page.NewBuf()
-		for i := range r.Edits {
-			r.Edits[i].Apply(buf)
-		}
 	})
 }
 
 // TestOldFormatLogRefused: Open on a device whose control block carries an
-// earlier format's magic — single-range update records, or the two-block
-// double-write slot the log tail entries replaced — fails with ErrOldFormat
-// and leaves the device alone, on devices with and without a barrier.
+// earlier format's magic — single-range update records, the two-block
+// double-write slot the log tail entries replaced, or byte-diff edit lists —
+// fails with ErrOldFormat and leaves the device alone, on devices with and
+// without a barrier.
 func TestOldFormatLogRefused(t *testing.T) {
-	for _, magic := range []uint32{oldestControlMagic, controlMagic - 1} {
+	for _, magic := range []uint32{oldestControlMagic, oldestControlMagic + 1, controlMagic - 1} {
 		ctrl := make([]byte, device.BlockSize)
 		binary.LittleEndian.PutUint32(ctrl, magic)
 		plain := newLogDevice()
@@ -169,12 +188,12 @@ func TestOldFormatLogRefused(t *testing.T) {
 var benchSink *Record
 
 // BenchmarkRecordEncodeDecode encodes and decodes the update record of a
-// b-tree leaf insert: a two-byte write and an eighteen-byte shift.
+// b-tree leaf insert: a move by eighteen bytes, the new entry filled into
+// the gap, and a one-byte write of the count.
 func BenchmarkRecordEncodeDecode(b *testing.B) {
-	r := &Record{Type: TypeUpdate, TxID: 7, PageID: 1234, Edits: []Edit{
-		{Off: 32, Len: 1, Before: []byte{41}, After: []byte{42}},
-		{Off: 402, Len: 2000, Shift: 18, Before: make([]byte, 18), After: bytes.Repeat([]byte{5}, 18)},
-	}}
+	ops := cat(op(3, u16s(420, 402, 1998), make([]byte, 18)...), op(2, u16s(402, 18), bytes.Repeat([]byte{5}, 18)...),
+		op(1, u16s(32, 1), 41, 42))
+	r := &Record{Type: TypeUpdate, TxID: 7, PageID: 1234, Ops: ops}
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	for b.Loop() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/reprolab/face/internal/page"
 )
@@ -168,12 +169,13 @@ func (p *pipeline) next() page.LSN {
 }
 
 // append reserves log space, copies the record into the ring, and
-// publishes completion.  No mutex is acquired anywhere on this path.
-func (p *pipeline) append(r *Record) (page.LSN, error) {
+// publishes completion.  No mutex is acquired anywhere on this path.  If
+// timed, it reports when the reservation first stalled on a full ring.
+func (p *pipeline) append(r *Record, timed bool) (lsn page.LSN, stalledAt time.Time, err error) {
 	m := p.m
 	size := uint64(r.encodedSize())
 	if size > p.ringBytes {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte log buffer", size, p.ringBytes)
+		return 0, stalledAt, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte log buffer", size, p.ringBytes)
 	}
 
 	// Stage 1a: reserve [off, end) and reservation index idx with one CAS.
@@ -184,7 +186,7 @@ func (p *pipeline) append(r *Record) (page.LSN, error) {
 		off = cur & posOffMask
 		end = off + size
 		if end > posOffMask {
-			return 0, fmt.Errorf("wal: log address space exhausted")
+			return 0, stalledAt, fmt.Errorf("wal: log address space exhausted")
 		}
 		// Admission: a successful reservation must fit in the ring
 		// alongside everything not yet flushed, so every admitted copy
@@ -193,14 +195,17 @@ func (p *pipeline) append(r *Record) (page.LSN, error) {
 		// cannot wrap into a full ring, and the CAS below then fails.
 		if flushed := p.flushedOff.Load(); end > flushed+p.ringBytes {
 			if b := p.flushErr.Load(); b != nil {
-				return 0, b.err
+				return 0, stalledAt, b.err
 			}
 			if p.stopped.Load() {
-				return 0, errClosed
+				return 0, stalledAt, errClosed
 			}
 			if !stalled {
 				stalled = true
 				m.reserveStalls.Add(1)
+				if timed {
+					stalledAt = time.Now()
+				}
 			}
 			// Sleep until a round has freed ring space (or none ever
 			// will); re-reading under the lock loses no wake-up.  The
@@ -246,7 +251,7 @@ func (p *pipeline) append(r *Record) (page.LSN, error) {
 
 	r.LSN = m.base + page.LSN(off)
 	m.appends.Add(1)
-	return r.LSN, nil
+	return r.LSN, stalledAt, nil
 }
 
 // advanceHWM consumes publication slots in reservation order, advancing

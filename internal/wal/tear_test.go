@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/face/internal/device"
+	"github.com/reprolab/face/internal/page"
 )
 
 const (
@@ -221,7 +222,7 @@ func (r *tearRun) add(t *testing.T, size int) {
 	tx := TxID(len(r.appended) + 1)
 	rec := &Record{Type: TypeCommit, TxID: tx}
 	if size > recordHeaderSize {
-		img := make([]byte, (size-recordHeaderSize-2-EditHeaderSize)/2)
+		img := make([]byte, (size-recordHeaderSize-page.WriteHeaderSize)/2)
 		for i := range img {
 			img[i] = byte(int(tx)*31 + i*7 + r.salt)
 		}

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -28,60 +27,37 @@ func TestRecordTypeString(t *testing.T) {
 }
 
 func TestRecordEncodeDecode(t *testing.T) {
-	r := &Record{
-		Type:   TypeUpdate,
-		TxID:   17,
-		PageID: 99,
-		Edits: []Edit{
-			{Off: 22, Len: 6, Before: []byte("old hd"), After: []byte("new hd")},
-			{Off: 42, Len: 900, Shift: 18, Before: bytes.Repeat([]byte{1}, 18), After: bytes.Repeat([]byte{2}, 18)},
-			{Off: 1000, Len: 40, Shift: -3, Before: []byte("out"), After: []byte("in!")},
-		},
-	}
-	enc := r.encode(nil)
-	if len(enc) != r.encodedSize() {
-		t.Fatalf("encoded %d bytes, encodedSize says %d", len(enc), r.encodedSize())
-	}
-	got, n, err := decodeRecord(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(enc) {
-		t.Fatalf("consumed %d of %d bytes", n, len(enc))
-	}
-	if got.Type != r.Type || got.TxID != r.TxID || got.PageID != r.PageID {
-		t.Fatalf("decoded header mismatch: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Edits, r.Edits) {
-		t.Fatalf("decoded edits %+v, want %+v", got.Edits, r.Edits)
-	}
-
-	// A compensation record carries the same edits without before images.
-	r.Type = TypeCompensation
-	enc = r.encode(nil)
-	if len(enc) != r.encodedSize() {
-		t.Fatalf("compensation: encoded %d bytes, encodedSize says %d", len(enc), r.encodedSize())
-	}
-	got, _, err = decodeRecord(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range got.Edits {
-		if e.Before != nil || !bytes.Equal(e.After, r.Edits[i].After) || e.Off != r.Edits[i].Off || e.Shift != r.Edits[i].Shift {
-			t.Fatalf("compensation edit %d decoded as %+v", i, e)
+	update, compensation := sampleOps()
+	for _, r := range []*Record{
+		{Type: TypeUpdate, TxID: 17, PageID: 99, Ops: update},
+		{Type: TypeCompensation, TxID: 17, PageID: 99, Ops: compensation},
+	} {
+		enc := r.encode(nil)
+		if len(enc) != r.encodedSize() {
+			t.Fatalf("%s: encoded %d bytes, encodedSize says %d", r.Type, len(enc), r.encodedSize())
+		}
+		got, n, err := decodeRecord(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(enc) {
+			t.Fatalf("%s: consumed %d of %d bytes", r.Type, n, len(enc))
+		}
+		if got.Type != r.Type || got.TxID != r.TxID || got.PageID != r.PageID || !bytes.Equal(got.Ops, r.Ops) {
+			t.Fatalf("%s: decoded as %+v", r.Type, got)
 		}
 	}
 
 	// A format record carries the page type.
 	f := &Record{Type: TypeFormat, TxID: 3, PageID: 8, PageType: page.TypeBTreeLeaf}
-	got, _, err = decodeRecord(f.encode(nil))
+	got, _, err := decodeRecord(f.encode(nil))
 	if err != nil || got.PageType != page.TypeBTreeLeaf || got.PageID != 8 {
 		t.Fatalf("format record decoded as %+v, %v", got, err)
 	}
 }
 
 // TestSingleWriteShorthand: a hand-built update record with Offset, Before
-// and After and no Edits is logged as one write edit.
+// and After and no Ops is logged as one write.
 func TestSingleWriteShorthand(t *testing.T) {
 	r := &Record{Type: TypeUpdate, TxID: 1, PageID: 7, Offset: 64, Before: []byte("aaaa"), After: []byte("bbbb")}
 	if err := r.check(); err != nil {
@@ -91,9 +67,8 @@ func TestSingleWriteShorthand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Edit{{Off: 64, Len: 4, Before: []byte("aaaa"), After: []byte("bbbb")}}
-	if !reflect.DeepEqual(got.Edits, want) {
-		t.Fatalf("decoded %+v, want %+v", got.Edits, want)
+	if want := page.AppendWrite(nil, 64, []byte("aaaa"), []byte("bbbb")); !bytes.Equal(got.Ops, want) {
+		t.Fatalf("decoded %x, want %x", got.Ops, want)
 	}
 }
 
@@ -107,15 +82,15 @@ func TestAppendRejectsInvalidRecords(t *testing.T) {
 	defer m.Close()
 	img := func(n int) []byte { return make([]byte, n) }
 	bad := map[string]*Record{
-		"no edits":          {Type: TypeUpdate},
-		"image too short":   {Type: TypeUpdate, Edits: []Edit{{Off: 0, Len: 4, Before: img(4), After: img(3)}}},
-		"unequal shorthand": {Type: TypeUpdate, Before: img(3), After: img(4)},
-		"leaves the page":   {Type: TypeUpdate, Edits: []Edit{{Off: page.Size - 2, Len: 4, Before: img(4), After: img(4)}}},
-		"overlap":           {Type: TypeUpdate, Edits: []Edit{{Off: 10, Len: 4, Before: img(4), After: img(4)}, {Off: 12, Len: 1, Before: img(1), After: img(1)}}},
-		"descending":        {Type: TypeUpdate, Edits: []Edit{{Off: 10, Len: 1, Before: img(1), After: img(1)}, {Off: 2, Len: 1, Before: img(1), After: img(1)}}},
-		"shift past region": {Type: TypeUpdate, Edits: []Edit{{Off: 10, Len: 4, Shift: 5, Before: img(5), After: img(5)}}},
-		"shift -128":        {Type: TypeUpdate, Edits: []Edit{{Off: 10, Len: 200, Shift: -128, Before: img(128), After: img(128)}}},
-		"shift image":       {Type: TypeCompensation, Edits: []Edit{{Off: 10, Len: 40, Shift: 5, After: img(40)}}},
+		"no ops":                {Type: TypeUpdate, Ops: []byte{}},
+		"image too short":       {Type: TypeUpdate, Ops: op(1, u16s(0, 4), img(7)...)},
+		"unequal shorthand":     {Type: TypeUpdate, Before: img(3), After: img(4)},
+		"shorthand off page":    {Type: TypeUpdate, Offset: page.Size - 2, Before: img(4), After: img(4)},
+		"leaves the page":       {Type: TypeUpdate, Ops: op(1, u16s(page.Size-2, 4), img(8)...)},
+		"move past the page":    {Type: TypeUpdate, Ops: op(3, u16s(page.Size-10, 10, 20), img(20)...)},
+		"images in a CLR":       {Type: TypeCompensation, Ops: op(1, u16s(10, 4), img(8)...)},
+		"trailing bytes":        {Type: TypeCompensation, Ops: op(1, u16s(10, 4), img(5)...)},
+		"removed cell off page": {Type: TypeUpdate, Ops: op(5, u16s(0, page.Size, 1), 7)},
 	}
 	for name, r := range bad {
 		if _, err := m.Append(r); !errors.Is(err, ErrInvalid) {
@@ -157,12 +132,8 @@ func TestRecordEncodeDecodeProperty(t *testing.T) {
 		r := &Record{Type: TypeUpdate, TxID: TxID(txid), PageID: page.ID(pid), Offset: off, Before: before, After: after}
 		enc := r.encode(nil)
 		got, n, err := decodeRecord(enc)
-		if err != nil || n != len(enc) || len(got.Edits) != 1 {
-			return false
-		}
-		e := got.Edits[0]
-		return got.TxID == r.TxID && got.PageID == r.PageID && e.Off == off &&
-			bytes.Equal(e.Before, before) && bytes.Equal(e.After, after)
+		return err == nil && n == len(enc) && got.TxID == r.TxID && got.PageID == r.PageID &&
+			bytes.Equal(got.Ops, page.AppendWrite(nil, int(off), before, after))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
