@@ -34,13 +34,14 @@ func (tx *Tx) Edit(id page.ID, fn func(w *page.Writer) error) error {
 	a := tx.edits()
 	w := a.enter()
 	w.Reset(buf)
+	free := buf.Free()
 	err = fn(w)
 	a.depth--
 	if err != nil {
 		w.Restore()
 		return err
 	}
-	if logged, err := tx.logUpdate(id, buf, w.Ops()); err != nil {
+	if logged, err := tx.logUpdate(id, buf, w.Ops(), free); err != nil {
 		if !logged {
 			w.Restore()
 		}
@@ -66,6 +67,8 @@ type editArena struct {
 type undoRecord struct {
 	pageID page.ID
 	ops    []byte
+	// free is the page's free space before the transaction changed it.
+	free page.Span
 }
 
 const maxArenaOps = 64 << 10
@@ -101,10 +104,21 @@ func (tx *Tx) releaseArena() {
 // may run an Edit of its own.
 func (a *editArena) enter() *page.Writer {
 	if a.depth == len(a.writers) {
-		a.writers = append(a.writers, page.NewWriter())
+		a.writers = append(a.writers, page.NewWriter(a.earlierFree))
 	}
 	a.depth++
 	return a.writers[a.depth-1]
+}
+
+// earlierFree returns the free space page id had before the transaction
+// first changed it, if it has: a Writer asks when it opens a new cell.
+func (a *editArena) earlierFree(id page.ID) (page.Span, bool) {
+	for _, u := range a.undo {
+		if u.pageID == id {
+			return u.free, true
+		}
+	}
+	return page.Span{}, false
 }
 
 // keep copies the operations of an update record into the arena, for

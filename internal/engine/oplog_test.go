@@ -34,7 +34,7 @@ func FuzzOpRoundTrip(f *testing.F) {
 			}
 		}
 		after := before.Clone()
-		w := page.NewWriter()
+		w := page.NewWriter(nil)
 		w.Reset(after)
 		taken := runWriter(w, script)
 		checkOpRoundTrip(t, before, w, taken)
@@ -60,7 +60,7 @@ func checkOpRoundTrip(t *testing.T, before page.Buf, w *page.Writer, taken [][2]
 		t.Fatalf("redo of %d bytes of operations does not give the after image", len(ops))
 	}
 	undone := after.Clone()
-	clr := logTrip(t, &wal.Record{Type: wal.TypeCompensation, TxID: 1, PageID: 9, Ops: page.NewWriter().Undo(undone, update.Ops)})
+	clr := logTrip(t, &wal.Record{Type: wal.TypeCompensation, TxID: 1, PageID: 9, Ops: page.NewWriter(nil).Undo(undone, update.Ops)})
 	for i := range before {
 		if undone[i] != before[i] && !inRanges(taken, i) {
 			t.Fatalf("undo leaves byte %d changed, which no new cell took (%v)", i, taken)

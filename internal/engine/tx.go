@@ -207,10 +207,11 @@ func (tx *Tx) Modify(id page.ID, fn func(buf page.Buf) error) error {
 }
 
 // logUpdate appends the update record of ops, which changed page id into
-// buf, stamps the page LSN, marks the page dirty and keeps the operations
-// for undo.  No operations log nothing.  logged reports whether the record
-// reached the log: if it did not, the caller puts the page back as it was.
-func (tx *Tx) logUpdate(id page.ID, buf page.Buf, ops []byte) (logged bool, err error) {
+// buf, stamps the page LSN, marks the page dirty and keeps the operations,
+// and the free space the page had before the transaction, for undo.  No
+// operations log nothing.  logged reports whether the record reached the
+// log: if it did not, the caller puts the page back as it was.
+func (tx *Tx) logUpdate(id page.ID, buf page.Buf, ops []byte, free page.Span) (logged bool, err error) {
 	if len(ops) == 0 {
 		return false, nil
 	}
@@ -223,7 +224,7 @@ func (tx *Tx) logUpdate(id page.ID, buf page.Buf, ops []byte) (logged bool, err 
 	if err := tx.db.pool.MarkDirty(id); err != nil {
 		return true, err
 	}
-	tx.arena.undo = append(tx.arena.undo, undoRecord{pageID: id, ops: tx.arena.keep(ops)})
+	tx.arena.undo = append(tx.arena.undo, undoRecord{pageID: id, ops: tx.arena.keep(ops), free: free})
 	return true, nil
 }
 

@@ -271,6 +271,10 @@ func (b Buf) setSlot(slot, cellOff, cellLen int) {
 	binary.LittleEndian.PutUint16(b[base+2:], uint16(cellLen))
 }
 
+// Free returns the free space of a slotted page: the bytes between its
+// slot array and its cells.
+func (b Buf) Free() Span { return Span{b.lower(), b.upper()} }
+
 // FreeSpace returns the number of bytes available for one new record
 // (including its slot).
 func (b Buf) FreeSpace() int {

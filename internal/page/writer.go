@@ -32,9 +32,16 @@ type Writer struct {
 	// writing; before holds its old bytes at their own offsets.
 	lo, hi int
 	before Buf
-	// [glo, ghi) is where writes are fills: the new cell of the last
-	// InsertAt, or the bytes of the last Move's source that its
+	// free is the free space the page had before the edit's transaction
+	// first changed it: as the edit began, unless earlier, asked once,
+	// knows an earlier edit of the transaction that changed it.  [glo, ghi) is
+	// where writes are fills: the part of the new cell of the last
+	// InsertAt that lies in the free space the page had before the
+	// transaction, or the bytes of the last Move's source that its
 	// destination did not cover.
+	free     Span
+	earlier  func(ID) (Span, bool)
+	asked    bool
 	glo, ghi int
 	// freed holds, for each new cell, the bytes of free space it and its
 	// slot took, which only Restore puts back.
@@ -53,13 +60,18 @@ type Writer struct {
 //	opMove    u16 dst, u16 src, u16 n, [the min(|dst-src|, n) bytes the
 //	          move overwrote outside its source]
 //	opInsert  u16 slot, u16 n: InsertAt, whose cell the fills after it write
-//	opRemove  u16 slot, [u16 off, u16 n, the n bytes of the cell]: RemoveAt
+//	opRemove  u16 slot, [u16 off, u16 n]: RemoveAt of the cell [off, off+n)
 //
-// A new cell needs no before image, because its undo is its removal: undo
-// leaves its bytes in the free space.  Nor does the gap a move leaves,
-// which undoing the move overwrites.  So a write into either, until the
-// next operation that is not a write, is a fill, and only the bytes of it
-// that differ from what the free space or the gap held are logged, once.
+// A new cell needs no before image where it takes space that was free when
+// its transaction first changed the page, because its undo is its removal
+// and no byte there is one the page used before the transaction: undo
+// leaves the cell's bytes in the free space.  Nor does the gap a move
+// leaves, which undoing the move overwrites.  So a write into either,
+// until the next operation that is not a write, is a fill, and only the
+// bytes of it that differ from what the free space or the gap held are
+// logged, once.  Every other byte the transaction overwrites is logged
+// with its before image, so a removed cell needs none: its bytes stay
+// where they were until something that logs them overwrites them.
 const (
 	opWrite byte = iota + 1
 	opFill
@@ -77,8 +89,16 @@ const WriteHeaderSize = 1 + 2 + 2
 const maxWriteGap = 2
 
 // NewWriter returns a Writer.  It owns a page-sized buffer for before
-// images, which every edit reuses.
-func NewWriter() *Writer { return &Writer{before: NewBuf()} }
+// images, which every edit reuses.  earlier, if not nil, reports the free
+// space (Buf.Free) a page had before the transaction of the Writer's edits
+// first changed it, if it changed it before the current edit: new cells
+// are fills only there.
+func NewWriter(earlier func(ID) (Span, bool)) *Writer {
+	return &Writer{before: NewBuf(), earlier: earlier}
+}
+
+// Span is a byte range [Lo, Hi) of a page.
+type Span struct{ Lo, Hi int }
 
 // Reset starts an edit of buf whose operations are logged with their undo
 // information.
@@ -86,7 +106,7 @@ func (w *Writer) Reset(buf Buf) { w.reset(buf, true) }
 
 func (w *Writer) reset(buf Buf, undo bool) {
 	w.buf, w.undo, w.ops, w.freed = buf, undo, w.ops[:0], w.freed[:0]
-	w.lo, w.hi, w.glo, w.ghi = 0, 0, 0, 0
+	w.lo, w.hi, w.glo, w.ghi, w.free, w.asked = 0, 0, 0, 0, buf.Free(), false
 	if checkReplay {
 		w.orig = append(w.orig[:0], buf...)
 	}
@@ -158,7 +178,6 @@ func (w *Writer) undoOps(buf Buf, ops, freed []byte) {
 			w.Move(slotOff(o.a+1), slotOff(o.a), (count-o.a)*SlotSize)
 			w.PutUint16(slotOff(o.a), uint16(off))
 			w.PutUint16(slotOff(o.a)+2, uint16(o.c))
-			copy(w.Bytes(off, o.c), o.before)
 			w.PutUint16(offSlots, uint16(count+1))
 			w.PutUint16(offLower, uint16(buf.lower()+SlotSize))
 			w.PutUint16(offUpper, uint16(min(buf.upper(), off)))
@@ -180,6 +199,10 @@ func (w *Writer) logWrite(lo, hi int) {
 		return
 	}
 	for i := lo; i < hi; {
+		// Unchanged bytes are skipped 64, then 8 at a time.
+		for i+64 <= hi && string(b[i:i+64]) == string(old[i:i+64]) {
+			i += 64
+		}
 		for i+8 <= hi && binary.LittleEndian.Uint64(b[i:]) == binary.LittleEndian.Uint64(old[i:]) {
 			i += 8
 		}
@@ -284,7 +307,15 @@ func (w *Writer) InsertAt(i, n int) ([]byte, error) {
 	w.freed = append(w.freed, b[slotOff(count):slotOff(count+1)]...)
 	w.freed = append(w.freed, b[upper-n:upper]...)
 	b.insertAt(i, n)
-	w.glo, w.ghi = upper-n, upper
+	if w.earlier != nil && !w.asked {
+		if f, ok := w.earlier(b.ID()); ok {
+			w.free = f
+		}
+		w.asked = true
+	}
+	if w.glo, w.ghi = max(upper-n, w.free.Lo), min(upper, w.free.Hi); w.glo >= w.ghi {
+		w.glo, w.ghi = 0, 0
+	}
 	return w.Bytes(upper-n, n), nil
 }
 
@@ -298,17 +329,14 @@ func (w *Writer) RemoveAt(i int) {
 	} else {
 		off, n := w.buf.slotOffsets(i)
 		w.op(opRemove, i, off, n)
-		w.ops = append(w.ops, w.buf[off:off+n]...)
 	}
 	w.buf.removeAt(i)
 }
 
 // Compact moves the cells of a page without deleted slots together against
 // page offset end, keeping their order on the page, so that all its free
-// space lies between the slots and the cells.  It is rare, and logged as
-// writes: of the header and the slot array, and of the whole cell area,
-// whose before image undo needs whole, since the space the cells leave may
-// take new cells, which log no before image.
+// space lies between the slots and the cells.  It is logged as the writes
+// it makes to the header, the slot array and the cell area.
 func (w *Writer) Compact(end int) {
 	b := w.buf
 	w.settle()
@@ -331,9 +359,7 @@ func (w *Writer) Compact(end int) {
 	}
 	b.setUpper(at)
 	w.logWrite(offUpper, slots)
-	if upper < end {
-		w.ops = AppendWrite(w.ops, upper, w.before[upper:end], b[upper:end])
-	}
+	w.logWrite(upper, end)
 }
 
 // Record returns the record in the given slot for writing.  The slice's
@@ -470,7 +496,7 @@ func nextOp(ops []byte, undo bool) (o op, rest []byte, ok bool) {
 	case opInsert:
 		ok = slotOff(o.a+1) <= Size && o.b <= PayloadSize
 	case opRemove:
-		ok, before = o.b+o.c <= Size, o.c
+		ok = o.b+o.c <= Size
 	}
 	rest = ops[1+2*fields:]
 	if !ok || len(rest) < before+after {

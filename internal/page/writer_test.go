@@ -18,7 +18,7 @@ func TestRecordIsCapped(t *testing.T) {
 		}
 	}
 	want := b.Clone()
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.Reset(b)
 	for name, record := range map[string]func(int) ([]byte, error){"Buf": b.Record, "Writer": w.Record} {
 		rec, err := record(2)
@@ -42,7 +42,7 @@ func TestRecordIsCapped(t *testing.T) {
 // space), and Restore gives the page back exactly.
 func TestWriterOpsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	undoer := NewWriter()
+	undoer := NewWriter(nil)
 	for iter := range 2000 {
 		orig := NewBuf()
 		rng.Read(orig)
@@ -54,7 +54,7 @@ func TestWriterOpsRoundTrip(t *testing.T) {
 			}
 		}
 		b := orig.Clone()
-		w := NewWriter()
+		w := NewWriter(nil)
 		w.Reset(b)
 		for range 1 + rng.Intn(60) {
 			writeSomething(rng, w, slotted)
@@ -144,7 +144,7 @@ func TestWriterSlottedMatchesBuf(t *testing.T) {
 	b, ref := NewBuf(), NewBuf()
 	b.Init(5, TypeHeap)
 	ref.Init(5, TypeHeap)
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.Reset(b)
 	rng := rand.New(rand.NewSource(32))
 	for range 500 {
@@ -174,7 +174,7 @@ func TestOrderedSlots(t *testing.T) {
 	b := NewBuf()
 	b.Init(3, TypeRecordLeaf)
 	copy(b[end:], "sixteen trailing")
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.Reset(b)
 	w.ClearSlots(end)
 	var model [][]byte // the cells in slot order

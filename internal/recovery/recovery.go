@@ -171,7 +171,7 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 		losers = append(losers, id)
 	}
 	sort.Slice(losers, func(i, j int) bool { return losers[i] > losers[j] })
-	w := page.NewWriter()
+	w := page.NewWriter(nil)
 	for _, id := range losers {
 		rep.LoserTxns++
 		stack := open[id]

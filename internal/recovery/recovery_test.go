@@ -158,7 +158,7 @@ func TestFormatRedoAndCheckpointStart(t *testing.T) {
 // move of the array and a fill of the gap.
 func shiftRecord(t *testing.T, log *wal.Manager, buf page.Buf, tx wal.TxID, id page.ID, off, n int, ins []byte) *wal.Record {
 	t.Helper()
-	w := page.NewWriter()
+	w := page.NewWriter(nil)
 	w.Reset(buf)
 	w.Move(off+len(ins), off, n)
 	copy(w.Bytes(off, len(ins)), ins)
@@ -248,7 +248,7 @@ func TestCompensatedUpdatesAreNotUndoneAgain(t *testing.T) {
 	shiftRecord(t, log, buf, 9, 4, 100, 16, []byte("11"))
 	second := shiftRecord(t, log, buf, 9, 4, 104, 14, []byte("22"))
 	// The abort got as far as compensating the second update.
-	clr := page.NewWriter().Undo(buf, second.Ops)
+	clr := page.NewWriter(nil).Undo(buf, second.Ops)
 	if _, err := log.Append(&wal.Record{Type: wal.TypeCompensation, TxID: 9, PageID: 4, Ops: clr}); err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func randomHistory(t *testing.T, seed uint64) *history {
 	}
 	// logged appends the record of what w did to its page, and stamps the
 	// page.
-	w := page.NewWriter()
+	w := page.NewWriter(nil)
 	logged := func(r *wal.Record) {
 		r.Ops = bytes.Clone(w.Ops())
 		appendRec(r)

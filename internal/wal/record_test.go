@@ -52,14 +52,14 @@ func sampleOps() (update, compensation []byte) {
 	for _, r := range []string{"first record", "second record", "third"} {
 		buf.Insert([]byte(r))
 	}
-	w := page.NewWriter()
+	w := page.NewWriter(nil)
 	w.Reset(buf)
 	w.Insert([]byte("a new record"))
 	copy(w.Bytes(4000, 6), "NEWBIE")
 	w.RemoveAt(1)
 	w.Move(2000, 1980, 40)
 	update = bytes.Clone(w.Ops())
-	return update, bytes.Clone(page.NewWriter().Undo(buf, update))
+	return update, bytes.Clone(page.NewWriter(nil).Undo(buf, update))
 }
 
 // corruptBodies are well-framed records (length and CRC intact) whose
