@@ -143,9 +143,9 @@ func inTx(t *testing.T, db *engine.DB, fn func(tx *engine.Tx) error) func() {
 // TestAllocBudgetModify: a transaction changing eight bytes of a resident
 // page with Modify keeps its before image on the stack and allocates what it
 // did before the page path was looked at — a transaction, a record, its
-// edits, the log's buffers — and no more.  A B-tree leaf insert made through
-// an Edit, which declares its array shift with Writer.Move, allocates no
-// more than one made through Modify, whose shift the differ has to find.
+// operations, the log's buffers — and no more.  A B-tree leaf insert made
+// through an Edit, which moves its array with Writer.Move, allocates no
+// more than one made through Modify, which logs the moved bytes as writes.
 func TestAllocBudgetModify(t *testing.T) {
 	db := allocEngine(t)
 	defer db.Crash()
@@ -207,9 +207,9 @@ func TestAllocBudgetModify(t *testing.T) {
 	})()
 	copyBytes, copyAllocs := heapPerRun(t, 4096, inTx(t, db, leaf(false)))
 	moveBytes, moveAllocs := heapPerRun(t, 4096, inTx(t, db, leaf(true)))
-	t.Logf("leaf insert, shift found: %.0f B/op, %.2f allocs/op; declared: %.0f B/op, %.2f allocs/op", copyBytes, copyAllocs, moveBytes, moveAllocs)
+	t.Logf("leaf insert, Modify: %.0f B/op, %.2f allocs/op; Edit with Move: %.0f B/op, %.2f allocs/op", copyBytes, copyAllocs, moveBytes, moveAllocs)
 	if moveBytes >= page.Size || moveAllocs > copyAllocs+0.05 {
-		t.Fatalf("a declared leaf insert costs %.0f B and %.2f allocations, budget is under %d B and the %.2f of a found one", moveBytes, moveAllocs, page.Size, copyAllocs)
+		t.Fatalf("a leaf insert with Move costs %.0f B and %.2f allocations, budget is under %d B and the %.2f of one through Modify", moveBytes, moveAllocs, page.Size, copyAllocs)
 	}
 }
 

@@ -32,7 +32,7 @@ type Tx struct {
 	// request and the transaction rolls back.
 	ctx context.Context
 
-	// arena holds the transaction's Writers, the edits of its update
+	// arena holds the transaction's Writers, the operations of its update
 	// records and the undo list over them (see edit.go); nil until the
 	// first Edit or Modify, and again once commit or abort is done with it.
 	arena *editArena
