@@ -3,7 +3,6 @@ package page
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 )
@@ -433,17 +432,13 @@ func Redo(buf Buf, ops []byte, undo bool) {
 	}
 }
 
-// ErrBadOps is returned by CheckOps for operations that are not well
-// formed.
-var ErrBadOps = errors.New("page: malformed operations")
-
 // CheckOps reports whether ops is a well-formed list of operations, with
 // undo information or without, every region of which lies in the page.
 func CheckOps(ops []byte, undo bool) error {
 	for rest, ok := ops, true; len(rest) > 0; {
 		at := len(ops) - len(rest)
 		if _, rest, ok = nextOp(rest, undo); !ok {
-			return fmt.Errorf("%w: operation at byte %d", ErrBadOps, at)
+			return fmt.Errorf("page: malformed operation at byte %d", at)
 		}
 	}
 	return nil
