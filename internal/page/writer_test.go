@@ -2,7 +2,9 @@ package page
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -161,6 +163,192 @@ func TestWriterSlottedMatchesBuf(t *testing.T) {
 		if (got == nil) != (want == nil) || !bytes.Equal(b, ref) {
 			t.Fatalf("Writer: %v, Buf: %v, pages equal: %v", got, want, bytes.Equal(b, ref))
 		}
+	}
+}
+
+// splitRef is logWrite's split of a window [lo, hi), a byte at a time:
+// each changed byte starts a write, or joins the last one if at most
+// maxWriteGap unchanged bytes lie between them.
+func splitRef(before, after Buf, lo, hi int) (writes [][2]int) {
+	for i := lo; i < hi; i++ {
+		if before[i] == after[i] {
+			continue
+		}
+		if n := len(writes); n > 0 && i-writes[n-1][1] <= maxWriteGap {
+			writes[n-1][1] = i + 1
+		} else {
+			writes = append(writes, [2]int{i, i + 1})
+		}
+	}
+	return writes
+}
+
+// checkSplit writes after's bytes of the window [lo, hi) over before
+// through a Writer, and holds what it logs to splitRef: the same writes,
+// each with the before and after images of its bytes, which redone give
+// the page as written and undone give it back exactly.
+func checkSplit(t *testing.T, before, after Buf, lo, hi int) {
+	t.Helper()
+	b := before.Clone()
+	w := NewWriter(nil)
+	w.Reset(b)
+	copy(w.Bytes(lo, hi-lo), after[lo:hi])
+	ops := w.Ops()
+	var got [][2]int
+	for rest := ops; len(rest) > 0; {
+		o, next, ok := nextOp(rest, true)
+		if !ok || o.kind != opWrite {
+			t.Fatalf("operation %d of %v is not a write", len(got), splitRef(before, after, lo, hi))
+		}
+		if !bytes.Equal(o.before, before[o.a:o.a+o.b]) || !bytes.Equal(o.after, after[o.a:o.a+o.b]) {
+			t.Fatalf("the images of the write [%d, %d) are not the page's", o.a, o.a+o.b)
+		}
+		got = append(got, [2]int{o.a, o.a + o.b})
+		rest = next
+	}
+	if want := splitRef(before, after, lo, hi); !slices.Equal(got, want) {
+		t.Fatalf("logged writes %v, want %v", got, want)
+	}
+	redone := before.Clone()
+	Redo(redone, ops, true)
+	if !bytes.Equal(redone, b) {
+		t.Fatal("redo of the writes does not give the page as written")
+	}
+	NewWriter(nil).Undo(b, ops)
+	if !bytes.Equal(b, before) {
+		t.Fatal("undo of the writes does not give the page back")
+	}
+}
+
+// TestWriteSplitMatchesReference: a write window is logged as splitRef
+// splits it, over random changes and over the places the word loops of
+// logWrite go wrong — the page's first and last bytes, a change across a
+// word boundary, one inside the LSN field, two changes a gap of
+// maxWriteGap, and of 64 (a skipped block), and one either side of it
+// apart, runs of changed bytes at every alignment, arrays moved to the
+// page end, and windows that end inside a word.
+func TestWriteSplitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	random := func() Buf {
+		b := NewBuf()
+		rng.Read(b)
+		return b
+	}
+	records := NewBuf()
+	records.Init(9, TypeHeap)
+	for records.FreeSpace() > 40 {
+		rec := make([]byte, 18)
+		rng.Read(rec)
+		records.Insert(rec)
+	}
+	for iter := range 3000 {
+		before := NewBuf()
+		if iter%2 == 1 {
+			before = random()
+		}
+		after := before.Clone()
+		for range 1 + rng.Intn(8) {
+			off := rng.Intn(Size)
+			n := min(1+rng.Intn(80), Size-off)
+			for i := off; i < off+n; i += 1 + rng.Intn(1+iter%5) {
+				after[i] = byte(rng.Intn(256))
+			}
+		}
+		lo := rng.Intn(Size)
+		hi := lo + rng.Intn(Size-lo+1)
+		if iter%3 == 0 {
+			lo, hi = 0, Size
+		}
+		checkSplit(t, before, after, lo, hi)
+	}
+
+	flip := func(name string, offs ...int) {
+		t.Run(name, func(t *testing.T) {
+			for _, before := range []Buf{NewBuf(), random(), records} {
+				after := before.Clone()
+				for _, off := range offs {
+					after[off] ^= 0x5A
+				}
+				checkSplit(t, before, after, 0, Size)
+			}
+		})
+	}
+	flip("unchanged")
+	flip("first byte", 0)
+	flip("last byte", Size-1)
+	flip("first and last byte", 0, Size-1)
+	flip("across a word boundary", 1023, 1024)
+	flip("across the last word boundary", Size-9, Size-8)
+	flip("inside the LSN field", 8, 11, 15)
+	for _, at := range []int{0, 1, 7, 8, 9, 2048, 2051, Size - 16} {
+		for _, gap := range []int{maxWriteGap - 1, maxWriteGap, maxWriteGap + 1, 63, 64, 65} {
+			if at+gap+1 < Size {
+				flip(fmt.Sprintf("gap of %d at %d", gap, at), at, at+gap+1)
+			}
+		}
+	}
+	for off := 0; off < 24; off++ {
+		flip(fmt.Sprintf("every byte of a word run at %d", off), off, off+1, off+2, off+3, off+4, off+5, off+6, off+7, off+8)
+	}
+
+	t.Run("array shifts ending at the page end", func(t *testing.T) {
+		for k := 1; k <= 64; k++ {
+			for _, start := range []int{HeaderSize, 1000, 1003, Size - 200} {
+				before := random()
+				up := before.Clone()
+				copy(up[start+k:], before[start:Size-k])
+				rng.Read(up[start : start+k])
+				checkSplit(t, before, up, 0, Size)
+				down := before.Clone()
+				copy(down[start:], before[start+k:])
+				rng.Read(down[Size-k:])
+				checkSplit(t, before, down, 0, Size)
+			}
+		}
+	})
+	t.Run("windows ending inside a word", func(t *testing.T) {
+		for _, lo := range []int{0, 3, 8, 1001} {
+			for n := 1; n <= 80; n++ {
+				before := random()
+				after := before.Clone()
+				after[lo] ^= 0x5A
+				after[lo+n-1] ^= 0xA5
+				// A change just past the window is not the Writer's.
+				after[lo+n] ^= 0x0F
+				checkSplit(t, before, after, lo, lo+n)
+			}
+		}
+	})
+}
+
+// TestRecordOverwrite: a record overwritten in place through Writer.Record
+// is logged as one write of its changed bytes, which undone gives the
+// record back.
+func TestRecordOverwrite(t *testing.T) {
+	b := NewBuf()
+	b.Init(1, TypeHeap)
+	s, err := b.Insert([]byte("hello world"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := b.Clone()
+	w := NewWriter(nil)
+	w.Reset(b)
+	rec, err := w.Record(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(rec, "HELLO")
+	if got, _ := b.Record(s); string(got) != "HELLO world" {
+		t.Fatalf("overwritten record = %q", got)
+	}
+	off, _ := b.slotOffsets(s)
+	if want := AppendWrite(nil, off, []byte("hello"), []byte("HELLO")); !bytes.Equal(w.Ops(), want) {
+		t.Fatalf("logged % x, want % x", w.Ops(), want)
+	}
+	NewWriter(nil).Undo(b, w.Ops())
+	if !bytes.Equal(b, orig) {
+		t.Fatal("undo does not give the record back")
 	}
 }
 
