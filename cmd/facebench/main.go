@@ -26,7 +26,9 @@
 // With -terminals N the throughput experiments run from N concurrent
 // terminal goroutines through the page-lock (2PL) transaction scheduler,
 // retrying transactions that lose a deadlock; the default keeps the
-// paper-faithful single-stream driver.
+// paper-faithful single-stream driver.  Every configuration runs a
+// one-shard buffer pool, the paper's global LRU, so the tables do not
+// depend on the machine's core count.
 //
 // With -dir PATH every configuration runs on persistent file-backed
 // devices in a fresh subdirectory of PATH instead of the simulated
@@ -78,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 0, "workload random seed (0 = default)")
 		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of text tables")
 		terminals  = fs.Int("terminals", 0, "run throughput experiments from N concurrent terminals (0 = classic single-stream driver)")
-		shards     = fs.Int("shards", 0, "stripe the DRAM buffer pool and flash cache directory over N shards (0 = 1, the single-mutex structures)")
 		dir        = fs.String("dir", "", "run on persistent file-backed devices in subdirectories of this path (default: simulated in-memory devices)")
 		wallclock  = fs.Bool("wallclock", false, "show wall-clock throughput columns even on the in-memory backend")
 		nofsync    = fs.Bool("nofsync", false, "disable the fsync durability barrier of the file backend (-dir)")
@@ -128,9 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *terminals > 0 {
 		opts.Terminals = *terminals
-	}
-	if *shards > 0 {
-		opts.Shards = *shards
 	}
 	if *dir != "" {
 		opts.Dir = *dir

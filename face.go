@@ -134,12 +134,6 @@ type (
 	// LockStats is a snapshot of the page lock manager (grants, waits,
 	// deadlocks); it is part of DB.Snapshot.
 	LockStats = metrics.LockStats
-	// ShardStats is the per-shard breakdown of buffer pool activity under
-	// WithBufferShards; DB.Snapshot carries one per shard.
-	ShardStats = metrics.ShardStats
-	// CacheStripeStats is the per-stripe breakdown of flash cache lookup
-	// activity under WithCacheStripes; DB.Snapshot carries one per stripe.
-	CacheStripeStats = metrics.CacheStripeStats
 	// GroupCommitStats is a snapshot of the write-ahead log's commit
 	// batching (requests, device writes, piggybacked forces); it is part
 	// of DB.Snapshot.

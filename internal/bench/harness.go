@@ -143,13 +143,6 @@ type RunSpec struct {
 	GroupSize int
 	// SegmentEntries overrides Options.SegmentEntries (0 = default).
 	SegmentEntries int
-	// BufferShards stripes the DRAM buffer pool over this many
-	// independently locked shards and CacheStripes the flash cache
-	// directory over this many stripes (0 = the option-level
-	// Options.Shards, which itself defaults to 1: the single-mutex
-	// structures).
-	BufferShards int
-	CacheStripes int
 	// Terminals issues the workload from this many concurrent terminal
 	// goroutines via Driver.RunTerminals (deadlock victims retried).
 	// Zero selects the classic single-stream driver; 1 runs the same
@@ -413,27 +406,12 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 		}
 	}
 
-	shards := spec.BufferShards
-	if shards <= 0 {
-		shards = opts.Shards
-	}
-	if shards <= 0 {
-		shards = 1
-	}
-	stripes := spec.CacheStripes
-	if stripes <= 0 {
-		stripes = opts.Shards
-	}
-	if stripes <= 0 {
-		stripes = 1
-	}
 	cfg := engine.Config{
 		DataDev:         env.dataDev,
 		LogDev:          env.logDev,
 		FlashDev:        env.flashDev,
 		BufferPages:     env.bufPages,
-		BufferShards:    shards,
-		CacheStripes:    stripes,
+		BufferShards:    1, // the paper's single global LRU
 		Policy:          spec.Policy,
 		FlashFrames:     env.frames,
 		GroupSize:       groupSize,

@@ -66,12 +66,6 @@ type Options struct {
 	// GroupSize and SegmentEntries configure the FaCE cache.
 	GroupSize      int
 	SegmentEntries int
-	// Shards, when set (1 or more), stripes the DRAM buffer pool and the
-	// flash cache directory of every configuration over this many
-	// shards/stripes (the facebench -shards flag).  Zero selects 1 —
-	// the historical single-mutex structures — so published experiment
-	// numbers do not depend on the machine's core count.
-	Shards int
 	// Dir, when non-empty, runs every configuration on persistent
 	// file-backed devices (internal/device/filedev) in a fresh
 	// subdirectory of Dir per run instead of the simulated in-memory

@@ -316,8 +316,7 @@ func (p *Pool) Stats() Stats {
 }
 
 // ShardStats returns one coherent statistics snapshot per shard, in shard
-// order.  The engine aggregates them into its Snapshot and exposes the
-// per-shard breakdown for diagnosing stripe imbalance.
+// order; they sum to Stats.
 func (p *Pool) ShardStats() []Stats {
 	out := make([]Stats, len(p.shards))
 	for i, s := range p.shards {

@@ -109,9 +109,6 @@ type Config struct {
 	// devices: faster, but a host crash can lose acknowledged commits (a
 	// process crash cannot).  Ignored without Dir.
 	NoFsync bool
-	// FileWorkers is the data file's positioned-I/O worker pool width,
-	// reported as the device's Parallelism (0 = DefaultFileWorkers).
-	FileWorkers int
 	// FileDataBlocks/FileLogBlocks/FileFlashBlocks override the logical
 	// capacities of the device files in 4 KiB blocks (0 = generous sparse
 	// defaults; the flash file is sized from FlashFrames).
@@ -124,16 +121,10 @@ type Config struct {
 	// BufferShards is the number of independently locked shards the DRAM
 	// buffer pool is striped over, so concurrent transactions hitting
 	// different pages never share a pool mutex.  Zero derives the count
-	// from GOMAXPROCS; 1 reproduces the historical single-mutex global-LRU
-	// pool.  The count is clamped so every shard holds at least one page.
+	// from GOMAXPROCS (DefaultShards); 1 reproduces the single-mutex
+	// global-LRU pool the paper harness runs.  The count is clamped so
+	// every shard holds at least one page.
 	BufferShards int
-	// CacheStripes is the number of independently locked stripes the
-	// flash cache's lookup structures (page directory, in-transit map) are
-	// split over, so cache probes for different pages never contend with
-	// each other or with an in-flight group write.  Zero derives the count
-	// from GOMAXPROCS; 1 reproduces the historical single-mutex lookup
-	// path.  Policies without striped structures (lc, wt) ignore it.
-	CacheStripes int
 
 	// Policy selects the flash cache scheme.
 	Policy CachePolicy
@@ -188,13 +179,6 @@ type Config struct {
 	// recording reduces to nil checks.  Implied by DisableObs (the
 	// tracer lives inside the observability layer).
 	DisableTracing bool
-	// TraceCapacity overrides the journal ring capacities (pinned and
-	// sampled traces each get one ring of this many slots; 0 = the
-	// trace package default).
-	TraceCapacity int
-	// TraceSampleEvery keeps one in every N unpinned traces in the
-	// sampled ring (0 = default, negative disables sampling).
-	TraceSampleEvery int
 
 	// Recover runs crash recovery during Open.  Set it when reopening a
 	// database after Crash; leave it false for a freshly initialised set
@@ -202,8 +186,8 @@ type Config struct {
 	Recover bool
 }
 
-// DefaultFileWorkers is the data file's worker pool width when Config
-// leaves FileWorkers at zero.
+// DefaultFileWorkers is the data file's positioned-I/O worker pool width
+// under Dir, reported as the device's Parallelism.
 const DefaultFileWorkers = 4
 
 // openFileDevices opens (creating if necessary) the file-backed device set
@@ -213,10 +197,6 @@ const DefaultFileWorkers = 4
 func (c *Config) openFileDevices() (*filedev.Set, error) {
 	if c.DataDev != nil || c.LogDev != nil || c.FlashDev != nil {
 		return nil, fmt.Errorf("engine: Dir and explicit devices are mutually exclusive")
-	}
-	workers := c.FileWorkers
-	if workers <= 0 {
-		workers = DefaultFileWorkers
 	}
 	flashBlocks := c.FileFlashBlocks
 	if flashBlocks <= 0 && c.Policy.UsesFlash() {
@@ -232,7 +212,7 @@ func (c *Config) openFileDevices() (*filedev.Set, error) {
 		DataBlocks:  c.FileDataBlocks,
 		LogBlocks:   c.FileLogBlocks,
 		FlashBlocks: flashBlocks,
-		Workers:     workers,
+		Workers:     DefaultFileWorkers,
 		NoFsync:     c.NoFsync,
 	})
 	if err != nil {
@@ -271,9 +251,6 @@ func (c *Config) validate() error {
 	if c.BufferShards < 0 {
 		return fmt.Errorf("engine: BufferShards must not be negative")
 	}
-	if c.CacheStripes < 0 {
-		return fmt.Errorf("engine: CacheStripes must not be negative")
-	}
 	if _, err := ParsePolicy(string(c.Policy)); err != nil {
 		return err
 	}
@@ -291,10 +268,11 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// DefaultShards derives the shard/stripe count used when Config leaves
-// BufferShards or CacheStripes at zero: the smallest power of two at or
-// above GOMAXPROCS, capped at 64.  A power of two keeps the capacity split
-// even and the cap bounds per-shard bookkeeping on very wide machines.
+// DefaultShards derives the buffer pool's shard count when Config leaves
+// BufferShards at zero, and the flash cache directory's stripe count
+// always: the smallest power of two at or above GOMAXPROCS, capped at 64.
+// A power of two keeps the capacity split even and the cap bounds
+// per-shard bookkeeping on very wide machines.
 func DefaultShards() int {
 	n := runtime.GOMAXPROCS(0)
 	if n < 1 {
@@ -310,20 +288,6 @@ func DefaultShards() int {
 	return s
 }
 
-// resolveStriping fills in the derived shard and stripe counts so the rest
-// of the engine (and its Snapshot) sees the effective values.
-func (c *Config) resolveStriping() {
-	if c.BufferShards == 0 {
-		c.BufferShards = DefaultShards()
-	}
-	if c.BufferShards > c.BufferPages {
-		c.BufferShards = c.BufferPages
-	}
-	if c.CacheStripes == 0 {
-		c.CacheStripes = DefaultShards()
-	}
-}
-
 // buildCache constructs the flash cache manager for the configured policy
 // through the registry, writing to and syncing the data device through
 // diskWrite and diskSync; policies without a flash cache yield (nil, nil).
@@ -333,7 +297,7 @@ func (c *Config) buildCache(diskWrite face.DiskWriteFunc, diskSync func() error,
 		Frames:         c.FlashFrames,
 		GroupSize:      c.GroupSize,
 		SegmentEntries: c.SegmentEntries,
-		Stripes:        c.CacheStripes,
+		Stripes:        DefaultShards(),
 		CleanThreshold: c.CleanThreshold,
 		DiskWrite:      diskWrite,
 		DiskSync:       diskSync,

@@ -169,7 +169,6 @@ func Open(cfg Config) (*DB, error) {
 		closeFiles()
 		return nil, err
 	}
-	cfg.resolveStriping()
 	cfg.Model = cfg.Model.Normalized()
 	_, dataBarrier := cfg.DataDev.(device.Syncer)
 	db := &DB{
@@ -233,7 +232,11 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 
-	db.pool, err = buffer.NewSharded(cfg.BufferPages, cfg.BufferShards, db.fetchPage, db.evictPage)
+	shards := cfg.BufferShards
+	if shards == 0 {
+		shards = DefaultShards()
+	}
+	db.pool, err = buffer.NewSharded(cfg.BufferPages, shards, db.fetchPage, db.evictPage)
 	if err != nil {
 		abortLog()
 		return nil, err
@@ -759,16 +762,7 @@ type Snapshot struct {
 	PageAccesses int64
 	Checkpoints  int64
 	Pool         buffer.Stats
-	// PoolShards is the per-shard breakdown of Pool: one coherent
-	// snapshot per buffer pool shard, in shard order.  A single-shard
-	// pool yields one entry equal to Pool.
-	PoolShards []metrics.ShardStats
-	Cache      face.Stats
-	// CacheStripes is the per-stripe breakdown of the flash cache's lookup
-	// counters, mirroring PoolShards.  Nil without a stripe-reporting flash
-	// cache; a single-stripe cache yields one entry equal to the cache-wide
-	// lookup counters.
-	CacheStripes []metrics.CacheStripeStats
+	Cache        face.Stats
 	// Pipeline is always zero (see metrics.PipelineStats); it stays until
 	// the end-to-end benchmark stops reading it (ROADMAP item 1).
 	Pipeline metrics.PipelineStats
@@ -797,17 +791,7 @@ type Snapshot struct {
 func (db *DB) Snapshot() Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	perShard := db.pool.ShardStats()
-	var ps buffer.Stats
-	shards := make([]metrics.ShardStats, len(perShard))
-	for i, ss := range perShard {
-		ps.Add(ss)
-		shards[i] = metrics.ShardStats{
-			Shard: i, Hits: ss.Hits, Misses: ss.Misses,
-			Evictions: ss.Evictions, DirtyEvictions: ss.DirtyEvictions,
-			PinWaits: ss.PinWaits,
-		}
-	}
+	ps := db.pool.Stats()
 	s := Snapshot{
 		Elapsed:      db.elapsedFor(ps.Hits + ps.Misses),
 		Committed:    db.committed.Load(),
@@ -815,7 +799,6 @@ func (db *DB) Snapshot() Snapshot {
 		PageAccesses: ps.Hits + ps.Misses,
 		Checkpoints:  db.checkpoints,
 		Pool:         ps,
-		PoolShards:   shards,
 		Locks:        db.locks.Stats(),
 		GroupCommit:  db.log.GroupCommitStats(),
 		Wal:          db.log.Stats(),
@@ -825,9 +808,6 @@ func (db *DB) Snapshot() Snapshot {
 	}
 	if db.cache != nil {
 		s.Cache = db.cache.Stats()
-	}
-	if sr, ok := db.cache.(face.StripeReporter); ok {
-		s.CacheStripes = sr.StripeStats()
 	}
 	if db.flashDev != nil {
 		s.Flash = db.flashDev.Stats()

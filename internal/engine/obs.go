@@ -134,11 +134,7 @@ func newDBObs(cfg *Config) *dbObs {
 		o.phases[i] = reg.Histogram(`face_tx_phase_seconds{phase="` + phaseNames[i] + `"}`)
 	}
 	if !cfg.DisableTracing {
-		o.tracer = trace.New(trace.Config{
-			Capacity:    cfg.TraceCapacity,
-			SampleEvery: cfg.TraceSampleEvery,
-			SlowTx:      cfg.SlowTxThreshold,
-		})
+		o.tracer = trace.New(trace.Config{SlowTx: cfg.SlowTxThreshold})
 	}
 	return o
 }

@@ -12,8 +12,8 @@ import (
 	"github.com/reprolab/face/internal/page"
 )
 
-// newShardedEngine opens a flash-cached engine with explicit shard/stripe
-// counts.
+// newShardedEngine opens a flash-cached engine with an explicit buffer
+// pool shard count.
 func newShardedEngine(t *testing.T, shards int) *DB {
 	t.Helper()
 	cfg := Config{
@@ -22,7 +22,6 @@ func newShardedEngine(t *testing.T, shards int) *DB {
 		FlashDev:     device.New("flash", device.ProfileSamsung470, 4096),
 		BufferPages:  64,
 		BufferShards: shards,
-		CacheStripes: shards,
 		Policy:       PolicyFaCEGSC,
 		FlashFrames:  512,
 		GroupSize:    16,
@@ -110,8 +109,8 @@ func TestShardedEngineConcurrentWorkload(t *testing.T) {
 		t.Fatalf("page counters sum to %d, want %d committed increments (lost or duplicated writes)",
 			total, committedIncrements)
 	}
-	if len(snap.PoolShards) != 4 {
-		t.Fatalf("PoolShards has %d entries, want 4", len(snap.PoolShards))
+	if n := db.pool.Shards(); n != 4 {
+		t.Fatalf("pool has %d shards, want 4", n)
 	}
 }
 
@@ -161,11 +160,10 @@ func TestShardCountKeepsSimulatedTime(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		snap := db.Snapshot()
-		if len(snap.PoolShards) != shards {
-			t.Fatalf("PoolShards has %d entries, want %d", len(snap.PoolShards), shards)
+		if n := db.pool.Shards(); n != shards {
+			t.Fatalf("pool has %d shards, want %d", n, shards)
 		}
-		return snap
+		return db.Snapshot()
 	}
 	s1, s4 := run(1), run(4)
 	if s1.Committed != s4.Committed || s1.PageAccesses != s4.PageAccesses {
@@ -178,10 +176,13 @@ func TestShardCountKeepsSimulatedTime(t *testing.T) {
 }
 
 // TestSnapshotStatsCoherent is the stats-tearing regression test at the
-// engine level: Snapshot must derive PageAccesses, Pool and PoolShards
-// from one coherent per-shard sampling while transactions keep mutating
-// the counters.  Before the fix, PageAccesses and the elapsed-time model
-// were computed from two separate pool reads and could disagree.
+// engine level: Snapshot must derive PageAccesses and Pool from one
+// coherent pool sampling while transactions keep mutating the counters.
+// Before the fix, PageAccesses and the elapsed-time model were computed
+// from two separate pool reads and could disagree.  The buffer package
+// checks the pool's own sampling: buffer.TestShardedPoolBasics that the
+// per-shard snapshots sum to Stats, buffer.TestShardedStatsCoherent that
+// they stay coherent under concurrent Gets.
 func TestSnapshotStatsCoherent(t *testing.T) {
 	db := newShardedEngine(t, 4)
 	ctx := context.Background()
@@ -230,15 +231,6 @@ func TestSnapshotStatsCoherent(t *testing.T) {
 		if s.PageAccesses != s.Pool.Hits+s.Pool.Misses {
 			t.Fatalf("snapshot tore: PageAccesses %d != Hits+Misses %d",
 				s.PageAccesses, s.Pool.Hits+s.Pool.Misses)
-		}
-		var hits, misses int64
-		for _, ss := range s.PoolShards {
-			hits += ss.Hits
-			misses += ss.Misses
-		}
-		if hits != s.Pool.Hits || misses != s.Pool.Misses {
-			t.Fatalf("per-shard sums %d/%d disagree with aggregate %d/%d",
-				hits, misses, s.Pool.Hits, s.Pool.Misses)
 		}
 		if hr := s.Pool.HitRate(); hr < 0 || hr > 1 {
 			t.Fatalf("hit rate %v outside [0, 1]", hr)

@@ -20,7 +20,6 @@ package face
 import (
 	"errors"
 
-	"github.com/reprolab/face/internal/metrics"
 	"github.com/reprolab/face/internal/page"
 )
 
@@ -79,14 +78,6 @@ type Extension interface {
 
 	// Stats returns a snapshot of cache statistics.
 	Stats() Stats
-}
-
-// StripeReporter is implemented by cache managers with striped lookup
-// structures; it exposes the per-stripe counter breakdown so directory hot
-// spots are visible in engine snapshots, mirroring the buffer pool's
-// per-shard statistics.
-type StripeReporter interface {
-	StripeStats() []metrics.CacheStripeStats
 }
 
 // Stats captures flash cache activity.  The hit rate and write reduction

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"github.com/reprolab/face/internal/device"
-	"github.com/reprolab/face/internal/metrics"
 	"github.com/reprolab/face/internal/page"
 )
 
@@ -367,23 +366,6 @@ func (m *MVFIFO) Stats() Stats {
 	m.mu.Unlock()
 	s.Duplicates = window - dirLen
 	return s
-}
-
-// StripeStats returns the per-stripe breakdown of the lookup-path
-// counters, one coherent snapshot per directory stripe in stripe order.
-// Comparing stripes diagnoses directory hot spots (a hot page id range
-// funnelling every probe into one stripe mutex), mirroring what
-// Pool.ShardStats exposes for the buffer pool.
-func (m *MVFIFO) StripeStats() []metrics.CacheStripeStats {
-	out := make([]metrics.CacheStripeStats, len(m.stripes))
-	for i, st := range m.stripes {
-		st.mu.Lock()
-		out[i] = metrics.CacheStripeStats{
-			Stripe: i, Lookups: st.lookups, Hits: st.hits, FlashReads: st.flashReads,
-		}
-		st.mu.Unlock()
-	}
-	return out
 }
 
 // CopyLSN returns the pageLSN of the page's valid flash copy, as the

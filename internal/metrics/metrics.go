@@ -125,36 +125,6 @@ func (p PipelineStats) Sub(prior PipelineStats) PipelineStats {
 	}
 }
 
-// ShardStats is the per-shard breakdown of buffer pool activity under the
-// striped pool: one coherent counter snapshot per shard.  Comparing shards
-// diagnoses stripe imbalance (a hot page id range funnelling into one
-// shard's mutex).
-type ShardStats struct {
-	// Shard is the shard index, in pool order.
-	Shard int
-	// Hits/Misses/Evictions/DirtyEvictions/PinWaits mirror the pool-wide
-	// counters, restricted to this shard.
-	Hits           int64
-	Misses         int64
-	Evictions      int64
-	DirtyEvictions int64
-	PinWaits       int64
-}
-
-// CacheStripeStats is the per-stripe breakdown of flash cache lookup
-// activity under the striped directory: one coherent counter snapshot per
-// stripe, in stripe order.  Comparing stripes diagnoses directory hot
-// spots the same way ShardStats does for the buffer pool.
-type CacheStripeStats struct {
-	// Stripe is the stripe index, in directory order.
-	Stripe int
-	// Lookups/Hits/FlashReads mirror the cache-wide lookup counters,
-	// restricted to this stripe.
-	Lookups    int64
-	Hits       int64
-	FlashReads int64
-}
-
 // LockStats captures the activity of the page-level lock manager
 // (internal/lock) behind the multi-writer transaction scheduler.  All
 // fields are cumulative counters; two snapshots subtract to measure a

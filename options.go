@@ -78,7 +78,10 @@ func WithFsync(enabled bool) Option {
 // the device files opened by WithDir: the data file, the log file and the
 // flash cache file.  Zero keeps a field at its default (generous sparse
 // capacities; the flash file is sized from WithFlashFrames).  Files are
-// sparse, so large capacities cost no disk space until written.
+// sparse, so large capacities cost no disk space until written.  Unlike
+// the tuning knobs the engine derives or fixes itself, how much space a
+// database may claim on its host is a deployment decision, so this option
+// stays although nothing in this module sets it.
 func WithFileDevices(dataBlocks, logBlocks, flashBlocks int64) Option {
 	return func(c *engine.Config) error {
 		if dataBlocks < 0 || logBlocks < 0 || flashBlocks < 0 {
@@ -88,21 +91,6 @@ func WithFileDevices(dataBlocks, logBlocks, flashBlocks int64) Option {
 		c.FileDataBlocks = dataBlocks
 		c.FileLogBlocks = logBlocks
 		c.FileFlashBlocks = flashBlocks
-		return nil
-	}
-}
-
-// WithFileWorkers sets the data file's positioned-I/O worker pool width
-// under WithDir (default engine.DefaultFileWorkers).  Run operations are
-// split across the pool and the count is reported as the device's
-// Parallelism, playing the role the member count plays for a simulated
-// disk array.
-func WithFileWorkers(n int) Option {
-	return func(c *engine.Config) error {
-		if n < 1 {
-			return fmt.Errorf("face: WithFileWorkers(%d): must be at least 1", n)
-		}
-		c.FileWorkers = n
 		return nil
 	}
 }
@@ -138,42 +126,6 @@ func WithBufferPages(n int) Option {
 			return fmt.Errorf("face: WithBufferPages(%d): must be at least 1", n)
 		}
 		c.BufferPages = n
-		return nil
-	}
-}
-
-// WithBufferShards sets the number of independently locked shards the
-// DRAM buffer pool is striped over.  Each shard has its own mutex, LRU
-// list and statistics, and pages are assigned to shards by a hash of
-// their id, so concurrent transactions hitting different pages never
-// serialize on one pool lock.  The default derives the count from
-// GOMAXPROCS; WithBufferShards(1) reproduces the single-mutex global-LRU
-// pool (useful when strict LRU eviction order matters more than
-// scalability).  The count is clamped so every shard holds at least one
-// page.
-func WithBufferShards(n int) Option {
-	return func(c *engine.Config) error {
-		if n < 1 {
-			return fmt.Errorf("face: WithBufferShards(%d): must be at least 1", n)
-		}
-		c.BufferShards = n
-		return nil
-	}
-}
-
-// WithCacheStripes sets the number of independently locked stripes the
-// flash cache's lookup structures (the page directory and the in-transit
-// map) are split over, so cache probes for different pages never contend
-// with each other or with an in-flight group write.  The default derives
-// the count from GOMAXPROCS; WithCacheStripes(1) reproduces the
-// single-mutex lookup path.  Policies without striped lookup structures
-// ("lc", "wt") ignore it.
-func WithCacheStripes(n int) Option {
-	return func(c *engine.Config) error {
-		if n < 1 {
-			return fmt.Errorf("face: WithCacheStripes(%d): must be at least 1", n)
-		}
-		c.CacheStripes = n
 		return nil
 	}
 }
@@ -250,18 +202,6 @@ func WithMaxWriters(n int) Option {
 	}
 }
 
-// WithCheckpointInterval enables periodic database checkpoints every d of
-// simulated time (zero disables them, the default).
-func WithCheckpointInterval(d time.Duration) Option {
-	return func(c *engine.Config) error {
-		if d < 0 {
-			return fmt.Errorf("face: WithCheckpointInterval(%v): must not be negative", d)
-		}
-		c.CheckpointEvery = d
-		return nil
-	}
-}
-
 // WithRecovery runs crash recovery during Open.  Use it when reopening
 // devices after a crash; the restart report is available from
 // DB.RecoveryReport.
@@ -297,22 +237,6 @@ func WithObservability(enabled bool) Option {
 func WithTracing(enabled bool) Option {
 	return func(c *engine.Config) error {
 		c.DisableTracing = !enabled
-		return nil
-	}
-}
-
-// WithTraceJournal tunes the trace journal's retention: capacity is the
-// size of each ring (pinned anomalies and sampled normals; default 256)
-// and sampleEvery keeps 1 in that many unpinned traces (default 16;
-// negative disables sampling so only pinned traces are retained).  Zero
-// keeps a field at its default.
-func WithTraceJournal(capacity, sampleEvery int) Option {
-	return func(c *engine.Config) error {
-		if capacity < 0 {
-			return fmt.Errorf("face: WithTraceJournal(%d, %d): capacity must not be negative", capacity, sampleEvery)
-		}
-		c.TraceCapacity = capacity
-		c.TraceSampleEvery = sampleEvery
 		return nil
 	}
 }
