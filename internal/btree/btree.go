@@ -50,7 +50,9 @@
 // record.  InsertRun puts the keys of an ascending run that go into one
 // gap of a leaf into it in one Edit, so a run that extends a leaf logs one
 // record for it, not one per key, and leaves the tree in the shape Insert
-// key by key would.
+// key by key would.  PutRun, its record-tree twin, puts every pair of an
+// ascending run that goes into one leaf in one Edit, and Put is PutRun of
+// one pair.
 package btree
 
 import (

@@ -87,43 +87,105 @@ func (t *Tree) Remove(tx *engine.Tx, key uint64) (bool, error) {
 	return found, err
 }
 
-// Put stores val under key in a record tree, replacing the value there.
-// An overwrite that fits the record's cell is made in place; any other
-// moves the record to a new cell in the same leaf, compacting the leaf
-// first if its free space is scattered, and splits the leaf if the leaf
-// has too little.
+// Put stores val under key in a record tree, replacing the value there:
+// PutRun of one pair.
 func (t *Tree) Put(tx *engine.Tx, key uint64, val []byte) error {
-	if len(val) > MaxValue {
-		return fmt.Errorf("btree: value of %d bytes in %s (max %d)", len(val), t.name, MaxValue)
+	return t.PutRun(tx, []uint64{key}, [][]byte{val})
+}
+
+// PutRun stores vals[i] under keys[i] for every i, replacing the values
+// there, and leaves the leaves byte for byte as calls of Put in that order
+// would: keys must ascend strictly.  An overwrite that fits the record's
+// cell is made in place; any other moves the record to a new cell in the
+// same leaf, compacting the leaf first if its free space is scattered, and
+// splits the leaf if the leaf has too little.  The pairs that go into one
+// leaf go in one Edit, logged as one update record, until one needs a
+// split: a run that fills a leaf costs one record, not one per key.
+func (t *Tree) PutRun(tx *engine.Tx, keys []uint64, vals [][]byte) error {
+	if len(keys) != len(vals) {
+		return fmt.Errorf("btree: run into %s has %d keys and %d values", t.name, len(keys), len(vals))
 	}
-	size := recHeader + len(val)
-	return t.insert(tx, key, func(w *page.Writer) (int, bool, error) {
-		buf := w.Page()
-		i, found := search(buf, key)
-		if found {
-			if len(buf.Cell(i)) >= size {
-				cell, err := w.Record(i)
-				if err == nil {
-					putRecord(cell, key, val)
-				}
-				return 0, false, err
+	for i, val := range vals {
+		if len(val) > MaxValue {
+			return fmt.Errorf("btree: value of %d bytes in %s (max %d)", len(val), t.name, MaxValue)
+		}
+		if i > 0 && keys[i] <= keys[i-1] {
+			return fmt.Errorf("btree: run into %s does not ascend at %d: %d after %d", t.name, i, keys[i], keys[i-1])
+		}
+	}
+	for len(keys) > 0 {
+		// n is how many pairs this step stored: putLeaf's, or the one a
+		// split stored.
+		n := 0
+		err := t.insert(tx, keys[0], func(w *page.Writer) (int, bool, error) {
+			var (
+				pos  int
+				full bool
+				err  error
+			)
+			n, pos, full, err = putLeaf(w, keys, vals)
+			return pos, full, err
+		}, func(leaf page.ID, pos int) (*splitResult, bool, error) {
+			s, again, err := splitRecordLeaf(tx, leaf, pos, keys[0], vals[0])
+			if !again {
+				n = 1
 			}
+			return s, again, err
+		})
+		if err != nil {
+			return err
+		}
+		keys, vals = keys[n:], vals[n:]
+	}
+	return nil
+}
+
+// putLeaf stores into a record leaf, which holds keys[0]'s range, the
+// pairs from the first on while their keys lie in the leaf and their
+// records fit it, each as Put would, and returns how many it stored.
+// When the first does not fit, it stores none and reports full and the
+// first key's position, having removed the record the key had, as Put
+// does before a split.
+func putLeaf(w *page.Writer, keys []uint64, vals [][]byte) (n, pos int, full bool, err error) {
+	buf := w.Page()
+	for ; n < len(keys); n++ {
+		key, val := keys[n], vals[n]
+		if n > 0 && beyond(buf, key) {
+			return n, 0, false, nil
+		}
+		size := recHeader + len(val)
+		i, found := search(buf, key)
+		if found && len(buf.Cell(i)) >= size {
+			cell, err := w.Record(i)
+			if err != nil {
+				return n, 0, false, err
+			}
+			putRecord(cell, key, val)
+			continue
+		}
+		room := recRoom(buf)
+		if found {
+			room += len(buf.Cell(i)) + page.SlotSize
+		}
+		if room < size && n > 0 {
+			return n, 0, false, nil
+		}
+		if found {
 			w.RemoveAt(i)
 		}
-		if recRoom(buf) < size {
-			return i, true, nil
+		if room < size {
+			return 0, i, true, nil
 		}
 		if buf.FreeSpace() < size {
 			w.Compact(highOff)
 		}
 		cell, err := w.InsertAt(i, size)
-		if err == nil {
-			putRecord(cell, key, val)
+		if err != nil {
+			return n, 0, false, err
 		}
-		return 0, false, err
-	}, func(leaf page.ID, pos int) (*splitResult, bool, error) {
-		return splitRecordLeaf(tx, leaf, pos, key, val)
-	})
+		putRecord(cell, key, val)
+	}
+	return n, 0, false, nil
 }
 
 // splitRecordLeaf splits leaf id, which has no room for the record of

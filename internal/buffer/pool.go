@@ -315,18 +315,6 @@ func (p *Pool) Stats() Stats {
 	return out
 }
 
-// ShardStats returns one coherent statistics snapshot per shard, in shard
-// order; they sum to Stats.
-func (p *Pool) ShardStats() []Stats {
-	out := make([]Stats, len(p.shards))
-	for i, s := range p.shards {
-		s.mu.Lock()
-		out[i] = s.stats
-		s.mu.Unlock()
-	}
-	return out
-}
-
 // Contains reports whether the page is resident without affecting LRU
 // order or statistics.  It is busy-aware: while the page's fetch or
 // eviction I/O is in flight it waits for the latch, so it never reports a

@@ -51,27 +51,35 @@ func (tx *Tx) Edit(id page.ID, fn func(w *page.Writer) error) error {
 }
 
 // editArena is what one transaction's page edits are made in: a Writer per
-// nesting depth of Edit, copies of the operations of its update records and
-// the undo list over them.  The first Edit or Modify takes one from a pool,
+// nesting depth of Edit, copies of the operations of its update records, the
+// undo list over them and, for each page they changed, the free space it had
+// before the first of them.  The first Edit or Modify takes one from a pool,
 // and it goes back once commit or abort no longer needs the undo list; the
 // log copies a record when it is appended, so nothing else refers to the
 // arena by then.  An arena grown past maxArenaOps is left to the collector
-// instead.
+// instead, and so is a map of changed pages past maxArenaPages: clearing a
+// map costs what it has grown to, so a large one would charge every later
+// transaction that took its arena.
 type editArena struct {
 	depth   int
 	writers []*page.Writer
 	ops     []byte
 	undo    []undoRecord
+	// changed maps each page the transaction changed to its free space
+	// before the first change: the undo list in a form a lookup need not
+	// scan.
+	changed map[page.ID]page.Span
 }
 
 type undoRecord struct {
 	pageID page.ID
 	ops    []byte
-	// free is the page's free space before the transaction changed it.
-	free page.Span
 }
 
-const maxArenaOps = 64 << 10
+const (
+	maxArenaOps   = 64 << 10
+	maxArenaPages = 64
+)
 
 var arenas = sync.Pool{New: func() any { return new(editArena) }}
 
@@ -96,6 +104,11 @@ func (tx *Tx) releaseArena() {
 		return
 	}
 	clear(a.undo)
+	if len(a.changed) > maxArenaPages {
+		a.changed = nil
+	} else {
+		clear(a.changed)
+	}
 	a.depth, a.ops, a.undo = 0, a.ops[:0], a.undo[:0]
 	arenas.Put(a)
 }
@@ -113,12 +126,21 @@ func (a *editArena) enter() *page.Writer {
 // earlierFree returns the free space page id had before the transaction
 // first changed it, if it has: a Writer asks when it opens a new cell.
 func (a *editArena) earlierFree(id page.ID) (page.Span, bool) {
-	for _, u := range a.undo {
-		if u.pageID == id {
-			return u.free, true
-		}
+	free, ok := a.changed[id]
+	return free, ok
+}
+
+// note records an update record of page id for undo, and the free space
+// the page had before the transaction first changed it.
+func (a *editArena) note(id page.ID, ops []byte, free page.Span) {
+	a.undo = append(a.undo, undoRecord{pageID: id, ops: a.keep(ops)})
+	if _, ok := a.changed[id]; ok {
+		return
 	}
-	return page.Span{}, false
+	if a.changed == nil {
+		a.changed = make(map[page.ID]page.Span)
+	}
+	a.changed[id] = free
 }
 
 // keep copies the operations of an update record into the arena, for

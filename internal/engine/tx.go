@@ -188,10 +188,8 @@ func (tx *Tx) Unlock(id page.ID) bool {
 		return false
 	}
 	if tx.arena != nil {
-		for _, u := range tx.arena.undo {
-			if u.pageID == id {
-				return false
-			}
+		if _, changed := tx.arena.changed[id]; changed {
+			return false
 		}
 	}
 	tx.locks.Release(id)
@@ -224,7 +222,7 @@ func (tx *Tx) logUpdate(id page.ID, buf page.Buf, ops []byte, free page.Span) (l
 	if err := tx.db.pool.MarkDirty(id); err != nil {
 		return true, err
 	}
-	tx.arena.undo = append(tx.arena.undo, undoRecord{pageID: id, ops: tx.arena.keep(ops), free: free})
+	tx.arena.note(id, ops, free)
 	return true, nil
 }
 

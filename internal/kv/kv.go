@@ -271,6 +271,18 @@ func (n *Namespace) Set(tx *engine.Tx, p *Pending, key uint64, val []byte) error
 	return n.tree.Put(tx, key, val)
 }
 
+// SetRun writes vals[i] under keys[i] for every i, as calls of Set in that
+// order would; keys must ascend strictly.  The pairs that go into one leaf
+// are written by one update record (btree.Tree.PutRun).
+func (n *Namespace) SetRun(tx *engine.Tx, keys []uint64, vals [][]byte) error {
+	for _, val := range vals {
+		if len(val) > MaxValueSize {
+			return fmt.Errorf("%w: %d bytes (max %d)", ErrTooLarge, len(val), MaxValueSize)
+		}
+	}
+	return n.tree.PutRun(tx, keys, vals)
+}
+
 // Delete removes the key, reporting whether it existed.
 func (n *Namespace) Delete(tx *engine.Tx, key uint64) (bool, error) {
 	return n.tree.Remove(tx, key)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,4 +121,42 @@ func BenchmarkServerMixedPipelined(b *testing.B) {
 		b.Fatal(err)
 	default:
 	}
+}
+
+// BenchmarkServerBatchLoad is the served bulk load: batches of 500 fresh
+// ascending keys with 128-byte values, each a Txn whose Sets are
+// pipelined and whose Commit writes one update record per leaf, over files
+// without fsync.  One op is one batch; ns/key and B/key divide it by its
+// keys (B/key counts client and server, which share the process).
+func BenchmarkServerBatchLoad(b *testing.B) {
+	const batch = 500
+	addr := startBenchServer(b, false, 0)
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	val := make([]byte, 128)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn, err := c.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := uint64(i * batch); k < uint64((i+1)*batch); k++ {
+			if err := txn.Set("b", k, val); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	keys := float64(b.N * batch)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/keys, "ns/key")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/keys, "B/key")
 }

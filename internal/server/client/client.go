@@ -6,7 +6,12 @@
 // issue requests concurrently and the server sees them pipelined.
 //
 // Transactional batches (Begin/Set/Del/Commit) are per-connection state
-// on the server, so a Txn runs on a dedicated connection of its own.
+// on the server, so a Txn runs on a dedicated connection of its own.  Its
+// writes are pipelined: Set and Del return once the request is buffered,
+// the next request that waits for a reply sends them, and Commit collects
+// their replies before it sends COMMIT.  A write the server refused
+// poisons the Txn: Commit reports the refusal, which is not retryable,
+// and commits nothing; Abort releases it.
 //
 // BUSY responses surface as ErrBusy: the server shed the request under
 // overload or the transaction lost a deadlock.  Both are retryable, and
@@ -224,7 +229,16 @@ func (c *Client) Scan(ns string, lo, hi uint64, limit int) ([]wire.KV, error) {
 // Txn is a server-side batch: writes are buffered on the server, reads
 // see the buffer merged over a committed snapshot, and Commit applies
 // everything as one engine transaction.  A Txn owns a dedicated
-// connection while open; Commit or Abort must be called exactly once.
+// connection while open; Commit or Abort must be called exactly once,
+// and Abort also after a Commit that failed with a refused write.
+//
+// Set and Del are pipelined: they put their request in the connection's
+// buffer and return without waiting for the reply, so a batch of n writes
+// costs no n round trips.  Get, Scan, Commit and Abort flush the buffer,
+// since they wait for a reply of their own.  A write the server refused —
+// an unknown namespace, a value over the size limit — poisons the Txn:
+// Commit reports the first refusal, every time it is called, and never
+// sends COMMIT.
 type Txn struct {
 	conn *Conn
 	done bool
@@ -253,7 +267,8 @@ func (t *Txn) check() error {
 	return nil
 }
 
-// Get reads through the batch overlay.
+// Get reads through the batch overlay: it sees the batch's own writes,
+// those still in flight included.
 func (t *Txn) Get(ns string, key uint64) ([]byte, bool, error) {
 	if err := t.check(); err != nil {
 		return nil, false, err
@@ -262,13 +277,15 @@ func (t *Txn) Get(ns string, key uint64) ([]byte, bool, error) {
 	return decodeGet(resp, err)
 }
 
-// Set buffers a write.
+// Set buffers a write.  It returns once the request is in the
+// connection's buffer, before the server has seen it, so val may be
+// reused at once; it fails only with a connection that is gone.  Whether
+// the server took the write, Commit reports.
 func (t *Txn) Set(ns string, key uint64, val []byte) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	_, err := t.conn.roundTrip(&wire.Request{Op: wire.OpSet, NS: ns, Key: key, Value: val})
-	return err
+	return t.conn.send(&wire.Request{Op: wire.OpSet, NS: ns, Key: key, Value: val}, nil, false)
 }
 
 // Scan reads a range through the batch overlay.
@@ -285,19 +302,25 @@ func (t *Txn) Scan(ns string, lo, hi uint64, limit int) ([]wire.KV, error) {
 	return wire.DecodePairs(resp.Body)
 }
 
-// Del buffers a deletion.
+// Del buffers a deletion, pipelined as Set is.
 func (t *Txn) Del(ns string, key uint64) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	_, err := t.conn.roundTrip(&wire.Request{Op: wire.OpDel, NS: ns, Key: key})
-	return err
+	return t.conn.send(&wire.Request{Op: wire.OpDel, NS: ns, Key: key}, nil, false)
 }
 
-// Commit applies the batch as one transaction.  On ErrBusy or ErrTimeout
-// the batch stays buffered server-side and Commit may be retried.
+// Commit applies the batch as one transaction.  It first collects the
+// replies of the pipelined writes: if the server refused one, the Txn is
+// poisoned — Commit returns that refusal, never as ErrBusy or ErrTimeout,
+// sends no COMMIT, and leaves the Txn open for Abort.  On ErrBusy or
+// ErrTimeout the batch stays buffered server-side and Commit may be
+// retried.
 func (t *Txn) Commit() error {
 	if err := t.check(); err != nil {
+		return err
+	}
+	if err := t.conn.drain(); err != nil {
 		return err
 	}
 	_, err := t.conn.roundTrip(&wire.Request{Op: wire.OpCommit})
@@ -324,20 +347,32 @@ func (t *Txn) Abort() error {
 
 // Conn is one wire connection.  Concurrent roundTrip calls interleave:
 // the write side is serialized by a mutex, responses are matched to
-// callers by sequence number.
+// callers by sequence number.  A pipelined write (send without a reply
+// channel) is matched to no caller: its reply only counts down unacked,
+// and a refusal is kept for drain.
 type Conn struct {
 	opts Options
 	nc   net.Conn
 
-	mu      sync.Mutex // guards bw, seq, pending, err
-	bw      *bufio.Writer
-	seq     uint32
+	wmu sync.Mutex // guards bw and seq; held while a request is written
+	bw  *bufio.Writer
+	seq uint32
+
+	mu      sync.Mutex // guards pending, err, unacked and refused
 	pending map[uint32]chan *wire.Response
 	err     error
+	// unacked counts the pipelined writes whose replies are still to
+	// come; refused is the first of those replies that was not OK.
+	// acked, on mu, wakes drain when unacked reaches zero or the
+	// connection dies.
+	unacked int
+	refused error
+	acked   sync.Cond
 }
 
 func newConn(nc net.Conn, opts Options) *Conn {
 	c := &Conn{opts: opts, nc: nc, bw: bufio.NewWriter(nc), pending: make(map[uint32]chan *wire.Response)}
+	c.acked.L = &c.mu
 	go c.readLoop()
 	return c
 }
@@ -360,6 +395,7 @@ func (c *Conn) fail(err error) {
 		close(ch)
 		delete(c.pending, seq)
 	}
+	c.acked.Broadcast()
 	c.mu.Unlock()
 }
 
@@ -372,13 +408,47 @@ func (c *Conn) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[resp.Seq]
-		delete(c.pending, resp.Seq)
+		ch, ok := c.pending[resp.Seq]
+		if ok {
+			delete(c.pending, resp.Seq)
+		} else if c.unacked > 0 {
+			c.ack(resp)
+		}
 		c.mu.Unlock()
 		if ch != nil {
 			ch <- resp
 		}
 	}
+}
+
+// ack takes the reply of a pipelined write; c.mu is held.
+func (c *Conn) ack(resp *wire.Response) {
+	if resp.Status != wire.StatusOK && c.refused == nil {
+		// Not wrapped: a refused write is not retried by a COMMIT, so
+		// it must not match ErrBusy or ErrTimeout.
+		c.refused = fmt.Errorf("client: batch write refused: %s: %s", wire.StatusName(resp.Status), wire.DecodeMessage(resp.Body))
+	}
+	if c.unacked--; c.unacked == 0 {
+		c.acked.Broadcast()
+	}
+}
+
+// drain flushes the pipelined writes and waits for their replies.  It
+// returns the first refusal among them, if any; a connection that died
+// first is left for the next request to report.
+func (c *Conn) drain() error {
+	c.wmu.Lock()
+	err := c.bw.Flush()
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.unacked > 0 && c.err == nil {
+		c.acked.Wait()
+	}
+	return c.refused
 }
 
 // traceSeq feeds mintTraceID; the wall clock seeds the sequence so IDs
@@ -402,10 +472,10 @@ func mintTraceID() uint64 {
 	}
 }
 
-// roundTrip sends one request and waits for its response, mapping non-OK
-// statuses to errors (except NOT_FOUND, which the typed wrappers
-// interpret).
-func (c *Conn) roundTrip(req *wire.Request) (*wire.Response, error) {
+// send writes req, stamped with the next sequence number, into the
+// connection's buffer, and flushes the buffer if flush is set.  Its reply
+// goes to ch, or, with a nil ch, is a pipelined write's for drain.
+func (c *Conn) send(req *wire.Request, ch chan *wire.Response, flush bool) error {
 	if d := c.opts.RequestTimeout; d > 0 {
 		req.DeadlineMS = uint32(d.Milliseconds())
 	}
@@ -413,28 +483,44 @@ func (c *Conn) roundTrip(req *wire.Request) (*wire.Response, error) {
 		req.Flags |= wire.FlagTrace
 		req.TraceID = mintTraceID()
 	}
-	ch := make(chan *wire.Response, 1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
+		return err
 	}
 	c.seq++
 	req.Seq = c.seq
-	c.pending[req.Seq] = ch
+	if ch != nil {
+		c.pending[req.Seq] = ch
+	} else {
+		c.unacked++
+	}
+	c.mu.Unlock()
+	// The socket is written with mu free, so the reader goroutine takes
+	// replies while a write waits for the server to read: a server whose
+	// reply queue is full reads no further until its replies are read.
 	err := wire.WriteRequest(c.bw, req)
-	if err == nil {
+	if err == nil && flush {
 		err = c.bw.Flush()
 	}
 	if err != nil {
-		delete(c.pending, req.Seq)
-		c.mu.Unlock()
-		c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
+		err = fmt.Errorf("%w: %v", ErrConnClosed, err)
+		c.fail(err)
+	}
+	return err
+}
+
+// roundTrip sends one request and waits for its response, mapping non-OK
+// statuses to errors (except NOT_FOUND, which the typed wrappers
+// interpret).
+func (c *Conn) roundTrip(req *wire.Request) (*wire.Response, error) {
+	ch := make(chan *wire.Response, 1)
+	if err := c.send(req, ch, true); err != nil {
 		return nil, err
 	}
-	c.mu.Unlock()
-
 	resp, ok := <-ch
 	if !ok {
 		c.mu.Lock()

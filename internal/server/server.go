@@ -33,19 +33,22 @@
 // writes run concurrently, its own pipelined inserts of fresh keys can
 // deadlock with each other exactly as two connections' do.
 //
-// Every request runs under a context bounded by the client-supplied
-// deadline and the server's RequestTimeout, propagated into View/Update,
-// so an expired or cancelled request aborts promptly even while queued
-// on page locks.  The clock starts at arrival: time spent queued behind a
-// same-key predecessor counts against the deadline.
+// Every request but a batch write runs under a context bounded by the
+// client-supplied deadline and the server's RequestTimeout, propagated
+// into View/Update, so an expired or cancelled request aborts promptly
+// even while queued on page locks.  The clock starts at arrival: time
+// spent queued behind a same-key predecessor counts against the deadline.
 //
 // BEGIN opens a per-connection batch: SET and DEL are buffered (last
-// write per key wins), GET and SCAN merge the buffered overlay over a
-// committed snapshot, and COMMIT applies the whole batch as one Update
-// transaction — one admission token, one commit force — in deterministic
-// (namespace, key) order to keep lock acquisition order stable across
-// concurrent batches.  A batch whose COMMIT fails with BUSY or TIMEOUT
-// stays buffered so the client can retry COMMIT; ABORT drops it.
+// write per key wins) and answered at once, with no deadline armed, GET
+// and SCAN merge the buffered overlay over a committed snapshot, and
+// COMMIT applies the whole batch as one Update transaction — one
+// admission token, one commit force — in deterministic (namespace, key)
+// order to keep lock acquisition order stable across concurrent batches.
+// Each namespace's sets between two deletions go in as one run
+// (kv.Namespace.SetRun), which logs one update record per leaf it
+// changes.  A batch whose COMMIT fails with BUSY or TIMEOUT stays
+// buffered so the client can retry COMMIT; ABORT drops it.
 //
 // Shutdown drains gracefully: listeners close, requests already
 // executing finish and their responses reach the socket (a request holds
@@ -61,7 +64,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -546,6 +551,13 @@ func (s *Server) serve(cs *connState, req *wire.Request) *slot {
 	}
 	sl.gated = true
 
+	if cs.inBatch && (req.Op == wire.OpSet || req.Op == wire.OpDel) {
+		// A write of an open batch is only buffered: it never waits, so
+		// it arms no deadline, and nothing of the connection's is in
+		// flight to wait for (BEGIN was a barrier).
+		s.complete(sl, hist, t0, tr, nil, s.bufferBatchWrite(cs, req))
+		return sl
+	}
 	ctx, cancel := s.requestCtx(req)
 	// The engine attaches its commit-path phase spans (lock waits, WAL
 	// appends, the durable force) to the request trace it finds here.
@@ -703,7 +715,7 @@ func (s *Server) dispatch(ctx context.Context, cs *connState, tr *trace.Trace, r
 		return nil, err
 	case wire.OpGet, wire.OpSet, wire.OpDel:
 		if cs.inBatch {
-			return s.batchOp(ctx, cs, req)
+			return s.batchGet(ctx, cs, req)
 		}
 		return s.keyOp(ctx, tr, req)
 	case wire.OpScan:
@@ -746,31 +758,33 @@ func (cs *connState) bufferWrite(ns string, key uint64, v batchVal) {
 	cs.batchOps++
 }
 
-// batchOp is a GET, SET or DEL inside an open batch: a write is buffered,
-// a read is answered from the buffer when the batch wrote the key and from
-// the committed state otherwise.
-func (s *Server) batchOp(ctx context.Context, cs *connState, req *wire.Request) ([]byte, error) {
-	if req.Op == wire.OpGet {
-		if v, ok := cs.batch[req.NS][req.Key]; ok {
-			if v.del {
-				return nil, errNotFound
-			}
-			return wire.ValueBody(v.val), nil
+// batchGet is a GET inside an open batch: it is answered from the buffer
+// when the batch wrote the key and from the committed state otherwise.
+func (s *Server) batchGet(ctx context.Context, cs *connState, req *wire.Request) ([]byte, error) {
+	if v, ok := cs.batch[req.NS][req.Key]; ok {
+		if v.del {
+			return nil, errNotFound
 		}
-		return s.doGet(ctx, req)
+		return wire.ValueBody(v.val), nil
 	}
+	return s.doGet(ctx, req)
+}
+
+// bufferBatchWrite is a SET or DEL inside an open batch: it checks the
+// write and buffers it.
+func (s *Server) bufferBatchWrite(cs *connState, req *wire.Request) error {
 	v := batchVal{del: true}
 	if req.Op == wire.OpSet {
 		if err := checkValue(req.Value); err != nil {
-			return nil, err
+			return err
 		}
 		v = batchVal{val: append([]byte(nil), req.Value...)}
 	}
 	if _, err := s.kv.Namespace(req.NS); err != nil {
-		return nil, err
+		return err
 	}
 	cs.bufferWrite(req.NS, req.Key, v)
-	return nil, nil
+	return nil
 }
 
 // keyOp is a GET, SET or DEL outside a batch.  It touches no connection
@@ -937,6 +951,7 @@ func (s *Server) doCommit(ctx context.Context, cs *connState, tr *trace.Trace) e
 	}
 	sort.Strings(names)
 	spaces := make([]*kv.Namespace, len(names))
+	keys := make([][]uint64, len(names))
 	for i, name := range names {
 		ns, err := s.kv.Namespace(name)
 		if err != nil {
@@ -944,6 +959,7 @@ func (s *Server) doCommit(ctx context.Context, cs *connState, tr *trace.Trace) e
 			return err
 		}
 		spaces[i] = ns
+		keys[i] = slices.Sorted(maps.Keys(cs.batch[name]))
 	}
 	if err := s.acquire(ctx, tr); err != nil {
 		return err
@@ -951,23 +967,8 @@ func (s *Server) doCommit(ctx context.Context, cs *connState, tr *trace.Trace) e
 	defer s.adm.Release()
 	err := s.db.Update(ctx, func(tx *engine.Tx) error {
 		for i, name := range names {
-			m := cs.batch[name]
-			keys := make([]uint64, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-			for _, k := range keys {
-				v := m[k]
-				if v.del {
-					if _, err := spaces[i].Delete(tx, k); err != nil {
-						return err
-					}
-					continue
-				}
-				if err := spaces[i].Set(tx, nil, k, v.val); err != nil {
-					return err
-				}
+			if err := applyWrites(tx, spaces[i], keys[i], cs.batch[name]); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -983,6 +984,29 @@ func (s *Server) doCommit(ctx context.Context, cs *connState, tr *trace.Trace) e
 	}
 	cs.dropBatch()
 	return nil
+}
+
+// applyWrites applies one namespace's buffered writes w in the order of
+// keys, ascending: each run of sets between deletions as one SetRun, which
+// logs one update record per leaf it changes.
+func applyWrites(tx *engine.Tx, ns *kv.Namespace, keys []uint64, w map[uint64]batchVal) error {
+	vals := make([][]byte, 0, len(keys))
+	run := 0 // where the run of sets in vals starts in keys
+	for i, k := range keys {
+		v := w[k]
+		if !v.del {
+			vals = append(vals, v.val)
+			continue
+		}
+		if err := ns.SetRun(tx, keys[run:i], vals); err != nil {
+			return err
+		}
+		if _, err := ns.Delete(tx, k); err != nil {
+			return err
+		}
+		vals, run = vals[:0], i+1
+	}
+	return ns.SetRun(tx, keys[run:], vals)
 }
 
 // --- drain gate ----------------------------------------------------------

@@ -53,7 +53,10 @@
 // concurrently and commit in any order.  Every other request (Ping,
 // Create, Scan, Begin, Commit, Abort, and any request inside a batch)
 // takes effect after all requests sent before it on the connection and
-// before all sent after it.
+// before all sent after it.  So a client may send a batch's writes without
+// waiting for their replies, as the Go client's Txn does: each is answered
+// OK once buffered, or refused, in its place in the reply order, and a
+// Get or Commit sent after them sees them all.
 package wire
 
 import (
