@@ -44,9 +44,6 @@ func TestOpenValidatesOptions(t *testing.T) {
 	if _, err := Open(WithBufferPages(0)); err == nil {
 		t.Fatal("WithBufferPages(0) accepted")
 	}
-	if _, err := Open(WithCleanThreshold(1.5)); err == nil {
-		t.Fatal("WithCleanThreshold(1.5) accepted")
-	}
 	// The flash device and frame count are required only when the policy
 	// needs them.
 	db, err := Open(WithDevices(NewDisk("data", 1024), NewDisk("log", 1024)))
@@ -273,25 +270,6 @@ func TestPublicErrorValues(t *testing.T) {
 	}
 }
 
-func TestRegisterPolicyPublicAPI(t *testing.T) {
-	RegisterPolicy("api-custom", func(p PolicyParams) (Extension, error) {
-		return NewPolicy(PolicyLC, p)
-	})
-	db := openTestDB(t, "api-custom")
-	if name := db.Cache().Name(); name != "LC" {
-		t.Fatalf("custom policy cache = %q, want the delegated LC", name)
-	}
-	found := false
-	for _, n := range Policies() {
-		if n == "api-custom" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("api-custom missing from Policies()")
-	}
-}
-
 // TestLockManagerPublicAPI opens a database with default scheduling and
 // WithMaxWriters, proves concurrent Update closures overlap, forces a
 // deadlock matched by the public ErrDeadlock sentinel, and checks the
@@ -398,41 +376,38 @@ func TestLockManagerPublicAPI(t *testing.T) {
 	if snap.Locks.Grants() == 0 || snap.Locks.Deadlocks != 1 {
 		t.Fatalf("lock counters not surfaced: %+v", snap.Locks)
 	}
-	if snap.GroupCommit.Requests == 0 {
-		t.Fatalf("group-commit counters not surfaced: %+v", snap.GroupCommit)
+	if snap.Wal.ForceRequests == 0 {
+		t.Fatalf("group-commit counters not surfaced: %+v", snap.Wal)
 	}
 }
 
 // TestMetricsRegistryAndTracingOptions: an engine opened with a registry
-// from NewMetricsRegistry publishes its metrics there, and its snapshot's
-// phases condense (Summaries) to the transactions it ran; WithTracing(false)
-// leaves it without a tracer, which the default gives it.
+// from NewMetricsRegistry publishes its metrics there, has a tracer, and
+// its snapshot's phases condense (Summaries) to the transactions it ran.
 func TestMetricsRegistryAndTracingOptions(t *testing.T) {
-	for _, tracing := range []bool{true, false} {
-		reg := NewMetricsRegistry()
-		db, err := Open(WithDevices(NewDisk("data", 1024), NewDisk("log", 1024)), WithMetricsRegistry(reg), WithTracing(tracing))
-		if err != nil {
+	reg := NewMetricsRegistry()
+	db, err := Open(WithDevices(NewDisk("data", 1024), NewDisk("log", 1024)), WithMetricsRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Tracer() == nil || db.Metrics() != reg {
+		t.Fatalf("tracer %v, registry %p; want a tracer and the shared registry %p", db.Tracer(), db.Metrics(), reg)
+	}
+	for range 3 {
+		if err := db.Update(context.Background(), func(tx *Tx) error {
+			_, err := tx.Alloc(TypeHeap)
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
-		if got := db.Tracer() != nil; got != tracing {
-			t.Fatalf("WithTracing(%v): tracer present %v", tracing, got)
-		}
-		for range 3 {
-			if err := db.Update(context.Background(), func(tx *Tx) error {
-				_, err := tx.Alloc(TypeHeap)
-				return err
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := db.Snapshot().Phases.Summaries().Total.Count; n != 3 {
-			t.Fatalf("WithTracing(%v): the phases summarise %d transactions, want 3", tracing, n)
-		}
-		var out strings.Builder
-		reg.WritePrometheus(&out)
-		if !strings.Contains(out.String(), "face_tx_total_seconds") {
-			t.Fatalf("WithTracing(%v): the shared registry holds no transaction metrics:\n%s", tracing, out.String())
-		}
-		db.Close()
+	}
+	if n := db.Snapshot().Phases.Summaries().Total.Count; n != 3 {
+		t.Fatalf("the phases summarise %d transactions, want 3", n)
+	}
+	var out strings.Builder
+	reg.WritePrometheus(&out)
+	if !strings.Contains(out.String(), "face_tx_total_seconds") {
+		t.Fatalf("the shared registry holds no transaction metrics:\n%s", out.String())
 	}
 }

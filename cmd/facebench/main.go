@@ -20,7 +20,7 @@
 //	fig6      post-restart throughput timeline
 //	ablations design-choice ablations (sync policy, group size, segment
 //	          size)
-//	policies  list the registered cache policies
+//	policies  list the cache policies
 //	all       every experiment above except policies, in order
 //
 // With -terminals N the throughput experiments run from N concurrent
@@ -42,7 +42,7 @@
 //	facebench -quick -dir $(mktemp -d) table3 table6
 //
 // With -json the results are emitted as one machine-readable JSON document
-// (schema bench.ReportSchema, currently "facebench/v11") instead of text
+// (schema bench.ReportSchema, currently "facebench/v12") instead of text
 // tables, so a perf trajectory can be tracked across commits, e.g.:
 //
 //	facebench -quick -json ablations > BENCH_ablations.json

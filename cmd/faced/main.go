@@ -193,11 +193,9 @@ func run(args []string, stderr io.Writer) int {
 			dumpFlightRecorder(logger, "SIGQUIT", reg, db.Tracer())
 		}
 	}()
-	if tr := db.Tracer(); tr != nil {
-		tr.OnBurst(func(n int64) {
-			dumpFlightRecorder(logger, fmt.Sprintf("anomaly burst: %d pinned traces in window", n), reg, db.Tracer())
-		})
-	}
+	db.Tracer().OnBurst(func(n int64) {
+		dumpFlightRecorder(logger, fmt.Sprintf("anomaly burst: %d pinned traces in window", n), reg, db.Tracer())
+	})
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -1,7 +1,6 @@
 // Facevet machine-checks the invariants this codebase's correctness
 // arguments lean on: lock-free device I/O (nolockio), single-discipline
-// atomics (atomicmix), errors.Is for sentinel matching (sentinelerr),
-// and nil-guarded instrumentation on hot paths (obsguard).
+// atomics (atomicmix) and errors.Is for sentinel matching (sentinelerr).
 //
 // It speaks the go vet tool protocol, so the usual invocation is
 //
@@ -18,7 +17,6 @@ import (
 	"github.com/reprolab/face/internal/analysis"
 	"github.com/reprolab/face/internal/analysis/atomicmix"
 	"github.com/reprolab/face/internal/analysis/nolockio"
-	"github.com/reprolab/face/internal/analysis/obsguard"
 	"github.com/reprolab/face/internal/analysis/sentinelerr"
 )
 
@@ -26,7 +24,6 @@ func main() {
 	analysis.Main([]*analysis.Analyzer{
 		atomicmix.Analyzer,
 		nolockio.Analyzer,
-		obsguard.Analyzer,
 		sentinelerr.Analyzer,
 	})
 }

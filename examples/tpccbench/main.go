@@ -44,8 +44,8 @@ func main() {
 		opts.Warehouses, golden.DBPages(), float64(golden.DBPages())*4096/1e6)
 
 	var results []bench.Result
-	// Policies are selected by registry name; the face.Policy* constants
-	// name the built-in schemes.
+	// Policies are selected by name; the face.Policy* constants name
+	// them.
 	for _, spec := range []bench.RunSpec{
 		{Policy: face.PolicyNone, Label: "HDD-only"},
 		{Policy: face.PolicyLC, CacheFraction: 0.15, Label: "LC (LRU write-back)"},
@@ -66,7 +66,7 @@ func main() {
 	if *terminals >= 1 {
 		for _, r := range results {
 			fmt.Printf("%-20s lock waits=%d (%v) deadlock retries=%d group-commit fan-in=%.2f\n",
-				r.Label, r.Locks.Waits, r.Locks.WaitTime, r.DeadlockRetries, r.GroupCommit.FanIn())
+				r.Label, r.Locks.Waits, r.Locks.WaitTime, r.DeadlockRetries, r.Wal.CoalesceFactor())
 		}
 	}
 }

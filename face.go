@@ -12,7 +12,7 @@
 // # Opening a database
 //
 // A database is opened with functional options; the cache policy is
-// selected by name through the policy registry:
+// selected by name:
 //
 //	db, err := face.Open(
 //	    face.WithDevices(face.NewDiskArray("data", 8, 1<<16), face.NewDisk("log", 1<<16)),
@@ -76,12 +76,17 @@
 //
 // The paper's schemes — FaCE ("face"), FaCE with Group Replacement
 // ("face+gr"), FaCE with Group Second Chance ("face+gsc"), Lazy Cleaning
-// ("lc"), write-through ("wt") and "none" — self-register in the policy
-// registry.  Policies() lists them, and RegisterPolicy adds custom ones:
+// ("lc"), write-through ("wt") and "none" — are the policies WithPolicy
+// accepts; Policies() lists them.  NewPolicy builds one outside a
+// database, for a harness that drives a cache manager directly.
 //
-//	face.RegisterPolicy("mine", func(p face.PolicyParams) (face.Extension, error) {
-//	    return face.NewPolicy("face+gsc", p) // or any Extension implementation
-//	})
+// # Observability
+//
+// Every database records its commit-path phases, per-layer counters and
+// span traces: DB.Metrics returns the registry (share one with
+// WithMetricsRegistry) and DB.Tracer the trace journal and flight
+// recorder.  Update transactions are traced; View transactions are timed
+// as a whole and read no other clock.
 //
 // The implementation lives in the internal packages: device (calibrated
 // simulated block devices), buffer (DRAM buffer pool), face (the cache
@@ -123,24 +128,20 @@ type (
 	// DeviceProfile describes a simulated storage device.
 	DeviceProfile = device.Profile
 
-	// Extension is the interface a flash cache manager implements; custom
-	// policies registered with RegisterPolicy return one.
+	// Extension is the interface a flash cache manager implements;
+	// NewPolicy returns one.
 	Extension = intface.Extension
-	// PolicyParams carries the engine wiring handed to a policy
-	// constructor.
+	// PolicyParams carries the engine wiring NewPolicy builds a cache
+	// manager from.
 	PolicyParams = intface.PolicyParams
 	// CacheStats is a snapshot of flash cache activity.
 	CacheStats = intface.Stats
 	// LockStats is a snapshot of the page lock manager (grants, waits,
 	// deadlocks); it is part of DB.Snapshot.
 	LockStats = metrics.LockStats
-	// GroupCommitStats is a snapshot of the write-ahead log's commit
-	// batching (requests, device writes, piggybacked forces); it is part
-	// of DB.Snapshot.
-	GroupCommitStats = metrics.GroupCommitStats
 	// WalStats is a snapshot of the write-ahead log's commit pipeline
-	// (reservations, stalls, syncer coalescing, torn-slot writes); it is
-	// part of DB.Snapshot.
+	// (reservations, stalls, commit-force coalescing, torn-slot writes);
+	// it is part of DB.Snapshot.
 	WalStats = metrics.WalStats
 
 	// MetricsRegistry is the named registry of histograms, counters and
@@ -161,8 +162,7 @@ type (
 	TxPhaseSummaries = obs.TxPhaseSummaries
 
 	// Tracer owns the request-scoped span journal and flight recorder
-	// behind DB.Tracer (nil with WithTracing(false) or
-	// WithObservability(false)); its Dump method is what faced serves at
+	// behind DB.Tracer; its Dump method is what faced serves at
 	// /debug/traces.
 	Tracer = trace.Tracer
 	// Trace is one request-scoped span trace; servers start one per
@@ -242,23 +242,11 @@ func Open(opts ...Option) (*DB, error) {
 	return engine.Open(cfg)
 }
 
-// RegisterPolicy makes a cache policy selectable by name through
-// WithPolicy.  The built-in schemes register themselves; registering an
-// empty or duplicate name panics.  A nil constructor registers a policy
-// that runs without a flash cache.
-func RegisterPolicy(name string, ctor func(PolicyParams) (Extension, error)) {
-	if ctor == nil {
-		intface.RegisterPolicy(name, nil)
-		return
-	}
-	intface.RegisterPolicy(name, intface.PolicyConstructor(ctor))
-}
-
-// Policies returns the registered cache policy names in sorted order.
+// Policies returns the cache policy names in sorted order.
 func Policies() []string { return intface.Policies() }
 
-// NewPolicy constructs the named policy's cache manager; it is the hook
-// custom constructors use to wrap or delegate to built-in policies.
+// NewPolicy constructs the named policy's cache manager outside a
+// database ("none" yields nil, nil).
 func NewPolicy(name string, p PolicyParams) (Extension, error) {
 	return intface.NewPolicy(name, p)
 }

@@ -202,12 +202,13 @@ type Result struct {
 	DiskWrites  int64
 	Checkpoints int64
 
-	// Terminals echoes the scheduler configuration; Locks, GroupCommit and
-	// DeadlockRetries report its activity over the measurement window.
+	// Terminals echoes the scheduler configuration; Locks, Wal (its
+	// commit-force coalescing among the rest) and DeadlockRetries report
+	// its activity over the measurement window.
 	Terminals       int
 	DeadlockRetries int64
 	Locks           metrics.LockStats
-	GroupCommit     metrics.GroupCommitStats
+	Wal             metrics.WalStats
 
 	// WallClock is the host wall-clock time of the measurement phase.
 	WallClock time.Duration
@@ -555,7 +556,7 @@ func (g *Golden) summarize(env *runEnv, spec RunSpec, before, after engine.Snaps
 	res.Terminals = spec.Terminals
 	res.DeadlockRetries = ac.DeadlockRetries - bc.DeadlockRetries
 	res.Locks = after.Locks.Sub(before.Locks)
-	res.GroupCommit = after.GroupCommit.Sub(before.GroupCommit)
+	res.Wal = after.Wal.Sub(before.Wal)
 	return res
 }
 

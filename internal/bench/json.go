@@ -8,7 +8,7 @@ import (
 
 // ReportSchema versions the facebench -json output format so downstream
 // tooling tracking a BENCH_*.json perf trajectory can detect changes.
-const ReportSchema = "facebench/v11"
+const ReportSchema = "facebench/v12"
 
 // Report is the machine-readable form of a facebench run: the options the
 // golden image was built with plus one entry per executed experiment.  The

@@ -12,7 +12,7 @@ import (
 // payload the facebench schema (since v5) carries for network serving,
 // emitted as
 //
-//	{"schema": "facebench/v11", "experiments": {"serve": {...}}}
+//	{"schema": "facebench/v12", "experiments": {"serve": {...}}}
 //
 // Latencies are measured from each request's scheduled arrival time, not
 // from its send time, so a stalled server shows up as growing latency

@@ -22,10 +22,8 @@ import (
 	"github.com/reprolab/face/internal/obs"
 )
 
-// CachePolicy names the flash cache manager.  Policies are resolved
-// through the registry in internal/face, where the paper's schemes
-// register themselves at init time; the constants below name the built-in
-// set but any registered name is valid.
+// CachePolicy names the flash cache manager: one of the paper's schemes
+// that internal/face builds by name (face.Policies lists them).
 type CachePolicy string
 
 // Built-in cache policies.
@@ -56,7 +54,7 @@ func (p CachePolicy) String() string {
 }
 
 // ParsePolicy converts a string (as used by the CLI and the public options
-// API) into a CachePolicy, rejecting names absent from the registry.
+// API) into a CachePolicy, rejecting names internal/face does not build.
 func ParsePolicy(s string) (CachePolicy, error) {
 	if s == "" {
 		return PolicyNone, nil
@@ -135,8 +133,6 @@ type Config struct {
 	GroupSize int
 	// SegmentEntries overrides the persistent metadata segment size.
 	SegmentEntries int
-	// CleanThreshold is the LC lazy-cleaner dirty fraction threshold.
-	CleanThreshold float64
 
 	// MaxWriters caps the number of concurrently admitted Update
 	// transactions (0 = unlimited; 1 serialises writers).  A bound keeps
@@ -154,15 +150,10 @@ type Config struct {
 	// from metrics.DefaultModel.
 	Model metrics.Model
 
-	// DisableObs turns the observability layer off entirely: no
-	// histograms are allocated, commit-path tracing reduces to nil
-	// checks, and Metrics() returns nil.  Off by default because the
-	// measured overhead is small (obs.observe_ns in benchmark/).
-	DisableObs bool
 	// Obs, when non-nil, is the metrics registry the engine registers
 	// its histograms and counters into, letting an embedder (faced)
 	// share one registry across the engine and the server.  Nil
-	// allocates a private registry.  Ignored with DisableObs.
+	// allocates a private registry.
 	Obs *obs.Registry
 	// SlowTxThreshold enables the slow-transaction log: every committed
 	// write transaction whose wall-clock latency reaches the threshold
@@ -172,13 +163,6 @@ type Config struct {
 	SlowTxThreshold time.Duration
 	// Logf receives slow-transaction log lines (default log.Printf).
 	Logf func(format string, args ...any)
-
-	// DisableTracing turns off the request-scoped span tracer while
-	// keeping the aggregate observability layer: no trace journal is
-	// allocated, Tracer() returns nil, and the per-transaction span
-	// recording reduces to nil checks.  Implied by DisableObs (the
-	// tracer lives inside the observability layer).
-	DisableTracing bool
 
 	// Recover runs crash recovery during Open.  Set it when reopening a
 	// database after Crash; leave it false for a freshly initialised set
@@ -288,8 +272,8 @@ func DefaultShards() int {
 	return s
 }
 
-// buildCache constructs the flash cache manager for the configured policy
-// through the registry, writing to and syncing the data device through
+// buildCache constructs the flash cache manager for the configured policy,
+// writing to and syncing the data device through
 // diskWrite and diskSync; policies without a flash cache yield (nil, nil).
 func (c *Config) buildCache(diskWrite face.DiskWriteFunc, diskSync func() error, pull face.PullFunc) (face.Extension, error) {
 	return face.NewPolicy(c.Policy.String(), face.PolicyParams{
@@ -298,7 +282,6 @@ func (c *Config) buildCache(diskWrite face.DiskWriteFunc, diskSync func() error,
 		GroupSize:      c.GroupSize,
 		SegmentEntries: c.SegmentEntries,
 		Stripes:        DefaultShards(),
-		CleanThreshold: c.CleanThreshold,
 		DiskWrite:      diskWrite,
 		DiskSync:       diskSync,
 		Pull:           pull,

@@ -72,8 +72,8 @@ type DB struct {
 	log   *wal.Manager
 	clock *simclock.Clock
 
-	// obs is the observability layer: commit-path phase histograms and
-	// the metric registry (nil with Config.DisableObs; see obs.go).
+	// obs is the observability layer: commit-path phase histograms, the
+	// metric registry and the span tracer (see obs.go).
 	obs *dbObs
 
 	// files holds the file-backed device set when the database was opened
@@ -186,9 +186,7 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.MaxWriters > 0 {
 		db.writerSem = make(chan struct{}, cfg.MaxWriters)
 	}
-	if !cfg.DisableObs {
-		db.obs = newDBObs(&db.cfg)
-	}
+	db.obs = newDBObs(&db.cfg)
 
 	var err error
 	db.log, err = wal.Open(cfg.LogDev)
@@ -766,19 +764,18 @@ type Snapshot struct {
 	// Pipeline is always zero (see metrics.PipelineStats); it stays until
 	// the end-to-end benchmark stops reading it (ROADMAP item 1).
 	Pipeline metrics.PipelineStats
-	// Locks reports page lock manager activity and GroupCommit the WAL's
-	// commit-force batching.
-	Locks       metrics.LockStats
-	GroupCommit metrics.GroupCommitStats
+	// Locks reports page lock manager activity.
+	Locks metrics.LockStats
 	// Wal reports the WAL commit pipeline: reservation stalls, copy
-	// waits, syncer coalescing, barrier count/latency, parked forces.
+	// waits, syncer coalescing (commit-force batching), barrier
+	// count/latency, parked forces.
 	// Sampling it reads only atomics — never the WAL's locks.
 	Wal   metrics.WalStats
 	Data  device.Stats
 	Log   device.Stats
 	Flash device.Stats
-	// Phases is the commit-path phase breakdown as histogram snapshots
-	// (empty with Config.DisableObs).  Like every other field it
+	// Phases is the commit-path phase breakdown as histogram snapshots.
+	// Like every other field it
 	// subtracts: After.Phases.Sub(Before.Phases) isolates a window,
 	// and .Summaries() condenses it to quantiles.
 	Phases obs.TxPhases
@@ -800,7 +797,6 @@ func (db *DB) Snapshot() Snapshot {
 		Checkpoints:  db.checkpoints,
 		Pool:         ps,
 		Locks:        db.locks.Stats(),
-		GroupCommit:  db.log.GroupCommitStats(),
 		Wal:          db.log.Stats(),
 		Data:         db.dataDev.Stats(),
 		Log:          db.logDev.Stats(),

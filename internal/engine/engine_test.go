@@ -62,9 +62,9 @@ func (r *testRig) open(t *testing.T, recover bool) *DB {
 // writeValue stores a uint64 value in the payload of the page.
 // begin starts a read-write transaction outside View and Update, so a test
 // can interleave it with others or leave it open across a crash; the test
-// finishes it with commit or abort.  Its lock waits end after ten seconds,
-// so transactions of one test that lock the same page fail the test
-// instead of hanging it.
+// finishes it with commit or abort.  Like Update's, it carries a phase
+// trace.  Its lock waits end after ten seconds, so transactions of one
+// test that lock the same page fail the test instead of hanging it.
 func begin(t testing.TB, db *DB) *Tx {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -73,6 +73,7 @@ func begin(t testing.TB, db *DB) *Tx {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tx.tr = &txTrace{start: time.Now()}
 	return tx
 }
 

@@ -15,10 +15,9 @@ import (
 // on the commit path, latency histograms, and scrape-time counters for
 // every substrate (buffer pool, WAL, lock manager, flash cache).
 //
-// The layer is optional (Config.DisableObs) and its absence costs one nil
-// check per instrumentation site: a disabled database carries a nil
-// *dbObs, traced transactions carry a nil *txTrace, and every recording
-// method no-ops on a nil receiver.
+// The layer is always on.  Every Update carries a *txTrace; a View
+// carries none, so the read path records nothing beyond its latency
+// histogram and its page operations read no extra clock.
 
 // Commit-path phases.  Each is a disjoint wall-time window inside one
 // Update transaction, so their sum never exceeds the transaction's total
@@ -50,28 +49,25 @@ var phaseNames = [numPhases]string{
 	"admission", "lock_wait", "buffer", "wal_append", "durable_wait", "closure",
 }
 
-// txTrace accumulates per-phase wall time for one write transaction.  A
-// nil trace disables tracing for its transaction.
+// txTrace accumulates per-phase wall time for one write transaction.
+// Read-only transactions carry a nil trace.
 type txTrace struct {
 	start time.Time
 	phase [numPhases]time.Duration
 	// span is the request-scoped trace the phases also record into as
-	// real spans (nil when the request is untraced or tracing is off).
+	// real spans: the request's own, or one the engine started.
 	span *trace.Trace
 	// own marks a span the engine started itself (no request context
 	// carried one); the scheduler finishes it after commit or abort.
 	own bool
 }
 
-// charge adds d to phase p and, when the transaction rides a
-// request-scoped trace, records the occurrence as a span with its page
-// and note annotations.  The caller computes d under its own nil guard,
-// so this helper reads no clocks.
+// charge adds d to phase p and records the occurrence as a span of the
+// transaction's trace, with its page and note annotations.  The caller
+// computes d, so this helper reads no clocks.
 func (tr *txTrace) charge(p int, t0 time.Time, d time.Duration, pg uint64, note string) {
 	tr.phase[p] += d
-	if tr.span != nil {
-		tr.span.Span(phaseNames[p], t0, d, pg, note)
-	}
+	tr.span.Span(phaseNames[p], t0, d, pg, note)
 }
 
 // traceCtxKey carries a *trace.Trace through a request context into
@@ -94,8 +90,8 @@ func traceFrom(ctx context.Context) *trace.Trace {
 	return tr
 }
 
-// dbObs holds the engine's registered metrics and the slow-transaction
-// log configuration.  A nil *dbObs disables the whole layer.
+// dbObs holds the engine's registered metrics, the slow-transaction log
+// configuration and the span tracer.
 type dbObs struct {
 	reg *obs.Registry
 
@@ -107,8 +103,7 @@ type dbObs struct {
 	slowThreshold time.Duration
 	logf          func(string, ...any)
 
-	// tracer owns the span journal and flight recorder (nil with
-	// Config.DisableTracing).
+	// tracer owns the span journal and flight recorder.
 	tracer *trace.Tracer
 }
 
@@ -126,6 +121,7 @@ func newDBObs(cfg *Config) *dbObs {
 		slowTx:        reg.Counter("face_slow_tx_total"),
 		slowThreshold: cfg.SlowTxThreshold,
 		logf:          cfg.Logf,
+		tracer:        trace.New(trace.Config{SlowTx: cfg.SlowTxThreshold}),
 	}
 	if o.logf == nil {
 		o.logf = log.Printf
@@ -133,19 +129,12 @@ func newDBObs(cfg *Config) *dbObs {
 	for i := range o.phases {
 		o.phases[i] = reg.Histogram(`face_tx_phase_seconds{phase="` + phaseNames[i] + `"}`)
 	}
-	if !cfg.DisableTracing {
-		o.tracer = trace.New(trace.Config{SlowTx: cfg.SlowTxThreshold})
-	}
 	return o
 }
 
 // event records a flight-recorder lifecycle entry (open, recovery
-// phases, checkpoint, close).  Nil-safe, so cold-path call sites need
-// no guards of their own.
+// phases, checkpoint, close).
 func (o *dbObs) event(format string, args ...any) {
-	if o == nil || o.tracer == nil {
-		return
-	}
 	o.tracer.Event(fmt.Sprintf(format, args...))
 }
 
@@ -154,16 +143,16 @@ func (o *dbObs) event(format string, args ...any) {
 // tail-retention policy.  Request-owned spans are finished by the
 // server instead.
 func (o *dbObs) finishOwn(tr *txTrace) {
-	if o == nil || o.tracer == nil || tr == nil || !tr.own {
-		return
+	if tr.own {
+		o.tracer.Finish(tr.span)
 	}
-	o.tracer.Finish(tr.span)
 }
 
 // recordCommit folds a committed write transaction's trace into the phase
-// histograms and emits the slow-transaction log line for outliers.
+// histograms and emits the slow-transaction log line for outliers.  A
+// read-only transaction (nil trace) records nothing.
 func (o *dbObs) recordCommit(id wal.TxID, tr *txTrace) {
-	if o == nil || tr == nil {
+	if tr == nil {
 		return
 	}
 	total := time.Since(tr.start)
@@ -185,9 +174,6 @@ func (o *dbObs) recordCommit(id wal.TxID, tr *txTrace) {
 
 // phasesSnapshot captures the phase histograms for engine.Snapshot.
 func (o *dbObs) phasesSnapshot() obs.TxPhases {
-	if o == nil {
-		return obs.TxPhases{}
-	}
 	return obs.TxPhases{
 		Total:       o.txTotal.Snapshot(),
 		Admission:   o.phases[phaseAdmission].Snapshot(),
@@ -203,17 +189,12 @@ func (o *dbObs) phasesSnapshot() obs.TxPhases {
 // scrape-time callback metrics, so /metrics shows the whole stack without
 // adding a single write to any hot path.  Called once at the end of Open.
 func (db *DB) registerMetrics() {
-	if db.obs == nil {
-		return
-	}
-	reg := db.obs.reg
+	reg, t := db.obs.reg, db.obs.tracer
 	reg.CounterFunc("face_committed_total", db.Committed)
-	if t := db.obs.tracer; t != nil {
-		reg.CounterFunc("face_trace_started_total", func() int64 { return t.Stats().Started })
-		reg.CounterFunc("face_trace_completed_total", func() int64 { return t.Stats().Completed })
-		reg.CounterFunc("face_trace_pinned_total", func() int64 { return t.Stats().Pinned })
-		reg.CounterFunc("face_trace_sampled_total", func() int64 { return t.Stats().Sampled })
-	}
+	reg.CounterFunc("face_trace_started_total", func() int64 { return t.Stats().Started })
+	reg.CounterFunc("face_trace_completed_total", func() int64 { return t.Stats().Completed })
+	reg.CounterFunc("face_trace_pinned_total", func() int64 { return t.Stats().Pinned })
+	reg.CounterFunc("face_trace_sampled_total", func() int64 { return t.Stats().Sampled })
 	reg.CounterFunc("face_aborted_total", db.aborted.Load)
 	reg.CounterFunc("face_checkpoints_total", db.Checkpoints)
 
@@ -243,21 +224,11 @@ func (db *DB) registerMetrics() {
 }
 
 // Metrics returns the registry holding the engine's histograms and
-// counters (nil when observability is disabled).  faced serves it at
-// /metrics; embedders can render it with obs.Registry.WritePrometheus.
-func (db *DB) Metrics() *obs.Registry {
-	if db.obs == nil {
-		return nil
-	}
-	return db.obs.reg
-}
+// counters.  faced serves it at /metrics; embedders can render it with
+// obs.Registry.WritePrometheus.
+func (db *DB) Metrics() *obs.Registry { return db.obs.reg }
 
 // Tracer returns the span tracer owning the trace journal and flight
-// recorder (nil when observability or tracing is disabled).  faced
-// hands it to the server layer and serves its Dump at /debug/traces.
-func (db *DB) Tracer() *trace.Tracer {
-	if db.obs == nil {
-		return nil
-	}
-	return db.obs.tracer
-}
+// recorder.  faced hands it to the server layer and serves its Dump at
+// /debug/traces.
+func (db *DB) Tracer() *trace.Tracer { return db.obs.tracer }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"regexp"
 	"strings"
 	"sync"
@@ -135,22 +136,20 @@ func TestObsSlowTxLogsOnce(t *testing.T) {
 	}
 }
 
-// TestObsDisabled checks the opt-out: no registry, empty phase
-// snapshots, and transactions that still work.
-func TestObsDisabled(t *testing.T) {
-	r := newRig(t, PolicyNone)
-	r.cfg.DisableObs = true
-	r.cfg.SlowTxThreshold = time.Nanosecond // must be inert when disabled
+// TestViewsStayUntraced: a View records its latency in face_view_seconds
+// and nothing else — it starts no span trace and charges no commit-path
+// phase, which is what keeps the read path's page operations free of
+// clock reads.
+func TestViewsStayUntraced(t *testing.T) {
+	r := newRig(t, PolicyFaCE)
 	db := r.open(t, false)
 	defer db.Close()
 
-	if db.Metrics() != nil {
-		t.Fatal("Metrics() non-nil with DisableObs")
-	}
 	ctx := context.Background()
+	var id page.ID
 	if err := db.Update(ctx, func(tx *Tx) error {
-		id, err := tx.Alloc(page.TypeHeap)
-		if err != nil {
+		var err error
+		if id, err = tx.Alloc(page.TypeHeap); err != nil {
 			return err
 		}
 		writeValue(t, tx, id, 7)
@@ -158,12 +157,40 @@ func TestObsDisabled(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.View(ctx, func(tx *Tx) error { return nil }); err != nil {
-		t.Fatal(err)
+	// The trace counter and every series of the Update histograms
+	// (face_tx_total_seconds, face_tx_phase_seconds), as rendered.
+	traced := func() map[string]string {
+		var sb strings.Builder
+		db.Metrics().WritePrometheus(&sb)
+		m := map[string]string{}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			name, val, ok := strings.Cut(line, " ")
+			if ok && (name == "face_trace_started_total" || strings.HasPrefix(name, "face_tx_")) {
+				m[name] = val
+			}
+		}
+		return m
 	}
-	p := db.Snapshot().Phases
-	if p.Total.Count != 0 || len(p.Total.Buckets) != 0 {
-		t.Fatalf("disabled obs produced phase data: %+v", p.Total)
+	before := traced()
+	if before["face_trace_started_total"] != "1" || before[`face_tx_phase_seconds_count{phase="durable_wait"}`] != "1" {
+		t.Fatalf("one Update left %v", before)
+	}
+	views := db.Metrics().Histogram("face_view_seconds").Snapshot().Count
+	for range 100 {
+		if err := db.View(ctx, func(tx *Tx) error {
+			if v := readValue(t, tx, id); v != 7 {
+				t.Fatalf("read %d, want 7", v)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := traced(); !maps.Equal(before, after) {
+		t.Fatalf("100 Views moved the trace counter or the Update histograms:\nbefore %v\nafter  %v", before, after)
+	}
+	if n := db.Metrics().Histogram("face_view_seconds").Snapshot().Count - views; n != 100 {
+		t.Fatalf("face_view_seconds counted %d Views, want 100", n)
 	}
 }
 

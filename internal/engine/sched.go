@@ -28,11 +28,11 @@ import (
 // unblocking a queued transaction mid-closure; a cancelled context never
 // commits.
 //
-// With observability enabled the scheduler also drives the commit-path
-// phase trace (obs.go): Update starts the trace before it waits for
-// admission, the transaction's own hooks charge lock, buffer, WAL and
-// force waits to their phases, and runManaged attributes the remainder of
-// the closure's wall time to the closure phase.
+// The scheduler also drives the commit-path phase trace (obs.go): Update
+// starts the trace before it waits for admission, the transaction's own
+// hooks charge lock, buffer, WAL and force waits to their phases, and
+// runManaged attributes the remainder of the closure's wall time to the
+// closure phase.  A View is timed as a whole and otherwise untraced.
 
 // View runs fn in a read-only transaction.  Any number of View
 // transactions run concurrently with each other.  The transaction ends
@@ -44,10 +44,8 @@ func (db *DB) View(ctx context.Context, fn func(*Tx) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if db.obs != nil {
-		t0 := time.Now()
-		defer func() { db.obs.view.Observe(time.Since(t0)) }()
-	}
+	t0 := time.Now()
+	defer func() { db.obs.view.Observe(time.Since(t0)) }()
 	db.txMu.RLock()
 	defer db.txMu.RUnlock()
 	return db.runManaged(ctx, true, nil, fn)
@@ -65,20 +63,16 @@ func (db *DB) Update(ctx context.Context, fn func(*Tx) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var tr *txTrace
-	if db.obs != nil {
-		tr = &txTrace{start: time.Now()}
-		// A request trace arriving through the context gets the engine's
-		// phase spans attached; without one the engine starts (and later
-		// finishes) a trace of its own, so embedded deployments feed the
-		// journal too.
-		tr.span = traceFrom(ctx)
-		if tr.span == nil {
-			tr.span = db.obs.tracer.Start(0, "update")
-			tr.own = tr.span != nil
-		}
-		defer db.obs.finishOwn(tr)
+	// A request trace arriving through the context gets the engine's
+	// phase spans attached; without one the engine starts (and later
+	// finishes) a trace of its own, so embedded deployments feed the
+	// journal too.
+	tr := &txTrace{start: time.Now(), span: traceFrom(ctx)}
+	if tr.span == nil {
+		tr.span = db.obs.tracer.Start(0, "update")
+		tr.own = true
 	}
+	defer db.obs.finishOwn(tr)
 	db.txMu.RLock()
 	defer db.txMu.RUnlock()
 	if db.writerSem != nil {
@@ -89,10 +83,8 @@ func (db *DB) Update(ctx context.Context, fn func(*Tx) error) error {
 			return ctx.Err()
 		}
 	}
-	if tr != nil {
-		// Admission: waiting out a lifecycle fence and the writer cap.
-		tr.charge(phaseAdmission, tr.start, time.Since(tr.start), 0, "")
-	}
+	// Admission: waiting out a lifecycle fence and the writer cap.
+	tr.charge(phaseAdmission, tr.start, time.Since(tr.start), 0, "")
 	// Register as a committer so the WAL's syncer knows how many
 	// concurrent commit forces it may collect.
 	db.log.AddCommitter(1)
@@ -101,8 +93,8 @@ func (db *DB) Update(ctx context.Context, fn func(*Tx) error) error {
 }
 
 // runManaged executes fn in a transaction it finishes; the caller holds the
-// read side of the scheduler lock.  A non-nil tr carries the phase trace
-// Update started before admission.
+// read side of the scheduler lock.  An Update passes the phase trace it
+// started before admission; a View passes nil.
 func (db *DB) runManaged(ctx context.Context, readonly bool, tr *txTrace, fn func(*Tx) error) error {
 	tx, err := db.beginTx(ctx, readonly)
 	if err != nil {

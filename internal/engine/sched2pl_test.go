@@ -496,9 +496,9 @@ func TestPageLockGroupCommitBatching(t *testing.T) {
 	}
 	wg.Wait()
 	const commits = 4 * perWriter
-	gc := db.Snapshot().GroupCommit.Sub(before.GroupCommit)
-	if gc.Requests > commits {
-		t.Fatalf("Requests = %d, want at most one per commit (%d)", gc.Requests, commits)
+	gc := db.Snapshot().Wal.Sub(before.Wal)
+	if gc.ForceRequests > commits {
+		t.Fatalf("ForceRequests = %d, want at most one per commit (%d)", gc.ForceRequests, commits)
 	}
 	if gc.Piggybacked == 0 {
 		t.Fatalf("no piggybacked forces across %d concurrent commits: %+v", commits, gc)
@@ -507,7 +507,7 @@ func TestPageLockGroupCommitBatching(t *testing.T) {
 		t.Fatalf("group commit did not batch %d commits: %+v", commits, gc)
 	}
 	t.Logf("group commit fan-in %.2f (%d requests, %d writes, %d piggybacked)",
-		gc.FanIn(), gc.Requests, gc.Forces, gc.Piggybacked)
+		gc.CoalesceFactor(), gc.ForceRequests, gc.Forces, gc.Piggybacked)
 }
 
 // TestPageLockCrashRecovery: concurrent writers, a crash, and recovery —

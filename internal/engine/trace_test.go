@@ -552,45 +552,6 @@ func TestWalAppendPhaseOnStallOnly(t *testing.T) {
 	}
 }
 
-// TestTraceEngineDisabled: WithObservability(false) or DisableTracing
-// yields a nil tracer, zero exemplars, and working transactions.
-func TestTraceEngineDisabled(t *testing.T) {
-	for _, mode := range []string{"obs-off", "trace-off"} {
-		t.Run(mode, func(t *testing.T) {
-			r := newRig(t, PolicyNone)
-			if mode == "obs-off" {
-				r.cfg.DisableObs = true
-			} else {
-				r.cfg.DisableTracing = true
-			}
-			r.cfg.SlowTxThreshold = time.Nanosecond
-			r.cfg.Logf = func(string, ...any) {}
-			db := r.open(t, false)
-			t.Cleanup(func() { db.Close() })
-			if db.Tracer() != nil {
-				t.Fatal("Tracer() non-nil with tracing disabled")
-			}
-			if err := db.Update(context.Background(), func(tx *Tx) error {
-				_, err := tx.Alloc(page.TypeHeap)
-				return err
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if mode == "trace-off" {
-				// Obs is still on: the histogram records, but carries no
-				// exemplars because no trace IDs exist.
-				snap := db.Metrics().Histogram("face_tx_total_seconds").Snapshot()
-				if snap.Count != 1 {
-					t.Fatalf("count = %d, want 1", snap.Count)
-				}
-				if got := snap.ExemplarList(); len(got) != 0 {
-					t.Fatalf("exemplars = %+v with tracing disabled", got)
-				}
-			}
-		})
-	}
-}
-
 // TestTraceFlightRecorderLifecycle: Open, checkpoint, crash and recovery
 // all leave flight-recorder events; a reopened database shows its
 // recovery timeline.

@@ -37,9 +37,10 @@ type Tx struct {
 	// first Edit or Modify, and again once commit or abort is done with it.
 	arena *editArena
 
-	// tr accumulates the commit-path phase trace for write transactions
-	// (nil when observability is disabled — every hook below starts with
-	// that nil check).
+	// tr accumulates the commit-path phase trace of a write transaction.
+	// A read-only transaction has none, and the page hooks below it
+	// shares with writers (lockPage, poolGet, logAppend) then read no
+	// extra clock.
 	tr *txTrace
 }
 
@@ -77,7 +78,7 @@ func (tx *Tx) lockPage(id page.ID, mode lock.Mode) error {
 	if waited > 0 {
 		tx.tr.charge(phaseLockWait, time.Now().Add(-waited), waited, uint64(id), mode.String())
 	}
-	if err != nil && tx.tr.span != nil {
+	if err != nil {
 		// A deadlock victim's trace is pinned with the wait-for cycle
 		// the lock manager detected, so the journal answers "deadlocked
 		// on what, holding what" directly.
@@ -254,14 +255,9 @@ func (tx *Tx) Alloc(t page.Type) (page.ID, error) {
 	if err := tx.lockPage(id, lock.Exclusive); err != nil {
 		return page.InvalidID, err
 	}
-	var t0 time.Time
-	if tx.tr != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	buf, err := db.pool.Put(id, func(buf page.Buf) { buf.Init(id, t) })
-	if tx.tr != nil {
-		tx.tr.charge(phaseBuffer, t0, time.Since(t0), uint64(id), "alloc")
-	}
+	tx.tr.charge(phaseBuffer, t0, time.Since(t0), uint64(id), "alloc")
 	if err != nil {
 		return page.InvalidID, err
 	}
@@ -305,19 +301,14 @@ func (tx *Tx) commit() error {
 		// our force's collection window instead of after it, which is
 		// what makes batches fill on hot-page workloads.
 		tx.releaseLocks()
-		var t0 time.Time
-		if tx.tr != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		err = db.log.Force(lsn + 1)
-		if tx.tr != nil {
-			d := time.Since(t0)
-			tx.tr.charge(phaseDurable, t0, d, 0, "")
-			if st := db.obs.tracer.SyncStall(); st > 0 && d >= st && tx.tr.span != nil {
-				// The force stalled long past a healthy fsync: pin the
-				// trace as WAL sync-stall evidence.
-				tx.tr.span.Pin(trace.PinStall, "durable wait "+d.String())
-			}
+		d := time.Since(t0)
+		tx.tr.charge(phaseDurable, t0, d, 0, "")
+		if st := db.obs.tracer.SyncStall(); st > 0 && d >= st {
+			// The force stalled long past a healthy fsync: pin the
+			// trace as WAL sync-stall evidence.
+			tx.tr.span.Pin(trace.PinStall, "durable wait "+d.String())
 		}
 		if err != nil {
 			return err

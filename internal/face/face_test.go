@@ -963,7 +963,7 @@ type errLookupMismatch page.ID
 func (e errLookupMismatch) Error() string { return "lookup returned wrong page" }
 
 // mvfifoVariants are the paper's three mvFIFO policies as newFaCE options,
-// named as the policy registry names them.
+// named as NewPolicy names them.
 func mvfifoVariants() []struct {
 	name string
 	opt  func(*MVFIFOConfig)

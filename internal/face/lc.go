@@ -58,23 +58,6 @@ func (c *LCConfig) name() string {
 	return "LC"
 }
 
-// The two baselines the paper compares against register themselves with
-// the policy registry alongside the FaCE variants.
-func init() {
-	RegisterPolicy("lc", func(p PolicyParams) (Extension, error) {
-		return NewLC(LCConfig{
-			Dev: p.Dev, Frames: p.Frames, DiskWrite: p.DiskWrite,
-			CleanThreshold: p.CleanThreshold,
-		})
-	})
-	RegisterPolicy("wt", func(p PolicyParams) (Extension, error) {
-		return NewLC(LCConfig{
-			Dev: p.Dev, Frames: p.Frames, DiskWrite: p.DiskWrite,
-			WriteThrough: true,
-		})
-	})
-}
-
 type lcFrame struct {
 	id    page.ID
 	slot  int64

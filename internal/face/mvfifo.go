@@ -81,32 +81,6 @@ func (c *MVFIFOConfig) name() string {
 	}
 }
 
-// The three FaCE variants compared in the paper register themselves with
-// the policy registry so the engine and CLI can select them by name.
-func init() {
-	RegisterPolicy("face", func(p PolicyParams) (Extension, error) {
-		return NewMVFIFO(MVFIFOConfig{
-			Dev: p.Dev, Frames: p.Frames, GroupSize: 1,
-			SegmentEntries: p.SegmentEntries, Stripes: p.Stripes,
-			DiskWrite: p.DiskWrite, DiskSync: p.DiskSync,
-		})
-	})
-	RegisterPolicy("face+gr", func(p PolicyParams) (Extension, error) {
-		return NewMVFIFO(MVFIFOConfig{
-			Dev: p.Dev, Frames: p.Frames, GroupSize: groupOrDefault(p.GroupSize),
-			SegmentEntries: p.SegmentEntries, Stripes: p.Stripes,
-			DiskWrite: p.DiskWrite, DiskSync: p.DiskSync,
-		})
-	})
-	RegisterPolicy("face+gsc", func(p PolicyParams) (Extension, error) {
-		return NewMVFIFO(MVFIFOConfig{
-			Dev: p.Dev, Frames: p.Frames, GroupSize: groupOrDefault(p.GroupSize), SecondChance: true,
-			SegmentEntries: p.SegmentEntries, Stripes: p.Stripes,
-			DiskWrite: p.DiskWrite, DiskSync: p.DiskSync, Pull: p.Pull,
-		})
-	})
-}
-
 // frameMeta is the in-memory metadata of one flash frame (writer-path
 // state, guarded by mu).  The reference bit lives in MVFIFO.refs so the
 // lock-free lookup path can set it without touching mu.

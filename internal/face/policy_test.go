@@ -8,7 +8,7 @@ import (
 	"github.com/reprolab/face/internal/page"
 )
 
-func registryParams() PolicyParams {
+func policyParams() PolicyParams {
 	return PolicyParams{
 		Dev:       device.New("flash", device.ProfileSamsung470, 2048),
 		Frames:    256,
@@ -42,7 +42,7 @@ func TestNewPolicyConstructsEveryScheme(t *testing.T) {
 		"lc": "LC", "wt": "WT",
 	}
 	for name, display := range wantNames {
-		ext, err := NewPolicy(name, registryParams())
+		ext, err := NewPolicy(name, policyParams())
 		if err != nil {
 			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
@@ -53,10 +53,10 @@ func TestNewPolicyConstructsEveryScheme(t *testing.T) {
 			t.Fatalf("NewPolicy(%q).Name() = %q, want %q", name, ext.Name(), display)
 		}
 	}
-	if ext, err := NewPolicy("none", registryParams()); err != nil || ext != nil {
+	if ext, err := NewPolicy("none", policyParams()); err != nil || ext != nil {
 		t.Fatalf("NewPolicy(none) = %v, %v; want nil, nil", ext, err)
 	}
-	if _, err := NewPolicy("bogus", registryParams()); err == nil ||
+	if _, err := NewPolicy("bogus", policyParams()); err == nil ||
 		!strings.Contains(err.Error(), "unknown cache policy") {
 		t.Fatalf("NewPolicy(bogus) error = %v", err)
 	}
@@ -77,34 +77,5 @@ func TestPoliciesSortedAndComplete(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Fatalf("Policies() not sorted: %v", names)
 		}
-	}
-}
-
-func TestRegisterPolicyGuards(t *testing.T) {
-	mustPanic := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", what)
-			}
-		}()
-		fn()
-	}
-	mustPanic("empty name", func() { RegisterPolicy("", nil) })
-	mustPanic("duplicate name", func() { RegisterPolicy("face", nil) })
-}
-
-func TestRegisterCustomPolicy(t *testing.T) {
-	called := false
-	RegisterPolicy("test-custom", func(p PolicyParams) (Extension, error) {
-		called = true
-		return NewPolicy("lc", p)
-	})
-	ext, err := NewPolicy("test-custom", registryParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called || ext == nil || ext.Name() != "LC" {
-		t.Fatalf("custom constructor not used: called=%v ext=%v", called, ext)
 	}
 }

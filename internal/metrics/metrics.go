@@ -163,41 +163,6 @@ func (l LockStats) Sub(prior LockStats) LockStats {
 	}
 }
 
-// GroupCommitStats captures the batching behaviour of the write-ahead
-// log's commit forces: how many Force calls needed
-// log I/O, how many device writes actually happened, and how many callers
-// rode along on another caller's write.
-type GroupCommitStats struct {
-	// Requests counts Force calls that found the log not yet durable at
-	// their LSN (calls satisfied without I/O by an earlier force are not
-	// counted).
-	Requests int64
-	// Forces counts device writes performed (the same quantity as
-	// wal.Manager.Forces).
-	Forces int64
-	// Piggybacked counts requests satisfied by another caller's device
-	// write: the group-commit fan-in is Requests / Forces.
-	Piggybacked int64
-}
-
-// FanIn returns the mean number of force requests satisfied per device
-// write (1.0 = no batching).
-func (g GroupCommitStats) FanIn() float64 {
-	if g.Forces == 0 {
-		return 0
-	}
-	return float64(g.Requests) / float64(g.Forces)
-}
-
-// Sub returns the counter difference g - prior.
-func (g GroupCommitStats) Sub(prior GroupCommitStats) GroupCommitStats {
-	return GroupCommitStats{
-		Requests:    g.Requests - prior.Requests,
-		Forces:      g.Forces - prior.Forces,
-		Piggybacked: g.Piggybacked - prior.Piggybacked,
-	}
-}
-
 // WalStats captures the activity of the write-ahead log's commit pipeline:
 // the lock-free reservation ring the appenders copy into, the dedicated
 // syncer goroutine that coalesces Force requests into device writes, and

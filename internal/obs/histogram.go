@@ -46,8 +46,8 @@ func bucketUpper(i int) int64 {
 // Histogram is a lock-free log-bucketed latency histogram: atomic
 // per-bucket counters with an atomic count/sum/max, safe for any number
 // of concurrent writers and snapshotters.  A nil Histogram ignores
-// Observe and yields an empty Snapshot, which is what makes disabled
-// observability a nil-check fast path.
+// Observe and yields an empty Snapshot, so a server configured without a
+// registry records through nil histograms without guards.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64

@@ -12,9 +12,9 @@
 //     atomics.  Observe is a handful of atomic adds plus one CAS loop for
 //     the max.
 //   - Every recording method is nil-safe: calling Observe/Add/Set on a nil
-//     receiver is a no-op, so a disabled observability layer (engine
-//     Config.DisableObs, face.WithObservability(false)) reduces every
-//     instrumentation site to a nil check.
+//     receiver is a no-op, so a server configured without a registry
+//     (server.Config.Obs left nil) records nothing without guards of its
+//     own.  The engine always has its registry.
 //
 // # Histogram semantics
 //

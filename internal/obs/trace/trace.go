@@ -14,9 +14,9 @@
 // oldest-first, so the journal's memory is bounded no matter the
 // request rate.
 //
-// Every method on Tracer and Trace is a no-op on a nil receiver, which
-// is what lets disabled tracing reduce hot paths to nil checks (the
-// obsguard analyzer enforces the guards lexically).
+// Every method on Tracer and Trace is a no-op on a nil receiver, so a
+// server configured without a tracer (server.Config.Tracer left nil)
+// records nothing and needs no guards at its call sites.
 package trace
 
 import (

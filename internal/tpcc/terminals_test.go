@@ -61,7 +61,7 @@ func TestRunTerminalsConcurrent(t *testing.T) {
 		t.Fatalf("driver retried %d deadlocks the engine never reported", c.DeadlockRetries)
 	}
 	t.Logf("locks: %+v", snap.Locks)
-	t.Logf("group commit: %+v (fan-in %.2f)", snap.GroupCommit, snap.GroupCommit.FanIn())
+	t.Logf("wal: %+v (group-commit fan-in %.2f)", snap.Wal, snap.Wal.CoalesceFactor())
 	t.Logf("deadlock retries: %d", c.DeadlockRetries)
 
 	// The database must be consistent after concurrent execution: every

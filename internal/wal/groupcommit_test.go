@@ -61,9 +61,9 @@ func TestGroupCommitBatchesConcurrentForces(t *testing.T) {
 	if writes < 1 || writes > 2 {
 		t.Fatalf("%d committers performed %d device writes, want 1 (2 tolerated)", committers, writes)
 	}
-	gc := m.GroupCommitStats()
-	if gc.Requests != committers {
-		t.Fatalf("Requests = %d, want %d", gc.Requests, committers)
+	gc := m.Stats()
+	if gc.ForceRequests != committers {
+		t.Fatalf("ForceRequests = %d, want %d", gc.ForceRequests, committers)
 	}
 	if gc.Piggybacked < committers-int64(writes) {
 		t.Fatalf("Piggybacked = %d with %d writes, want >= %d", gc.Piggybacked, writes, committers-int64(writes))
@@ -136,8 +136,8 @@ func TestGroupCommitDisabledByDefault(t *testing.T) {
 	if got := m.Forces(); got != 4 {
 		t.Fatalf("Forces = %d, want 4", got)
 	}
-	gc := m.GroupCommitStats()
-	if gc.Requests != 4 || gc.Piggybacked != 0 {
+	gc := m.Stats()
+	if gc.ForceRequests != 4 || gc.Piggybacked != 0 {
 		t.Fatalf("stats = %+v, want 4 unbatched requests", gc)
 	}
 }

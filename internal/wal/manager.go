@@ -515,16 +515,6 @@ func (m *Manager) effectiveCommitters() int {
 	return m.dynCommitters()
 }
 
-// GroupCommitStats returns the batching counters of the commit-force
-// coalescing protocol.
-func (m *Manager) GroupCommitStats() metrics.GroupCommitStats {
-	return metrics.GroupCommitStats{
-		Requests:    m.gcRequests.Load(),
-		Forces:      m.forcesA.Load(),
-		Piggybacked: m.gcPiggybacked.Load(),
-	}
-}
-
 // Stats returns the commit-pipeline counters.  All sources are atomics, so
 // sampling never contends with appenders or the syncer.
 func (m *Manager) Stats() metrics.WalStats {

@@ -104,9 +104,8 @@ func WithFlashDevice(flash Dev) Option {
 	}
 }
 
-// WithPolicy selects the flash cache policy by registry name — one of the
-// Policy* constants or any name added with RegisterPolicy.  Unknown names
-// fail at Open.
+// WithPolicy selects the flash cache policy by name — one of the Policy*
+// constants.  Unknown names fail at Open.
 func WithPolicy(name string) Option {
 	return func(c *engine.Config) error {
 		p, err := engine.ParsePolicy(name)
@@ -166,18 +165,6 @@ func WithSegmentEntries(n int) Option {
 	}
 }
 
-// WithCleanThreshold sets the Lazy Cleaning dirty-frame fraction that
-// triggers the lazy cleaner (policy "lc" only; default 0.75).
-func WithCleanThreshold(t float64) Option {
-	return func(c *engine.Config) error {
-		if t <= 0 || t > 1 {
-			return fmt.Errorf("face: WithCleanThreshold(%g): must be in (0, 1]", t)
-		}
-		c.CleanThreshold = t
-		return nil
-	}
-}
-
 // WithLockManager does nothing: every database schedules its transactions
 // with page-granularity two-phase locking.
 //
@@ -212,41 +199,12 @@ func WithRecovery() Option {
 	}
 }
 
-// WithObservability enables or disables the observability layer (enabled
-// by default): commit-path phase histograms, per-layer counters and the
-// registry served by DB.Metrics.  Disabling it reduces every recording
-// site to a nil check and makes DB.Metrics return nil; the measured cost
-// of leaving it on is small (obs.observe_ns in the benchmark's per-layer
-// metrics).
-func WithObservability(enabled bool) Option {
-	return func(c *engine.Config) error {
-		c.DisableObs = !enabled
-		return nil
-	}
-}
-
-// WithTracing enables or disables request-scoped span tracing (enabled by
-// default whenever observability is on; WithObservability(false) implies
-// it off).  With tracing on, every Update carries a span trace — adopted
-// from the request context when a server attached one, self-started
-// otherwise — whose commit-path phases land in the tail-sampled journal
-// behind DB.Tracer, with slow transactions, deadlock victims and WAL sync
-// stalls pinned.  Disabling it makes DB.Tracer return nil and reduces the
-// recording sites to nil checks (trace_overhead_pct in the benchmark prices
-// leaving it on).
-func WithTracing(enabled bool) Option {
-	return func(c *engine.Config) error {
-		c.DisableTracing = !enabled
-		return nil
-	}
-}
-
 // WithSlowTxThreshold enables the slow-transaction log: every committed
 // write transaction whose wall-clock latency reaches d emits a one-line
 // per-phase breakdown (admission, lock, buffer, WAL append, durable wait,
 // closure) through the sink set by WithSlowTxLog (default log.Printf).
 // The same threshold pins slow transactions' span traces in the journal
-// (WithTracing), so the log line's trace ID is retrievable later.  Zero
+// behind DB.Tracer, so the log line's trace ID is retrievable later.  Zero
 // (the default) disables both; phase tracing itself stays on.
 func WithSlowTxThreshold(d time.Duration) Option {
 	return func(c *engine.Config) error {
