@@ -31,9 +31,8 @@
 //	/debug/pprof/  net/http/pprof profiles of the live process
 //
 // -stats-interval logs a one-line throughput/latency digest periodically,
-// and -slow-tx logs a per-phase breakdown of every write transaction
-// slower than the threshold (the same threshold pins those transactions'
-// traces in the journal).
+// and -slow-tx pins the trace of every write transaction slower than the
+// threshold in the journal, with a span per commit-path phase.
 //
 // SIGQUIT dumps the flight recorder — the journal and lifecycle events as
 // one JSON log line — without stopping the server; a burst of pinned
@@ -89,7 +88,7 @@ func run(args []string, stderr io.Writer) int {
 		nofsync     = fs.Bool("nofsync", false, "disable commit/checkpoint fsync (faster, crash-unsafe)")
 		metricsAddr = fs.String("metrics-addr", "", "HTTP listen address for /metrics, /debug/vars and /debug/pprof/ (empty = disabled)")
 		statsEvery  = fs.Duration("stats-interval", 0, "log a periodic stats line at this interval (0 = disabled)")
-		slowTx      = fs.Duration("slow-tx", 0, "log a per-phase breakdown of write transactions slower than this (0 = disabled)")
+		slowTx      = fs.Duration("slow-tx", 0, "pin the per-phase trace of write transactions slower than this, served at /debug/traces (0 = disabled)")
 		verbose     = fs.Bool("v", false, "log per-lifecycle diagnostics")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -115,7 +114,6 @@ func run(args []string, stderr io.Writer) int {
 		face.WithBufferPages(*bufferPages),
 		face.WithMaxWriters(*writers),
 		face.WithMetricsRegistry(reg),
-		face.WithSlowTxLog(logger.Printf),
 	}
 	if *slowTx > 0 {
 		opts = append(opts, face.WithSlowTxThreshold(*slowTx))

@@ -47,7 +47,10 @@
 // descends again, having given back the ancestors it locked.
 //
 // Logging.  Every change to a node is one Tx.Edit, which logs one update
-// record.  InsertRun puts the keys of an ascending run that go into one
+// record, and every new node one Tx.AllocEdit, which logs its formatting and
+// its contents as one redo-only format record: a split logs three records,
+// the new node, the cut node and the parent.  Undoing a split's other two
+// orphans the new node, which nothing else reaches before commit.  InsertRun puts the keys of an ascending run that go into one
 // gap of a leaf into it in one Edit, so a run that extends a leaf logs one
 // record for it, not one per key, and leaves the tree in the shape Insert
 // key by key would.  PutRun, its record-tree twin, puts every pair of an
@@ -108,32 +111,25 @@ func Create(tx *engine.Tx, name string) (*Tree, error) {
 }
 
 // create allocates an empty tree whose leaves are of type leafType: a root
-// internal node at level 1 over one empty leaf.
+// internal node at level 1 over one empty leaf.  The root's fill allocates
+// the leaf, so the root takes the lower page id and each is one record.
 func create(tx *engine.Tx, name string, leafType page.Type) (*Tree, error) {
-	root, err := tx.Alloc(page.TypeBTreeInternal)
-	if err != nil {
-		return nil, fmt.Errorf("btree: creating %s: %w", name, err)
-	}
-	leaf, err := tx.Alloc(leafType)
-	if err != nil {
-		return nil, fmt.Errorf("btree: creating %s: %w", name, err)
-	}
-	if err := tx.Edit(leaf, func(w *page.Writer) error {
-		if leafType == page.TypeRecordLeaf {
-			initRecordLeaf(w, 0, page.InvalidID)
-		} else {
-			initLeaf(w, 0, page.InvalidID)
+	root, err := tx.AllocEdit(page.TypeBTreeInternal, func(w *page.Writer) error {
+		leaf, err := tx.AllocEdit(leafType, func(w *page.Writer) error {
+			if leafType == page.TypeRecordLeaf {
+				initRecordLeaf(w, 0, page.InvalidID)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := tx.Edit(root, func(w *page.Writer) error {
-		initInner(w, 1)
+		setLevel(w, 1)
 		setInnerChild(w, 0, leaf)
 		return nil
-	}); err != nil {
-		return nil, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("btree: creating %s: %w", name, err)
 	}
 	return &Tree{name: name, root: root}, nil
 }
@@ -168,18 +164,8 @@ func innerChildOff(i int) int { return page.HeaderSize + innerHeader + i*innerEn
 
 func innerKeyOff(i int) int { return innerChildOff(i) + 8 }
 
-// initLeaf formats an empty RID leaf with the given high key and right
-// sibling.
-func initLeaf(w *page.Writer, high uint64, right page.ID) {
-	w.PutUint16(countOff, 0)
-	setSibling(w, high, right)
-}
-
-// initInner formats an empty internal node at the given level.
-func initInner(w *page.Writer, level int) {
-	w.PutUint16(countOff, 0)
-	w.PutUint16(levelOff, uint16(level))
-}
+// setLevel stores the level of an internal node.
+func setLevel(w *page.Writer, level int) { w.PutUint16(levelOff, uint16(level)) }
 
 func nodeCount(buf page.Buf) int { return int(binary.LittleEndian.Uint16(buf[countOff:])) }
 
@@ -521,25 +507,22 @@ func splitLeaf(tx *engine.Tx, id page.ID, pos int, key uint64, rid page.RID) (*s
 	}); err != nil {
 		return nil, err
 	}
-	rightID, err := tx.Alloc(page.TypeBTreeLeaf)
-	if err != nil {
-		return nil, err
-	}
 	n := nodeCount(image)
 	cut, sep := n, key
 	if pos < n {
 		cut = n / 2
 		sep = leafKey(image, cut)
 	}
-	if err := tx.Edit(rightID, func(w *page.Writer) error {
-		initLeaf(w, highKey(image), next(image))
+	rightID, err := tx.AllocEdit(page.TypeBTreeLeaf, func(w *page.Writer) error {
+		setSibling(w, highKey(image), next(image))
 		copy(w.Bytes(leafOff(0), (n-cut)*leafEntrySize), image[leafOff(cut):leafOff(n)])
 		setNodeCount(w, n-cut)
 		if key >= sep {
 			insertLeafEntry(w, pos-cut, key, rid)
 		}
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := tx.Edit(id, func(w *page.Writer) error {
@@ -757,10 +740,6 @@ func (t *Tree) registerSplit(tx *engine.Tx, nodes []page.ID, split *splitResult)
 // new left sibling of split.right and turns the root into an internal node
 // over (left, split.key, split.right), one level higher.
 func (t *Tree) splitRoot(tx *engine.Tx, split *splitResult) error {
-	leftID, err := tx.Alloc(page.TypeBTreeInternal)
-	if err != nil {
-		return err
-	}
 	var rootImage page.Buf
 	if err := tx.Read(t.root, func(buf page.Buf) error {
 		rootImage = buf.Clone()
@@ -768,14 +747,15 @@ func (t *Tree) splitRoot(tx *engine.Tx, split *splitResult) error {
 	}); err != nil {
 		return err
 	}
-	if err := tx.Edit(leftID, func(w *page.Writer) error {
+	leftID, err := tx.AllocEdit(page.TypeBTreeInternal, func(w *page.Writer) error {
 		copy(w.Bytes(page.HeaderSize, page.PayloadSize), rootImage.Payload())
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	return tx.Edit(t.root, func(w *page.Writer) error {
-		initInner(w, innerLevel(rootImage)+1)
+		setLevel(w, innerLevel(rootImage)+1)
 		setNodeCount(w, 1)
 		setInnerChild(w, 0, leftID)
 		setInnerKey(w, 0, split.key)
@@ -785,77 +765,57 @@ func (t *Tree) splitRoot(tx *engine.Tx, split *splitResult) error {
 }
 
 func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*splitResult, error) {
-	var needSplit, atEnd bool
-	var level int
+	var image page.Buf // the node, if it is full
 	err := tx.Edit(id, func(w *page.Writer) error {
-		buf := w.Page()
-		if n := nodeCount(buf); n >= MaxInnerEntries {
-			needSplit, atEnd, level = true, split.key > innerKey(buf, n-1), innerLevel(buf)
+		if nodeCount(w.Page()) >= MaxInnerEntries {
+			image = w.Page().Clone()
 			return nil
 		}
 		insertInnerEntry(w, split.key, split.right)
 		return nil
 	})
-	if err != nil {
+	if err != nil || image == nil {
 		return nil, err
 	}
-	if !needSplit {
-		return nil, nil
-	}
-
-	rightID, err := tx.Alloc(page.TypeBTreeInternal)
-	if err != nil {
-		return nil, err
-	}
-	if atEnd {
+	n, level := nodeCount(image), innerLevel(image)
+	if split.key > innerKey(image, n-1) {
 		// The new child sorts after every key of the full node: leave the
 		// node whole and give the right node no keys and that one child.
-		if err := tx.Edit(rightID, func(w *page.Writer) error {
-			initInner(w, level)
+		rightID, err := tx.AllocEdit(page.TypeBTreeInternal, func(w *page.Writer) error {
+			setLevel(w, level)
 			setInnerChild(w, 0, split.right)
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, err
 		}
 		return &splitResult{key: split.key, right: rightID}, nil
 	}
 
 	// Split the internal node around its median key.
-	var image page.Buf
-	if err := tx.Read(id, func(buf page.Buf) error {
-		image = buf.Clone()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	n := nodeCount(image)
 	mid := n / 2
 	upKey := innerKey(image, mid)
-
-	if err := tx.Edit(rightID, func(w *page.Writer) error {
-		initInner(w, level)
+	right := split.key >= upKey
+	rightID, err := tx.AllocEdit(page.TypeBTreeInternal, func(w *page.Writer) error {
+		setLevel(w, level)
 		// Children mid+1 to n and the keys between them, which alternate
 		// in the node, become the right node's.
 		rightCount := n - mid - 1
 		setNodeCount(w, rightCount)
 		copy(w.Bytes(innerChildOff(0), rightCount*innerEntrySize+8), image[innerChildOff(mid+1):innerKeyOff(n)])
+		if right {
+			insertInnerEntry(w, split.key, split.right)
+		}
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := tx.Edit(id, func(w *page.Writer) error {
 		setNodeCount(w, mid)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	target := id
-	if split.key >= upKey {
-		target = rightID
-	}
-	if err := tx.Edit(target, func(w *page.Writer) error {
-		insertInnerEntry(w, split.key, split.right)
+		if !right {
+			insertInnerEntry(w, split.key, split.right)
+		}
 		return nil
 	}); err != nil {
 		return nil, err

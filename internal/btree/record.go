@@ -205,10 +205,6 @@ func splitRecordLeaf(tx *engine.Tx, id page.ID, pos int, key uint64, val []byte)
 		return nil, false, err
 	}
 	n := image.SlotCount()
-	rightID, err := tx.Alloc(page.TypeRecordLeaf)
-	if err != nil {
-		return nil, false, err
-	}
 
 	// The right sibling takes records cut to n, and the new record when
 	// newRight is set; the leaf keeps records 0 to cut, and the new record
@@ -228,7 +224,7 @@ func splitRecordLeaf(tx *engine.Tx, id page.ID, pos int, key uint64, val []byte)
 		sep = recKey(image, cut)
 	}
 
-	if err := tx.Edit(rightID, func(w *page.Writer) error {
+	rightID, err := tx.AllocEdit(page.TypeRecordLeaf, func(w *page.Writer) error {
 		initRecordLeaf(w, highKey(image), next(image))
 		for j := cut; j < n; j++ {
 			c := image.Cell(j)
@@ -246,7 +242,8 @@ func splitRecordLeaf(tx *engine.Tx, id page.ID, pos int, key uint64, val []byte)
 			putRecord(cell, key, val)
 		}
 		return err
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, false, err
 	}
 	if err := tx.Edit(id, func(w *page.Writer) error {

@@ -18,7 +18,6 @@ import (
 	"github.com/reprolab/face/internal/device/filedev"
 	"github.com/reprolab/face/internal/face"
 	"github.com/reprolab/face/internal/lock"
-	"github.com/reprolab/face/internal/metrics"
 	"github.com/reprolab/face/internal/obs"
 )
 
@@ -145,24 +144,16 @@ type Config struct {
 	// periodic checkpoints.
 	CheckpointEvery time.Duration
 
-	// Model is the CPU/overlap model used to derive elapsed simulated
-	// time and to charge restart its CPU.  Zero fields take their values
-	// from metrics.DefaultModel.
-	Model metrics.Model
-
 	// Obs, when non-nil, is the metrics registry the engine registers
 	// its histograms and counters into, letting an embedder (faced)
 	// share one registry across the engine and the server.  Nil
 	// allocates a private registry.
 	Obs *obs.Registry
-	// SlowTxThreshold enables the slow-transaction log: every committed
-	// write transaction whose wall-clock latency reaches the threshold
-	// emits a one-line per-phase breakdown through Logf.  Zero disables
-	// the log; tracing itself stays on.  The span tracer reuses the same
-	// threshold as its slow-trace pin bar.
+	// SlowTxThreshold pins the span trace of every committed write
+	// transaction whose wall-clock latency reaches it (trace.PinSlow), so
+	// the tracer's journal keeps its per-phase spans.  Zero pins none;
+	// tracing itself stays on.
 	SlowTxThreshold time.Duration
-	// Logf receives slow-transaction log lines (default log.Printf).
-	Logf func(format string, args ...any)
 
 	// Recover runs crash recovery during Open.  Set it when reopening a
 	// database after Crash; leave it false for a freshly initialised set

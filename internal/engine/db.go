@@ -49,8 +49,7 @@ type DB struct {
 	// except to allocate a page.
 	mu sync.Mutex
 
-	cfg   Config
-	model metrics.Model
+	cfg Config
 
 	dataDev  device.Dev
 	logDev   device.Dev
@@ -169,11 +168,9 @@ func Open(cfg Config) (*DB, error) {
 		closeFiles()
 		return nil, err
 	}
-	cfg.Model = cfg.Model.Normalized()
 	_, dataBarrier := cfg.DataDev.(device.Syncer)
 	db := &DB{
 		cfg:         cfg,
-		model:       cfg.Model,
 		dataDev:     cfg.DataDev,
 		logDev:      cfg.LogDev,
 		flashDev:    cfg.FlashDev,
@@ -563,7 +560,7 @@ func (db *DB) recover() error {
 	if db.flashDev != nil {
 		flashDelta = db.flashDev.Stats().Sub(flashBefore)
 	}
-	cpu := time.Duration(r.RecordsScanned) * db.model.CPUPerPageAccess
+	cpu := time.Duration(r.RecordsScanned) * metrics.DefaultCPUPerPageAccess
 	rep.RedoUndoTime = dataDelta.Busy + logDelta.Busy + flashDelta.Busy + cpu - rep.MetadataRestoreTime
 	if rep.RedoUndoTime < 0 {
 		rep.RedoUndoTime = 0
@@ -748,7 +745,7 @@ func (db *DB) elapsedFor(accesses int64) time.Duration {
 	if db.flashDev != nil {
 		resources = append(resources, metrics.DeviceResource(db.flashDev))
 	}
-	return db.model.Elapsed(accesses, resources...)
+	return metrics.DefaultModel().Elapsed(accesses, resources...)
 }
 
 // Snapshot captures every counter needed to measure a window of work by

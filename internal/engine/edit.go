@@ -52,11 +52,11 @@ func (tx *Tx) Edit(id page.ID, fn func(w *page.Writer) error) error {
 
 // editArena is what one transaction's page edits are made in: a Writer per
 // nesting depth of Edit, copies of the operations of its update records, the
-// undo list over them and, for each page they changed, the free space it had
-// before the first of them.  The first Edit or Modify takes one from a pool,
-// and it goes back once commit or abort no longer needs the undo list; the
-// log copies a record when it is appended, so nothing else refers to the
-// arena by then.  An arena grown past maxArenaOps is left to the collector
+// undo list over them and, for each page they changed or created, the free
+// space it had before the first of them that undo reaches.  The first Edit,
+// Modify or Alloc takes one from a pool, and it goes back once commit or
+// abort no longer needs the undo list; the log copies a record when it is
+// appended, so nothing else refers to the arena by then.  An arena grown past maxArenaOps is left to the collector
 // instead, and so is a map of changed pages past maxArenaPages: clearing a
 // map costs what it has grown to, so a large one would charge every later
 // transaction that took its arena.
@@ -65,9 +65,9 @@ type editArena struct {
 	writers []*page.Writer
 	ops     []byte
 	undo    []undoRecord
-	// changed maps each page the transaction changed to its free space
-	// before the first change: the undo list in a form a lookup need not
-	// scan.
+	// changed maps each page the transaction changed or created to its
+	// free space before the first change that undo reaches: the pages of
+	// the undo list, in a form a lookup need not scan, and the new pages.
 	changed map[page.ID]page.Span
 }
 
@@ -130,10 +130,9 @@ func (a *editArena) earlierFree(id page.ID) (page.Span, bool) {
 	return free, ok
 }
 
-// note records an update record of page id for undo, and the free space
-// the page had before the transaction first changed it.
-func (a *editArena) note(id page.ID, ops []byte, free page.Span) {
-	a.undo = append(a.undo, undoRecord{pageID: id, ops: a.keep(ops)})
+// noteChanged records that the transaction changed page id, and free as
+// the free space the page had before, unless it changed the page before.
+func (a *editArena) noteChanged(id page.ID, free page.Span) {
 	if _, ok := a.changed[id]; ok {
 		return
 	}

@@ -212,10 +212,11 @@ func TestAbortThenCrashReplaysCompensation(t *testing.T) {
 }
 
 // TestOldFormatLogIsRefused: a log device initialised by the single-range
-// record format, or by the byte-diff edit lists the operation lists
-// replaced, is not silently reinitialised or misread.
+// record format, by the byte-diff edit lists the operation lists replaced,
+// or by format records without a new page's contents, is not silently
+// reinitialised or misread.
 func TestOldFormatLogIsRefused(t *testing.T) {
-	for _, magic := range []uint32{0xFACE10C0, 0xFACE10C2} {
+	for _, magic := range []uint32{0xFACE10C0, 0xFACE10C2, 0xFACE10C3} {
 		r := newRig(t, PolicyNone)
 		ctrl := make([]byte, device.BlockSize)
 		binary.LittleEndian.PutUint32(ctrl, magic)
@@ -243,6 +244,78 @@ func TestAllocLogVolume(t *testing.T) {
 	}
 	if err := tx.commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocEditIsOneRedoOnlyRecord: AllocEdit logs a new page and its
+// first contents as one format record, which a crash redoes and a rollback
+// leaves alone; the transaction keeps the page's lock; and a fill that
+// fails leaves the page empty, logged as Alloc logs it.
+func TestAllocEditIsOneRedoOnlyRecord(t *testing.T) {
+	r := newRig(t, PolicyNone)
+	db := r.open(t, false)
+	fill := func(w *page.Writer) error {
+		if _, err := w.Insert([]byte("first contents")); err != nil {
+			return err
+		}
+		copy(w.Bytes(2000, 8), "trailer!")
+		return nil
+	}
+	tx := begin(t, db)
+	appends := db.Snapshot().Wal.Appends
+	id, err := tx.AllocEdit(page.TypeHeap, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Snapshot().Wal.Appends - appends; n != 1 {
+		t.Fatalf("AllocEdit logged %d records, want 1", n)
+	}
+	if tx.Unlock(id) {
+		t.Fatal("Unlock gave back the lock on a page the transaction created")
+	}
+	failed := errors.New("fill failed")
+	mark := db.Log().Next()
+	if _, err := tx.AllocEdit(page.TypeHeap, func(w *page.Writer) error {
+		fill(w)
+		return failed
+	}); !errors.Is(err, failed) {
+		t.Fatalf("a failing fill: %v", err)
+	}
+	if n := db.Log().Next() - mark; n > 64 {
+		t.Fatalf("a failing fill logged %d bytes, want at most 64", n)
+	}
+	if err := tx.commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := pageImage(t, db, id)
+	if got, err := want.Record(0); err != nil || string(got) != "first contents" {
+		t.Fatalf("the new page holds %q, %v", got, err)
+	}
+	empty := pageImage(t, db, id+1)
+	if empty.SlotCount() != 0 || string(empty[2000:2008]) != string(make([]byte, 8)) {
+		t.Fatal("the page of the failing fill is not empty")
+	}
+
+	// A rolled-back transaction's new page keeps its contents: nothing
+	// undoes a format record.
+	tx = begin(t, db)
+	rolled, err := tx.AllocEdit(page.TypeHeap, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Log().ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+	db2 := r.open(t, true)
+	defer db2.Close()
+	for _, id := range []page.ID{id, rolled} {
+		if got := pageImage(t, db2, id); !bytes.Equal(got[page.HeaderSize:], want[page.HeaderSize:]) {
+			t.Fatalf("page %d after restart is not the page its format record made", id)
+		}
 	}
 }
 

@@ -3,12 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
-	"log"
 	"time"
 
 	"github.com/reprolab/face/internal/obs"
 	"github.com/reprolab/face/internal/obs/trace"
-	"github.com/reprolab/face/internal/wal"
 )
 
 // This file is the engine's observability layer: wall-clock phase tracing
@@ -90,8 +88,7 @@ func traceFrom(ctx context.Context) *trace.Trace {
 	return tr
 }
 
-// dbObs holds the engine's registered metrics, the slow-transaction log
-// configuration and the span tracer.
+// dbObs holds the engine's registered metrics and the span tracer.
 type dbObs struct {
 	reg *obs.Registry
 
@@ -99,11 +96,8 @@ type dbObs struct {
 	view    *obs.Histogram
 	phases  [numPhases]*obs.Histogram
 
-	slowTx        *obs.Counter
-	slowThreshold time.Duration
-	logf          func(string, ...any)
-
-	// tracer owns the span journal and flight recorder.
+	// tracer owns the span journal and flight recorder; it pins the trace
+	// of a transaction slower than Config.SlowTxThreshold.
 	tracer *trace.Tracer
 }
 
@@ -115,16 +109,10 @@ func newDBObs(cfg *Config) *dbObs {
 		reg = obs.NewRegistry()
 	}
 	o := &dbObs{
-		reg:           reg,
-		txTotal:       reg.Histogram("face_tx_total_seconds"),
-		view:          reg.Histogram("face_view_seconds"),
-		slowTx:        reg.Counter("face_slow_tx_total"),
-		slowThreshold: cfg.SlowTxThreshold,
-		logf:          cfg.Logf,
-		tracer:        trace.New(trace.Config{SlowTx: cfg.SlowTxThreshold}),
-	}
-	if o.logf == nil {
-		o.logf = log.Printf
+		reg:     reg,
+		txTotal: reg.Histogram("face_tx_total_seconds"),
+		view:    reg.Histogram("face_view_seconds"),
+		tracer:  trace.New(trace.Config{SlowTx: cfg.SlowTxThreshold}),
 	}
 	for i := range o.phases {
 		o.phases[i] = reg.Histogram(`face_tx_phase_seconds{phase="` + phaseNames[i] + `"}`)
@@ -149,9 +137,8 @@ func (o *dbObs) finishOwn(tr *txTrace) {
 }
 
 // recordCommit folds a committed write transaction's trace into the phase
-// histograms and emits the slow-transaction log line for outliers.  A
-// read-only transaction (nil trace) records nothing.
-func (o *dbObs) recordCommit(id wal.TxID, tr *txTrace) {
+// histograms.  A read-only transaction (nil trace) records nothing.
+func (o *dbObs) recordCommit(tr *txTrace) {
 	if tr == nil {
 		return
 	}
@@ -162,13 +149,6 @@ func (o *dbObs) recordCommit(id wal.TxID, tr *txTrace) {
 	o.txTotal.ObserveExemplar(total, uint64(tr.span.ID()))
 	for i, h := range o.phases {
 		h.Observe(tr.phase[i])
-	}
-	if o.slowThreshold > 0 && total >= o.slowThreshold {
-		o.slowTx.Add(1)
-		o.logf("obs: slow tx id=%d trace=%s total=%v admission=%v lock=%v buffer=%v wal=%v durable=%v closure=%v",
-			id, tr.span.ID(), total,
-			tr.phase[phaseAdmission], tr.phase[phaseLockWait], tr.phase[phaseBuffer],
-			tr.phase[phaseWalAppend], tr.phase[phaseDurable], tr.phase[phaseClosure])
 	}
 }
 

@@ -2,11 +2,8 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"maps"
-	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -58,81 +55,6 @@ func TestObsPhaseSumInvariant(t *testing.T) {
 	}
 	if c := time.Duration(p.Closure.Sum); c < 5*time.Millisecond {
 		t.Fatalf("closure phase %v did not absorb the 5ms sleep", c)
-	}
-}
-
-// TestObsSlowTxLogsOnce checks the slow-transaction log's invariants,
-// which hold however fast the host is: a line is emitted only for a
-// transaction whose total reached the threshold, the outlier that sleeps
-// past it is logged exactly once, and face_slow_tx_total counts the lines.
-func TestObsSlowTxLogsOnce(t *testing.T) {
-	const threshold = 2 * time.Millisecond
-	r := newRig(t, PolicyNone)
-	var mu sync.Mutex
-	var lines []string
-	r.cfg.SlowTxThreshold = threshold
-	r.cfg.Logf = func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}
-	db := r.open(t, false)
-	defer db.Close()
-
-	ctx := context.Background()
-	var id page.ID
-	if err := db.Update(ctx, func(tx *Tx) error {
-		var err error
-		id, err = tx.Alloc(page.TypeHeap)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Fast transactions: logged only if the host made them slow.
-	for i := 0; i < 5; i++ {
-		if err := db.Update(ctx, func(tx *Tx) error {
-			writeValue(t, tx, id, uint64(i))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One outlier.
-	var outlier uint64
-	if err := db.Update(ctx, func(tx *Tx) error {
-		outlier = tx.ID()
-		time.Sleep(5 * time.Millisecond)
-		writeValue(t, tx, id, 99)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	totalRE := regexp.MustCompile(`total=(\S+)`)
-	var outlierLines []string
-	for _, line := range lines {
-		m := totalRE.FindStringSubmatch(line)
-		if m == nil {
-			t.Fatalf("slow-tx line without a total: %s", line)
-		}
-		if total, err := time.ParseDuration(m[1]); err != nil || total < threshold {
-			t.Errorf("slow-tx line for a transaction under the %v threshold (%v): %s", threshold, err, line)
-		}
-		if strings.Contains(line, fmt.Sprintf("id=%d ", outlier)) {
-			outlierLines = append(outlierLines, line)
-		}
-	}
-	if len(outlierLines) != 1 {
-		t.Fatalf("outlier emitted %d slow-tx lines, want 1: %q", len(outlierLines), lines)
-	}
-	for _, field := range []string{"slow tx", "total=", "admission=", "lock=", "buffer=", "wal=", "durable=", "closure="} {
-		if !strings.Contains(outlierLines[0], field) {
-			t.Errorf("slow-tx line missing %q: %s", field, outlierLines[0])
-		}
-	}
-	if got := db.Metrics().Counter("face_slow_tx_total").Value(); got != int64(len(lines)) {
-		t.Errorf("face_slow_tx_total = %d, want %d (one per line)", got, len(lines))
 	}
 }
 
@@ -230,7 +152,6 @@ func TestObsMetricsRegistered(t *testing.T) {
 		"face_pool_hits_total",
 		"face_lock_waits_total",
 		"face_cache_lookups_total",
-		"face_slow_tx_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in /metrics output", want)

@@ -22,7 +22,6 @@ func traceDB(t *testing.T) *DB {
 	t.Helper()
 	r := newRig(t, PolicyNone)
 	r.cfg.SlowTxThreshold = time.Nanosecond
-	r.cfg.Logf = func(string, ...any) {}
 	db := r.open(t, false)
 	t.Cleanup(func() { db.Close() })
 	return db
@@ -145,7 +144,6 @@ func TestTraceExemplarLinksJournal(t *testing.T) {
 // victim's self-started trace is pinned with the wait-for cycle.
 func TestTraceEngineDeadlockPin(t *testing.T) {
 	r := newRig(t, PolicyNone)
-	r.cfg.Logf = func(string, ...any) {}
 	db := r.open(t, false)
 	t.Cleanup(func() { db.Close() })
 
@@ -343,7 +341,6 @@ func TestBufferPhaseOffFastPathOnly(t *testing.T) {
 	r := newRig(t, PolicyNone)
 	dev := &gatedDev{Dev: r.data}
 	r.cfg.DataDev = dev
-	r.cfg.Logf = func(string, ...any) {}
 	db := r.open(t, false)
 	t.Cleanup(func() { db.Close() })
 	tracer := db.Tracer()
@@ -471,7 +468,6 @@ func TestWalAppendPhaseOnStallOnly(t *testing.T) {
 	r := newRig(t, PolicyNone)
 	dev := &gatedLog{Dev: r.log}
 	r.cfg.LogDev = dev
-	r.cfg.Logf = func(string, ...any) {}
 	db := r.open(t, false)
 	t.Cleanup(func() { db.Close() })
 	tracer := db.Tracer()
@@ -557,7 +553,6 @@ func TestWalAppendPhaseOnStallOnly(t *testing.T) {
 // recovery timeline.
 func TestTraceFlightRecorderLifecycle(t *testing.T) {
 	r := newRig(t, PolicyNone)
-	r.cfg.Logf = func(string, ...any) {}
 	db := r.open(t, false)
 	var id page.ID
 	if err := db.Update(context.Background(), func(tx *Tx) error {

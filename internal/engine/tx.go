@@ -21,7 +21,8 @@ type Tx struct {
 	db   *DB
 	id   wal.TxID
 	done bool
-	// readonly rejects Modify, Edit and Alloc with ErrConflict (View).
+	// readonly rejects Modify, Edit, Alloc and AllocEdit with ErrConflict
+	// (View).
 	readonly bool
 
 	// locks is the transaction's page lock state: Read takes a shared
@@ -34,7 +35,8 @@ type Tx struct {
 
 	// arena holds the transaction's Writers, the operations of its update
 	// records and the undo list over them (see edit.go); nil until the
-	// first Edit or Modify, and again once commit or abort is done with it.
+	// first Edit, Modify or Alloc, and again once commit or abort is done
+	// with it.
 	arena *editArena
 
 	// tr accumulates the commit-path phase trace of a write transaction.
@@ -223,14 +225,27 @@ func (tx *Tx) logUpdate(id page.ID, buf page.Buf, ops []byte, free page.Span) (l
 	if err := tx.db.pool.MarkDirty(id); err != nil {
 		return true, err
 	}
-	tx.arena.note(id, ops, free)
+	a := tx.arena
+	a.undo = append(a.undo, undoRecord{pageID: id, ops: a.keep(ops)})
+	a.noteChanged(id, free)
 	return true, nil
 }
 
-// Alloc allocates and formats a new page of the given type.  The
-// formatting is logged as a format record (page id and type) so recovery
-// can repeat it.
+// Alloc allocates a new page of the given type, formatted empty: AllocEdit
+// with a fill that writes nothing, logged as the page id and type alone.
 func (tx *Tx) Alloc(t page.Type) (page.ID, error) {
+	return tx.AllocEdit(t, func(*page.Writer) error { return nil })
+}
+
+// AllocEdit allocates a new page of the given type, formats it and lets
+// fill write the page's first contents through a page.Writer.  Both are logged as one redo-only format record: the page
+// type and fill's operations, without undo information.  Until commit only
+// the transaction's other records link to the page, and undoing them
+// orphans it; a page something else reaches at once, like a heap page its
+// table lists, takes Alloc and an Edit, which rollback undoes.  A failing
+// fill leaves the page empty, logged as Alloc logs it.  Unlock refuses the
+// page, as it does a page the transaction changed.
+func (tx *Tx) AllocEdit(t page.Type, fill func(w *page.Writer) error) (page.ID, error) {
 	if tx.done {
 		return page.InvalidID, ErrTxDone
 	}
@@ -263,14 +278,30 @@ func (tx *Tx) Alloc(t page.Type) (page.ID, error) {
 	}
 	defer db.pool.Unpin(id)
 
-	rec := &wal.Record{Type: wal.TypeFormat, TxID: tx.id, PageID: id, PageType: t}
-	lsn, err := tx.logAppend(rec)
+	a := tx.edits()
+	rec := wal.Record{Type: wal.TypeFormat, TxID: tx.id, PageID: id, PageType: t}
+	w := a.enter()
+	w.ResetRedoOnly(buf)
+	fillErr := fill(w)
+	if fillErr != nil {
+		buf.Init(id, t)
+	} else {
+		rec.Ops = w.Ops()
+	}
+	a.depth--
+	lsn, err := tx.logAppend(&rec)
 	if err != nil {
 		return page.InvalidID, err
 	}
 	buf.SetLSN(lsn)
 	if err := db.pool.MarkDirty(id); err != nil {
 		return page.InvalidID, err
+	}
+	// Undo stops at the page as the record left it: a later edit's new
+	// cell needs a before image outside its free space.
+	a.noteChanged(id, buf.Free())
+	if fillErr != nil {
+		return page.InvalidID, fillErr
 	}
 	return id, nil
 }
@@ -323,7 +354,7 @@ func (tx *Tx) commit() error {
 		return err
 	}
 	db.committed.Add(1)
-	db.obs.recordCommit(tx.id, tx.tr)
+	db.obs.recordCommit(tx.tr)
 	return nil
 }
 

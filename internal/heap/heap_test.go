@@ -441,3 +441,77 @@ func TestUpdateEachOfAMissingRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAbortedGrowthLeavesNoRows: an InsertMany that grows the table and
+// rolls back leaves no row that Scan returns, at runtime and after a crash.
+// The page it added stays in the catalog, which Scan reads, so its rows
+// must be undone: a heap page takes Alloc and an Edit, not a fill that
+// undo never reaches.
+func TestAbortedGrowthLeavesNoRows(t *testing.T) {
+	cfg := engine.Config{
+		DataDev:     device.New("data", device.ProfileCheetah15K, 8192),
+		LogDev:      device.New("log", device.ProfileCheetah15K, 8192),
+		BufferPages: 64,
+		Policy:      engine.PolicyNone,
+	}
+	db, err := engine.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tbl *Table
+	update(t, db, func(tx *engine.Tx) (err error) {
+		if tbl, err = Create(tx, "rows"); err != nil {
+			return err
+		}
+		_, err = tbl.InsertMany(tx, [][]byte{rec(1, 100), rec(2, 100)}, make([]page.RID, 2))
+		return err
+	})
+	rolledBack := errors.New("rolled back")
+	if err := db.Update(context.Background(), func(tx *engine.Tx) error {
+		recs := make([][]byte, 100)
+		for i := range recs {
+			recs[i] = rec(uint64(100+i), 200)
+		}
+		rids := make([]page.RID, len(recs))
+		for i := 0; i < len(recs); {
+			n, err := tbl.InsertMany(tx, recs[i:], rids[i:])
+			if err != nil {
+				return err
+			}
+			i += n
+		}
+		if n := tbl.NumPages(); n < 3 {
+			return fmt.Errorf("the rows took %d pages", n)
+		}
+		return rolledBack
+	}); !errors.Is(err, rolledBack) {
+		t.Fatalf("the transaction: %v", err)
+	}
+	rows := func(when string, db *engine.DB, tbl *Table) {
+		t.Helper()
+		var got []uint64
+		if err := db.View(context.Background(), func(tx *engine.Tx) error {
+			return tbl.Scan(tx, func(_ page.RID, r []byte) error {
+				got = append(got, binary.LittleEndian.Uint64(r))
+				return nil
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != "[1 2]" {
+			t.Fatalf("%s: Scan returns rows %v, want [1 2]", when, got)
+		}
+	}
+	rows("after the rollback", db, tbl)
+	if err := db.Log().ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+	cfg.Recover = true
+	db2, err := engine.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	rows("after the crash", db2, Attach("rows", tbl.Pages()))
+}

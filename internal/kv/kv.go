@@ -88,18 +88,18 @@ func Open(ctx context.Context, db *engine.DB) (*Store, error) {
 	s := &Store{db: db, spaces: make(map[string]*Namespace)}
 	if db.NumPages() == 0 {
 		err := db.Update(ctx, func(tx *engine.Tx) error {
-			id, err := tx.Alloc(page.TypeKVCatalog)
+			// A new page holds no catalog entries.
+			id, err := tx.AllocEdit(page.TypeKVCatalog, func(w *page.Writer) error {
+				binary.LittleEndian.PutUint32(w.Bytes(page.HeaderSize, 4), catalogMagic)
+				return nil
+			})
 			if err != nil {
 				return err
 			}
 			if id != 1 {
 				return fmt.Errorf("kv: catalog allocated as page %d, want 1", id)
 			}
-			return tx.Edit(id, func(w *page.Writer) error {
-				binary.LittleEndian.PutUint32(w.Bytes(page.HeaderSize, 4), catalogMagic)
-				w.PutUint16(page.HeaderSize+4, 0)
-				return nil
-			})
+			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("kv: initialising catalog: %w", err)

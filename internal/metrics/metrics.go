@@ -43,18 +43,6 @@ func DefaultModel() Model {
 	return Model{CPUPerPageAccess: DefaultCPUPerPageAccess, CPUParallelism: DefaultCPUParallelism}
 }
 
-// Normalized returns the model with every unset field taken from
-// DefaultModel.
-func (m Model) Normalized() Model {
-	if m.CPUPerPageAccess <= 0 {
-		m.CPUPerPageAccess = DefaultCPUPerPageAccess
-	}
-	if m.CPUParallelism <= 0 {
-		m.CPUParallelism = DefaultCPUParallelism
-	}
-	return m
-}
-
 // Resource is one contributor to elapsed time.
 type Resource struct {
 	Name string
@@ -68,7 +56,6 @@ type Resource struct {
 // Elapsed returns the modelled elapsed time for a workload that performed
 // pageAccesses buffer-pool accesses and kept the given resources busy.
 func (m Model) Elapsed(pageAccesses int64, resources ...Resource) time.Duration {
-	m = m.Normalized()
 	cpu := time.Duration(pageAccesses) * m.CPUPerPageAccess / time.Duration(m.CPUParallelism)
 	elapsed := cpu
 	for _, r := range resources {

@@ -25,7 +25,7 @@ func TestElapsedBottleneck(t *testing.T) {
 }
 
 func TestElapsedDefaultsAndClamps(t *testing.T) {
-	var m Model // zero: defaults apply
+	m := DefaultModel()
 	elapsed := m.Elapsed(0, Resource{Busy: time.Second, Parallelism: 0})
 	if elapsed != time.Second {
 		t.Fatalf("parallelism 0 should be treated as 1, got %v", elapsed)

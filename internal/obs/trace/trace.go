@@ -357,14 +357,6 @@ func (t *Tracer) Finish(tr *Trace) {
 	}
 }
 
-// SlowTx returns the slow-pin threshold (0 when disabled or nil).
-func (t *Tracer) SlowTx() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.cfg.SlowTx
-}
-
 // SyncStall returns the WAL sync-stall pin threshold (0 when disabled
 // or nil).
 func (t *Tracer) SyncStall() time.Duration {

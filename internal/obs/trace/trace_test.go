@@ -26,7 +26,7 @@ func TestTraceNilSafety(t *testing.T) {
 	if d := tr.Dump(); len(d.Pinned) != 0 || len(d.Sampled) != 0 {
 		t.Fatalf("nil tracer Dump = %+v, want empty", d)
 	}
-	if tr.SlowTx() != 0 || tr.SyncStall() != 0 {
+	if tr.SyncStall() != 0 {
 		t.Fatal("nil tracer thresholds should be zero")
 	}
 

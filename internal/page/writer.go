@@ -8,12 +8,12 @@ import (
 )
 
 // Writer is an editing view of one page: the engine hands one to the
-// callback of a transaction's Edit.  Each method makes its change and
-// records it as an operation, and the engine logs the list of them (Ops)
-// for the edit: physical to the page, logical within it, as ARIES's
-// physiological logging is.  Redo runs the same operations on the same
-// page again, so it rebuilds the page byte for byte; Undo runs their
-// inverses through a Writer.
+// callback of a transaction's Edit and to the fill of its AllocEdit.  Each
+// method makes its change and records it as an operation, and the engine
+// logs the list of them (Ops) for the edit: physical to the page, logical
+// within it, as ARIES's physiological logging is.  Redo runs the same
+// operations on the same page again, so it rebuilds the page byte for
+// byte; Undo runs their inverses through a Writer.
 //
 // A slice that Bytes, Record or InsertAt returns is the callback's to write
 // until it calls the Writer again: its bytes are logged then, or when the
@@ -45,6 +45,9 @@ type Writer struct {
 	// freed holds, for each new cell, the bytes of free space it and its
 	// slot took, which only Restore puts back.
 	freed []byte
+	// sparse is where in ops the run count of the open sparse write lies,
+	// 0 if none is open, and send where its last run ends.
+	sparse, send int
 	// orig is the page as the edit began, kept by the race build only.
 	orig Buf
 }
@@ -60,6 +63,9 @@ type Writer struct {
 //	          move overwrote outside its source]
 //	opInsert  u16 slot, u16 n: InsertAt, whose cell the fills after it write
 //	opRemove  u16 slot, [u16 off, u16 n]: RemoveAt of the cell [off, off+n)
+//	opSparse  u16 off, u16 runs, then runs times u8 skip, u8 n, n bytes
+//	          after: writes from off on, each skip bytes past the end of
+//	          the one before; in records without undo information only
 //
 // A new cell needs no before image where it takes space that was free when
 // its transaction first changed the page, because its undo is its removal
@@ -71,12 +77,16 @@ type Writer struct {
 // logged, once.  Every other byte the transaction overwrites is logged
 // with its before image, so a removed cell needs none: its bytes stay
 // where they were until something that logs them overwrites them.
+//
+// A record without undo information logs its writes as sparse writes, two
+// bytes a run where a write costs five: a new page's are short runs.
 const (
 	opWrite byte = iota + 1
 	opFill
 	opMove
 	opInsert
 	opRemove
+	opSparse
 )
 
 // WriteHeaderSize is the log cost of one write, before its images.
@@ -103,8 +113,13 @@ type Span struct{ Lo, Hi int }
 // information.
 func (w *Writer) Reset(buf Buf) { w.reset(buf, true) }
 
+// ResetRedoOnly starts an edit of buf whose operations are logged without
+// undo information, for a record that is never undone: a new page's
+// contents.  Restore cannot undo such an edit.
+func (w *Writer) ResetRedoOnly(buf Buf) { w.reset(buf, false) }
+
 func (w *Writer) reset(buf Buf, undo bool) {
-	w.buf, w.undo, w.ops, w.freed = buf, undo, w.ops[:0], w.freed[:0]
+	w.buf, w.undo, w.ops, w.freed, w.sparse = buf, undo, w.ops[:0], w.freed[:0], 0
 	w.lo, w.hi, w.glo, w.ghi, w.free, w.asked = 0, 0, 0, 0, buf.Free(), false
 	if checkReplay {
 		w.orig = append(w.orig[:0], buf...)
@@ -129,8 +144,9 @@ func (w *Writer) Ops() []byte {
 	return w.ops
 }
 
-// Restore undoes everything the edit wrote, exactly: the operations are
-// undone newest first, and new cells give back the free space they took.
+// Restore undoes everything the edit, begun with Reset, wrote, exactly: the
+// operations are undone newest first, and new cells give back the free
+// space they took.
 func (w *Writer) Restore() {
 	w.undoOps(w.buf, bytes.Clone(w.Ops()), bytes.Clone(w.freed))
 }
@@ -219,7 +235,7 @@ func (w *Writer) logWrite(lo, hi int) {
 		}
 		switch {
 		case !w.undo:
-			w.ops = AppendWrite(w.ops, i, nil, b[i:j])
+			w.run(i, b[i:j])
 		case w.glo <= i && j <= w.ghi:
 			w.op(opFill, i, j-i)
 			w.ops = append(w.ops, b[i:j]...)
@@ -227,6 +243,23 @@ func (w *Writer) logWrite(lo, hi int) {
 			w.ops = AppendWrite(w.ops, i, old[i:j], b[i:j])
 		}
 		i = j
+	}
+}
+
+// run logs after, written at page offset off, as runs of the open sparse
+// write, or of a new one where off lies before its end or too far past it.
+func (w *Writer) run(off int, after []byte) {
+	for len(after) > 0 {
+		skip := off - w.send
+		if w.sparse == 0 || skip < 0 || skip > 255 {
+			w.op(opSparse, off, 0)
+			w.sparse, skip = len(w.ops)-2, 0
+		}
+		n := min(len(after), 255)
+		w.ops = append(append(w.ops, byte(skip), byte(n)), after[:n]...)
+		runs := w.ops[w.sparse:]
+		binary.LittleEndian.PutUint16(runs, binary.LittleEndian.Uint16(runs)+1)
+		off, after, w.send = off+n, after[n:], off+n
 	}
 }
 
@@ -240,11 +273,13 @@ func AppendWrite(ops []byte, off int, before, after []byte) []byte {
 }
 
 // op appends an operation's kind and fields.  Any operation but a write
-// ends the fills of the last insert or move.
+// ends the fills of the last insert or move, and any ends the open sparse
+// write.
 func (w *Writer) op(kind byte, fields ...int) {
 	if kind != opFill {
 		w.glo, w.ghi = 0, 0
 	}
+	w.sparse = 0
 	w.ops = append(w.ops, kind)
 	for _, f := range fields {
 		w.ops = binary.LittleEndian.AppendUint16(w.ops, uint16(f))
@@ -428,6 +463,13 @@ func Redo(buf Buf, ops []byte, undo bool) {
 			buf.insertAt(o.a, o.b)
 		case opRemove:
 			buf.removeAt(o.a)
+		case opSparse:
+			for at, runs := o.a, o.after; len(runs) > 0; {
+				at += int(runs[0])
+				n := int(runs[1])
+				copy(buf[at:at+n], runs[2:2+n])
+				at, runs = at+n, runs[2+n:]
+			}
 		}
 	}
 }
@@ -454,7 +496,7 @@ type op struct {
 
 // opFields is how many fields each kind of operation has, its undo
 // information included.
-var opFields = [...]int{opWrite: 2, opFill: 2, opMove: 3, opInsert: 2, opRemove: 3}
+var opFields = [...]int{opWrite: 2, opFill: 2, opMove: 3, opInsert: 2, opRemove: 3, opSparse: 2}
 
 // nextOp decodes the operation ops starts with and returns it and the rest
 // of ops; ok is false, and the rest empty, if it is malformed.
@@ -492,6 +534,19 @@ func nextOp(ops []byte, undo bool) (o op, rest []byte, ok bool) {
 		ok = slotOff(o.a+1) <= Size && o.b <= PayloadSize
 	case opRemove:
 		ok = o.b+o.c <= Size
+	case opSparse:
+		// after is the runs, which must stay in the page.
+		ok = !undo && o.b > 0
+		at, runs := o.a, ops[1+2*fields:]
+		for range o.b {
+			if len(runs) < 2 || runs[1] == 0 || len(runs) < 2+int(runs[1]) {
+				ok = false
+				break
+			}
+			n := int(runs[1])
+			at, after, runs = at+int(runs[0])+n, after+2+n, runs[2+n:]
+		}
+		ok = ok && at <= Size
 	}
 	rest = ops[1+2*fields:]
 	if !ok || len(rest) < before+after {

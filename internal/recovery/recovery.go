@@ -164,8 +164,8 @@ func Run(log *wal.Manager, pager Pager) (Report, error) {
 	}
 
 	// Undo the losers, newest transaction first so that repeated runs log
-	// the same bytes.  Format records are not undone: a freshly allocated
-	// page left behind by a loser is unreachable and harmless.
+	// the same bytes.  Format records (a new page and its first contents)
+	// are not undone: undoing the loser's other records orphans the page.
 	losers := make([]wal.TxID, 0, len(open))
 	for id := range open {
 		losers = append(losers, id)

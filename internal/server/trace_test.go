@@ -34,7 +34,6 @@ func startTracedServer(t *testing.T, slow time.Duration) (*testServer, *obs.Regi
 		NoFsync:         true,
 		Obs:             reg,
 		SlowTxThreshold: slow,
-		Logf:            func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatalf("engine.Open: %v", err)

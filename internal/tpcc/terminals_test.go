@@ -174,12 +174,13 @@ func TestRunTerminalsSingleWriterFallback(t *testing.T) {
 // includes the B-tree splits: the load inserts each index in key order,
 // which leaves its leaves full, so the first new order of a district whose
 // last keys share a leaf with the next district's first keys splits that
-// leaf in the middle and logs the half it moves.  An order's lines go into
+// leaf in the middle and logs the half it moves, as the new leaf's one
+// format record.  An order's lines go into
 // the table and the index a page at a time, and Delivery updates them so,
 // one update record per page changed instead of one per line.
 func TestRunTerminalsCallerIsTerminalZero(t *testing.T) {
 	want := [numKinds]int64{55, 50, 6, 6, 3}
-	const wantLogBytes = 125421
+	const wantLogBytes = 111017
 	for _, terminals := range []int{1, 4} {
 		eng := newLockEngine(t, terminals)
 		db, err := Load(eng, tinyConfig())

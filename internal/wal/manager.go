@@ -17,12 +17,13 @@ import (
 const controlBlocks = 1
 
 // controlMagic identifies an initialised control block of the current
-// format (operation-list update records, two log tail entries).  Magics
-// from oldestControlMagic up to it were written by earlier formats —
-// single-range update records, then a two-block double-write slot, then
-// byte-diff edit lists — which this code cannot read.
+// format (operation-list update records, format records that carry a new
+// page's contents, two log tail entries).  Magics from oldestControlMagic
+// up to it were written by earlier formats — single-range update records,
+// then a two-block double-write slot, then byte-diff edit lists, then
+// format records of an empty page only — which this code cannot read.
 const (
-	controlMagic       = 0xFACE10C3
+	controlMagic       = 0xFACE10C4
 	oldestControlMagic = 0xFACE10C0
 )
 

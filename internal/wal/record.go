@@ -36,7 +36,9 @@ const (
 	// newest update not yet compensated needs no undo.
 	TypeCompensation
 	// TypeFormat records that a freshly allocated page was initialised as
-	// an empty page of PageType.  Redo-only.
+	// an empty page of PageType and then, if Ops is not empty, given its
+	// first contents by those operations, without undo information.
+	// Redo-only.
 	TypeFormat
 	// TypeCommit marks a transaction as committed.
 	TypeCommit
@@ -90,8 +92,8 @@ type Record struct {
 	// PageID is the affected page for update, compensation and format
 	// records.
 	PageID page.ID
-	// Ops is the operation list of update and compensation records, in
-	// package page's encoding (page.Writer.Ops).
+	// Ops is the operation list of update, compensation and format
+	// records, in package page's encoding (page.Writer.Ops).
 	Ops []byte
 	// PageType is the type a format record initialises the page as.
 	PageType page.Type
@@ -139,7 +141,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //
 //	update, compensation:  the operations (page.Writer), with undo
 //	                       information in update records only
-//	format:                u16 page type
+//	format:                u16 page type, then redo-only operations
+//	                       (none for an empty page)
 //	checkpoint-end:        u64 LSN of the checkpoint-begin record
 //	page-written:          per page, u64 page id and u64 pageLSN
 //	commit, abort, checkpoint-begin: nothing
@@ -163,7 +166,7 @@ func (r *Record) check() error {
 		}
 	case r.Type == TypeUpdate && len(r.Ops) == 0:
 		return fmt.Errorf("%w: update record without operations", ErrInvalid)
-	case r.Type == TypeUpdate || r.Type == TypeCompensation:
+	case r.Type == TypeUpdate || r.Type == TypeCompensation || r.Type == TypeFormat:
 		if err := page.CheckOps(r.Ops, r.Type == TypeUpdate); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
@@ -181,7 +184,7 @@ func (r *Record) encodedSize() int {
 		}
 		n += len(r.Ops)
 	case TypeFormat:
-		n += 2
+		n += 2 + len(r.Ops)
 	case TypeCheckpointEnd:
 		n += len(r.After)
 	case TypePageWritten:
@@ -208,6 +211,7 @@ func (r *Record) encode(dst []byte) []byte {
 		}
 	case TypeFormat:
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.PageType))
+		dst = append(dst, r.Ops...)
 	case TypeCheckpointEnd:
 		dst = append(dst, r.After...)
 	case TypePageWritten:
@@ -253,19 +257,21 @@ func decodeRecord(buf []byte) (*Record, int, error) {
 	}
 	payload := buf[recordHeaderSize:total]
 	switch r.Type {
-	case TypeUpdate, TypeCompensation:
-		if len(payload) == 0 && r.Type == TypeUpdate {
+	case TypeUpdate, TypeCompensation, TypeFormat:
+		if r.Type == TypeFormat {
+			if len(payload) < 2 {
+				return nil, 0, fmt.Errorf("%w: format record payload of %d bytes", ErrCorrupt, len(payload))
+			}
+			r.PageType, payload = page.Type(binary.LittleEndian.Uint16(payload)), payload[2:]
+		} else if len(payload) == 0 && r.Type == TypeUpdate {
 			return nil, 0, fmt.Errorf("%w: update record without operations", ErrCorrupt)
 		}
 		if err := page.CheckOps(payload, r.Type == TypeUpdate); err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		r.Ops = append([]byte(nil), payload...)
-	case TypeFormat:
-		if len(payload) != 2 {
-			return nil, 0, fmt.Errorf("%w: format record payload of %d bytes", ErrCorrupt, len(payload))
+		if len(payload) > 0 {
+			r.Ops = append([]byte(nil), payload...)
 		}
-		r.PageType = page.Type(binary.LittleEndian.Uint16(payload))
 	case TypeCheckpointEnd:
 		if len(payload) != 8 {
 			return nil, 0, fmt.Errorf("%w: checkpoint-end payload of %d bytes", ErrCorrupt, len(payload))

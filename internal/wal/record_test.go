@@ -69,6 +69,10 @@ var corruptBodies = map[string][]byte{
 	"commit with payload":      body(TypeCommit, 1),
 	"format short":             body(TypeFormat, 1),
 	"format long":              body(TypeFormat, 1, 0, 0),
+	"format with before":       body(TypeFormat, cat([]byte{1, 0}, op(1, u16s(10, 2), 1, 2, 3, 4))...),
+	"format sparse cut":        body(TypeFormat, cat([]byte{1, 0}, op(6, u16s(10, 2), 0, 1, 7))...),
+	"sparse leaves page":       body(TypeCompensation, op(6, u16s(page.Size-2, 1), 1, 2, 7, 8)...),
+	"sparse in update":         body(TypeUpdate, op(6, u16s(10, 1), 0, 1, 7)...),
 	"checkpoint-end short":     body(TypeCheckpointEnd, 1, 2, 3),
 	"update without ops":       body(TypeUpdate),
 	"unknown op":               body(TypeUpdate, 9, 0, 0),

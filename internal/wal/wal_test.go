@@ -48,11 +48,40 @@ func TestRecordEncodeDecode(t *testing.T) {
 		}
 	}
 
-	// A format record carries the page type.
+	// A format record carries the page type, and the operations that give
+	// the new page its first contents, without undo information.
 	f := &Record{Type: TypeFormat, TxID: 3, PageID: 8, PageType: page.TypeBTreeLeaf}
 	got, _, err := decodeRecord(f.encode(nil))
-	if err != nil || got.PageType != page.TypeBTreeLeaf || got.PageID != 8 {
+	if err != nil || got.PageType != page.TypeBTreeLeaf || got.PageID != 8 || got.Ops != nil {
 		t.Fatalf("format record decoded as %+v, %v", got, err)
+	}
+	buf := page.NewBuf()
+	buf.Init(8, page.TypeHeap)
+	w := page.NewWriter(nil)
+	w.ResetRedoOnly(buf)
+	w.Insert([]byte("a first record"))
+	copy(w.Bytes(3000, 4), "tail")
+	f = &Record{Type: TypeFormat, TxID: 3, PageID: 8, PageType: page.TypeHeap, Ops: bytes.Clone(w.Ops())}
+	if err := f.check(); err != nil {
+		t.Fatal(err)
+	}
+	enc := f.encode(nil)
+	got, n, err := decodeRecord(enc)
+	if err != nil || n != len(enc) || n != f.encodedSize() || got.PageType != page.TypeHeap || !bytes.Equal(got.Ops, f.Ops) {
+		t.Fatalf("format record with operations decoded as %+v, %d of %d bytes, %v", got, n, len(enc), err)
+	}
+	redone := page.NewBuf()
+	redone.Init(8, page.TypeHeap)
+	page.Redo(redone, got.Ops, false)
+	if !bytes.Equal(redone, buf) {
+		t.Fatal("the format record's operations do not redo the page")
+	}
+	// Operations with undo information are not a format record's.
+	w.Reset(buf)
+	copy(w.Bytes(3000, 4), "TAIL")
+	f.Ops = bytes.Clone(w.Ops())
+	if err := f.check(); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("a format record with undo information: %v, want ErrInvalid", err)
 	}
 }
 

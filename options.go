@@ -199,28 +199,17 @@ func WithRecovery() Option {
 	}
 }
 
-// WithSlowTxThreshold enables the slow-transaction log: every committed
-// write transaction whose wall-clock latency reaches d emits a one-line
-// per-phase breakdown (admission, lock, buffer, WAL append, durable wait,
-// closure) through the sink set by WithSlowTxLog (default log.Printf).
-// The same threshold pins slow transactions' span traces in the journal
-// behind DB.Tracer, so the log line's trace ID is retrievable later.  Zero
-// (the default) disables both; phase tracing itself stays on.
+// WithSlowTxThreshold pins the span trace of every committed write
+// transaction whose wall-clock latency reaches d, so the journal behind
+// DB.Tracer keeps its per-phase spans (admission, lock, buffer, WAL
+// append, durable wait, closure) and serves it at /debug/traces.  Zero
+// (the default) pins none; phase tracing itself stays on.
 func WithSlowTxThreshold(d time.Duration) Option {
 	return func(c *engine.Config) error {
 		if d < 0 {
 			return fmt.Errorf("face: WithSlowTxThreshold(%v): must not be negative", d)
 		}
 		c.SlowTxThreshold = d
-		return nil
-	}
-}
-
-// WithSlowTxLog sets the sink that receives slow-transaction log lines
-// (default log.Printf).  A nil logf restores the default.
-func WithSlowTxLog(logf func(format string, args ...any)) Option {
-	return func(c *engine.Config) error {
-		c.Logf = logf
 		return nil
 	}
 }
