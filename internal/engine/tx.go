@@ -238,13 +238,14 @@ func (tx *Tx) Alloc(t page.Type) (page.ID, error) {
 }
 
 // AllocEdit allocates a new page of the given type, formats it and lets
-// fill write the page's first contents through a page.Writer.  Both are logged as one redo-only format record: the page
-// type and fill's operations, without undo information.  Until commit only
-// the transaction's other records link to the page, and undoing them
-// orphans it; a page something else reaches at once, like a heap page its
-// table lists, takes Alloc and an Edit, which rollback undoes.  A failing
-// fill leaves the page empty, logged as Alloc logs it.  Unlock refuses the
-// page, as it does a page the transaction changed.
+// fill write the page's first contents through a page.Writer.  Both are
+// logged as one redo-only format record: the page type and fill's
+// operations, without undo information.  Until commit only the
+// transaction's other records link to the page, and undoing them orphans
+// it; a page something else reaches at once, like a heap page its table
+// lists, takes Alloc and an Edit, which rollback undoes.  A failing fill
+// leaves the page empty, logged as Alloc logs it.  Unlock refuses the page,
+// as it does a page the transaction changed.
 func (tx *Tx) AllocEdit(t page.Type, fill func(w *page.Writer) error) (page.ID, error) {
 	if tx.done {
 		return page.InvalidID, ErrTxDone
