@@ -69,8 +69,9 @@
 // first touch and hold the locks to commit or abort.  Deadlocks are
 // detected: a transaction returning ErrDeadlock has been rolled back and
 // should be retried.  Concurrent commits batch their log forces through
-// the WAL's group-commit protocol, and WithMaxWriters(1) serialises
-// writers.
+// the WAL's group-commit protocol, paced by the log device alone: the
+// forces that arrive while one flush is in flight share the next.
+// WithMaxWriters(1) serialises writers.
 //
 // # Cache policies
 //

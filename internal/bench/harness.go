@@ -420,11 +420,6 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 		CheckpointEvery: spec.CheckpointEvery,
 		Recover:         recoverMode,
 	}
-	if spec.Terminals > 1 {
-		// Bound admission to the terminal count; it doubles as the
-		// group-commit fan-in hint.
-		cfg.MaxWriters = spec.Terminals
-	}
 	if !spec.Policy.UsesFlash() {
 		cfg.FlashDev = nil
 		cfg.FlashFrames = 0

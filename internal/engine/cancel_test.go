@@ -118,9 +118,9 @@ func TestCancelWaiterReleasesLocks(t *testing.T) {
 }
 
 // TestCancelDoesNotWedgeGroupCommit mixes committing writers with
-// writers cancelled mid-wait.  The group-commit leader election counts
-// registered committers; a cancelled transaction that exited without
-// deregistering would leave the leader collecting forever.
+// writers cancelled mid-wait.  The WAL's syncer counts registered
+// committers when it gathers a round; a cancelled transaction that exited
+// without deregistering must not keep later commits from completing.
 func TestCancelDoesNotWedgeGroupCommit(t *testing.T) {
 	db, ids := schedDB2PL(t, 4, 8)
 

@@ -79,11 +79,6 @@ var (
 // rolled back; retrying it is safe and expected.
 var ErrDeadlock = lock.ErrDeadlock
 
-// groupCommitWindow is how long the WAL syncer collects concurrent commit
-// forces on a log device without a durability barrier (simulated devices);
-// on files the barrier in flight paces the batches and nothing is timed.
-const groupCommitWindow = 200 * time.Microsecond
-
 // Config describes a database instance.
 type Config struct {
 	// DataDev holds the database pages (a disk array in most experiments,
@@ -106,12 +101,6 @@ type Config struct {
 	// devices: faster, but a host crash can lose acknowledged commits (a
 	// process crash cannot).  Ignored without Dir.
 	NoFsync bool
-	// FileDataBlocks/FileLogBlocks/FileFlashBlocks override the logical
-	// capacities of the device files in 4 KiB blocks (0 = generous sparse
-	// defaults; the flash file is sized from FlashFrames).
-	FileDataBlocks  int64
-	FileLogBlocks   int64
-	FileFlashBlocks int64
 
 	// BufferPages is the DRAM buffer pool capacity in pages.
 	BufferPages int
@@ -136,7 +125,7 @@ type Config struct {
 	// MaxWriters caps the number of concurrently admitted Update
 	// transactions (0 = unlimited; 1 serialises writers).  A bound keeps
 	// lock contention and DRAM pin pressure proportionate to small buffer
-	// pools, and doubles as the group-commit fan-in hint.
+	// pools.
 	MaxWriters int
 
 	// CheckpointEvery triggers a database checkpoint whenever this much
@@ -173,19 +162,17 @@ func (c *Config) openFileDevices() (*filedev.Set, error) {
 	if c.DataDev != nil || c.LogDev != nil || c.FlashDev != nil {
 		return nil, fmt.Errorf("engine: Dir and explicit devices are mutually exclusive")
 	}
-	flashBlocks := c.FileFlashBlocks
-	if flashBlocks <= 0 && c.Policy.UsesFlash() {
+	var flashBlocks int64
+	if c.Policy.UsesFlash() {
 		// A WithDir caller supplies no devices, so the flash file must be
 		// sizeable from the configuration; point them at the missing
 		// option rather than failing later with a confusing ErrNoDevice.
 		if c.FlashFrames < 1 {
-			return nil, fmt.Errorf("engine: policy %s on file-backed devices needs FlashFrames (or FileFlashBlocks) to size %s", c.Policy, filedev.FlashFile)
+			return nil, fmt.Errorf("engine: policy %s on file-backed devices needs FlashFrames to size %s", c.Policy, filedev.FlashFile)
 		}
 		flashBlocks = face.FlashDeviceBlocks(c.FlashFrames, c.SegmentEntries) + face.FlashDeviceSlack
 	}
 	set, err := filedev.OpenSet(c.Dir, filedev.SetConfig{
-		DataBlocks:  c.FileDataBlocks,
-		LogBlocks:   c.FileLogBlocks,
 		FlashBlocks: flashBlocks,
 		Workers:     DefaultFileWorkers,
 		NoFsync:     c.NoFsync,

@@ -197,15 +197,6 @@ func Open(cfg Config) (*DB, error) {
 		db.log.Close()
 		closeFiles()
 	}
-	// Concurrent committers batch their commit-time forces on the WAL
-	// syncer's waitlist.  A writer cap doubles as the expected group-commit
-	// fan-in: the first committer of a batch opens its collection window
-	// without waiting to observe a second one.
-	db.log.SetCollectionWindow(groupCommitWindow)
-	if cfg.MaxWriters > 1 {
-		db.log.SetCommitters(cfg.MaxWriters)
-	}
-
 	if err := db.readSuperblock(); err != nil {
 		abortLog()
 		return nil, err

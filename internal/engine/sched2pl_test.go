@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/page"
 )
 
@@ -462,19 +464,53 @@ func TestPageLockMaxWriters(t *testing.T) {
 	}
 }
 
+// heldSyncDev is a log device with a durability barrier the test can hold:
+// while held, every Sync blocks until release.
+type heldSyncDev struct {
+	*device.Device
+	gate sync.RWMutex
+}
+
+func (d *heldSyncDev) Sync() error {
+	d.gate.RLock()
+	d.gate.RUnlock()
+	return nil
+}
+
 // TestPageLockGroupCommitBatching: concurrent writers on disjoint pages
 // commit in parallel; their log forces must batch (piggybacked > 0,
 // strictly fewer device writes than commits).  A flush round covers the
 // high-water mark, so a commit whose record an earlier round's write already
 // covered finds the log durable and is not a force request: Requests is
 // bounded by the commit count from above, not from below.
+//
+// The log device's barrier is held until every writer's first commit force
+// has parked: the first round waits in its barrier while the other writers'
+// forces park, and they share the next round — whatever order the scheduler
+// runs the writers in.
 func TestPageLockGroupCommitBatching(t *testing.T) {
-	// MaxWriters doubles as the expected fan-in hint, which lets the
-	// group-commit leader collect a batch even on GOMAXPROCS=1 where
-	// commits never overlap by accident.
-	db, ids := schedDB2PL(t, 4, 4)
+	r := newRig(t, PolicyFaCEGSC)
+	logDev := &heldSyncDev{Device: r.log}
+	r.cfg.LogDev = logDev
+	r.cfg.MaxWriters = 4
+	db := r.open(t, false)
+	t.Cleanup(func() { db.Close() })
+	var ids []page.ID
+	if err := db.Update(context.Background(), func(tx *Tx) error {
+		for i := 0; i < 4; i++ {
+			id, err := tx.Alloc(page.TypeHeap)
+			if err != nil {
+				return err
+			}
+			ids = append(ids, id)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	before := db.Snapshot()
 	const perWriter = 40
+	logDev.gate.Lock()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -494,6 +530,10 @@ func TestPageLockGroupCommitBatching(t *testing.T) {
 			}
 		}(ids[w])
 	}
+	for db.Snapshot().Wal.DurableWaits < before.Wal.DurableWaits+4 {
+		runtime.Gosched()
+	}
+	logDev.gate.Unlock()
 	wg.Wait()
 	const commits = 4 * perWriter
 	gc := db.Snapshot().Wal.Sub(before.Wal)

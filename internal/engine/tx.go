@@ -329,9 +329,10 @@ func (tx *Tx) commit() error {
 		// transaction that reads our writes appends its own commit after
 		// ours, so a log force that makes it durable makes us durable
 		// first — the classic pairing with group commit.  Releasing
-		// before the force lets the successor reach its own commit inside
-		// our force's collection window instead of after it, which is
-		// what makes batches fill on hot-page workloads.
+		// before the force lets the successor reach its own commit while
+		// our force's barrier is in flight, so it joins the next round
+		// instead of waiting for ours to end, which is what makes batches
+		// fill on hot-page workloads.
 		tx.releaseLocks()
 		t0 := time.Now()
 		err = db.log.Force(lsn + 1)

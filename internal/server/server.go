@@ -91,8 +91,8 @@ const (
 type Config struct {
 	// Writers bounds concurrently executing write requests (single-op
 	// writes, CREATEs and batch COMMITs).  Default DefaultWriters.  It
-	// should match the engine's MaxWriters so the admission edge and the
-	// group-commit fan-in hint agree.
+	// should match the engine's MaxWriters, so a write admitted here is
+	// not queued again behind the engine's cap.
 	Writers int
 	// Queue bounds how many write requests may wait for a writer token
 	// beyond those executing; arrivals past it get BUSY.  Default

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -56,11 +57,12 @@ func (e *wrapErr) Unwrap() error { return e.err }
 // tpmC precisely when terminal counts (and so deadlock rates) are high.
 //
 // Deadlocks are forced, not hoped for: while the terminals run, a
-// saboteur transaction repeatedly locks a stock page and then a district
-// page — the opposite of New-Order's district-early, stock-late order.  A
-// New-Order holding its district and reaching for the saboteur's stock
-// page closes an AB/BA cycle and is chosen as the victim, so the driver's
-// retry path runs continuously.
+// saboteur transaction repeatedly locks stock pages, waits until a
+// terminal has queued behind a lock, and then locks a district page — the
+// opposite of New-Order's district-early, stock-late order.  A New-Order
+// holding its district and reaching for the saboteur's stock page closes
+// an AB/BA cycle and is chosen as the victim, so the driver's retry path
+// runs continuously.
 func TestRunTerminalsForcedDeadlockAccounting(t *testing.T) {
 	const (
 		terminals = 8
@@ -92,11 +94,12 @@ func TestRunTerminalsForcedDeadlockAccounting(t *testing.T) {
 				// Stock pages first, district second: the reverse of
 				// New-Order.  The mutations are no-ops (nothing is
 				// logged), but Modify still takes the exclusive page
-				// locks and holds them to commit.  The sleep parks the
-				// saboteur mid-transaction so terminal transactions get
-				// the CPU and queue up against the held stock pages
-				// (without it, transactions on a single-core runner barely
-				// overlap and cycles never form).
+				// locks and holds them to commit.  Before it reaches for
+				// the district the saboteur yields until a terminal has
+				// queued behind a lock (bounded, so a quiet moment does
+				// not stall it): without the wait, transactions on a
+				// single-core runner barely overlap and cycles never form.
+				waits := eng.Snapshot().Locks.Waits
 				for j := 0; j < 8; j++ {
 					it := (item + j*13) % db.Config().Items
 					rid, ok, err := db.stockIdx.Get(tx, stockKey(1, it+1))
@@ -110,7 +113,9 @@ func TestRunTerminalsForcedDeadlockAccounting(t *testing.T) {
 						return err
 					}
 				}
-				time.Sleep(200 * time.Microsecond)
+				for deadline := time.Now().Add(20 * time.Millisecond); eng.Snapshot().Locks.Waits == waits && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
 				return db.district.Update(tx, db.districtRID[districtKey(1, dist)], func([]byte) error {
 					return nil
 				})

@@ -256,13 +256,6 @@ func (dr *Driver) RunTerminals(ctx context.Context, terminals, total int) error 
 		seeds[i] = dr.sched.Int63()
 	}
 
-	// Tell the WAL's syncer how many committers to expect,
-	// so the first commit force of a batch opens its collection window;
-	// restore whatever hint the engine was opened with afterwards.
-	prevHint := dr.eng.Log().CommittersHint()
-	dr.eng.Log().SetCommitters(terminals)
-	defer dr.eng.Log().SetCommitters(prevHint)
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/reprolab/face/internal/device/filedev"
 )
@@ -31,8 +30,6 @@ func BenchmarkForceFile(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer m.Close()
-			m.SetCollectionWindow(200 * time.Microsecond)
-			m.SetCommitters(committers)
 			m.AddCommitter(committers)
 			before, after := make([]byte, 50), make([]byte, 50)
 			syncs0, writes0 := dev.Syncs(), dev.Stats().Writes()

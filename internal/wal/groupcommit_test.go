@@ -1,10 +1,11 @@
 package wal
 
 import (
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
+	"github.com/reprolab/face/internal/device"
 	"github.com/reprolab/face/internal/page"
 )
 
@@ -22,16 +23,51 @@ func commitOne(t *testing.T, m *Manager, tx TxID) {
 	}
 }
 
+// heldSyncDev is a log device with a durability barrier the test can hold:
+// while held, every Sync blocks until release.  A round held in its barrier
+// keeps the log from becoming durable, so every force issued meanwhile
+// parks, and the next round takes them together — the barrier in flight is
+// the batch, without depending on how the scheduler interleaves the
+// committers.
+type heldSyncDev struct {
+	*device.Device
+	gate sync.RWMutex
+}
+
+func newHeldSyncDev() *heldSyncDev {
+	return &heldSyncDev{Device: newLogDevice()}
+}
+
+func (d *heldSyncDev) Sync() error {
+	d.gate.RLock()
+	d.gate.RUnlock()
+	return nil
+}
+
+func (d *heldSyncDev) hold()    { d.gate.Lock() }
+func (d *heldSyncDev) release() { d.gate.Unlock() }
+
+// waitParked yields until at least n forces have parked on m's waitlist
+// since it opened.
+func waitParked(m *Manager, n int64) {
+	for m.Stats().DurableWaits < n {
+		runtime.Gosched()
+	}
+}
+
 // TestGroupCommitBatchesConcurrentForces: N committers that have all
-// appended their commit records before any Force starts must share one
-// device write.
+// appended their commit records before any Force starts share one device
+// write.  The barrier is held until every force has parked, so none of them
+// finds the log already durable: each is a force request, and the first
+// round's write — which extends to the high-water mark — covers them all.
 func TestGroupCommitBatchesConcurrentForces(t *testing.T) {
-	m, err := Open(newLogDevice())
+	dev := newHeldSyncDev()
+	m, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	const committers = 8
-	m.SetCollectionWindow(5 * time.Millisecond)
 	m.AddCommitter(committers)
 	defer m.AddCommitter(-committers)
 
@@ -44,7 +80,9 @@ func TestGroupCommitBatchesConcurrentForces(t *testing.T) {
 		lsns[i] = lsn
 	}
 	before := m.Forces()
+	waits := m.Stats().DurableWaits
 
+	dev.hold()
 	var wg sync.WaitGroup
 	for _, lsn := range lsns {
 		wg.Add(1)
@@ -55,18 +93,19 @@ func TestGroupCommitBatchesConcurrentForces(t *testing.T) {
 			}
 		}(lsn)
 	}
+	waitParked(m, waits+committers)
+	dev.release()
 	wg.Wait()
 
-	writes := m.Forces() - before
-	if writes < 1 || writes > 2 {
-		t.Fatalf("%d committers performed %d device writes, want 1 (2 tolerated)", committers, writes)
+	if writes := m.Forces() - before; writes != 1 {
+		t.Fatalf("%d committers performed %d device writes, want 1", committers, writes)
 	}
 	gc := m.Stats()
 	if gc.ForceRequests != committers {
 		t.Fatalf("ForceRequests = %d, want %d", gc.ForceRequests, committers)
 	}
-	if gc.Piggybacked < committers-int64(writes) {
-		t.Fatalf("Piggybacked = %d with %d writes, want >= %d", gc.Piggybacked, writes, committers-int64(writes))
+	if gc.Piggybacked != committers-1 {
+		t.Fatalf("Piggybacked = %d with one write, want %d", gc.Piggybacked, committers-1)
 	}
 	if m.Durable() < lsns[committers-1]+1 {
 		t.Fatal("group commit left the last committer non-durable")
@@ -74,37 +113,45 @@ func TestGroupCommitBatchesConcurrentForces(t *testing.T) {
 }
 
 // TestGroupCommitForcesGrowSublinearly runs the same committer count
-// sequentially (fan-in 1) and concurrently (leader/follower), and requires
-// the concurrent run to need strictly fewer device writes per committer.
+// sequentially (fan-in 1) and concurrently, and requires the concurrent run
+// to need strictly fewer device writes per committer.  Each concurrent batch
+// holds the barrier of its first round until every committer has parked, so
+// the batch costs at most two rounds: the held one and the one that takes
+// every force that parked behind it.
 func TestGroupCommitForcesGrowSublinearly(t *testing.T) {
 	const committers = 8
 	const rounds = 4
 
 	run := func(concurrent bool) int64 {
-		m, err := Open(newLogDevice())
+		dev := newHeldSyncDev()
+		m, err := Open(dev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetCollectionWindow(5 * time.Millisecond)
+		defer m.Close()
 		m.AddCommitter(committers)
 		defer m.AddCommitter(-committers)
 		before := m.Forces()
 		for r := 0; r < rounds; r++ {
-			if concurrent {
-				var wg sync.WaitGroup
-				for c := 0; c < committers; c++ {
-					wg.Add(1)
-					go func(tx TxID) {
-						defer wg.Done()
-						commitOne(t, m, tx)
-					}(TxID(r*committers + c + 1))
-				}
-				wg.Wait()
-			} else {
+			if !concurrent {
 				for c := 0; c < committers; c++ {
 					commitOne(t, m, TxID(r*committers+c+1))
 				}
+				continue
 			}
+			waits := m.Stats().DurableWaits
+			dev.hold()
+			var wg sync.WaitGroup
+			for c := 0; c < committers; c++ {
+				wg.Add(1)
+				go func(tx TxID) {
+					defer wg.Done()
+					commitOne(t, m, tx)
+				}(TxID(r*committers + c + 1))
+			}
+			waitParked(m, waits+committers)
+			dev.release()
+			wg.Wait()
 		}
 		return m.Forces() - before
 	}
@@ -115,21 +162,23 @@ func TestGroupCommitForcesGrowSublinearly(t *testing.T) {
 	if sequential != total {
 		t.Fatalf("sequential committers should force once each: forces=%d commits=%d", sequential, total)
 	}
-	// Every concurrent round must batch at least somewhat; on average the
-	// fan-in should comfortably exceed 2.
-	if concurrent > total/2 {
-		t.Fatalf("concurrent forces=%d for %d commits: fan-in %.2f, want >= 2",
-			concurrent, total, float64(total)/float64(concurrent))
+	if concurrent > 2*rounds {
+		t.Fatalf("concurrent forces=%d for %d commits in %d batches: fan-in %.2f, want at most 2 forces a batch",
+			concurrent, total, rounds, float64(total)/float64(concurrent))
 	}
 }
 
-// TestGroupCommitDisabledByDefault: without a window, Force behaves as
-// before — each short-of-durable call writes.
+// TestGroupCommitDisabledByDefault: nothing batches a lone committer — no
+// timer holds its force back for company, so each short-of-durable call
+// writes at once.
 func TestGroupCommitDisabledByDefault(t *testing.T) {
 	m, err := Open(newLogDevice())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
+	m.AddCommitter(1)
+	defer m.AddCommitter(-1)
 	for i := 0; i < 4; i++ {
 		commitOne(t, m, TxID(i+1))
 	}
@@ -139,85 +188,5 @@ func TestGroupCommitDisabledByDefault(t *testing.T) {
 	gc := m.Stats()
 	if gc.ForceRequests != 4 || gc.Piggybacked != 0 {
 		t.Fatalf("stats = %+v, want 4 unbatched requests", gc)
-	}
-}
-
-// TestGroupCommitSoloCommitterSkipsWindow: with one registered committer
-// the leader must not sit in the collection window.
-func TestGroupCommitSoloCommitterSkipsWindow(t *testing.T) {
-	m, err := Open(newLogDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetCollectionWindow(time.Second)
-	m.AddCommitter(1)
-	defer m.AddCommitter(-1)
-	start := time.Now()
-	commitOne(t, m, 1)
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("solo commit took %v: leader waited in the window", d)
-	}
-	if got := m.Forces(); got != 1 {
-		t.Fatalf("Forces = %d, want 1", got)
-	}
-}
-
-// TestGroupCommitEarlyClose: a full batch completes well before the
-// window expires.
-func TestGroupCommitEarlyClose(t *testing.T) {
-	m, err := Open(newLogDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const committers = 4
-	m.SetCollectionWindow(10 * time.Second) // far beyond the test timeout
-	m.AddCommitter(committers)
-	defer m.AddCommitter(-committers)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < committers; c++ {
-		wg.Add(1)
-		go func(tx TxID) {
-			defer wg.Done()
-			commitOne(t, m, tx)
-		}(TxID(c + 1))
-	}
-	wg.Wait()
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("full batch still waited %v", d)
-	}
-	if m.Durable() != m.Next() {
-		t.Fatal("commits not durable")
-	}
-}
-
-// TestGroupCommitStaleHintStopsStalling: a lone committer on a manager
-// whose hint promises more (e.g. MaxWriters set but one goroutine
-// running) must stop paying the collection window after a short solo
-// streak, instead of stalling every commit for the full window.
-func TestGroupCommitStaleHintStopsStalling(t *testing.T) {
-	m, err := Open(newLogDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const window = 50 * time.Millisecond
-	m.SetCollectionWindow(window)
-	m.SetCommitters(4) // stale: nobody else will ever join
-	defer m.SetCommitters(0)
-
-	const commits = 20
-	start := time.Now()
-	for i := 0; i < commits; i++ {
-		commitOne(t, m, TxID(i+1))
-	}
-	elapsed := time.Since(start)
-	// Only the initial streak and the periodic probes may pay the
-	// window: well under half the commits, nowhere near all of them.
-	if elapsed > time.Duration(commits)*window/2 {
-		t.Fatalf("%d solo commits took %v: stale hint still stalls every commit", commits, elapsed)
-	}
-	if got := m.Forces(); got != commits {
-		t.Fatalf("Forces = %d, want %d", got, commits)
 	}
 }

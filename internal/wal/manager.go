@@ -67,12 +67,13 @@ type Config struct {
 // every copy has landed — replaces the mutex-guarded tail (reserve.go).
 // Force parks the caller on a durable-LSN waitlist serviced by a dedicated
 // syncer goroutine that coalesces concurrent requests into one device
-// write + fsync round (syncer.go).  On devices with a real durability
-// barrier a round is one write and one barrier: the partial tail block
-// goes to whichever of two entries at the end of the device does not hold
-// the newest durable image, so a torn 4 KiB write cannot clip acknowledged
-// records (tornslot.go), and nothing times a batch: the forces that arrive
-// while one round's barrier is in flight are the next round's batch (collect).
+// write + fsync round (syncer.go).  Nothing times a batch: the forces that
+// arrive while one round's barrier is in flight are the next round's batch
+// (collect), so the log device alone paces group commit.  On devices with a
+// real durability barrier a round is one write and one barrier: the partial
+// tail block goes to whichever of two entries at the end of the device does
+// not hold the newest durable image, so a torn 4 KiB write cannot clip
+// acknowledged records (tornslot.go).
 type Manager struct {
 	dev device.Dev
 
@@ -86,9 +87,9 @@ type Manager struct {
 
 	// protect is set when the device has a durability barrier
 	// (device.Syncer) and room for the log tail entries: the partial tail
-	// block then goes to an entry, not in place, and no force waits in a
-	// timed window.  dataBlocks is the device capacity available to log
-	// data (the entry blocks at the device end are excluded).
+	// block then goes to an entry, not in place.  dataBlocks is the device
+	// capacity available to log data (the entry blocks at the device end
+	// are excluded).
 	protect    bool
 	dataBlocks int64
 	// Log tail entry state (tornslot.go), owned by the flushing goroutine:
@@ -118,19 +119,10 @@ type Manager struct {
 	durableWaits   atomic.Int64
 	tornSlotWrites atomic.Int64
 
-	// Group-commit pacing hints.  gcWindowNS is the syncer's collection
-	// window; committers the dynamic count of registered committers
-	// (AddCommitter); committersHint a static expectation (SetCommitters)
-	// that takes precedence when set.  The hint matters on machines where
-	// concurrent commits never overlap by chance (few cores): it tells the
-	// first force of a batch to open a collection window so the other
-	// committers get scheduled into it.  gcSolo counts consecutive forces
-	// that found no companion while a committer hint was active; see
-	// collectionWindow.
-	gcWindowNS     atomic.Int64
-	committers     atomic.Int64
-	committersHint atomic.Int64
-	gcSolo         atomic.Int32
+	// committers is the number of registered committers (AddCommitter):
+	// transactions that may yet request a commit force.  The syncer yields
+	// its processor to them before a round (collect).
+	committers atomic.Int64
 
 	closed atomic.Bool
 
@@ -138,15 +130,6 @@ type Manager struct {
 	// syncer.go).
 	pipe *pipeline
 }
-
-// Adaptive solo-round thresholds: after soloStreakLimit companion-less
-// batches the collection window is skipped; every soloProbeEvery solo
-// forces one window is paid as a probe so real concurrency is re-detected
-// within a bounded number of commits.
-const (
-	soloStreakLimit = 3
-	soloProbeEvery  = 16
-)
 
 // Open creates a manager with the default configuration on the given log
 // device.  If the device contains an initialised control block, the
@@ -435,86 +418,10 @@ func (m *Manager) Durable() page.LSN { return page.LSN(m.durableA.Load()) }
 // I/O.
 func (m *Manager) Forces() int64 { return m.forcesA.Load() }
 
-// SetCollectionWindow sets the collection window for coalescing commit
-// forces on devices without a durability barrier (see collectionWindow).
-// Zero (the default) disables it: every Force that finds the log short of
-// its LSN triggers an immediate flush round.  The engine sets a small
-// window, which only registered committers expecting company ever wait.
-func (m *Manager) SetCollectionWindow(d time.Duration) {
-	m.gcWindowNS.Store(int64(max(d, 0)))
-}
-
 // AddCommitter adjusts the number of registered committers (transactions
-// currently able to request a commit force).  A round collects until every
-// registered committer has joined, so single-writer phases pay no window;
-// only a force that sits in a timed window is woken to re-read the count.
-func (m *Manager) AddCommitter(delta int) {
-	m.committers.Add(int64(delta))
-	if !m.protect && m.pipe.collecting.Load() {
-		m.pipe.kick()
-	}
-}
-
-// SetCommitters sets a static expected-committer count that overrides the
-// dynamic AddCommitter tally while non-zero.  Multi-terminal drivers set
-// it to their terminal count for the duration of a run: the first commit
-// force then opens a collection window even before a second committer has
-// physically arrived, which is what makes batches fill on machines where
-// goroutines rarely overlap (GOMAXPROCS=1).  Set it back to zero when the
-// run ends.
-func (m *Manager) SetCommitters(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.committersHint.Store(int64(n))
-	m.gcSolo.Store(0) // a fresh expectation invalidates any stale-solo verdict
-	m.AddCommitter(0) // lets a collecting force re-read the count
-}
-
-// collectionWindow is the rule the syncer asks before a round waits on a
-// timer for companions; zero means do not.  On a device with a barrier
-// it is always zero: a timer this short only adds the timer's slack (200 µs
-// asked is 1.1 ms slept) to every commit.  A simulated device finishes a
-// force in no wall-clock time, so there the window is the only stand-in for
-// barrier latency: paid when more than one committer is expected and one is
-// registered (none: a lifecycle force nobody can join); with exactly one
-// registered, only until a solo streak suggests the hint is stale, and then
-// periodically as a probe.
-func (m *Manager) collectionWindow() time.Duration {
-	dyn, solo := m.dynCommitters(), int(m.gcSolo.Load())
-	if m.protect || m.effectiveCommitters() <= 1 || dyn == 0 ||
-		(dyn == 1 && solo >= soloStreakLimit && solo%soloProbeEvery != soloProbeEvery-1) {
-		return 0
-	}
-	return time.Duration(m.gcWindowNS.Load())
-}
-
-// noteBatch keeps the solo streak: a round that served several forces
-// resets it, a lone one that could have collected — a window is set, a
-// committer is registered, more are expected — extends it.
-func (m *Manager) noteBatch(forces int) {
-	if forces > 1 {
-		m.gcSolo.Store(0)
-	} else if m.gcWindowNS.Load() > 0 && m.dynCommitters() >= 1 && m.effectiveCommitters() > 1 {
-		m.gcSolo.Add(1)
-	}
-}
-
-// CommittersHint returns the static expected-committer count (zero when
-// unset).  Callers that set a temporary hint restore the previous value.
-func (m *Manager) CommittersHint() int { return int(m.committersHint.Load()) }
-
-// dynCommitters returns the dynamic committer tally, floored at zero.
-func (m *Manager) dynCommitters() int { return int(max(m.committers.Load(), 0)) }
-
-// effectiveCommitters returns the committer count batching decisions use:
-// the static hint when set, the dynamic tally otherwise.
-func (m *Manager) effectiveCommitters() int {
-	if h := m.committersHint.Load(); h > 0 {
-		return int(h)
-	}
-	return m.dynCommitters()
-}
+// currently able to request a commit force).  Before a round the syncer
+// yields while that many have not parked and each yield brings one in.
+func (m *Manager) AddCommitter(delta int) { m.committers.Add(int64(delta)) }
 
 // Stats returns the commit-pipeline counters.  All sources are atomics, so
 // sampling never contends with appenders or the syncer.

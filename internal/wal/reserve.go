@@ -85,10 +85,6 @@ type pipeline struct {
 	flushWanted atomic.Bool
 	space       *sync.Cond
 
-	// collecting is set while the syncer sits in its collection window,
-	// the only time a change of the committer count must wake it.
-	collecting atomic.Bool
-
 	stopped atomic.Bool
 
 	// sy guards the durable-LSN waitlist — the only lock on the force

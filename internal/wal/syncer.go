@@ -10,11 +10,11 @@ import (
 
 // The syncer (pipeline stage 2): a dedicated goroutine that owns all log
 // device I/O.  Force callers park on a durable-LSN waitlist; the syncer
-// takes whatever parked while the previous round's barrier was in flight,
-// lets running committers reach it and waits on a timer only on a device
-// without a barrier (collect), then performs one write covering the
-// high-water mark and one durability barrier, and wakes every waiter at or
-// below the new durable LSN.  No lock is held across device I/O.
+// takes whatever parked while the previous round's barrier was in flight
+// and lets running committers reach it (collect), then performs one write
+// covering the high-water mark and one durability barrier, and wakes every
+// waiter at or below the new durable LSN.  No timer paces a round, on any
+// device, and no lock is held across device I/O.
 
 // force implements Force/ForceAll.
 func (p *pipeline) force(lsn page.LSN) error {
@@ -87,42 +87,18 @@ func (p *pipeline) syncerLoop() {
 	}
 }
 
-// collect gathers what one round covers beyond the forces already taken.
-// On a device with a barrier nothing is timed (collectionWindow is zero): the
-// barrier in flight is the window, and before the syncer takes its processor
-// into the next write and fsync it yields it while a registered committer
-// has not parked and each yield brings one in — the committers the last
-// round woke run instead of sitting in the run queue of a processor blocked
-// in a system call, and a commit about to park joins this round, not the
-// next; an idle processor returns from the yield at once.  Elsewhere the
-// round waits, up to the window, for the remaining expected committers to
-// park; AddCommitter wakes it only while it waits.
+// collect gathers what one round covers beyond the forces already taken:
+// the forces that parked while the previous round's barrier was in flight.
+// Nothing is timed.  Before the syncer takes its processor into the next
+// write and barrier it yields it while a registered committer has not
+// parked and each yield brings one in — the committers the last round woke
+// run instead of sitting in the run queue of a processor blocked in a
+// system call, and a commit about to park joins this round, not the next;
+// an idle processor returns from the yield at once.
 func (p *pipeline) collect(ws []waiter) []waiter {
-	m := p.m
-	window := m.collectionWindow()
-	if window <= 0 {
-		for more := ws; m.protect && len(more) > 0 && len(ws) < m.dynCommitters(); ws = append(ws, more...) {
-			runtime.Gosched()
-			more = p.takeWaiters()
-		}
-		return ws
-	}
-	p.collecting.Store(true)
-	defer p.collecting.Store(false)
-	timer := time.NewTimer(window)
-	defer timer.Stop()
-	for eff := m.effectiveCommitters(); len(ws) < eff; eff = m.effectiveCommitters() {
-		if eff <= 1 {
-			return ws
-		}
-		select {
-		case <-timer.C:
-			return ws
-		case <-p.quitCh:
-			return ws
-		case <-p.kickCh:
-			ws = append(ws, p.takeWaiters()...)
-		}
+	for more := ws; len(more) > 0 && int64(len(ws)) < p.m.committers.Load(); ws = append(ws, more...) {
+		runtime.Gosched()
+		more = p.takeWaiters()
 	}
 	return ws
 }
@@ -211,8 +187,6 @@ func (p *pipeline) runRound(ws []waiter, drain bool) {
 	for _, w := range remaining {
 		w.ch <- nil
 	}
-
-	m.noteBatch(len(remaining))
 }
 
 // flushTo writes ring bytes [flushed, hwm) to the device as whole blocks

@@ -74,27 +74,6 @@ func WithFsync(enabled bool) Option {
 	}
 }
 
-// WithFileDevices overrides the logical capacities (in 4 KiB blocks) of
-// the device files opened by WithDir: the data file, the log file and the
-// flash cache file.  Zero keeps a field at its default (generous sparse
-// capacities; the flash file is sized from WithFlashFrames).  Files are
-// sparse, so large capacities cost no disk space until written.  Unlike
-// the tuning knobs the engine derives or fixes itself, how much space a
-// database may claim on its host is a deployment decision, so this option
-// stays although nothing in this module sets it.
-func WithFileDevices(dataBlocks, logBlocks, flashBlocks int64) Option {
-	return func(c *engine.Config) error {
-		if dataBlocks < 0 || logBlocks < 0 || flashBlocks < 0 {
-			return fmt.Errorf("face: WithFileDevices(%d, %d, %d): capacities must not be negative",
-				dataBlocks, logBlocks, flashBlocks)
-		}
-		c.FileDataBlocks = dataBlocks
-		c.FileLogBlocks = logBlocks
-		c.FileFlashBlocks = flashBlocks
-		return nil
-	}
-}
-
 // WithFlashDevice sets the flash device holding the cache extension.  It
 // is required by every policy except "none".
 func WithFlashDevice(flash Dev) Option {
@@ -176,9 +155,9 @@ func WithLockManager() Option {
 // WithMaxWriters caps the number of Update transactions admitted
 // concurrently (unlimited by default); WithMaxWriters(1) serialises
 // writers.  The cap keeps lock contention and buffer-pool pin pressure
-// proportionate to small DRAM pools, and doubles as the group-commit
-// batching hint: the write-ahead log collects up to this many commit forces
-// into one device write.
+// proportionate to small DRAM pools.  It does not pace group commit: the
+// log device does (the forces that arrive while one flush is in flight
+// share the next).
 func WithMaxWriters(n int) Option {
 	return func(c *engine.Config) error {
 		if n < 1 {
