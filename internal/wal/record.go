@@ -156,6 +156,8 @@ const recordHeaderSize = 4 + 4 + 1 + 8 + 8
 func (r *Record) single() bool { return r.Ops == nil && r.Type == TypeUpdate }
 
 // check reports whether decodeRecord would accept the record once encoded.
+// Its checks of the record's shape cost O(1); the re-parse of an operation
+// list runs in the race build only (appendCheckOps).
 func (r *Record) check() error {
 	switch {
 	case r.Type == TypePageWritten && len(r.Written) == 0:
@@ -167,7 +169,7 @@ func (r *Record) check() error {
 	case r.Type == TypeUpdate && len(r.Ops) == 0:
 		return fmt.Errorf("%w: update record without operations", ErrInvalid)
 	case r.Type == TypeUpdate || r.Type == TypeCompensation || r.Type == TypeFormat:
-		if err := page.CheckOps(r.Ops, r.Type == TypeUpdate); err != nil {
+		if err := appendCheckOps(r.Ops, r.Type == TypeUpdate); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
 	}

@@ -80,8 +80,8 @@ func TestRecordEncodeDecode(t *testing.T) {
 	w.Reset(buf)
 	copy(w.Bytes(3000, 4), "TAIL")
 	f.Ops = bytes.Clone(w.Ops())
-	if err := f.check(); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("a format record with undo information: %v, want ErrInvalid", err)
+	if _, _, err := decodeRecord(f.encode(nil)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a format record with undo information decoded: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -101,8 +101,24 @@ func TestSingleWriteShorthand(t *testing.T) {
 	}
 }
 
-// TestAppendRejectsInvalidRecords: a record decodeRecord would refuse must
-// never reach the log.
+// malformedOps are records whose operation lists decodeRecord refuses.
+// Append refuses them only in the race build (checkops_race_test.go):
+// outside it Append trusts the lists the engine's page.Writer built.
+func malformedOps() map[string]*Record {
+	img := func(n int) []byte { return make([]byte, n) }
+	return map[string]*Record{
+		"image too short":       {Type: TypeUpdate, Ops: op(1, u16s(0, 4), img(7)...)},
+		"leaves the page":       {Type: TypeUpdate, Ops: op(1, u16s(page.Size-2, 4), img(8)...)},
+		"move past the page":    {Type: TypeUpdate, Ops: op(3, u16s(page.Size-10, 10, 20), img(20)...)},
+		"images in a CLR":       {Type: TypeCompensation, Ops: op(1, u16s(10, 4), img(8)...)},
+		"trailing bytes":        {Type: TypeCompensation, Ops: op(1, u16s(10, 4), img(5)...)},
+		"removed cell off page": {Type: TypeUpdate, Ops: op(5, u16s(0, page.Size, 1), 7)},
+	}
+}
+
+// TestAppendRejectsInvalidRecords: a record whose shape decodeRecord would
+// refuse must never reach the log, and a malformed operation list is
+// refused when it is read back.
 func TestAppendRejectsInvalidRecords(t *testing.T) {
 	m, err := Open(newLogDevice())
 	if err != nil {
@@ -111,15 +127,9 @@ func TestAppendRejectsInvalidRecords(t *testing.T) {
 	defer m.Close()
 	img := func(n int) []byte { return make([]byte, n) }
 	bad := map[string]*Record{
-		"no ops":                {Type: TypeUpdate, Ops: []byte{}},
-		"image too short":       {Type: TypeUpdate, Ops: op(1, u16s(0, 4), img(7)...)},
-		"unequal shorthand":     {Type: TypeUpdate, Before: img(3), After: img(4)},
-		"shorthand off page":    {Type: TypeUpdate, Offset: page.Size - 2, Before: img(4), After: img(4)},
-		"leaves the page":       {Type: TypeUpdate, Ops: op(1, u16s(page.Size-2, 4), img(8)...)},
-		"move past the page":    {Type: TypeUpdate, Ops: op(3, u16s(page.Size-10, 10, 20), img(20)...)},
-		"images in a CLR":       {Type: TypeCompensation, Ops: op(1, u16s(10, 4), img(8)...)},
-		"trailing bytes":        {Type: TypeCompensation, Ops: op(1, u16s(10, 4), img(5)...)},
-		"removed cell off page": {Type: TypeUpdate, Ops: op(5, u16s(0, page.Size, 1), 7)},
+		"no ops":             {Type: TypeUpdate, Ops: []byte{}},
+		"unequal shorthand":  {Type: TypeUpdate, Before: img(3), After: img(4)},
+		"shorthand off page": {Type: TypeUpdate, Offset: page.Size - 2, Before: img(4), After: img(4)},
 	}
 	for name, r := range bad {
 		if _, err := m.Append(r); !errors.Is(err, ErrInvalid) {
@@ -128,6 +138,11 @@ func TestAppendRejectsInvalidRecords(t *testing.T) {
 	}
 	if m.Next() != 0 {
 		t.Fatalf("rejected records moved the log tail to %d", m.Next())
+	}
+	for name, r := range malformedOps() {
+		if _, _, err := decodeRecord(r.encode(nil)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decodeRecord = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
