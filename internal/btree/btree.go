@@ -389,8 +389,8 @@ func (t *Tree) Insert(tx *engine.Tx, key uint64, rid page.RID) error {
 		}
 		insertLeafEntry(w, i, key, rid)
 		return 0, false, nil
-	}, func(leaf page.ID, pos int) (*splitResult, bool, error) {
-		split, err := splitLeaf(tx, leaf, pos, key, rid)
+	}, func(leaf page.ID, image page.Buf, pos int) (*splitResult, bool, error) {
+		split, err := splitLeaf(tx, leaf, image, pos, key, rid)
 		return split, false, err
 	})
 }
@@ -495,18 +495,12 @@ func insertGap(w *page.Writer, keys []uint64, rids []page.RID) (n int, dup, past
 	return n, dup, past
 }
 
-// splitLeaf splits the full RID leaf id and inserts key -> rid at position
-// pos of it.  If the key sorts last, the leaf stays full and the new right
-// sibling holds the key alone; otherwise the leaf keeps the lower half of
-// its keys, and the key goes into the half it sorts into.
-func splitLeaf(tx *engine.Tx, id page.ID, pos int, key uint64, rid page.RID) (*splitResult, error) {
-	var image page.Buf
-	if err := tx.Read(id, func(buf page.Buf) error {
-		image = buf.Clone()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+// splitLeaf splits the full RID leaf id, whose copy is image, and inserts
+// key -> rid at position pos of it.  If the key sorts last, the leaf stays
+// full and the new right sibling holds the key alone; otherwise the leaf
+// keeps the lower half of its keys, and the key goes into the half it sorts
+// into.
+func splitLeaf(tx *engine.Tx, id page.ID, image page.Buf, pos int, key uint64, rid page.RID) (*splitResult, error) {
 	n := nodeCount(image)
 	cut, sep := n, key
 	if pos < n {
@@ -630,6 +624,9 @@ func (t *Tree) scan(tx *engine.Tx, lo, hi uint64, fn func(buf page.Buf, i int, k
 type splitResult struct {
 	key   uint64
 	right page.ID
+	// root is a copy of the root as its split left it, when the node that
+	// split is the root: splitRoot moves it into a new left child.
+	root page.Buf
 }
 
 // insert runs put on the leaf of key, locked exclusively before it is
@@ -637,9 +634,11 @@ type splitResult struct {
 // full for it and returns true and the position of key in the leaf.  Then
 // insert locks the ancestors a split of the leaf changes (lockAncestors),
 // has split split the leaf and make the change, and registers the new
-// sibling in the parent.  When an ancestor has moved since the descent,
+// sibling in the parent.  split gets a copy of the leaf taken in put's
+// edit, which the transaction's lock keeps current, so it need not read
+// the leaf again.  When an ancestor has moved since the descent,
 // or when split asks to, insert descends again.
-func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos int, full bool, err error), split func(leaf page.ID, pos int) (s *splitResult, again bool, err error)) error {
+func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos int, full bool, err error), split func(leaf page.ID, image page.Buf, pos int) (s *splitResult, again bool, err error)) error {
 	for {
 		var stack [maxDepth]page.ID
 		nodes, leaf, err := t.path(tx, key, stack[:0])
@@ -649,9 +648,12 @@ func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos i
 		var (
 			pos        int
 			full, took bool
+			image      page.Buf // the full leaf, as put left it
 		)
 		leaf, took, err = editLeaf(tx, leaf, key, func(w *page.Writer) (err error) {
-			pos, full, err = put(w)
+			if pos, full, err = put(w); full && err == nil {
+				image = w.Page().Clone()
+			}
 			return err
 		})
 		if err != nil || !full {
@@ -670,7 +672,7 @@ func (t *Tree) insert(tx *engine.Tx, key uint64, put func(w *page.Writer) (pos i
 			pauseBeforeRedescent(tx)
 			continue
 		}
-		s, again, err := split(leaf, pos)
+		s, again, err := split(leaf, image, pos)
 		if err == nil {
 			err = t.registerSplit(tx, nodes, s)
 		}
@@ -736,26 +738,19 @@ func (t *Tree) registerSplit(tx *engine.Tx, nodes []page.ID, split *splitResult)
 	return t.splitRoot(tx, split)
 }
 
-// splitRoot keeps the root page in place: it moves the root's content to a
-// new left sibling of split.right and turns the root into an internal node
-// over (left, split.key, split.right), one level higher.
+// splitRoot keeps the root page in place: it moves the root's content,
+// split.root, to a new left sibling of split.right and turns the root into
+// an internal node over (left, split.key, split.right), one level higher.
 func (t *Tree) splitRoot(tx *engine.Tx, split *splitResult) error {
-	var rootImage page.Buf
-	if err := tx.Read(t.root, func(buf page.Buf) error {
-		rootImage = buf.Clone()
-		return nil
-	}); err != nil {
-		return err
-	}
 	leftID, err := tx.AllocEdit(page.TypeBTreeInternal, func(w *page.Writer) error {
-		copy(w.Bytes(page.HeaderSize, page.PayloadSize), rootImage.Payload())
+		copy(w.Bytes(page.HeaderSize, page.PayloadSize), split.root.Payload())
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	return tx.Edit(t.root, func(w *page.Writer) error {
-		setLevel(w, innerLevel(rootImage)+1)
+		setLevel(w, innerLevel(split.root)+1)
 		setNodeCount(w, 1)
 		setInnerChild(w, 0, leftID)
 		setInnerKey(w, 0, split.key)
@@ -789,7 +784,11 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 		if err != nil {
 			return nil, err
 		}
-		return &splitResult{key: split.key, right: rightID}, nil
+		s := &splitResult{key: split.key, right: rightID}
+		if id == t.root {
+			s.root = image
+		}
+		return s, nil
 	}
 
 	// Split the internal node around its median key.
@@ -811,16 +810,20 @@ func (t *Tree) insertIntoInner(tx *engine.Tx, id page.ID, split *splitResult) (*
 	if err != nil {
 		return nil, err
 	}
+	s := &splitResult{key: upKey, right: rightID}
 	if err := tx.Edit(id, func(w *page.Writer) error {
 		setNodeCount(w, mid)
 		if !right {
 			insertInnerEntry(w, split.key, split.right)
 		}
+		if id == t.root {
+			s.root = w.Page().Clone()
+		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return &splitResult{key: upKey, right: rightID}, nil
+	return s, nil
 }
 
 // insertInnerEntry inserts (key, rightChild) into an internal node with

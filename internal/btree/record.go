@@ -125,8 +125,8 @@ func (t *Tree) PutRun(tx *engine.Tx, keys []uint64, vals [][]byte) error {
 			)
 			n, pos, full, err = putLeaf(w, keys, vals)
 			return pos, full, err
-		}, func(leaf page.ID, pos int) (*splitResult, bool, error) {
-			s, again, err := splitRecordLeaf(tx, leaf, pos, keys[0], vals[0])
+		}, func(leaf page.ID, image page.Buf, pos int) (*splitResult, bool, error) {
+			s, again, err := splitRecordLeaf(tx, leaf, image, pos, keys[0], vals[0])
 			if !again {
 				n = 1
 			}
@@ -188,22 +188,15 @@ func putLeaf(w *page.Writer, keys []uint64, vals [][]byte) (n, pos int, full boo
 	return n, 0, false, nil
 }
 
-// splitRecordLeaf splits leaf id, which has no room for the record of
-// (key, val) at position pos.  If the key sorts last, the leaf stays full
+// splitRecordLeaf splits leaf id, whose copy is image, which has no room
+// for the record of (key, val) at position pos.  If the key sorts last, the leaf stays full
 // and the new right sibling holds the record alone.  Otherwise the records
 // and the new one are cut where the two halves come closest to equal in
 // bytes.  When no cut leaves room for the new record on either side (it
 // and its neighbours are large), the leaf is cut at pos without it, and
 // again asks the caller to descend once more.
-func splitRecordLeaf(tx *engine.Tx, id page.ID, pos int, key uint64, val []byte) (*splitResult, bool, error) {
+func splitRecordLeaf(tx *engine.Tx, id page.ID, image page.Buf, pos int, key uint64, val []byte) (*splitResult, bool, error) {
 	size := recHeader + len(val)
-	var image page.Buf
-	if err := tx.Read(id, func(buf page.Buf) error {
-		image = buf.Clone()
-		return nil
-	}); err != nil {
-		return nil, false, err
-	}
 	n := image.SlotCount()
 
 	// The right sibling takes records cut to n, and the new record when
