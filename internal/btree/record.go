@@ -189,10 +189,10 @@ func putLeaf(w *page.Writer, keys []uint64, vals [][]byte) (n, pos int, full boo
 }
 
 // splitRecordLeaf splits leaf id, whose copy is image, which has no room
-// for the record of (key, val) at position pos.  If the key sorts last, the leaf stays full
-// and the new right sibling holds the record alone.  Otherwise the records
-// and the new one are cut where the two halves come closest to equal in
-// bytes.  When no cut leaves room for the new record on either side (it
+// for the record of (key, val) at position pos.  If the key sorts last,
+// the leaf stays full and the new right sibling holds the record alone.
+// Otherwise the records and the new one are cut where the two halves come
+// closest to equal in bytes.  When no cut leaves room for the new record on either side (it
 // and its neighbours are large), the leaf is cut at pos without it, and
 // again asks the caller to descend once more.
 func splitRecordLeaf(tx *engine.Tx, id page.ID, image page.Buf, pos int, key uint64, val []byte) (*splitResult, bool, error) {

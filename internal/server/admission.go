@@ -14,9 +14,10 @@ var ErrBusy = errors.New("server: admission queue full")
 // admission generalizes the engine's WithMaxWriters semaphore to the
 // network edge.  Writers tokens bound the write transactions in flight
 // (matching the engine's MaxWriters); queue slots bound how many more
-// requests may wait for a token.  A request arriving beyond both bounds is shed immediately with
-// ErrBusy: under overload the server degrades into explicit, retryable
-// rejections rather than an unbounded queue of ever-slower requests.
+// requests may wait for a token.  A request arriving beyond both bounds
+// is shed immediately with ErrBusy: under overload the server degrades
+// into explicit, retryable rejections rather than an unbounded queue of
+// ever-slower requests.
 type admission struct {
 	tokens chan struct{}
 	queue  chan struct{}
