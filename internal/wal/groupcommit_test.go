@@ -168,9 +168,8 @@ func TestGroupCommitForcesGrowSublinearly(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDisabledByDefault: nothing batches a lone committer — no
-// timer holds its force back for company, so each short-of-durable call
-// writes at once.
+// TestGroupCommitDisabledByDefault: a lone registered committer's forces
+// are not held back for company: each short-of-durable call writes at once.
 func TestGroupCommitDisabledByDefault(t *testing.T) {
 	m, err := Open(newLogDevice())
 	if err != nil {
