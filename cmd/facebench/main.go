@@ -26,9 +26,9 @@
 // With -terminals N the throughput experiments run from N concurrent
 // terminal goroutines through the page-lock (2PL) transaction scheduler,
 // retrying transactions that lose a deadlock; the default keeps the
-// paper-faithful single-stream driver.  Every configuration runs a
-// one-shard buffer pool, the paper's global LRU, so the tables do not
-// depend on the machine's core count.
+// paper-faithful single-stream driver.  The buffer pool is one global LRU,
+// as in the paper, so the tables do not depend on the machine's core
+// count.
 //
 // With -dir PATH every configuration runs on persistent file-backed
 // devices in a fresh subdirectory of PATH instead of the simulated

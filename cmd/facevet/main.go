@@ -2,13 +2,13 @@
 // arguments lean on: lock-free device I/O (nolockio), single-discipline
 // atomics (atomicmix) and errors.Is for sentinel matching (sentinelerr).
 //
-// It speaks the go vet tool protocol, so the usual invocation is
+// It speaks the go vet tool protocol and runs only under go vet:
 //
 //	go build -o /tmp/facevet ./cmd/facevet
 //	go vet -vettool=/tmp/facevet ./...
 //
-// which analyzes test files too and caches per-package results.  It also
-// runs directly — `facevet ./...` — by driving `go list -export` itself.
+// which analyzes test files too and caches per-package results.  Run on
+// its own, facevet prints its usage and exits 2.
 // Intentional violations are suppressed in place with a justified
 // //lint:allow facevet/<analyzer> directive; see internal/analysis.
 package main

@@ -8,9 +8,7 @@
 //   - a per-package driver that runs a set of analyzers and applies the
 //     //lint:allow suppression directives (check.go, allow.go),
 //   - the "unitchecker" protocol spoken by `go vet -vettool=...`
-//     (unitchecker.go), and
-//   - a standalone loader over `go list -export` for running the suite
-//     without go vet (standalone.go).
+//     (unitchecker.go), the only way the suite runs.
 //
 // The API mirrors x/tools deliberately — Name/Doc/Run, Pass with
 // Fset/Files/Pkg/TypesInfo, Reportf — so the analyzers port verbatim if

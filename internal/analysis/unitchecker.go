@@ -51,15 +51,14 @@ type vetConfig struct {
 }
 
 // Main is the entry point for a vettool built from a set of analyzers.
-// It dispatches on the command line: the go command's -V/-flags probes,
-// a single *.cfg argument (one vet unit), or package patterns for the
-// standalone `go list`-driven mode.  It does not return.
+// It dispatches on the command line: the go command's -V/-flags probes or
+// a single *.cfg argument (one vet unit).  Anything else prints the usage
+// and exits 2.  It does not return.
 func Main(analyzers []*Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: %s [-<analyzer>...] [package pattern...]\n", progname)
-		fmt.Fprintf(fs.Output(), "       go vet -vettool=$(which %s) ./...\n\nanalyzers:\n", progname)
+		fmt.Fprintf(fs.Output(), "usage: go vet -vettool=$(which %s) [-<analyzer>...] ./...\n\nanalyzers:\n", progname)
 		for _, a := range analyzers {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -93,10 +92,11 @@ func Main(analyzers []*Analyzer) {
 	}
 
 	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnit(args[0], enabled))
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fs.Usage()
+		os.Exit(2)
 	}
-	os.Exit(runStandalone(enabled, args))
+	os.Exit(runUnit(args[0], enabled))
 }
 
 // printVersion emits the version line the go command hashes into its

@@ -412,7 +412,6 @@ func (g *Golden) build(spec RunSpec, recoverMode bool, reuse *runEnv) (*runEnv, 
 		LogDev:          env.logDev,
 		FlashDev:        env.flashDev,
 		BufferPages:     env.bufPages,
-		BufferShards:    1, // the paper's single global LRU
 		Policy:          spec.Policy,
 		FlashFrames:     env.frames,
 		GroupSize:       groupSize,

@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,4 +270,204 @@ func TestPinWaitManyWaiters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestStatsCoherent is the stats-tearing regression test: Stats races a
+// storm of Gets, and every snapshot must be internally consistent —
+// non-negative counters and a hit rate inside [0, 1].  A snapshot reading
+// the counters without the pool lock could observe a Get half-applied
+// (Misses ticked, Hits not) and produce rates outside the range; under
+// -race it would also be a straight data race.
+func TestStatsCoherent(t *testing.T) {
+	b := &lockedBacking{pages: make(map[page.ID]byte)}
+	for i := 1; i <= 32; i++ {
+		b.pages[page.ID(i)] = byte(i)
+	}
+	p, err := New(8, b.fetch, b.evict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := page.ID((g*11+i)%32 + 1)
+				if _, err := p.Get(id); err != nil {
+					t.Errorf("Get: %v", err)
+					return
+				}
+				p.Unpin(id)
+			}
+		}()
+	}
+	deadline := time.Now().Add(200 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		s := p.Stats()
+		if s.Hits < 0 || s.Misses < 0 || s.Evictions < 0 {
+			t.Fatalf("negative counters: %+v", s)
+		}
+		if hr := s.HitRate(); hr < 0 || hr > 1 {
+			t.Fatalf("hit rate %v outside [0, 1] (stats %+v)", hr, s)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestBusyLatchFlags is the busy-visibility regression test for
+// Flags: while a fetch is in flight the frame exists but its dirty flag is
+// undecided (a fetch served by a write-back flash cache sets it only when
+// the I/O returns).  Flags must wait for the latch and report the settled
+// flags; the old frame-map-only answer reported the page clean.
+func TestBusyLatchFlags(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	fetch := func(id page.ID, buf page.Buf) (bool, error) {
+		started <- struct{}{}
+		<-gate // the "device" holds the read until the test releases it
+		buf.Init(id, page.TypeHeap)
+		return true, nil // flash cache held a newer-than-disk copy
+	}
+	p, err := New(2, fetch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go p.Get(7)
+	<-started
+
+	type answer struct {
+		dirty, fdirty bool
+		err           error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		d, fd, err := p.Flags(7)
+		got <- answer{d, fd, err}
+	}()
+	select {
+	case a := <-got:
+		t.Fatalf("Flags answered %+v while the fetch was still in flight", a)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	select {
+	case a := <-got:
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if !a.dirty || a.fdirty {
+			t.Fatalf("flags after flash fetch: dirty=%v fdirty=%v, want true/false", a.dirty, a.fdirty)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flags never answered after the fetch completed")
+	}
+}
+
+// TestBusyLatchContains: a page mid-eviction (write-back still in
+// flight on a gated device) must not be reported by Contains until the
+// write-back lands — the caller would otherwise conclude the page is gone
+// from DRAM and its backing copy current while the only current copy is
+// still in the air.
+func TestBusyLatchContains(t *testing.T) {
+	gate := make(chan struct{})
+	evicting := make(chan struct{}, 1)
+	var landed atomic.Bool
+	fetch := func(id page.ID, buf page.Buf) (bool, error) {
+		buf.Init(id, page.TypeHeap)
+		return false, nil
+	}
+	evict := func(v Victim) error {
+		evicting <- struct{}{}
+		<-gate
+		landed.Store(true)
+		return nil
+	}
+	p, err := New(1, fetch, evict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	p.MarkDirty(1)
+	p.Unpin(1)
+	// Loading page 2 evicts page 1; the eviction blocks on the gate.
+	go p.Get(2)
+	<-evicting
+
+	got := make(chan bool, 1)
+	go func() { got <- p.Contains(1) }()
+	select {
+	case ok := <-got:
+		t.Fatalf("Contains(1) answered %v while the write-back was in flight", ok)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	select {
+	case ok := <-got:
+		if !landed.Load() {
+			t.Fatal("Contains answered before the write-back landed")
+		}
+		if ok {
+			t.Fatal("evicted page still reported resident")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Contains never answered after the write-back landed")
+	}
+}
+
+// TestPoolClosePinWaitWakeup is the shutdown-hang regression test: a Get
+// parked on the all-pinned condition is woken by Close and fails with
+// ErrClosed instead of hanging forever (no Unpin or DropAll ever arrives
+// on a close path that flushes and stops).
+func TestPoolClosePinWaitWakeup(t *testing.T) {
+	b := &lockedBacking{pages: map[page.ID]byte{}}
+	p, err := New(2, b.fetch, b.evict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetPinWait(true)
+	if _, err := p.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Get(2); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := p.Get(3)
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		t.Fatalf("Get on an all-pinned pool returned early: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	p.Close()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("woken pin-waiter got %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pin-waiter not woken by Close")
+	}
+	// New work on a closed pool fails fast.
+	if _, err := p.Get(4); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after Close: got %v, want ErrClosed", err)
+	}
+	if _, err := p.Put(5, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after Close: got %v, want ErrClosed", err)
+	}
+	// Close is idempotent.
+	p.Close()
 }

@@ -379,6 +379,35 @@ func TestCapacityAccessor(t *testing.T) {
 	}
 }
 
+// TestPoolBasics: pages loaded below capacity are all found again, and the
+// statistics and resident set count each of them once.
+func TestPoolBasics(t *testing.T) {
+	b := newTestBacking()
+	p := newPool(t, 10, b)
+	for id := page.ID(1); id <= 8; id++ {
+		if _, err := p.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Unpin(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := page.ID(1); id <= 8; id++ {
+		if !p.Contains(id) {
+			t.Fatalf("page %d not resident after load", id)
+		}
+	}
+	if s := p.Stats(); s.Misses != 8 || s.Hits != 0 || s.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 8 misses and nothing else", s)
+	}
+	if got := len(p.ResidentIDs()); got != 8 {
+		t.Fatalf("ResidentIDs = %d, want 8", got)
+	}
+	if got := p.Len(); got != 8 {
+		t.Fatalf("Len = %d, want 8", got)
+	}
+}
+
 // TestEvictionLendsAndReusesTheImage: the image of a frame evicted through
 // the callback is lent for the call and then carries the incoming page, so
 // a miss that evicts allocates no page; what the callback saw is gone

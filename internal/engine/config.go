@@ -102,15 +102,9 @@ type Config struct {
 	// process crash cannot).  Ignored without Dir.
 	NoFsync bool
 
-	// BufferPages is the DRAM buffer pool capacity in pages.
+	// BufferPages is the DRAM buffer pool capacity in pages: one LRU
+	// order over all of them, whatever the host's core count.
 	BufferPages int
-	// BufferShards is the number of independently locked shards the DRAM
-	// buffer pool is striped over, so concurrent transactions hitting
-	// different pages never share a pool mutex.  Zero derives the count
-	// from GOMAXPROCS (DefaultShards); 1 reproduces the single-mutex
-	// global-LRU pool the paper harness runs.  The count is clamped so
-	// every shard holds at least one page.
-	BufferShards int
 
 	// Policy selects the flash cache scheme.
 	Policy CachePolicy
@@ -210,9 +204,6 @@ func (c *Config) validate() error {
 	if c.BufferPages < 1 {
 		return fmt.Errorf("engine: BufferPages must be at least 1")
 	}
-	if c.BufferShards < 0 {
-		return fmt.Errorf("engine: BufferShards must not be negative")
-	}
 	if _, err := ParsePolicy(string(c.Policy)); err != nil {
 		return err
 	}
@@ -230,12 +221,11 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// DefaultShards derives the buffer pool's shard count when Config leaves
-// BufferShards at zero, and the flash cache directory's stripe count
-// always: the smallest power of two at or above GOMAXPROCS, capped at 64.
-// A power of two keeps the capacity split even and the cap bounds
-// per-shard bookkeeping on very wide machines.
-func DefaultShards() int {
+// directoryStripes sizes the flash cache directory's lock stripes: the
+// smallest power of two at or above GOMAXPROCS, capped at 64, so concurrent
+// lookups of different pages rarely share a stripe lock.  The stripe count
+// changes no replacement decision (face.TestStripedLookupEquivalence).
+func directoryStripes() int {
 	n := runtime.GOMAXPROCS(0)
 	if n < 1 {
 		n = 1
@@ -259,7 +249,7 @@ func (c *Config) buildCache(diskWrite face.DiskWriteFunc, diskSync func() error,
 		Frames:         c.FlashFrames,
 		GroupSize:      c.GroupSize,
 		SegmentEntries: c.SegmentEntries,
-		Stripes:        DefaultShards(),
+		Stripes:        directoryStripes(),
 		DiskWrite:      diskWrite,
 		DiskSync:       diskSync,
 		Pull:           pull,

@@ -16,7 +16,6 @@ import (
 	"github.com/reprolab/face/internal/obs"
 	"github.com/reprolab/face/internal/page"
 	"github.com/reprolab/face/internal/recovery"
-	"github.com/reprolab/face/internal/simclock"
 	"github.com/reprolab/face/internal/wal"
 )
 
@@ -69,7 +68,6 @@ type DB struct {
 	pool  *buffer.Pool
 	cache face.Extension
 	log   *wal.Manager
-	clock *simclock.Clock
 
 	// obs is the observability layer: commit-path phase histograms, the
 	// metric registry and the span tracer (see obs.go).
@@ -176,7 +174,6 @@ func Open(cfg Config) (*DB, error) {
 		flashDev:    cfg.FlashDev,
 		dataBarrier: dataBarrier,
 		files:       files,
-		clock:       simclock.New(),
 		nextPage:    1,
 		locks:       lock.New(),
 	}
@@ -218,11 +215,7 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 
-	shards := cfg.BufferShards
-	if shards == 0 {
-		shards = DefaultShards()
-	}
-	db.pool, err = buffer.NewSharded(cfg.BufferPages, shards, db.fetchPage, db.evictPage)
+	db.pool, err = buffer.New(cfg.BufferPages, db.fetchPage, db.evictPage)
 	if err != nil {
 		abortLog()
 		return nil, err
@@ -685,11 +678,11 @@ func (db *DB) checkpointLocked() error {
 	return nil
 }
 
-// Tick advances the simulated clock to the modelled elapsed time and runs a
-// periodic checkpoint when the configured interval has passed.  The
-// benchmark harness calls it between transactions.  Like Checkpoint it is
-// exclusive with in-flight View/Update transactions and must not be called
-// from inside their closures.
+// Tick runs a periodic checkpoint when the modelled elapsed time has moved
+// the configured interval past the last checkpoint.  The benchmark harness
+// calls it between transactions.  Like Checkpoint it is exclusive with
+// in-flight View/Update transactions and must not be called from inside
+// their closures.
 func (db *DB) Tick() error {
 	db.txMu.Lock()
 	defer db.txMu.Unlock()
@@ -699,7 +692,6 @@ func (db *DB) Tick() error {
 		return ErrClosed
 	}
 	now := db.Elapsed()
-	db.clock.AdvanceTo(now)
 	if db.cfg.CheckpointEvery > 0 && now-db.lastCheckpoint >= db.cfg.CheckpointEvery {
 		//lint:allow facevet/nolockio checkpoint fence: txMu excludes every transaction so the flush sees a quiescent engine by design
 		return db.checkpointLocked()
@@ -769,10 +761,9 @@ type Snapshot struct {
 	Phases obs.TxPhases
 }
 
-// Snapshot returns the current counters.  The buffer pool is sampled once
-// — one coherent snapshot per shard, aggregated — so PageAccesses, Pool and
-// the Elapsed model all derive from the same counters even while workers
-// keep mutating them.
+// Snapshot returns the current counters.  The buffer pool is sampled once,
+// under its lock, so PageAccesses, Pool and the Elapsed model all derive
+// from the same counters even while workers keep mutating them.
 func (db *DB) Snapshot() Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -810,9 +801,6 @@ func (db *DB) Pool() *buffer.Pool { return db.pool }
 
 // Log exposes the write-ahead log manager.
 func (db *DB) Log() *wal.Manager { return db.log }
-
-// Clock returns the simulated clock.
-func (db *DB) Clock() *simclock.Clock { return db.clock }
 
 // NumPages returns the number of allocated pages (excluding the superblock).
 func (db *DB) NumPages() int64 {

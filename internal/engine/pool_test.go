@@ -12,19 +12,17 @@ import (
 	"github.com/reprolab/face/internal/page"
 )
 
-// newShardedEngine opens a flash-cached engine with an explicit buffer
-// pool shard count.
-func newShardedEngine(t *testing.T, shards int) *DB {
+// newFlashEngine opens a FaCE+GSC engine with a 64-page buffer.
+func newFlashEngine(t *testing.T) *DB {
 	t.Helper()
 	cfg := Config{
-		DataDev:      device.NewArray("data", device.ProfileCheetah15K, 4, 32768),
-		LogDev:       device.New("log", device.ProfileCheetah15K, 1<<16),
-		FlashDev:     device.New("flash", device.ProfileSamsung470, 4096),
-		BufferPages:  64,
-		BufferShards: shards,
-		Policy:       PolicyFaCEGSC,
-		FlashFrames:  512,
-		GroupSize:    16,
+		DataDev:     device.NewArray("data", device.ProfileCheetah15K, 4, 32768),
+		LogDev:      device.New("log", device.ProfileCheetah15K, 1<<16),
+		FlashDev:    device.New("flash", device.ProfileSamsung470, 4096),
+		BufferPages: 64,
+		Policy:      PolicyFaCEGSC,
+		FlashFrames: 512,
+		GroupSize:   16,
 	}
 	db, err := Open(cfg)
 	if err != nil {
@@ -34,12 +32,12 @@ func newShardedEngine(t *testing.T, shards int) *DB {
 	return db
 }
 
-// TestShardedEngineConcurrentWorkload drives concurrent Update/View
-// transactions through the sharded pool and striped cache directory and
-// verifies (under -race) that the data survives: every page carries the
-// value of its last committed write.
-func TestShardedEngineConcurrentWorkload(t *testing.T) {
-	db := newShardedEngine(t, 4)
+// TestEngineConcurrentWorkload drives concurrent Update/View transactions
+// through the buffer pool and striped cache directory and verifies (under
+// -race) that the data survives: every page carries the value of its last
+// committed write.
+func TestEngineConcurrentWorkload(t *testing.T) {
+	db := newFlashEngine(t)
 	ctx := context.Background()
 
 	const pages = 96 // spills the 64-page buffer so the flash path runs
@@ -109,70 +107,6 @@ func TestShardedEngineConcurrentWorkload(t *testing.T) {
 		t.Fatalf("page counters sum to %d, want %d committed increments (lost or duplicated writes)",
 			total, committedIncrements)
 	}
-	if n := db.pool.Shards(); n != 4 {
-		t.Fatalf("pool has %d shards, want 4", n)
-	}
-}
-
-// TestShardCountKeepsSimulatedTime: with the working set fully buffered the
-// shard count decides which mutex a hit takes, not what the model charges.
-// One terminal running a fixed schedule commits the same work in the same
-// simulated time (within 1 %) on 1 and on 4 shards.
-func TestShardCountKeepsSimulatedTime(t *testing.T) {
-	run := func(shards int) Snapshot {
-		db, err := Open(Config{
-			DataDev:      device.NewArray("data", device.ProfileCheetah15K, 4, 32768),
-			LogDev:       device.New("log", device.ProfileCheetah15K, 1<<16),
-			BufferPages:  512,
-			BufferShards: shards,
-			Policy:       PolicyNone,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		ctx := context.Background()
-		var ids []page.ID
-		if err := db.Update(ctx, func(tx *Tx) error {
-			for i := 0; i < 64; i++ {
-				id, err := tx.Alloc(page.TypeHeap)
-				if err != nil {
-					return err
-				}
-				ids = append(ids, id)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			if err := db.Update(ctx, func(tx *Tx) error {
-				for _, id := range []page.ID{ids[i%64], ids[(i*7+3)%64]} {
-					if err := tx.Modify(id, func(buf page.Buf) error {
-						buf[page.HeaderSize]++
-						return nil
-					}); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := db.pool.Shards(); n != shards {
-			t.Fatalf("pool has %d shards, want %d", n, shards)
-		}
-		return db.Snapshot()
-	}
-	s1, s4 := run(1), run(4)
-	if s1.Committed != s4.Committed || s1.PageAccesses != s4.PageAccesses {
-		t.Fatalf("workloads differ: shards=1 %d commits/%d accesses, shards=4 %d/%d",
-			s1.Committed, s1.PageAccesses, s4.Committed, s4.PageAccesses)
-	}
-	if diff := float64(s4.Elapsed)/float64(s1.Elapsed) - 1; diff < -0.01 || diff > 0.01 {
-		t.Errorf("simulated time moved with the shard count: %v vs %v", s1.Elapsed, s4.Elapsed)
-	}
 }
 
 // TestSnapshotStatsCoherent is the stats-tearing regression test at the
@@ -180,11 +114,10 @@ func TestShardCountKeepsSimulatedTime(t *testing.T) {
 // coherent pool sampling while transactions keep mutating the counters.
 // Before the fix, PageAccesses and the elapsed-time model were computed
 // from two separate pool reads and could disagree.  The buffer package
-// checks the pool's own sampling: buffer.TestShardedPoolBasics that the
-// per-shard snapshots sum to Stats, buffer.TestShardedStatsCoherent that
-// they stay coherent under concurrent Gets.
+// checks the pool's own sampling under concurrent Gets
+// (buffer.TestStatsCoherent).
 func TestSnapshotStatsCoherent(t *testing.T) {
-	db := newShardedEngine(t, 4)
+	db := newFlashEngine(t)
 	ctx := context.Background()
 	var ids []page.ID
 	err := db.Update(ctx, func(tx *Tx) error {
@@ -247,11 +180,10 @@ func TestSnapshotStatsCoherent(t *testing.T) {
 // pool's ErrClosed instead of hanging forever.
 func TestEngineClosePinWaitHang(t *testing.T) {
 	cfg := Config{
-		DataDev:      device.NewArray("data", device.ProfileCheetah15K, 4, 32768),
-		LogDev:       device.New("log", device.ProfileCheetah15K, 1<<16),
-		BufferPages:  2,
-		BufferShards: 1,
-		Policy:       PolicyNone,
+		DataDev:     device.NewArray("data", device.ProfileCheetah15K, 4, 32768),
+		LogDev:      device.New("log", device.ProfileCheetah15K, 1<<16),
+		BufferPages: 2,
+		Policy:      PolicyNone,
 	}
 	db, err := Open(cfg)
 	if err != nil {

@@ -265,10 +265,10 @@ func FlashDeviceBlocks(frames, segEntries int) int64 {
 // sizing a flash device, absorbing future layout growth without resizing.
 const FlashDeviceSlack = 64
 
-// stripeIndex maps a page id to one of n stripes with the same Fibonacci
-// multiplicative hash the buffer pool shards use; every striped structure
-// keyed by page id shares it so a page always lands on the same stripe
-// index everywhere.
+// stripeIndex maps a page id to one of n stripes with a Fibonacci
+// multiplicative hash, which scatters the mostly sequential page ids of a
+// fresh database; every striped structure keyed by page id shares it so a
+// page always lands on the same stripe index everywhere.
 func stripeIndex(id page.ID, n int) int {
 	if n <= 1 {
 		return 0
@@ -293,8 +293,7 @@ func newStripes(n, frames int) []*dirStripe {
 	return out
 }
 
-// stripe returns the directory stripe holding the given page id, using the
-// same Fibonacci hash as the buffer pool shards.
+// stripe returns the directory stripe holding the given page id.
 func (m *MVFIFO) stripe(id page.ID) *dirStripe {
 	return m.stripes[stripeIndex(id, len(m.stripes))]
 }

@@ -52,7 +52,7 @@ func (g *guard) parked(b Buf) {
 // stop reports a violation of the ownership rule and ends the program.  It
 // does not panic: a panic runs the goroutine's deferred calls first, and
 // the caller may be holding a lock one of them wants (the buffer pool
-// allocates frames under its shard lock, and a transaction's deferred Unpin
+// allocates frames under its lock, and a transaction's deferred Unpin
 // takes it), which turns the report into a hang.
 func stop(msg string) {
 	fmt.Fprintf(os.Stderr, "%s\n\n%s", msg, debug.Stack())
