@@ -62,6 +62,60 @@ func TestConcurrentGetUnpin(t *testing.T) {
 	}
 	p.SetPinWait(true)
 
+	hammerGetUnpin(t, p, pages, goroutines, iterations)
+
+	// All pins released: every resident page must be evictable again.
+	for _, id := range p.ResidentIDs() {
+		if _, err := p.Get(id); err != nil {
+			t.Fatalf("Get(%d) after drain: %v", id, err)
+		}
+		if err := p.Unpin(id); err != nil {
+			t.Fatalf("Unpin(%d) after drain: %v", id, err)
+		}
+	}
+	s := p.Stats()
+	if s.Misses == 0 || s.Evictions == 0 {
+		t.Fatalf("workload did not exercise misses/evictions: %+v", s)
+	}
+}
+
+// TestShardedConcurrentGetUnpin hammers the pool with pin waiting off, the
+// fail-fast configuration, where TestConcurrentGetUnpin waits for pins.
+// Sixteen goroutines each hold at most one pin on sixteen frames, so a
+// goroutine needing a frame always finds one its peers leave unpinned and
+// no Get may fail with ErrAllPinned.  (The name dates from the sharded
+// pool, whose shards this test drove; the pool is now one LRU.)
+func TestShardedConcurrentGetUnpin(t *testing.T) {
+	const (
+		pages      = 64
+		capacity   = 16
+		goroutines = 16
+		iterations = 300
+	)
+	b := &lockedBacking{pages: make(map[page.ID]byte)}
+	for i := 1; i <= pages; i++ {
+		b.pages[page.ID(i)] = byte(i)
+	}
+	p, err := New(capacity, b.fetch, b.evict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hammerGetUnpin(t, p, pages, goroutines, iterations)
+	if n := p.Len(); n != capacity {
+		t.Fatalf("%d pages resident after the workload, want %d", n, capacity)
+	}
+	s := p.Stats()
+	if s.Misses == 0 || s.Evictions == 0 {
+		t.Fatalf("workload did not exercise misses/evictions: %+v", s)
+	}
+}
+
+// hammerGetUnpin runs goroutines workers that each Get, check and Unpin
+// iterations pages out of 1..pages, staggered so that misses, evictions
+// and re-fetches of the same pages overlap.  It fails t if a worker sees a
+// torn fill pattern, a frame holding another page, or an error.
+func hammerGetUnpin(t *testing.T, p *Pool, pages, goroutines, iterations int) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
@@ -93,20 +147,6 @@ func TestConcurrentGetUnpin(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-
-	// All pins released: every resident page must be evictable again.
-	for _, id := range p.ResidentIDs() {
-		if _, err := p.Get(id); err != nil {
-			t.Fatalf("Get(%d) after drain: %v", id, err)
-		}
-		if err := p.Unpin(id); err != nil {
-			t.Fatalf("Unpin(%d) after drain: %v", id, err)
-		}
-	}
-	s := p.Stats()
-	if s.Misses == 0 || s.Evictions == 0 {
-		t.Fatalf("workload did not exercise misses/evictions: %+v", s)
-	}
 }
 
 // TestConcurrentSameMissLoadsOnce checks that concurrent Gets for the same
